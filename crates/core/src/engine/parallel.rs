@@ -49,26 +49,26 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use crate::aggregate::{AggFunction, OperatorBundle};
-use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::{SealedSlice, SliceData, SliceId};
-use crate::engine::slicer::GroupSlicer;
-use crate::engine::{Assembler, QueryAnalyzer, QueryGroup};
-use crate::error::DesisError;
-use crate::event::{Event, EventBatch, Key};
-use crate::metrics::EngineMetrics;
+use crate::engine::QueryGroup;
+use crate::event::Key;
 use crate::obs::prof::{self, ProfHandle, Profiler, Stage};
-use crate::obs::trace::{SpanKind, TraceCollector, TraceRecorder};
-use crate::obs::{names, Counter, MetricsRegistry};
-use crate::predicate::Predicate;
-use crate::query::{Query, QueryId, QueryResult};
+use crate::obs::trace::{SpanKind, TraceRecorder};
+use crate::obs::MetricsRegistry;
+use crate::query::{QueryId, QueryResult};
 use crate::time::{DurationMs, Timestamp};
-use crate::window::{WindowKind, WindowSpec};
+use crate::window::WindowSpec;
 
+mod engine;
 pub mod handoff;
+mod shard;
+mod sharded;
+#[cfg(test)]
+mod tests;
 pub mod unfixed;
 
-use handoff::{Inbox, InboxGuard, ShardExit};
-use unfixed::UnfixedShardMerger;
+pub use engine::ParallelEngine;
+pub use sharded::ShardedSlicer;
 
 /// Tunables of the parallel engine.
 #[derive(Debug, Clone)]
@@ -122,307 +122,6 @@ fn prof_record(prof: &mut Option<ProfHandle>, stage: Stage, stamp: Option<prof::
     if let (Some(h), Some(t0)) = (prof.as_mut(), stamp) {
         h.record_since(stage, t0);
     }
-}
-
-// ---------------------------------------------------------------------
-// Shard-side worker.
-// ---------------------------------------------------------------------
-
-/// Messages from the inlet to one shard worker.
-#[derive(Debug)]
-enum ShardMsg {
-    /// A key-partitioned event batch, in ingestion order.
-    Batch(Vec<Event>),
-    /// A key-partitioned batch tagged with global inlet sequence
-    /// numbers, sent instead of [`ShardMsg::Batch`] while count-query
-    /// filters are installed (the tags let the collector replay
-    /// forwarded events in global ingest order).
-    SeqBatch(Vec<(u64, Event)>),
-    /// Advance event time (punctuation-seals idle spans); the worker
-    /// acknowledges with a frontier item.
-    Watermark(Timestamp),
-    /// Remove a query at runtime.
-    Remove { id: QueryId, immediate: bool },
-    /// Add a query-group at runtime: one more slicer on this shard.
-    AddGroup(QueryGroup),
-    /// Install a count-query filter: forward events matching any of the
-    /// predicates to the collector's replay slot.
-    AddCountFilter(usize, Vec<Predicate>),
-    /// Enable causal tracing: mint one recorder per slicer for `node`.
-    Install(TraceCollector, u32),
-    /// End of stream: report metrics and exit cleanly.
-    Flush,
-    /// Test-only: make the worker panic, exercising the degraded-shard
-    /// path without a contrived data-dependent panic.
-    #[cfg(test)]
-    Panic,
-}
-
-/// Items a shard worker hands to the collector.
-#[derive(Debug)]
-enum ShardItem {
-    /// Sealed slices of one sharded group (index into the sharded
-    /// group list).
-    Slices {
-        group: usize,
-        slices: Vec<SealedSlice>,
-    },
-    /// Per-session-query clear frontiers of one unfixed group, reported
-    /// at every watermark (floor = the watermark) and at flush
-    /// (floor = `Timestamp::MAX`): no session fragment starting before
-    /// its query's clear can still arrive from this shard.
-    Clears {
-        group: usize,
-        clears: Vec<(usize, Timestamp)>,
-    },
-    /// Events matching a count query's selections, tagged with inlet
-    /// sequence numbers, for the collector's replay slot.
-    CountEvents {
-        replay: usize,
-        items: Vec<(u64, Event)>,
-    },
-    /// The shard has processed every event up to this watermark.
-    Frontier(Timestamp),
-    /// Final per-shard metrics, sent right before a clean exit.
-    Done {
-        metrics: EngineMetrics,
-        late_dropped: u64,
-    },
-}
-
-/// Feeds a run of in-order events through every slicer of the shard and
-/// pushes the sealed slices, one item per group.
-///
-/// Marker events are broadcast by the inlet so every shard closes
-/// user-defined windows at the same stream position: a marker whose key
-/// hashes to *another* shard drives only the window *boundaries* of
-/// unfixed groups ([`GroupSlicer::on_marker`]) — its data belongs to the
-/// owning shard, which processes it as an ordinary event.
-fn feed_events(
-    shard: usize,
-    shards_total: usize,
-    slicers: &mut [GroupSlicer],
-    outs: &mut Vec<Vec<SealedSlice>>,
-    guard: &InboxGuard<ShardItem>,
-    events: &[Event],
-) {
-    outs.resize_with(slicers.len(), Vec::new);
-    let foreign_marker = events
-        .iter()
-        .any(|ev| ev.marker.is_some() && (ev.key as usize) % shards_total != shard);
-    if foreign_marker {
-        for ev in events {
-            let owned = ev.marker.is_none() || (ev.key as usize) % shards_total == shard;
-            for (group, slicer) in slicers.iter_mut().enumerate() {
-                if owned {
-                    slicer.on_event(ev, &mut outs[group]);
-                } else if slicer.group().has_unfixed_windows() {
-                    slicer.on_marker(ev, &mut outs[group]);
-                }
-            }
-        }
-    } else {
-        for (group, slicer) in slicers.iter_mut().enumerate() {
-            for ev in events {
-                slicer.on_event(ev, &mut outs[group]);
-            }
-        }
-    }
-    for (group, out) in outs.iter_mut().enumerate() {
-        if !out.is_empty() {
-            guard.push(ShardItem::Slices {
-                group,
-                slices: std::mem::take(out),
-            });
-        }
-    }
-}
-
-/// Reports the clear frontiers of every unfixed group on this shard
-/// (see [`ShardItem::Clears`]).
-fn push_clears(slicers: &[GroupSlicer], guard: &InboxGuard<ShardItem>, floor: Timestamp) {
-    for (group, slicer) in slicers.iter().enumerate() {
-        if slicer.group().has_unfixed_windows() {
-            guard.push(ShardItem::Clears {
-                group,
-                clears: slicer.unfixed_clears(floor),
-            });
-        }
-    }
-}
-
-/// The shard worker loop: reorder (optional) → one slicer per sharded
-/// group (+ count-query filters) → handoff inbox. Runs on its own
-/// thread; panics anywhere in the loop are reported by the guard and
-/// degrade only this shard.
-fn run_shard(
-    shard: usize,
-    shards_total: usize,
-    mut slicers: Vec<GroupSlicer>,
-    lateness: Option<DurationMs>,
-    rx: crossbeam_channel::Receiver<ShardMsg>,
-    inbox: Arc<Inbox<ShardItem>>,
-    profiler: Option<Profiler>,
-) {
-    let guard = InboxGuard::new(inbox, shard);
-    let mut prof = profiler.map(|p| p.handle(&format!("shard{shard}")));
-    let mut reorder = lateness.map(ReorderBuffer::new);
-    let mut ordered: Vec<Event> = Vec::new();
-    let mut scratch: Vec<SealedSlice> = Vec::new();
-    let mut outs: Vec<Vec<SealedSlice>> = Vec::new();
-    let mut count_filters: Vec<(usize, Vec<Predicate>)> = Vec::new();
-    loop {
-        let msg = {
-            let _idle = prof::scope(&mut prof, Stage::Idle);
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
-        let batch: Option<Vec<Event>> = match msg {
-            ShardMsg::Batch(events) => Some(events),
-            ShardMsg::SeqBatch(items) => {
-                // Count windows advance only on selection matches, so
-                // forwarding just the matching events (in sequence
-                // order) is result-preserving. Broadcast markers are
-                // forwarded by their owning shard only.
-                let _filter = prof::scope(&mut prof, Stage::CountFilter);
-                for (replay, predicates) in &count_filters {
-                    let matched: Vec<(u64, Event)> = items
-                        .iter()
-                        .filter(|(_, ev)| {
-                            (ev.marker.is_none() || (ev.key as usize) % shards_total == shard)
-                                && predicates.iter().any(|p| p.matches(ev))
-                        })
-                        .copied()
-                        .collect();
-                    if !matched.is_empty() {
-                        guard.push(ShardItem::CountEvents {
-                            replay: *replay,
-                            items: matched,
-                        });
-                    }
-                }
-                Some(items.into_iter().map(|(_, ev)| ev).collect())
-            }
-            ShardMsg::Watermark(ts) => {
-                if let Some(rb) = &mut reorder {
-                    {
-                        let _reorder = prof::scope(&mut prof, Stage::Reorder);
-                        rb.advance(ts, &mut ordered);
-                    }
-                    let _slice = prof::scope(&mut prof, Stage::Slicer);
-                    feed_events(
-                        shard,
-                        shards_total,
-                        &mut slicers,
-                        &mut outs,
-                        &guard,
-                        &ordered,
-                    );
-                    ordered.clear();
-                }
-                let _slice = prof::scope(&mut prof, Stage::Slicer);
-                for (group, slicer) in slicers.iter_mut().enumerate() {
-                    slicer.on_watermark(ts, &mut scratch);
-                    if !scratch.is_empty() {
-                        guard.push(ShardItem::Slices {
-                            group,
-                            slices: std::mem::take(&mut scratch),
-                        });
-                    }
-                }
-                push_clears(&slicers, &guard, ts);
-                guard.push(ShardItem::Frontier(ts));
-                None
-            }
-            ShardMsg::Remove { id, immediate } => {
-                for slicer in &mut slicers {
-                    slicer.remove_query(id, immediate);
-                }
-                None
-            }
-            ShardMsg::AddGroup(group) => {
-                slicers.push(GroupSlicer::new(group));
-                None
-            }
-            ShardMsg::AddCountFilter(replay, predicates) => {
-                count_filters.push((replay, predicates));
-                None
-            }
-            ShardMsg::Install(collector, node) => {
-                for slicer in &mut slicers {
-                    slicer.set_recorder(collector.recorder(node));
-                }
-                None
-            }
-            ShardMsg::Flush => break,
-            #[cfg(test)]
-            ShardMsg::Panic => std::panic::panic_any("injected shard panic"),
-        };
-        if let Some(events) = batch {
-            if let Some(rb) = &mut reorder {
-                {
-                    let _reorder = prof::scope(&mut prof, Stage::Reorder);
-                    for ev in events {
-                        rb.push(ev, &mut ordered);
-                    }
-                }
-                let _slice = prof::scope(&mut prof, Stage::Slicer);
-                feed_events(
-                    shard,
-                    shards_total,
-                    &mut slicers,
-                    &mut outs,
-                    &guard,
-                    &ordered,
-                );
-                ordered.clear();
-            } else {
-                let _slice = prof::scope(&mut prof, Stage::Slicer);
-                feed_events(
-                    shard,
-                    shards_total,
-                    &mut slicers,
-                    &mut outs,
-                    &guard,
-                    &events,
-                );
-            }
-        }
-    }
-    // Events still buffered past the final watermark fold in best-effort
-    // (their slices seal only if a punctuation is crossed) — the same
-    // contract as draining a sequential engine without a final watermark.
-    if let Some(rb) = &mut reorder {
-        {
-            let _reorder = prof::scope(&mut prof, Stage::Reorder);
-            rb.flush(&mut ordered);
-        }
-        let _slice = prof::scope(&mut prof, Stage::Slicer);
-        feed_events(
-            shard,
-            shards_total,
-            &mut slicers,
-            &mut outs,
-            &guard,
-            &ordered,
-        );
-        ordered.clear();
-    }
-    // End of stream: no slot can open another session fragment, so
-    // closed session queries clear all the way out.
-    push_clears(&slicers, &guard, Timestamp::MAX);
-    let mut metrics = EngineMetrics::default();
-    for slicer in &slicers {
-        metrics.absorb(slicer.metrics());
-    }
-    let late_dropped = reorder.as_ref().map_or(0, ReorderBuffer::late_dropped);
-    guard.push(ShardItem::Done {
-        metrics,
-        late_dropped,
-    });
-    guard.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -546,81 +245,6 @@ impl ShardMerger {
 
     fn drain_ready(&mut self, group: usize, out: &mut Vec<(usize, SealedSlice)>) {
         out.extend(self.ready.drain(..).map(|s| (group, s)));
-    }
-}
-
-/// The per-group collector-side merger: fixed-only groups align by
-/// slice-end timestamp, groups with session/user-defined windows merge
-/// by span overlap and clear frontiers.
-#[derive(Debug)]
-enum GroupMerger {
-    Fixed(ShardMerger),
-    Unfixed(UnfixedShardMerger),
-}
-
-impl GroupMerger {
-    fn for_group(group: &QueryGroup, shards: usize) -> Self {
-        if group.has_unfixed_windows() {
-            GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
-        } else {
-            GroupMerger::Fixed(ShardMerger::new(shards as u32))
-        }
-    }
-
-    fn on_slice(&mut self, shard: usize, slice: SealedSlice) {
-        match self {
-            GroupMerger::Fixed(m) => m.on_slice(slice),
-            GroupMerger::Unfixed(m) => m.on_slice(shard, slice),
-        }
-    }
-
-    fn on_clears(&mut self, shard: usize, clears: &[(usize, Timestamp)]) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.on_clears(shard, clears);
-        }
-    }
-
-    fn advance(&mut self, wm: Timestamp) {
-        match self {
-            GroupMerger::Fixed(m) => m.advance(wm),
-            GroupMerger::Unfixed(m) => m.advance(wm),
-        }
-    }
-
-    fn mark_dead(&mut self, shard: usize) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.mark_dead(shard);
-        }
-    }
-
-    /// Purges merger-side state of an immediately-removed query (the
-    /// fixed merger keeps no per-query state).
-    fn remove_query(&mut self, id: QueryId) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.remove_query(id);
-        }
-    }
-
-    fn set_recorder(&mut self, recorder: TraceRecorder) {
-        match self {
-            GroupMerger::Fixed(m) => m.set_recorder(recorder),
-            GroupMerger::Unfixed(m) => m.set_recorder(recorder),
-        }
-    }
-
-    fn drain_ready(&mut self, group: usize, out: &mut Vec<(usize, SealedSlice)>) {
-        match self {
-            GroupMerger::Fixed(m) => m.drain_ready(group, out),
-            GroupMerger::Unfixed(m) => m.drain_ready(group, out),
-        }
-    }
-
-    /// Profiler stage this merger's work is attributed to.
-    fn prof_stage(&self) -> Stage {
-        match self {
-            GroupMerger::Fixed(_) => Stage::ShardMerge,
-            GroupMerger::Unfixed(_) => Stage::UnfixedMerge,
-        }
     }
 }
 
@@ -783,1796 +407,5 @@ impl FixedAssembler {
                 break;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The sharded slicer: inlet batching, worker threads, merge-back.
-// ---------------------------------------------------------------------
-
-/// Lifecycle of one shard as seen by the collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardState {
-    Running,
-    Done,
-    Degraded,
-}
-
-/// Runs the slicers of a set of sharded groups (fixed time windows
-/// *and* session/user-defined windows) across N worker threads,
-/// partitioned by `key % shards`, and merges the per-shard sealed
-/// slices back into one deterministic slice stream per group. Count
-/// query-groups ride along as shard-side selection filters whose
-/// matches the collector replays sequentially
-/// ([`ShardedSlicer::take_count_events`]).
-///
-/// This is the engine-internal building block shared by
-/// [`ParallelEngine`] (which assembles windows from the merged stream)
-/// and the decentralized local node (which ships the merged stream to
-/// its parent exactly as if one sequential slicer had produced it).
-#[derive(Debug)]
-pub struct ShardedSlicer {
-    senders: Vec<crossbeam_channel::Sender<ShardMsg>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    inbox: Arc<Inbox<ShardItem>>,
-    mergers: Vec<GroupMerger>,
-    frontiers: Vec<Timestamp>,
-    states: Vec<ShardState>,
-    inlet: EventBatch,
-    batch_size: usize,
-    shards: usize,
-    /// Broadcast marker events to every shard (any group has
-    /// user-defined windows).
-    broadcast: bool,
-    /// Tag batches with inlet sequence numbers (count filters are
-    /// installed).
-    stamp: bool,
-    seq: u64,
-    /// Per-replay-slot count events collected from the shard filters.
-    count_buf: Vec<Vec<(u64, Event)>>,
-    panics: u64,
-    shard_events: Vec<u64>,
-    shard_batches: Vec<u64>,
-    /// Per-shard `(events, batches)` counter handles, resolved once at
-    /// spawn when a registry is configured, so the inlet hot path
-    /// increments live instruments without any name formatting.
-    live_counters: Option<Vec<(Arc<Counter>, Arc<Counter>)>>,
-    /// Collector-lane profiler handle (ingest/barrier/merge stages).
-    prof: Option<ProfHandle>,
-    collected: EngineMetrics,
-    late_dropped: u64,
-    item_buf: Vec<ShardItem>,
-    finished: bool,
-}
-
-impl ShardedSlicer {
-    /// Spawns `cfg.shards` worker threads, each owning one slicer per
-    /// group in `groups` (fixed-window groups merge by slice end,
-    /// session/user-defined groups by span overlap).
-    pub fn new(groups: &[QueryGroup], cfg: &ParallelConfig) -> Result<Self, DesisError> {
-        Self::with_counts(groups, &[], cfg)
-    }
-
-    /// Like [`ShardedSlicer::new`], additionally installing one
-    /// shard-side selection filter per count query-group: matching
-    /// events come back through [`ShardedSlicer::take_count_events`]
-    /// tagged with inlet sequence numbers for ordered replay.
-    pub fn with_counts(
-        groups: &[QueryGroup],
-        count_groups: &[QueryGroup],
-        cfg: &ParallelConfig,
-    ) -> Result<Self, DesisError> {
-        let shards = cfg.shards.max(1);
-        let inbox = Arc::new(Inbox::new(shards));
-        let mut senders = Vec::with_capacity(shards);
-        let mut threads = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = crossbeam_channel::bounded(cfg.channel_capacity.max(1));
-            let slicers: Vec<GroupSlicer> =
-                groups.iter().map(|g| GroupSlicer::new(g.clone())).collect();
-            let lateness = cfg.lateness;
-            let inbox = Arc::clone(&inbox);
-            let profiler = cfg.profiler.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("desis-shard-{shard}"))
-                .spawn(move || run_shard(shard, shards, slicers, lateness, rx, inbox, profiler))
-                .map_err(|_| DesisError::Cluster("failed to spawn shard worker thread"))?;
-            senders.push(tx);
-            threads.push(handle);
-        }
-        let live_counters = cfg.registry.as_ref().map(|registry| {
-            (0..shards)
-                .map(|shard| {
-                    (
-                        registry.counter(&names::engine_shard_events(shard)),
-                        registry.counter(&names::engine_shard_batches(shard)),
-                    )
-                })
-                .collect()
-        });
-        let this = Self {
-            senders,
-            threads,
-            inbox,
-            mergers: groups
-                .iter()
-                .map(|g| GroupMerger::for_group(g, shards))
-                .collect(),
-            frontiers: vec![0; shards],
-            states: vec![ShardState::Running; shards],
-            inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
-            batch_size: cfg.batch_size.max(1),
-            shards,
-            broadcast: groups.iter().any(|g| !g.user_defined_queries().is_empty()),
-            stamp: !count_groups.is_empty(),
-            seq: 0,
-            count_buf: vec![Vec::new(); count_groups.len()],
-            panics: 0,
-            shard_events: vec![0; shards],
-            shard_batches: vec![0; shards],
-            live_counters,
-            prof: cfg.profiler.as_ref().map(|p| p.handle("driver")),
-            collected: EngineMetrics::default(),
-            late_dropped: 0,
-            item_buf: Vec::new(),
-            finished: false,
-        };
-        for (replay, g) in count_groups.iter().enumerate() {
-            let predicates: Vec<Predicate> = g.selections.iter().map(|s| s.predicate).collect();
-            for tx in &this.senders {
-                let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
-            }
-        }
-        Ok(this)
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of sharded groups.
-    pub fn group_count(&self) -> usize {
-        self.mergers.len()
-    }
-
-    /// Shard workers that panicked and were degraded.
-    pub fn shard_panics(&self) -> u64 {
-        self.panics
-    }
-
-    /// Events dropped as too late by the per-shard reorder buffers
-    /// (complete only after [`ShardedSlicer::finish`]).
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
-    }
-
-    /// Enables causal tracing: every shard worker mints per-slicer ring
-    /// recorders for `node`, and the merge-back records
-    /// `MergeStart`/`MergeDone` spans.
-    pub fn install_tracing(&mut self, collector: &TraceCollector, node: u32) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Install(collector.clone(), node));
-        }
-        for merger in &mut self.mergers {
-            merger.set_recorder(collector.recorder(node));
-        }
-    }
-
-    /// Removes a query at runtime on every shard. With `immediate` the
-    /// collector-side merger state is purged too; a draining removal
-    /// keeps it so in-flight windows still complete (shards report the
-    /// query's slot gone once drained, which releases any remainder).
-    pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
-        // Flush first so the removal lands between the events ingested
-        // before and after this call, like the sequential engine's.
-        self.flush_inlet();
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Remove { id, immediate });
-        }
-        if immediate {
-            for merger in &mut self.mergers {
-                merger.remove_query(id);
-            }
-        }
-    }
-
-    /// Adds a query-group at runtime: one more slicer on every shard
-    /// and a matching collector-side merger. Returns the group's index
-    /// in the merged-slice stream. The group starts processing with the
-    /// next ingested event (the inlet is flushed first).
-    pub fn add_group(&mut self, group: QueryGroup) -> usize {
-        self.flush_inlet();
-        self.broadcast |= !group.user_defined_queries().is_empty();
-        self.mergers
-            .push(GroupMerger::for_group(&group, self.shards));
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::AddGroup(group.clone()));
-        }
-        self.mergers.len() - 1
-    }
-
-    /// Adds a count-query replay slot at runtime: every shard starts
-    /// forwarding events matching any of `predicates`, tagged with
-    /// inlet sequence numbers. Returns the replay slot index.
-    pub fn add_count_filter(&mut self, predicates: Vec<Predicate>) -> usize {
-        self.flush_inlet();
-        self.stamp = true;
-        self.count_buf.push(Vec::new());
-        let replay = self.count_buf.len() - 1;
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
-        }
-        replay
-    }
-
-    /// Drains the count-query events forwarded for replay slot
-    /// `replay`. The set is complete (for everything up to a watermark)
-    /// only right after [`ShardedSlicer::on_watermark`] or
-    /// [`ShardedSlicer::finish`]; sort by the sequence tag to restore
-    /// global ingest order.
-    pub fn take_count_events(&mut self, replay: usize) -> Vec<(u64, Event)> {
-        self.collect();
-        self.count_buf
-            .get_mut(replay)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Ingests one event; returns `true` when the inlet batch filled and
-    /// was flushed to the shards (a natural point to drain merged
-    /// slices).
-    #[inline]
-    pub fn on_event(&mut self, ev: &Event) -> bool {
-        self.inlet.push(*ev);
-        if self.inlet.len() >= self.batch_size {
-            self.flush_inlet();
-            return true;
-        }
-        false
-    }
-
-    /// Ingests a pre-built batch.
-    pub fn on_batch(&mut self, batch: &EventBatch) {
-        for ev in batch {
-            self.inlet.push(*ev);
-        }
-        if self.inlet.len() >= self.batch_size {
-            self.flush_inlet();
-        }
-    }
-
-    /// Counts a partition sent to `shard` (both the internal tallies
-    /// and, when a registry was configured, the pre-resolved live
-    /// counter handles — no name formatting on this path).
-    #[inline]
-    fn note_send(&mut self, shard: usize, events: u64) {
-        self.shard_events[shard] += events;
-        self.shard_batches[shard] += 1;
-        if let Some(handles) = &self.live_counters {
-            handles[shard].0.add(events);
-            handles[shard].1.inc();
-        }
-    }
-
-    fn flush_inlet(&mut self) {
-        if self.inlet.is_empty() {
-            return;
-        }
-        let ingest = prof_stamp(&self.prof);
-        self.flush_inlet_inner();
-        prof_record(&mut self.prof, Stage::Ingest, ingest);
-    }
-
-    fn flush_inlet_inner(&mut self) {
-        if self.stamp {
-            // Count filters installed: tag every event with its global
-            // inlet sequence number so the collector can restore ingest
-            // order across shards. Markers still broadcast (each copy
-            // keeps the original's sequence number; only the owning
-            // shard forwards it to the count filters).
-            let inlet =
-                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
-            let mut parts: Vec<Vec<(u64, Event)>> = vec![Vec::new(); self.shards];
-            for ev in &inlet {
-                let seq = self.seq;
-                self.seq += 1;
-                if self.broadcast && ev.marker.is_some() {
-                    for part in &mut parts {
-                        part.push((seq, *ev));
-                    }
-                } else {
-                    parts[ev.key as usize % self.shards].push((seq, *ev));
-                }
-            }
-            for (shard, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                self.note_send(shard, part.len() as u64);
-                let _ = self.senders[shard].send(ShardMsg::SeqBatch(part));
-            }
-            return;
-        }
-        if self.broadcast {
-            // User-defined windows close at markers, which every shard
-            // must observe at the same stream position: copy marker
-            // events into every part, in place.
-            let inlet =
-                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
-            let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards];
-            for ev in &inlet {
-                if ev.marker.is_some() {
-                    for part in &mut parts {
-                        part.push(*ev);
-                    }
-                } else {
-                    parts[ev.key as usize % self.shards].push(*ev);
-                }
-            }
-            for (shard, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                self.note_send(shard, part.len() as u64);
-                let _ = self.senders[shard].send(ShardMsg::Batch(part));
-            }
-            return;
-        }
-        let parts = self.inlet.partition_by_key(self.shards);
-        self.inlet = EventBatch::with_capacity(self.batch_size);
-        for (shard, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            self.note_send(shard, part.len() as u64);
-            // A failed send means the worker died; the panic surfaces
-            // through the inbox guard on the next collect.
-            let _ = self.senders[shard].send(ShardMsg::Batch(part));
-        }
-    }
-
-    /// Flushes the inlet and broadcasts a watermark, then **blocks**
-    /// until every live shard acknowledged it — the barrier that makes
-    /// results deterministic: after this returns, everything implied by
-    /// the events and watermarks ingested so far is in the mergers.
-    pub fn on_watermark(&mut self, ts: Timestamp) {
-        self.flush_inlet();
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Watermark(ts));
-        }
-        let barrier = prof_stamp(&self.prof);
-        loop {
-            self.collect();
-            let reached = self
-                .states
-                .iter()
-                .zip(&self.frontiers)
-                .all(|(state, frontier)| *state != ShardState::Running || *frontier >= ts);
-            if reached {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        prof_record(&mut self.prof, Stage::Barrier, barrier);
-    }
-
-    /// Drains handoff items from every shard into the mergers and
-    /// advances the mergers' forced watermark to the minimum live shard
-    /// frontier.
-    fn collect(&mut self) {
-        for shard in 0..self.shards {
-            let exit = self.inbox.drain(shard, &mut self.item_buf);
-            for item in self.item_buf.drain(..) {
-                match item {
-                    ShardItem::Slices { group, slices } => {
-                        if let Some(merger) = self.mergers.get_mut(group) {
-                            let stage = merger.prof_stage();
-                            let t0 = prof_stamp(&self.prof);
-                            for slice in slices {
-                                merger.on_slice(shard, slice);
-                            }
-                            prof_record(&mut self.prof, stage, t0);
-                        }
-                    }
-                    ShardItem::Clears { group, clears } => {
-                        if let Some(merger) = self.mergers.get_mut(group) {
-                            merger.on_clears(shard, &clears);
-                        }
-                    }
-                    ShardItem::CountEvents { replay, items } => {
-                        if let Some(buf) = self.count_buf.get_mut(replay) {
-                            buf.extend(items);
-                        }
-                    }
-                    ShardItem::Frontier(ts) => {
-                        if ts > self.frontiers[shard] {
-                            self.frontiers[shard] = ts;
-                        }
-                    }
-                    ShardItem::Done {
-                        metrics,
-                        late_dropped,
-                    } => {
-                        self.collected.absorb(&metrics);
-                        self.late_dropped += late_dropped;
-                    }
-                }
-            }
-            if self.states[shard] == ShardState::Running {
-                match exit {
-                    Some(ShardExit::Clean) => self.states[shard] = ShardState::Done,
-                    Some(ShardExit::Panicked) => {
-                        // Degrade: stop waiting for the shard; later
-                        // slices release without its contributions.
-                        self.states[shard] = ShardState::Degraded;
-                        self.frontiers[shard] = Timestamp::MAX;
-                        self.panics += 1;
-                        for merger in &mut self.mergers {
-                            merger.mark_dead(shard);
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-        let wm = self
-            .states
-            .iter()
-            .zip(&self.frontiers)
-            .filter(|(state, _)| **state != ShardState::Degraded)
-            .map(|(_, frontier)| *frontier)
-            .min()
-            .unwrap_or(Timestamp::MAX);
-        for merger in &mut self.mergers {
-            let stage = merger.prof_stage();
-            let t0 = prof_stamp(&self.prof);
-            merger.advance(wm);
-            prof_record(&mut self.prof, stage, t0);
-        }
-    }
-
-    /// Drains merged slices, tagged with their group index, in
-    /// end-timestamp order per group.
-    pub fn drain_merged(&mut self, out: &mut Vec<(usize, SealedSlice)>) {
-        self.collect();
-        for group in 0..self.mergers.len() {
-            self.mergers[group].drain_ready(group, out);
-        }
-    }
-
-    /// Ends the stream: flushes the inlet, tells every worker to exit,
-    /// joins the threads, and collects their final metrics. Idempotent.
-    /// Slices still pending afterwards were never covered by a watermark
-    /// and stay unreleased (the sequential engine would not have sealed
-    /// them everywhere either).
-    pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        self.flush_inlet();
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Flush);
-        }
-        for handle in self.threads.drain(..) {
-            // A panicked worker already reported through the guard.
-            let _ = handle.join();
-        }
-        self.collect();
-        if let Some(h) = &mut self.prof {
-            h.flush();
-        }
-    }
-
-    /// Test-only: makes one shard worker panic, exercising the
-    /// degraded-shard path end to end.
-    #[cfg(test)]
-    pub(crate) fn inject_panic(&self, shard: usize) {
-        if let Some(tx) = self.senders.get(shard) {
-            let _ = tx.send(ShardMsg::Panic);
-        }
-    }
-
-    /// Summed slicer metrics of all shards, available in full after
-    /// [`ShardedSlicer::finish`] (workers report on exit). The `events`
-    /// field counts per-group ingests, like [`GroupSlicer::metrics`].
-    pub fn metrics(&self) -> EngineMetrics {
-        self.collected.clone()
-    }
-
-    /// Publishes per-shard inlet counters, the panic count, and the
-    /// shard-balance telemetry gauges (routing imbalance, inbox
-    /// high-water depths, unfixed-merger retained state) into
-    /// `registry`.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        for shard in 0..self.shards {
-            registry
-                .counter(&names::engine_shard_events(shard))
-                .raise_to(self.shard_events[shard]);
-            registry
-                .counter(&names::engine_shard_batches(shard))
-                .raise_to(self.shard_batches[shard]);
-            registry
-                .gauge(&names::engine_shard_inbox_depth_max(shard))
-                .set_max(self.inbox.depth_max(shard) as i64);
-        }
-        registry
-            .counter(names::ENGINE_SHARD_PANICS)
-            .raise_to(self.panics);
-        let max = self.shard_events.iter().copied().max().unwrap_or(0);
-        let min = self.shard_events.iter().copied().min().unwrap_or(0);
-        let imbalance = ((max - min) * 1000).checked_div(max).unwrap_or(0);
-        registry
-            .gauge(names::ENGINE_SHARD_IMBALANCE_PERMILLE)
-            .set(imbalance as i64);
-        let mut pending_sessions = 0usize;
-        let mut queued_ud = 0usize;
-        for merger in &self.mergers {
-            if let GroupMerger::Unfixed(m) = merger {
-                pending_sessions += m.pending_sessions();
-                queued_ud += m.queued_ud_slices();
-            }
-        }
-        registry
-            .gauge(names::ENGINE_UNFIXED_PENDING_SESSIONS)
-            .set(pending_sessions as i64);
-        registry
-            .gauge(names::ENGINE_UNFIXED_QUEUED_UD_SLICES)
-            .set(queued_ud as i64);
-        let survivors: usize = self.count_buf.iter().map(Vec::len).sum();
-        registry
-            .gauge(names::ENGINE_UNFIXED_COUNT_SURVIVORS)
-            .set(survivors as i64);
-    }
-}
-
-impl Drop for ShardedSlicer {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-// ---------------------------------------------------------------------
-// The parallel engine facade.
-// ---------------------------------------------------------------------
-
-/// Collector-side assembler of one sharded group's merged slice stream.
-#[derive(Debug)]
-enum MergedAssembler {
-    /// Fixed time windows: range-select assembly over merged slices.
-    Fixed(FixedAssembler),
-    /// Session/user-defined windows: the unfixed merger emits
-    /// self-contained per-window slices that the ordinary assembler
-    /// consumes unchanged.
-    Unfixed(Assembler),
-}
-
-impl MergedAssembler {
-    fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
-        match self {
-            MergedAssembler::Fixed(a) => a.on_slice(slice, out),
-            MergedAssembler::Unfixed(a) => a.on_slice(slice, out),
-        }
-    }
-
-    /// Stops emission for a removed query. Only the fixed assembler
-    /// acts: it derives window ends from the specs itself, while the
-    /// unfixed path is governed by slicer/merger-side removal (so a
-    /// draining removal still emits in-flight windows, like the
-    /// sequential engine).
-    fn remove_query(&mut self, id: QueryId) {
-        if let MergedAssembler::Fixed(a) = self {
-            a.remove_query(id);
-        }
-    }
-
-    fn set_recorder(&mut self, recorder: TraceRecorder) {
-        match self {
-            MergedAssembler::Fixed(a) => a.set_recorder(recorder),
-            MergedAssembler::Unfixed(a) => a.set_recorder(recorder),
-        }
-    }
-
-    fn results_emitted(&self) -> u64 {
-        match self {
-            MergedAssembler::Fixed(a) => a.results_emitted(),
-            MergedAssembler::Unfixed(a) => a.results_emitted(),
-        }
-    }
-
-    fn merges(&self) -> u64 {
-        match self {
-            MergedAssembler::Fixed(a) => a.merges(),
-            MergedAssembler::Unfixed(a) => a.merges(),
-        }
-    }
-}
-
-/// A count-measured query-group, replayed sequentially at the
-/// collector: the shard-side filters forward only selection-matching
-/// events (count windows advance on matches only, so the filter is
-/// result-preserving), and this pipeline consumes them in global ingest
-/// order at every watermark barrier.
-#[derive(Debug)]
-struct CountReplay {
-    slicer: GroupSlicer,
-    assembler: Assembler,
-    reorder: Option<ReorderBuffer>,
-}
-
-/// Key-sharded parallel twin of [`super::AggregationEngine`]: same
-/// queries, same results, N slicer threads (see the module docs for the
-/// sharding model and determinism argument).
-///
-/// ```
-/// use desis_core::prelude::*;
-///
-/// let queries = vec![
-///     Query::new(1, WindowSpec::tumbling_time(1_000)?, AggFunction::Max),
-///     Query::new(2, WindowSpec::sliding_time(2_000, 500)?, AggFunction::Quantile(0.9)),
-/// ];
-/// let mut engine = ParallelEngine::new(queries, 4)?;
-/// for ts in 0..5_000u64 {
-///     engine.on_event(&Event::new(ts, (ts % 10) as u32, (ts % 97) as f64));
-/// }
-/// engine.on_watermark(10_000);
-/// let results = engine.drain_results();
-/// assert!(!results.is_empty());
-/// // Results arrive in canonical (query, window end, key) order.
-/// assert!(results.windows(2).all(|w| w[0].emit_order() <= w[1].emit_order()));
-/// # Ok::<(), desis_core::DesisError>(())
-/// ```
-#[derive(Debug)]
-pub struct ParallelEngine {
-    sharded: Option<ShardedSlicer>,
-    assemblers: Vec<MergedAssembler>,
-    replays: Vec<CountReplay>,
-    ordered: Vec<Event>,
-    scratch: Vec<SealedSlice>,
-    merged: Vec<(usize, SealedSlice)>,
-    results: Vec<QueryResult>,
-    registry: Arc<MetricsRegistry>,
-    events: u64,
-    cfg: ParallelConfig,
-    query_ids: Vec<QueryId>,
-    next_group_id: crate::engine::GroupId,
-}
-
-impl ParallelEngine {
-    /// Builds a parallel engine with `shards` worker threads.
-    pub fn new(queries: Vec<Query>, shards: usize) -> Result<Self, DesisError> {
-        Self::with_config(queries, ParallelConfig::new(shards))
-    }
-
-    /// Builds a parallel engine with explicit tunables.
-    pub fn with_config(queries: Vec<Query>, cfg: ParallelConfig) -> Result<Self, DesisError> {
-        Self::with_registry(queries, cfg, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Builds a parallel engine publishing observability into `registry`.
-    pub fn with_registry(
-        queries: Vec<Query>,
-        mut cfg: ParallelConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> Result<Self, DesisError> {
-        cfg.shards = cfg.shards.max(1);
-        // Resolve per-shard live counter handles at spawn (see
-        // [`ShardedSlicer::publish`] / `note_send`).
-        cfg.registry = Some(Arc::clone(&registry));
-        let query_ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        // Query analysis is driver-lane work that happens before the
-        // sharded slicer (and its profiler handle) exists; a transient
-        // handle attributes it and merges additively into the lane.
-        let mut boot = cfg.profiler.as_ref().map(|p| p.handle("driver"));
-        let analyzer_t0 = prof_stamp(&boot);
-        // Partition *queries* before analysis: a single session query
-        // sharing a predicate with ten fixed-window queries would
-        // otherwise drag the whole group through the (costlier) unfixed
-        // merge. Splitting trades the cross-type slice sharing between
-        // the sets (only ever present within one predicate-group) for
-        // the cheapest merge path per window class.
-        let (fixed, rest): (Vec<_>, Vec<_>) = queries
-            .into_iter()
-            .partition(|q| q.window.has_precomputable_puncts());
-        let (unfixed, counts): (Vec<_>, Vec<_>) = rest.into_iter().partition(|q| {
-            matches!(
-                q.window.kind,
-                WindowKind::Session { .. } | WindowKind::UserDefined { .. }
-            )
-        });
-        let analyzer = QueryAnalyzer::default();
-        let analyze = |qs: Vec<Query>| -> Result<Vec<QueryGroup>, DesisError> {
-            if qs.is_empty() {
-                Ok(Vec::new())
-            } else {
-                analyzer.analyze(qs)
-            }
-        };
-        let mut sharded_groups = analyze(fixed)?;
-        let mut unfixed_groups = analyze(unfixed)?;
-        let mut count_groups = analyze(counts)?;
-        debug_assert!(sharded_groups.iter().all(group_is_shardable));
-        // Re-number the later analyses so group ids stay unique.
-        let mut next_group_id = sharded_groups.len() as crate::engine::GroupId;
-        for g in unfixed_groups.iter_mut().chain(count_groups.iter_mut()) {
-            g.id = next_group_id;
-            next_group_id += 1;
-        }
-        sharded_groups.append(&mut unfixed_groups);
-        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
-        drop(boot);
-        let assemblers: Vec<MergedAssembler> = sharded_groups
-            .iter()
-            .map(|g| {
-                if g.has_unfixed_windows() {
-                    MergedAssembler::Unfixed(Assembler::with_registry(g, Arc::clone(&registry)))
-                } else {
-                    MergedAssembler::Fixed(FixedAssembler::new(g))
-                }
-            })
-            .collect();
-        let sharded = if sharded_groups.is_empty() && count_groups.is_empty() {
-            None
-        } else {
-            Some(ShardedSlicer::with_counts(
-                &sharded_groups,
-                &count_groups,
-                &cfg,
-            )?)
-        };
-        let replays = count_groups
-            .into_iter()
-            .map(|g| CountReplay {
-                assembler: Assembler::with_registry(&g, Arc::clone(&registry)),
-                reorder: cfg.lateness.map(ReorderBuffer::new),
-                slicer: GroupSlicer::new(g),
-            })
-            .collect();
-        Ok(Self {
-            sharded,
-            assemblers,
-            replays,
-            ordered: Vec::new(),
-            scratch: Vec::new(),
-            merged: Vec::new(),
-            results: Vec::new(),
-            registry,
-            events: 0,
-            cfg,
-            query_ids,
-            next_group_id,
-        })
-    }
-
-    /// Worker shard count.
-    pub fn shards(&self) -> usize {
-        self.cfg.shards
-    }
-
-    /// Number of query-groups (sharded + count replays).
-    pub fn group_count(&self) -> usize {
-        self.assemblers.len() + self.replays.len()
-    }
-
-    /// The engine's observability registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Shard workers that panicked and were degraded.
-    pub fn shard_panics(&self) -> u64 {
-        self.sharded.as_ref().map_or(0, ShardedSlicer::shard_panics)
-    }
-
-    /// Events dropped as too late across the sharded reorder buffers
-    /// and the count replays' buffers (0 when no lateness is
-    /// configured).
-    pub fn late_dropped(&self) -> u64 {
-        let sharded = self.sharded.as_ref().map_or(0, ShardedSlicer::late_dropped);
-        let replays: u64 = self
-            .replays
-            .iter()
-            .filter_map(|r| r.reorder.as_ref())
-            .map(ReorderBuffer::late_dropped)
-            .sum();
-        sharded + replays
-    }
-
-    /// Enables causal slice tracing on every shard worker and the
-    /// merge-back/assembly path; `node` keys the ring buffers.
-    pub fn install_tracing(&mut self, collector: &TraceCollector, node: u32) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.install_tracing(collector, node);
-        }
-        for assembler in &mut self.assemblers {
-            assembler.set_recorder(collector.recorder(node));
-        }
-        for replay in &mut self.replays {
-            replay.slicer.set_recorder(collector.recorder(node));
-            replay.assembler.set_recorder(collector.recorder(node));
-        }
-    }
-
-    /// Ingests one event (batched internally; see
-    /// [`ParallelEngine::on_batch`] for amortized ingestion).
-    #[inline]
-    pub fn on_event(&mut self, ev: &Event) {
-        self.events += 1;
-        if let Some(sharded) = &mut self.sharded {
-            if sharded.on_event(ev) {
-                self.collect_ready();
-            }
-        }
-    }
-
-    /// Ingests a batch of events.
-    pub fn on_batch(&mut self, batch: &EventBatch) {
-        self.events += batch.len() as u64;
-        if let Some(sharded) = &mut self.sharded {
-            sharded.on_batch(batch);
-        }
-        self.collect_ready();
-    }
-
-    /// Advances event time. This is a **barrier**: it returns once every
-    /// live shard has processed the watermark, so a subsequent
-    /// [`ParallelEngine::drain_results`] is deterministic.
-    pub fn on_watermark(&mut self, ts: Timestamp) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.on_watermark(ts);
-        }
-        self.replay_counts(Some(ts));
-        self.collect_ready();
-    }
-
-    /// Replays the count-query events forwarded by the shard filters.
-    /// Called only at watermark barriers (`wm = Some(ts)`) and at finish
-    /// (`wm = None`), when the forwarded set is complete; the inlet
-    /// sequence tags restore global ingest order across shards.
-    fn replay_counts(&mut self, wm: Option<Timestamp>) {
-        if self.replays.is_empty() {
-            return;
-        }
-        let Some(sharded) = &mut self.sharded else {
-            return;
-        };
-        // Replay is driver-lane self-time; the merge spans recorded by
-        // `take_count_events → collect` on the same handle are nested
-        // and subtract out.
-        let replay_t0 = prof_stamp(&sharded.prof);
-        for (idx, replay) in self.replays.iter_mut().enumerate() {
-            let mut items = sharded.take_count_events(idx);
-            items.sort_unstable_by_key(|(seq, _)| *seq);
-            match &mut replay.reorder {
-                Some(rb) => {
-                    for (_, ev) in &items {
-                        rb.push(*ev, &mut self.ordered);
-                    }
-                    match wm {
-                        Some(ts) => rb.advance(ts, &mut self.ordered),
-                        // End of stream: release everything, like the
-                        // shard workers flushing their buffers.
-                        None => rb.flush(&mut self.ordered),
-                    }
-                }
-                None => self.ordered.extend(items.iter().map(|(_, ev)| *ev)),
-            }
-            for i in 0..self.ordered.len() {
-                let ev = self.ordered[i];
-                replay.slicer.on_event(&ev, &mut self.scratch);
-                for slice in self.scratch.drain(..) {
-                    replay.assembler.on_slice(slice, &mut self.results);
-                }
-            }
-            self.ordered.clear();
-            if let Some(ts) = wm {
-                replay.slicer.on_watermark(ts, &mut self.scratch);
-                for slice in self.scratch.drain(..) {
-                    replay.assembler.on_slice(slice, &mut self.results);
-                }
-            }
-        }
-        prof_record(&mut sharded.prof, Stage::Replay, replay_t0);
-    }
-
-    fn collect_ready(&mut self) {
-        let Some(sharded) = &mut self.sharded else {
-            return;
-        };
-        sharded.drain_merged(&mut self.merged);
-        if self.merged.is_empty() {
-            return;
-        }
-        let t0 = prof_stamp(&sharded.prof);
-        for (group, slice) in self.merged.drain(..) {
-            if let Some(assembler) = self.assemblers.get_mut(group) {
-                assembler.on_slice(slice, &mut self.results);
-            }
-        }
-        prof_record(&mut sharded.prof, Stage::Assemble, t0);
-    }
-
-    /// Takes all results produced since the last drain, in canonical
-    /// `(query, window end, key, window start)` order.
-    pub fn drain_results(&mut self) -> Vec<QueryResult> {
-        self.collect_ready();
-        let mut out = std::mem::take(&mut self.results);
-        let t0 = self.sharded.as_ref().and_then(|s| prof_stamp(&s.prof));
-        crate::query::sort_results(&mut out);
-        if let Some(sharded) = &mut self.sharded {
-            prof_record(&mut sharded.prof, Stage::Drain, t0);
-            // A drain typically follows `finish` (which already flushed
-            // the driver handle), so push this span through eagerly.
-            if let Some(h) = &mut sharded.prof {
-                h.flush();
-            }
-        }
-        out
-    }
-
-    /// Results produced and not yet drained.
-    pub fn pending_results(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Removes a query at runtime on every shard and count replay, the
-    /// counterpart of [`ParallelEngine::add_query`]. Same semantics as
-    /// the sequential engine: `immediate` drops in-flight windows,
-    /// otherwise they drain.
-    pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.remove_query(id, immediate);
-        }
-        for assembler in &mut self.assemblers {
-            assembler.remove_query(id);
-        }
-        for replay in &mut self.replays {
-            replay.slicer.remove_query(id, immediate);
-        }
-        self.query_ids.retain(|q| *q != id);
-    }
-
-    /// Adds a query at runtime (Section 3.2), the counterpart of the
-    /// sequential engine's `add_query`. The query is classified exactly
-    /// like at construction — precomputable punctuations shard as a
-    /// fixed group, session/user-defined windows shard behind the
-    /// cross-shard unfixed merger, count windows install shard-side
-    /// filters feeding a collector replay — and starts processing with
-    /// the next ingested event (the inlet is flushed first, and the
-    /// punctuation sets of the new group are computed from its own
-    /// specs by the per-shard slicers).
-    pub fn add_query(&mut self, query: Query) -> Result<(), DesisError> {
-        if self.query_ids.contains(&query.id) {
-            return Err(DesisError::InvalidQuery(format!(
-                "duplicate query id {}",
-                query.id
-            )));
-        }
-        let id = query.id;
-        let is_fixed = query.window.has_precomputable_puncts();
-        let is_unfixed = matches!(
-            query.window.kind,
-            WindowKind::Session { .. } | WindowKind::UserDefined { .. }
-        );
-        let mut boot = self.cfg.profiler.as_ref().map(|p| p.handle("driver"));
-        let analyzer_t0 = prof_stamp(&boot);
-        let mut groups = QueryAnalyzer::default().analyze(vec![query])?;
-        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
-        drop(boot);
-        let mut group = groups.remove(0);
-        group.id = self.next_group_id;
-        self.next_group_id += 1;
-        if self.sharded.is_none() {
-            self.sharded = Some(ShardedSlicer::with_counts(&[], &[], &self.cfg)?);
-        }
-        if let Some(sharded) = &mut self.sharded {
-            if is_fixed || is_unfixed {
-                let index = sharded.add_group(group.clone());
-                debug_assert_eq!(index, self.assemblers.len());
-                self.assemblers.push(if is_fixed {
-                    MergedAssembler::Fixed(FixedAssembler::new(&group))
-                } else {
-                    MergedAssembler::Unfixed(Assembler::with_registry(
-                        &group,
-                        Arc::clone(&self.registry),
-                    ))
-                });
-            } else {
-                let predicates = group.selections.iter().map(|s| s.predicate).collect();
-                let replay = sharded.add_count_filter(predicates);
-                debug_assert_eq!(replay, self.replays.len());
-                self.replays.push(CountReplay {
-                    assembler: Assembler::with_registry(&group, Arc::clone(&self.registry)),
-                    reorder: self.cfg.lateness.map(ReorderBuffer::new),
-                    slicer: GroupSlicer::new(group),
-                });
-            }
-        }
-        self.query_ids.push(id);
-        Ok(())
-    }
-
-    /// Ends the stream: joins the shard workers, replays the remaining
-    /// count events, and drains what the watermarks covered. Call after
-    /// a final [`ParallelEngine::on_watermark`] past the last window of
-    /// interest.
-    pub fn finish(&mut self) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.finish();
-        }
-        self.replay_counts(None);
-        self.collect_ready();
-    }
-
-    /// Aggregated metrics over all shards and pipelines; the slicer
-    /// counters of shard workers are complete after
-    /// [`ParallelEngine::finish`]. Also publishes cumulative `engine.*`
-    /// and per-shard counters into the registry.
-    pub fn metrics(&self) -> EngineMetrics {
-        let mut m = EngineMetrics::default();
-        if let Some(sharded) = &self.sharded {
-            m.absorb(&sharded.metrics());
-            sharded.publish(&self.registry);
-        }
-        for assembler in &self.assemblers {
-            m.results += assembler.results_emitted();
-            m.merges += assembler.merges();
-        }
-        for replay in &self.replays {
-            m.absorb(replay.slicer.metrics());
-            m.results += replay.assembler.results_emitted();
-            m.merges += replay.assembler.merges();
-        }
-        m.events = self.events;
-        m.publish(&self.registry, "engine");
-        if let Some(profiler) = &self.cfg.profiler {
-            profiler.publish(&self.registry);
-        }
-        m
-    }
-}
-
-/// Whether every window of the group punctuates at data-independent
-/// instants (fixed time windows), making the group safe to shard by key.
-fn group_is_shardable(group: &QueryGroup) -> bool {
-    group
-        .queries
-        .iter()
-        .all(|cq| cq.query.window.has_precomputable_puncts())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::AggregationEngine;
-    use crate::event::{Marker, MarkerKind};
-    use crate::window::WindowSpec;
-
-    fn canon(mut results: Vec<QueryResult>) -> Vec<QueryResult> {
-        crate::query::sort_results(&mut results);
-        results
-    }
-
-    fn run_sequential(
-        queries: Vec<Query>,
-        events: &[Event],
-        final_wm: Timestamp,
-    ) -> Vec<QueryResult> {
-        let mut engine = AggregationEngine::new(queries).unwrap();
-        for ev in events {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(final_wm);
-        canon(engine.drain_results())
-    }
-
-    fn run_parallel(
-        queries: Vec<Query>,
-        events: &[Event],
-        final_wm: Timestamp,
-        shards: usize,
-    ) -> Vec<QueryResult> {
-        let mut engine = ParallelEngine::new(queries, shards).unwrap();
-        for ev in events {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(final_wm);
-        engine.finish();
-        canon(engine.drain_results())
-    }
-
-    fn mixed_queries() -> Vec<Query> {
-        vec![
-            Query::new(
-                1,
-                WindowSpec::tumbling_time(1_000).unwrap(),
-                AggFunction::Max,
-            ),
-            Query::new(
-                2,
-                WindowSpec::sliding_time(2_000, 500).unwrap(),
-                AggFunction::Quantile(0.9),
-            ),
-            Query::new(3, WindowSpec::session(400).unwrap(), AggFunction::Median),
-        ]
-    }
-
-    fn events(n: u64, keys: u32) -> Vec<Event> {
-        (0..n)
-            .map(|i| Event::new(i, (i as u32) % keys, (i % 97) as f64))
-            .collect()
-    }
-
-    #[test]
-    fn matches_sequential_with_mixed_groups() {
-        let evs = events(4_000, 10);
-        let seq = run_sequential(mixed_queries(), &evs, 10_000);
-        for shards in [1, 2, 4] {
-            let par = run_parallel(mixed_queries(), &evs, 10_000, shards);
-            assert_eq!(par, seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn matches_sequential_with_fewer_keys_than_shards() {
-        // Shards 2..6 see no events at all: watermark forcing must still
-        // complete every merged slice.
-        let evs: Vec<Event> = (0..2_000u64)
-            .map(|i| Event::new(i, (i % 2) as u32, i as f64))
-            .collect();
-        let queries = vec![Query::new(
-            1,
-            WindowSpec::tumbling_time(500).unwrap(),
-            AggFunction::Average,
-        )];
-        let seq = run_sequential(queries.clone(), &evs, 5_000);
-        let par = run_parallel(queries, &evs, 5_000, 7);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn drain_is_deterministic_at_watermark_barriers() {
-        let queries = vec![
-            Query::new(
-                1,
-                WindowSpec::tumbling_time(1_000).unwrap(),
-                AggFunction::Sum,
-            ),
-            Query::new(
-                2,
-                WindowSpec::tumbling_time(1_000).unwrap(),
-                AggFunction::Median,
-            ),
-        ];
-        let run = || {
-            let mut engine = ParallelEngine::new(queries.clone(), 4).unwrap();
-            let mut drained: Vec<Vec<QueryResult>> = Vec::new();
-            for i in 0..6_000u64 {
-                engine.on_event(&Event::new(i, (i % 8) as u32, (i % 13) as f64));
-                if i % 1_000 == 999 {
-                    engine.on_watermark(i + 1);
-                    drained.push(engine.drain_results());
-                }
-            }
-            engine.on_watermark(10_000);
-            engine.finish();
-            drained.push(engine.drain_results());
-            drained
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "watermark-aligned drains must be byte-identical");
-        assert!(a.iter().any(|batch| !batch.is_empty()));
-    }
-
-    #[test]
-    fn batched_ingestion_matches_per_event() {
-        let evs = events(3_000, 5);
-        let queries = vec![Query::new(
-            1,
-            WindowSpec::sliding_time(1_000, 250).unwrap(),
-            AggFunction::Variance,
-        )];
-        let per_event = run_parallel(queries.clone(), &evs, 8_000, 3);
-        let mut engine = ParallelEngine::new(queries, 3).unwrap();
-        for chunk in evs.chunks(173) {
-            engine.on_batch(&EventBatch::from(chunk.to_vec()));
-        }
-        engine.on_watermark(8_000);
-        engine.finish();
-        assert_eq!(canon(engine.drain_results()), per_event);
-    }
-
-    #[test]
-    fn out_of_order_input_with_lateness_matches_sorted_sequential() {
-        let mut evs: Vec<Event> = (0..2_000u64)
-            .map(|i| Event::new(i, (i % 6) as u32, (i % 31) as f64))
-            .collect();
-        // Bounded jitter well within the lateness budget.
-        for i in (0..evs.len()).step_by(7) {
-            let j = (i + 3).min(evs.len() - 1);
-            evs.swap(i, j);
-        }
-        let mut sorted = evs.clone();
-        sorted.sort_by_key(|e| e.ts);
-        let queries = vec![Query::new(
-            1,
-            WindowSpec::tumbling_time(200).unwrap(),
-            AggFunction::Sum,
-        )];
-        let seq = run_sequential(queries.clone(), &sorted, 5_000);
-        let mut cfg = ParallelConfig::new(4);
-        cfg.lateness = Some(100);
-        let mut engine = ParallelEngine::with_config(queries, cfg).unwrap();
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(5_000);
-        engine.finish();
-        assert_eq!(canon(engine.drain_results()), seq);
-    }
-
-    #[test]
-    fn metrics_cover_all_shards_and_publish() {
-        let evs = events(1_000, 4);
-        let mut engine = ParallelEngine::new(mixed_queries(), 2).unwrap();
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(5_000);
-        engine.finish();
-        let m = engine.metrics();
-        assert_eq!(m.events, 1_000);
-        assert!(m.slices > 0);
-        assert!(m.results > 0);
-        let snap = engine.registry().snapshot();
-        let shard0 = snap.counters[&names::engine_shard_events(0)];
-        let shard1 = snap.counters[&names::engine_shard_events(1)];
-        assert!(shard0 > 0);
-        assert!(shard1 > 0);
-        assert_eq!(shard0 + shard1, 1_000);
-        assert_eq!(snap.counters[names::ENGINE_SHARD_PANICS], 0);
-    }
-
-    /// All four window classes at once: fixed tumbling/sliding,
-    /// session, user-defined, and (filtered + unfiltered) count.
-    fn full_mix_queries() -> Vec<Query> {
-        let mut filtered_count =
-            Query::new(5, WindowSpec::tumbling_count(64).unwrap(), AggFunction::Sum);
-        filtered_count.predicate = Predicate::ValueAbove(40.0);
-        vec![
-            Query::new(
-                1,
-                WindowSpec::tumbling_time(1_000).unwrap(),
-                AggFunction::Max,
-            ),
-            Query::new(
-                2,
-                WindowSpec::sliding_time(2_000, 500).unwrap(),
-                AggFunction::Quantile(0.9),
-            ),
-            Query::new(3, WindowSpec::session(400).unwrap(), AggFunction::Median),
-            Query::new(4, WindowSpec::user_defined(7), AggFunction::Average),
-            filtered_count,
-            Query::new(
-                6,
-                WindowSpec::sliding_count(100, 25).unwrap(),
-                AggFunction::Count,
-            ),
-        ]
-    }
-
-    /// A stream with idle gaps (closing sessions mid-stream) and
-    /// user-defined window markers on channel 7.
-    fn gapped_marked_events(n: u64, keys: u32) -> Vec<Event> {
-        (0..n)
-            .map(|i| {
-                let ts = i + (i / 100) * 600;
-                let key = (i as u32) % keys;
-                let value = (i % 97) as f64;
-                match i % 500 {
-                    120 => Event::with_marker(
-                        ts,
-                        key,
-                        value,
-                        Marker {
-                            channel: 7,
-                            kind: MarkerKind::Start,
-                        },
-                    ),
-                    370 => Event::with_marker(
-                        ts,
-                        key,
-                        value,
-                        Marker {
-                            channel: 7,
-                            kind: MarkerKind::End,
-                        },
-                    ),
-                    _ => Event::new(ts, key, value),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn session_count_and_user_defined_match_sequential_inside_sharded_path() {
-        let evs = gapped_marked_events(4_000, 10);
-        let seq = run_sequential(full_mix_queries(), &evs, 60_000);
-        for query in 1..=6 {
-            assert!(
-                seq.iter().any(|r| r.query == query),
-                "sequential reference must exercise query {query}"
-            );
-        }
-        for shards in [1, 2, 4, 7] {
-            let par = run_parallel(full_mix_queries(), &evs, 60_000, shards);
-            assert_eq!(par, seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn user_defined_windows_match_sequential_across_shards() {
-        let evs = gapped_marked_events(3_000, 6);
-        let queries = vec![Query::new(
-            4,
-            WindowSpec::user_defined(7),
-            AggFunction::Average,
-        )];
-        let seq = run_sequential(queries.clone(), &evs, 60_000);
-        assert!(!seq.is_empty());
-        for shards in [1, 2, 4, 7] {
-            let par = run_parallel(queries.clone(), &evs, 60_000, shards);
-            assert_eq!(par, seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn count_windows_with_predicate_match_sequential() {
-        let evs = events(3_000, 5);
-        let mut filtered = Query::new(1, WindowSpec::tumbling_count(50).unwrap(), AggFunction::Sum);
-        filtered.predicate = Predicate::ValueAbove(48.0);
-        let queries = vec![
-            filtered,
-            Query::new(
-                2,
-                WindowSpec::sliding_count(80, 20).unwrap(),
-                AggFunction::Median,
-            ),
-        ];
-        let seq = run_sequential(queries.clone(), &evs, 10_000);
-        assert!(!seq.is_empty());
-        for shards in [1, 4, 7] {
-            let par = run_parallel(queries.clone(), &evs, 10_000, shards);
-            assert_eq!(par, seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sessions_split_across_shards_merge_to_sequential_results() {
-        // Two keys ping-ponging within the gap: with 2+ shards every
-        // global session is made of overlapping per-shard fragments.
-        let evs: Vec<Event> = (0..2_000u64)
-            .map(|i| {
-                let ts = i * 150 + (i / 40) * 2_000;
-                Event::new(ts, (i % 2) as u32, (i % 13) as f64)
-            })
-            .collect();
-        let queries = vec![Query::new(
-            1,
-            WindowSpec::session(500).unwrap(),
-            AggFunction::Sum,
-        )];
-        let seq = run_sequential(queries.clone(), &evs, 1_000_000);
-        assert!(seq.len() > 10, "stream must close many sessions");
-        for shards in [1, 2, 4, 7] {
-            let par = run_parallel(queries.clone(), &evs, 1_000_000, shards);
-            assert_eq!(par, seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn unfixed_results_are_deterministic_at_watermark_barriers() {
-        let run = || {
-            let mut engine = ParallelEngine::new(full_mix_queries(), 4).unwrap();
-            let evs = gapped_marked_events(4_000, 8);
-            let mut drained: Vec<Vec<QueryResult>> = Vec::new();
-            for (i, ev) in evs.iter().enumerate() {
-                engine.on_event(ev);
-                if i % 1_000 == 999 {
-                    engine.on_watermark(ev.ts + 1);
-                    drained.push(engine.drain_results());
-                }
-            }
-            engine.on_watermark(60_000);
-            engine.finish();
-            drained.push(engine.drain_results());
-            drained
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "watermark-aligned drains must be byte-identical");
-        assert!(a.iter().any(|batch| !batch.is_empty()));
-    }
-
-    /// Regression: runtime admission (`add_query`) then removal
-    /// mid-stream stays byte-identical to the sequential engine doing
-    /// the same churn at the same stream positions.
-    #[test]
-    fn add_then_remove_query_mid_stream_matches_sequential() {
-        let evs = gapped_marked_events(3_000, 6);
-        let initial = vec![Query::new(
-            1,
-            WindowSpec::tumbling_time(1_000).unwrap(),
-            AggFunction::Max,
-        )];
-        let added = || {
-            vec![
-                Query::new(7, WindowSpec::session(400).unwrap(), AggFunction::Sum),
-                Query::new(
-                    8,
-                    WindowSpec::tumbling_count(40).unwrap(),
-                    AggFunction::Average,
-                ),
-                Query::new(
-                    9,
-                    WindowSpec::tumbling_time(500).unwrap(),
-                    AggFunction::Count,
-                ),
-                Query::new(10, WindowSpec::user_defined(7), AggFunction::Max),
-            ]
-        };
-        let seq = {
-            let mut engine = AggregationEngine::new(initial.clone()).unwrap();
-            for ev in &evs[..1_000] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(evs[999].ts);
-            for q in added() {
-                engine.add_query(q).unwrap();
-            }
-            for ev in &evs[1_000..2_000] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(evs[1_999].ts);
-            engine.remove_query(9, true).unwrap();
-            for ev in &evs[2_000..] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(60_000);
-            canon(engine.drain_results())
-        };
-        assert!(seq.iter().any(|r| r.query == 7), "sessions must emit");
-        assert!(seq.iter().any(|r| r.query == 8), "count windows must emit");
-        assert!(seq.iter().any(|r| r.query == 10), "user-defined must emit");
-        for shards in [1, 2, 4] {
-            let mut engine = ParallelEngine::new(initial.clone(), shards).unwrap();
-            for ev in &evs[..1_000] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(evs[999].ts);
-            for q in added() {
-                engine.add_query(q).unwrap();
-            }
-            assert!(
-                engine.add_query(added().remove(0)).is_err(),
-                "duplicate query ids must be rejected"
-            );
-            for ev in &evs[1_000..2_000] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(evs[1_999].ts);
-            engine.remove_query(9, true);
-            for ev in &evs[2_000..] {
-                engine.on_event(ev);
-            }
-            engine.on_watermark(60_000);
-            engine.finish();
-            assert_eq!(canon(engine.drain_results()), seq, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn add_query_to_empty_engine_spawns_the_sharded_path() {
-        let evs = events(2_000, 5);
-        let queries = vec![
-            Query::new(1, WindowSpec::tumbling_time(500).unwrap(), AggFunction::Sum),
-            Query::new(2, WindowSpec::session(300).unwrap(), AggFunction::Count),
-        ];
-        let seq = run_sequential(queries.clone(), &evs, 10_000);
-        let mut engine = ParallelEngine::new(Vec::new(), 3).unwrap();
-        for q in queries {
-            engine.add_query(q).unwrap();
-        }
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(10_000);
-        engine.finish();
-        assert_eq!(canon(engine.drain_results()), seq);
-    }
-
-    #[test]
-    fn remove_query_stops_new_windows() {
-        let queries = vec![
-            Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum),
-            Query::new(
-                2,
-                WindowSpec::tumbling_time(100).unwrap(),
-                AggFunction::Count,
-            ),
-        ];
-        let mut engine = ParallelEngine::new(queries, 2).unwrap();
-        engine.on_event(&Event::new(0, 0, 1.0));
-        engine.remove_query(2, true);
-        for i in 1..500u64 {
-            engine.on_event(&Event::new(i, (i % 2) as u32, 1.0));
-        }
-        engine.on_watermark(1_000);
-        engine.finish();
-        let results = engine.drain_results();
-        assert!(results.iter().all(|r| r.query != 2));
-        assert!(results.iter().any(|r| r.query == 1));
-    }
-
-    #[test]
-    fn snapshot_diff_across_shard_panic_keeps_counters_monotone() {
-        let evs = events(2_000, 8);
-        let mut engine = ParallelEngine::new(mixed_queries(), 2).unwrap();
-        for ev in &evs[..1_000] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(1_000);
-        engine.metrics();
-        let before = engine.registry().snapshot();
-        engine.sharded.as_ref().unwrap().inject_panic(0);
-        for ev in &evs[1_000..] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(10_000);
-        engine.finish();
-        engine.metrics();
-        let after = engine.registry().snapshot();
-        assert_eq!(engine.shard_panics(), 1);
-        // Counters stay monotone across the degradation: every
-        // instrument of the earlier snapshot persists at or above its
-        // level, so diffs against it never underflow.
-        for (name, v) in &before.counters {
-            let now = after.counters.get(name).copied().unwrap_or(0);
-            assert!(now >= *v, "{name} regressed across panic: {v} -> {now}");
-        }
-        let diff = after.diff(&before);
-        assert_eq!(diff.counters[names::ENGINE_SHARD_PANICS], 1);
-        // No phantom instruments: everything the diff reports exists in
-        // the later snapshot.
-        for name in diff.counters.keys() {
-            assert!(after.counters.contains_key(name), "phantom {name}");
-        }
-        for name in diff.gauges.keys() {
-            assert!(after.gauges.contains_key(name), "phantom {name}");
-        }
-    }
-
-    #[test]
-    fn snapshot_diff_across_query_churn_tracks_gauge_levels() {
-        let evs = gapped_marked_events(3_000, 6);
-        let mut engine = ParallelEngine::new(full_mix_queries(), 3).unwrap();
-        for ev in &evs[..1_500] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(evs[1_499].ts);
-        engine.metrics();
-        let before = engine.registry().snapshot();
-        engine
-            .add_query(Query::new(
-                9,
-                WindowSpec::tumbling_time(700).unwrap(),
-                AggFunction::Sum,
-            ))
-            .unwrap();
-        engine.remove_query(3, true);
-        for ev in &evs[1_500..] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        engine.metrics();
-        let after = engine.registry().snapshot();
-        let diff = after.diff(&before);
-        for (name, v) in &before.counters {
-            let now = after.counters.get(name).copied().unwrap_or(0);
-            assert!(now >= *v, "{name} regressed across churn: {v} -> {now}");
-        }
-        // Gauges report the later level, not a delta: the session query
-        // was removed immediately and the stream fully drained, so the
-        // retained-state gauges are back at zero regardless of what the
-        // earlier snapshot held.
-        assert_eq!(
-            diff.gauges[names::ENGINE_UNFIXED_PENDING_SESSIONS],
-            after.gauges[names::ENGINE_UNFIXED_PENDING_SESSIONS]
-        );
-        assert_eq!(after.gauges[names::ENGINE_UNFIXED_PENDING_SESSIONS], 0);
-        assert_eq!(after.gauges[names::ENGINE_UNFIXED_QUEUED_UD_SLICES], 0);
-        // The mid-stream add landed: the new query produced results and
-        // the shard counters kept counting.
-        assert!(diff.counters[&names::engine_shard_events(2)] > 0);
-        for name in diff.counters.keys() {
-            assert!(after.counters.contains_key(name), "phantom {name}");
-        }
-        for name in diff.gauges.keys() {
-            assert!(after.gauges.contains_key(name), "phantom {name}");
-        }
-    }
-
-    #[test]
-    fn publish_reports_shard_balance_telemetry() {
-        let evs = gapped_marked_events(3_000, 7);
-        let mut engine = ParallelEngine::new(full_mix_queries(), 2).unwrap();
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        engine.metrics();
-        let snap = engine.registry().snapshot();
-        let imbalance = snap.gauges[names::ENGINE_SHARD_IMBALANCE_PERMILLE];
-        assert!(
-            (0..=1000).contains(&imbalance),
-            "imbalance permille out of range: {imbalance}"
-        );
-        // 7 keys over 2 shards: 4-vs-3 routing, so some imbalance shows.
-        assert!(imbalance > 0);
-        for shard in 0..2 {
-            assert!(snap.gauges[&names::engine_shard_inbox_depth_max(shard)] > 0);
-        }
-        assert!(snap
-            .gauges
-            .contains_key(names::ENGINE_UNFIXED_PENDING_SESSIONS));
-        assert!(snap
-            .gauges
-            .contains_key(names::ENGINE_UNFIXED_QUEUED_UD_SLICES));
-        assert!(snap
-            .gauges
-            .contains_key(names::ENGINE_UNFIXED_COUNT_SURVIVORS));
-    }
-
-    #[test]
-    fn profiler_attributes_driver_and_shard_stage_time() {
-        let profiler = Profiler::new(prof::ProfClock::wall());
-        profiler.begin();
-        let mut cfg = ParallelConfig::new(2);
-        cfg.profiler = Some(profiler.clone());
-        let evs = gapped_marked_events(4_000, 10);
-        let mut engine = ParallelEngine::with_config(full_mix_queries(), cfg).unwrap();
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        let _ = engine.drain_results();
-        engine.metrics();
-        profiler.end();
-        let report = profiler.report();
-        assert!(report.wall_ns > 0);
-        let lanes: Vec<&str> = report.lanes.iter().map(|l| l.lane.as_str()).collect();
-        for lane in ["driver", "shard0", "shard1"] {
-            assert!(lanes.contains(&lane), "missing lane {lane}: {lanes:?}");
-        }
-        // Nesting-aware self-time: no lane can account for more than
-        // the measured wall interval.
-        for lane in &report.lanes {
-            assert!(
-                lane.total_ns <= report.wall_ns,
-                "lane {} overflows wall: {} > {}",
-                lane.lane,
-                lane.total_ns,
-                report.wall_ns
-            );
-        }
-        let driver = report.lanes.iter().find(|l| l.lane == "driver").unwrap();
-        let stages: Vec<&str> = driver.stages.iter().map(|s| s.stage).collect();
-        for required in [
-            "analyzer",
-            "ingest",
-            "barrier",
-            "shard_merge",
-            "unfixed_merge",
-            "replay",
-            "assemble",
-            "drain",
-        ] {
-            assert!(
-                stages.contains(&required),
-                "driver missing {required}: {stages:?}"
-            );
-        }
-        let shard0 = report.lanes.iter().find(|l| l.lane == "shard0").unwrap();
-        let worker: Vec<&str> = shard0.stages.iter().map(|s| s.stage).collect();
-        for required in ["slicer", "count_filter", "idle"] {
-            assert!(
-                worker.contains(&required),
-                "shard0 missing {required}: {worker:?}"
-            );
-        }
-        // `metrics()` exported the tallies as prof.* counters.
-        let snap = engine.registry().snapshot();
-        assert!(snap.counters.keys().any(|k| k.starts_with("prof.driver.")));
-        assert!(snap.counters.keys().any(|k| k.starts_with("prof.shard1.")));
-    }
-
-    #[test]
-    fn profiling_enabled_results_match_unprofiled_run() {
-        let evs = gapped_marked_events(3_000, 9);
-        let plain = run_parallel(full_mix_queries(), &evs, 60_000, 3);
-        let profiler = Profiler::new(prof::ProfClock::wall());
-        profiler.begin();
-        let mut cfg = ParallelConfig::new(3);
-        cfg.profiler = Some(profiler.clone());
-        let mut engine = ParallelEngine::with_config(full_mix_queries(), cfg).unwrap();
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        let profiled = canon(engine.drain_results());
-        profiler.end();
-        assert_eq!(profiled, plain, "profiling must not perturb results");
-    }
-
-    #[test]
-    fn unfixed_and_count_trace_chains_complete_across_the_sharded_path() {
-        let collector = TraceCollector::new(1, 1 << 16);
-        let evs = gapped_marked_events(4_000, 10);
-        let mut engine = ParallelEngine::new(full_mix_queries(), 4).unwrap();
-        engine.install_tracing(&collector, 0);
-        for ev in &evs {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        let results = engine.drain_results();
-        assert!(!results.is_empty());
-        // Recorders flush their ring buffers on drop.
-        drop(engine);
-        let timeline = collector.drain_timeline();
-        let mut chained: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut unfixed_merges = 0;
-        for chain in &timeline.chains {
-            let Some(query) = chain.result_query() else {
-                // Slices riding along inside a merge end mid-journey.
-                continue;
-            };
-            let kinds: Vec<&str> = chain.events.iter().map(|e| e.kind.name()).collect();
-            assert!(
-                chain.is_complete(),
-                "incomplete chain {} for query {query}: {kinds:?}",
-                chain.trace
-            );
-            for pair in chain.events.windows(2) {
-                assert!(
-                    pair[0].at <= pair[1].at,
-                    "non-monotone chain {}",
-                    chain.trace
-                );
-            }
-            if matches!(query, 3 | 4) {
-                assert!(
-                    kinds.contains(&"MergeStart") && kinds.contains(&"MergeDone"),
-                    "query {query} chain missing unfixed merge spans: {kinds:?}"
-                );
-                unfixed_merges += 1;
-            }
-            chained.insert(query);
-        }
-        // Session (3), user-defined (4), and count (5, 6) queries all
-        // resolve to complete provenance chains through the sharded path.
-        for query in [3u64, 4, 5, 6] {
-            assert!(
-                chained.contains(&query),
-                "no complete chain for query {query}; got {chained:?}"
-            );
-        }
-        assert!(unfixed_merges > 0);
     }
 }

@@ -1,0 +1,640 @@
+//! The sharded slicer: inlet batching, the shard worker threads, and the
+//! collector-side merge of per-shard slices back into one deterministic
+//! slice stream per group.
+
+use std::sync::Arc;
+
+use super::handoff::{Inbox, ShardExit};
+use super::shard::{run_shard, ShardItem, ShardMsg};
+use super::unfixed::UnfixedShardMerger;
+use super::{prof_record, prof_stamp, ParallelConfig, ShardMerger};
+use crate::engine::slice::SealedSlice;
+use crate::engine::slicer::GroupSlicer;
+use crate::engine::QueryGroup;
+use crate::error::DesisError;
+use crate::event::{Event, EventBatch};
+use crate::metrics::EngineMetrics;
+use crate::obs::prof::{ProfHandle, Stage};
+use crate::obs::trace::{TraceCollector, TraceRecorder};
+use crate::obs::{names, Counter, MetricsRegistry};
+use crate::predicate::Predicate;
+use crate::query::QueryId;
+use crate::time::Timestamp;
+
+/// The per-group collector-side merger: fixed-only groups align by
+/// slice-end timestamp, groups with session/user-defined windows merge
+/// by span overlap and clear frontiers.
+#[derive(Debug)]
+enum GroupMerger {
+    Fixed(ShardMerger),
+    Unfixed(UnfixedShardMerger),
+}
+
+impl GroupMerger {
+    fn for_group(group: &QueryGroup, shards: usize) -> Self {
+        if group.has_unfixed_windows() {
+            GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
+        } else {
+            GroupMerger::Fixed(ShardMerger::new(shards as u32))
+        }
+    }
+
+    fn on_slice(&mut self, shard: usize, slice: SealedSlice) {
+        match self {
+            GroupMerger::Fixed(m) => m.on_slice(slice),
+            GroupMerger::Unfixed(m) => m.on_slice(shard, slice),
+        }
+    }
+
+    fn on_clears(&mut self, shard: usize, clears: &[(usize, Timestamp)]) {
+        if let GroupMerger::Unfixed(m) = self {
+            m.on_clears(shard, clears);
+        }
+    }
+
+    fn advance(&mut self, wm: Timestamp) {
+        match self {
+            GroupMerger::Fixed(m) => m.advance(wm),
+            GroupMerger::Unfixed(m) => m.advance(wm),
+        }
+    }
+
+    fn mark_dead(&mut self, shard: usize) {
+        if let GroupMerger::Unfixed(m) = self {
+            m.mark_dead(shard);
+        }
+    }
+
+    /// Purges merger-side state of an immediately-removed query (the
+    /// fixed merger keeps no per-query state).
+    fn remove_query(&mut self, id: QueryId) {
+        if let GroupMerger::Unfixed(m) = self {
+            m.remove_query(id);
+        }
+    }
+
+    fn set_recorder(&mut self, recorder: TraceRecorder) {
+        match self {
+            GroupMerger::Fixed(m) => m.set_recorder(recorder),
+            GroupMerger::Unfixed(m) => m.set_recorder(recorder),
+        }
+    }
+
+    fn drain_ready(&mut self, group: usize, out: &mut Vec<(usize, SealedSlice)>) {
+        match self {
+            GroupMerger::Fixed(m) => m.drain_ready(group, out),
+            GroupMerger::Unfixed(m) => m.drain_ready(group, out),
+        }
+    }
+
+    /// Profiler stage this merger's work is attributed to.
+    fn prof_stage(&self) -> Stage {
+        match self {
+            GroupMerger::Fixed(_) => Stage::ShardMerge,
+            GroupMerger::Unfixed(_) => Stage::UnfixedMerge,
+        }
+    }
+}
+
+/// Lifecycle of one shard as seen by the collector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ShardState {
+    Running,
+    Done,
+    Degraded,
+}
+
+/// Runs the slicers of a set of sharded groups (fixed time windows
+/// *and* session/user-defined windows) across N worker threads,
+/// partitioned by `key % shards`, and merges the per-shard sealed
+/// slices back into one deterministic slice stream per group. Count
+/// query-groups ride along as shard-side selection filters whose
+/// matches the collector replays sequentially
+/// ([`ShardedSlicer::take_count_events`]).
+///
+/// This is the engine-internal building block shared by
+/// [`ParallelEngine`] (which assembles windows from the merged stream)
+/// and the decentralized local node (which ships the merged stream to
+/// its parent exactly as if one sequential slicer had produced it).
+#[derive(Debug)]
+pub struct ShardedSlicer {
+    senders: Vec<crossbeam_channel::Sender<ShardMsg>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+    inbox: Arc<Inbox<ShardItem>>,
+    mergers: Vec<GroupMerger>,
+    frontiers: Vec<Timestamp>,
+    states: Vec<ShardState>,
+    inlet: EventBatch,
+    batch_size: usize,
+    shards: usize,
+    /// Broadcast marker events to every shard (any group has
+    /// user-defined windows).
+    broadcast: bool,
+    /// Tag batches with inlet sequence numbers (count filters are
+    /// installed).
+    stamp: bool,
+    seq: u64,
+    /// Per-replay-slot count events collected from the shard filters.
+    count_buf: Vec<Vec<(u64, Event)>>,
+    panics: u64,
+    shard_events: Vec<u64>,
+    shard_batches: Vec<u64>,
+    /// Per-shard `(events, batches)` counter handles, resolved once at
+    /// spawn when a registry is configured, so the inlet hot path
+    /// increments live instruments without any name formatting.
+    live_counters: Option<Vec<(Arc<Counter>, Arc<Counter>)>>,
+    /// Collector-lane profiler handle (ingest/barrier/merge stages).
+    pub(super) prof: Option<ProfHandle>,
+    collected: EngineMetrics,
+    late_dropped: u64,
+    item_buf: Vec<ShardItem>,
+    finished: bool,
+}
+
+impl ShardedSlicer {
+    /// Spawns `cfg.shards` worker threads, each owning one slicer per
+    /// group in `groups` (fixed-window groups merge by slice end,
+    /// session/user-defined groups by span overlap).
+    pub fn new(groups: &[QueryGroup], cfg: &ParallelConfig) -> Result<Self, DesisError> {
+        Self::with_counts(groups, &[], cfg)
+    }
+
+    /// Like [`ShardedSlicer::new`], additionally installing one
+    /// shard-side selection filter per count query-group: matching
+    /// events come back through [`ShardedSlicer::take_count_events`]
+    /// tagged with inlet sequence numbers for ordered replay.
+    pub fn with_counts(
+        groups: &[QueryGroup],
+        count_groups: &[QueryGroup],
+        cfg: &ParallelConfig,
+    ) -> Result<Self, DesisError> {
+        let shards = cfg.shards.max(1);
+        let inbox = Arc::new(Inbox::new(shards));
+        let mut senders = Vec::with_capacity(shards);
+        let mut threads = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, rx) = crossbeam_channel::bounded(cfg.channel_capacity.max(1));
+            let slicers: Vec<GroupSlicer> =
+                groups.iter().map(|g| GroupSlicer::new(g.clone())).collect();
+            let lateness = cfg.lateness;
+            let inbox = Arc::clone(&inbox);
+            let profiler = cfg.profiler.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("desis-shard-{shard}"))
+                .spawn(move || run_shard(shard, shards, slicers, lateness, rx, inbox, profiler))
+                .map_err(|_| DesisError::Cluster("failed to spawn shard worker thread"))?;
+            senders.push(tx);
+            threads.push(handle);
+        }
+        let live_counters = cfg.registry.as_ref().map(|registry| {
+            (0..shards)
+                .map(|shard| {
+                    (
+                        registry.counter(&names::engine_shard_events(shard)),
+                        registry.counter(&names::engine_shard_batches(shard)),
+                    )
+                })
+                .collect()
+        });
+        let this = Self {
+            senders,
+            threads,
+            inbox,
+            mergers: groups
+                .iter()
+                .map(|g| GroupMerger::for_group(g, shards))
+                .collect(),
+            frontiers: vec![0; shards],
+            states: vec![ShardState::Running; shards],
+            inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
+            batch_size: cfg.batch_size.max(1),
+            shards,
+            broadcast: groups.iter().any(|g| !g.user_defined_queries().is_empty()),
+            stamp: !count_groups.is_empty(),
+            seq: 0,
+            count_buf: vec![Vec::new(); count_groups.len()],
+            panics: 0,
+            shard_events: vec![0; shards],
+            shard_batches: vec![0; shards],
+            live_counters,
+            prof: cfg.profiler.as_ref().map(|p| p.handle("driver")),
+            collected: EngineMetrics::default(),
+            late_dropped: 0,
+            item_buf: Vec::new(),
+            finished: false,
+        };
+        for (replay, g) in count_groups.iter().enumerate() {
+            let predicates: Vec<Predicate> = g.selections.iter().map(|s| s.predicate).collect();
+            for tx in &this.senders {
+                let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
+            }
+        }
+        Ok(this)
+    }
+
+    /// Shard count.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Number of sharded groups.
+    pub fn group_count(&self) -> usize {
+        self.mergers.len()
+    }
+
+    /// Shard workers that panicked and were degraded.
+    pub fn shard_panics(&self) -> u64 {
+        self.panics
+    }
+
+    /// Events dropped as too late by the per-shard reorder buffers
+    /// (complete only after [`ShardedSlicer::finish`]).
+    pub fn late_dropped(&self) -> u64 {
+        self.late_dropped
+    }
+
+    /// Enables causal tracing: every shard worker mints per-slicer ring
+    /// recorders for `node`, and the merge-back records
+    /// `MergeStart`/`MergeDone` spans.
+    pub fn install_tracing(&mut self, collector: &TraceCollector, node: u32) {
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::Install(collector.clone(), node));
+        }
+        for merger in &mut self.mergers {
+            merger.set_recorder(collector.recorder(node));
+        }
+    }
+
+    /// Removes a query at runtime on every shard. With `immediate` the
+    /// collector-side merger state is purged too; a draining removal
+    /// keeps it so in-flight windows still complete (shards report the
+    /// query's slot gone once drained, which releases any remainder).
+    pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
+        // Flush first so the removal lands between the events ingested
+        // before and after this call, like the sequential engine's.
+        self.flush_inlet();
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::Remove { id, immediate });
+        }
+        if immediate {
+            for merger in &mut self.mergers {
+                merger.remove_query(id);
+            }
+        }
+    }
+
+    /// Adds a query-group at runtime: one more slicer on every shard
+    /// and a matching collector-side merger. Returns the group's index
+    /// in the merged-slice stream. The group starts processing with the
+    /// next ingested event (the inlet is flushed first).
+    pub fn add_group(&mut self, group: QueryGroup) -> usize {
+        self.flush_inlet();
+        self.broadcast |= !group.user_defined_queries().is_empty();
+        self.mergers
+            .push(GroupMerger::for_group(&group, self.shards));
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::AddGroup(group.clone()));
+        }
+        self.mergers.len() - 1
+    }
+
+    /// Adds a count-query replay slot at runtime: every shard starts
+    /// forwarding events matching any of `predicates`, tagged with
+    /// inlet sequence numbers. Returns the replay slot index.
+    pub fn add_count_filter(&mut self, predicates: Vec<Predicate>) -> usize {
+        self.flush_inlet();
+        self.stamp = true;
+        self.count_buf.push(Vec::new());
+        let replay = self.count_buf.len() - 1;
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
+        }
+        replay
+    }
+
+    /// Drains the count-query events forwarded for replay slot
+    /// `replay`. The set is complete (for everything up to a watermark)
+    /// only right after [`ShardedSlicer::on_watermark`] or
+    /// [`ShardedSlicer::finish`]; sort by the sequence tag to restore
+    /// global ingest order.
+    pub fn take_count_events(&mut self, replay: usize) -> Vec<(u64, Event)> {
+        self.collect();
+        self.count_buf
+            .get_mut(replay)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Ingests one event; returns `true` when the inlet batch filled and
+    /// was flushed to the shards (a natural point to drain merged
+    /// slices).
+    #[inline]
+    pub fn on_event(&mut self, ev: &Event) -> bool {
+        self.inlet.push(*ev);
+        if self.inlet.len() >= self.batch_size {
+            self.flush_inlet();
+            return true;
+        }
+        false
+    }
+
+    /// Ingests a pre-built batch.
+    pub fn on_batch(&mut self, batch: &EventBatch) {
+        for ev in batch {
+            self.inlet.push(*ev);
+        }
+        if self.inlet.len() >= self.batch_size {
+            self.flush_inlet();
+        }
+    }
+
+    /// Counts a partition sent to `shard` (both the internal tallies
+    /// and, when a registry was configured, the pre-resolved live
+    /// counter handles — no name formatting on this path).
+    #[inline]
+    fn note_send(&mut self, shard: usize, events: u64) {
+        self.shard_events[shard] += events;
+        self.shard_batches[shard] += 1;
+        if let Some(handles) = &self.live_counters {
+            handles[shard].0.add(events);
+            handles[shard].1.inc();
+        }
+    }
+
+    fn flush_inlet(&mut self) {
+        if self.inlet.is_empty() {
+            return;
+        }
+        let ingest = prof_stamp(&self.prof);
+        self.flush_inlet_inner();
+        prof_record(&mut self.prof, Stage::Ingest, ingest);
+    }
+
+    fn flush_inlet_inner(&mut self) {
+        if self.stamp {
+            // Count filters installed: tag every event with its global
+            // inlet sequence number so the collector can restore ingest
+            // order across shards. Markers still broadcast (each copy
+            // keeps the original's sequence number; only the owning
+            // shard forwards it to the count filters).
+            let inlet =
+                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
+            let mut parts: Vec<Vec<(u64, Event)>> = vec![Vec::new(); self.shards];
+            for ev in &inlet {
+                let seq = self.seq;
+                self.seq += 1;
+                if self.broadcast && ev.marker.is_some() {
+                    for part in &mut parts {
+                        part.push((seq, *ev));
+                    }
+                } else {
+                    parts[ev.key as usize % self.shards].push((seq, *ev));
+                }
+            }
+            for (shard, part) in parts.into_iter().enumerate() {
+                if part.is_empty() {
+                    continue;
+                }
+                self.note_send(shard, part.len() as u64);
+                let _ = self.senders[shard].send(ShardMsg::SeqBatch(part));
+            }
+            return;
+        }
+        if self.broadcast {
+            // User-defined windows close at markers, which every shard
+            // must observe at the same stream position: copy marker
+            // events into every part, in place.
+            let inlet =
+                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
+            let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards];
+            for ev in &inlet {
+                if ev.marker.is_some() {
+                    for part in &mut parts {
+                        part.push(*ev);
+                    }
+                } else {
+                    parts[ev.key as usize % self.shards].push(*ev);
+                }
+            }
+            for (shard, part) in parts.into_iter().enumerate() {
+                if part.is_empty() {
+                    continue;
+                }
+                self.note_send(shard, part.len() as u64);
+                let _ = self.senders[shard].send(ShardMsg::Batch(part));
+            }
+            return;
+        }
+        let parts = self.inlet.partition_by_key(self.shards);
+        self.inlet = EventBatch::with_capacity(self.batch_size);
+        for (shard, part) in parts.into_iter().enumerate() {
+            if part.is_empty() {
+                continue;
+            }
+            self.note_send(shard, part.len() as u64);
+            // A failed send means the worker died; the panic surfaces
+            // through the inbox guard on the next collect.
+            let _ = self.senders[shard].send(ShardMsg::Batch(part));
+        }
+    }
+
+    /// Flushes the inlet and broadcasts a watermark, then **blocks**
+    /// until every live shard acknowledged it — the barrier that makes
+    /// results deterministic: after this returns, everything implied by
+    /// the events and watermarks ingested so far is in the mergers.
+    pub fn on_watermark(&mut self, ts: Timestamp) {
+        self.flush_inlet();
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::Watermark(ts));
+        }
+        let barrier = prof_stamp(&self.prof);
+        loop {
+            self.collect();
+            let reached = self
+                .states
+                .iter()
+                .zip(&self.frontiers)
+                .all(|(state, frontier)| *state != ShardState::Running || *frontier >= ts);
+            if reached {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        prof_record(&mut self.prof, Stage::Barrier, barrier);
+    }
+
+    /// Drains handoff items from every shard into the mergers and
+    /// advances the mergers' forced watermark to the minimum live shard
+    /// frontier.
+    fn collect(&mut self) {
+        for shard in 0..self.shards {
+            let exit = self.inbox.drain(shard, &mut self.item_buf);
+            for item in self.item_buf.drain(..) {
+                match item {
+                    ShardItem::Slices { group, slices } => {
+                        if let Some(merger) = self.mergers.get_mut(group) {
+                            let stage = merger.prof_stage();
+                            let t0 = prof_stamp(&self.prof);
+                            for slice in slices {
+                                merger.on_slice(shard, slice);
+                            }
+                            prof_record(&mut self.prof, stage, t0);
+                        }
+                    }
+                    ShardItem::Clears { group, clears } => {
+                        if let Some(merger) = self.mergers.get_mut(group) {
+                            merger.on_clears(shard, &clears);
+                        }
+                    }
+                    ShardItem::CountEvents { replay, items } => {
+                        if let Some(buf) = self.count_buf.get_mut(replay) {
+                            buf.extend(items);
+                        }
+                    }
+                    ShardItem::Frontier(ts) => {
+                        if ts > self.frontiers[shard] {
+                            self.frontiers[shard] = ts;
+                        }
+                    }
+                    ShardItem::Done {
+                        metrics,
+                        late_dropped,
+                    } => {
+                        self.collected.absorb(&metrics);
+                        self.late_dropped += late_dropped;
+                    }
+                }
+            }
+            if self.states[shard] == ShardState::Running {
+                match exit {
+                    Some(ShardExit::Clean) => self.states[shard] = ShardState::Done,
+                    Some(ShardExit::Panicked) => {
+                        // Degrade: stop waiting for the shard; later
+                        // slices release without its contributions.
+                        self.states[shard] = ShardState::Degraded;
+                        self.frontiers[shard] = Timestamp::MAX;
+                        self.panics += 1;
+                        for merger in &mut self.mergers {
+                            merger.mark_dead(shard);
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+        let wm = self
+            .states
+            .iter()
+            .zip(&self.frontiers)
+            .filter(|(state, _)| **state != ShardState::Degraded)
+            .map(|(_, frontier)| *frontier)
+            .min()
+            .unwrap_or(Timestamp::MAX);
+        for merger in &mut self.mergers {
+            let stage = merger.prof_stage();
+            let t0 = prof_stamp(&self.prof);
+            merger.advance(wm);
+            prof_record(&mut self.prof, stage, t0);
+        }
+    }
+
+    /// Drains merged slices, tagged with their group index, in
+    /// end-timestamp order per group.
+    pub fn drain_merged(&mut self, out: &mut Vec<(usize, SealedSlice)>) {
+        self.collect();
+        for group in 0..self.mergers.len() {
+            self.mergers[group].drain_ready(group, out);
+        }
+    }
+
+    /// Ends the stream: flushes the inlet, tells every worker to exit,
+    /// joins the threads, and collects their final metrics. Idempotent.
+    /// Slices still pending afterwards were never covered by a watermark
+    /// and stay unreleased (the sequential engine would not have sealed
+    /// them everywhere either).
+    pub fn finish(&mut self) {
+        if self.finished {
+            return;
+        }
+        self.finished = true;
+        self.flush_inlet();
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::Flush);
+        }
+        for handle in self.threads.drain(..) {
+            // A panicked worker already reported through the guard.
+            let _ = handle.join();
+        }
+        self.collect();
+        if let Some(h) = &mut self.prof {
+            h.flush();
+        }
+    }
+
+    /// Test-only: makes one shard worker panic, exercising the
+    /// degraded-shard path end to end.
+    #[cfg(test)]
+    pub(crate) fn inject_panic(&self, shard: usize) {
+        if let Some(tx) = self.senders.get(shard) {
+            let _ = tx.send(ShardMsg::Panic);
+        }
+    }
+
+    /// Summed slicer metrics of all shards, available in full after
+    /// [`ShardedSlicer::finish`] (workers report on exit). The `events`
+    /// field counts per-group ingests, like [`GroupSlicer::metrics`].
+    pub fn metrics(&self) -> EngineMetrics {
+        self.collected.clone()
+    }
+
+    /// Publishes per-shard inlet counters, the panic count, and the
+    /// shard-balance telemetry gauges (routing imbalance, inbox
+    /// high-water depths, unfixed-merger retained state) into
+    /// `registry`.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        for shard in 0..self.shards {
+            registry
+                .counter(&names::engine_shard_events(shard))
+                .raise_to(self.shard_events[shard]);
+            registry
+                .counter(&names::engine_shard_batches(shard))
+                .raise_to(self.shard_batches[shard]);
+            registry
+                .gauge(&names::engine_shard_inbox_depth_max(shard))
+                .set_max(self.inbox.depth_max(shard) as i64);
+        }
+        registry
+            .counter(names::ENGINE_SHARD_PANICS)
+            .raise_to(self.panics);
+        let max = self.shard_events.iter().copied().max().unwrap_or(0);
+        let min = self.shard_events.iter().copied().min().unwrap_or(0);
+        let imbalance = ((max - min) * 1000).checked_div(max).unwrap_or(0);
+        registry
+            .gauge(names::ENGINE_SHARD_IMBALANCE_PERMILLE)
+            .set(imbalance as i64);
+        let mut pending_sessions = 0usize;
+        let mut queued_ud = 0usize;
+        for merger in &self.mergers {
+            if let GroupMerger::Unfixed(m) = merger {
+                pending_sessions += m.pending_sessions();
+                queued_ud += m.queued_ud_slices();
+            }
+        }
+        registry
+            .gauge(names::ENGINE_UNFIXED_PENDING_SESSIONS)
+            .set(pending_sessions as i64);
+        registry
+            .gauge(names::ENGINE_UNFIXED_QUEUED_UD_SLICES)
+            .set(queued_ud as i64);
+        let survivors: usize = self.count_buf.iter().map(Vec::len).sum();
+        registry
+            .gauge(names::ENGINE_UNFIXED_COUNT_SURVIVORS)
+            .set(survivors as i64);
+    }
+}
+
+impl Drop for ShardedSlicer {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}

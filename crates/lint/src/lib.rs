@@ -937,7 +937,10 @@ mod tests {
     fn parallel_engine_is_in_no_panic_and_no_wallclock_scope() {
         for path in [
             "crates/core/src/engine/parallel.rs",
+            "crates/core/src/engine/parallel/engine.rs",
             "crates/core/src/engine/parallel/handoff.rs",
+            "crates/core/src/engine/parallel/shard.rs",
+            "crates/core/src/engine/parallel/sharded.rs",
             "crates/core/src/engine/parallel/unfixed.rs",
         ] {
             assert!(in_scope("no-panic", path), "{path} left no-panic scope");
