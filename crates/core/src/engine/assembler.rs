@@ -7,39 +7,25 @@
 //! [`QueryResult`]s. Partial results no longer referenced by any active
 //! window are garbage collected using the slicer's low watermark.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rustc_hash::FxHashMap;
 
-use crate::aggregate::{AggFunction, OperatorBundle};
-use crate::engine::group::{QueryGroup, SelectionId};
-use crate::engine::slice::{SealedSlice, SliceId, WindowEnd};
-use crate::event::Key;
+use crate::engine::group::QueryGroup;
+use crate::engine::merge::{
+    finalize_sorted, query_infos, QueryInfo, RangeCache, SliceRange, SliceStore,
+};
+use crate::engine::slice::{SealedSlice, WindowEnd};
 use crate::obs::trace::{SpanKind, TraceRecorder};
 use crate::obs::{LogHistogram, MetricsRegistry};
 use crate::query::{QueryId, QueryResult};
-
-/// Slice partial retained by the assembler.
-#[derive(Debug, Clone)]
-struct StoredSlice {
-    id: SliceId,
-    data: crate::engine::slice::SliceData,
-}
-
-/// Per-query info the assembler needs to finalize windows.
-#[derive(Debug, Clone)]
-struct QueryInfo {
-    selection: SelectionId,
-    functions: Vec<AggFunction>,
-}
 
 /// Assembles window results from sealed slices of one query-group.
 #[derive(Debug, Clone)]
 pub struct Assembler {
     queries: FxHashMap<QueryId, QueryInfo>,
-    slices: VecDeque<StoredSlice>,
+    store: SliceStore,
     /// Number of results emitted (paper: result materialization dominates
     /// beyond 10k queries, Figure 13a).
     results_emitted: u64,
@@ -62,22 +48,9 @@ impl Assembler {
 
     /// Creates an assembler publishing into a shared `registry`.
     pub fn with_registry(group: &QueryGroup, registry: Arc<MetricsRegistry>) -> Self {
-        let queries = group
-            .queries
-            .iter()
-            .map(|cq| {
-                (
-                    cq.query.id,
-                    QueryInfo {
-                        selection: cq.selection,
-                        functions: cq.query.functions.clone(),
-                    },
-                )
-            })
-            .collect();
         Self {
-            queries,
-            slices: VecDeque::new(),
+            queries: query_infos(group).collect(),
+            store: SliceStore::default(),
             results_emitted: 0,
             merges: 0,
             registry,
@@ -94,7 +67,7 @@ impl Assembler {
 
     /// Number of slice partials currently retained.
     pub fn retained_slices(&self) -> usize {
-        self.slices.len()
+        self.store.len()
     }
 
     /// Total results emitted so far.
@@ -127,19 +100,13 @@ impl Assembler {
     /// distinct `(selection, range)` and shared across queries.
     pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
         let low = slice.low_watermark;
-        let ends = slice.ends.clone();
         let trace = slice.trace;
-        self.slices.push_back(StoredSlice {
-            id: slice.id,
-            data: slice.data,
-        });
-        let mut merge_cache: FxHashMap<
-            (SelectionId, SliceId, SliceId),
-            FxHashMap<Key, OperatorBundle>,
-        > = FxHashMap::default();
-        for end in &ends {
+        self.store
+            .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
+        let mut cache = RangeCache::default();
+        for end in &slice.ends {
             let before = out.len();
-            self.assemble_cached(end, &mut merge_cache, out);
+            self.assemble_cached(end, &mut cache, out);
             if let (Some(rec), Some(id)) = (&mut self.tracer, trace) {
                 if out.len() > before {
                     rec.record(id, SpanKind::WindowAssembled);
@@ -147,73 +114,39 @@ impl Assembler {
                 }
             }
         }
-        self.gc(low);
+        self.store.gc_ids(low);
     }
 
     /// Merges the partial results of `end`'s slice range and finalizes the
     /// query's functions per key.
-    pub fn assemble(&mut self, end: &WindowEnd, out: &mut Vec<QueryResult>) {
-        let mut cache = FxHashMap::default();
-        self.assemble_cached(end, &mut cache, out);
-    }
-
     fn assemble_cached(
         &mut self,
         end: &WindowEnd,
-        merge_cache: &mut FxHashMap<
-            (SelectionId, SliceId, SliceId),
-            FxHashMap<Key, OperatorBundle>,
-        >,
+        cache: &mut RangeCache,
         out: &mut Vec<QueryResult>,
     ) {
         // Unknown ids are tolerated: in-flight ends of queries removed at
         // runtime (Section 3.2) may still arrive.
-        let Some(info) = self.queries.get(&end.query).cloned() else {
+        let Some(info) = self.queries.get(&end.query) else {
             return;
         };
         let started = Instant::now();
-        let sel = info.selection as usize;
-        let cache_key = (info.selection, end.first_slice, end.last_slice);
-        let merged = match merge_cache.entry(cache_key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut merged: FxHashMap<Key, OperatorBundle> = FxHashMap::default();
-                for stored in &self.slices {
-                    if stored.id < end.first_slice || stored.id > end.last_slice {
-                        continue;
-                    }
-                    for (key, bundle) in &stored.data.per_selection[sel] {
-                        match merged.get_mut(key) {
-                            Some(b) => {
-                                b.merge(bundle);
-                                self.merges += 1;
-                            }
-                            None => {
-                                merged.insert(*key, bundle.clone());
-                            }
-                        }
-                    }
-                }
-                e.insert(merged)
-            }
-        };
-        // Emit in key order so assembly output is hash-order-free even
-        // before the engine's canonical drain sort.
-        let mut keys: Vec<Key> = merged.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let bundle = &merged[&key];
-            let values: Vec<Option<f64>> =
-                info.functions.iter().map(|f| bundle.finalize(f)).collect();
-            out.push(QueryResult {
-                query: end.query,
-                key,
-                window_start: end.start_ts,
-                window_end: end.end_ts,
-                values,
-            });
-            self.results_emitted += 1;
-        }
+        let merged = self.store.merged_range(
+            SliceRange::Ids(end.first_slice, end.last_slice),
+            info.selection,
+            cache,
+            &mut self.merges,
+        );
+        let before = out.len();
+        finalize_sorted(
+            end.query,
+            &info.functions,
+            merged,
+            end.start_ts,
+            end.end_ts,
+            out,
+        );
+        self.results_emitted += (out.len() - before) as u64;
         self.latency_histogram(end.query)
             .record_secs(started.elapsed().as_secs_f64());
     }
@@ -231,25 +164,12 @@ impl Assembler {
             }
         }
     }
-
-    /// Drops slice partials older than `low` — partials that no longer
-    /// belong to any active window (Section 4.3: "if there are any partial
-    /// results that do not belong to any window, the aggregation engine
-    /// will delete them").
-    pub fn gc(&mut self, low: SliceId) {
-        while let Some(front) = self.slices.front() {
-            if front.id < low {
-                self.slices.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggFunction;
     use crate::engine::analyzer::QueryAnalyzer;
     use crate::engine::slicer::GroupSlicer;
     use crate::event::Event;

@@ -4,12 +4,17 @@
 //! compiles queries into query-groups, each group gets a [`GroupSlicer`]
 //! (incremental aggregation + slicing) and an [`Assembler`] (window
 //! merging). Decentralized deployments (the `desis-net` crate) drive the
-//! same [`GroupSlicer`] on local nodes and the same [`Assembler`] on the
-//! root, exchanging [`SealedSlice`] partials.
+//! same [`GroupSlicer`] on local nodes and exchange [`SealedSlice`]
+//! partials; intermediate nodes, the root and the sharded collector merge
+//! and assemble them with the one aligned merger and the one time-range
+//! assembler of [`merge`], whose slice-store kernel the [`Assembler`]
+//! shares (the root runs an [`Assembler`] itself only for groups it
+//! slices from raw events).
 
 pub mod analyzer;
 pub mod assembler;
 pub mod group;
+pub mod merge;
 pub mod parallel;
 pub mod reorder;
 pub mod slice;

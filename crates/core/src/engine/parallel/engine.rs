@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 
-use super::{prof_record, prof_stamp, FixedAssembler, ParallelConfig, ShardedSlicer};
+use super::{prof_record, prof_stamp, ParallelConfig, ShardedSlicer};
+use crate::engine::merge::TimeAssembler;
 use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
@@ -23,7 +24,7 @@ use crate::window::WindowKind;
 #[derive(Debug)]
 enum MergedAssembler {
     /// Fixed time windows: range-select assembly over merged slices.
-    Fixed(FixedAssembler),
+    Fixed(TimeAssembler),
     /// Session/user-defined windows: the unfixed merger emits
     /// self-contained per-window slices that the ordinary assembler
     /// consumes unchanged.
@@ -31,6 +32,15 @@ enum MergedAssembler {
 }
 
 impl MergedAssembler {
+    /// The assembler matching [`ShardedSlicer`]'s merger for `group`.
+    fn for_group(group: &QueryGroup, registry: &Arc<MetricsRegistry>) -> Self {
+        if group.has_unfixed_windows() {
+            MergedAssembler::Unfixed(Assembler::with_registry(group, Arc::clone(registry)))
+        } else {
+            MergedAssembler::Fixed(TimeAssembler::new(group))
+        }
+    }
+
     fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
         match self {
             MergedAssembler::Fixed(a) => a.on_slice(slice, out),
@@ -83,7 +93,7 @@ struct CountReplay {
     reorder: Option<ReorderBuffer>,
 }
 
-/// Key-sharded parallel twin of [`super::AggregationEngine`]: same
+/// Key-sharded parallel twin of [`crate::engine::AggregationEngine`]: same
 /// queries, same results, N slicer threads (see the module docs for the
 /// sharding model and determinism argument).
 ///
@@ -186,13 +196,7 @@ impl ParallelEngine {
         drop(boot);
         let assemblers: Vec<MergedAssembler> = sharded_groups
             .iter()
-            .map(|g| {
-                if g.has_unfixed_windows() {
-                    MergedAssembler::Unfixed(Assembler::with_registry(g, Arc::clone(&registry)))
-                } else {
-                    MergedAssembler::Fixed(FixedAssembler::new(g))
-                }
-            })
+            .map(|g| MergedAssembler::for_group(g, &registry))
             .collect();
         let sharded = if sharded_groups.is_empty() && count_groups.is_empty() {
             None
@@ -452,14 +456,8 @@ impl ParallelEngine {
             if is_fixed || is_unfixed {
                 let index = sharded.add_group(group.clone());
                 debug_assert_eq!(index, self.assemblers.len());
-                self.assemblers.push(if is_fixed {
-                    MergedAssembler::Fixed(FixedAssembler::new(&group))
-                } else {
-                    MergedAssembler::Unfixed(Assembler::with_registry(
-                        &group,
-                        Arc::clone(&self.registry),
-                    ))
-                });
+                self.assemblers
+                    .push(MergedAssembler::for_group(&group, &self.registry));
             } else {
                 let predicates = group.selections.iter().map(|s| s.predicate).collect();
                 let replay = sharded.add_count_filter(predicates);

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use super::handoff::{Inbox, ShardExit};
 use super::shard::{run_shard, ShardItem, ShardMsg};
 use super::unfixed::UnfixedShardMerger;
-use super::{prof_record, prof_stamp, ParallelConfig, ShardMerger};
+use super::{prof_record, prof_stamp, ParallelConfig};
+use crate::engine::merge::AlignedSliceMerger;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
 use crate::engine::QueryGroup;
@@ -22,11 +23,12 @@ use crate::query::QueryId;
 use crate::time::Timestamp;
 
 /// The per-group collector-side merger: fixed-only groups align by
-/// slice-end timestamp, groups with session/user-defined windows merge
-/// by span overlap and clear frontiers.
+/// slice-end timestamp — a shard is a child covering one stream — and
+/// groups with session/user-defined windows merge by span overlap and
+/// clear frontiers.
 #[derive(Debug)]
 enum GroupMerger {
-    Fixed(ShardMerger),
+    Fixed(AlignedSliceMerger),
     Unfixed(UnfixedShardMerger),
 }
 
@@ -35,13 +37,13 @@ impl GroupMerger {
         if group.has_unfixed_windows() {
             GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
         } else {
-            GroupMerger::Fixed(ShardMerger::new(shards as u32))
+            GroupMerger::Fixed(AlignedSliceMerger::new(shards as u32))
         }
     }
 
     fn on_slice(&mut self, shard: usize, slice: SealedSlice) {
         match self {
-            GroupMerger::Fixed(m) => m.on_slice(slice),
+            GroupMerger::Fixed(m) => m.on_slice(slice, 1),
             GroupMerger::Unfixed(m) => m.on_slice(shard, slice),
         }
     }
@@ -54,7 +56,7 @@ impl GroupMerger {
 
     fn advance(&mut self, wm: Timestamp) {
         match self {
-            GroupMerger::Fixed(m) => m.advance(wm),
+            GroupMerger::Fixed(m) => m.advance_watermark(wm),
             GroupMerger::Unfixed(m) => m.advance(wm),
         }
     }
@@ -82,7 +84,7 @@ impl GroupMerger {
 
     fn drain_ready(&mut self, group: usize, out: &mut Vec<(usize, SealedSlice)>) {
         match self {
-            GroupMerger::Fixed(m) => m.drain_ready(group, out),
+            GroupMerger::Fixed(m) => out.extend(m.take_ready().map(|s| (group, s))),
             GroupMerger::Unfixed(m) => m.drain_ready(group, out),
         }
     }
@@ -113,7 +115,7 @@ enum ShardState {
 /// ([`ShardedSlicer::take_count_events`]).
 ///
 /// This is the engine-internal building block shared by
-/// [`ParallelEngine`] (which assembles windows from the merged stream)
+/// [`super::ParallelEngine`] (which assembles windows from the merged stream)
 /// and the decentralized local node (which ships the merged stream to
 /// its parent exactly as if one sequential slicer had produced it).
 #[derive(Debug)]

@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 use rustc_hash::FxHashMap;
 
 use crate::engine::group::QueryGroup;
+use crate::engine::merge::{SliceRange, SliceStore};
 use crate::engine::slice::{SealedSlice, SessionGap, SliceData, SliceId, WindowEnd};
 use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::query::QueryId;
@@ -105,9 +106,9 @@ struct FixedPending {
 pub struct UnfixedShardMerger {
     shards: usize,
     selections: usize,
-    /// Per-shard retained slices `(shard-local id, data)`, gc'd by the
+    /// Per-shard retained slices (ids are shard-local), gc'd by the
     /// shard's own low watermark.
-    stores: Vec<VecDeque<(SliceId, SliceData)>>,
+    stores: Vec<SliceStore>,
     dead: Vec<bool>,
     kinds: FxHashMap<QueryId, EndKind>,
     sessions: Vec<SessionSlot>,
@@ -161,7 +162,7 @@ impl UnfixedShardMerger {
         Self {
             shards,
             selections: group.selections.len(),
-            stores: vec![VecDeque::new(); shards],
+            stores: vec![SliceStore::default(); shards],
             dead: vec![false; shards],
             kinds,
             sessions,
@@ -190,10 +191,8 @@ impl UnfixedShardMerger {
     /// Merged data of the shard-local slice id range `[first, last]`.
     fn extract(&self, shard: usize, first: SliceId, last: SliceId) -> SliceData {
         let mut data = SliceData::new(self.selections);
-        for (id, d) in &self.stores[shard] {
-            if *id >= first && *id <= last {
-                data.merge(d);
-            }
+        for (sel, merged) in data.per_selection.iter_mut().enumerate() {
+            self.stores[shard].merge_range(SliceRange::Ids(first, last), sel, merged);
         }
         data
     }
@@ -207,7 +206,7 @@ impl UnfixedShardMerger {
         let ends = slice.ends;
         let low = slice.low_watermark;
         let trace = slice.trace;
-        self.stores[shard].push_back((slice.id, slice.data));
+        self.stores[shard].push(slice.id, slice.start_ts, slice.end_ts, slice.data);
         for end in &ends {
             let Some(kind) = self.kinds.get(&end.query).copied() else {
                 continue;
@@ -246,13 +245,7 @@ impl UnfixedShardMerger {
         }
         // Everything below the shard's own low watermark is no longer
         // referenced by any of its open or future windows.
-        while let Some((id, _)) = self.stores[shard].front() {
-            if *id < low {
-                self.stores[shard].pop_front();
-            } else {
-                break;
-            }
-        }
+        self.stores[shard].gc_ids(low);
         self.release_uds();
         self.release_fixed();
     }
@@ -340,7 +333,7 @@ impl UnfixedShardMerger {
             return;
         }
         self.dead[shard] = true;
-        self.stores[shard].clear();
+        self.stores[shard] = SliceStore::default();
         for slot in &mut self.uds {
             slot.queues[shard].clear();
         }
@@ -396,16 +389,10 @@ impl UnfixedShardMerger {
                 } = p;
                 let gap_start = end.saturating_sub(gap);
                 self.emit(
+                    query,
                     start,
                     end,
                     data,
-                    |id| WindowEnd {
-                        query,
-                        first_slice: id,
-                        last_slice: id,
-                        start_ts: start,
-                        end_ts: end,
-                    },
                     Some(SessionGap {
                         query,
                         gap_start,
@@ -458,20 +445,7 @@ impl UnfixedShardMerger {
                 if let (Some(rec), Some(id)) = (&mut self.recorder, trace) {
                     rec.record(id, SpanKind::MergeStart);
                 }
-                self.emit(
-                    start,
-                    end,
-                    data,
-                    |id| WindowEnd {
-                        query,
-                        first_slice: id,
-                        last_slice: id,
-                        start_ts: start,
-                        end_ts: end,
-                    },
-                    None,
-                    trace,
-                );
+                self.emit(query, start, end, data, None, trace);
             }
         }
     }
@@ -497,20 +471,7 @@ impl UnfixedShardMerger {
             let Some(((end, start, query), entry)) = self.fixed.pop_first() else {
                 break;
             };
-            self.emit(
-                start,
-                end,
-                entry.data,
-                |id| WindowEnd {
-                    query,
-                    first_slice: id,
-                    last_slice: id,
-                    start_ts: start,
-                    end_ts: end,
-                },
-                None,
-                entry.trace,
-            );
+            self.emit(query, start, end, entry.data, None, entry.trace);
         }
     }
 
@@ -519,10 +480,10 @@ impl UnfixedShardMerger {
     /// immediately (`low_watermark = id + 1`).
     fn emit(
         &mut self,
+        query: QueryId,
         start_ts: Timestamp,
         end_ts: Timestamp,
         data: SliceData,
-        end: impl FnOnce(SliceId) -> WindowEnd,
         gap: Option<SessionGap>,
         trace: Option<TraceId>,
     ) {
@@ -536,7 +497,13 @@ impl UnfixedShardMerger {
             start_ts,
             end_ts,
             data,
-            ends: vec![end(id)],
+            ends: vec![WindowEnd {
+                query,
+                first_slice: id,
+                last_slice: id,
+                start_ts,
+                end_ts,
+            }],
             session_gaps: gap.into_iter().collect(),
             low_watermark: id + 1,
             low_watermark_ts: start_ts,

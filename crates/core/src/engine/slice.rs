@@ -9,6 +9,7 @@
 use rustc_hash::FxHashMap;
 
 use crate::aggregate::OperatorBundle;
+use crate::engine::merge::merge_keyed;
 use crate::event::Key;
 use crate::obs::trace::TraceId;
 use crate::query::QueryId;
@@ -57,18 +58,17 @@ impl SliceData {
         }
     }
 
-    /// Merges another slice's data into this one (same group layout).
+    /// Merges another slice's data into this one, selection by selection.
+    /// Slices of one group share a layout; a slice decoded from a frame
+    /// may declare fewer selections (an empty contribution) or more
+    /// (kept; assemblers read only the selections their group has).
     pub fn merge(&mut self, other: &SliceData) {
-        debug_assert_eq!(self.per_selection.len(), other.per_selection.len());
+        if self.per_selection.len() < other.per_selection.len() {
+            self.per_selection
+                .resize_with(other.per_selection.len(), FxHashMap::default);
+        }
         for (mine, theirs) in self.per_selection.iter_mut().zip(&other.per_selection) {
-            for (key, bundle) in theirs {
-                match mine.get_mut(key) {
-                    Some(b) => b.merge(bundle),
-                    None => {
-                        mine.insert(*key, bundle.clone());
-                    }
-                }
-            }
+            merge_keyed(mine, theirs);
         }
     }
 }

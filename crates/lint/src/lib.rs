@@ -930,12 +930,20 @@ mod tests {
     }
 
     /// The parallel engine (PR 5) is a hot path AND a deterministic
-    /// path: both rules must cover the module and its handoff and
-    /// cross-shard unfixed-merge (PR 6) submodules. A rename that
-    /// silently drops any of them out of scope fails here.
+    /// path: both rules must cover the module, its shard/sharded/engine,
+    /// handoff and cross-shard unfixed-merge (PR 6) submodules, and the
+    /// merge module every level of the tree shares (PR 13) — which also
+    /// sees frames from outside the process and emits results, so it is
+    /// pinned in the hash-order scope too. A rename that silently drops
+    /// any of them out of scope fails here.
     #[test]
     fn parallel_engine_is_in_no_panic_and_no_wallclock_scope() {
+        assert!(in_scope(
+            "no-unordered-iter",
+            "crates/core/src/engine/merge.rs"
+        ));
         for path in [
+            "crates/core/src/engine/merge.rs",
             "crates/core/src/engine/parallel.rs",
             "crates/core/src/engine/parallel/engine.rs",
             "crates/core/src/engine/parallel/handoff.rs",

@@ -1,12 +1,9 @@
 //! Merging machinery for intermediate and root nodes (paper Section 5).
 //!
-//! * [`AlignedSliceMerger`] — fixed time windows slice identically on every
-//!   node, so child partials merge by `(start_ts, end_ts)`; a merged slice
-//!   is complete when it covers all local streams below this node
-//!   (the paper's "the length of an intermediate slice is the number of
-//!   child nodes", Section 5.1.1).
-//! * [`TimeAssembler`] — the root's window assembly over merged slices,
-//!   selecting by time range.
+//! * [`AlignedSliceMerger`] / [`TimeAssembler`] — the aligned-slice merge
+//!   and the time-range window assembly of fixed-window groups. They are
+//!   `desis_core::engine::merge`'s: a child node is merged exactly like a
+//!   shard, and this module re-exports the two types.
 //! * [`UnfixedRootMerger`] — session and user-defined windows slice at
 //!   data-driven points that differ per stream; the root keeps per-child
 //!   partials, extracts per-child window contributions, and terminates
@@ -17,421 +14,36 @@
 //! * [`PartialAssembler`] / [`WindowPartialMerger`] — the Disco baseline's
 //!   per-*window* partials (Section 5, "Disco has to send partial results
 //!   per window").
+//!
+//! Everything here scans, merges, finalizes and garbage-collects slice
+//! partials through the core slice-store kernel.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use rustc_hash::FxHashMap;
 
-use desis_core::aggregate::{AggFunction, OperatorBundle};
-use desis_core::engine::{QueryGroup, SealedSlice, SelectionId, SliceData, SliceId};
-use desis_core::event::{Event, Key};
-use desis_core::obs::trace::{SpanKind, TraceId, TraceRecorder};
+use desis_core::engine::merge::{
+    finalize_key, finalize_sorted, merge_keyed, merge_one, query_infos, record_assembly,
+    KeyedBundles, QueryInfo, SliceRange, SliceStore,
+};
+use desis_core::engine::{QueryGroup, SealedSlice};
+use desis_core::event::Event;
+use desis_core::obs::trace::{SpanKind, TraceRecorder};
 use desis_core::query::{QueryId, QueryResult};
 use desis_core::time::Timestamp;
 use desis_core::window::WindowKind;
 
+pub use desis_core::engine::merge::{AlignedSliceMerger, TimeAssembler};
+
 use crate::message::WindowPartial;
 use crate::topology::NodeId;
 
-/// Per-key operator partials of one window contribution.
-pub(crate) type KeyedBundles = FxHashMap<Key, OperatorBundle>;
 /// A window contribution: event-time span plus its keyed partials.
 type SpannedBundles = ((Timestamp, Timestamp), KeyedBundles);
-
-/// Per-query finalization info shared by the mergers.
-#[derive(Debug, Clone)]
-pub(crate) struct QueryInfo {
-    pub selection: SelectionId,
-    pub functions: Vec<AggFunction>,
-    pub kind: WindowKind,
-}
-
-pub(crate) fn query_infos(group: &QueryGroup) -> FxHashMap<QueryId, QueryInfo> {
-    group
-        .queries
-        .iter()
-        .map(|cq| {
-            (
-                cq.query.id,
-                QueryInfo {
-                    selection: cq.selection,
-                    functions: cq.query.functions.clone(),
-                    kind: cq.query.window.kind,
-                },
-            )
-        })
-        .collect()
-}
-
-fn finalize_map(
-    query: QueryId,
-    info: &QueryInfo,
-    merged: &FxHashMap<Key, OperatorBundle>,
-    start_ts: Timestamp,
-    end_ts: Timestamp,
-    out: &mut Vec<QueryResult>,
-) {
-    // Emit in key order: downstream consumers canonically sort, but the
-    // merger's own output (and anything tracing it) must not depend on
-    // hash order.
-    let mut keys: Vec<Key> = merged.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let bundle = &merged[&key];
-        let values = info.functions.iter().map(|f| bundle.finalize(f)).collect();
-        out.push(QueryResult {
-            query,
-            key,
-            window_start: start_ts,
-            window_end: end_ts,
-            values,
-        });
-    }
-}
-
-/// Records `WindowAssembled` plus one `ResultEmitted` per distinct query
-/// for the results a traced slice just produced.
-fn record_assembly(
-    recorder: &mut Option<TraceRecorder>,
-    trace: Option<TraceId>,
-    new_results: &[QueryResult],
-) {
-    let (Some(rec), Some(id)) = (recorder.as_mut(), trace) else {
-        return;
-    };
-    if new_results.is_empty() {
-        return;
-    }
-    rec.record(id, SpanKind::WindowAssembled);
-    let mut queries: Vec<QueryId> = new_results.iter().map(|r| r.query).collect();
-    queries.sort_unstable();
-    queries.dedup();
-    for query in queries {
-        rec.record(id, SpanKind::ResultEmitted { query });
-    }
-}
-
-fn merge_into(dst: &mut FxHashMap<Key, OperatorBundle>, src: &FxHashMap<Key, OperatorBundle>) {
-    for (key, bundle) in src {
-        match dst.get_mut(key) {
-            Some(b) => b.merge(bundle),
-            None => {
-                dst.insert(*key, bundle.clone());
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Aligned slice merging (fixed time windows).
-// ---------------------------------------------------------------------
-
-/// Merges child slice partials of a fixed-window group.
-///
-/// Fixed time windows punctuate at the same instants on every node, so
-/// slices are keyed by their **end** timestamp (start timestamps differ
-/// for the very first slice of late-starting streams). Merged slices are
-/// released strictly in end order: a completed slice is held back while an
-/// earlier slice still misses contributions, and watermarks force-complete
-/// slices of streams that were idle over the interval.
-#[derive(Debug)]
-pub struct AlignedSliceMerger {
-    /// Number of local streams this node's subtree covers.
-    expected_coverage: u32,
-    pending: std::collections::BTreeMap<Timestamp, PendingSlice>,
-    next_id: SliceId,
-    /// Slices ending at or before this are releasable even if incomplete
-    /// (all covered streams are known to be past this time).
-    forced_up_to: Timestamp,
-    ready: VecDeque<SealedSlice>,
-    /// Provenance span recorder; `None` (the default) disables tracing.
-    recorder: Option<TraceRecorder>,
-}
-
-#[derive(Debug)]
-struct PendingSlice {
-    start_ts: Timestamp,
-    data: SliceData,
-    coverage: u32,
-    ends: Vec<desis_core::engine::WindowEnd>,
-    gaps: Vec<desis_core::engine::SessionGap>,
-    low_ts: Timestamp,
-    /// Provenance carried by the merged slice: the first traced child
-    /// contribution (one representative leaf per merged slice).
-    trace: Option<TraceId>,
-}
-
-impl AlignedSliceMerger {
-    /// Creates a merger covering `expected_coverage` local streams.
-    pub fn new(expected_coverage: u32) -> Self {
-        assert!(expected_coverage >= 1);
-        Self {
-            expected_coverage,
-            pending: std::collections::BTreeMap::new(),
-            next_id: 0,
-            forced_up_to: 0,
-            ready: VecDeque::new(),
-            recorder: None,
-        }
-    }
-
-    /// Enables causal slice tracing: traced child partials record
-    /// `MergeStart`/`MergeDone` spans, and the released merged slice
-    /// carries the first contributing trace id onward.
-    pub fn set_recorder(&mut self, recorder: TraceRecorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Number of slices waiting for missing children.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Folds one child partial in.
-    pub fn on_slice(&mut self, partial: SealedSlice, coverage: u32) {
-        let end_ts = partial.end_ts;
-        let entry = self.pending.entry(end_ts).or_insert_with(|| PendingSlice {
-            start_ts: partial.start_ts,
-            data: SliceData::new(partial.data.per_selection.len()),
-            coverage: 0,
-            ends: Vec::new(),
-            gaps: Vec::new(),
-            low_ts: Timestamp::MAX,
-            trace: None,
-        });
-        if entry.trace.is_none() {
-            if let Some(id) = partial.trace {
-                entry.trace = Some(id);
-                if let Some(rec) = &mut self.recorder {
-                    rec.record(id, SpanKind::MergeStart);
-                }
-            }
-        }
-        entry.start_ts = entry.start_ts.min(partial.start_ts);
-        entry.data.merge(&partial.data);
-        entry.coverage += coverage;
-        entry.low_ts = entry.low_ts.min(partial.low_watermark_ts);
-        // Fixed-window ends are identical on every child (same specs, same
-        // time base): keep one copy per (query, window).
-        for end in partial.ends {
-            if !entry.ends.iter().any(|e| {
-                e.query == end.query && e.start_ts == end.start_ts && e.end_ts == end.end_ts
-            }) {
-                entry.ends.push(end);
-            }
-        }
-        entry.gaps.extend(partial.session_gaps);
-        debug_assert!(
-            entry.coverage <= self.expected_coverage,
-            "over-covered slice ending at {end_ts}"
-        );
-        self.release();
-    }
-
-    /// Marks every covered stream as having advanced to `wm`: incomplete
-    /// slices ending at or before `wm` become releasable (their missing
-    /// streams were idle).
-    pub fn advance_watermark(&mut self, wm: Timestamp) {
-        if wm > self.forced_up_to {
-            self.forced_up_to = wm;
-            self.release();
-        }
-    }
-
-    fn release(&mut self) {
-        while let Some((&end_ts, entry)) = self.pending.iter().next() {
-            let complete = entry.coverage == self.expected_coverage;
-            if !complete && end_ts > self.forced_up_to {
-                break;
-            }
-            let done = self.pending.remove(&end_ts).expect("just looked up");
-            let id = self.next_id;
-            self.next_id += 1;
-            if let (Some(rec), Some(trace)) = (&mut self.recorder, done.trace) {
-                rec.record(trace, SpanKind::MergeDone);
-            }
-            self.ready.push_back(SealedSlice {
-                id,
-                start_ts: done.start_ts,
-                end_ts,
-                data: done.data,
-                ends: done.ends,
-                session_gaps: done.gaps,
-                low_watermark: 0,
-                low_watermark_ts: done.low_ts.min(end_ts),
-                trace: done.trace,
-            });
-        }
-    }
-
-    /// Drains merged slices, in end-timestamp order.
-    pub fn drain_ready(&mut self, out: &mut Vec<SealedSlice>) {
-        out.extend(self.ready.drain(..));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Root window assembly over merged slices, by time range.
-// ---------------------------------------------------------------------
-
-/// Assembles windows from merged slices, selecting slices by time range
-/// (merged slice ids are node-local and never cross the network).
-#[derive(Debug)]
-pub struct TimeAssembler {
-    queries: FxHashMap<QueryId, QueryInfo>,
-    /// Fixed time-measured queries, whose end punctuations the assembler
-    /// derives itself from the specs ("Desis is able to calculate window
-    /// ends in advance") — local nodes need not ship `ep` marks for them.
-    fixed: Vec<(QueryId, desis_core::window::WindowSpec)>,
-    slices: VecDeque<(Timestamp, Timestamp, SliceData)>,
-    results_emitted: u64,
-    /// Provenance span recorder; `None` (the default) disables tracing.
-    recorder: Option<TraceRecorder>,
-}
-
-impl TimeAssembler {
-    /// Creates an assembler for `group`.
-    pub fn new(group: &QueryGroup) -> Self {
-        let fixed = group
-            .queries
-            .iter()
-            .filter(|cq| cq.query.window.has_precomputable_puncts())
-            .map(|cq| (cq.query.id, cq.query.window))
-            .collect();
-        Self {
-            queries: query_infos(group),
-            fixed,
-            slices: VecDeque::new(),
-            results_emitted: 0,
-            recorder: None,
-        }
-    }
-
-    /// Enables causal slice tracing: traced slices that terminate windows
-    /// record `WindowAssembled`/`ResultEmitted` spans.
-    pub fn set_recorder(&mut self, recorder: TraceRecorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Slices currently retained.
-    pub fn retained_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Stops assembling windows for `query` (runtime removal, Section
-    /// 3.2). Returns `false` if the query is unknown.
-    pub fn remove_query(&mut self, query: QueryId) -> bool {
-        self.fixed.retain(|(q, _)| *q != query);
-        self.queries.remove(&query).is_some()
-    }
-
-    /// Results emitted so far.
-    pub fn results_emitted(&self) -> u64 {
-        self.results_emitted
-    }
-
-    /// Ingests a merged slice; assembles every window it terminates.
-    ///
-    /// Fixed-time window ends are derived from the specs (ignoring any
-    /// shipped `ep` marks for those queries, so results never duplicate);
-    /// other end punctuations are taken from the slice annotations.
-    pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
-        let low_ts = slice.low_watermark_ts;
-        let slice_end = slice.end_ts;
-        let shipped_ends = slice.ends;
-        let trace = slice.trace;
-        let before = out.len();
-        self.slices
-            .push_back((slice.start_ts, slice.end_ts, slice.data));
-        // Windows of different queries often cover the same time range;
-        // merge each distinct (selection, range) once (Figure 9c).
-        let mut cache: FxHashMap<(SelectionId, Timestamp, Timestamp), KeyedBundles> =
-            FxHashMap::default();
-        for (query, spec) in &self.fixed.clone() {
-            if let Some(ws) = spec.fixed_window_ending_at(slice_end) {
-                self.assemble_cached(*query, ws, slice_end, &mut cache, out);
-            }
-        }
-        for end in &shipped_ends {
-            if self.fixed.iter().any(|(q, _)| q == &end.query) {
-                continue; // derived above
-            }
-            self.assemble_cached(end.query, end.start_ts, end.end_ts, &mut cache, out);
-        }
-        record_assembly(&mut self.recorder, trace, &out[before..]);
-        while let Some((_, e, _)) = self.slices.front() {
-            if *e <= low_ts {
-                self.slices.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn assemble_cached(
-        &mut self,
-        query: QueryId,
-        start_ts: Timestamp,
-        end_ts: Timestamp,
-        cache: &mut FxHashMap<(SelectionId, Timestamp, Timestamp), KeyedBundles>,
-        out: &mut Vec<QueryResult>,
-    ) {
-        let Some(info) = self.queries.get(&query) else {
-            debug_assert!(false, "end for unknown query {query}");
-            return;
-        };
-        let sel = info.selection as usize;
-        let cache_key = (info.selection, start_ts, end_ts);
-        if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(cache_key) {
-            let mut merged: FxHashMap<Key, OperatorBundle> = FxHashMap::default();
-            for (s, e, data) in &self.slices {
-                if *s >= start_ts && *e <= end_ts {
-                    merge_into(&mut merged, &data.per_selection[sel]);
-                }
-            }
-            e.insert(merged);
-        }
-        let merged = cache.get(&cache_key).expect("just inserted");
-        if merged.is_empty() {
-            return;
-        }
-        let before = out.len();
-        finalize_map(query, info, merged, start_ts, end_ts, out);
-        self.results_emitted += (out.len() - before) as u64;
-    }
-}
 
 // ---------------------------------------------------------------------
 // Unfixed windows at the root (Section 5.1.2).
 // ---------------------------------------------------------------------
-
-/// Per-child slice store.
-#[derive(Debug, Default)]
-struct ChildStore {
-    slices: VecDeque<(SliceId, SliceData)>,
-}
-
-impl ChildStore {
-    fn extract(&self, first: SliceId, last: SliceId, sel: usize) -> FxHashMap<Key, OperatorBundle> {
-        let mut merged = FxHashMap::default();
-        for (id, data) in &self.slices {
-            if *id >= first && *id <= last {
-                merge_into(&mut merged, &data.per_selection[sel]);
-            }
-        }
-        merged
-    }
-
-    fn gc(&mut self, low: SliceId) {
-        while let Some((id, _)) = self.slices.front() {
-            if *id < low {
-                self.slices.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
 
 /// One global session still open for merging: its event-time span
 /// (`end` is `last_event + gap`) and the merged per-key partials.
@@ -466,15 +78,14 @@ impl SessionState {
     /// Folds one child session contribution in, merging every pending
     /// session whose span strictly overlaps (transitively bridging).
     fn absorb(&mut self, start: Timestamp, end: Timestamp, contribution: &KeyedBundles) {
-        let mut merged = KeyedBundles::default();
-        merge_into(&mut merged, contribution);
+        let mut merged = contribution.clone();
         let (mut start, mut end) = (start, end);
         let mut keep = Vec::with_capacity(self.pending.len() + 1);
         for p in self.pending.drain(..) {
             if p.start < end && start < p.end {
                 start = start.min(p.start);
                 end = end.max(p.end);
-                merge_into(&mut merged, &p.merged);
+                merge_keyed(&mut merged, &p.merged);
             } else {
                 keep.push(p);
             }
@@ -499,7 +110,7 @@ impl SessionState {
 #[derive(Debug)]
 pub struct UnfixedRootMerger {
     queries: FxHashMap<QueryId, QueryInfo>,
-    children: FxHashMap<NodeId, ChildStore>,
+    children: FxHashMap<NodeId, SliceStore>,
     expected_children: usize,
     fixed_pending: FxHashMap<(QueryId, Timestamp, Timestamp), (usize, KeyedBundles)>,
     sessions: FxHashMap<QueryId, SessionState>,
@@ -527,7 +138,7 @@ impl UnfixedRootMerger {
     pub fn new(group: &QueryGroup, expected_children: usize) -> Self {
         assert!(expected_children >= 1);
         Self {
-            queries: query_infos(group),
+            queries: query_infos(group).collect(),
             children: FxHashMap::default(),
             expected_children,
             fixed_pending: FxHashMap::default(),
@@ -648,17 +259,20 @@ impl UnfixedRootMerger {
             rec.record(id, SpanKind::MergeStart);
         }
         let store = self.children.entry(origin).or_default();
-        store.slices.push_back((partial.id, partial.data));
+        store.push(partial.id, partial.start_ts, partial.end_ts, partial.data);
         // Extract this child's contribution for every window it closed;
         // ends of removed queries are skipped.
         for end in &partial.ends {
             let Some(info) = self.queries.get(&end.query) else {
                 continue;
             };
-            let store = self.children.get(&origin).expect("just inserted");
-            let contribution =
-                store.extract(end.first_slice, end.last_slice, info.selection as usize);
-            match info.kind {
+            let mut contribution = KeyedBundles::default();
+            store.merge_range(
+                SliceRange::Ids(end.first_slice, end.last_slice),
+                info.selection,
+                &mut contribution,
+            );
+            match info.window.kind {
                 WindowKind::Tumbling { .. } | WindowKind::Sliding { .. } => {
                     let key = (end.query, end.start_ts, end.end_ts);
                     let entry = self
@@ -666,10 +280,17 @@ impl UnfixedRootMerger {
                         .entry(key)
                         .or_insert_with(|| (0, FxHashMap::default()));
                     entry.0 += 1;
-                    merge_into(&mut entry.1, &contribution);
+                    merge_keyed(&mut entry.1, &contribution);
                     if entry.0 == self.expected_children {
                         let (_, merged) = self.fixed_pending.remove(&key).expect("checked");
-                        finalize_map(end.query, info, &merged, end.start_ts, end.end_ts, out);
+                        finalize_sorted(
+                            end.query,
+                            &info.functions,
+                            &merged,
+                            end.start_ts,
+                            end.end_ts,
+                            out,
+                        );
                     }
                 }
                 WindowKind::Session { .. } => {
@@ -714,18 +335,19 @@ impl UnfixedRootMerger {
             let mut span: Option<(Timestamp, Timestamp)> = None;
             for queue in queues.values_mut() {
                 let ((s, e), contribution) = queue.pop_front().expect("checked");
-                merge_into(&mut merged, &contribution);
+                merge_keyed(&mut merged, &contribution);
                 span = Some(match span {
                     None => (s, e),
                     Some((cs, ce)) => (cs.min(s), ce.max(e)),
                 });
             }
             let (s, e) = span.expect("at least one child");
-            finalize_map(query, &info, &merged, s, e, out);
+            finalize_sorted(query, &info.functions, &merged, s, e, out);
         }
         // GC this child's slices.
-        let low = partial.low_watermark;
-        self.children.get_mut(&origin).expect("inserted").gc(low);
+        if let Some(store) = self.children.get_mut(&origin) {
+            store.gc_ids(partial.low_watermark);
+        }
         if let (Some(rec), Some(id)) = (&mut self.recorder, trace) {
             rec.record(id, SpanKind::MergeDone);
         }
@@ -756,7 +378,7 @@ impl UnfixedRootMerger {
             state.pending = rest;
             ready.sort_by_key(|p| p.start);
             for p in ready {
-                finalize_map(query, info, &p.merged, p.start, p.end, out);
+                finalize_sorted(query, &info.functions, &p.merged, p.start, p.end, out);
             }
         }
     }
@@ -888,51 +510,55 @@ impl EventMerger {
 #[derive(Debug)]
 pub struct PartialAssembler {
     queries: FxHashMap<QueryId, QueryInfo>,
-    slices: VecDeque<(SliceId, SliceData)>,
+    store: SliceStore,
 }
 
 impl PartialAssembler {
     /// Creates a partial assembler for `group`.
     pub fn new(group: &QueryGroup) -> Self {
         Self {
-            queries: query_infos(group),
-            slices: VecDeque::new(),
+            queries: query_infos(group).collect(),
+            store: SliceStore::default(),
         }
     }
 
     /// Ingests a sealed slice, producing one partial per terminated
     /// window.
     pub fn on_slice(&mut self, slice: &SealedSlice) -> Vec<WindowPartial> {
-        self.slices.push_back((slice.id, slice.data.clone()));
+        self.store
+            .push(slice.id, slice.start_ts, slice.end_ts, slice.data.clone());
         let mut partials = Vec::with_capacity(slice.ends.len());
         for end in &slice.ends {
             let Some(info) = self.queries.get(&end.query) else {
                 continue;
             };
-            let sel = info.selection as usize;
-            let mut merged: FxHashMap<Key, OperatorBundle> = FxHashMap::default();
-            for (id, data) in &self.slices {
-                if *id >= end.first_slice && *id <= end.last_slice {
-                    merge_into(&mut merged, &data.per_selection[sel]);
-                }
-            }
-            let mut data: Vec<(Key, OperatorBundle)> = merged.into_iter().collect();
-            data.sort_by_key(|(k, _)| *k);
-            partials.push(WindowPartial {
-                query: end.query,
-                start_ts: end.start_ts,
-                end_ts: end.end_ts,
-                data,
-            });
+            let mut merged = KeyedBundles::default();
+            self.store.merge_range(
+                SliceRange::Ids(end.first_slice, end.last_slice),
+                info.selection,
+                &mut merged,
+            );
+            partials.push(sorted_partial(end.query, end.start_ts, end.end_ts, merged));
         }
-        while let Some((id, _)) = self.slices.front() {
-            if *id < slice.low_watermark {
-                self.slices.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.store.gc_ids(slice.low_watermark);
         partials
+    }
+}
+
+/// A window partial in wire form: keyed partials in ascending key order.
+fn sorted_partial(
+    query: QueryId,
+    start_ts: Timestamp,
+    end_ts: Timestamp,
+    merged: KeyedBundles,
+) -> WindowPartial {
+    let mut data: Vec<_> = merged.into_iter().collect();
+    data.sort_by_key(|(k, _)| *k);
+    WindowPartial {
+        query,
+        start_ts,
+        end_ts,
+        data,
     }
 }
 
@@ -949,7 +575,7 @@ impl WindowPartialMerger {
     pub fn new(group: &QueryGroup, expected_coverage: u32) -> Self {
         assert!(expected_coverage >= 1);
         Self {
-            queries: query_infos(group),
+            queries: query_infos(group).collect(),
             expected_coverage,
             pending: FxHashMap::default(),
         }
@@ -968,28 +594,15 @@ impl WindowPartialMerger {
             .pending
             .entry(key)
             .or_insert_with(|| (0, FxHashMap::default()));
-        entry.0 += coverage;
+        entry.0 = entry.0.saturating_add(coverage);
         for (k, bundle) in &partial.data {
-            match entry.1.get_mut(k) {
-                Some(b) => b.merge(bundle),
-                None => {
-                    entry.1.insert(*k, bundle.clone());
-                }
-            }
+            merge_one(&mut entry.1, *k, bundle);
         }
-        if entry.0 == self.expected_coverage {
-            let (_, merged) = self.pending.remove(&key).expect("checked");
-            let mut data: Vec<(Key, OperatorBundle)> = merged.into_iter().collect();
-            data.sort_by_key(|(k, _)| *k);
-            Some(WindowPartial {
-                query: key.0,
-                start_ts: key.1,
-                end_ts: key.2,
-                data,
-            })
-        } else {
-            None
+        if entry.0 < self.expected_coverage {
+            return None;
         }
+        let (_, merged) = self.pending.remove(&key)?;
+        Some(sorted_partial(key.0, key.1, key.2, merged))
     }
 
     /// Finalizes a fully merged partial into per-key results.
@@ -998,16 +611,17 @@ impl WindowPartialMerger {
             debug_assert!(false, "unknown query {}", partial.query);
             return;
         };
-        for (key, bundle) in &partial.data {
-            let values = info.functions.iter().map(|f| bundle.finalize(f)).collect();
-            out.push(QueryResult {
-                query: partial.query,
-                key: *key,
-                window_start: partial.start_ts,
-                window_end: partial.end_ts,
-                values,
-            });
-        }
+        // Wire partials are key-sorted already.
+        out.extend(partial.data.iter().map(|(key, bundle)| {
+            finalize_key(
+                partial.query,
+                &info.functions,
+                *key,
+                bundle,
+                partial.start_ts,
+                partial.end_ts,
+            )
+        }));
     }
 }
 
@@ -1021,91 +635,6 @@ mod tests {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
         groups.remove(0)
-    }
-
-    /// Runs `streams` through per-child slicers, merging through an
-    /// aligned merger into a time assembler — a miniature local->root
-    /// pipeline for fixed windows.
-    fn run_aligned(
-        queries: Vec<Query>,
-        streams: Vec<Vec<Event>>,
-        wm: Timestamp,
-    ) -> Vec<QueryResult> {
-        let g = group(queries);
-        let n = streams.len() as u32;
-        let mut merger = AlignedSliceMerger::new(n);
-        let mut assembler = TimeAssembler::new(&g);
-        let mut results = Vec::new();
-        let mut slicers: Vec<GroupSlicer> = (0..n).map(|_| GroupSlicer::new(g.clone())).collect();
-        let mut out = Vec::new();
-        let mut ready = Vec::new();
-        for (slicer, events) in slicers.iter_mut().zip(&streams) {
-            for ev in events {
-                slicer.on_event(ev, &mut out);
-            }
-            slicer.on_watermark(wm, &mut out);
-            for slice in out.drain(..) {
-                merger.on_slice(slice, 1);
-            }
-        }
-        merger.advance_watermark(wm);
-        merger.drain_ready(&mut ready);
-        for merged in ready.drain(..) {
-            assembler.on_slice(merged, &mut results);
-        }
-        results.sort_by_key(|r| (r.query, r.window_start, r.key));
-        results
-    }
-
-    #[test]
-    fn aligned_merge_matches_single_node() {
-        let queries = vec![
-            Query::new(
-                1,
-                WindowSpec::tumbling_time(100).unwrap(),
-                AggFunction::Average,
-            ),
-            Query::new(
-                2,
-                WindowSpec::sliding_time(200, 100).unwrap(),
-                AggFunction::Max,
-            ),
-        ];
-        // Two streams; single-node reference merges them by time.
-        let s1: Vec<Event> = (0..30).map(|i| Event::new(i * 10, 0, i as f64)).collect();
-        let s2: Vec<Event> = (0..30)
-            .map(|i| Event::new(i * 10 + 5, 1, (i * 2) as f64))
-            .collect();
-        let decentralized = run_aligned(queries.clone(), vec![s1.clone(), s2.clone()], 1_000);
-
-        let mut all: Vec<Event> = s1.into_iter().chain(s2).collect();
-        all.sort_by_key(|e| e.ts);
-        let mut engine = AggregationEngine::new(queries).unwrap();
-        for ev in &all {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(1_000);
-        let mut reference = engine.drain_results();
-        reference.sort_by_key(|r| (r.query, r.window_start, r.key));
-        assert_eq!(decentralized, reference);
-    }
-
-    #[test]
-    fn aligned_merge_handles_empty_streams() {
-        let queries = vec![Query::new(
-            1,
-            WindowSpec::tumbling_time(100).unwrap(),
-            AggFunction::Sum,
-        )];
-        // Stream 2 has events only early; its later slices are empty but
-        // still delivered (watermark-driven).
-        let s1: Vec<Event> = (0..50).map(|i| Event::new(i * 10, 0, 1.0)).collect();
-        let s2: Vec<Event> = vec![Event::new(5, 0, 100.0)];
-        let results = run_aligned(queries, vec![s1, s2], 500);
-        // Window [0,100): 10 events of 1.0 + one of 100.0.
-        assert_eq!(results[0].values, vec![Some(110.0)]);
-        // Later windows exist (stream 1 alone).
-        assert!(results.len() >= 4);
     }
 
     #[test]

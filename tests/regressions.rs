@@ -15,6 +15,9 @@
 //!   sweep: assemblers and mergers emit in key order, frame bytes are a
 //!   pure function of slice content, and cluster reports are node-ordered
 //!   and run-twice identical.
+//! * Hostile frames: a checksum-valid slice frame declaring fewer
+//!   selections than its group is an empty contribution at the root,
+//!   never a panic.
 
 use desis::prelude::*;
 
@@ -455,10 +458,10 @@ fn assembler_emits_window_results_in_key_order() {
     }
 }
 
-/// `core::engine::parallel` (`FixedAssembler`): the sharded collector's
-/// merged fixed-window emission is key-sorted as well — keys land on
-/// shards by hash and are re-merged, so this pins the collector-side
-/// sort, not the shard order.
+/// `core::engine::merge` (`TimeAssembler`) entered through the sharded
+/// collector: merged fixed-window emission is key-sorted as well — keys
+/// land on shards by hash and are re-merged, so this pins the
+/// collector-side sort, not the shard order.
 #[test]
 fn parallel_fixed_assembler_emits_in_key_order() {
     let q = Query::new(
@@ -478,8 +481,9 @@ fn parallel_fixed_assembler_emits_in_key_order() {
     }
 }
 
-/// `net::merge` (`TimeAssembler`): the root's window assembly over
-/// merged slices emits in ascending key order too.
+/// The same `TimeAssembler` entered the way the root does, through the
+/// `net::merge` re-export and straight from slicer output (whose shipped
+/// `ends` it ignores): ascending key order too.
 #[test]
 fn time_assembler_emits_window_results_in_key_order() {
     use desis::net::merge::TimeAssembler;
@@ -661,4 +665,100 @@ fn unfixed_root_merge_is_run_twice_identical() {
     assert!(!a.results.is_empty());
     assert_eq!(a.results, b.results, "session results differ across runs");
     assert_eq!(a.bytes_by_node, b.bytes_by_node);
+}
+
+// ---------------------------------------------------------------------
+// Hostile frames: input from outside the process must never panic the
+// root.
+// ---------------------------------------------------------------------
+
+/// `net::codec` accepts any selection count up to its cap and nothing
+/// compares it with the group's, so a checksum-valid slice frame can
+/// declare *zero* selections. The slice-store kernel reads selections
+/// with `get`: the frame is an empty contribution, not an
+/// index-out-of-bounds panic, and honest slices after it still produce
+/// their results. Drives `RootWorker::on_message` with such a frame
+/// (carrying `ends`) for the one-query group of `query`.
+fn short_frame_then_honest_stream(query: Query, ends: Vec<WindowEnd>) {
+    use desis::core::engine::slice::SliceData;
+    use desis::net::node::{analyze_for, RootWorker};
+
+    let queries = vec![query];
+    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
+    assert_eq!(groups.len(), 1);
+    let group = groups[0].id;
+    let mut root =
+        RootWorker::new(DistributedSystem::Desis, &groups, &queries, 1, vec![1]).unwrap();
+
+    let hostile = Message::Slice {
+        group,
+        origin: 1,
+        coverage: 1,
+        partial: SealedSlice {
+            id: 0,
+            start_ts: 0,
+            end_ts: 1_000,
+            data: SliceData::new(0),
+            ends,
+            session_gaps: Vec::new(),
+            low_watermark: 0,
+            low_watermark_ts: 0,
+            trace: None,
+        },
+    };
+    let frame = CodecKind::Binary.encode(&hostile);
+    let decoded = CodecKind::Binary.decode(&frame).expect("frame is valid");
+    assert_eq!(decoded, hostile, "the codec must accept the short frame");
+    root.on_message(1, decoded);
+    root.on_message(1, Message::Watermark(1_500));
+    assert!(root.drain_results().is_empty(), "no data, no result");
+
+    let mut slicer = GroupSlicer::new(groups[0].clone());
+    let mut slices = Vec::new();
+    slicer.on_event(&Event::new(2_100, 7, 5.0), &mut slices);
+    slicer.on_watermark(10_000, &mut slices);
+    for partial in slices.drain(..) {
+        root.on_message(
+            1,
+            Message::Slice {
+                group,
+                origin: 1,
+                coverage: 1,
+                partial,
+            },
+        );
+    }
+    root.on_message(1, Message::Watermark(10_000));
+    root.on_message(1, Message::Flush);
+    let results = root.drain_results();
+    assert_eq!(results.len(), 1, "{results:?}");
+    assert_eq!(results[0].key, 7);
+    assert_eq!(results[0].values, vec![Some(5.0)]);
+}
+
+/// Aligned group (`AlignedSliceMerger` → `TimeAssembler`): the tumbling
+/// window [0, 1000) ends with the zero-selection slice.
+#[test]
+fn zero_selection_slice_frame_does_not_panic_an_aligned_root_group() {
+    let query = Query::new(
+        1,
+        WindowSpec::tumbling_time(1_000).unwrap(),
+        AggFunction::Sum,
+    );
+    short_frame_then_honest_stream(query, Vec::new());
+}
+
+/// Session group (`UnfixedRootMerger`): the zero-selection slice claims
+/// to close a session of the query.
+#[test]
+fn zero_selection_slice_frame_does_not_panic_a_session_root_group() {
+    let query = Query::new(1, WindowSpec::session(500).unwrap(), AggFunction::Sum);
+    let end = WindowEnd {
+        query: 1,
+        first_slice: 0,
+        last_slice: 0,
+        start_ts: 0,
+        end_ts: 1_000,
+    };
+    short_frame_then_honest_stream(query, vec![end]);
 }
