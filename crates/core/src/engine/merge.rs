@@ -9,10 +9,16 @@
 //!   and root nodes with the coverage each child frame declares.
 //! * [`TimeAssembler`] — window assembly over merged slices by time
 //!   range. An aligned group holds only queries with precomputable
-//!   punctuations (session/user-defined groups go to the unfixed mergers,
+//!   punctuations (session/user-defined groups go to [`UnfixedMerger`],
 //!   count windows are replayed or processed raw), so window ends are
 //!   derived from the specs: merged slices carry data only and local
 //!   nodes strip `ends` before shipping.
+//! * [`UnfixedMerger`] — session and user-defined windows end at
+//!   data-driven points that differ per source, so partials merge per
+//!   *window*: span-overlap session absorption gated by per-source clear
+//!   frontiers, k-th-partial queues for marker-delimited windows. The
+//!   sharded collector runs it over shard indices, the root over the
+//!   `NodeId`s of its local streams.
 //! * the slice-store kernel — [`SliceStore`], [`merge_keyed`],
 //!   [`finalize_sorted`], [`record_assembly`] — which every assembler and
 //!   merger in the workspace calls instead of carrying its own range
@@ -36,6 +42,10 @@ use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::query::{QueryId, QueryResult};
 use crate::time::Timestamp;
 use crate::window::WindowSpec;
+
+mod unfixed;
+
+pub use unfixed::UnfixedMerger;
 
 // ---------------------------------------------------------------------
 // The slice-store kernel.
@@ -512,7 +522,7 @@ mod tests {
 
     /// All eleven functions: their operator union covers both sort
     /// operators, both products and the sum-of-squares.
-    const FUNCTIONS: [AggFunction; 11] = [
+    pub(super) const FUNCTIONS: [AggFunction; 11] = [
         AggFunction::Sum,
         AggFunction::Count,
         AggFunction::Average,
@@ -533,7 +543,7 @@ mod tests {
     }
 
     /// Runs `cases` generated cases, seeding each deterministically.
-    fn for_cases(cases: u64, mut body: impl FnMut(u64, &mut SmallRng)) {
+    pub(super) fn for_cases(cases: u64, mut body: impl FnMut(u64, &mut SmallRng)) {
         for case in 0..cases {
             let seed = 0xD515_1300 + case;
             body(seed, &mut SmallRng::seed_from_u64(seed));
@@ -682,7 +692,7 @@ mod tests {
         out.remove(0)
     }
 
-    fn permutations(n: usize) -> Vec<Vec<usize>> {
+    pub(super) fn permutations(n: usize) -> Vec<Vec<usize>> {
         if n == 0 {
             return vec![Vec::new()];
         }
@@ -780,7 +790,7 @@ mod tests {
         assert_eq!(clamped.take_ready().count(), 1);
     }
 
-    fn group(queries: Vec<Query>) -> QueryGroup {
+    pub(super) fn group(queries: Vec<Query>) -> QueryGroup {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
         groups.remove(0)

@@ -6,10 +6,10 @@
 //! merging). Decentralized deployments (the `desis-net` crate) drive the
 //! same [`GroupSlicer`] on local nodes and exchange [`SealedSlice`]
 //! partials; intermediate nodes, the root and the sharded collector merge
-//! and assemble them with the one aligned merger and the one time-range
-//! assembler of [`merge`], whose slice-store kernel the [`Assembler`]
-//! shares (the root runs an [`Assembler`] itself only for groups it
-//! slices from raw events).
+//! and assemble them with the one aligned merger, the one unfixed merger
+//! and the one time-range assembler of [`merge`], whose slice-store
+//! kernel the [`Assembler`] shares (the root runs an [`Assembler`] itself
+//! for groups it slices from raw events and behind its unfixed merger).
 
 pub mod analyzer;
 pub mod assembler;

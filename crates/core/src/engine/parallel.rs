@@ -16,7 +16,8 @@
 //! data-independent instants on every shard and merge by slice-end
 //! timestamp. *Session* and *user-defined* windows define their
 //! boundaries over the whole stream, so their per-shard slicers see only
-//! fragments; the collector-side [`unfixed::UnfixedShardMerger`]
+//! fragments; the collector-side [`unfixed::UnfixedShardMerger`] (the
+//! merge module's one unfixed merger, over shard indices)
 //! span-overlap-merges per-shard session fragments (gated by per-shard
 //! *clear frontiers* so no session is released before the sequential
 //! engine would have closed it) and aligns user-defined windows, whose

@@ -339,6 +339,7 @@ pub fn in_scope(rule: &str, path: &str) -> bool {
                 path,
                 "crates/net/src/cluster.rs"
                     | "crates/net/src/link.rs"
+                    | "crates/net/src/merge.rs"
                     | "crates/net/src/node.rs"
                     | "crates/net/src/recovery.rs"
             ) || path.starts_with("crates/core/src/engine")
@@ -931,19 +932,18 @@ mod tests {
 
     /// The parallel engine (PR 5) is a hot path AND a deterministic
     /// path: both rules must cover the module, its shard/sharded/engine,
-    /// handoff and cross-shard unfixed-merge (PR 6) submodules, and the
-    /// merge module every level of the tree shares (PR 13) — which also
-    /// sees frames from outside the process and emits results, so it is
-    /// pinned in the hash-order scope too. A rename that silently drops
-    /// any of them out of scope fails here.
+    /// handoff and cross-shard unfixed-merge (PR 6) submodules, the
+    /// merge module every level of the tree shares (PR 13) with its
+    /// unfixed merger (PR 14), and the net-side facades over both —
+    /// which also see frames from outside the process and emit results,
+    /// so they are pinned in the hash-order scope too. A rename that
+    /// silently drops any of them out of scope fails here.
     #[test]
     fn parallel_engine_is_in_no_panic_and_no_wallclock_scope() {
-        assert!(in_scope(
-            "no-unordered-iter",
-            "crates/core/src/engine/merge.rs"
-        ));
         for path in [
             "crates/core/src/engine/merge.rs",
+            "crates/core/src/engine/merge/unfixed.rs",
+            "crates/net/src/merge.rs",
             "crates/core/src/engine/parallel.rs",
             "crates/core/src/engine/parallel/engine.rs",
             "crates/core/src/engine/parallel/handoff.rs",
@@ -957,6 +957,7 @@ mod tests {
                 "{path} left no-wallclock scope"
             );
             assert!(in_scope("metric-names", path));
+            assert!(in_scope("no-unordered-iter", path), "{path}");
         }
         let src = "fn f() { x.unwrap(); let t = Instant::now(); }\n";
         let v = findings("crates/core/src/engine/parallel.rs", src);

@@ -244,10 +244,74 @@ fn cluster_report_metrics_populated() {
     assert_eq!(report.local_metrics.events, 40_000);
 }
 
-/// Causal slice tracing: in a leaf → intermediate → root cluster with
-/// 1/1 sampling, every emitted result's trace id resolves to a complete
-/// `SliceCreated → … → ResultEmitted` provenance chain with monotone
-/// timestamps that crossed both link levels.
+/// Checks the causal trace of one traced cluster run: every chain is
+/// time-monotone, and every chain that emitted a result is a complete
+/// `SliceCreated → … → ResultEmitted` provenance chain carrying every
+/// span kind of the journey, having crossed at least `links` links and
+/// been recorded on at least `nodes` nodes. Returns the queries that
+/// emitted through such a chain.
+fn assert_result_chains_complete(
+    timeline: &TraceTimeline,
+    links: usize,
+    nodes: usize,
+) -> std::collections::BTreeSet<u64> {
+    assert_eq!(timeline.dropped, 0);
+    let mut emitted = std::collections::BTreeSet::new();
+    for chain in &timeline.chains {
+        for pair in chain.events.windows(2) {
+            assert!(
+                pair[0].at <= pair[1].at,
+                "non-monotone timestamps in chain {}",
+                chain.trace
+            );
+        }
+        let Some(query) = chain.result_query() else {
+            // Slices that only rode along inside a merge (the merged
+            // window carries one representative id) end mid-journey.
+            continue;
+        };
+        emitted.insert(query);
+        let names: Vec<&str> = chain.events.iter().map(|e| e.kind.name()).collect();
+        assert!(
+            chain.is_complete(),
+            "incomplete result chain {} of query {query}: {names:?}",
+            chain.trace
+        );
+        for required in [
+            "SliceCreated",
+            "SliceSealed",
+            "SliceEncoded",
+            "LinkSend",
+            "LinkRecv",
+            "MergeStart",
+            "MergeDone",
+            "WindowAssembled",
+            "ResultEmitted",
+        ] {
+            assert!(
+                names.contains(&required),
+                "chain {} missing {required}: {names:?}",
+                chain.trace
+            );
+        }
+        let recvs = names.iter().filter(|n| **n == "LinkRecv").count();
+        assert!(
+            recvs >= links,
+            "chain {} crossed {recvs} links",
+            chain.trace
+        );
+        let on: std::collections::BTreeSet<u32> = chain.events.iter().map(|e| e.node).collect();
+        assert!(on.len() >= nodes, "chain {} nodes: {on:?}", chain.trace);
+    }
+    emitted
+}
+
+/// Causal slice tracing with 1/1 sampling: every emitted result's trace
+/// id resolves to a complete provenance chain — for a tumbling query
+/// through a leaf → intermediate → root cluster (aligned merge, both
+/// link levels), and for a session and a user-defined query through the
+/// root's unfixed merge on a star, the same bar the sharded path sets
+/// for the merger it shares.
 #[test]
 fn trace_chains_are_complete_across_cluster_levels() {
     let queries = vec![Query::new(
@@ -269,56 +333,9 @@ fn trace_chains_are_complete_across_cluster_levels() {
     };
     let report = run_cluster(cfg, vec![mk(0), mk(1)]).unwrap();
     assert!(!report.results.is_empty());
-
     let timeline = collector.drain_timeline();
-    assert_eq!(timeline.dropped, 0);
-    assert!(timeline.complete_chains() > 0, "no complete chains");
-    let mut emitted = 0;
-    for chain in &timeline.chains {
-        for pair in chain.events.windows(2) {
-            assert!(
-                pair[0].at <= pair[1].at,
-                "non-monotone timestamps in chain {}",
-                chain.trace
-            );
-        }
-        if chain.result_query().is_none() {
-            // Slices that only rode along inside a merge (the merged
-            // slice carries one representative id) end mid-journey.
-            continue;
-        }
-        emitted += 1;
-        let names: Vec<&str> = chain.events.iter().map(|e| e.kind.name()).collect();
-        assert!(
-            chain.is_complete(),
-            "incomplete result chain {}: {names:?}",
-            chain.trace
-        );
-        for required in [
-            "SliceCreated",
-            "SliceSealed",
-            "SliceEncoded",
-            "LinkSend",
-            "LinkRecv",
-            "MergeStart",
-            "MergeDone",
-            "WindowAssembled",
-            "ResultEmitted",
-        ] {
-            assert!(
-                names.contains(&required),
-                "chain {} missing {required}: {names:?}",
-                chain.trace
-            );
-        }
-        // The slice crossed both links (leaf → intermediate → root) and
-        // was recorded on at least three distinct nodes.
-        let recvs = names.iter().filter(|n| **n == "LinkRecv").count();
-        assert!(recvs >= 2, "chain {} crossed {recvs} links", chain.trace);
-        let nodes: std::collections::BTreeSet<u32> = chain.events.iter().map(|e| e.node).collect();
-        assert!(nodes.len() >= 3, "chain {} nodes: {nodes:?}", chain.trace);
-    }
-    assert!(emitted > 0, "no result-bearing chains");
+    let emitted = assert_result_chains_complete(&timeline, 2, 3);
+    assert!(emitted.contains(&1), "no result-bearing chains");
 
     // Stage breakdowns land in per-query latency histograms.
     let registry = MetricsRegistry::new();
@@ -326,4 +343,107 @@ fn trace_chains_are_complete_across_cluster_levels() {
     let snap = registry.snapshot();
     assert!(snap.histograms["trace.q1.total_us"].count > 0);
     assert_eq!(snap.counters["trace.dropped_events"], 0);
+
+    let queries = vec![
+        Query::new(1, WindowSpec::session(200).unwrap(), AggFunction::Max),
+        Query::new(2, WindowSpec::user_defined(0), AggFunction::Sum),
+    ];
+    let collector = TraceCollector::new(1, 1 << 16);
+    let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries, Topology::star(2));
+    cfg.trace = Some(collector.clone());
+    let report = run_cluster(
+        cfg,
+        vec![marked_gapped_feed(0, 900), marked_gapped_feed(1, 900)],
+    )
+    .unwrap();
+    for query in [1, 2] {
+        assert!(
+            report.results.iter().any(|r| r.query == query),
+            "query {query} emitted nothing"
+        );
+    }
+    let emitted = assert_result_chains_complete(&collector.drain_timeline(), 1, 2);
+    assert_eq!(emitted.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+}
+
+/// Local `local`'s stream of `n` events, 10 ms apart on its own 5 ms
+/// phase, with a 500 ms silence every 150 events (closing sessions of a
+/// shorter gap mid-stream) and Start/End markers on channel 0 every 400
+/// events. Both locals place their markers at the *same* instants, and
+/// local 1 carries them on extra zero-valued events: merged by
+/// timestamp, the union stream then opens and closes the same
+/// user-defined windows, with the same sums, as the root's merge of each
+/// local's k-th window.
+fn marked_gapped_feed(local: u64, n: u64) -> Vec<Event> {
+    let mut events = Vec::new();
+    for i in 0..n {
+        let base = i * 10 + (i / 150) * 500;
+        let key = (i % 10) as u32;
+        let kind = match i % 400 {
+            50 => Some(MarkerKind::Start),
+            250 => Some(MarkerKind::End),
+            _ => None,
+        };
+        let marker = kind.map(|kind| Marker { channel: 0, kind });
+        let value = (i % 7) as f64;
+        match (marker, local) {
+            (Some(marker), 0) => events.push(Event::with_marker(base, key, value, marker)),
+            (Some(marker), _) => {
+                events.push(Event::with_marker(base, key, 0.0, marker));
+                events.push(Event::new(base + 5, key, value));
+            }
+            (None, _) => events.push(Event::new(base + 5 * local, key, value)),
+        }
+    }
+    events
+}
+
+/// The tier-1 command reaches the fault path of the net crate: fixed,
+/// session and user-defined queries (one mixed group at the root) under
+/// a recoverable drop + duplicate plan on a local's uplink produce the
+/// fault-free results byte for byte, which in turn match the single-node
+/// engine over the merged stream — on a star and through an
+/// intermediate, with sequential and 4-shard locals.
+#[test]
+fn recoverable_faults_leave_mixed_results_unchanged() {
+    let queries = vec![
+        Query::new(
+            1,
+            WindowSpec::tumbling_time(1_000).unwrap(),
+            AggFunction::Sum,
+        ),
+        Query::new(2, WindowSpec::session(250).unwrap(), AggFunction::Max),
+        Query::new(3, WindowSpec::user_defined(0), AggFunction::Sum),
+    ];
+    let f = vec![marked_gapped_feed(0, 900), marked_gapped_feed(1, 900)];
+    let reference = single_node_reference(queries.clone(), &f);
+    for query in 1..=3 {
+        assert!(reference.iter().any(|r| r.query == query), "query {query}");
+    }
+    for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
+        let local = topology.nodes_with_role(NodeRole::Local)[0];
+        for shards in [1, 4] {
+            let run = |faults: Option<FaultPlan>| {
+                let mut cfg =
+                    ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topology.clone());
+                cfg.recovery.nack_grace = std::time::Duration::from_millis(30);
+                cfg.shards = shards;
+                cfg.faults = faults;
+                run_cluster(cfg, f.clone()).unwrap()
+            };
+            let context = format!("{} nodes, {shards} shards", topology.len());
+            let clean = run(None);
+            assert_eq!(canon(clean.results.clone()), reference, "{context}");
+            let plan = FaultPlan::new(7)
+                .with_link_fault(local, LinkFaultKind::Drop, 2, 3)
+                .with_link_fault(local, LinkFaultKind::Duplicate, 5, 8);
+            let faulty = run(Some(plan));
+            assert!(
+                !faulty.faults_injected.is_empty(),
+                "{context}: no fault fired"
+            );
+            assert!(faulty.lost_children.is_empty(), "{context}");
+            assert_eq!(faulty.results, clean.results, "{context}");
+        }
+    }
 }

@@ -18,6 +18,8 @@
 //! * Hostile frames: a checksum-valid slice frame declaring fewer
 //!   selections than its group is an empty contribution at the root,
 //!   never a panic.
+//! * Idle local: a fixed window sharing its group with a session query
+//!   still leaves the root when one local stream never sees an event.
 
 use desis::prelude::*;
 
@@ -761,4 +763,61 @@ fn zero_selection_slice_frame_does_not_panic_a_session_root_group() {
         end_ts: 1_000,
     };
     short_frame_then_honest_stream(query, vec![end]);
+}
+
+// ---------------------------------------------------------------------
+// Idle local in a mixed group.
+// ---------------------------------------------------------------------
+
+/// A tumbling query that shares its group with a session query merges
+/// per window at the root. Local 2 never sees an event, so its slicer
+/// seals nothing — only its watermarks say time passed. The root used to
+/// hold the tumbling window `[0, 100)` for a second contribution that
+/// could not come and dropped it silently; it must leave once the merged
+/// watermark passes its end, like the session does at flush.
+#[test]
+fn idle_local_does_not_swallow_a_mixed_groups_tumbling_window() {
+    use desis::net::node::{analyze_for, RootWorker};
+
+    let queries = vec![
+        Query::new(1, WindowSpec::session(100).unwrap(), AggFunction::Sum),
+        Query::new(2, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum),
+    ];
+    let events = [Event::new(0, 0, 1.0), Event::new(50, 0, 2.0)];
+    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
+    assert_eq!(groups.len(), 1);
+    assert!(groups[0].has_unfixed_windows());
+    let group = groups[0].id;
+    let mut root =
+        RootWorker::new(DistributedSystem::Desis, &groups, &queries, 2, vec![1, 2]).unwrap();
+
+    let mut busy = GroupSlicer::new(groups[0].clone());
+    let mut slices = Vec::new();
+    for ev in &events {
+        busy.on_event(ev, &mut slices);
+    }
+    busy.on_watermark(1_000, &mut slices);
+    let mut idle = GroupSlicer::new(groups[0].clone());
+    let mut nothing = Vec::new();
+    idle.on_watermark(1_000, &mut nothing);
+    assert!(nothing.is_empty(), "an idle slicer seals no slice");
+
+    for partial in slices {
+        let msg = Message::Slice {
+            group,
+            origin: 1,
+            coverage: 1,
+            partial,
+        };
+        root.on_message(1, msg);
+    }
+    for child in [1, 2] {
+        root.on_message(child, Message::Watermark(1_000));
+    }
+    for child in [1, 2] {
+        root.on_message(child, Message::Flush);
+    }
+    let reference = run_engine(queries, &events, 1_000);
+    assert_eq!(reference.len(), 2, "{reference:?}");
+    assert_eq!(canon(root.drain_results()), reference);
 }
