@@ -447,3 +447,216 @@ fn recoverable_faults_leave_mixed_results_unchanged() {
         }
     }
 }
+
+/// [`marked_gapped_feed`] with seeded small-integer noise added to every
+/// value the union-stream equivalence allows to vary (local 1's marker
+/// carriers stay zero-valued).
+fn seeded_marked_feed(local: u64, n: u64, seed: u64) -> Vec<Event> {
+    let mut state = seed ^ (local + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut events = marked_gapped_feed(local, n);
+    for ev in &mut events {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if local == 0 || ev.marker.is_none() {
+            ev.value += (state % 16) as f64;
+        }
+    }
+    events
+}
+
+fn fnv1a64(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One link of the wire transcript: everything its sender put on the
+/// wire, as `(frames, bytes, FNV-1a-64 over the concatenated frames)`.
+struct TappedLink {
+    tx: desis::net::link::LinkSender,
+    rx: desis::net::link::LinkReceiver,
+    stats: std::sync::Arc<desis::net::link::LinkStats>,
+    codec: CodecKind,
+    frames: u64,
+    bytes: u64,
+    hash: u64,
+}
+
+impl TappedLink {
+    fn new(codec: CodecKind) -> Self {
+        let (tx, rx, stats) = desis::net::link::link(codec, 1 << 12, None);
+        Self {
+            tx,
+            rx,
+            stats,
+            codec,
+            frames: 0,
+            bytes: 0,
+            hash: FNV_OFFSET,
+        }
+    }
+
+    /// The next frame the sender queued, if any. The receiver hands out
+    /// decoded messages only, so the frame is rebuilt from the message
+    /// and its sequence number (frames are a pure function of the two);
+    /// [`Self::transcript`] checks the rebuilt bytes against the link's
+    /// own byte counter.
+    fn next(&mut self) -> Option<Message> {
+        if self.frames == self.stats.messages() {
+            return None;
+        }
+        let msg = self.rx.recv().expect("sender alive").expect("clean frame");
+        let frame = self.codec.encode_seq(&msg, self.frames);
+        self.frames += 1;
+        self.bytes += frame.len() as u64;
+        fnv1a64(&mut self.hash, &frame);
+        Some(msg)
+    }
+
+    fn transcript(&self) -> (u64, u64, u64) {
+        assert_eq!(self.frames, self.stats.messages());
+        assert_eq!(self.bytes, self.stats.bytes(), "rebuilt frames differ");
+        (self.frames, self.bytes, self.hash)
+    }
+}
+
+/// `(results, FNV-1a-64 over their canonical rendering)`.
+fn results_digest(results: &[QueryResult]) -> (usize, u64) {
+    let mut hash = FNV_OFFSET;
+    for r in results {
+        let values: Vec<Option<u64>> = r.values.iter().map(|v| v.map(f64::to_bits)).collect();
+        let line = format!(
+            "{} {} {} {} {values:?}\n",
+            r.query, r.key, r.window_start, r.window_end
+        );
+        fnv1a64(&mut hash, line.as_bytes());
+    }
+    (results.len(), hash)
+}
+
+/// Pins the wire: `LocalWorker` ×2 → `IntermediateWorker` → `RootWorker`
+/// on `three_tier(1, 2)`, driven on one thread (every link drained after
+/// every event, so the schedule is fixed), must put exactly the recorded
+/// frames on each of the three links and produce exactly the recorded
+/// results — for Desis, Disco and the centralized Scotty baseline. The
+/// constants were recorded from this test on the code of PR 14; a change
+/// to them is a change of the wire protocol or of results.
+#[test]
+fn worker_wire_transcript_is_pinned() {
+    use desis::net::node::{analyze_for, IntermediateWorker, LocalWorker, RootWorker};
+
+    type Link = (u64, u64, u64);
+    struct Pinned {
+        system: DistributedSystem,
+        queries: Vec<Query>,
+        locals: [Link; 2],
+        intermediate: Link,
+        results: (usize, u64),
+    }
+    let fixed = mixed_queries();
+    let mut all = fixed.clone();
+    all.push(Query::new(
+        5,
+        WindowSpec::session(250).unwrap(),
+        AggFunction::Max,
+    ));
+    all.push(Query::new(6, WindowSpec::user_defined(0), AggFunction::Sum));
+    let pinned = [
+        Pinned {
+            system: DistributedSystem::Desis,
+            queries: all.clone(),
+            locals: [
+                (123, 30_219, 12305459716169122039),
+                (123, 30_318, 8777263300021641076),
+            ],
+            intermediate: (229, 60_410, 9148277542848733309),
+            results: (870, 8758588666651438953),
+        },
+        // Disco ships per-window partials keyed by window range, which
+        // cannot merge data-driven windows across streams: fixed only.
+        Pinned {
+            system: DistributedSystem::Disco,
+            queries: fixed,
+            locals: [
+                (135, 35_259, 8490938443825535600),
+                (135, 35_378, 5075666609732361505),
+            ],
+            intermediate: (169, 57_752, 4810832684748170182),
+            results: (730, 13551523760188392771),
+        },
+        Pinned {
+            system: DistributedSystem::Centralized(SystemKind::Scotty),
+            queries: all,
+            locals: [
+                (51, 18_942, 1644316457697413408),
+                (51, 19_041, 7266580636548109149),
+            ],
+            intermediate: (85, 37_755, 14618599531549428253),
+            results: (870, 8758588666651438953),
+        },
+    ];
+
+    let topology = Topology::three_tier(1, 2);
+    let local_ids = topology.nodes_with_role(NodeRole::Local);
+    let inter_id = topology.nodes_with_role(NodeRole::Intermediate)[0];
+    let feeds: Vec<Vec<Event>> = (0..2).map(|l| seeded_marked_feed(l, 1_500, 42)).collect();
+    for pin in pinned {
+        let label = pin.system.label();
+        let codec = match pin.system {
+            DistributedSystem::Disco => CodecKind::Text,
+            _ => CodecKind::Binary,
+        };
+        let groups = analyze_for(pin.system, pin.queries.clone()).unwrap();
+        let mut locals: Vec<(LocalWorker, TappedLink)> = local_ids
+            .iter()
+            .map(|id| {
+                (
+                    LocalWorker::new(*id, pin.system, &groups, 64, 1_000),
+                    TappedLink::new(codec),
+                )
+            })
+            .collect();
+        let mut inter =
+            IntermediateWorker::new(inter_id, pin.system, &groups, 2, local_ids.clone());
+        let mut uplink = TappedLink::new(codec);
+        let mut root =
+            RootWorker::new(pin.system, &groups, &pin.queries, 2, vec![inter_id]).unwrap();
+        let mut results = Vec::new();
+
+        let longest = feeds.iter().map(Vec::len).max().unwrap();
+        for step in 0..=longest {
+            for (l, feed) in feeds.iter().enumerate() {
+                let (worker, link) = &mut locals[l];
+                match feed.get(step) {
+                    Some(ev) => assert!(worker.on_event(ev, &mut link.tx)),
+                    None if step == feed.len() => assert!(worker.finish(10_000, &mut link.tx)),
+                    None => {}
+                }
+                while let Some(msg) = link.next() {
+                    assert!(inter.on_message(local_ids[l], msg, &mut uplink.tx));
+                    while let Some(msg) = uplink.next() {
+                        root.on_message(inter_id, msg);
+                        results.append(&mut root.drain_results());
+                    }
+                }
+            }
+        }
+        assert!(inter.finished() && root.finished(), "{label}");
+        let results = canon(results);
+        let reference = single_node_reference(pin.queries.clone(), &feeds);
+        assert_close(&results, &reference, label);
+
+        let got_locals = [locals[0].1.transcript(), locals[1].1.transcript()];
+        assert_eq!(got_locals, pin.locals, "{label}: local uplinks");
+        assert_eq!(
+            uplink.transcript(),
+            pin.intermediate,
+            "{label}: intermediate uplink"
+        );
+        assert_eq!(results_digest(&results), pin.results, "{label}: results");
+    }
+}
