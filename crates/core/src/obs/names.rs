@@ -118,6 +118,13 @@ pub fn merge_stalls(role: &str) -> String {
     format!("net.{role}.merge_stalls")
 }
 
+/// Checksum-valid messages `role` dropped because nothing routes them:
+/// a slice of a group, or a window partial of a query, nobody installed,
+/// or a message of another system's protocol.
+pub fn unroutable_msgs(role: &str) -> String {
+    format!("net.{role}.unroutable_msgs")
+}
+
 // --- net.node<id>.* (per-node egress) ---------------------------------
 
 /// Payload bytes sent on `node`'s uplink.

@@ -14,20 +14,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
+use desis_core::engine::{GroupId, QueryGroup};
 use desis_core::error::DesisError;
 use desis_core::event::Event;
 use desis_core::metrics::EngineMetrics;
 use desis_core::obs::prof::{self, Profiler, Stage};
 use desis_core::obs::trace::TraceCollector;
 use desis_core::obs::{names, MetricsRegistry, MetricsSnapshot};
-use desis_core::query::{Query, QueryResult};
+use desis_core::query::{Query, QueryId, QueryResult};
 use desis_core::time::{DurationMs, Timestamp};
 use desis_core::window::WindowKind;
 
 use crate::codec::CodecKind;
 use crate::fault::{fault_log, FaultPlan, FaultStats, InjectedFault};
 use crate::link::{link_with_stats, LinkReceiver, LinkSender, LinkStats};
-#[cfg(test)]
 use crate::message::Message;
 use crate::node::{analyze_for, DistributedSystem, IntermediateWorker, LocalWorker, RootWorker};
 use crate::recovery::{pump_children, PumpObs, RecoveryConfig, RecoveryCtx, RecoveryStats};
@@ -43,7 +43,7 @@ pub enum ClusterCommand {
     /// otherwise they drain ("wait for the last window to end").
     RemoveQuery {
         /// The query to remove.
-        id: desis_core::query::QueryId,
+        id: QueryId,
         /// Drop open windows instead of draining them.
         immediate: bool,
     },
@@ -154,28 +154,37 @@ impl ClusterConfig {
         })
     }
 
+    /// The initial queries and every query the script adds.
+    fn all_queries(&self) -> impl Iterator<Item = &Query> {
+        let added = self.script.iter().filter_map(|(_, c)| match c {
+            ClusterCommand::AddQuery(q) => Some(q),
+            ClusterCommand::RemoveQuery { .. } => None,
+        });
+        self.queries.iter().chain(added)
+    }
+
     fn effective_flush_horizon(&self) -> DurationMs {
         self.flush_horizon.unwrap_or_else(|| {
             let mut horizon = self.watermark_every;
-            let added = self.script.iter().filter_map(|(_, c)| match c {
-                ClusterCommand::AddQuery(q) => Some(q),
-                ClusterCommand::RemoveQuery { .. } => None,
-            });
-            for q in self.queries.iter().chain(added) {
-                let h = match q.window.kind {
-                    WindowKind::Tumbling { length } | WindowKind::Sliding { length, .. } => {
-                        match q.window.measure {
-                            desis_core::window::Measure::Time => length,
-                            desis_core::window::Measure::Count => 0,
-                        }
-                    }
-                    WindowKind::Session { gap } => gap,
-                    WindowKind::UserDefined { .. } => 0,
+            for q in self.all_queries() {
+                let h = match q.window.measure {
+                    desis_core::window::Measure::Time => open_span(q),
+                    desis_core::window::Measure::Count => 0,
                 };
                 horizon = horizon.max(h + 1);
             }
             horizon + self.watermark_every
         })
+    }
+}
+
+/// The window length or session gap of `q`: how much event time one of
+/// its windows can stay open past the event that opened it.
+fn open_span(q: &Query) -> DurationMs {
+    match q.window.kind {
+        WindowKind::Tumbling { length } | WindowKind::Sliding { length, .. } => length,
+        WindowKind::Session { gap } => gap,
+        WindowKind::UserDefined { .. } => 0,
     }
 }
 
@@ -300,15 +309,272 @@ impl ClusterReport {
 /// A compiled runtime command.
 #[derive(Debug, Clone)]
 enum CompiledCommand {
-    Add(Arc<desis_core::engine::QueryGroup>),
+    Add(QueryGroup),
     Remove {
-        id: desis_core::query::QueryId,
-        #[allow(dead_code)]
+        id: QueryId,
         immediate: bool,
         /// Watermark at which the root drops the query (past the drain
         /// horizon for non-immediate removals).
         root_at: Timestamp,
     },
+}
+
+/// Compiles the runtime script: added queries get fresh group ids
+/// (from `first_gid`) that locals and root agree on; removals record when
+/// the root may drop the query's finalization info (after the drain
+/// horizon unless immediate).
+fn compile_script(
+    cfg: &ClusterConfig,
+    first_gid: GroupId,
+) -> Result<Vec<(Timestamp, CompiledCommand)>, DesisError> {
+    if !cfg.script.is_empty() && cfg.system != DistributedSystem::Desis {
+        return Err(DesisError::UnsupportedInRole(
+            "runtime query scripts require the Desis system",
+        ));
+    }
+    let window_of =
+        |id: QueryId| -> DurationMs { cfg.all_queries().find(|q| q.id == id).map_or(0, open_span) };
+    let mut next_gid = first_gid;
+    let mut compiled = Vec::with_capacity(cfg.script.len());
+    for (ts, cmd) in &cfg.script {
+        compiled.push((
+            *ts,
+            match cmd {
+                ClusterCommand::AddQuery(q) => {
+                    let mut group = analyze_for(cfg.system, vec![q.clone()])?.remove(0);
+                    group.id = next_gid;
+                    next_gid += 1;
+                    CompiledCommand::Add(group)
+                }
+                ClusterCommand::RemoveQuery { id, immediate } => CompiledCommand::Remove {
+                    id: *id,
+                    immediate: *immediate,
+                    root_at: ts + if *immediate { 0 } else { window_of(*id) + 1 },
+                },
+            },
+        ));
+    }
+    compiled.sort_by_key(|(ts, _)| *ts);
+    Ok(compiled)
+}
+
+/// What every node thread of one run borrows.
+struct Run<'a> {
+    cfg: &'a ClusterConfig,
+    groups: &'a [QueryGroup],
+    script: &'a [(Timestamp, CompiledCommand)],
+    /// Every run gets a fresh registry; the snapshot lands in the report
+    /// and is merged into the process-global registry at the end.
+    registry: &'a MetricsRegistry,
+    /// Causal tracing: an explicit per-run collector wins over the
+    /// process-global one (if any); `None` keeps every hot-path hook on
+    /// its no-recorder branch.
+    tracing: Option<&'a TraceCollector>,
+    /// Fault injection: an explicit per-run plan wins over the
+    /// process-global one installed by the bench driver's `--faults`.
+    plan: Option<&'a FaultPlan>,
+    fault_stats: Arc<FaultStats>,
+    recovery_stats: Arc<RecoveryStats>,
+    latency: LatencyTable,
+    local_metrics: Mutex<EngineMetrics>,
+    /// Children some parent gave up on, anywhere in the tree.
+    lost: Mutex<Vec<NodeId>>,
+}
+
+impl Run<'_> {
+    /// Pumps `receivers` into `handle` under the recovery protocol until
+    /// every child is done, keeping `role`'s merge-stall bookkeeping.
+    /// `handle` returns the partials its node still holds back for
+    /// sibling streams.
+    fn pump(
+        &self,
+        role: &str,
+        node: NodeId,
+        receivers: &[(NodeId, LinkReceiver)],
+        mut handle: impl FnMut(NodeId, Message) -> usize,
+    ) {
+        let obs = PumpObs::new(self.registry, role);
+        let pending_max = self.registry.gauge(&names::merge_pending_max(role));
+        let stalls = self.registry.counter(&names::merge_stalls(role));
+        let ctx = RecoveryCtx::new(
+            self.cfg.recovery.clone(),
+            Arc::clone(&self.recovery_stats),
+            self.tracing.map(|tc| tc.recorder(node)),
+        );
+        let lost = pump_children(receivers, &obs, ctx, |child, msg| {
+            let is_watermark = msg.tag() == names::TAG_WATERMARK;
+            let pending = handle(child, msg);
+            pending_max.set_max(pending as i64);
+            if is_watermark && pending > 0 {
+                // A watermark advanced but merges still wait for sibling
+                // streams: the merger is stalled.
+                stalls.inc();
+            }
+        });
+        self.lost.lock().extend(lost);
+    }
+
+    /// Serves the parent's retransmit requests until it acknowledges our
+    /// Flush; dropping the uplink afterwards disconnects it.
+    fn linger(&self, mut uplink: LinkSender) {
+        uplink.linger(self.cfg.recovery.nack_grace, self.cfg.recovery.retry_budget);
+    }
+
+    /// A local node: feeds its events through a [`LocalWorker`], applying
+    /// scheduled faults, the runtime script and ingestion pacing.
+    fn local_node(&self, node: NodeId, feed: Vec<Event>, mut uplink: LinkSender) {
+        let cfg = self.cfg;
+        let mut worker = LocalWorker::with_shards(
+            node,
+            cfg.system,
+            self.groups,
+            cfg.batch_size,
+            cfg.watermark_every,
+            cfg.shards.max(1),
+        );
+        if let Some(tc) = self.tracing {
+            worker.install_tracing(tc);
+            uplink.set_recorder(tc.recorder(node));
+        }
+        let crash_at = self.plan.and_then(|p| p.crash_at(node));
+        let mut stall_at = self.plan.and_then(|p| p.stall_at(node));
+        let sample_every = cfg.latency_sample_every.max(1);
+        let mut since_sample = 0u64;
+        let mut script = self.script.iter().peekable();
+        let pace_start = Instant::now();
+        let mut first_ts: Option<Timestamp> = None;
+        // Leaf-lane stage attribution: pace sleeps vs. actual ingest
+        // work, so a profile distinguishes "replaying in real time" from
+        // "saturated".
+        let mut lane = Profiler::global().map(|p| p.handle(&format!("node{node}")));
+        for ev in feed {
+            if crash_at.is_some_and(|at| ev.ts >= at) {
+                // Crash: exit without finish or Flush. Dropping the
+                // uplink is the disconnect the parent sees.
+                self.fault_stats.crashes.inc();
+                self.local_metrics.lock().absorb(&worker.metrics());
+                return;
+            }
+            if let Some((_, ms)) = stall_at.take_if(|(at, _)| ev.ts >= *at) {
+                self.fault_stats.stalls.inc();
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            while let Some((_, cmd)) = script.next_if(|(at, _)| ev.ts >= *at) {
+                match cmd {
+                    CompiledCommand::Add(group) => worker.add_group(group),
+                    CompiledCommand::Remove { id, immediate, .. } => {
+                        worker.remove_query(*id, *immediate);
+                    }
+                }
+            }
+            if let Some(speedup) = cfg.pace_speedup {
+                let base = *first_ts.get_or_insert_with(|| {
+                    self.latency.record_pace(ev.ts, pace_start, speedup);
+                    ev.ts
+                });
+                let due = (ev.ts - base) as f64 / 1e3 / speedup;
+                let elapsed = pace_start.elapsed().as_secs_f64();
+                if due > elapsed {
+                    let _pace = prof::scope(&mut lane, Stage::Pace);
+                    std::thread::sleep(Duration::from_secs_f64(due - elapsed));
+                }
+            }
+            if since_sample == 0 {
+                self.latency.record(ev.ts);
+            }
+            since_sample = (since_sample + 1) % sample_every;
+            let _ingest = prof::scope(&mut lane, Stage::Ingest);
+            if !worker.on_event(&ev, &mut uplink) {
+                break;
+            }
+        }
+        {
+            let _drain = prof::scope(&mut lane, Stage::Drain);
+            let _ = worker.finish(cfg.effective_flush_horizon(), &mut uplink);
+        }
+        drop(lane);
+        self.local_metrics.lock().absorb(&worker.metrics());
+        self.linger(uplink);
+    }
+
+    /// An intermediate node: pumps its children through an
+    /// [`IntermediateWorker`] onto its uplink.
+    fn intermediate_node(
+        &self,
+        node: NodeId,
+        receivers: Vec<(NodeId, LinkReceiver)>,
+        mut uplink: LinkSender,
+    ) {
+        let mut worker = IntermediateWorker::new(
+            node,
+            self.cfg.system,
+            self.groups,
+            self.cfg.topology.leaves_below(node).len() as u32,
+            receivers.iter().map(|(c, _)| *c).collect(),
+        );
+        if let Some(tc) = self.tracing {
+            worker.install_tracing(tc);
+            uplink.set_recorder(tc.recorder(node));
+        }
+        self.pump("intermediate", node, &receivers, |child, msg| {
+            let _ = worker.on_message(child, msg, &mut uplink);
+            worker.pending_merges()
+        });
+        self.registry
+            .counter(&names::unroutable_msgs("intermediate"))
+            .add(worker.unroutable());
+        self.linger(uplink);
+    }
+
+    /// The root node: pumps its children through a [`RootWorker`].
+    /// Returns every result with the instant it was emitted, and the raw
+    /// events the root processed itself.
+    ///
+    /// If the root cannot even be built (e.g. the centralized baseline
+    /// rejects a query), the error propagates instead of panicking:
+    /// dropping the receivers closes the uplinks, which the other node
+    /// threads observe as failed sends and exit.
+    fn root_node(
+        &self,
+        node: NodeId,
+        receivers: Vec<(NodeId, LinkReceiver)>,
+    ) -> Result<(Vec<(QueryResult, Instant)>, u64), DesisError> {
+        let cfg = self.cfg;
+        let n_leaves = cfg.topology.nodes_with_role(NodeRole::Local).len();
+        let child_ids = receivers.iter().map(|(c, _)| *c).collect();
+        let mut worker =
+            RootWorker::new(cfg.system, self.groups, &cfg.queries, n_leaves, child_ids)?;
+        if let Some(tc) = self.tracing {
+            worker.install_tracing(tc, node);
+        }
+        // Added groups are registered up front so their partials are
+        // never dropped; removals apply once the watermark passes.
+        let mut removals: Vec<(Timestamp, QueryId)> = Vec::new();
+        for (_, cmd) in self.script {
+            match cmd {
+                CompiledCommand::Add(group) => worker.add_group(cfg.system, group, n_leaves),
+                CompiledCommand::Remove { id, root_at, .. } => removals.push((*root_at, *id)),
+            }
+        }
+        removals.sort_unstable();
+        let mut removals = removals.into_iter().peekable();
+        let mut stamped: Vec<(QueryResult, Instant)> = Vec::new();
+        self.pump("root", node, &receivers, |child, msg| {
+            worker.on_message(child, msg);
+            let pending = worker.pending_merges();
+            let watermark = worker.watermark();
+            while let Some((_, id)) = removals.next_if(|(at, _)| watermark >= *at) {
+                worker.remove_query(id);
+            }
+            let now = Instant::now();
+            stamped.extend(worker.drain_results().into_iter().map(|r| (r, now)));
+            pending
+        });
+        self.registry
+            .counter(&names::unroutable_msgs("root"))
+            .add(worker.unroutable());
+        Ok((stamped, worker.raw_events_processed()))
+    }
 }
 
 /// Runs a cluster over one finite event feed per local node.
@@ -319,99 +585,34 @@ pub fn run_cluster(
     cfg: ClusterConfig,
     feeds: Vec<Vec<Event>>,
 ) -> Result<ClusterReport, DesisError> {
-    let locals = cfg.topology.nodes_with_role(NodeRole::Local);
+    let topology = &cfg.topology;
+    let locals = topology.nodes_with_role(NodeRole::Local);
     if feeds.len() != locals.len() {
         return Err(DesisError::Cluster(
             "one event feed per local node required",
         ));
     }
-    let groups = Arc::new(analyze_for(cfg.system, cfg.queries.clone())?);
-    // Compile the runtime script: added queries get fresh group ids that
-    // locals and root agree on; removals record when the root may drop
-    // the query's finalization info (after the drain horizon unless
-    // immediate).
-    if !cfg.script.is_empty() && cfg.system != DistributedSystem::Desis {
-        return Err(DesisError::UnsupportedInRole(
-            "runtime query scripts require the Desis system",
-        ));
+    let groups = analyze_for(cfg.system, cfg.queries.clone())?;
+    let script = compile_script(&cfg, groups.len() as GroupId)?;
+    let plan = cfg.faults.as_ref().or(FaultPlan::global());
+    if let Some(plan) = plan {
+        plan.validate(topology).map_err(DesisError::FaultPlan)?;
     }
-    let mut compiled: Vec<(Timestamp, CompiledCommand)> = Vec::new();
-    {
-        let mut next_gid = groups.len() as desis_core::engine::GroupId;
-        let window_of = |id: desis_core::query::QueryId| -> DurationMs {
-            let all = cfg
-                .queries
-                .iter()
-                .chain(cfg.script.iter().filter_map(|(_, c)| match c {
-                    ClusterCommand::AddQuery(q) => Some(q),
-                    ClusterCommand::RemoveQuery { .. } => None,
-                }));
-            for q in all {
-                if q.id == id {
-                    return match q.window.kind {
-                        WindowKind::Tumbling { length } | WindowKind::Sliding { length, .. } => {
-                            length
-                        }
-                        WindowKind::Session { gap } => gap,
-                        WindowKind::UserDefined { .. } => 0,
-                    };
-                }
-            }
-            0
-        };
-        for (ts, cmd) in &cfg.script {
-            match cmd {
-                ClusterCommand::AddQuery(q) => {
-                    let mut gs = analyze_for(cfg.system, vec![q.clone()])?;
-                    let mut g = gs.remove(0);
-                    g.id = next_gid;
-                    next_gid += 1;
-                    compiled.push((*ts, CompiledCommand::Add(Arc::new(g))));
-                }
-                ClusterCommand::RemoveQuery { id, immediate } => {
-                    let horizon = if *immediate { 0 } else { window_of(*id) + 1 };
-                    compiled.push((
-                        *ts,
-                        CompiledCommand::Remove {
-                            id: *id,
-                            immediate: *immediate,
-                            root_at: ts + horizon,
-                        },
-                    ));
-                }
-            }
-        }
-        compiled.sort_by_key(|(ts, _)| *ts);
-    }
-    let compiled = Arc::new(compiled);
-    let codec = cfg.effective_codec();
-    let horizon = cfg.effective_flush_horizon();
-    let topology = cfg.topology.clone();
-    let n_leaves = locals.len();
-
-    // Every run gets a fresh registry; the snapshot lands in the report
-    // and is merged into the process-global registry at the end.
-    let registry = Arc::new(MetricsRegistry::new());
-
-    // Causal tracing: an explicit per-run collector wins over the
-    // process-global one (if any); `None` keeps every hot-path hook on
-    // its no-recorder branch.
-    let tracing = cfg
-        .trace
-        .clone()
-        .or_else(|| TraceCollector::global().cloned());
-
-    // Fault injection: an explicit per-run plan wins over the
-    // process-global one installed by the bench driver's `--faults`.
-    let plan = cfg.faults.clone().or_else(|| FaultPlan::global().cloned());
-    if let Some(plan) = &plan {
-        plan.validate(&topology).map_err(DesisError::FaultPlan)?;
-    }
-    let fault_stats = FaultStats::registered(&registry);
-    let recovery_stats = RecoveryStats::registered(&registry);
+    let registry = MetricsRegistry::new();
+    let run = Run {
+        cfg: &cfg,
+        groups: &groups,
+        script: &script,
+        registry: &registry,
+        tracing: cfg.trace.as_ref().or(TraceCollector::global()),
+        plan,
+        fault_stats: FaultStats::registered(&registry),
+        recovery_stats: RecoveryStats::registered(&registry),
+        latency: LatencyTable::default(),
+        local_metrics: Mutex::new(EngineMetrics::default()),
+        lost: Mutex::new(Vec::new()),
+    };
     let injected = fault_log();
-    // Children lost below the root (intermediates report their own).
-    let lost_below: Mutex<Vec<NodeId>> = Mutex::new(Vec::new());
 
     // Create the uplink of every non-root node; the link counters live in
     // the registry as `net.node{id}.egress_*`.
@@ -420,312 +621,108 @@ pub fn run_cluster(
     let mut receivers_by_parent: FxHashMap<NodeId, Vec<(NodeId, LinkReceiver)>> =
         FxHashMap::default();
     for node in 0..topology.len() as NodeId {
-        if let Some(parent) = topology.parent(node) {
-            let (mut tx, rx, st) = link_with_stats(
-                codec,
-                cfg.channel_capacity,
-                cfg.bandwidth,
-                Arc::new(LinkStats::registered(&registry, node)),
-            );
-            tx.set_history_cap(cfg.recovery.history_cap);
-            if let Some(plan) = &plan {
-                if let Some(inj) =
-                    plan.injector_for(node, Arc::clone(&fault_stats), Arc::clone(&injected))
-                {
-                    tx.set_injector(inj);
-                }
-            }
-            senders.insert(node, tx);
-            stats.push((node, st));
-            receivers_by_parent
-                .entry(parent)
-                .or_default()
-                .push((node, rx));
+        let Some(parent) = topology.parent(node) else {
+            continue;
+        };
+        let (mut tx, rx, st) = link_with_stats(
+            cfg.effective_codec(),
+            cfg.channel_capacity,
+            cfg.bandwidth,
+            Arc::new(LinkStats::registered(&registry, node)),
+        );
+        tx.set_history_cap(cfg.recovery.history_cap);
+        let injector = plan.and_then(|p| {
+            p.injector_for(node, Arc::clone(&run.fault_stats), Arc::clone(&injected))
+        });
+        if let Some(injector) = injector {
+            tx.set_injector(injector);
         }
+        senders.insert(node, tx);
+        stats.push((node, st));
+        receivers_by_parent
+            .entry(parent)
+            .or_default()
+            .push((node, rx));
     }
 
-    let latency_table = Arc::new(LatencyTable::default());
-    let local_metrics = Arc::new(Mutex::new(EngineMetrics::default()));
     let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        // Local nodes. Lengths were validated above, so zipping pairs
-        // every local with exactly one feed.
+    let run = &run;
+    let root_result = std::thread::scope(|scope| {
+        // Lengths were validated above, so zipping pairs every local
+        // with exactly one feed.
         for (&node, feed) in locals.iter().zip(feeds) {
-            let Some(mut uplink) = senders.remove(&node) else {
+            let Some(uplink) = senders.remove(&node) else {
                 return Err(DesisError::Cluster("local node has no uplink"));
             };
-            let groups = Arc::clone(&groups);
-            let table = Arc::clone(&latency_table);
-            let metrics_sink = Arc::clone(&local_metrics);
-            let system = cfg.system;
-            let batch_size = cfg.batch_size;
-            let watermark_every = cfg.watermark_every;
-            let sample_every = cfg.latency_sample_every.max(1);
-            let pace = cfg.pace_speedup;
-            let script = Arc::clone(&compiled);
-            let tracing = tracing.clone();
-            let crash_at = plan.as_ref().and_then(|p| p.crash_at(node));
-            let stall_at = plan.as_ref().and_then(|p| p.stall_at(node));
-            let fault_stats = Arc::clone(&fault_stats);
-            let recovery_cfg = cfg.recovery.clone();
-            let shards = cfg.shards.max(1);
-            scope.spawn(move || {
-                let mut worker = LocalWorker::with_shards(
-                    node,
-                    system,
-                    &groups,
-                    batch_size,
-                    watermark_every,
-                    shards,
-                );
-                if let Some(tc) = &tracing {
-                    worker.install_tracing(tc);
-                    uplink.set_recorder(tc.recorder(node));
-                }
-                let mut since_sample = 0u64;
-                let mut script_idx = 0usize;
-                let mut stalled = false;
-                let pace_start = Instant::now();
-                let mut first_ts: Option<Timestamp> = None;
-                // Leaf-lane stage attribution: pace sleeps vs. actual
-                // ingest work, so a profile distinguishes "replaying in
-                // real time" from "saturated".
-                let mut lane = Profiler::global().map(|p| p.handle(&format!("node{node}")));
-                for ev in feed {
-                    if crash_at.is_some_and(|at| ev.ts >= at) {
-                        // Crash: exit without finish or Flush. Dropping
-                        // the uplink is the disconnect the parent sees.
-                        fault_stats.crashes.inc();
-                        metrics_sink.lock().absorb(&worker.metrics());
-                        return;
-                    }
-                    if let Some((at, ms)) = stall_at {
-                        if !stalled && ev.ts >= at {
-                            stalled = true;
-                            fault_stats.stalls.inc();
-                            std::thread::sleep(Duration::from_millis(ms));
-                        }
-                    }
-                    while let Some((at, cmd)) = script.get(script_idx) {
-                        if ev.ts < *at {
-                            break;
-                        }
-                        match cmd {
-                            CompiledCommand::Add(group) => worker.add_group(group),
-                            CompiledCommand::Remove { id, immediate, .. } => {
-                                worker.remove_query(*id, *immediate);
-                            }
-                        }
-                        script_idx += 1;
-                    }
-                    if let Some(speedup) = pace {
-                        let base = match first_ts {
-                            Some(base) => base,
-                            None => {
-                                first_ts = Some(ev.ts);
-                                table.record_pace(ev.ts, pace_start, speedup);
-                                ev.ts
-                            }
-                        };
-                        let due = (ev.ts - base) as f64 / 1e3 / speedup;
-                        let elapsed = pace_start.elapsed().as_secs_f64();
-                        if due > elapsed {
-                            let _pace = prof::scope(&mut lane, Stage::Pace);
-                            std::thread::sleep(Duration::from_secs_f64(due - elapsed));
-                        }
-                    }
-                    if since_sample == 0 {
-                        table.record(ev.ts);
-                    }
-                    since_sample = (since_sample + 1) % sample_every;
-                    let _ingest = prof::scope(&mut lane, Stage::Ingest);
-                    if !worker.on_event(&ev, &mut uplink) {
-                        break;
-                    }
-                }
-                {
-                    let _drain = prof::scope(&mut lane, Stage::Drain);
-                    let _ = worker.finish(horizon, &mut uplink);
-                }
-                drop(lane);
-                metrics_sink.lock().absorb(&worker.metrics());
-                // Stay around to answer retransmit requests until the
-                // parent acknowledges our Flush; then dropping the uplink
-                // disconnects it.
-                uplink.linger(recovery_cfg.nack_grace, recovery_cfg.retry_budget);
-            });
+            scope.spawn(move || run.local_node(node, feed, uplink));
         }
-
-        // Intermediate nodes.
         for node in topology.nodes_with_role(NodeRole::Intermediate) {
             let Some(receivers) = receivers_by_parent.remove(&node) else {
                 return Err(DesisError::Cluster("intermediate node has no children"));
             };
-            let Some(mut uplink) = senders.remove(&node) else {
+            let Some(uplink) = senders.remove(&node) else {
                 return Err(DesisError::Cluster("intermediate node has no uplink"));
             };
-            let groups = Arc::clone(&groups);
-            let system = cfg.system;
-            let coverage = topology.leaves_below(node).len() as u32;
-            let child_ids: Vec<NodeId> = receivers.iter().map(|(c, _)| *c).collect();
-            let obs = PumpObs::new(&registry, "intermediate");
-            let merge_pending_max = registry.gauge(&names::merge_pending_max("intermediate"));
-            let merge_stalls = registry.counter(&names::merge_stalls("intermediate"));
-            let tracing = tracing.clone();
-            let recovery_cfg = cfg.recovery.clone();
-            let recovery_stats = Arc::clone(&recovery_stats);
-            let lost_below = &lost_below;
-            scope.spawn(move || {
-                let mut worker =
-                    IntermediateWorker::new(node, system, &groups, coverage, child_ids);
-                let recv_rec = tracing.as_ref().map(|tc| tc.recorder(node));
-                if let Some(tc) = &tracing {
-                    worker.install_tracing(tc);
-                    uplink.set_recorder(tc.recorder(node));
-                }
-                let grace = recovery_cfg.nack_grace;
-                let probes = recovery_cfg.retry_budget;
-                let ctx = RecoveryCtx::new(recovery_cfg, recovery_stats, recv_rec);
-                let lost = pump_children(&receivers, &obs, ctx, |child, msg| {
-                    let tag = msg.tag();
-                    let _ = worker.on_message(child, msg, &mut uplink);
-                    let pending = worker.pending_merges();
-                    merge_pending_max.set_max(pending as i64);
-                    if tag == names::TAG_WATERMARK && pending > 0 {
-                        // A watermark advanced but merges still wait for
-                        // sibling streams: the merger is stalled.
-                        merge_stalls.inc();
-                    }
-                });
-                if !lost.is_empty() {
-                    lost_below.lock().extend(lost);
-                }
-                // Serve our parent's retransmit requests before hanging up.
-                uplink.linger(grace, probes);
-            });
+            scope.spawn(move || run.intermediate_node(node, receivers, uplink));
         }
-
-        // Root node (run on the scope's own thread side: spawn too, then
-        // join implicitly at scope end).
         let root = topology.root();
         let Some(receivers) = receivers_by_parent.remove(&root) else {
             return Err(DesisError::Cluster("root node has no children"));
         };
-        let groups_root = Arc::clone(&groups);
-        let queries = cfg.queries.clone();
-        let system = cfg.system;
-        let child_ids: Vec<NodeId> = receivers.iter().map(|(c, _)| *c).collect();
-        let script = Arc::clone(&compiled);
-        let root_obs = PumpObs::new(&registry, "root");
-        let root_merge_pending_max = registry.gauge(&names::merge_pending_max("root"));
-        let root_merge_stalls = registry.counter(&names::merge_stalls("root"));
-        let root_recovery = cfg.recovery.clone();
-        let root_recovery_stats = Arc::clone(&recovery_stats);
-        let root_handle = scope.spawn(move || -> Result<_, DesisError> {
-            // If the root cannot even be built (e.g. the centralized
-            // baseline rejects a query), the error propagates instead of
-            // panicking: dropping the receivers closes the uplinks, which
-            // the other node threads observe as failed sends and exit.
-            let mut worker = RootWorker::new(system, &groups_root, &queries, n_leaves, child_ids)?;
-            let recv_rec = tracing.as_ref().map(|tc| tc.recorder(root));
-            if let Some(tc) = &tracing {
-                worker.install_tracing(tc, root);
-            }
-            // Added groups are registered up front so their partials are
-            // never dropped; removals apply once the watermark passes.
-            for (_, cmd) in script.iter() {
-                if let CompiledCommand::Add(group) = cmd {
-                    worker.add_group(system, group, n_leaves);
-                }
-            }
-            let mut pending_removals: Vec<(Timestamp, desis_core::query::QueryId)> = script
-                .iter()
-                .filter_map(|(_, cmd)| match cmd {
-                    CompiledCommand::Remove { id, root_at, .. } => Some((*root_at, *id)),
-                    CompiledCommand::Add(_) => None,
-                })
-                .collect();
-            pending_removals.sort_unstable();
-            let mut stamped: Vec<(QueryResult, Instant)> = Vec::new();
-            let ctx = RecoveryCtx::new(root_recovery, root_recovery_stats, recv_rec);
-            let lost = pump_children(&receivers, &root_obs, ctx, |child, msg| {
-                let tag = msg.tag();
-                worker.on_message(child, msg);
-                let pending = worker.pending_merges();
-                root_merge_pending_max.set_max(pending as i64);
-                if tag == names::TAG_WATERMARK && pending > 0 {
-                    root_merge_stalls.inc();
-                }
-                while let Some((at, id)) = pending_removals.first().copied() {
-                    if worker.watermark() < at {
-                        break;
-                    }
-                    worker.remove_query(id);
-                    pending_removals.remove(0);
-                }
-                let now = Instant::now();
-                for r in worker.drain_results() {
-                    stamped.push((r, now));
-                }
-            });
-            Ok((stamped, worker.raw_events_processed(), lost))
-        });
-
         // A panicking root worker must surface as an error, not tear the
         // whole process down with it.
-        let Ok(root_result) = root_handle.join() else {
-            return Err(DesisError::Cluster("root worker thread panicked"));
-        };
-        let (stamped, root_raw_events, root_lost) = root_result?;
-        let wall = started.elapsed();
-        let mut lost_children = root_lost;
-        lost_children.extend(lost_below.lock().drain(..));
-        lost_children.sort_unstable();
+        scope
+            .spawn(move || run.root_node(root, receivers))
+            .join()
+            .unwrap_or(Err(DesisError::Cluster("root worker thread panicked")))
+    });
+    let (stamped, root_raw_events) = root_result?;
+    let wall = started.elapsed();
+    let mut lost_children = std::mem::take(&mut *run.lost.lock());
+    lost_children.sort_unstable();
 
-        let latency_hist = registry.histogram(names::CLUSTER_RESULT_LATENCY_US);
-        let mut latencies_ms = Vec::with_capacity(stamped.len());
-        let mut results = Vec::with_capacity(stamped.len());
-        for (result, emitted) in stamped {
-            if let Some(generated) = latency_table.lookup(result.window_end) {
-                if emitted > generated {
-                    let ms = emitted.duration_since(generated).as_secs_f64() * 1e3;
-                    latency_hist.record_secs(ms / 1e3);
-                    latencies_ms.push(ms);
-                }
+    let latency_hist = registry.histogram(names::CLUSTER_RESULT_LATENCY_US);
+    let mut latencies_ms = Vec::with_capacity(stamped.len());
+    let mut results = Vec::with_capacity(stamped.len());
+    for (result, emitted) in stamped {
+        if let Some(generated) = run.latency.lookup(result.window_end) {
+            if emitted > generated {
+                let ms = emitted.duration_since(generated).as_secs_f64() * 1e3;
+                latency_hist.record_secs(ms / 1e3);
+                latencies_ms.push(ms);
             }
-            results.push(result);
         }
-        // Canonical (query, window-end, key) order: shard counts, merge
-        // timing, and link interleavings must not change the report
-        // byte-for-byte.
-        desis_core::query::sort_results(&mut results);
+        results.push(result);
+    }
+    // Canonical (query, window-end, key) order: shard counts, merge
+    // timing, and link interleavings must not change the report
+    // byte-for-byte.
+    desis_core::query::sort_results(&mut results);
 
-        let bytes_by_node: BTreeMap<NodeId, u64> =
-            stats.iter().map(|(node, st)| (*node, st.bytes())).collect();
-        let local_metrics = local_metrics.lock().clone();
-        local_metrics.publish(&registry, names::CLUSTER_LOCAL_ENGINE_PREFIX);
-        registry
-            .counter(names::NET_ROOT_RAW_EVENTS)
-            .raise_to(root_raw_events);
-        let metrics = registry.snapshot();
-        MetricsRegistry::global()
-            .merge_snapshot(&names::cluster_system_prefix(cfg.system.label()), &metrics);
-        let mut faults_injected = injected.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        faults_injected.sort_by(|a, b| (a.link, a.frame, a.kind).cmp(&(b.link, b.frame, b.kind)));
-        Ok(ClusterReport {
-            results,
-            wall,
-            events: local_metrics.events,
-            bytes_by_node,
-            local_metrics,
-            latencies_ms,
-            root_raw_events,
-            lost_children,
-            topology,
-            metrics,
-            faults_injected,
-        })
+    let bytes_by_node: BTreeMap<NodeId, u64> =
+        stats.iter().map(|(node, st)| (*node, st.bytes())).collect();
+    let local_metrics = run.local_metrics.lock().clone();
+    local_metrics.publish(&registry, names::CLUSTER_LOCAL_ENGINE_PREFIX);
+    registry
+        .counter(names::NET_ROOT_RAW_EVENTS)
+        .raise_to(root_raw_events);
+    let metrics = registry.snapshot();
+    MetricsRegistry::global()
+        .merge_snapshot(&names::cluster_system_prefix(cfg.system.label()), &metrics);
+    let mut faults_injected = injected.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    faults_injected.sort_by(|a, b| (a.link, a.frame, a.kind).cmp(&(b.link, b.frame, b.kind)));
+    Ok(ClusterReport {
+        results,
+        wall,
+        events: local_metrics.events,
+        bytes_by_node,
+        local_metrics,
+        latencies_ms,
+        root_raw_events,
+        lost_children,
+        topology: cfg.topology,
+        metrics,
+        faults_injected,
     })
 }
 

@@ -290,6 +290,8 @@ pub struct WindowPartialMerger {
     queries: FxHashMap<QueryId, QueryInfo>,
     expected_coverage: u32,
     pending: FxHashMap<(QueryId, Timestamp, Timestamp), (u32, KeyedBundles)>,
+    /// Partials rejected because nobody installed their query.
+    unroutable: u64,
 }
 
 impl WindowPartialMerger {
@@ -300,6 +302,7 @@ impl WindowPartialMerger {
             queries: query_infos(group).collect(),
             expected_coverage: expected_coverage.max(1),
             pending: FxHashMap::default(),
+            unroutable: 0,
         }
     }
 
@@ -308,9 +311,20 @@ impl WindowPartialMerger {
         self.pending.len()
     }
 
+    /// Partials dropped so far for naming a query this merger never
+    /// heard of.
+    pub(crate) fn unroutable(&self) -> u64 {
+        self.unroutable
+    }
+
     /// Folds one child partial in; returns the merged partial when all
-    /// streams contributed.
+    /// streams contributed. A partial of an unknown query — input from
+    /// outside the process — is dropped and counted, never pended.
     pub fn on_partial(&mut self, partial: WindowPartial, coverage: u32) -> Option<WindowPartial> {
+        if !self.queries.contains_key(&partial.query) {
+            self.unroutable += 1;
+            return None;
+        }
         let key = (partial.query, partial.start_ts, partial.end_ts);
         let entry = self
             .pending
@@ -327,10 +341,10 @@ impl WindowPartialMerger {
         Some(sorted_partial(key.0, key.1, key.2, merged))
     }
 
-    /// Finalizes a fully merged partial into per-key results.
+    /// Finalizes a fully merged partial into per-key results (none for a
+    /// query this merger never heard of).
     pub fn finalize(&self, partial: &WindowPartial, out: &mut Vec<QueryResult>) {
         let Some(info) = self.queries.get(&partial.query) else {
-            debug_assert!(false, "unknown query {}", partial.query);
             return;
         };
         // Wire partials are key-sorted already.

@@ -1,22 +1,26 @@
-//! Node runtimes: local, intermediate, and root workers (paper Sections
-//! 2.4 and 5).
+//! Node runtimes: local, intermediate and root workers (paper Sections
+//! 2.4 and 5) — one component with different wiring.
 //!
 //! Workers are plain structs driven by messages/events, so they are unit
 //! testable without threads; `cluster` wires them onto links and threads.
 //!
-//! * **Local** nodes ingest a data stream. Under Desis they run the full
-//!   aggregation engine's slicers and ship per-slice partials; groups that
-//!   only the root can terminate (count windows) ship raw event batches.
-//!   Under Disco they ship per-window partials. Under a centralized system
-//!   they ship raw batches only.
-//! * **Intermediate** nodes merge partials from their children (slice- or
-//!   window-grained) and forward the merged partials upward; raw events
-//!   are relayed unchanged.
-//! * The **root** merges, assembles windows, and emits final results.
+//! * `deployment` is the one table saying how a system runs a
+//!   query-group on each role: what a local does with it (slice and ship,
+//!   assemble Disco's window partials, or ship raw events) and how the
+//!   root terminates it.
+//! * `Children` is the child-facing half of every non-leaf node: the
+//!   per-child clock, the aligned-slice mergers, Disco's window-partial
+//!   merger and the raw-event reorder, behind the only state machine over
+//!   the five [`Message`] kinds. What it produces goes to its `Upstream`.
+//! * `Forward` is the upstream that writes to an uplink, and the only
+//!   code that builds a [`Message`]: an **intermediate** node is
+//!   `Children` + `Forward` with its subtree's coverage, and a **local**
+//!   node ships what its own slicers seal through the same `Forward` with
+//!   coverage 1.
+//! * `Terminal` is the upstream that ends the tree: the **root** is
+//!   `Children` + `Terminal`, which assembles windows and emits results.
 
 use std::collections::BTreeMap;
-
-use rustc_hash::{FxHashMap, FxHashSet};
 
 use desis_baselines::Processor;
 use desis_core::engine::{
@@ -34,7 +38,7 @@ use crate::merge::{
     AlignedSliceMerger, EventMerger, PartialAssembler, TimeAssembler, UnfixedRootMerger,
     WindowPartialMerger,
 };
-use crate::message::Message;
+use crate::message::{Message, WindowPartial};
 use crate::topology::NodeId;
 
 /// Which distributed system the cluster runs (Section 6.4).
@@ -67,67 +71,215 @@ impl DistributedSystem {
 /// child has flushed.
 #[derive(Debug)]
 struct ChildClock {
-    children: Vec<NodeId>,
-    watermarks: FxHashMap<NodeId, Timestamp>,
-    flushed: FxHashSet<NodeId>,
+    /// `(child, its highest watermark, whether it flushed)`.
+    children: Vec<(NodeId, Timestamp, bool)>,
 }
 
 impl ChildClock {
     fn new(children: Vec<NodeId>) -> Self {
-        Self {
-            children,
-            watermarks: FxHashMap::default(),
-            flushed: FxHashSet::default(),
-        }
+        let children = children.into_iter().map(|c| (c, 0, false)).collect();
+        Self { children }
+    }
+
+    fn child(&mut self, id: NodeId) -> Option<&mut (NodeId, Timestamp, bool)> {
+        self.children.iter_mut().find(|c| c.0 == id)
     }
 
     fn on_watermark(&mut self, child: NodeId, ts: Timestamp) {
-        let w = self.watermarks.entry(child).or_insert(0);
-        *w = (*w).max(ts);
+        if let Some(c) = self.child(child) {
+            c.1 = c.1.max(ts);
+        }
     }
 
     fn on_flush(&mut self, child: NodeId) {
-        self.flushed.insert(child);
+        if let Some(c) = self.child(child) {
+            c.2 = true;
+        }
     }
 
     fn all_flushed(&self) -> bool {
-        self.children.iter().all(|c| self.flushed.contains(c))
+        self.children.iter().all(|c| c.2)
     }
 
     /// Event time every covered stream is guaranteed to have passed.
     fn effective(&self) -> Timestamp {
-        let mut min_live = Timestamp::MAX;
-        let mut max_final = 0;
-        let mut all_flushed = true;
-        for c in &self.children {
-            let w = self.watermarks.get(c).copied().unwrap_or(0);
-            max_final = max_final.max(w);
-            if !self.flushed.contains(c) {
-                all_flushed = false;
-                min_live = min_live.min(w);
-            }
-        }
-        if all_flushed {
-            max_final
-        } else {
-            min_live
-        }
+        let live = self.children.iter().filter(|c| !c.2).map(|c| c.1).min();
+        live.unwrap_or_else(|| self.children.iter().map(|c| c.1).max().unwrap_or(0))
     }
 }
 
-/// How a local node treats one query-group.
-#[derive(Debug)]
-enum LocalGroup {
-    /// Slice locally, ship per-slice partials (Desis; Section 5.1). The
-    /// flag says whether `ep` marks must travel with the slices: fixed
-    /// time windows end at spec-derivable times, so only groups with
-    /// data-driven (session/user-defined) windows ship their ends.
-    Slice(GroupSlicer, bool),
-    /// Slice locally, assemble per-window partials (Disco).
-    WindowPartials(GroupSlicer, PartialAssembler),
-    /// Only the root can process this group: ship raw events. The raw
-    /// stream is shared by all such groups, so this carries no state.
+/// One row of the deployment table: how a system runs one query-group on
+/// every node role (Sections 5.1, 5.2 and 6.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GroupPlan {
+    /// Locals slice and ship per-slice partials without their `ep` marks
+    /// (fixed time windows end at spec-derivable times); every non-leaf
+    /// node merges the slices by slice end; the root assembles windows by
+    /// time range.
+    Aligned,
+    /// Locals slice and ship per-slice partials with their data-driven
+    /// (session/user-defined) ends; intermediates pass the slices through
+    /// untouched; the root merges per window and originating local.
+    Unfixed,
+    /// Only the root can process the group: locals ship raw events, inner
+    /// nodes reorder them, the root re-slices and assembles.
     Raw,
+    /// Disco: locals slice and ship per-*window* partials, which every
+    /// non-leaf node merges by window; the root finalizes them.
+    Partials,
+    /// Raw events travel like `Raw`'s; the centralized baseline at the
+    /// root processes them itself, with no per-group machinery.
+    Centralized,
+}
+
+/// The deployment table.
+fn deployment(system: DistributedSystem, group: &QueryGroup) -> GroupPlan {
+    match (system, group.execution) {
+        (DistributedSystem::Centralized(_), _) => GroupPlan::Centralized,
+        (_, GroupExecution::RootRaw) | (DistributedSystem::Disco, GroupExecution::RootSorted) => {
+            GroupPlan::Raw
+        }
+        (DistributedSystem::Disco, GroupExecution::Decentralized) => GroupPlan::Partials,
+        (DistributedSystem::Desis, _) if group.has_unfixed_windows() => GroupPlan::Unfixed,
+        (DistributedSystem::Desis, _) => GroupPlan::Aligned,
+    }
+}
+
+/// Where a node's products go: up the uplink ([`Forward`]) or into window
+/// assembly ([`Terminal`]). Every method returns `false` once the
+/// receiver is gone.
+trait Upstream {
+    /// Raw events released in timestamp order (drained from `events`).
+    fn events(&mut self, events: &mut Vec<Event>) -> bool;
+    /// A slice of `group` this node's aligned merger completed (for a
+    /// local node: one its own slicer sealed).
+    fn merged_slice(&mut self, group: GroupId, slice: SealedSlice) -> bool;
+    /// A child's slice of a group this node does not align-merge.
+    fn child_slice(
+        &mut self,
+        group: GroupId,
+        origin: NodeId,
+        coverage: u32,
+        partial: SealedSlice,
+    ) -> bool;
+    /// Window partials that reached this node's coverage in `merger`.
+    fn merged_partials(
+        &mut self,
+        partials: Vec<WindowPartial>,
+        merger: &WindowPartialMerger,
+    ) -> bool;
+    /// The effective child watermark advanced to `ts`.
+    fn watermark(&mut self, ts: Timestamp) -> bool;
+    /// Every child flushed.
+    fn end(&mut self) -> bool;
+}
+
+/// The uplink writer of node `id`, whose products cover `coverage` local
+/// streams. The only code that constructs a [`Message`].
+struct Forward<'a> {
+    id: NodeId,
+    coverage: u32,
+    uplink: &'a mut LinkSender,
+}
+
+impl Forward<'_> {
+    fn window_partials(&mut self, partials: Vec<WindowPartial>) -> bool {
+        self.uplink.send(&Message::WindowPartials {
+            origin: self.id,
+            coverage: self.coverage,
+            partials,
+        })
+    }
+
+    /// Ships a local node's raw batch, if it holds any events.
+    fn raw_batch(&mut self, batch: &mut EventBatch) -> bool {
+        self.uplink.send_batch(batch)
+    }
+}
+
+impl Upstream for Forward<'_> {
+    fn events(&mut self, events: &mut Vec<Event>) -> bool {
+        self.uplink.send(&Message::Events(std::mem::take(events)))
+    }
+
+    fn merged_slice(&mut self, group: GroupId, partial: SealedSlice) -> bool {
+        self.uplink.send(&Message::Slice {
+            group,
+            origin: self.id,
+            coverage: self.coverage,
+            partial,
+        })
+    }
+
+    /// Forwarded untouched, origin and coverage included: the root merges
+    /// unfixed groups per originating local. A group this node never
+    /// heard of takes the same path — runtime-added groups
+    /// (`ClusterCommand::AddQuery`) are installed at locals and the root
+    /// only, so their slices cross intermediates this way.
+    fn child_slice(
+        &mut self,
+        group: GroupId,
+        origin: NodeId,
+        coverage: u32,
+        partial: SealedSlice,
+    ) -> bool {
+        self.uplink.send(&Message::Slice {
+            group,
+            origin,
+            coverage,
+            partial,
+        })
+    }
+
+    fn merged_partials(&mut self, partials: Vec<WindowPartial>, _: &WindowPartialMerger) -> bool {
+        self.window_partials(partials)
+    }
+
+    fn watermark(&mut self, ts: Timestamp) -> bool {
+        self.uplink.send(&Message::Watermark(ts))
+    }
+
+    fn end(&mut self) -> bool {
+        self.uplink.send(&Message::Flush)
+    }
+}
+
+/// A local node's slicer for one query-group and what its sealed slices
+/// become on the wire (raw-shipped groups share the node's event batch
+/// and keep no state).
+#[derive(Debug)]
+struct LocalGroup {
+    slicer: GroupSlicer,
+    ship: Ship,
+}
+
+#[derive(Debug)]
+enum Ship {
+    /// Per-slice partials, with or without their `ep` marks.
+    Slices { ends: bool },
+    /// Per-window partials (Disco).
+    WindowPartials(PartialAssembler),
+}
+
+impl LocalGroup {
+    /// Ships what the slicer sealed into `sealed`.
+    fn ship(&mut self, sealed: &mut Vec<SealedSlice>, up: &mut Forward<'_>) -> bool {
+        let gid = self.slicer.group().id;
+        match &mut self.ship {
+            Ship::Slices { ends } => sealed.drain(..).all(|mut partial| {
+                if !*ends {
+                    // Fixed-window `ep`s are re-derived from the specs at
+                    // the root; do not spend wire bytes on them.
+                    partial.ends.clear();
+                }
+                up.merged_slice(gid, partial)
+            }),
+            Ship::WindowPartials(assembler) => sealed.drain(..).all(|slice| {
+                let partials = assembler.on_slice(&slice);
+                partials.is_empty() || up.window_partials(partials)
+            }),
+        }
+    }
 }
 
 /// A local (leaf) node.
@@ -136,14 +288,14 @@ pub struct LocalWorker {
     id: NodeId,
     system: DistributedSystem,
     groups: Vec<LocalGroup>,
-    /// Key-sharded slicers for fixed-time-window groups when the node
-    /// runs with more than one shard (PR 5); `sharded_gids` maps the
-    /// slicer's group indices back to wire group ids.
+    /// Key-sharded slicers for the sliced groups when the node runs with
+    /// more than one shard (PR 5); `sharded_gids` maps the slicer's group
+    /// indices back to wire group ids.
     sharded: Option<ShardedSlicer>,
     sharded_gids: Vec<GroupId>,
     sharded_queries: Vec<desis_core::query::QueryId>,
     merged: Vec<(usize, SealedSlice)>,
-    /// Raw-event batch shared by all `Raw` groups (empty if none).
+    /// Raw-event batch shared by all raw-shipped groups.
     batch: EventBatch,
     needs_raw: bool,
     batch_size: usize,
@@ -182,79 +334,54 @@ impl LocalWorker {
         watermark_every: DurationMs,
         shards: usize,
     ) -> Self {
-        let want_sharding = shards > 1 && system == DistributedSystem::Desis;
-        let mut shardable: Vec<QueryGroup> = Vec::new();
-        let local_groups: Vec<LocalGroup> = match system {
-            DistributedSystem::Centralized(_) => vec![LocalGroup::Raw],
-            DistributedSystem::Desis => groups
-                .iter()
-                .filter_map(|g| match g.execution {
-                    GroupExecution::RootRaw => Some(LocalGroup::Raw),
-                    _ if want_sharding => {
-                        shardable.push(g.clone());
-                        None
-                    }
-                    _ => Some(LocalGroup::Slice(
-                        GroupSlicer::new(g.clone()),
-                        g.has_unfixed_windows(),
-                    )),
-                })
-                .collect(),
-            DistributedSystem::Disco => groups
-                .iter()
-                .map(|g| match g.execution {
-                    GroupExecution::RootRaw | GroupExecution::RootSorted => LocalGroup::Raw,
-                    GroupExecution::Decentralized => LocalGroup::WindowPartials(
-                        GroupSlicer::new(g.clone()),
-                        PartialAssembler::new(g),
-                    ),
-                })
-                .collect(),
-        };
-        let mut groups = local_groups;
-        let mut cfg = ParallelConfig::new(shards);
-        cfg.batch_size = batch_size.max(1);
-        let (sharded, sharded_gids, sharded_queries) = if shardable.is_empty() {
-            (None, Vec::new(), Vec::new())
-        } else {
-            match ShardedSlicer::new(&shardable, &cfg) {
-                Ok(s) => {
-                    let gids = shardable.iter().map(|g| g.id).collect();
-                    let qids = shardable
-                        .iter()
-                        .flat_map(|g| g.queries.iter().map(|cq| cq.query.id))
-                        .collect();
-                    (Some(s), gids, qids)
-                }
-                Err(_) => {
-                    // Could not spawn worker threads: degrade to the
-                    // sequential path rather than losing the groups.
-                    groups.extend(shardable.into_iter().map(|g| {
-                        let unfixed = g.has_unfixed_windows();
-                        LocalGroup::Slice(GroupSlicer::new(g), unfixed)
-                    }));
-                    (None, Vec::new(), Vec::new())
-                }
-            }
-        };
-        let needs_raw = groups.iter().any(|g| matches!(g, LocalGroup::Raw));
-        Self {
+        let mut worker = Self {
             id,
             system,
-            groups,
-            sharded,
-            sharded_gids,
-            sharded_queries,
+            groups: Vec::new(),
+            sharded: None,
+            sharded_gids: Vec::new(),
+            sharded_queries: Vec::new(),
             merged: Vec::new(),
             batch: EventBatch::with_capacity(batch_size),
-            needs_raw,
+            needs_raw: false,
             batch_size,
             watermark_every,
             next_watermark: watermark_every,
             last_ts: 0,
             scratch: Vec::new(),
             events: 0,
+        };
+        let mut shardable: Vec<QueryGroup> = Vec::new();
+        for g in groups {
+            let sliced = matches!(
+                deployment(system, g),
+                GroupPlan::Aligned | GroupPlan::Unfixed
+            );
+            if shards > 1 && sliced {
+                shardable.push(g.clone());
+            } else {
+                worker.add_group(g);
+            }
         }
+        if shardable.is_empty() {
+            return worker;
+        }
+        let mut cfg = ParallelConfig::new(shards);
+        cfg.batch_size = batch_size.max(1);
+        match ShardedSlicer::new(&shardable, &cfg) {
+            Ok(sharded) => {
+                worker.sharded = Some(sharded);
+                worker.sharded_gids = shardable.iter().map(|g| g.id).collect();
+                worker.sharded_queries = shardable
+                    .iter()
+                    .flat_map(|g| g.queries.iter().map(|cq| cq.query.id))
+                    .collect();
+            }
+            // Could not spawn worker threads: degrade to the sequential
+            // path rather than losing the groups.
+            Err(_) => shardable.iter().for_each(|g| worker.add_group(g)),
+        }
+        worker
     }
 
     /// Enables causal slice tracing: the slicers of per-slice groups get
@@ -263,8 +390,8 @@ impl LocalWorker {
     /// so those groups stay untraced.
     pub fn install_tracing(&mut self, collector: &TraceCollector) {
         for group in &mut self.groups {
-            if let LocalGroup::Slice(slicer, _) = group {
-                slicer.set_recorder(collector.recorder(self.id));
+            if let Ship::Slices { .. } = group.ship {
+                group.slicer.set_recorder(collector.recorder(self.id));
             }
         }
         if let Some(sharded) = &mut self.sharded {
@@ -272,26 +399,21 @@ impl LocalWorker {
         }
     }
 
-    /// Installs a new query-group at runtime (Section 3.2); the same group
-    /// (same id) must be registered at the root.
+    /// Installs a new query-group at runtime (Section 3.2), on the node's
+    /// own event loop; the same group (same id) must be registered at the
+    /// root.
     pub fn add_group(&mut self, group: &QueryGroup) {
-        let local = match (self.system, group.execution) {
-            (DistributedSystem::Centralized(_), _) | (_, GroupExecution::RootRaw) => {
-                LocalGroup::Raw
+        let ship = match deployment(self.system, group) {
+            GroupPlan::Raw | GroupPlan::Centralized => {
+                self.needs_raw = true;
+                return;
             }
-            (DistributedSystem::Disco, GroupExecution::RootSorted) => LocalGroup::Raw,
-            (DistributedSystem::Disco, GroupExecution::Decentralized) => {
-                LocalGroup::WindowPartials(
-                    GroupSlicer::new(group.clone()),
-                    PartialAssembler::new(group),
-                )
-            }
-            (DistributedSystem::Desis, _) => {
-                LocalGroup::Slice(GroupSlicer::new(group.clone()), group.has_unfixed_windows())
-            }
+            GroupPlan::Aligned => Ship::Slices { ends: false },
+            GroupPlan::Unfixed => Ship::Slices { ends: true },
+            GroupPlan::Partials => Ship::WindowPartials(PartialAssembler::new(group)),
         };
-        self.needs_raw |= matches!(local, LocalGroup::Raw);
-        self.groups.push(local);
+        let slicer = GroupSlicer::new(group.clone());
+        self.groups.push(LocalGroup { slicer, ship });
     }
 
     /// Removes a query at runtime (Section 3.2): with `immediate`, its
@@ -299,12 +421,7 @@ impl LocalWorker {
     pub fn remove_query(&mut self, id: desis_core::query::QueryId, immediate: bool) -> bool {
         let mut removed = false;
         for group in &mut self.groups {
-            match group {
-                LocalGroup::Slice(slicer, _) | LocalGroup::WindowPartials(slicer, _) => {
-                    removed |= slicer.remove_query(id, immediate);
-                }
-                LocalGroup::Raw => {}
-            }
+            removed |= group.slicer.remove_query(id, immediate);
         }
         if self.sharded_queries.contains(&id) {
             if let Some(sharded) = &mut self.sharded {
@@ -315,54 +432,42 @@ impl LocalWorker {
         removed
     }
 
+    fn forward<'a>(&self, uplink: &'a mut LinkSender) -> Forward<'a> {
+        Forward {
+            id: self.id,
+            coverage: 1,
+            uplink,
+        }
+    }
+
     /// Ingests one event, sending any produced partials upstream.
     /// Returns `false` if the uplink is closed.
     pub fn on_event(&mut self, ev: &Event, uplink: &mut LinkSender) -> bool {
+        let mut up = self.forward(uplink);
         self.events += 1;
         self.last_ts = ev.ts;
         for group in &mut self.groups {
-            match group {
-                LocalGroup::Slice(slicer, ship_ends) => {
-                    slicer.on_event(ev, &mut self.scratch);
-                    let gid = slicer.group().id;
-                    if !flush_slices(gid, self.id, *ship_ends, &mut self.scratch, uplink) {
-                        return false;
-                    }
-                }
-                LocalGroup::WindowPartials(slicer, assembler) => {
-                    slicer.on_event(ev, &mut self.scratch);
-                    for slice in self.scratch.drain(..) {
-                        let partials = assembler.on_slice(&slice);
-                        if !partials.is_empty()
-                            && !uplink.send(&Message::WindowPartials {
-                                origin: self.id,
-                                coverage: 1,
-                                partials,
-                            })
-                        {
-                            return false;
-                        }
-                    }
-                }
-                LocalGroup::Raw => {}
+            group.slicer.on_event(ev, &mut self.scratch);
+            if !group.ship(&mut self.scratch, &mut up) {
+                return false;
             }
         }
         let sharded_flushed = match &mut self.sharded {
             Some(sharded) => sharded.on_event(ev),
             None => false,
         };
-        if sharded_flushed && !self.ship_sharded(uplink) {
+        if sharded_flushed && !self.ship_sharded(&mut up) {
             return false;
         }
         if self.needs_raw {
             self.batch.push(*ev);
-            if self.batch.len() >= self.batch_size && !uplink.send_batch(&mut self.batch) {
+            if self.batch.len() >= self.batch_size && !up.raw_batch(&mut self.batch) {
                 return false;
             }
         }
         if ev.ts >= self.next_watermark {
             self.next_watermark = (ev.ts / self.watermark_every + 1) * self.watermark_every;
-            if !self.send_watermark(ev.ts, uplink) {
+            if !self.send_watermark(ev.ts, &mut up) {
                 return false;
             }
         }
@@ -375,55 +480,27 @@ impl LocalWorker {
     /// `ep`s from the specs); unfixed merges are self-contained
     /// per-window slices whose ends and session gaps ship as-is, byte-
     /// compatible with a sequential child's unfixed slice stream.
-    fn ship_sharded(&mut self, uplink: &mut LinkSender) -> bool {
+    fn ship_sharded(&mut self, up: &mut Forward<'_>) -> bool {
         let Some(sharded) = &mut self.sharded else {
             return true;
         };
         sharded.drain_merged(&mut self.merged);
-        for (group, partial) in self.merged.drain(..) {
-            let Some(&gid) = self.sharded_gids.get(group) else {
-                continue;
-            };
-            if !uplink.send(&Message::Slice {
-                group: gid,
-                origin: self.id,
-                coverage: 1,
-                partial,
-            }) {
-                return false;
-            }
-        }
-        true
+        let gids = &self.sharded_gids;
+        self.merged
+            .drain(..)
+            .all(|(group, partial)| match gids.get(group) {
+                Some(&gid) => up.merged_slice(gid, partial),
+                None => true,
+            })
     }
 
-    fn send_watermark(&mut self, ts: Timestamp, uplink: &mut LinkSender) -> bool {
+    fn send_watermark(&mut self, ts: Timestamp, up: &mut Forward<'_>) -> bool {
         // A watermark also drives local slicers so idle streams still
         // deliver (possibly empty) slices for completed windows.
         for group in &mut self.groups {
-            match group {
-                LocalGroup::Slice(slicer, ship_ends) => {
-                    slicer.on_watermark(ts, &mut self.scratch);
-                    let gid = slicer.group().id;
-                    if !flush_slices(gid, self.id, *ship_ends, &mut self.scratch, uplink) {
-                        return false;
-                    }
-                }
-                LocalGroup::WindowPartials(slicer, assembler) => {
-                    slicer.on_watermark(ts, &mut self.scratch);
-                    for slice in self.scratch.drain(..) {
-                        let partials = assembler.on_slice(&slice);
-                        if !partials.is_empty()
-                            && !uplink.send(&Message::WindowPartials {
-                                origin: self.id,
-                                coverage: 1,
-                                partials,
-                            })
-                        {
-                            return false;
-                        }
-                    }
-                }
-                LocalGroup::Raw => {}
+            group.slicer.on_watermark(ts, &mut self.scratch);
+            if !group.ship(&mut self.scratch, up) {
+                return false;
             }
         }
         if let Some(sharded) = &mut self.sharded {
@@ -431,29 +508,20 @@ impl LocalWorker {
             // goes upstream, so the shipped slice stream is deterministic.
             sharded.on_watermark(ts);
         }
-        if self.sharded.is_some() && !self.ship_sharded(uplink) {
-            return false;
-        }
-        if self.needs_raw && !self.batch.is_empty() && !uplink.send_batch(&mut self.batch) {
-            return false;
-        }
-        uplink.send(&Message::Watermark(ts))
+        self.ship_sharded(up) && up.raw_batch(&mut self.batch) && up.watermark(ts)
     }
 
     /// Ends the stream: advances time by `horizon` to fire pending
     /// windows, flushes batches, and sends `Flush`.
     pub fn finish(&mut self, horizon: DurationMs, uplink: &mut LinkSender) -> bool {
-        let final_ts = self.last_ts + horizon;
-        if !self.send_watermark(final_ts, uplink) {
+        let mut up = self.forward(uplink);
+        if !self.send_watermark(self.last_ts + horizon, &mut up) {
             return false;
         }
         if let Some(sharded) = &mut self.sharded {
             sharded.finish();
         }
-        if self.sharded.is_some() && !self.ship_sharded(uplink) {
-            return false;
-        }
-        uplink.send(&Message::Flush)
+        self.ship_sharded(&mut up) && up.end()
     }
 
     /// Slicer metrics summed over groups (including sharded workers,
@@ -461,12 +529,7 @@ impl LocalWorker {
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
         for group in &self.groups {
-            match group {
-                LocalGroup::Slice(s, _) | LocalGroup::WindowPartials(s, _) => {
-                    m.absorb(s.metrics());
-                }
-                LocalGroup::Raw => {}
-            }
+            m.absorb(group.slicer.metrics());
         }
         if let Some(sharded) = &self.sharded {
             m.absorb(&sharded.metrics());
@@ -481,56 +544,198 @@ impl LocalWorker {
     }
 }
 
-fn flush_slices(
-    group: GroupId,
-    origin: NodeId,
-    ship_ends: bool,
-    scratch: &mut Vec<SealedSlice>,
-    uplink: &mut LinkSender,
-) -> bool {
-    for mut partial in scratch.drain(..) {
-        if !ship_ends {
-            // Fixed-window `ep`s are re-derived from the specs at the
-            // root; do not spend wire bytes on them.
-            partial.ends.clear();
+/// The child-facing half of every non-leaf node: per-child event-time
+/// progress, the mergers that fold the children's streams into one, and
+/// the only state machine over the five message kinds. What the mergers
+/// release goes to the node's [`Upstream`].
+#[derive(Debug)]
+struct Children {
+    clock: ChildClock,
+    /// Local streams a merged product must cover to be complete.
+    expected: u32,
+    aligned: BTreeMap<GroupId, AlignedSliceMerger>,
+    /// Disco merges per-window partials of all groups with one merger
+    /// (windows are identified by query + range).
+    partials: Option<WindowPartialMerger>,
+    /// Reorders the children's raw event streams into one
+    /// timestamp-ordered stream.
+    events: Option<EventMerger>,
+    /// The effective child watermark handed upstream so far.
+    applied: Timestamp,
+    ended: bool,
+    /// Checksum-valid messages this node had no route for.
+    unroutable: u64,
+    slice_scratch: Vec<SealedSlice>,
+    event_scratch: Vec<Event>,
+}
+
+impl Children {
+    fn new(
+        system: DistributedSystem,
+        groups: &[QueryGroup],
+        children: Vec<NodeId>,
+        expected: u32,
+    ) -> Self {
+        let mut this = Self {
+            clock: ChildClock::new(children),
+            expected,
+            aligned: BTreeMap::new(),
+            partials: None,
+            events: None,
+            applied: 0,
+            ended: false,
+            unroutable: 0,
+            slice_scratch: Vec::new(),
+            event_scratch: Vec::new(),
+        };
+        for g in groups {
+            this.add_group(system, g);
         }
-        if !uplink.send(&Message::Slice {
-            group,
-            origin,
-            coverage: 1,
-            partial,
-        }) {
-            return false;
+        if groups
+            .iter()
+            .any(|g| deployment(system, g) == GroupPlan::Partials)
+        {
+            this.partials = Some(WindowPartialMerger::new(&merge_groups(groups), expected));
+        }
+        this
+    }
+
+    fn add_group(&mut self, system: DistributedSystem, group: &QueryGroup) {
+        match deployment(system, group) {
+            GroupPlan::Aligned => {
+                let merger = AlignedSliceMerger::new(self.expected);
+                self.aligned.insert(group.id, merger);
+            }
+            GroupPlan::Raw | GroupPlan::Centralized => self.reorder_raw(),
+            GroupPlan::Unfixed | GroupPlan::Partials => {}
         }
     }
-    true
+
+    /// Makes this node reorder raw events. Each direct child delivers one
+    /// ordered raw stream (intermediates reorder their subtree).
+    fn reorder_raw(&mut self) {
+        let children = self.clock.children.len();
+        self.events
+            .get_or_insert_with(|| EventMerger::new(children));
+    }
+
+    fn install_tracing(&mut self, collector: &TraceCollector, node: NodeId) {
+        for merger in self.aligned.values_mut() {
+            merger.set_recorder(collector.recorder(node));
+        }
+    }
+
+    /// Handles one message from child `child`. A message the node has no
+    /// merger for — a child speaking another system's protocol — must
+    /// not bring the node down: it is dropped and counted.
+    fn on_message(&mut self, child: NodeId, msg: Message, up: &mut impl Upstream) -> bool {
+        match msg {
+            Message::Events(events) => {
+                match &mut self.events {
+                    Some(merger) => merger.on_events(child, events),
+                    None => self.unroutable += 1,
+                }
+                self.release_events(up)
+            }
+            Message::Slice {
+                group,
+                origin,
+                coverage,
+                partial,
+            } => match self.aligned.get_mut(&group) {
+                Some(merger) => {
+                    merger.on_slice(partial, coverage);
+                    merger.drain_ready(&mut self.slice_scratch);
+                    self.slice_scratch
+                        .drain(..)
+                        .all(|merged| up.merged_slice(group, merged))
+                }
+                None => up.child_slice(group, origin, coverage, partial),
+            },
+            Message::WindowPartials {
+                partials, coverage, ..
+            } => {
+                let Some(merger) = &mut self.partials else {
+                    self.unroutable += 1;
+                    return true;
+                };
+                let merged: Vec<WindowPartial> = partials
+                    .into_iter()
+                    .filter_map(|p| merger.on_partial(p, coverage))
+                    .collect();
+                merged.is_empty() || up.merged_partials(merged, merger)
+            }
+            Message::Watermark(ts) => {
+                self.clock.on_watermark(child, ts);
+                if let Some(merger) = &mut self.events {
+                    merger.on_watermark(child, ts);
+                }
+                self.release_events(up) && self.advance(up)
+            }
+            Message::Flush => {
+                self.clock.on_flush(child);
+                if let Some(merger) = &mut self.events {
+                    merger.on_flush(child);
+                }
+                self.release_events(up) && self.advance(up)
+            }
+        }
+    }
+
+    /// Hands raw events that became releasable upstream.
+    fn release_events(&mut self, up: &mut impl Upstream) -> bool {
+        let Some(merger) = &mut self.events else {
+            return true;
+        };
+        merger.drain_ready(&mut self.event_scratch);
+        self.event_scratch.is_empty() || up.events(&mut self.event_scratch)
+    }
+
+    /// Applies the effective child watermark once it moved: force-
+    /// completes aligned merges over idle streams, then tells upstream;
+    /// and tells upstream, once, when every child has flushed.
+    fn advance(&mut self, up: &mut impl Upstream) -> bool {
+        let effective = self.clock.effective();
+        if effective > self.applied {
+            self.applied = effective;
+            for (gid, merger) in &mut self.aligned {
+                merger.advance_watermark(effective);
+                merger.drain_ready(&mut self.slice_scratch);
+                let mut merged = self.slice_scratch.drain(..);
+                if !merged.all(|slice| up.merged_slice(*gid, slice)) {
+                    return false;
+                }
+            }
+            if !up.watermark(effective) {
+                return false;
+            }
+        }
+        if self.clock.all_flushed() && !self.ended {
+            self.ended = true;
+            return up.end();
+        }
+        true
+    }
+
+    /// Partials held back waiting for sibling streams.
+    fn pending(&self) -> usize {
+        let slices: usize = self.aligned.values().map(|m| m.pending_len()).sum();
+        slices + self.partials.as_ref().map_or(0, |m| m.pending_len())
+    }
+
+    fn unroutable(&self) -> u64 {
+        self.unroutable + self.partials.as_ref().map_or(0, |m| m.unroutable())
+    }
 }
 
-/// How an intermediate node treats one query-group's slices.
-#[derive(Debug)]
-enum IntermediateGroup {
-    /// Fixed-window slices merge by time range before forwarding.
-    Merge(AlignedSliceMerger),
-    /// Unfixed groups pass through; the root merges per child.
-    PassThrough,
-}
-
-/// An intermediate node: merges child partials, relays raw events.
+/// An intermediate node: merges child partials and forwards them upward;
+/// raw events are reordered into one stream.
 #[derive(Debug)]
 pub struct IntermediateWorker {
     id: NodeId,
     /// Covered local streams below this node.
     coverage: u32,
-    slice_groups: BTreeMap<GroupId, IntermediateGroup>,
-    window_merger: Option<WindowPartialMerger>,
-    /// Reorders raw event streams of the children so the uplink carries
-    /// one timestamp-ordered stream.
-    event_merger: EventMerger,
-    clock: ChildClock,
-    forwarded_watermark: Timestamp,
-    flush_forwarded: bool,
-    scratch: Vec<SealedSlice>,
-    event_scratch: Vec<Event>,
+    children: Children,
 }
 
 impl IntermediateWorker {
@@ -542,39 +747,14 @@ impl IntermediateWorker {
         coverage: u32,
         children: Vec<NodeId>,
     ) -> Self {
-        let mut slice_groups = BTreeMap::new();
-        let mut window_merger = None;
-        match system {
-            DistributedSystem::Desis => {
-                for g in groups {
-                    if g.execution != GroupExecution::RootRaw {
-                        let mode = if g.has_unfixed_windows() {
-                            IntermediateGroup::PassThrough
-                        } else {
-                            IntermediateGroup::Merge(AlignedSliceMerger::new(coverage))
-                        };
-                        slice_groups.insert(g.id, mode);
-                    }
-                }
-            }
-            DistributedSystem::Disco => {
-                // Disco merges per-window partials of all groups with one
-                // merger (windows are identified by query + range).
-                window_merger = Some(WindowPartialMerger::new(&merge_groups(groups), coverage));
-            }
-            DistributedSystem::Centralized(_) => {}
-        }
+        let mut children = Children::new(system, groups, children, coverage);
+        // Always, not only for the groups known now: a runtime-added
+        // raw-shipped group is never announced to intermediates.
+        children.reorder_raw();
         Self {
             id,
             coverage,
-            slice_groups,
-            window_merger,
-            event_merger: EventMerger::new(children.len()),
-            clock: ChildClock::new(children),
-            forwarded_watermark: 0,
-            flush_forwarded: false,
-            scratch: Vec::new(),
-            event_scratch: Vec::new(),
+            children,
         }
     }
 
@@ -582,216 +762,184 @@ impl IntermediateWorker {
     /// record `MergeStart`/`MergeDone` spans under the representative
     /// trace id of the first contributing child slice.
     pub fn install_tracing(&mut self, collector: &TraceCollector) {
-        for group in self.slice_groups.values_mut() {
-            if let IntermediateGroup::Merge(merger) = group {
-                merger.set_recorder(collector.recorder(self.id));
-            }
-        }
-    }
-
-    /// Forwards any raw events that became releasable.
-    fn forward_ready_events(&mut self, uplink: &mut LinkSender) -> bool {
-        self.event_merger.drain_ready(&mut self.event_scratch);
-        if self.event_scratch.is_empty() {
-            return true;
-        }
-        uplink.send(&Message::Events(std::mem::take(&mut self.event_scratch)))
+        self.children.install_tracing(collector, self.id);
     }
 
     /// Handles one message from child `child`; forwards upward as needed.
     /// Returns `false` if the uplink closed.
     pub fn on_message(&mut self, child: NodeId, msg: Message, uplink: &mut LinkSender) -> bool {
-        match msg {
-            Message::Events(events) => {
-                self.event_merger.on_events(child, events);
-                self.forward_ready_events(uplink)
-            }
-            Message::Slice {
-                group,
-                origin,
-                coverage,
-                partial,
-            } => match self.slice_groups.get_mut(&group) {
-                Some(IntermediateGroup::Merge(merger)) => {
-                    merger.on_slice(partial, coverage);
-                    merger.drain_ready(&mut self.scratch);
-                    let my_coverage = self.coverage;
-                    let my_id = self.id;
-                    for merged in self.scratch.drain(..) {
-                        if !uplink.send(&Message::Slice {
-                            group,
-                            origin: my_id,
-                            coverage: my_coverage,
-                            partial: merged,
-                        }) {
-                            return false;
-                        }
-                    }
-                    true
-                }
-                Some(IntermediateGroup::PassThrough) | None => uplink.send(&Message::Slice {
-                    group,
-                    origin,
-                    coverage,
-                    partial,
-                }),
-            },
-            Message::WindowPartials {
-                partials, coverage, ..
-            } => {
-                // Window partials are a Disco-only message; a child
-                // speaking the wrong protocol must not bring the node
-                // down, so the message is dropped.
-                let Some(merger) = self.window_merger.as_mut() else {
-                    return true;
-                };
-                let mut merged = Vec::new();
-                for p in partials {
-                    if let Some(done) = merger.on_partial(p, coverage) {
-                        merged.push(done);
-                    }
-                }
-                if merged.is_empty() {
-                    return true;
-                }
-                uplink.send(&Message::WindowPartials {
-                    origin: self.id,
-                    coverage: self.coverage,
-                    partials: merged,
-                })
-            }
-            Message::Watermark(ts) => {
-                self.clock.on_watermark(child, ts);
-                self.event_merger.on_watermark(child, ts);
-                if !self.forward_ready_events(uplink) {
-                    return false;
-                }
-                self.advance(uplink)
-            }
-            Message::Flush => {
-                self.clock.on_flush(child);
-                self.event_merger.on_flush(child);
-                if !self.forward_ready_events(uplink) {
-                    return false;
-                }
-                if !self.advance(uplink) {
-                    return false;
-                }
-                if self.clock.all_flushed() && !self.flush_forwarded {
-                    self.flush_forwarded = true;
-                    return uplink.send(&Message::Flush);
-                }
-                true
-            }
-        }
-    }
-
-    /// Applies the effective child watermark: force-completes merges over
-    /// idle streams and forwards the watermark.
-    fn advance(&mut self, uplink: &mut LinkSender) -> bool {
-        let effective = self.clock.effective();
-        if effective <= self.forwarded_watermark {
-            return true;
-        }
-        self.forwarded_watermark = effective;
-        let my_id = self.id;
-        let my_coverage = self.coverage;
-        for (gid, group) in self.slice_groups.iter_mut() {
-            if let IntermediateGroup::Merge(merger) = group {
-                merger.advance_watermark(effective);
-                merger.drain_ready(&mut self.scratch);
-                for merged in self.scratch.drain(..) {
-                    if !uplink.send(&Message::Slice {
-                        group: *gid,
-                        origin: my_id,
-                        coverage: my_coverage,
-                        partial: merged,
-                    }) {
-                        return false;
-                    }
-                }
-            }
-        }
-        uplink.send(&Message::Watermark(effective))
+        let mut up = Forward {
+            id: self.id,
+            coverage: self.coverage,
+            uplink,
+        };
+        self.children.on_message(child, msg, &mut up)
     }
 
     /// Whether every child has flushed.
     pub fn finished(&self) -> bool {
-        self.clock.all_flushed()
+        self.children.clock.all_flushed()
     }
 
     /// Partials currently held back waiting for sibling streams (the
     /// merge-stall depth reported to the metrics registry).
     pub fn pending_merges(&self) -> usize {
-        let slices: usize = self
-            .slice_groups
-            .values()
-            .map(|g| match g {
-                IntermediateGroup::Merge(m) => m.pending_len(),
-                IntermediateGroup::PassThrough => 0,
-            })
-            .sum();
-        slices + self.window_merger.as_ref().map_or(0, |m| m.pending_len())
+        self.children.pending()
+    }
+
+    /// Checksum-valid messages dropped for want of a route.
+    pub(crate) fn unroutable(&self) -> u64 {
+        self.children.unroutable()
     }
 }
 
 /// Merges multiple groups into one pseudo-group for per-query lookups
 /// across group boundaries (Disco's window merger).
 fn merge_groups(groups: &[QueryGroup]) -> QueryGroup {
-    let mut queries: Vec<Query> = Vec::new();
-    for g in groups {
-        for cq in &g.queries {
-            queries.push(cq.query.clone());
-        }
-    }
-    let members = queries.into_iter().map(|q| (q, 0)).collect();
+    let queries = groups.iter().flat_map(|g| &g.queries);
+    let members = queries.map(|cq| (cq.query.clone(), 0)).collect();
     QueryGroup::build(0, members, vec![desis_core::predicate::Predicate::True])
 }
 
-/// How the root treats one query-group.
+/// How the root terminates one query-group's merged stream.
+#[derive(Debug)]
 enum RootGroup {
-    /// Merge aligned slices, assemble windows by time range.
-    Aligned(AlignedSliceMerger, TimeAssembler),
-    /// Per-child merging for groups with session/user-defined windows.
-    Unfixed(UnfixedRootMerger),
-    /// Raw events re-sliced and assembled at the root (boxed: the raw
-    /// pipeline is much larger than the merge-only variants).
+    /// Assembles the aligned merger's slices by time range.
+    Aligned(TimeAssembler),
+    /// Per-origin merging for groups with session/user-defined windows
+    /// (boxed like `Raw`: both dwarf the assembler-only variant).
+    Unfixed(Box<UnfixedRootMerger>),
+    /// Raw events re-sliced and assembled at the root.
     Raw(Box<GroupSlicer>, Box<Assembler>),
 }
 
-impl std::fmt::Debug for RootGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let label = match self {
-            RootGroup::Aligned(..) => "Aligned",
-            RootGroup::Unfixed(..) => "Unfixed",
-            RootGroup::Raw(..) => "Raw",
+/// The root's end of the tree: assembles windows from what its
+/// [`Children`] release and collects the final results.
+struct Terminal {
+    groups: BTreeMap<GroupId, RootGroup>,
+    centralized: Option<Box<dyn Processor>>,
+    results: Vec<QueryResult>,
+    slice_scratch: Vec<SealedSlice>,
+    raw_events: u64,
+    /// Checksum-valid slices of groups the root cannot route.
+    unroutable: u64,
+}
+
+impl Terminal {
+    fn add_group(&mut self, system: DistributedSystem, g: &QueryGroup, n_leaves: usize) {
+        let group = match deployment(system, g) {
+            GroupPlan::Aligned => RootGroup::Aligned(TimeAssembler::new(g)),
+            GroupPlan::Unfixed => RootGroup::Unfixed(Box::new(UnfixedRootMerger::new(g, n_leaves))),
+            GroupPlan::Raw => RootGroup::Raw(
+                Box::new(GroupSlicer::new(g.clone())),
+                Box::new(Assembler::new(g)),
+            ),
+            // Merged by the shared window-partial merger / processed by
+            // the centralized engine: no per-group machinery.
+            GroupPlan::Partials | GroupPlan::Centralized => return,
         };
-        f.write_str(label)
+        self.groups.insert(g.id, group);
+    }
+}
+
+impl Upstream for Terminal {
+    fn events(&mut self, events: &mut Vec<Event>) -> bool {
+        self.raw_events += events.len() as u64;
+        for ev in events.drain(..) {
+            for group in self.groups.values_mut() {
+                if let RootGroup::Raw(slicer, assembler) = group {
+                    slicer.on_event(&ev, &mut self.slice_scratch);
+                    for slice in self.slice_scratch.drain(..) {
+                        assembler.on_slice(slice, &mut self.results);
+                    }
+                }
+            }
+            if let Some(p) = &mut self.centralized {
+                p.on_event(&ev);
+            }
+        }
+        if let Some(p) = &mut self.centralized {
+            self.results.extend(p.drain_results());
+        }
+        true
+    }
+
+    fn merged_slice(&mut self, group: GroupId, slice: SealedSlice) -> bool {
+        if let Some(RootGroup::Aligned(assembler)) = self.groups.get_mut(&group) {
+            assembler.on_slice(slice, &mut self.results);
+        }
+        true
+    }
+
+    fn child_slice(
+        &mut self,
+        group: GroupId,
+        origin: NodeId,
+        _: u32,
+        partial: SealedSlice,
+    ) -> bool {
+        match self.groups.get_mut(&group) {
+            Some(RootGroup::Unfixed(merger)) => merger.on_slice(origin, partial, &mut self.results),
+            // Input from outside the process: a slice of a group that is
+            // unknown here, or that the root re-slices from raw events.
+            _ => self.unroutable += 1,
+        }
+        true
+    }
+
+    fn merged_partials(
+        &mut self,
+        partials: Vec<WindowPartial>,
+        merger: &WindowPartialMerger,
+    ) -> bool {
+        for partial in &partials {
+            merger.finalize(partial, &mut self.results);
+        }
+        true
+    }
+
+    fn watermark(&mut self, ts: Timestamp) -> bool {
+        for group in self.groups.values_mut() {
+            match group {
+                RootGroup::Aligned(_) => {}
+                RootGroup::Unfixed(merger) => merger.on_watermark(ts, &mut self.results),
+                RootGroup::Raw(slicer, assembler) => {
+                    slicer.on_watermark(ts, &mut self.slice_scratch);
+                    for slice in self.slice_scratch.drain(..) {
+                        assembler.on_slice(slice, &mut self.results);
+                    }
+                }
+            }
+        }
+        if let Some(p) = &mut self.centralized {
+            p.on_watermark(ts);
+            self.results.extend(p.drain_results());
+        }
+        true
+    }
+
+    /// End of all streams: nothing can extend a pending session any more.
+    fn end(&mut self) -> bool {
+        for group in self.groups.values_mut() {
+            if let RootGroup::Unfixed(merger) = group {
+                merger.flush(&mut self.results);
+            }
+        }
+        true
     }
 }
 
 /// The root node: merges partials, terminates windows, emits results.
 pub struct RootWorker {
-    slice_groups: BTreeMap<GroupId, RootGroup>,
-    window_merger: Option<WindowPartialMerger>,
-    /// Raw events merged across children and fed to `Raw` groups or the
-    /// centralized processor.
-    event_merger: Option<EventMerger>,
-    centralized: Option<Box<dyn Processor>>,
-    results: Vec<QueryResult>,
-    clock: ChildClock,
-    applied_watermark: Timestamp,
-    flush_done: bool,
-    raw_scratch: Vec<Event>,
-    slice_scratch: Vec<SealedSlice>,
-    merged_scratch: Vec<SealedSlice>,
-    processed_raw_events: u64,
+    children: Children,
+    terminal: Terminal,
 }
 
 impl std::fmt::Debug for RootWorker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RootWorker")
-            .field("groups", &self.slice_groups)
+            .field("children", &self.children)
+            .field("groups", &self.terminal.groups)
             .finish_non_exhaustive()
     }
 }
@@ -806,50 +954,24 @@ impl RootWorker {
         n_leaves: usize,
         children: Vec<NodeId>,
     ) -> Result<Self, desis_core::DesisError> {
-        let mut slice_groups = BTreeMap::new();
-        let mut window_merger = None;
-        let mut event_merger = None;
-        let mut centralized = None;
-        match system {
-            DistributedSystem::Desis | DistributedSystem::Disco => {
-                let mut any_raw = false;
-                for g in groups {
-                    any_raw |= Self::register_group(&mut slice_groups, system, g, n_leaves);
-                }
-                if system == DistributedSystem::Disco
-                    && groups
-                        .iter()
-                        .any(|g| g.execution == GroupExecution::Decentralized)
-                {
-                    window_merger = Some(WindowPartialMerger::new(
-                        &merge_groups(groups),
-                        n_leaves as u32,
-                    ));
-                }
-                if any_raw {
-                    // Each direct child delivers one ordered raw stream
-                    // (intermediates reorder their subtree).
-                    event_merger = Some(EventMerger::new(children.len()));
-                }
-            }
-            DistributedSystem::Centralized(kind) => {
-                event_merger = Some(EventMerger::new(children.len()));
-                centralized = Some(kind.build(all_queries.to_vec())?);
-            }
-        }
-        Ok(Self {
-            slice_groups,
-            window_merger,
-            event_merger,
+        let centralized = match system {
+            DistributedSystem::Centralized(kind) => Some(kind.build(all_queries.to_vec())?),
+            DistributedSystem::Desis | DistributedSystem::Disco => None,
+        };
+        let mut terminal = Terminal {
+            groups: BTreeMap::new(),
             centralized,
             results: Vec::new(),
-            clock: ChildClock::new(children),
-            applied_watermark: 0,
-            flush_done: false,
-            raw_scratch: Vec::new(),
             slice_scratch: Vec::new(),
-            merged_scratch: Vec::new(),
-            processed_raw_events: 0,
+            raw_events: 0,
+            unroutable: 0,
+        };
+        for g in groups {
+            terminal.add_group(system, g, n_leaves);
+        }
+        Ok(Self {
+            children: Children::new(system, groups, children, n_leaves as u32),
+            terminal,
         })
     }
 
@@ -859,12 +981,10 @@ impl RootWorker {
     /// `ResultEmitted` spans. Window-partial and centralized paths carry
     /// no trace ids and stay untraced.
     pub fn install_tracing(&mut self, collector: &TraceCollector, node: NodeId) {
-        for group in self.slice_groups.values_mut() {
+        self.children.install_tracing(collector, node);
+        for group in self.terminal.groups.values_mut() {
             match group {
-                RootGroup::Aligned(merger, assembler) => {
-                    merger.set_recorder(collector.recorder(node));
-                    assembler.set_recorder(collector.recorder(node));
-                }
+                RootGroup::Aligned(assembler) => assembler.set_recorder(collector.recorder(node)),
                 RootGroup::Unfixed(merger) => merger.set_recorder(collector.recorder(node)),
                 RootGroup::Raw(slicer, assembler) => {
                     slicer.set_recorder(collector.recorder(node));
@@ -874,64 +994,18 @@ impl RootWorker {
         }
     }
 
-    /// Registers one group's root-side machinery; returns whether the
-    /// group needs the raw event stream.
-    fn register_group(
-        slice_groups: &mut BTreeMap<GroupId, RootGroup>,
-        system: DistributedSystem,
-        g: &QueryGroup,
-        n_leaves: usize,
-    ) -> bool {
-        match (system, g.execution) {
-            (_, GroupExecution::RootRaw)
-            | (DistributedSystem::Disco, GroupExecution::RootSorted) => {
-                slice_groups.insert(
-                    g.id,
-                    RootGroup::Raw(
-                        Box::new(GroupSlicer::new(g.clone())),
-                        Box::new(Assembler::new(g)),
-                    ),
-                );
-                true
-            }
-            (DistributedSystem::Disco, GroupExecution::Decentralized) => {
-                // Handled by the shared window-partial merger.
-                false
-            }
-            (DistributedSystem::Desis, _) => {
-                let mode = if g.has_unfixed_windows() {
-                    RootGroup::Unfixed(UnfixedRootMerger::new(g, n_leaves))
-                } else {
-                    RootGroup::Aligned(
-                        AlignedSliceMerger::new(n_leaves as u32),
-                        TimeAssembler::new(g),
-                    )
-                };
-                slice_groups.insert(g.id, mode);
-                false
-            }
-            (DistributedSystem::Centralized(_), _) => {
-                // Centralized roots run the engine directly and have no
-                // per-group machinery; registering is a no-op.
-                false
-            }
-        }
-    }
-
     /// Installs a new query-group at runtime (Section 3.2). The group must
     /// carry the same id the local nodes use.
     pub fn add_group(&mut self, system: DistributedSystem, group: &QueryGroup, n_leaves: usize) {
-        let needs_raw = Self::register_group(&mut self.slice_groups, system, group, n_leaves);
-        if needs_raw && self.event_merger.is_none() {
-            self.event_merger = Some(EventMerger::new(self.clock.children.len()));
-        }
+        self.children.add_group(system, group);
+        self.terminal.add_group(system, group, n_leaves);
     }
 
     /// Stops producing results for `query` (runtime removal, Section 3.2).
     pub fn remove_query(&mut self, query: desis_core::query::QueryId) {
-        for group in self.slice_groups.values_mut() {
+        for group in self.terminal.groups.values_mut() {
             match group {
-                RootGroup::Aligned(_, assembler) => {
+                RootGroup::Aligned(assembler) => {
                     assembler.remove_query(query);
                 }
                 RootGroup::Unfixed(merger) => {
@@ -947,167 +1021,43 @@ impl RootWorker {
 
     /// Handles one message from a direct child.
     pub fn on_message(&mut self, child: NodeId, msg: Message) {
-        match msg {
-            Message::Events(events) => {
-                if let Some(merger) = &mut self.event_merger {
-                    merger.on_events(child, events);
-                    self.pump_raw();
-                }
-            }
-            Message::Slice {
-                group,
-                origin,
-                coverage,
-                partial,
-            } => match self.slice_groups.get_mut(&group) {
-                Some(RootGroup::Aligned(merger, assembler)) => {
-                    merger.on_slice(partial, coverage);
-                    merger.drain_ready(&mut self.merged_scratch);
-                    for merged in self.merged_scratch.drain(..) {
-                        assembler.on_slice(merged, &mut self.results);
-                    }
-                }
-                Some(RootGroup::Unfixed(merger)) => {
-                    merger.on_slice(origin, partial, &mut self.results);
-                }
-                Some(RootGroup::Raw(..)) | None => {
-                    debug_assert!(false, "slice for raw/unknown group {group}");
-                }
-            },
-            Message::WindowPartials {
-                partials, coverage, ..
-            } => {
-                if let Some(merger) = &mut self.window_merger {
-                    for p in partials {
-                        if let Some(done) = merger.on_partial(p, coverage) {
-                            merger.finalize(&done, &mut self.results);
-                        }
-                    }
-                }
-            }
-            Message::Watermark(ts) => {
-                self.clock.on_watermark(child, ts);
-                if let Some(merger) = &mut self.event_merger {
-                    merger.on_watermark(child, ts);
-                    self.pump_raw();
-                }
-                self.advance();
-            }
-            Message::Flush => {
-                self.clock.on_flush(child);
-                if let Some(merger) = &mut self.event_merger {
-                    merger.on_flush(child);
-                    self.pump_raw();
-                }
-                self.advance();
-            }
-        }
-    }
-
-    /// Applies the effective watermark to mergers and raw pipelines.
-    fn advance(&mut self) {
-        let effective = self.clock.effective();
-        let all_flushed = self.clock.all_flushed();
-        let flushing = all_flushed && !self.flush_done;
-        if effective <= self.applied_watermark && !flushing {
-            return;
-        }
-        self.applied_watermark = self.applied_watermark.max(effective);
-        if flushing {
-            self.flush_done = true;
-        }
-        let all_flushed = flushing;
-        for group in self.slice_groups.values_mut() {
-            match group {
-                RootGroup::Aligned(merger, assembler) => {
-                    merger.advance_watermark(effective);
-                    merger.drain_ready(&mut self.merged_scratch);
-                    for merged in self.merged_scratch.drain(..) {
-                        assembler.on_slice(merged, &mut self.results);
-                    }
-                }
-                RootGroup::Raw(slicer, assembler) => {
-                    slicer.on_watermark(effective, &mut self.slice_scratch);
-                    for slice in self.slice_scratch.drain(..) {
-                        assembler.on_slice(slice, &mut self.results);
-                    }
-                }
-                RootGroup::Unfixed(merger) => {
-                    merger.on_watermark(effective, &mut self.results);
-                    if all_flushed {
-                        merger.flush(&mut self.results);
-                    }
-                }
-            }
-        }
-        if let Some(p) = &mut self.centralized {
-            p.on_watermark(effective);
-            self.results.extend(p.drain_results());
-        }
-    }
-
-    /// Releases reordered raw events into the raw pipelines.
-    fn pump_raw(&mut self) {
-        let Some(merger) = &mut self.event_merger else {
-            return;
-        };
-        merger.drain_ready(&mut self.raw_scratch);
-        if self.raw_scratch.is_empty() {
-            return;
-        }
-        self.processed_raw_events += self.raw_scratch.len() as u64;
-        for ev in self.raw_scratch.drain(..) {
-            for group in self.slice_groups.values_mut() {
-                if let RootGroup::Raw(slicer, assembler) = group {
-                    slicer.on_event(&ev, &mut self.slice_scratch);
-                    for slice in self.slice_scratch.drain(..) {
-                        assembler.on_slice(slice, &mut self.results);
-                    }
-                }
-            }
-            if let Some(p) = &mut self.centralized {
-                p.on_event(&ev);
-            }
-        }
-        if let Some(p) = &mut self.centralized {
-            self.results.extend(p.drain_results());
-        }
+        self.children.on_message(child, msg, &mut self.terminal);
     }
 
     /// Whether every child flushed.
     pub fn finished(&self) -> bool {
-        self.clock.all_flushed()
+        self.children.clock.all_flushed()
     }
 
     /// The event-time watermark the root has applied so far.
     pub fn watermark(&self) -> Timestamp {
-        self.applied_watermark
+        self.children.applied
     }
 
     /// Takes the results produced since the last drain.
     pub fn drain_results(&mut self) -> Vec<QueryResult> {
-        std::mem::take(&mut self.results)
+        std::mem::take(&mut self.terminal.results)
     }
 
     /// Events the root itself had to process raw (Figure 7d: the root is
     /// the bottleneck for non-decomposable functions).
     pub fn raw_events_processed(&self) -> u64 {
-        self.processed_raw_events
+        self.terminal.raw_events
     }
 
     /// Partials currently held back waiting for sibling streams (the
     /// merge-stall depth reported to the metrics registry).
     pub fn pending_merges(&self) -> usize {
-        let slices: usize = self
-            .slice_groups
-            .values()
-            .map(|g| match g {
-                RootGroup::Aligned(m, _) => m.pending_len(),
-                RootGroup::Unfixed(m) => m.pending_len(),
-                RootGroup::Raw(..) => 0,
-            })
-            .sum();
-        slices + self.window_merger.as_ref().map_or(0, |m| m.pending_len())
+        let unfixed = self.terminal.groups.values().map(|g| match g {
+            RootGroup::Unfixed(m) => m.pending_len(),
+            RootGroup::Aligned(_) | RootGroup::Raw(..) => 0,
+        });
+        self.children.pending() + unfixed.sum::<usize>()
+    }
+
+    /// Checksum-valid messages dropped for want of a route.
+    pub(crate) fn unroutable(&self) -> u64 {
+        self.children.unroutable() + self.terminal.unroutable
     }
 }
 
@@ -1119,19 +1069,13 @@ pub fn analyze_for(
     queries: Vec<Query>,
 ) -> Result<Vec<QueryGroup>, desis_core::DesisError> {
     use desis_core::engine::{Deployment, QueryAnalyzer, SharingPolicy};
-    let analyzer = match system {
-        DistributedSystem::Desis => {
-            QueryAnalyzer::new(SharingPolicy::Full, Deployment::Decentralized)
-        }
-        DistributedSystem::Disco => {
-            QueryAnalyzer::new(SharingPolicy::PerFunction, Deployment::Decentralized)
-        }
+    let (sharing, deployment) = match system {
+        DistributedSystem::Desis => (SharingPolicy::Full, Deployment::Decentralized),
+        DistributedSystem::Disco => (SharingPolicy::PerFunction, Deployment::Decentralized),
         // Centralized systems do their own analysis at the root.
-        DistributedSystem::Centralized(_) => {
-            QueryAnalyzer::new(SharingPolicy::Full, Deployment::Centralized)
-        }
+        DistributedSystem::Centralized(_) => (SharingPolicy::Full, Deployment::Centralized),
     };
-    analyzer.analyze(queries)
+    QueryAnalyzer::new(sharing, deployment).analyze(queries)
 }
 
 #[cfg(test)]

@@ -765,6 +765,120 @@ fn zero_selection_slice_frame_does_not_panic_a_session_root_group() {
     short_frame_then_honest_stream(query, vec![end]);
 }
 
+/// A checksum-valid slice frame can name a group the root never
+/// registered (or one it re-slices from raw events). The root used to
+/// hit `debug_assert!(false, "slice for raw/unknown group")` — a panic in
+/// every debug and test build, a silent drop in release. It is dropped
+/// and counted (`net.root.unroutable_msgs`), and the honest stream after
+/// it still produces its result.
+#[test]
+fn slice_frame_for_an_unknown_group_does_not_panic_the_root() {
+    use desis::core::engine::slice::SliceData;
+    use desis::net::node::{analyze_for, RootWorker};
+
+    let queries = vec![Query::new(
+        1,
+        WindowSpec::tumbling_time(1_000).unwrap(),
+        AggFunction::Sum,
+    )];
+    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
+    let group = groups[0].id;
+    let mut root =
+        RootWorker::new(DistributedSystem::Desis, &groups, &queries, 1, vec![1]).unwrap();
+
+    let hostile = Message::Slice {
+        group: 999,
+        origin: 1,
+        coverage: 1,
+        partial: SealedSlice {
+            id: 0,
+            start_ts: 0,
+            end_ts: 1_000,
+            data: SliceData::new(1),
+            ends: Vec::new(),
+            session_gaps: Vec::new(),
+            low_watermark: 0,
+            low_watermark_ts: 0,
+            trace: None,
+        },
+    };
+    let frame = CodecKind::Binary.encode(&hostile);
+    let decoded = CodecKind::Binary.decode(&frame).expect("frame is valid");
+    assert_eq!(decoded, hostile);
+    root.on_message(1, decoded);
+
+    let mut slicer = GroupSlicer::new(groups[0].clone());
+    let mut slices = Vec::new();
+    slicer.on_event(&Event::new(100, 7, 5.0), &mut slices);
+    slicer.on_watermark(2_000, &mut slices);
+    for partial in slices {
+        let msg = Message::Slice {
+            group,
+            origin: 1,
+            coverage: 1,
+            partial,
+        };
+        root.on_message(1, msg);
+    }
+    root.on_message(1, Message::Watermark(2_000));
+    root.on_message(1, Message::Flush);
+    let results = root.drain_results();
+    assert_eq!(results.len(), 1, "{results:?}");
+    assert_eq!(results[0].values, vec![Some(5.0)]);
+}
+
+/// A checksum-valid Disco frame can carry a window partial for a query
+/// nobody installed. `WindowPartialMerger::on_partial` used to pend and
+/// complete it, and `finalize` then hit `debug_assert!(false, "unknown
+/// query")`. The partial is rejected before it is pended; the honest
+/// partials after it still finalize.
+#[test]
+fn window_partial_for_an_unknown_query_does_not_panic_a_disco_root() {
+    use desis::net::node::{analyze_for, LocalWorker, RootWorker};
+
+    let queries = vec![Query::new(
+        1,
+        WindowSpec::tumbling_time(1_000).unwrap(),
+        AggFunction::Sum,
+    )];
+    let groups = analyze_for(DistributedSystem::Disco, queries.clone()).unwrap();
+    let mut root =
+        RootWorker::new(DistributedSystem::Disco, &groups, &queries, 1, vec![1]).unwrap();
+
+    let hostile = Message::WindowPartials {
+        origin: 1,
+        coverage: 1,
+        partials: vec![WindowPartial {
+            query: 77,
+            start_ts: 0,
+            end_ts: 1_000,
+            data: Vec::new(),
+        }],
+    };
+    let frame = CodecKind::Text.encode(&hostile);
+    let decoded = CodecKind::Text.decode(&frame).expect("frame is valid");
+    assert_eq!(decoded, hostile);
+    root.on_message(1, decoded);
+    assert!(root.drain_results().is_empty());
+
+    let mut local = LocalWorker::new(1, DistributedSystem::Disco, &groups, 64, 1_000);
+    let (mut tx, rx, _) = desis::net::link::link(CodecKind::Text, 64, None);
+    assert!(local.on_event(&Event::new(100, 7, 5.0), &mut tx));
+    assert!(local.finish(2_000, &mut tx));
+    drop(tx);
+    while let Some(msg) = rx.recv() {
+        root.on_message(1, msg.expect("clean frame"));
+    }
+    let results: Vec<_> = root
+        .drain_results()
+        .into_iter()
+        .filter(|r| r.values != vec![None])
+        .collect();
+    assert_eq!(results.len(), 1, "{results:?}");
+    assert_eq!(results[0].key, 7);
+    assert_eq!(results[0].values, vec![Some(5.0)]);
+}
+
 // ---------------------------------------------------------------------
 // Idle local in a mixed group.
 // ---------------------------------------------------------------------
