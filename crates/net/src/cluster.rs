@@ -1065,6 +1065,7 @@ mod tests {
         assert!(m.counters["net.root.msgs.slice"] > 0);
         assert!(m.counters["net.root.msgs.watermark"] > 0);
         assert_eq!(m.counters["net.root.decode_errors"], 0);
+        assert_eq!(m.counters["net.root.unroutable_msgs"], 0);
         // Local engine counters were published under the cluster prefix.
         assert_eq!(m.counters["cluster.local_engine.events"], report.events);
         // The latency histogram matches the sampled latency vector.

@@ -198,22 +198,17 @@ impl Source for TextSource<'_> {
 /// [`CodecError`] so the receiver can request a retransmit instead of
 /// silently aggregating garbage.
 ///
-/// Version 2 (still decoded for backward compatibility) had no sequence
-/// number and no checksum; version 2 added the optional slice trace-id
-/// field. Version 1 frames had no version field at all, so a version
-/// mismatch — like any other protocol violation — is a decode error.
+/// No other version decodes: version 2 had neither sequence number nor
+/// checksum and version 1 no version field at all, and nothing sends
+/// either any more, so a version mismatch — like any other protocol
+/// violation — is a decode error.
 pub const WIRE_VERSION: u8 = 3;
-
-/// The previous frame version, still accepted by [`CodecKind::decode`].
-/// Version 2 frames carry no sequence number, so children speaking v2 get
-/// the legacy failure semantics (first undecodable frame ⇒ lost).
-pub const WIRE_VERSION_V2: u8 = 2;
 
 /// A decoded wire frame: the message plus its reliability envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
-    /// Per-link sequence number; `None` for v2 frames and for v3 frames
-    /// sent without sequencing (e.g. standalone links outside a cluster).
+    /// Per-link sequence number; `None` for frames sent without
+    /// sequencing (e.g. standalone links outside a cluster).
     pub seq: Option<u64>,
     /// The decoded message body.
     pub msg: Message,
@@ -662,26 +657,6 @@ impl CodecKind {
         }
     }
 
-    /// Serializes a message in the legacy v2 framing (no sequence number,
-    /// no checksum). Kept for compatibility testing: [`Self::decode`]
-    /// still accepts v2 frames from older senders.
-    pub fn encode_v2(self, msg: &Message) -> Vec<u8> {
-        match self {
-            CodecKind::Binary => {
-                let mut sink = BinarySink(Vec::with_capacity(64));
-                sink.u8(WIRE_VERSION_V2);
-                put_message(&mut sink, msg);
-                sink.0
-            }
-            CodecKind::Text => {
-                let mut sink = TextSink(String::with_capacity(64));
-                sink.u8(WIRE_VERSION_V2);
-                put_message(&mut sink, msg);
-                sink.0.into_bytes()
-            }
-        }
-    }
-
     /// Parses a wire frame back into a message, discarding the envelope.
     ///
     /// Shorthand for [`Self::decode_framed`] when the caller does not
@@ -692,43 +667,40 @@ impl CodecKind {
 
     /// Parses a wire frame into its message plus reliability envelope.
     ///
-    /// Accepts the current v3 framing (sequence field + checksum) and the
-    /// legacy v2 framing (neither). A frame must contain exactly one
-    /// message: a failed checksum, trailing bytes after the decoded
-    /// message, or any field overrunning the buffer are protocol
-    /// violations and fail the decode — the cluster then enters recovery
-    /// for (or, for v2 children, loses) the sending child.
+    /// Accepts the v3 framing only (sequence field + checksum). A frame
+    /// must contain exactly one message: another version, a failed
+    /// checksum, trailing bytes after the decoded message, or any field
+    /// overrunning the buffer are protocol violations and fail the
+    /// decode — the cluster then enters recovery for the sending child.
     pub fn decode_framed(self, frame: &[u8]) -> Result<Frame> {
+        let check_version = |version: u8| match version {
+            WIRE_VERSION => Ok(()),
+            other => Err(CodecError(format!(
+                "unsupported frame version {other} (expected {WIRE_VERSION})"
+            ))),
+        };
+        let check_sum = |declared: u64, covered: &[u8]| match fnv1a64(covered) {
+            actual if actual == declared => Ok(()),
+            actual => Err(CodecError(format!(
+                "checksum mismatch: frame says {declared:#x}, computed {actual:#x}"
+            ))),
+        };
         match self {
             CodecKind::Binary => {
                 let version = *frame
                     .first()
                     .ok_or_else(|| CodecError("empty frame".into()))?;
-                let (seq, body) = match version {
-                    WIRE_VERSION => {
-                        if frame.len() < 1 + 8 {
-                            return Err(CodecError("v3 frame too short for checksum".into()));
-                        }
-                        let (payload, tail) = frame.split_at(frame.len() - 8);
-                        let declared = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-                        let actual = fnv1a64(payload);
-                        if declared != actual {
-                            return Err(CodecError(format!(
-                                "checksum mismatch: frame says {declared:#x}, computed {actual:#x}"
-                            )));
-                        }
-                        let mut src = BinarySource(&payload[1..]);
-                        let seq = get_seq(&mut src)?;
-                        (seq, src)
-                    }
-                    WIRE_VERSION_V2 => (None, BinarySource(&frame[1..])),
-                    other => {
-                        return Err(CodecError(format!(
-                            "unsupported frame version {other} (expected {WIRE_VERSION_V2} or {WIRE_VERSION})"
-                        )))
-                    }
-                };
-                let mut src = body;
+                check_version(version)?;
+                if frame.len() < 1 + 8 {
+                    return Err(CodecError("v3 frame too short for checksum".into()));
+                }
+                let (payload, tail) = frame.split_at(frame.len() - 8);
+                check_sum(
+                    u64::from_le_bytes(tail.try_into().expect("8 bytes")),
+                    payload,
+                )?;
+                let mut src = BinarySource(&payload[1..]);
+                let seq = get_seq(&mut src)?;
                 let msg = get_message(&mut src)?;
                 if !src.0.is_empty() {
                     return Err(CodecError(format!(
@@ -741,56 +713,32 @@ impl CodecKind {
             CodecKind::Text => {
                 let text = std::str::from_utf8(frame)
                     .map_err(|e| CodecError(format!("invalid utf-8: {e}")))?;
-                let version: u8 = {
-                    let field = text
-                        .split(';')
-                        .next()
-                        .ok_or_else(|| CodecError("empty frame".into()))?;
-                    field
-                        .parse()
-                        .map_err(|_| CodecError(format!("bad version field {field:?}")))?
+                let field = text
+                    .split(';')
+                    .next()
+                    .ok_or_else(|| CodecError("empty frame".into()))?;
+                let version = field
+                    .parse()
+                    .map_err(|_| CodecError(format!("bad version field {field:?}")))?;
+                check_version(version)?;
+                // The checksum is the last `;`-terminated field, covering
+                // every byte before it (trailer included in neither).
+                let trimmed = text
+                    .strip_suffix(';')
+                    .ok_or_else(|| CodecError("v3 text frame not ';'-terminated".into()))?;
+                let pos = trimmed
+                    .rfind(';')
+                    .ok_or_else(|| CodecError("v3 text frame missing checksum".into()))?;
+                let (body, chk_str) = (&text[..=pos], &trimmed[pos + 1..]);
+                let declared = chk_str
+                    .parse()
+                    .map_err(|_| CodecError(format!("bad checksum field {chk_str:?}")))?;
+                check_sum(declared, body.as_bytes())?;
+                let mut src = TextSource {
+                    fields: body.split(';'),
                 };
-                let (seq, mut src) = match version {
-                    WIRE_VERSION => {
-                        // The checksum is the last `;`-terminated field,
-                        // covering every byte before it (trailer included
-                        // in neither).
-                        let trimmed = text
-                            .strip_suffix(';')
-                            .ok_or_else(|| CodecError("v3 text frame not ';'-terminated".into()))?;
-                        let pos = trimmed
-                            .rfind(';')
-                            .ok_or_else(|| CodecError("v3 text frame missing checksum".into()))?;
-                        let (body, chk_str) = (&text[..=pos], &trimmed[pos + 1..]);
-                        let declared: u64 = chk_str
-                            .parse()
-                            .map_err(|_| CodecError(format!("bad checksum field {chk_str:?}")))?;
-                        let actual = fnv1a64(body.as_bytes());
-                        if declared != actual {
-                            return Err(CodecError(format!(
-                                "checksum mismatch: frame says {declared:#x}, computed {actual:#x}"
-                            )));
-                        }
-                        let mut src = TextSource {
-                            fields: body.split(';'),
-                        };
-                        let _version = src.u8()?;
-                        let seq = get_seq(&mut src)?;
-                        (seq, src)
-                    }
-                    WIRE_VERSION_V2 => {
-                        let mut src = TextSource {
-                            fields: text.split(';'),
-                        };
-                        let _version = src.u8()?;
-                        (None, src)
-                    }
-                    other => {
-                        return Err(CodecError(format!(
-                            "unsupported frame version {other} (expected {WIRE_VERSION_V2} or {WIRE_VERSION})"
-                        )))
-                    }
-                };
+                let _version = src.u8()?;
+                let seq = get_seq(&mut src)?;
                 let msg = get_message(&mut src)?;
                 // Every field is `;`-terminated, so splitting a complete
                 // frame leaves exactly one empty remainder.
@@ -1015,32 +963,47 @@ mod tests {
         doubled.extend_from_slice(&CodecKind::Binary.encode(&msg));
         assert!(CodecKind::Binary.decode(&doubled).is_err());
 
-        // v2 frames have no checksum: trailing garbage is caught by the
-        // exactly-one-message rule.
-        let mut v2 = CodecKind::Binary.encode_v2(&msg);
-        assert!(CodecKind::Binary.decode(&v2).is_ok());
-        v2.push(0x01);
-        let err = CodecKind::Binary.decode(&v2).unwrap_err();
+        // Garbage *inside* the checksummed payload passes the checksum
+        // and is caught by the exactly-one-message rule.
+        let mut sealed = CodecKind::Binary.encode(&msg);
+        sealed.truncate(sealed.len() - 8);
+        sealed.push(0x01);
+        let checksum = fnv1a64(&sealed);
+        sealed.extend_from_slice(&checksum.to_le_bytes());
+        let err = CodecKind::Binary.decode(&sealed).unwrap_err();
         assert!(err.0.contains("trailing"), "{err}");
 
-        let mut v2_text = CodecKind::Text.encode_v2(&msg);
-        assert!(CodecKind::Text.decode(&v2_text).is_ok());
-        v2_text.extend_from_slice(b"99;");
-        let err = CodecKind::Text.decode(&v2_text).unwrap_err();
+        let err = CodecKind::Text
+            .decode(&sealed_text(&format!("{WIRE_VERSION};0;4;42;99;")))
+            .unwrap_err();
         assert!(err.0.contains("trailing"), "{err}");
     }
 
+    /// A v3 text frame over `body` (every field up to the checksum).
+    fn sealed_text(body: &str) -> Vec<u8> {
+        format!("{body}{};", fnv1a64(body.as_bytes())).into_bytes()
+    }
+
     #[test]
-    fn v2_frames_still_decode() {
-        // Backward compatibility: a v2 sender's frames decode with no
-        // sequence number, taking the legacy failure semantics.
-        for codec in [CodecKind::Binary, CodecKind::Text] {
-            for msg in messages() {
-                let frame = codec.encode_v2(&msg);
-                let back = codec.decode_framed(&frame).expect("v2 decode");
-                assert_eq!(back.seq, None);
-                assert_eq!(back.msg, msg);
-            }
+    fn version_2_frames_are_rejected() {
+        // The framing before v3 — version field, message, nothing else —
+        // has no sender any more; without a checksum or a sequence number
+        // it would slip past corruption detection and the recovery
+        // protocol, so it no longer decodes.
+        for msg in messages() {
+            let mut binary = BinarySink(Vec::new());
+            binary.u8(2);
+            put_message(&mut binary, &msg);
+            let err = CodecKind::Binary.decode_framed(&binary.0).unwrap_err();
+            assert!(err.0.contains("unsupported frame version 2"), "{err}");
+
+            let mut text = TextSink(String::new());
+            text.u8(2);
+            put_message(&mut text, &msg);
+            let err = CodecKind::Text
+                .decode_framed(text.0.as_bytes())
+                .unwrap_err();
+            assert!(err.0.contains("unsupported frame version 2"), "{err}");
         }
     }
 
@@ -1083,11 +1046,12 @@ mod tests {
         }
     }
 
-    /// Builds a raw v2 binary slice frame whose delta-encoded `end_ts`
-    /// overflows `u64` when added to `start_ts`.
+    /// Builds an unsequenced binary slice frame, checksum valid, whose
+    /// delta-encoded `end_ts` overflows `u64` when added to `start_ts`.
     fn overflowing_slice_frame() -> Vec<u8> {
         let mut sink = BinarySink(Vec::new());
-        sink.u8(WIRE_VERSION_V2);
+        sink.u8(WIRE_VERSION);
+        sink.u8(0); // no sequence number
         sink.u8(super::TAG_SLICE);
         sink.vu64(0); // group
         sink.vu64(0); // origin
@@ -1095,6 +1059,8 @@ mod tests {
         sink.vu64(1); // slice id
         sink.vu64(u64::MAX); // start_ts
         sink.vu64(u64::MAX); // end_ts delta: start + delta overflows
+        let checksum = fnv1a64(&sink.0);
+        sink.0.extend_from_slice(&checksum.to_le_bytes());
         sink.0
     }
 
@@ -1102,26 +1068,16 @@ mod tests {
     fn overflowing_delta_fields_error_instead_of_panicking() {
         // Fuzz-style negative test: adversarial length/delta fields must
         // come back as CodecError, not arithmetic panics (debug builds)
-        // or wrapped garbage (release builds).
+        // or wrapped garbage (release builds). The checksum is valid, so
+        // the parser reaches the overflowing field.
         let err = CodecKind::Binary
             .decode(&overflowing_slice_frame())
             .unwrap_err();
         assert!(err.0.contains("overflow"), "{err}");
 
-        // The same frame in the v3 envelope (checksummed) also errors.
-        let mut body = overflowing_slice_frame();
-        body[0] = WIRE_VERSION;
-        // Insert the "no seq" flag after the version byte, then append a
-        // valid checksum so the parser reaches the overflowing field.
-        body.insert(1, 0);
-        let checksum = fnv1a64(&body);
-        body.extend_from_slice(&checksum.to_le_bytes());
-        let err = CodecKind::Binary.decode(&body).unwrap_err();
-        assert!(err.0.contains("overflow"), "{err}");
-
         // Text path: same fields rendered in decimal.
-        let text = format!("{WIRE_VERSION_V2};2;0;0;1;1;{max};{max};", max = u64::MAX);
-        let err = CodecKind::Text.decode(text.as_bytes()).unwrap_err();
+        let body = format!("{WIRE_VERSION};0;2;0;0;1;1;{max};{max};", max = u64::MAX);
+        let err = CodecKind::Text.decode(&sealed_text(&body)).unwrap_err();
         assert!(err.0.contains("overflow"), "{err}");
     }
 
@@ -1131,7 +1087,7 @@ mod tests {
         // never panic. Exercises the need()/checked-arithmetic guards.
         for codec in [CodecKind::Binary, CodecKind::Text] {
             for msg in messages() {
-                for frame in [codec.encode_seq(&msg, 3), codec.encode_v2(&msg)] {
+                for frame in [codec.encode_seq(&msg, 3), codec.encode(&msg)] {
                     for cut in 0..frame.len() {
                         let _ = codec.decode_framed(&frame[..cut]);
                     }

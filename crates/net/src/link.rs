@@ -345,7 +345,7 @@ impl LinkReceiver {
     }
 
     /// Whether this link has a control backchannel for retransmit
-    /// requests (raw test links and legacy peers do not).
+    /// requests (raw test links do not).
     pub(crate) fn can_nack(&self) -> bool {
         self.control.is_some()
     }
@@ -415,7 +415,7 @@ pub fn link_with_stats(
 
 /// Test helper: a receiver plus the raw frame sender feeding it, for
 /// injecting arbitrary (possibly corrupt) frames. Has no control
-/// backchannel, so it behaves like a legacy peer.
+/// backchannel, so one bad frame loses the child.
 #[cfg(test)]
 pub(crate) fn raw_link(codec: CodecKind, capacity: usize) -> (Sender<Vec<u8>>, LinkReceiver) {
     let (tx, rx) = crossbeam_channel::bounded(capacity);

@@ -340,3 +340,78 @@ fn child_clock_effective_semantics() {
     // All flushed: the maximum final watermark applies.
     assert_eq!(clock.effective(), 200);
 }
+
+/// Checksum-valid messages a node cannot route are dropped and counted;
+/// the one exception is a slice of a group an intermediate never heard
+/// of, which it forwards untouched (runtime-added groups rely on it).
+#[test]
+fn unroutable_messages_are_counted_and_unknown_slices_pass_intermediates() {
+    let queries = vec![Query::new(
+        1,
+        WindowSpec::tumbling_time(100).unwrap(),
+        AggFunction::Sum,
+    )];
+    let stray_slice = |group: GroupId| {
+        let mut slicer = GroupSlicer::new(
+            analyze_for(DistributedSystem::Desis, queries.clone())
+                .unwrap()
+                .remove(0),
+        );
+        let mut out = Vec::new();
+        slicer.on_event(&Event::new(0, 0, 1.0), &mut out);
+        slicer.on_watermark(100, &mut out);
+        Message::Slice {
+            group,
+            origin: 1,
+            coverage: 1,
+            partial: out.remove(0),
+        }
+    };
+    let stray_partials = |query| Message::WindowPartials {
+        origin: 1,
+        coverage: 1,
+        partials: vec![WindowPartial {
+            query,
+            start_ts: 0,
+            end_ts: 100,
+            data: Vec::new(),
+        }],
+    };
+
+    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
+    let mut root =
+        RootWorker::new(DistributedSystem::Desis, &groups, &queries, 1, vec![1]).unwrap();
+    root.on_message(1, stray_slice(999));
+    root.on_message(1, stray_partials(1));
+    root.on_message(1, Message::Events(vec![Event::new(0, 0, 1.0)]));
+    assert_eq!(root.unroutable(), 3);
+    assert!(root.drain_results().is_empty());
+
+    let (mut tx, rx, _) = link(CodecKind::Binary, 64, None);
+    let mut inter = IntermediateWorker::new(9, DistributedSystem::Desis, &groups, 1, vec![1]);
+    assert!(inter.on_message(1, stray_slice(999), &mut tx));
+    assert_eq!(inter.unroutable(), 0);
+    assert!(matches!(
+        rx.recv().unwrap().unwrap(),
+        Message::Slice {
+            group: 999,
+            origin: 1,
+            coverage: 1,
+            ..
+        }
+    ));
+    assert!(inter.on_message(1, stray_partials(1), &mut tx));
+    assert_eq!(inter.unroutable(), 1);
+
+    let groups = analyze_for(DistributedSystem::Disco, queries).unwrap();
+    let mut inter = IntermediateWorker::new(9, DistributedSystem::Disco, &groups, 1, vec![1]);
+    assert!(inter.on_message(1, stray_partials(77), &mut tx));
+    assert_eq!(inter.unroutable(), 1);
+    assert_eq!(inter.pending_merges(), 0, "rejected before it was pended");
+    assert!(inter.on_message(1, stray_partials(1), &mut tx));
+    assert_eq!(inter.unroutable(), 1);
+    assert!(matches!(
+        rx.recv().unwrap().unwrap(),
+        Message::WindowPartials { .. }
+    ));
+}

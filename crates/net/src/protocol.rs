@@ -59,9 +59,9 @@ pub struct ProtocolLimits {
 /// stand-ins).
 #[derive(Debug, Clone)]
 pub enum ProtoEvent<M> {
-    /// A frame decoded off the link. `seq` is `None` for legacy
-    /// (unsequenced) frames, which bypass gap handling. `flush` marks
-    /// the stream-terminating message.
+    /// A frame decoded off the link. `seq` is `None` for unsequenced
+    /// frames, which bypass gap handling. `flush` marks the
+    /// stream-terminating message.
     Frame {
         /// Sequence number, if the frame carried one.
         seq: Option<u64>,
@@ -121,7 +121,7 @@ pub enum Action<M> {
 pub struct ChildProtocol<M> {
     limits: ProtocolLimits,
     /// Whether the link has a control backchannel. Without one a gap or
-    /// corrupt frame is immediately unrecoverable (legacy semantics).
+    /// corrupt frame is immediately unrecoverable.
     can_nack: bool,
     health: Health,
     /// Next expected sequence number.
@@ -178,7 +178,7 @@ impl<M> ChildProtocol<M> {
             ProtoEvent::Frame { seq, msg, flush } => match seq {
                 Some(seq) => self.on_sequenced(seq, msg, flush),
                 None => {
-                    // Legacy frames bypass the protocol entirely.
+                    // Unsequenced frames bypass the protocol entirely.
                     let mut out = Vec::new();
                     self.deliver(msg, flush, &mut out);
                     out

@@ -46,10 +46,9 @@
 //! chaos runs are visible in the same Perfetto timeline as slice
 //! provenance.
 //!
-//! Frames without a sequence number (v2 peers, or v3 frames encoded
-//! without one) bypass all of this and keep the legacy semantics: one
-//! undecodable frame on a link without a control channel loses the child
-//! immediately.
+//! Frames encoded without a sequence number (standalone links outside a
+//! cluster) bypass all of this, and one undecodable frame on a link
+//! without a control channel loses the child immediately.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -291,8 +290,7 @@ struct Pump<'a, F: FnMut(NodeId, Message)> {
 /// this node from the cluster and inform users"). What changed from PR 1:
 /// a bad frame on a sequenced link with a control channel now triggers
 /// NACK/retransmit recovery instead of immediate loss; only links without
-/// a backchannel (legacy v2 peers, raw test channels) keep the old
-/// one-strike semantics.
+/// a backchannel (raw test channels) keep the old one-strike semantics.
 pub(crate) fn pump_children(
     receivers: &[(NodeId, LinkReceiver)],
     obs: &PumpObs,
@@ -739,13 +737,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_frames_bypass_the_protocol() {
+    fn unsequenced_frames_bypass_the_protocol() {
         let (raw_tx, rx) = crate::link::raw_link(CodecKind::Binary, 8);
         raw_tx
-            .send(CodecKind::Binary.encode_v2(&Message::Watermark(5)))
+            .send(CodecKind::Binary.encode(&Message::Watermark(5)))
             .unwrap();
         raw_tx
-            .send(CodecKind::Binary.encode_v2(&Message::Flush))
+            .send(CodecKind::Binary.encode(&Message::Flush))
             .unwrap();
         drop(raw_tx);
         let (_, obs) = test_obs();
