@@ -6,10 +6,11 @@
 //! token-tree/statement/chain layer in [`parse`]:
 //!
 //! * **no-panic** — the recovery/cluster hot paths and the engine must
-//!   not `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`, or
-//!   `unimplemented!` outside `#[cfg(test)]`. A lost child or a corrupt
-//!   frame must degrade through [`DesisError`]/lost-child reporting, not
-//!   take the process down.
+//!   not `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`,
+//!   `unimplemented!` or an unconditional `debug_assert!(false, ..)`
+//!   outside `#[cfg(test)]`. A lost child or a corrupt frame must degrade
+//!   through [`DesisError`]/lost-child reporting, not take the process
+//!   down.
 //! * **no-wallclock** — deterministic simulation paths (the engine, the
 //!   node state machines, fault injection, codecs) must not read
 //!   `Instant::now()` or `SystemTime`; wall-clock reads there make runs
@@ -530,6 +531,22 @@ fn rule_no_panic(
                 ),
             );
         }
+        // `debug_assert!(false, ..)` is `unreachable!` in every debug and
+        // test build; a `debug_assert!` on a condition stays legal.
+        let unconditional = toks.get(i + 2).is_some_and(|n| n.is_punct('('))
+            && toks.get(i + 3).is_some_and(|n| n.is_ident("false"))
+            && toks
+                .get(i + 4)
+                .is_some_and(|n| n.is_punct(',') || n.is_punct(')'));
+        if is_macro && t.text == "debug_assert" && unconditional {
+            push(
+                "no-panic",
+                t.line,
+                "debug_assert!(false) panics every debug and test build; \
+                 drop and count the input instead"
+                    .to_string(),
+            );
+        }
     }
 }
 
@@ -897,6 +914,19 @@ mod tests {
     }
 
     #[test]
+    fn unconditional_debug_assert_is_flagged_but_conditions_are_not() {
+        let src = "fn f(n: u64) {\n\
+                   debug_assert!(false, \"unknown group {n}\");\n\
+                   debug_assert!(false);\n\
+                   debug_assert!(n > 0, \"false\");\n\
+                   debug_assert!(false || n > 0);\n\
+                   }\n";
+        let v = findings("crates/net/src/node.rs", src);
+        assert_eq!(by_rule(&v).get("no-panic"), Some(&2));
+        assert_eq!((v[0].line, v[1].line), (2, 3));
+    }
+
+    #[test]
     fn wallclock_in_sim_path_is_flagged() {
         let src = "fn f() { let t = Instant::now(); }\n";
         let v = findings("crates/net/src/node.rs", src);
@@ -934,9 +964,10 @@ mod tests {
     /// path: both rules must cover the module, its shard/sharded/engine,
     /// handoff and cross-shard unfixed-merge (PR 6) submodules, the
     /// merge module every level of the tree shares (PR 13) with its
-    /// unfixed merger (PR 14), and the net-side facades over both —
-    /// which also see frames from outside the process and emit results,
-    /// so they are pinned in the hash-order scope too. A rename that
+    /// unfixed merger (PR 14), and the net-side facades over both with
+    /// the node workers that drive them (PR 15) — which also see frames
+    /// from outside the process and emit results, so they are pinned in
+    /// the hash-order scope too. A rename that
     /// silently drops any of them out of scope fails here.
     #[test]
     fn parallel_engine_is_in_no_panic_and_no_wallclock_scope() {
@@ -944,6 +975,7 @@ mod tests {
             "crates/core/src/engine/merge.rs",
             "crates/core/src/engine/merge/unfixed.rs",
             "crates/net/src/merge.rs",
+            "crates/net/src/node.rs",
             "crates/core/src/engine/parallel.rs",
             "crates/core/src/engine/parallel/engine.rs",
             "crates/core/src/engine/parallel/handoff.rs",

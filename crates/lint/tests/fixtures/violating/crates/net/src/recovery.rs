@@ -6,6 +6,8 @@ fn pump(frames: Option<u64>) -> u64 {
     if n + m == 0 {
         panic!("empty pump");
     }
+    debug_assert!(false, "pump state {n}");
+    debug_assert!(n > m, "a condition is fine");
     n
 }
 

@@ -1220,6 +1220,10 @@ mod runtime_reconfig_tests {
 
     /// Section 3.2: a query added mid-run produces results only from its
     /// installation onward; a drained removal finishes its open window.
+    /// With sharded locals the initial group runs on the shards and the
+    /// added one on the node's own event loop: results and every local's
+    /// uplink bytes must not depend on that. (An intermediate's bytes
+    /// depend on how its children's final watermarks interleave.)
     #[test]
     fn scripted_query_add_and_remove() {
         let queries = vec![Query::new(
@@ -1227,30 +1231,32 @@ mod runtime_reconfig_tests {
             WindowSpec::tumbling_time(1_000).unwrap(),
             AggFunction::Average,
         )];
-        let mut cfg = ClusterConfig::new(
-            DistributedSystem::Desis,
-            queries,
-            Topology::three_tier(1, 2),
-        );
-        cfg.script = vec![
-            (
-                3_000,
-                ClusterCommand::AddQuery(Query::new(
-                    2,
-                    WindowSpec::tumbling_time(500).unwrap(),
-                    AggFunction::Count,
-                )),
-            ),
-            (
-                7_000,
-                ClusterCommand::RemoveQuery {
-                    id: 2,
-                    immediate: false,
-                },
-            ),
-        ];
-        // 10 s of events on both locals.
-        let report = run_cluster(cfg, vec![feed(1_000, 10, 0), feed(1_000, 10, 5)]).unwrap();
+        let topology = Topology::three_tier(1, 2);
+        let run = |shards: usize| {
+            let mut cfg =
+                ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topology.clone());
+            cfg.shards = shards;
+            cfg.script = vec![
+                (
+                    3_000,
+                    ClusterCommand::AddQuery(Query::new(
+                        2,
+                        WindowSpec::tumbling_time(500).unwrap(),
+                        AggFunction::Count,
+                    )),
+                ),
+                (
+                    7_000,
+                    ClusterCommand::RemoveQuery {
+                        id: 2,
+                        immediate: false,
+                    },
+                ),
+            ];
+            // 10 s of events on both locals.
+            run_cluster(cfg, vec![feed(1_000, 10, 0), feed(1_000, 10, 5)]).unwrap()
+        };
+        let report = run(1);
         let q1: Vec<_> = report.results.iter().filter(|r| r.query == 1).collect();
         let q2: Vec<_> = report.results.iter().filter(|r| r.query == 2).collect();
         assert_eq!(q1.len(), 10, "query 1 runs for the whole stream");
@@ -1265,6 +1271,15 @@ mod runtime_reconfig_tests {
             .find(|r| r.window_start == 4_000)
             .expect("mid-run window");
         assert_eq!(full.values, vec![Some(100.0)]); // 2 locals x 50 events
+
+        let sharded = run(4);
+        assert_eq!(sharded.results, report.results);
+        for local in topology.nodes_with_role(NodeRole::Local) {
+            assert_eq!(
+                sharded.bytes_by_node[&local], report.bytes_by_node[&local],
+                "uplink bytes of local {local}"
+            );
+        }
     }
 
     /// Scripts are rejected for systems that cannot reconfigure at
