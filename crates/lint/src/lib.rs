@@ -533,12 +533,14 @@ fn rule_no_panic(
         }
         // `debug_assert!(false, ..)` is `unreachable!` in every debug and
         // test build; a `debug_assert!` on a condition stays legal.
-        let unconditional = toks.get(i + 2).is_some_and(|n| n.is_punct('('))
+        if is_macro
+            && t.text == "debug_assert"
+            && toks.get(i + 2).is_some_and(|n| n.is_punct('('))
             && toks.get(i + 3).is_some_and(|n| n.is_ident("false"))
             && toks
                 .get(i + 4)
-                .is_some_and(|n| n.is_punct(',') || n.is_punct(')'));
-        if is_macro && t.text == "debug_assert" && unconditional {
+                .is_some_and(|n| n.is_punct(',') || n.is_punct(')'))
+        {
             push(
                 "no-panic",
                 t.line,

@@ -680,8 +680,9 @@ fn unfixed_root_merge_is_run_twice_identical() {
 /// with `get`: the frame is an empty contribution, not an
 /// index-out-of-bounds panic, and honest slices after it still produce
 /// their results. Drives `RootWorker::on_message` with such a frame
-/// (carrying `ends`) for the one-query group of `query`.
-fn short_frame_then_honest_stream(query: Query, ends: Vec<WindowEnd>) {
+/// (carrying `ends`) for the one-query group of `query` — or, with
+/// `stray_group`, for a group id the root never registered.
+fn short_frame_then_honest_stream(query: Query, ends: Vec<WindowEnd>, stray_group: Option<u32>) {
     use desis::core::engine::slice::SliceData;
     use desis::net::node::{analyze_for, RootWorker};
 
@@ -693,7 +694,7 @@ fn short_frame_then_honest_stream(query: Query, ends: Vec<WindowEnd>) {
         RootWorker::new(DistributedSystem::Desis, &groups, &queries, 1, vec![1]).unwrap();
 
     let hostile = Message::Slice {
-        group,
+        group: stray_group.unwrap_or(group),
         origin: 1,
         coverage: 1,
         partial: SealedSlice {
@@ -747,7 +748,7 @@ fn zero_selection_slice_frame_does_not_panic_an_aligned_root_group() {
         WindowSpec::tumbling_time(1_000).unwrap(),
         AggFunction::Sum,
     );
-    short_frame_then_honest_stream(query, Vec::new());
+    short_frame_then_honest_stream(query, Vec::new(), None);
 }
 
 /// Session group (`UnfixedRootMerger`): the zero-selection slice claims
@@ -762,7 +763,7 @@ fn zero_selection_slice_frame_does_not_panic_a_session_root_group() {
         start_ts: 0,
         end_ts: 1_000,
     };
-    short_frame_then_honest_stream(query, vec![end]);
+    short_frame_then_honest_stream(query, vec![end], None);
 }
 
 /// A checksum-valid slice frame can name a group the root never
@@ -773,58 +774,12 @@ fn zero_selection_slice_frame_does_not_panic_a_session_root_group() {
 /// it still produces its result.
 #[test]
 fn slice_frame_for_an_unknown_group_does_not_panic_the_root() {
-    use desis::core::engine::slice::SliceData;
-    use desis::net::node::{analyze_for, RootWorker};
-
-    let queries = vec![Query::new(
+    let query = Query::new(
         1,
         WindowSpec::tumbling_time(1_000).unwrap(),
         AggFunction::Sum,
-    )];
-    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
-    let group = groups[0].id;
-    let mut root =
-        RootWorker::new(DistributedSystem::Desis, &groups, &queries, 1, vec![1]).unwrap();
-
-    let hostile = Message::Slice {
-        group: 999,
-        origin: 1,
-        coverage: 1,
-        partial: SealedSlice {
-            id: 0,
-            start_ts: 0,
-            end_ts: 1_000,
-            data: SliceData::new(1),
-            ends: Vec::new(),
-            session_gaps: Vec::new(),
-            low_watermark: 0,
-            low_watermark_ts: 0,
-            trace: None,
-        },
-    };
-    let frame = CodecKind::Binary.encode(&hostile);
-    let decoded = CodecKind::Binary.decode(&frame).expect("frame is valid");
-    assert_eq!(decoded, hostile);
-    root.on_message(1, decoded);
-
-    let mut slicer = GroupSlicer::new(groups[0].clone());
-    let mut slices = Vec::new();
-    slicer.on_event(&Event::new(100, 7, 5.0), &mut slices);
-    slicer.on_watermark(2_000, &mut slices);
-    for partial in slices {
-        let msg = Message::Slice {
-            group,
-            origin: 1,
-            coverage: 1,
-            partial,
-        };
-        root.on_message(1, msg);
-    }
-    root.on_message(1, Message::Watermark(2_000));
-    root.on_message(1, Message::Flush);
-    let results = root.drain_results();
-    assert_eq!(results.len(), 1, "{results:?}");
-    assert_eq!(results[0].values, vec![Some(5.0)]);
+    );
+    short_frame_then_honest_stream(query, Vec::new(), Some(999));
 }
 
 /// A checksum-valid Disco frame can carry a window partial for a query
