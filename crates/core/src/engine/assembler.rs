@@ -13,9 +13,7 @@ use std::time::Instant;
 use rustc_hash::FxHashMap;
 
 use crate::engine::group::QueryGroup;
-use crate::engine::merge::{
-    finalize_sorted, query_infos, QueryInfo, RangeCache, SliceRange, SliceStore,
-};
+use crate::engine::merge::{finalize_sorted, query_infos, QueryInfo, SliceRange, SliceStore};
 use crate::engine::slice::{SealedSlice, WindowEnd};
 use crate::obs::trace::{SpanKind, TraceRecorder};
 use crate::obs::{LogHistogram, MetricsRegistry};
@@ -29,8 +27,6 @@ pub struct Assembler {
     /// Number of results emitted (paper: result materialization dominates
     /// beyond 10k queries, Figure 13a).
     results_emitted: u64,
-    /// Slice-partial merge operations performed while assembling windows.
-    merges: u64,
     /// Observability registry receiving per-query result latencies.
     registry: Arc<MetricsRegistry>,
     /// Cached per-query latency histogram handles
@@ -52,7 +48,6 @@ impl Assembler {
             queries: query_infos(group).collect(),
             store: SliceStore::default(),
             results_emitted: 0,
-            merges: 0,
             registry,
             latency: FxHashMap::default(),
             tracer: None,
@@ -70,6 +65,12 @@ impl Assembler {
         self.store.len()
     }
 
+    /// Bundles held by the store's suffix caches
+    /// ([`SliceStore::cached_bundles`]).
+    pub fn cached_bundles(&self) -> usize {
+        self.store.cached_bundles()
+    }
+
     /// Total results emitted so far.
     pub fn results_emitted(&self) -> u64 {
         self.results_emitted
@@ -77,7 +78,7 @@ impl Assembler {
 
     /// Total slice-partial merge operations performed so far.
     pub fn merges(&self) -> u64 {
-        self.merges
+        self.store.merges()
     }
 
     /// The registry receiving this assembler's latency histograms.
@@ -96,17 +97,16 @@ impl Assembler {
     ///
     /// Windows of different queries frequently cover the *same* slice
     /// range (e.g. a thousand equal-length tumbling windows with different
-    /// functions, Figure 9c); their merged partials are computed once per
-    /// distinct `(selection, range)` and shared across queries.
+    /// functions, Figure 9c); the store merges each distinct
+    /// `(selection, range)` once and shares it across queries.
     pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
         let low = slice.low_watermark;
         let trace = slice.trace;
         self.store
             .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
-        let mut cache = RangeCache::default();
         for end in &slice.ends {
             let before = out.len();
-            self.assemble_cached(end, &mut cache, out);
+            self.assemble(end, out);
             if let (Some(rec), Some(id)) = (&mut self.tracer, trace) {
                 if out.len() > before {
                     rec.record(id, SpanKind::WindowAssembled);
@@ -119,24 +119,16 @@ impl Assembler {
 
     /// Merges the partial results of `end`'s slice range and finalizes the
     /// query's functions per key.
-    fn assemble_cached(
-        &mut self,
-        end: &WindowEnd,
-        cache: &mut RangeCache,
-        out: &mut Vec<QueryResult>,
-    ) {
+    fn assemble(&mut self, end: &WindowEnd, out: &mut Vec<QueryResult>) {
         // Unknown ids are tolerated: in-flight ends of queries removed at
         // runtime (Section 3.2) may still arrive.
         let Some(info) = self.queries.get(&end.query) else {
             return;
         };
         let started = Instant::now();
-        let merged = self.store.merged_range(
-            SliceRange::Ids(end.first_slice, end.last_slice),
-            info.selection,
-            cache,
-            &mut self.merges,
-        );
+        let merged = self
+            .store
+            .merged_range(SliceRange::Ids(end.first_slice, end.last_slice), info);
         let before = out.len();
         finalize_sorted(
             end.query,
@@ -147,22 +139,12 @@ impl Assembler {
             out,
         );
         self.results_emitted += (out.len() - before) as u64;
-        self.latency_histogram(end.query)
-            .record_secs(started.elapsed().as_secs_f64());
-    }
-
-    /// The result-latency histogram of one query, created on first use.
-    fn latency_histogram(&mut self, query: QueryId) -> Arc<LogHistogram> {
-        match self.latency.get(&query) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = self
-                    .registry
-                    .histogram(&crate::obs::names::engine_result_latency_us(query));
-                self.latency.insert(query, Arc::clone(&h));
-                h
-            }
-        }
+        // The handle is created on first use and borrowed afterwards.
+        let registry = &self.registry;
+        let latency = self.latency.entry(end.query).or_insert_with(|| {
+            registry.histogram(&crate::obs::names::engine_result_latency_us(end.query))
+        });
+        latency.record_secs(started.elapsed().as_secs_f64());
     }
 }
 

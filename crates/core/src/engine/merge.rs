@@ -23,6 +23,11 @@
 //!   [`finalize_sorted`], [`record_assembly`] — which every assembler and
 //!   merger in the workspace calls instead of carrying its own range
 //!   scan, per-key merge, sorted emission or front-gc loop.
+//!   [`SliceStore::merged_range`] is the one place a window's partial is
+//!   put together, so its memos — merged ranges of the current slice
+//!   end, and two-stack suffix aggregates that make heavily overlapping
+//!   windows O(1) merges per slice end — serve the sequential engine,
+//!   the sharded collector and the cluster root alike.
 //!
 //! Slices also arrive in frames from outside the process and may declare
 //! fewer selections than their group has: the kernel reads selections
@@ -31,17 +36,18 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use rustc_hash::FxHashMap;
 
-use crate::aggregate::{AggFunction, OperatorBundle};
-use crate::engine::group::QueryGroup;
+use crate::aggregate::{AggFunction, OperatorBundle, OperatorKind};
+use crate::engine::group::{QueryGroup, Selection};
 use crate::engine::slice::{SealedSlice, SliceData, SliceId};
 use crate::event::Key;
 use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::query::{QueryId, QueryResult};
 use crate::time::Timestamp;
-use crate::window::WindowSpec;
+use crate::window::{Measure, WindowKind, WindowSpec};
 
 mod unfixed;
 
@@ -63,15 +69,52 @@ pub struct QueryInfo {
     pub functions: Vec<AggFunction>,
     /// The query's window.
     pub window: WindowSpec,
+    /// Whether the selection's partials are constant-size: its operator
+    /// set holds no non-decomposable sort.
+    pub constant_size: bool,
+}
+
+/// How many of its own steps a window must span before its slices are
+/// worth a [`SuffixCache`]. Per slice a window advances, the cache pays a
+/// fold into `back`, its share of the next flip (a map clone and a
+/// merge) and, per answer, another clone and merge — about four merges'
+/// worth, against one merge per covered slice for the scan — so it
+/// breaks even near `length = 4 × step` and pays off well above. Measured
+/// on a root holding 800 such queries over 58 lengths, caching from 1,
+/// 4, 8 and 16 steps moved CPU per event +10 %, +9 %, +7 % and +2 %
+/// (mostly one cache per query, each a window's worth of maps); on four
+/// queries of 20 and 40 steps it halves it.
+const CACHED_FROM_STEPS: u64 = 16;
+
+impl QueryInfo {
+    /// Key of the [`SuffixCache`] this query's windows assemble from:
+    /// fixed windows spanning at least [`CACHED_FROM_STEPS`] of their
+    /// steps, over constant-size partials. Suffix aggregates of
+    /// sorted-value partials would hold O(window²) values per key, and
+    /// windows that overlap little or not at all merge every slice about
+    /// once already, so both keep the range scan.
+    fn cache_key(&self) -> Option<CacheKey> {
+        match self.window.kind {
+            WindowKind::Sliding { length, step }
+                if self.constant_size && step.saturating_mul(CACHED_FROM_STEPS) <= length =>
+            {
+                Some((self.selection, self.window.measure, length))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The member queries of `group`, in group order.
 pub fn query_infos(group: &QueryGroup) -> impl Iterator<Item = (QueryId, QueryInfo)> + '_ {
     group.queries.iter().map(|cq| {
+        let selection = cq.selection as usize;
+        let sorts = |s: &Selection| s.operators.contains(OperatorKind::NonDecomposableSort);
         let info = QueryInfo {
-            selection: cq.selection as usize,
+            selection,
             functions: cq.query.functions.clone(),
             window: cq.query.window,
+            constant_size: group.selections.get(selection).is_some_and(|s| !sorts(s)),
         };
         (cq.query.id, info)
     })
@@ -139,9 +182,11 @@ pub fn finalize_sorted(
     end_ts: Timestamp,
     out: &mut Vec<QueryResult>,
 ) {
-    // Bare keys are sorted and each looked up again by index: sorting
-    // (key, &bundle) pairs, or `get` in place of the index, each measured
-    // ~10% slower end to end on a 256-key sliding workload.
+    // Bare keys are sorted and each looked up again. Re-measured under
+    // the suffix caches (256 keys, four sliding queries): sorting
+    // (key, &bundle) pairs instead takes 40 µs against 27 µs per slice
+    // end for this loop alone, 28 against 27 inside the assembler, and
+    // moves nothing end to end.
     let mut keys: Vec<Key> = merged.keys().copied().collect();
     keys.sort_unstable();
     for key in keys {
@@ -184,11 +229,14 @@ pub enum SliceRange {
     Span(Timestamp, Timestamp),
 }
 
-/// Memo of merged ranges, valid while the store is unchanged: windows of
-/// different queries often cover the same `(selection, range)` (a
-/// thousand equal-length tumbling windows with different functions,
-/// Figure 9c), which is then merged once.
-pub type RangeCache = FxHashMap<(usize, SliceRange), KeyedBundles>;
+impl SliceRange {
+    fn covers(self, stored: &StoredSlice) -> bool {
+        match self {
+            SliceRange::Ids(first, last) => stored.id >= first && stored.id <= last,
+            SliceRange::Span(start, end) => stored.start_ts >= start && stored.end_ts <= end,
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct StoredSlice {
@@ -198,16 +246,177 @@ struct StoredSlice {
     data: SliceData,
 }
 
+/// The range scan: folds selection `sel` of the slices `range` covers —
+/// the located `run`, or every slice passing the test when the store is
+/// not ordered — into `dst`.
+fn scan(
+    slices: &VecDeque<StoredSlice>,
+    run: Option<Range<usize>>,
+    range: SliceRange,
+    sel: usize,
+    dst: &mut KeyedBundles,
+) -> u64 {
+    let fold = |stored: &StoredSlice| {
+        let map = stored.data.per_selection.get(sel);
+        map.map_or(0, |map| merge_keyed(dst, map))
+    };
+    match run {
+        Some(run) => slices.range(run).map(fold).sum(),
+        None => slices.iter().filter(|s| range.covers(s)).map(fold).sum(),
+    }
+}
+
+/// Two-stack aggregate (*In-Order Sliding-Window Aggregation in
+/// Worst-Case Constant Time*) over the slices of one `(selection, window
+/// length)`, built from [`merge_keyed`] alone: no inverse, so no float
+/// drift and no special case for Min/Max/Product.
+///
+/// Slices are named by store sequence number. The cache covers
+/// `lo..hi`: `front` holds suffix aggregates of `lo..mid`, `back` the
+/// running aggregate of `mid..hi`; a window `lo..hi` is `front.last() ∘
+/// back`. It is purely a memo over the store — any request it cannot
+/// advance to rebuilds it from the retained slices ([`Self::answer`]).
+#[derive(Debug, Clone)]
+struct SuffixCache {
+    key: CacheKey,
+    /// `front[i]` aggregates slices `mid - 1 - i .. mid`.
+    front: Vec<KeyedBundles>,
+    back: KeyedBundles,
+    lo: u64,
+    mid: u64,
+    hi: u64,
+    /// `front.last() ∘ back` for the current `lo..hi`, shared by every
+    /// query on this key until either bound moves.
+    merged: Option<KeyedBundles>,
+}
+
+/// `(selection, measure, window length)`: windows agreeing on it cover
+/// the same slices whenever they end together.
+type CacheKey = (usize, Measure, u64);
+
+impl SuffixCache {
+    fn new(key: CacheKey) -> Self {
+        Self {
+            key,
+            front: Vec::new(),
+            back: KeyedBundles::default(),
+            lo: 0,
+            mid: 0,
+            hi: 0,
+            merged: None,
+        }
+    }
+
+    /// The merged partial of slices `a..b`, where `b` is one past the
+    /// newest slice and `slices[0]` has sequence number `base`. Windows
+    /// arriving in end order evict from `front` and fold into `back`;
+    /// anything else (first use, `front` exhausted, a start that moved
+    /// backwards) *flips*: one pass over `a..b` rebuilding the suffix
+    /// aggregates — the cost of one [`SliceStore::merge_range`].
+    fn answer(
+        &mut self,
+        slices: &VecDeque<StoredSlice>,
+        base: u64,
+        (a, b): (u64, u64),
+        merges: &mut u64,
+    ) -> &KeyedBundles {
+        let sel = self.key.0;
+        let part = |seq: u64| {
+            let stored = slices.get((seq - base) as usize)?;
+            stored.data.per_selection.get(sel)
+        };
+        if (a, b) != (self.lo, self.hi) {
+            self.merged = None;
+        }
+        if self.lo <= a && a < self.mid && self.hi <= b {
+            self.front.truncate((self.mid - a) as usize);
+            for map in (self.hi..b).filter_map(part) {
+                *merges += merge_keyed(&mut self.back, map);
+            }
+        } else {
+            self.front.clear();
+            self.back.clear();
+            for seq in (a..b).rev() {
+                let mut suffix = self.front.last().cloned().unwrap_or_default();
+                if let Some(map) = part(seq) {
+                    *merges += merge_keyed(&mut suffix, map);
+                }
+                self.front.push(suffix);
+            }
+            self.mid = b;
+        }
+        (self.lo, self.hi) = (a, b);
+        match self.front.last() {
+            Some(top) if self.back.is_empty() => top,
+            Some(top) => self.merged.get_or_insert_with(|| {
+                let mut merged = top.clone();
+                *merges += merge_keyed(&mut merged, &self.back);
+                merged
+            }),
+            None => &self.back,
+        }
+    }
+
+    /// Forgets slices below sequence number `low` (gc'd from the store).
+    /// Returns `false` once nothing under `front` is left: no request
+    /// can be advanced to, so the cache is dropped.
+    fn retain_from(&mut self, low: u64) -> bool {
+        if self.lo < low && low < self.mid {
+            self.front.truncate((self.mid - low) as usize);
+            self.lo = low;
+            self.merged = None;
+        }
+        low < self.mid
+    }
+
+    fn bundles(&self) -> usize {
+        let front: usize = self.front.iter().map(KeyedBundles::len).sum();
+        front + self.back.len() + self.merged.as_ref().map_or(0, KeyedBundles::len)
+    }
+}
+
 /// Slice partials of one source, retained in arrival order until no
-/// window can reference them.
+/// window can reference them, plus two memos over them: merged ranges of
+/// the current slice end, and per `(selection, length)` of heavily
+/// overlapping windows a two-stack suffix cache that survives from one
+/// slice end to the next.
+///
+/// Retained state: the slices themselves, and per suffix cache at most
+/// one keyed map per slice of its window plus two — the order of the
+/// store's own contents ([`SliceStore::cached_bundles`]).
 #[derive(Debug, Clone, Default)]
 pub struct SliceStore {
     slices: VecDeque<StoredSlice>,
+    /// Slices gc'd so far: `slices[i]` has sequence number `base + i`.
+    base: u64,
+    /// Sequence number of the newest slice that broke order against its
+    /// predecessor (ids not consecutive, or a start or end running
+    /// backwards: frames from outside the process). Ranges are located
+    /// by index once that predecessor is gone.
+    disorder: u64,
+    /// Ranges merged by scan since the store last changed: windows of
+    /// different queries often cover the same `(selection, range)` (a
+    /// thousand equal-length tumbling windows with different functions,
+    /// Figure 9c), which is then merged once.
+    scanned: FxHashMap<(usize, SliceRange), KeyedBundles>,
+    caches: Vec<SuffixCache>,
+    merges: u64,
+    /// What a range without data for the selection borrows.
+    empty: KeyedBundles,
 }
 
 impl SliceStore {
     /// Retains one slice's partials.
     pub fn push(&mut self, id: SliceId, start_ts: Timestamp, end_ts: Timestamp, data: SliceData) {
+        if let Some(back) = self.slices.back() {
+            let in_order = back.id.checked_add(1) == Some(id)
+                && back.start_ts <= start_ts
+                && back.end_ts <= end_ts;
+            if !in_order {
+                self.disorder = self.base + self.slices.len() as u64;
+            }
+        }
+        self.scanned.clear();
         self.slices.push_back(StoredSlice {
             id,
             start_ts,
@@ -226,39 +435,94 @@ impl SliceStore {
         self.slices.is_empty()
     }
 
+    /// Bundles held by the suffix caches: per cache at most (slices of
+    /// its window + 2) × live keys.
+    pub fn cached_bundles(&self) -> usize {
+        self.caches.iter().map(SuffixCache::bundles).sum()
+    }
+
+    /// Bundle-into-bundle merges [`SliceStore::merged_range`] performed.
+    pub fn merges(&self) -> u64 {
+        self.merges
+    }
+
+    /// Indices of the slices `range` covers. Ids are consecutive and
+    /// timestamps ascending within an ordered store, so the covered
+    /// slices are one run found without testing each; `None` when the
+    /// store is not ordered.
+    fn run(&self, range: SliceRange) -> Option<Range<usize>> {
+        if self.disorder > self.base {
+            return None;
+        }
+        let len = self.slices.len();
+        let (first, end) = match range {
+            SliceRange::Ids(first, last) => {
+                let front = self.slices.front().map_or(0, |s| s.id);
+                let index = |id: SliceId| id.saturating_sub(front).min(len as u64) as usize;
+                let end = if last < front { 0 } else { index(last) + 1 };
+                (index(first), end.min(len))
+            }
+            SliceRange::Span(start, end) => (
+                self.slices.partition_point(|s| s.start_ts < start),
+                self.slices.partition_point(|s| s.end_ts <= end),
+            ),
+        };
+        Some(first..end.max(first))
+    }
+
     /// Merges selection `sel` of every retained slice in `range` into
     /// `dst`; returns the bundle-into-bundle merges performed. A slice
-    /// without that selection contributes nothing.
+    /// without that selection contributes nothing. This scan is the one
+    /// definition of a range's content: [`SliceStore::merged_range`]
+    /// falls back to it and is tested against it.
     pub fn merge_range(&self, range: SliceRange, sel: usize, dst: &mut KeyedBundles) -> u64 {
-        let mut merges = 0;
-        for stored in &self.slices {
-            let covered = match range {
-                SliceRange::Ids(first, last) => stored.id >= first && stored.id <= last,
-                SliceRange::Span(start, end) => stored.start_ts >= start && stored.end_ts <= end,
-            };
-            if covered {
-                if let Some(map) = stored.data.per_selection.get(sel) {
-                    merges += merge_keyed(dst, map);
+        scan(&self.slices, self.run(range), range, sel, dst)
+    }
+
+    /// The merged partial of `query`'s selection over `range`, computed
+    /// at most once per distinct range and slice end. A one-slice range
+    /// borrows the stored map. Heavily overlapping windows over
+    /// constant-size partials (sliding, spanning at least 16 of their
+    /// steps, [`QueryInfo::constant_size`]) that end at the newest slice
+    /// read their suffix cache — O(1) amortised [`merge_keyed`] calls
+    /// per slice end instead of one per covered slice; everything else
+    /// is [`SliceStore::merge_range`], memoized until the store changes
+    /// or gc closes the slice end.
+    pub fn merged_range(&mut self, range: SliceRange, query: &QueryInfo) -> &KeyedBundles {
+        let sel = query.selection;
+        let run = self.run(range);
+        if let Some(run) = &run {
+            if run.len() == 1 {
+                let map = self.slices[run.start].data.per_selection.get(sel);
+                return map.unwrap_or(&self.empty);
+            }
+        }
+        if let Some(key) = query.cache_key() {
+            let newest = self.slices.len();
+            let at = self.caches.iter().position(|c| c.key == key);
+            match run.clone().filter(|run| run.len() > 1 && run.end == newest) {
+                Some(run) => {
+                    let at = at.unwrap_or_else(|| {
+                        self.caches.push(SuffixCache::new(key));
+                        self.caches.len() - 1
+                    });
+                    let seqs = (self.base + run.start as u64, self.base + run.end as u64);
+                    return self.caches[at].answer(&self.slices, self.base, seqs, &mut self.merges);
+                }
+                // A range the cache cannot serve drops it: the next
+                // window on this key re-flips.
+                None => {
+                    if let Some(at) = at {
+                        self.caches.swap_remove(at);
+                    }
                 }
             }
         }
-        merges
-    }
-
-    /// [`SliceStore::merge_range`] memoized in `cache`; `merges` is
-    /// advanced only when the range is actually merged.
-    pub fn merged_range<'c>(
-        &self,
-        range: SliceRange,
-        sel: usize,
-        cache: &'c mut RangeCache,
-        merges: &mut u64,
-    ) -> &'c KeyedBundles {
-        match cache.entry((sel, range)) {
+        match self.scanned.entry((sel, range)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let mut merged = KeyedBundles::default();
-                *merges += self.merge_range(range, sel, &mut merged);
+                self.merges += scan(&self.slices, run, range, sel, &mut merged);
                 e.insert(merged)
             }
         }
@@ -277,8 +541,17 @@ impl SliceStore {
     }
 
     fn gc_while(&mut self, dead: impl Fn(&StoredSlice) -> bool) {
+        // gc closes a slice end: its scanned ranges are released while
+        // their memory is still warm, not when the next slice arrives.
+        self.scanned.clear();
+        let before = self.base;
         while self.slices.front().is_some_and(&dead) {
             self.slices.pop_front();
+            self.base += 1;
+        }
+        if self.base != before {
+            let low = self.base;
+            self.caches.retain_mut(|cache| cache.retain_from(low));
         }
     }
 }
@@ -435,7 +708,6 @@ pub struct TimeAssembler {
     queries: Vec<(QueryId, QueryInfo)>,
     store: SliceStore,
     results_emitted: u64,
-    merges: u64,
     /// Provenance span recorder; `None` (the default) disables tracing.
     recorder: Option<TraceRecorder>,
 }
@@ -450,7 +722,6 @@ impl TimeAssembler {
             queries,
             store: SliceStore::default(),
             results_emitted: 0,
-            merges: 0,
             recorder: None,
         }
     }
@@ -468,12 +739,18 @@ impl TimeAssembler {
 
     /// Slice-partial merge operations performed so far.
     pub fn merges(&self) -> u64 {
-        self.merges
+        self.store.merges()
     }
 
     /// Slices currently retained.
     pub fn retained_slices(&self) -> usize {
         self.store.len()
+    }
+
+    /// Bundles held by the store's suffix caches
+    /// ([`SliceStore::cached_bundles`]).
+    pub fn cached_bundles(&self) -> usize {
+        self.store.cached_bundles()
     }
 
     /// Stops assembling windows for `query` (runtime removal, Section
@@ -491,17 +768,13 @@ impl TimeAssembler {
         let before = out.len();
         self.store
             .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
-        let mut cache = RangeCache::default();
         for (id, q) in &self.queries {
             let Some(start) = q.window.fixed_window_ending_at(slice_end) else {
                 continue;
             };
-            let merged = self.store.merged_range(
-                SliceRange::Span(start, slice_end),
-                q.selection,
-                &mut cache,
-                &mut self.merges,
-            );
+            let merged = self
+                .store
+                .merged_range(SliceRange::Span(start, slice_end), q);
             finalize_sorted(*id, &q.functions, merged, start, slice_end, out);
         }
         self.results_emitted += (out.len() - before) as u64;
@@ -514,7 +787,8 @@ impl TimeAssembler {
 mod tests {
     use super::*;
     use crate::aggregate::OperatorSet;
-    use crate::engine::{AggregationEngine, GroupSlicer, QueryAnalyzer};
+    use crate::engine::slice::WindowEnd;
+    use crate::engine::{AggregationEngine, Assembler, GroupSlicer, QueryAnalyzer};
     use crate::event::Event;
     use crate::query::Query;
     use rand::rngs::SmallRng;
@@ -553,13 +827,23 @@ mod tests {
     /// A sealed keyed partial over small integer values, so sums,
     /// products and squares stay exact in `f64` under any merge order.
     fn arb_keyed(rng: &mut SmallRng) -> KeyedBundles {
+        arb_keyed_of(rng, all_operators(), |rng| {
+            f64::from(rng.gen_range(1u32..5))
+        })
+    }
+
+    fn arb_keyed_of(
+        rng: &mut SmallRng,
+        operators: OperatorSet,
+        value: impl Fn(&mut SmallRng) -> f64,
+    ) -> KeyedBundles {
         let mut map = KeyedBundles::default();
         for _ in 0..rng.gen_range(0usize..5) {
             let bundle = map
                 .entry(rng.gen_range(0u32..6))
-                .or_insert_with(|| OperatorBundle::new(all_operators()));
+                .or_insert_with(|| OperatorBundle::new(operators));
             for _ in 0..rng.gen_range(1usize..4) {
-                bundle.update(f64::from(rng.gen_range(1u32..5)));
+                bundle.update(value(rng));
             }
         }
         for bundle in map.values_mut() {
@@ -661,6 +945,453 @@ mod tests {
             per_selection: vec![full.clone()],
         });
         assert_eq!(narrow.per_selection, vec![full]);
+    }
+
+    // -----------------------------------------------------------------
+    // Suffix caches: cached ≡ range scan.
+    // -----------------------------------------------------------------
+
+    /// The nine functions whose partials are constant-size.
+    pub(super) fn constant_size_functions() -> Vec<AggFunction> {
+        let sorted = |f: &AggFunction| matches!(f, AggFunction::Median | AggFunction::Quantile(_));
+        FUNCTIONS.into_iter().filter(|f| !sorted(f)).collect()
+    }
+
+    /// Slice width of the store-level streams, in event time.
+    const TICK: u64 = 100;
+    /// Keys [`arb_keyed_of`] draws from.
+    const KEYS: usize = 6;
+
+    /// A query over `selection` whose windows span `length` slices of
+    /// [`TICK`] and start every `step`.
+    fn windowed(selection: usize, length: u64, step: u64, constant_size: bool) -> QueryInfo {
+        QueryInfo {
+            selection,
+            functions: Vec::new(),
+            window: WindowSpec::sliding_time(length * TICK, step * TICK).unwrap(),
+            constant_size,
+        }
+    }
+
+    /// The definition of a range, independent of how the store locates
+    /// it: every retained slice is tested.
+    fn brute(store: &SliceStore, range: SliceRange, sel: usize) -> KeyedBundles {
+        let mut dst = KeyedBundles::default();
+        for stored in store.slices.iter().filter(|s| range.covers(s)) {
+            if let Some(map) = stored.data.per_selection.get(sel) {
+                merge_keyed(&mut dst, map);
+            }
+        }
+        dst
+    }
+
+    fn assert_range(store: &mut SliceStore, range: SliceRange, q: &QueryInfo, context: &str) {
+        let want = brute(store, range, q.selection);
+        let mut scanned = KeyedBundles::default();
+        store.merge_range(range, q.selection, &mut scanned);
+        assert_eq!(scanned, want, "{context}: scan of {range:?}");
+        assert_eq!(
+            store.merged_range(range, q),
+            &want,
+            "{context}: cached {range:?}"
+        );
+        // Asked again within the slice end, the answer is shared.
+        let merges = store.merges();
+        assert_eq!(store.merged_range(range, q), &want, "{context}: again");
+        assert_eq!(store.merges(), merges, "{context}: {range:?} merged twice");
+    }
+
+    /// Random walk over everything a store can be asked: windows of
+    /// several lengths and steps on two selections by id and by span,
+    /// empty slices, slices missing a selection, id gaps and timestamps
+    /// running backwards, ranges that do not end at the newest slice or
+    /// start before the last one did, queries that pause and resume
+    /// mid-window, and gc at, behind and past the cache fronts. Values
+    /// are powers of two, so every sum, product and square is exact and
+    /// answers must equal the brute-force range bit for bit.
+    fn cached_ranges_equal_the_scan(cases: u64) {
+        // (selection, slices per window, slices per step, constant-size)
+        let specs = [
+            (0, 16, 1, true),
+            (0, 20, 1, true),
+            (0, 32, 2, true),
+            (1, 17, 1, true),
+            (1, 32, 1, true),
+            // Sort-based partials, and windows that overlap too little
+            // or not at all, scan.
+            (1, 16, 1, false),
+            (0, 8, 1, true),
+            (0, 3, 3, true),
+        ];
+        let queries =
+            specs.map(|(sel, length, step, constant)| windowed(sel, length, step, constant));
+        let longest = 32;
+        // At most one keyed map per slice of the window plus the back
+        // aggregate and the shared answer, per cache.
+        let bound: u64 = specs.iter().map(|spec| (spec.1 + 2) * KEYS as u64).sum();
+        let operators = constant_size_functions()
+            .iter()
+            .fold(OperatorSet::EMPTY, |set, f| set | f.operators());
+        let mut cached_answers = 0;
+        for_cases(cases, |seed, rng| {
+            let mut store = SliceStore::default();
+            let mut live = [true; 8];
+            let mut id = rng.gen_range(0u64..3);
+            for tick in 0..rng.gen_range(50u64..200) {
+                let context = format!("seed {seed:#x} tick {tick}");
+                let (start_ts, end_ts) = (tick * TICK, (tick + 1) * TICK);
+                let data = match rng.gen_range(0u32..12) {
+                    0 => SliceData::new(2),
+                    1 => SliceData::new(rng.gen_range(0usize..2)),
+                    _ => SliceData {
+                        per_selection: (0..2)
+                            .map(|_| {
+                                arb_keyed_of(rng, operators, |rng| {
+                                    [0.5, 1.0, 2.0, 4.0][rng.gen_range(0usize..4)]
+                                })
+                            })
+                            .collect(),
+                    },
+                };
+                match rng.gen_range(0u32..40) {
+                    0 => id += 2,
+                    // A straggler: its span lies before its predecessor's.
+                    1 => {
+                        store.push(
+                            id,
+                            start_ts.saturating_sub(3 * TICK),
+                            start_ts,
+                            data.clone(),
+                        );
+                        id += 1;
+                    }
+                    _ => {}
+                }
+                store.push(id, start_ts, end_ts, data);
+                let newest = id;
+                id += 1;
+                for (q, live) in queries.iter().zip(&mut live) {
+                    if rng.gen_range(0u32..25) == 0 {
+                        *live = !*live;
+                    }
+                    let Some(start) = q.window.fixed_window_ending_at(end_ts) else {
+                        continue;
+                    };
+                    if !*live {
+                        continue;
+                    }
+                    let slices = (end_ts - start) / TICK;
+                    let by_id = rng.gen_bool(0.5);
+                    let range = |shift_start: u64, shift_end: u64| {
+                        if by_id {
+                            let first = (newest + 1).saturating_sub(slices + shift_start);
+                            SliceRange::Ids(first, newest - shift_end.min(newest))
+                        } else {
+                            let start = start.saturating_sub(shift_start * TICK);
+                            SliceRange::Span(start, end_ts - shift_end * TICK)
+                        }
+                    };
+                    let before = store.cached_bundles();
+                    assert_range(&mut store, range(0, 0), q, &context);
+                    cached_answers += u64::from(store.cached_bundles() != before);
+                    match rng.gen_range(0u32..30) {
+                        0 => assert_range(&mut store, range(1, 1), q, &context),
+                        1 => assert_range(&mut store, range(2, 0), q, &context),
+                        _ => {}
+                    }
+                }
+                assert!(
+                    store.cached_bundles() as u64 <= bound,
+                    "{context}: {} bundles cached",
+                    store.cached_bundles()
+                );
+                let keep = match rng.gen_range(0u32..10) {
+                    0 => rng.gen_range(0..longest),
+                    1 => longest + 3,
+                    _ => longest,
+                };
+                if rng.gen_bool(0.5) {
+                    store.gc_ids((newest + 1).saturating_sub(keep));
+                } else {
+                    store.gc_span(end_ts.saturating_sub(keep * TICK));
+                }
+            }
+        });
+        assert!(cached_answers > cases, "the caches answered nothing");
+    }
+
+    #[test]
+    fn cached_ranges_equal_the_scan_on_seeded_walks() {
+        cached_ranges_equal_the_scan(60);
+    }
+
+    #[test]
+    #[ignore = "larger case count: run in release (ci.yml)"]
+    fn cached_ranges_equal_the_scan_at_length() {
+        cached_ranges_equal_the_scan(4_000);
+    }
+
+    /// The assembler before the caches: every window end is one range
+    /// scan. `skip(slice index, query)` leaves a window out.
+    fn assemble_by_scan(
+        g: &QueryGroup,
+        slices: &[SealedSlice],
+        skip: impl Fn(usize, QueryId) -> bool,
+    ) -> Vec<QueryResult> {
+        let infos: FxHashMap<QueryId, QueryInfo> = query_infos(g).collect();
+        let mut store = SliceStore::default();
+        let mut out = Vec::new();
+        for (at, slice) in slices.iter().enumerate() {
+            store.push(slice.id, slice.start_ts, slice.end_ts, slice.data.clone());
+            for end in slice.ends.iter().filter(|e| !skip(at, e.query)) {
+                let q = &infos[&end.query];
+                let mut merged = KeyedBundles::default();
+                let range = SliceRange::Ids(end.first_slice, end.last_slice);
+                store.merge_range(range, q.selection, &mut merged);
+                finalize_sorted(
+                    end.query,
+                    &q.functions,
+                    &merged,
+                    end.start_ts,
+                    end.end_ts,
+                    &mut out,
+                );
+            }
+            store.gc_ids(slice.low_watermark);
+        }
+        crate::query::sort_results(&mut out);
+        out
+    }
+
+    /// Same windows and keys; values equal to 1e-9 (re-associated float
+    /// sums), or bit for bit when `exact`.
+    fn assert_agree(got: &[QueryResult], want: &[QueryResult], exact: bool, context: &str) {
+        assert_eq!(got.len(), want.len(), "{context}");
+        for (g, w) in got.iter().zip(want) {
+            if exact {
+                assert_eq!(g, w, "{context}");
+                continue;
+            }
+            assert_eq!(
+                (g.query, g.key, g.window_start, g.window_end),
+                (w.query, w.key, w.window_start, w.window_end),
+                "{context}"
+            );
+            for (x, y) in g.values.iter().zip(&w.values) {
+                let (x, y) = (x.unwrap_or(f64::NAN), y.unwrap_or(f64::NAN));
+                let close = (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()));
+                assert!(
+                    close || (x.is_nan() && y.is_nan()),
+                    "{context}: {g:?} vs {w:?}"
+                );
+            }
+        }
+    }
+
+    /// Seeded streams through the slicer into [`Assembler`] and — merged
+    /// like a collector would — into [`TimeAssembler`], against the scan:
+    /// each of the eleven functions alone and together, several lengths
+    /// and steps on one selection (time and count), fractional values
+    /// and a query removed mid-window. Groups holding a non-decomposable
+    /// sort must not cache and agree exactly.
+    #[test]
+    fn assembly_equals_the_scan_for_every_function() {
+        let sets = FUNCTIONS
+            .iter()
+            .map(|f| vec![*f])
+            .chain([FUNCTIONS.to_vec(), constant_size_functions()]);
+        for functions in sets {
+            let query = |id, window: Result<WindowSpec, _>| {
+                Query::with_functions(id, window.unwrap(), functions.clone())
+            };
+            // Count windows cut slices between the time punctuations, so
+            // only the group without them is also assembled by span.
+            for counted in [false, true] {
+                let mut queries = vec![
+                    query(1, WindowSpec::sliding_time(1_600, 100)),
+                    query(2, WindowSpec::sliding_time(1_600, 50)),
+                    query(3, WindowSpec::sliding_time(2_400, 100)),
+                    query(4, WindowSpec::tumbling_time(300)),
+                    query(6, WindowSpec::sliding_time(400, 100)),
+                ];
+                if counted {
+                    queries.push(query(5, WindowSpec::sliding_count(64, 4)));
+                }
+                let g = group(queries);
+                let sorts = g.selections[0]
+                    .operators
+                    .contains(OperatorKind::NonDecomposableSort);
+                let mut most_cached = 0;
+                for_cases(4, |seed, rng| {
+                    let context = format!("seed {seed:#x} functions {functions:?}");
+                    let slices = arb_slices(rng, &g);
+                    let removed_at = slices.len() / 2;
+                    let skip = |at: usize, query: QueryId| query == 3 && at >= removed_at;
+                    let want = assemble_by_scan(&g, &slices, skip);
+                    assert_eq!(want.iter().any(|r| r.query == 5), counted, "{context}");
+
+                    let mut assembler = Assembler::new(&g);
+                    let mut merger = AlignedSliceMerger::new(1);
+                    let mut by_span = TimeAssembler::new(&g);
+                    let (mut got, mut got_by_span) = (Vec::new(), Vec::new());
+                    for (at, slice) in slices.iter().enumerate() {
+                        if at == removed_at {
+                            assert!(assembler.remove_query(3) && by_span.remove_query(3));
+                        }
+                        assembler.on_slice(slice.clone(), &mut got);
+                        merger.on_slice(slice.clone(), 1);
+                        for merged in merger.take_ready() {
+                            by_span.on_slice(merged, &mut got_by_span);
+                        }
+                        let cached = assembler.cached_bundles() + by_span.cached_bundles();
+                        most_cached = most_cached.max(cached);
+                    }
+                    crate::query::sort_results(&mut got);
+                    assert_agree(&got, &want, sorts, &context);
+                    if !counted {
+                        crate::query::sort_results(&mut got_by_span);
+                        assert_agree(&got_by_span, &want, sorts, &format!("{context} (by span)"));
+                    }
+                });
+                assert_eq!(
+                    most_cached == 0,
+                    sorts,
+                    "{functions:?}: {most_cached} cached"
+                );
+            }
+        }
+    }
+
+    /// What a slicer seals for a seeded stream of fractional values:
+    /// random ones, or a ramp whose current Min/Max always sits in the
+    /// slice about to be evicted.
+    fn arb_slices(rng: &mut SmallRng, g: &QueryGroup) -> Vec<SealedSlice> {
+        let shape = rng.gen_range(0u32..3);
+        let mut slicer = GroupSlicer::new(g.clone());
+        let mut slices = Vec::new();
+        let mut ts = 0;
+        for i in 0..rng.gen_range(200u32..500) {
+            ts += rng.gen_range(0u64..40);
+            let value = match shape {
+                0 => rng.gen_range(0.1f64..9.9),
+                1 => 1_000.0 - f64::from(i),
+                _ => f64::from(i) + 0.25,
+            };
+            slicer.on_event(&Event::new(ts, rng.gen_range(0u32..5), value), &mut slices);
+        }
+        slicer.on_watermark(ts + 1_000, &mut slices);
+        slices
+    }
+
+    /// ROADMAP item 6 for the caches: over a long stream the bundles
+    /// they hold stay under (slices of the window + 2) × keys per
+    /// `(selection, length)`, `retained_slices` stays flat, and a query
+    /// that stops ending windows — removed, or dropped upstream — has
+    /// its cache released once gc passes it.
+    fn cache_state_stays_flat(slices: u64) {
+        let keys = 16u32;
+        let functions = constant_size_functions();
+        let g = group(vec![
+            Query::with_functions(
+                1,
+                WindowSpec::sliding_time(32 * TICK, TICK).unwrap(),
+                functions.clone(),
+            ),
+            Query::with_functions(
+                2,
+                WindowSpec::sliding_time(16 * TICK, TICK).unwrap(),
+                functions,
+            ),
+        ]);
+        let operators = g.selections[0].operators;
+        let bound = |window: u64| ((window + 2) * u64::from(keys)) as usize;
+        let mut by_id = Assembler::new(&g);
+        let mut by_span = TimeAssembler::new(&g);
+        let mut out = Vec::new();
+        let (mut peak, mut early_peak) = (0, 0);
+        for i in 0..slices {
+            // Query 1 is dropped upstream after a third of the stream
+            // and removed at the root; query 2 after two thirds.
+            let live: &[(QueryId, u64)] = match 3 * i / slices {
+                0 => &[(1, 32), (2, 16)],
+                1 => &[(2, 16)],
+                _ => &[],
+            };
+            if i == slices / 3 {
+                by_span.remove_query(1);
+            } else if i == 2 * (slices / 3) + 1 {
+                by_span.remove_query(2);
+            }
+            let mut data = SliceData::new(1);
+            for key in 0..keys {
+                let mut bundle = OperatorBundle::new(operators);
+                bundle.update(f64::from(key) + (i % 7) as f64);
+                bundle.seal();
+                data.per_selection[0].insert(key, bundle);
+            }
+            let longest = live.iter().map(|(_, n)| *n).max().unwrap_or(1);
+            let low = (i + 2).saturating_sub(longest);
+            let slice = SealedSlice {
+                id: i,
+                start_ts: i * TICK,
+                end_ts: (i + 1) * TICK,
+                data,
+                ends: live
+                    .iter()
+                    .filter(|(_, n)| i + 1 >= *n)
+                    .map(|(query, n)| WindowEnd {
+                        query: *query,
+                        first_slice: i + 1 - n,
+                        last_slice: i,
+                        start_ts: (i + 1 - n) * TICK,
+                        end_ts: (i + 1) * TICK,
+                    })
+                    .collect(),
+                session_gaps: Vec::new(),
+                low_watermark: low,
+                low_watermark_ts: low * TICK,
+                trace: None,
+            };
+            by_id.on_slice(slice.clone(), &mut out);
+            by_span.on_slice(slice, &mut out);
+            out.clear();
+            for (retained, cached) in [
+                (by_id.retained_slices(), by_id.cached_bundles()),
+                (by_span.retained_slices(), by_span.cached_bundles()),
+            ] {
+                assert!(retained as u64 <= longest, "slice {i}: {retained} retained");
+                let allowed: usize = live.iter().map(|(_, n)| bound(*n)).sum();
+                // A cache nobody asks any more goes within one window.
+                let grace = [slices / 3, 2 * (slices / 3) + 1]
+                    .iter()
+                    .any(|cut| (*cut..cut + 32).contains(&i));
+                assert!(
+                    cached <= allowed || grace,
+                    "slice {i}: {cached} bundles cached, {allowed} allowed"
+                );
+                peak = peak.max(cached);
+                if i < 100 {
+                    early_peak = peak;
+                }
+            }
+        }
+        assert!(early_peak > 0, "the caches were never used");
+        assert_eq!(
+            peak, early_peak,
+            "cached state grew after the first 100 slices"
+        );
+        assert_eq!(by_id.cached_bundles() + by_span.cached_bundles(), 0);
+    }
+
+    #[test]
+    fn cache_state_stays_flat_and_is_released() {
+        cache_state_stays_flat(3_000);
+    }
+
+    #[test]
+    #[ignore = "soak: run in release (ci.yml)"]
+    fn cache_state_stays_flat_over_1e5_slices() {
+        cache_state_stays_flat(100_000);
     }
 
     fn leaf_slice(rng: &mut SmallRng, end_ts: Timestamp) -> SealedSlice {

@@ -34,7 +34,7 @@ use crate::error::DesisError;
 use crate::event::Event;
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, ProfHandle, Profiler, Stage};
-use crate::obs::MetricsRegistry;
+use crate::obs::{names, MetricsRegistry};
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
 
@@ -230,15 +230,21 @@ impl AggregationEngine {
 
     /// Aggregated metrics over all query-groups. The snapshot is also
     /// published into the engine's registry as cumulative `engine.*`
-    /// counters.
+    /// counters, next to gauges of the assemblers' retained state.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
+        let (mut retained, mut cached) = (0, 0);
         for p in &self.pipelines {
             m.absorb(p.slicer.metrics());
             m.results += p.assembler.results_emitted();
             m.merges += p.assembler.merges();
+            retained += p.assembler.retained_slices();
+            cached += p.assembler.cached_bundles();
         }
         m.publish(&self.registry, "engine");
+        let gauge = |name, level: usize| self.registry.gauge(name).set(level as i64);
+        gauge(names::ENGINE_ASSEMBLER_RETAINED_SLICES, retained);
+        gauge(names::ENGINE_ASSEMBLER_CACHED_BUNDLES, cached);
         m
     }
 
@@ -277,6 +283,22 @@ mod tests {
         let r2 = results.iter().find(|r| r.query == 2).unwrap();
         assert_eq!(r1.values, vec![Some(15.0)]);
         assert_eq!(r2.values, vec![Some(20.0)]);
+    }
+
+    #[test]
+    fn metrics_publish_the_assemblers_retained_state() {
+        let sliding = WindowSpec::sliding_time(1_600, 100).unwrap();
+        let mut engine =
+            AggregationEngine::new(vec![Query::new(1, sliding, AggFunction::Max)]).unwrap();
+        for ts in 0..300 {
+            engine.on_event(&Event::new(ts * 10, ts as u32 % 3, 1.0));
+        }
+        engine.metrics();
+        let gauges = engine.registry().snapshot().gauges;
+        // Sixteen slices per window; the cache holds suffixes of three keys.
+        assert_eq!(gauges[names::ENGINE_ASSEMBLER_RETAINED_SLICES], 15);
+        let cached = gauges[names::ENGINE_ASSEMBLER_CACHED_BUNDLES];
+        assert!((1..=54).contains(&cached), "{cached} bundles cached");
     }
 
     #[test]

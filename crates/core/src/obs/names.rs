@@ -167,6 +167,13 @@ pub fn engine_shard_inbox_depth_max(shard: usize) -> String {
 /// per-shard routed event counts (0 = perfectly balanced).
 pub const ENGINE_SHARD_IMBALANCE_PERMILLE: &str = "engine.shard_imbalance_permille";
 
+/// Slice partials the engine's assemblers retain for open windows.
+pub const ENGINE_ASSEMBLER_RETAINED_SLICES: &str = "engine.assembler.retained_slices";
+/// Bundles held by the assemblers' suffix caches: per `(selection,
+/// window length)` of cached windows at most (slices of the window
+/// + 2) × live keys.
+pub const ENGINE_ASSEMBLER_CACHED_BUNDLES: &str = "engine.assembler.cached_bundles";
+
 /// Open sessions retained by the cross-shard unfixed merger.
 pub const ENGINE_UNFIXED_PENDING_SESSIONS: &str = "engine.unfixed.pending_sessions";
 /// User-defined window slices queued in the cross-shard unfixed merger.

@@ -805,9 +805,8 @@ fn merge_groups(groups: &[QueryGroup]) -> QueryGroup {
 #[derive(Debug)]
 enum RootGroup {
     /// Assembles the aligned merger's slices by time range.
-    Aligned(TimeAssembler),
-    /// Per-origin merging for groups with session/user-defined windows
-    /// (boxed like `Raw`: both dwarf the assembler-only variant).
+    Aligned(Box<TimeAssembler>),
+    /// Per-origin merging for groups with session/user-defined windows.
     Unfixed(Box<UnfixedRootMerger>),
     /// Raw events re-sliced and assembled at the root.
     Raw(Box<GroupSlicer>, Box<Assembler>),
@@ -828,7 +827,7 @@ struct Terminal {
 impl Terminal {
     fn add_group(&mut self, system: DistributedSystem, g: &QueryGroup, n_leaves: usize) {
         let group = match deployment(system, g) {
-            GroupPlan::Aligned => RootGroup::Aligned(TimeAssembler::new(g)),
+            GroupPlan::Aligned => RootGroup::Aligned(Box::new(TimeAssembler::new(g))),
             GroupPlan::Unfixed => RootGroup::Unfixed(Box::new(UnfixedRootMerger::new(g, n_leaves))),
             GroupPlan::Raw => RootGroup::Raw(
                 Box::new(GroupSlicer::new(g.clone())),
