@@ -89,7 +89,11 @@ impl Assembler {
     /// Stops finalizing windows for `query` (runtime removal, Section
     /// 3.2). Returns `false` if the query is unknown.
     pub fn remove_query(&mut self, query: QueryId) -> bool {
-        self.queries.remove(&query).is_some()
+        let removed = self.queries.remove(&query);
+        if let Some(removed) = &removed {
+            self.store.query_removed(removed);
+        }
+        removed.is_some()
     }
 
     /// Ingests a sealed slice: stores its partials, assembles every window

@@ -15,7 +15,7 @@ use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::Stage;
 use crate::obs::trace::{TraceCollector, TraceRecorder};
-use crate::obs::MetricsRegistry;
+use crate::obs::{names, MetricsRegistry};
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
 use crate::window::WindowKind;
@@ -77,6 +77,14 @@ impl MergedAssembler {
         match self {
             MergedAssembler::Fixed(a) => a.merges(),
             MergedAssembler::Unfixed(a) => a.merges(),
+        }
+    }
+
+    /// `(slices, suffix-cache bundles)` retained for open windows.
+    fn retained_state(&self) -> (usize, usize) {
+        match self {
+            MergedAssembler::Fixed(a) => (a.retained_slices(), a.cached_bundles()),
+            MergedAssembler::Unfixed(a) => (a.retained_slices(), a.cached_bundles()),
         }
     }
 }
@@ -488,24 +496,37 @@ impl ParallelEngine {
     /// Aggregated metrics over all shards and pipelines; the slicer
     /// counters of shard workers are complete after
     /// [`ParallelEngine::finish`]. Also publishes cumulative `engine.*`
-    /// and per-shard counters into the registry.
+    /// and per-shard counters into the registry, next to gauges of the
+    /// state the collector retains for open windows.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
+        let (mut retained, mut cached) = (0, 0);
+        let mut retain = |state: (usize, usize)| {
+            retained += state.0;
+            cached += state.1;
+        };
         if let Some(sharded) = &self.sharded {
             m.absorb(&sharded.metrics());
             sharded.publish(&self.registry);
+            retain(sharded.retained_state());
         }
         for assembler in &self.assemblers {
             m.results += assembler.results_emitted();
             m.merges += assembler.merges();
+            retain(assembler.retained_state());
         }
         for replay in &self.replays {
             m.absorb(replay.slicer.metrics());
             m.results += replay.assembler.results_emitted();
             m.merges += replay.assembler.merges();
+            let assembler = &replay.assembler;
+            retain((assembler.retained_slices(), assembler.cached_bundles()));
         }
         m.events = self.events;
         m.publish(&self.registry, "engine");
+        let gauge = |name, level: usize| self.registry.gauge(name).set(level as i64);
+        gauge(names::ENGINE_ASSEMBLER_RETAINED_SLICES, retained);
+        gauge(names::ENGINE_ASSEMBLER_CACHED_BUNDLES, cached);
         if let Some(profiler) = &self.cfg.profiler {
             profiler.publish(&self.registry);
         }

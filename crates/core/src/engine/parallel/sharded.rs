@@ -589,6 +589,16 @@ impl ShardedSlicer {
         self.collected.clone()
     }
 
+    /// `(slices, suffix-cache bundles)` the unfixed mergers retain per
+    /// shard for the fixed windows of mixed groups.
+    pub fn retained_state(&self) -> (usize, usize) {
+        let unfixed = self.mergers.iter().filter_map(|merger| match merger {
+            GroupMerger::Unfixed(m) => Some((m.retained_slices(), m.cached_bundles())),
+            GroupMerger::Fixed(_) => None,
+        });
+        unfixed.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+    }
+
     /// Publishes per-shard inlet counters, the panic count, and the
     /// shard-balance telemetry gauges (routing imbalance, inbox
     /// high-water depths, unfixed-merger retained state) into

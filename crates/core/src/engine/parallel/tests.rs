@@ -600,6 +600,34 @@ fn publish_reports_shard_balance_telemetry() {
         .contains_key(names::ENGINE_UNFIXED_COUNT_SURVIVORS));
 }
 
+/// The collector's assemblers publish the same retained-state gauges as
+/// the sequential engine's, and mid-stream they hold the same levels.
+#[test]
+fn metrics_publish_the_collectors_retained_state() {
+    let sliding = WindowSpec::sliding_time(1_600, 100).unwrap();
+    let queries = vec![Query::new(1, sliding, AggFunction::Max)];
+    let mut sequential = AggregationEngine::new(queries.clone()).unwrap();
+    let mut parallel = ParallelEngine::new(queries, 2).unwrap();
+    for ts in 0..300 {
+        let ev = Event::new(ts * 10, ts as u32 % 3, 1.0);
+        sequential.on_event(&ev);
+        parallel.on_event(&ev);
+    }
+    sequential.on_watermark(3_000);
+    parallel.on_watermark(3_000);
+    sequential.metrics();
+    parallel.metrics();
+    let want = sequential.registry().snapshot().gauges;
+    let got = parallel.registry().snapshot().gauges;
+    for name in [
+        names::ENGINE_ASSEMBLER_RETAINED_SLICES,
+        names::ENGINE_ASSEMBLER_CACHED_BUNDLES,
+    ] {
+        assert!(want[name] > 0, "{name}");
+        assert_eq!(got[name], want[name], "{name}");
+    }
+}
+
 #[test]
 fn profiler_attributes_driver_and_shard_stage_time() {
     let profiler = Profiler::new(prof::ProfClock::wall());

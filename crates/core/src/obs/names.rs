@@ -167,11 +167,12 @@ pub fn engine_shard_inbox_depth_max(shard: usize) -> String {
 /// per-shard routed event counts (0 = perfectly balanced).
 pub const ENGINE_SHARD_IMBALANCE_PERMILLE: &str = "engine.shard_imbalance_permille";
 
-/// Slice partials the engine's assemblers retain for open windows.
+/// Slice partials the engine's assemblers (and, sharded, the collector's
+/// unfixed mergers) retain for open windows.
 pub const ENGINE_ASSEMBLER_RETAINED_SLICES: &str = "engine.assembler.retained_slices";
-/// Bundles held by the assemblers' suffix caches: per `(selection,
-/// window length)` of cached windows at most (slices of the window
-/// + 2) × live keys.
+/// Bundles held by the suffix caches over those slices: per selection
+/// with overlapping windows at most (slices of its longest such window
+/// + 1) × live keys.
 pub const ENGINE_ASSEMBLER_CACHED_BUNDLES: &str = "engine.assembler.cached_bundles";
 
 /// Open sessions retained by the cross-shard unfixed merger.
@@ -211,6 +212,12 @@ pub const CLUSTER_RESULT_LATENCY_US: &str = "cluster.result_latency_us";
 pub const CLUSTER_LOCAL_ENGINE_PREFIX: &str = "cluster.local_engine";
 /// Raw events that reached the root (centralized baseline traffic).
 pub const NET_ROOT_RAW_EVENTS: &str = "net.root.raw_events";
+/// High-water count of slice partials the root's assemblers and unfixed
+/// mergers retained for open windows.
+pub const NET_ROOT_RETAINED_SLICES_MAX: &str = "net.root.retained_slices_max";
+/// High-water count of bundles held by the suffix caches over them
+/// (bound: [`ENGINE_ASSEMBLER_CACHED_BUNDLES`]).
+pub const NET_ROOT_CACHED_BUNDLES_MAX: &str = "net.root.cached_bundles_max";
 
 /// Prefix under which one run's snapshot merges into the process-global
 /// registry, keyed by the system label (`desis`, `disco`, ...).

@@ -559,8 +559,13 @@ impl Run<'_> {
         removals.sort_unstable();
         let mut removals = removals.into_iter().peekable();
         let mut stamped: Vec<(QueryResult, Instant)> = Vec::new();
+        let retained_max = self.registry.gauge(names::NET_ROOT_RETAINED_SLICES_MAX);
+        let cached_max = self.registry.gauge(names::NET_ROOT_CACHED_BUNDLES_MAX);
         self.pump("root", node, &receivers, |child, msg| {
             worker.on_message(child, msg);
+            let (retained, cached) = worker.retained_state();
+            retained_max.set_max(retained as i64);
+            cached_max.set_max(cached as i64);
             let pending = worker.pending_merges();
             let watermark = worker.watermark();
             while let Some((_, id)) = removals.next_if(|(at, _)| watermark >= *at) {
@@ -1051,7 +1056,8 @@ mod tests {
 
     #[test]
     fn report_metrics_cover_nodes_messages_and_latency() {
-        let queries = vec![avg_query(100)];
+        let sliding = WindowSpec::sliding_time(400, 100).unwrap();
+        let queries = vec![avg_query(100), Query::new(2, sliding, AggFunction::Max)];
         let cfg = ClusterConfig::new(DistributedSystem::Desis, queries, Topology::star(2));
         let report = run_cluster(cfg, vec![feed(2_000, 1, 0), feed(2_000, 1, 5)]).unwrap();
         let m = &report.metrics;
@@ -1066,6 +1072,10 @@ mod tests {
         assert!(m.counters["net.root.msgs.watermark"] > 0);
         assert_eq!(m.counters["net.root.decode_errors"], 0);
         assert_eq!(m.counters["net.root.unroutable_msgs"], 0);
+        // The root's retained state: four slices per sliding window, one
+        // key, so a suffix stack of at most 4 + 1 bundles.
+        assert_eq!(m.gauges[names::NET_ROOT_RETAINED_SLICES_MAX], 3);
+        assert!((1..=5).contains(&m.gauges[names::NET_ROOT_CACHED_BUNDLES_MAX]));
         // Local engine counters were published under the cluster prefix.
         assert_eq!(m.counters["cluster.local_engine.events"], report.events);
         // The latency histogram matches the sampled latency vector.

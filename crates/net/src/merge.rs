@@ -77,6 +77,16 @@ impl UnfixedRootMerger {
         self.merger.pending_len()
     }
 
+    /// Slices retained per origin and by the assembler.
+    pub fn retained_slices(&self) -> usize {
+        self.merger.retained_slices() + self.assembler.retained_slices()
+    }
+
+    /// Bundles held by the suffix caches over those slices.
+    pub fn cached_bundles(&self) -> usize {
+        self.merger.cached_bundles() + self.assembler.cached_bundles()
+    }
+
     /// Ingests one child partial, identified by its originating local
     /// node.
     pub fn on_slice(&mut self, origin: NodeId, partial: SealedSlice, out: &mut Vec<QueryResult>) {

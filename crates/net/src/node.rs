@@ -1054,6 +1054,17 @@ impl RootWorker {
         self.children.pending() + unfixed.sum::<usize>()
     }
 
+    /// `(slices, suffix-cache bundles)` the terminal's assemblers and
+    /// unfixed mergers retain for open windows.
+    pub(crate) fn retained_state(&self) -> (usize, usize) {
+        let state = self.terminal.groups.values().map(|g| match g {
+            RootGroup::Aligned(a) => (a.retained_slices(), a.cached_bundles()),
+            RootGroup::Unfixed(m) => (m.retained_slices(), m.cached_bundles()),
+            RootGroup::Raw(_, a) => (a.retained_slices(), a.cached_bundles()),
+        });
+        state.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+    }
+
     /// Checksum-valid messages dropped for want of a route.
     pub(crate) fn unroutable(&self) -> u64 {
         self.children.unroutable() + self.terminal.unroutable
