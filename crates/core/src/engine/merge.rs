@@ -25,7 +25,7 @@
 //!   scan, per-key merge, sorted emission or front-gc loop.
 //!   [`SliceStore::merged_range`] is the one place a window's partial is
 //!   put together, so its memos — merged ranges of the current slice
-//!   end, and two-stack suffix aggregates that make heavily overlapping
+//!   end, and two-stack suffix aggregates that make overlapping
 //!   windows O(1) merges per slice end — serve the sequential engine,
 //!   the sharded collector and the cluster root alike.
 //!
