@@ -4,9 +4,8 @@
 //! experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]
 //!             [--trace-out <path>] [--trace-sample <N>]
 //!             [--faults <plan.json>] [--fault-seed <N>]
-//!             [--shards <N>] [--bench-out <path>] [--smoke]
-//!             [--profile-out <path>]
-//!             <figure-id>... | all | list | bench5 | profile | prof-overhead
+//!             [--shards <N>] [--profile-out <path>]
+//!             <figure-id>... | all | list | profile | prof-overhead
 //! ```
 //!
 //! Each figure prints the series the paper plots (one row per x-value,
@@ -14,7 +13,7 @@
 //! written per figure. With `--metrics-out <path>`, a JSON report is
 //! written after all selected figures ran: per-figure metric deltas
 //! (counter deltas and per-second rates over that figure's wall time)
-//! plus the process-global snapshot (per-node bytes, message counts,
+//! plus the process snapshot (per-node bytes, message counts,
 //! latency histograms with p50/p95/p99). With `--trace-out <path>`,
 //! causal slice tracing is enabled (sampling every `--trace-sample`-th
 //! slice, default 1) and the stitched cross-node timeline is written as
@@ -27,7 +26,7 @@
 //! With `--profile-out <path>`, a process-global pipeline profiler is
 //! installed: every engine the selected figures start attributes wall
 //! time per stage per lane, a background flight recorder samples the
-//! global registry, and the per-stage self-time table plus the flight
+//! harness registry, and the per-stage self-time table plus the flight
 //! timeline are written as JSON. The pseudo-command `profile` prints
 //! the same report as a human-readable table instead (defaulting to
 //! `fig6a` if no figure is named). `prof-overhead` runs the CI gate's
@@ -35,11 +34,12 @@
 //! and with an installed-but-disabled one.
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desis_bench::experiments::all_figures;
 use desis_bench::measure::{write_metrics_report, Scale};
-use desis_bench::shard_bench::{profile_workloads, run_shard_bench, ShardBenchConfig};
+use desis_bench::Harness;
 use desis_core::obs::prof::{
     self, FlightRecorder, FlightSampler, ProfClock, ProfHandle, Profiler, Stage,
 };
@@ -90,8 +90,6 @@ fn main() {
     let mut fault_seed: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut profile_out: Option<String> = None;
-    let mut bench_out = String::from("BENCH_5.json");
-    let mut bench_smoke = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -143,10 +141,11 @@ fn main() {
             }
             "--shards" => {
                 let value = it.next().unwrap_or_default();
-                shards = Some(value.parse().unwrap_or_else(|_| {
+                let n: usize = value.parse().unwrap_or_else(|_| {
                     eprintln!("--shards requires a positive integer, got {value:?}");
                     std::process::exit(2);
-                }));
+                });
+                shards = Some(n.max(1));
             }
             "--profile-out" => {
                 profile_out = Some(it.next().unwrap_or_else(|| {
@@ -154,13 +153,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--bench-out" => {
-                bench_out = it.next().unwrap_or_else(|| {
-                    eprintln!("--bench-out requires a file path");
-                    std::process::exit(2);
-                });
-            }
-            "--smoke" => bench_smoke = true,
             "--help" | "-h" => {
                 print_usage();
                 return;
@@ -168,14 +160,7 @@ fn main() {
             other => wanted.push(other.to_string()),
         }
     }
-    // Install the process-global collector before any figure runs so
-    // every cluster the figures spin up records into it.
-    if trace_out.is_some() {
-        TraceCollector::install_global(trace_sample, DEFAULT_RING_CAPACITY);
-    }
-    // Same for the fault plan: installed globally, it reaches every
-    // cluster the figures start without threading through their plumbing.
-    if let Some(path) = &faults_path {
+    let faults = if let Some(path) = &faults_path {
         let text = std::fs::read_to_string(path).unwrap_or_else(|err| {
             eprintln!("cannot read fault plan {path}: {err}");
             std::process::exit(2);
@@ -193,23 +178,31 @@ fn main() {
             plan.links.len(),
             plan.nodes.len()
         );
-        FaultPlan::install_global(plan);
+        Some(plan)
     } else if fault_seed.is_some() {
         eprintln!("--fault-seed requires --faults");
         std::process::exit(2);
-    }
-
-    // Every cluster any figure starts picks up the local shard count via
-    // the process-global default (same pattern as the fault plan).
+    } else {
+        None
+    };
     if let Some(n) = shards {
-        desis_net::cluster::install_default_shards(n);
-        eprintln!("local nodes run {} engine shard(s)", n.max(1));
+        eprintln!("local nodes run {n} engine shard(s)");
     }
+    // One harness carries the flags into every cluster and measurement
+    // the figures start.
+    let harness = Harness {
+        scale,
+        trace: trace_out
+            .as_ref()
+            .map(|_| TraceCollector::new(trace_sample, DEFAULT_RING_CAPACITY)),
+        faults,
+        shards: shards.unwrap_or(1),
+        ..Harness::quick()
+    };
 
     let registry = all_figures();
     if wanted.iter().any(|w| w == "list") {
         println!("table1");
-        println!("bench5");
         println!("profile");
         println!("prof-overhead");
         for (id, _) in &registry {
@@ -232,7 +225,7 @@ fn main() {
         let profiler = Profiler::new(ProfClock::wall()).install_global();
         profiler.begin();
         let sampler = FlightSampler::spawn(
-            MetricsRegistry::global(),
+            Arc::clone(&harness.registry),
             profiler.clock().clone(),
             Duration::from_millis(25),
             4_096,
@@ -246,75 +239,17 @@ fn main() {
     } else {
         None
     };
-    // The main lane covers the driver thread: with every figure/bench
-    // run inside a scope, the busiest lane accounts for (nearly) the
+    // The main lane covers the driver thread: with every figure run
+    // inside a scope, the busiest lane accounts for (nearly) the
     // whole measured wall span, which is what the coverage acceptance
     // metric checks.
     let mut main_lane = Profiler::global().map(|p| p.handle("main"));
-    if wanted.iter().any(|w| w == "bench5") {
-        let cfg = if bench_smoke {
-            ShardBenchConfig::smoke()
-        } else {
-            ShardBenchConfig::default()
-        };
-        let report = {
-            let _s = prof::scope(&mut main_lane, Stage::Handler);
-            run_shard_bench(&cfg)
-        };
-        if let Some(stem) = &profile_out {
-            let profile_shards = shards
-                .or_else(|| cfg.shard_counts.iter().copied().max())
-                .unwrap_or(4)
-                .max(1);
-            let _s = prof::scope(&mut main_lane, Stage::Handler);
-            for (workload, json) in profile_workloads(&cfg, profile_shards) {
-                let path = profile_sibling(stem, workload);
-                std::fs::write(&path, json).unwrap_or_else(|err| {
-                    eprintln!("cannot write {path}: {err}");
-                    std::process::exit(2);
-                });
-                eprintln!("wrote {path} ({workload} workload, {profile_shards} shards)");
-            }
-        }
-        for (workload, points) in [("fixed", &report.points), ("mixed", &report.mixed_points)] {
-            for p in points.iter() {
-                println!(
-                    "bench5 {workload} shards={} events/s={:.0} (median of {})",
-                    p.shards,
-                    p.events_per_sec,
-                    p.samples.len()
-                );
-            }
-        }
-        println!(
-            "bench5 cpus={} speedup(4/1)={:.2} mixed_speedup(4/1)={:.2}",
-            report.cpus,
-            report.speedup(1, 4).unwrap_or(0.0),
-            report.mixed_speedup(1, 4).unwrap_or(0.0)
-        );
-        let path = std::path::Path::new(&bench_out);
-        std::fs::write(path, report.to_json()).unwrap_or_else(|err| {
-            eprintln!("cannot write {bench_out}: {err}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {bench_out}");
-        wanted.retain(|w| w != "bench5");
-        if wanted.is_empty() {
-            wrap_up(
-                prof_session,
-                main_lane,
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                &[],
-            );
-            return;
-        }
-    }
     if wanted.iter().any(|w| w == "table1" || w == "all") {
         print_table1();
         wanted.retain(|w| w != "table1");
         if wanted.is_empty() {
             wrap_up(
+                &harness,
                 prof_session,
                 main_lane,
                 metrics_out.as_deref(),
@@ -347,17 +282,17 @@ fn main() {
     }
     let mut figure_diffs: Vec<(String, f64, MetricsDiff)> = Vec::new();
     for (id, generator) in selected {
-        let before = MetricsRegistry::global().snapshot();
+        let before = harness.registry.snapshot();
         let started = Instant::now();
         let figure = {
             let _s = prof::scope(&mut main_lane, Stage::Handler);
-            generator(scale)
+            generator(&harness)
         };
         let elapsed = started.elapsed().as_secs_f64();
         figure_diffs.push((
             id.to_string(),
             elapsed,
-            MetricsRegistry::global().snapshot().diff(&before),
+            harness.registry.snapshot().diff(&before),
         ));
         print!("{}", figure.render());
         println!("   [{elapsed:.1}s]\n");
@@ -370,6 +305,7 @@ fn main() {
         }
     }
     wrap_up(
+        &harness,
         prof_session,
         main_lane,
         metrics_out.as_deref(),
@@ -379,7 +315,7 @@ fn main() {
 }
 
 /// One profiling session of the experiments process: the installed
-/// global profiler plus the background flight sampler over the global
+/// global profiler plus the background flight sampler over the harness
 /// registry, and where the report goes.
 struct ProfSession {
     profiler: &'static Profiler,
@@ -389,14 +325,14 @@ struct ProfSession {
 }
 
 impl ProfSession {
-    /// Ends the measured span, publishes `prof.*` instruments into the
-    /// global registry (so `--metrics-out` carries them), writes/prints
-    /// the report, and returns the flight timeline for the Perfetto
-    /// counter tracks.
-    fn finish(self) -> FlightRecorder {
+    /// Ends the measured span, publishes `prof.*` instruments into
+    /// `registry` (so `--metrics-out` carries them), writes/prints the
+    /// report, and returns the flight timeline for the Perfetto counter
+    /// tracks.
+    fn finish(self, registry: &MetricsRegistry) -> FlightRecorder {
         self.profiler.end();
         let flight = self.sampler.finish();
-        self.profiler.publish(MetricsRegistry::global());
+        self.profiler.publish(registry);
         let report = self.profiler.report();
         if let Some(path) = &self.out {
             if let Err(err) = std::fs::write(path, report.to_json(Some(&flight))) {
@@ -418,8 +354,13 @@ impl ProfSession {
 }
 
 /// Flushes the driver-lane handle, closes the profiling session (if
-/// any), and writes the requested output files.
+/// any), drains the harness's trace timeline (publishing per-stage
+/// latency histograms into its registry first, so the metrics report
+/// includes them) and writes the requested output files. When a flight
+/// timeline was recorded, its counter trajectories ride along in the
+/// Chrome trace as Perfetto counter tracks.
 fn wrap_up(
+    harness: &Harness,
     prof_session: Option<ProfSession>,
     main_lane: Option<ProfHandle>,
     metrics_out: Option<&str>,
@@ -429,35 +370,12 @@ fn wrap_up(
     // The handle flushes its tallies on drop; it must go before
     // `ProfSession::finish` reads the report.
     drop(main_lane);
-    let flight = prof_session.map(ProfSession::finish);
-    finish(metrics_out, trace_out, figures, flight.as_ref());
-}
-
-/// Sibling artifact path for a per-workload profile: `profile.json` +
-/// `fixed` → `profile.fixed.json`.
-fn profile_sibling(stem: &str, workload: &str) -> String {
-    match stem.strip_suffix(".json") {
-        Some(base) => format!("{base}.{workload}.json"),
-        None => format!("{stem}.{workload}.json"),
-    }
-}
-
-/// Drains the trace timeline (publishing per-stage latency histograms
-/// into the global registry first, so the metrics report includes them)
-/// and writes the requested output files. When a flight timeline was
-/// recorded, its counter trajectories ride along in the Chrome trace as
-/// Perfetto counter tracks.
-fn finish(
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
-    figures: &[(String, f64, MetricsDiff)],
-    flight: Option<&FlightRecorder>,
-) {
-    if let Some(path) = trace_out {
-        let collector = TraceCollector::global().expect("installed at startup");
+    let flight = prof_session.map(|s| s.finish(&harness.registry));
+    if let (Some(path), Some(collector)) = (trace_out, &harness.trace) {
         let timeline = collector.drain_timeline();
-        timeline.publish(MetricsRegistry::global());
+        timeline.publish(&harness.registry);
         let tracks = flight
+            .as_ref()
             .map(|f| f.counter_tracks(&["engine.", "net.", "prof.", "trace.", "cluster."]))
             .unwrap_or_default();
         if let Err(err) = std::fs::write(path, timeline.to_chrome_json_with(&tracks)) {
@@ -472,7 +390,9 @@ fn finish(
         );
     }
     if let Some(path) = metrics_out {
-        if let Err(err) = write_metrics_report(std::path::Path::new(path), figures) {
+        if let Err(err) =
+            write_metrics_report(std::path::Path::new(path), &harness.registry, figures)
+        {
             eprintln!("cannot write metrics to {path}: {err}");
             std::process::exit(2);
         }
@@ -480,9 +400,9 @@ fn finish(
     }
 }
 
-/// The CI overhead gate's A/B probe: the `end_to_end` benchmark
-/// workload (tumbling max + sliding quantile + session median, the
-/// Figure 4 shape over 100k events), min-of-5 wall time — first in a
+/// The CI overhead gate's A/B probe: the `end_to_end` workload
+/// (tumbling max + sliding quantile + session median, the Figure 4
+/// shape), min-of-N wall time — first in a
 /// profiler-free process, then with an installed-but-disabled global
 /// profiler, the configuration every unprofiled run pays for. Prints
 /// the overhead and writes it as JSON when `--profile-out` is given;
@@ -554,9 +474,8 @@ fn print_usage() {
         "usage: experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]\n\
          \x20                  [--trace-out <path>] [--trace-sample <N>]\n\
          \x20                  [--faults <plan.json>] [--fault-seed <N>]\n\
-         \x20                  [--shards <N>] [--bench-out <path>] [--smoke]\n\
-         \x20                  [--profile-out <path>]\n\
-         \x20                  <figure-id>... | all | list | bench5 | profile | prof-overhead\n\
+         \x20                  [--shards <N>] [--profile-out <path>]\n\
+         \x20                  <figure-id>... | all | list | profile | prof-overhead\n\
          reproduces the Desis (EDBT 2023) evaluation figures; see EXPERIMENTS.md\n\
          --metrics-out writes per-figure metric deltas plus the process\n\
          snapshot (bytes, message counts, latency histograms) as JSON\n\
@@ -566,12 +485,8 @@ fn print_usage() {
          runs\") into every cluster; --fault-seed overrides the plan's seed\n\
          --shards N runs every cluster's local nodes with N engine shards\n\
          --profile-out installs the pipeline profiler and writes the\n\
-         per-lane stage table + flight-recorder timeline as JSON (with\n\
-         bench5: also per-workload profiles as <path>.fixed/.mixed.json)\n\
+         per-lane stage table + flight-recorder timeline as JSON\n\
          `profile [figure-id...]` prints the stage table (default fig6a)\n\
-         `prof-overhead` runs the <3% disabled-profiler A/B gate probe\n\
-         `bench5` sweeps ParallelEngine throughput at 1/2/4 shards over the\n\
-         fixed-window and mixed (session/count/user-defined) workloads and\n\
-         writes BENCH_5.json (override with --bench-out; --smoke shrinks it)"
+         `prof-overhead` runs the <3% disabled-profiler A/B gate probe"
     );
 }

@@ -13,6 +13,7 @@ use desis_core::window::WindowSpec;
 use super::fig8::optimization_systems;
 use super::uniform_stream;
 use crate::figure::{Figure, Series};
+use crate::harness::Harness;
 use crate::measure::{mean, measure_result_latency, measure_throughput, Scale};
 
 fn sliced_window_queries(slice_size: u64, slices_per_window: u64) -> Vec<Query> {
@@ -51,7 +52,8 @@ fn sweep_slices(scale: Scale) -> Vec<u64> {
 
 /// Figure 10a: throughput versus the number of slices per window
 /// (10k-event slices in the paper; 1k-event slices at quick scale).
-pub fn fig10a(scale: Scale) -> Figure {
+pub fn fig10a(h: &Harness) -> Figure {
+    let scale = h.scale;
     let slice_size = match scale {
         Scale::Quick => 1_000,
         Scale::Full => 10_000,
@@ -67,6 +69,7 @@ pub fn fig10a(scale: Scale) -> Figure {
         for &slices in &sweep_slices(scale) {
             let events = events_for(slice_size, slices, scale.events(2_000_000));
             let run = measure_throughput(
+                &h.registry,
                 system,
                 sliced_window_queries(slice_size, slices),
                 &events,
@@ -80,7 +83,8 @@ pub fn fig10a(scale: Scale) -> Figure {
 }
 
 /// Figure 10b: latency versus the number of slices per window.
-pub fn fig10b(scale: Scale) -> Figure {
+pub fn fig10b(h: &Harness) -> Figure {
+    let scale = h.scale;
     let slice_size = match scale {
         Scale::Quick => 1_000,
         Scale::Full => 10_000,
@@ -96,6 +100,7 @@ pub fn fig10b(scale: Scale) -> Figure {
         for &slices in &sweep_slices(scale) {
             let events = events_for(slice_size, slices, scale.events(2_000_000));
             let lats = measure_result_latency(
+                &h.registry,
                 system,
                 sliced_window_queries(slice_size, slices),
                 &events,
@@ -116,7 +121,8 @@ fn sweep_sizes(scale: Scale) -> Vec<u64> {
 }
 
 /// Figure 10c: throughput versus slice size (fixed slices per window).
-pub fn fig10c(scale: Scale) -> Figure {
+pub fn fig10c(h: &Harness) -> Figure {
+    let scale = h.scale;
     let slices_per_window = match scale {
         Scale::Quick => 100,
         Scale::Full => 1_000,
@@ -132,6 +138,7 @@ pub fn fig10c(scale: Scale) -> Figure {
         for &size in &sweep_sizes(scale) {
             let events = events_for(size, slices_per_window, scale.events(2_000_000));
             let run = measure_throughput(
+                &h.registry,
                 system,
                 sliced_window_queries(size, slices_per_window),
                 &events,
@@ -145,7 +152,8 @@ pub fn fig10c(scale: Scale) -> Figure {
 }
 
 /// Figure 10d: latency versus slice size (fixed slices per window).
-pub fn fig10d(scale: Scale) -> Figure {
+pub fn fig10d(h: &Harness) -> Figure {
+    let scale = h.scale;
     let slices_per_window = match scale {
         Scale::Quick => 100,
         Scale::Full => 1_000,
@@ -161,6 +169,7 @@ pub fn fig10d(scale: Scale) -> Figure {
         for &size in &sweep_sizes(scale) {
             let events = events_for(size, slices_per_window, scale.events(2_000_000));
             let lats = measure_result_latency(
+                &h.registry,
                 system,
                 sliced_window_queries(size, slices_per_window),
                 &events,

@@ -15,25 +15,26 @@ use desis_net::prelude::*;
 use super::fig6::end_to_end_systems;
 use super::uniform_stream;
 use crate::figure::{Figure, Series};
-use crate::measure::Scale;
+use crate::harness::Harness;
 
 fn bytes_by_role(
+    h: &Harness,
     system: DistributedSystem,
     queries: Vec<Query>,
     events: u64,
     keys: u32,
 ) -> (u64, u64) {
-    let cfg = ClusterConfig::new(system, queries, Topology::three_tier(1, 1));
+    let cfg = h.cluster(system, queries, Topology::three_tier(1, 1));
     let feed = uniform_stream(events, keys, 1_000_000, 42);
-    let report = run_cluster(cfg, vec![feed]).expect("cluster runs");
+    let report = h.run_cluster(cfg, vec![feed]).expect("cluster runs");
     (
         report.bytes_for_role(NodeRole::Local),
         report.bytes_for_role(NodeRole::Intermediate),
     )
 }
 
-fn single_query_fig(id: &str, title: &str, scale: Scale, function: AggFunction) -> Figure {
-    let n = scale.events(1_000_000);
+fn single_query_fig(id: &str, title: &str, h: &Harness, function: AggFunction) -> Figure {
+    let n = h.scale.events(1_000_000);
     let mut fig = Figure::new(id, title, "node type (0=local, 1=intermediate)", "bytes");
     for system in end_to_end_systems() {
         let queries = vec![Query::new(
@@ -41,7 +42,7 @@ fn single_query_fig(id: &str, title: &str, scale: Scale, function: AggFunction) 
             WindowSpec::tumbling_time(SECOND).expect("valid"),
             function,
         )];
-        let (local, inter) = bytes_by_role(system, queries, n, 10);
+        let (local, inter) = bytes_by_role(h, system, queries, n, 10);
         let mut series = Series::new(system.label());
         series.push(0.0, local as f64);
         series.push(1.0, inter as f64);
@@ -51,28 +52,28 @@ fn single_query_fig(id: &str, title: &str, scale: Scale, function: AggFunction) 
 }
 
 /// Figure 11a: network overhead by node, single average query.
-pub fn fig11a(scale: Scale) -> Figure {
+pub fn fig11a(h: &Harness) -> Figure {
     single_query_fig(
         "fig11a",
         "Network bytes by node (single query, average)",
-        scale,
+        h,
         AggFunction::Average,
     )
 }
 
 /// Figure 11b: network overhead by node, single median query.
-pub fn fig11b(scale: Scale) -> Figure {
+pub fn fig11b(h: &Harness) -> Figure {
     single_query_fig(
         "fig11b",
         "Network bytes by node (single query, median)",
-        scale,
+        h,
         AggFunction::Median,
     )
 }
 
 /// Figure 11c: total network overhead versus distinct keys.
-pub fn fig11c(scale: Scale) -> Figure {
-    let n = scale.events(500_000);
+pub fn fig11c(h: &Harness) -> Figure {
+    let n = h.scale.events(500_000);
     let mut fig = Figure::new(
         "fig11c",
         "Total network bytes vs distinct keys (single query, average)",
@@ -94,7 +95,7 @@ pub fn fig11c(scale: Scale) -> Figure {
                         WindowSpec::tumbling_time(SECOND).expect("valid"),
                         AggFunction::Average,
                     )];
-                    let (local, inter) = bytes_by_role(system, queries, n, keys);
+                    let (local, inter) = bytes_by_role(h, system, queries, n, keys);
                     let total = (local + inter) as f64;
                     cached = Some(total);
                     total
@@ -108,8 +109,8 @@ pub fn fig11c(scale: Scale) -> Figure {
 }
 
 /// Figure 11d: total network overhead versus concurrent windows (1 key).
-pub fn fig11d(scale: Scale) -> Figure {
-    let n = scale.events(500_000);
+pub fn fig11d(h: &Harness) -> Figure {
+    let n = h.scale.events(500_000);
     let mut fig = Figure::new(
         "fig11d",
         "Total network bytes vs concurrent windows (single key)",
@@ -125,7 +126,7 @@ pub fn fig11d(scale: Scale) -> Figure {
                 (true, Some(total)) => total,
                 _ => {
                     let queries = spread_tumbling_queries(windows, 10, AggFunction::Average);
-                    let (local, inter) = bytes_by_role(system, queries, n, 1);
+                    let (local, inter) = bytes_by_role(h, system, queries, n, 1);
                     let total = (local + inter) as f64;
                     cached = Some(total);
                     total

@@ -16,10 +16,10 @@ use desis_net::prelude::*;
 use super::fig6::end_to_end_systems;
 use super::uniform_stream;
 use crate::figure::{Figure, Series};
-use crate::measure::Scale;
+use crate::harness::Harness;
 
-fn latency_by_depth(id: &str, title: &str, scale: Scale, function: AggFunction) -> Figure {
-    let n = scale.events(100_000);
+fn latency_by_depth(id: &str, title: &str, h: &Harness, function: AggFunction) -> Figure {
+    let n = h.scale.events(100_000);
     let mut fig = Figure::new(id, title, "intermediate hops", "latency ms (mean)");
     for system in end_to_end_systems() {
         let mut series = Series::new(system.label());
@@ -34,12 +34,12 @@ fn latency_by_depth(id: &str, title: &str, scale: Scale, function: AggFunction) 
                 WindowSpec::tumbling_time(SECOND).expect("valid"),
                 function,
             )];
-            let mut cfg = ClusterConfig::new(system, queries, topology);
+            let mut cfg = h.cluster(system, queries, topology);
             // Paced so several windows complete within the run (latency
             // needs completed windows with recorded time samples).
             cfg.pace_speedup = Some(2.0);
             let feed = uniform_stream(n, 10, 20_000, 42);
-            let report = run_cluster(cfg, vec![feed]).expect("cluster runs");
+            let report = h.run_cluster(cfg, vec![feed]).expect("cluster runs");
             series.push(hops as f64, report.mean_latency_ms().unwrap_or(0.0));
         }
         fig.series.push(series);
@@ -48,21 +48,21 @@ fn latency_by_depth(id: &str, title: &str, scale: Scale, function: AggFunction) 
 }
 
 /// Figure 12a: latency by topology depth, average function.
-pub fn fig12a(scale: Scale) -> Figure {
+pub fn fig12a(h: &Harness) -> Figure {
     latency_by_depth(
         "fig12a",
         "Latency vs intermediate hops (average)",
-        scale,
+        h,
         AggFunction::Average,
     )
 }
 
 /// Figure 12b: latency by topology depth, median function.
-pub fn fig12b(scale: Scale) -> Figure {
+pub fn fig12b(h: &Harness) -> Figure {
     latency_by_depth(
         "fig12b",
         "Latency vs intermediate hops (median)",
-        scale,
+        h,
         AggFunction::Median,
     )
 }

@@ -18,7 +18,8 @@ use desis_net::prelude::*;
 use super::fig8::optimization_systems;
 use super::{adaptive_events, uniform_stream};
 use crate::figure::{Figure, Series};
-use crate::measure::{measure_throughput, Scale};
+use crate::harness::Harness;
+use crate::measure::measure_throughput;
 
 /// The random decomposable-query workload of Section 6.5.1.
 fn random_queries(n: usize) -> Vec<Query> {
@@ -43,15 +44,15 @@ fn random_queries(n: usize) -> Vec<Query> {
 }
 
 /// Figure 13a: throughput versus number of random queries.
-pub fn fig13a(scale: Scale) -> Figure {
-    let base = scale.events(500_000);
+pub fn fig13a(h: &Harness) -> Figure {
+    let base = h.scale.events(500_000);
     let mut fig = Figure::new(
         "fig13a",
         "Throughput with random real-world-style queries",
         "queries",
         "events/s",
     );
-    let sweep = scale.query_sweep();
+    let sweep = h.scale.query_sweep();
     for system in optimization_systems() {
         let shares = matches!(system, SystemKind::Desis | SystemKind::DeSw);
         let mut series = Series::new(system.label());
@@ -63,7 +64,13 @@ pub fn fig13a(scale: Scale) -> Figure {
                 .max(10_000);
             let events = uniform_stream(n, 10, 1_000_000, 42);
             let final_wm = events.last().map_or(0, |e| e.ts) + 11 * SECOND;
-            let run = measure_throughput(system, random_queries(n_queries), &events, final_wm);
+            let run = measure_throughput(
+                &h.registry,
+                system,
+                random_queries(n_queries),
+                &events,
+                final_wm,
+            );
             series.push(n_queries as f64, run.throughput);
         }
         fig.series.push(series);
@@ -85,8 +92,13 @@ fn pi_systems() -> Vec<DistributedSystem> {
     ]
 }
 
-fn pi_config(system: DistributedSystem, queries: Vec<Query>, locals: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(system, queries, Topology::three_tier(1, locals));
+fn pi_config(
+    h: &Harness,
+    system: DistributedSystem,
+    queries: Vec<Query>,
+    locals: usize,
+) -> ClusterConfig {
+    let mut cfg = h.cluster(system, queries, Topology::three_tier(1, locals));
     cfg.bandwidth = Some(PI_BANDWIDTH);
     cfg
 }
@@ -100,8 +112,8 @@ fn pi_queries() -> Vec<Query> {
 }
 
 /// Figure 13b: throughput versus Raspberry Pi nodes (bandwidth-capped).
-pub fn fig13b(scale: Scale) -> Figure {
-    let per_local = scale.events(400_000);
+pub fn fig13b(h: &Harness) -> Figure {
+    let per_local = h.scale.events(400_000);
     let mut fig = Figure::new(
         "fig13b",
         "Throughput on the bandwidth-capped (Pi) cluster",
@@ -111,11 +123,11 @@ pub fn fig13b(scale: Scale) -> Figure {
     for system in pi_systems() {
         let mut series = Series::new(system.label());
         for locals in [1usize, 2, 4] {
-            let cfg = pi_config(system, pi_queries(), locals);
+            let cfg = pi_config(h, system, pi_queries(), locals);
             let feeds = (0..locals)
                 .map(|i| uniform_stream(per_local, 10, 500_000, 42 + i as u64))
                 .collect();
-            let report = run_cluster(cfg, feeds).expect("cluster runs");
+            let report = h.run_cluster(cfg, feeds).expect("cluster runs");
             series.push(locals as f64, report.throughput());
         }
         fig.series.push(series);
@@ -124,8 +136,8 @@ pub fn fig13b(scale: Scale) -> Figure {
 }
 
 /// Figure 13c: bytes per second on the capped cluster.
-pub fn fig13c(scale: Scale) -> Figure {
-    let per_local = scale.events(400_000);
+pub fn fig13c(h: &Harness) -> Figure {
+    let per_local = h.scale.events(400_000);
     let mut fig = Figure::new(
         "fig13c",
         "Network bytes/s on the bandwidth-capped (Pi) cluster",
@@ -133,11 +145,11 @@ pub fn fig13c(scale: Scale) -> Figure {
         "bytes/s",
     );
     for (idx, system) in pi_systems().into_iter().enumerate() {
-        let cfg = pi_config(system, pi_queries(), 2);
+        let cfg = pi_config(h, system, pi_queries(), 2);
         let feeds = (0..2)
             .map(|i| uniform_stream(per_local, 10, 500_000, 42 + i as u64))
             .collect();
-        let report = run_cluster(cfg, feeds).expect("cluster runs");
+        let report = h.run_cluster(cfg, feeds).expect("cluster runs");
         let rate = report.total_bytes() as f64 / report.wall.as_secs_f64().max(1e-9);
         let mut series = Series::new(system.label());
         series.push(idx as f64, rate);
@@ -147,8 +159,8 @@ pub fn fig13c(scale: Scale) -> Figure {
 }
 
 /// Figure 13d: latency on the capped cluster.
-pub fn fig13d(scale: Scale) -> Figure {
-    let per_local = scale.events(100_000);
+pub fn fig13d(h: &Harness) -> Figure {
+    let per_local = h.scale.events(100_000);
     let mut fig = Figure::new(
         "fig13d",
         "Latency on the bandwidth-capped (Pi) cluster",
@@ -156,12 +168,12 @@ pub fn fig13d(scale: Scale) -> Figure {
         "latency ms (mean)",
     );
     for (idx, system) in pi_systems().into_iter().enumerate() {
-        let mut cfg = pi_config(system, pi_queries(), 2);
+        let mut cfg = pi_config(h, system, pi_queries(), 2);
         cfg.pace_speedup = Some(2.0);
         let feeds = (0..2)
             .map(|i| uniform_stream(per_local, 10, 25_000, 42 + i as u64))
             .collect();
-        let report = run_cluster(cfg, feeds).expect("cluster runs");
+        let report = h.run_cluster(cfg, feeds).expect("cluster runs");
         let mut series = Series::new(system.label());
         series.push(idx as f64, report.mean_latency_ms().unwrap_or(0.0));
         fig.series.push(series);

@@ -15,7 +15,7 @@ use desis_net::prelude::*;
 
 use super::uniform_stream;
 use crate::figure::{Figure, Series};
-use crate::measure::Scale;
+use crate::harness::Harness;
 
 /// The four end-to-end systems of Figure 6.
 pub(crate) fn end_to_end_systems() -> Vec<DistributedSystem> {
@@ -28,8 +28,8 @@ pub(crate) fn end_to_end_systems() -> Vec<DistributedSystem> {
 }
 
 /// Figure 6a: latency of a single window, per system.
-pub fn fig6a(scale: Scale) -> Figure {
-    let n = scale.events(300_000);
+pub fn fig6a(h: &Harness) -> Figure {
+    let n = h.scale.events(300_000);
     let mut fig = Figure::new(
         "fig6a",
         "Latency of a single window (tumbling 1 s, average, 10 keys)",
@@ -42,12 +42,12 @@ pub fn fig6a(scale: Scale) -> Figure {
             WindowSpec::tumbling_time(SECOND).expect("valid"),
             AggFunction::Average,
         )];
-        let mut cfg = ClusterConfig::new(system, queries, Topology::star(1));
+        let mut cfg = h.cluster(system, queries, Topology::star(1));
         // Latency is measured at a sustainable paced rate (Section 6.1),
         // not at saturation, so queueing does not dominate.
         cfg.pace_speedup = Some(1.0);
         let feed = uniform_stream(n, 10, 100_000, 42);
-        let report = run_cluster(cfg, vec![feed]).expect("cluster runs");
+        let report = h.run_cluster(cfg, vec![feed]).expect("cluster runs");
         let mut series = Series::new(system.label());
         series.push(idx as f64, report.mean_latency_ms().unwrap_or(0.0));
         fig.series.push(series);
@@ -56,8 +56,8 @@ pub fn fig6a(scale: Scale) -> Figure {
 }
 
 /// Figure 6b: throughput versus number of concurrent windows.
-pub fn fig6b(scale: Scale) -> Figure {
-    let base = scale.events(500_000);
+pub fn fig6b(h: &Harness) -> Figure {
+    let base = h.scale.events(500_000);
     let mut fig = Figure::new(
         "fig6b",
         "Throughput of concurrent windows (tumbling 1-10 s, average)",
@@ -77,9 +77,9 @@ pub fn fig6b(scale: Scale) -> Figure {
             );
             let n = super::adaptive_events(base, n_windows, shares);
             let queries = spread_tumbling_queries(n_windows, 10, AggFunction::Average);
-            let cfg = ClusterConfig::new(system, queries, Topology::star(1));
+            let cfg = h.cluster(system, queries, Topology::star(1));
             let feed = uniform_stream(n, 10, 1_000_000, 42);
-            let report = run_cluster(cfg, vec![feed]).expect("cluster runs");
+            let report = h.run_cluster(cfg, vec![feed]).expect("cluster runs");
             series.push(n_windows as f64, report.throughput());
         }
         fig.series.push(series);

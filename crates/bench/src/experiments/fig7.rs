@@ -23,10 +23,10 @@ use desis_net::prelude::*;
 
 use super::uniform_stream;
 use crate::figure::{Figure, Series};
-use crate::measure::Scale;
+use crate::harness::Harness;
 
-fn scalability(scale: Scale, id: &str, function: AggFunction) -> Figure {
-    let per_local = scale.events(150_000);
+fn scalability(h: &Harness, id: &str, function: AggFunction) -> Figure {
+    let per_local = h.scale.events(150_000);
     let mut fig = Figure::new(
         id,
         format!("Scalability with local nodes ({function})"),
@@ -43,11 +43,11 @@ fn scalability(scale: Scale, id: &str, function: AggFunction) -> Figure {
                 function,
             )];
             let topo = Topology::three_tier(1, locals);
-            let cfg = ClusterConfig::new(system, queries, topo);
+            let cfg = h.cluster(system, queries, topo);
             let feeds = (0..locals)
                 .map(|i| uniform_stream(per_local, 10, 500_000, 42 + i as u64))
                 .collect();
-            let report = run_cluster(cfg, feeds).expect("cluster runs");
+            let report = h.run_cluster(cfg, feeds).expect("cluster runs");
             series.push(locals as f64, report.throughput());
         }
         fig.series.push(series);
@@ -56,13 +56,13 @@ fn scalability(scale: Scale, id: &str, function: AggFunction) -> Figure {
 }
 
 /// Figure 7a: throughput versus #locals, average function.
-pub fn fig7a(scale: Scale) -> Figure {
-    scalability(scale, "fig7a", AggFunction::Average)
+pub fn fig7a(h: &Harness) -> Figure {
+    scalability(h, "fig7a", AggFunction::Average)
 }
 
 /// Figure 7b: throughput versus #locals, median function.
-pub fn fig7b(scale: Scale) -> Figure {
-    scalability(scale, "fig7b", AggFunction::Median)
+pub fn fig7b(h: &Harness) -> Figure {
+    scalability(h, "fig7b", AggFunction::Median)
 }
 
 /// Builds `children` per-child slice partial streams for a query and
@@ -157,7 +157,8 @@ fn local_rate(queries: Vec<Query>, events: &[Event]) -> f64 {
 }
 
 /// Figure 7c: per-node-type throughput versus #child nodes (average).
-pub fn fig7c(scale: Scale) -> Figure {
+pub fn fig7c(h: &Harness) -> Figure {
+    let scale = h.scale;
     let slices = scale.events(50);
     let mut fig = Figure::new(
         "fig7c",
@@ -186,8 +187,8 @@ pub fn fig7c(scale: Scale) -> Figure {
 }
 
 /// Figure 7d: root throughput versus #child nodes (median).
-pub fn fig7d(scale: Scale) -> Figure {
-    let slices = scale.events(20);
+pub fn fig7d(h: &Harness) -> Figure {
+    let slices = h.scale.events(20);
     let mut fig = Figure::new(
         "fig7d",
         "Root throughput vs child nodes (median)",
@@ -206,7 +207,8 @@ pub fn fig7d(scale: Scale) -> Figure {
 }
 
 /// Figure 7e: per-node throughput versus #distinct key selections.
-pub fn fig7e(scale: Scale) -> Figure {
+pub fn fig7e(h: &Harness) -> Figure {
+    let scale = h.scale;
     let n = scale.events(200_000);
     let mut fig = Figure::new(
         "fig7e",
@@ -244,8 +246,8 @@ pub fn fig7e(scale: Scale) -> Figure {
 }
 
 /// Figure 7f: per-node throughput versus #concurrent windows (same key).
-pub fn fig7f(scale: Scale) -> Figure {
-    let n = scale.events(200_000);
+pub fn fig7f(h: &Harness) -> Figure {
+    let n = h.scale.events(200_000);
     let mut fig = Figure::new(
         "fig7f",
         "Per-node throughput vs concurrent windows (same key)",

@@ -15,7 +15,8 @@ use desis_gen::{spread_tumbling_queries, DataGenConfig, DataGenerator, MarkerCon
 
 use super::adaptive_events;
 use crate::figure::{Figure, Series};
-use crate::measure::{measure_throughput, Scale};
+use crate::harness::Harness;
+use crate::measure::measure_throughput;
 
 /// The four optimization-experiment systems (Section 6.3).
 pub(crate) fn optimization_systems() -> [SystemKind; 4] {
@@ -67,8 +68,8 @@ pub(crate) fn fig8_stream(n: u64, with_markers: bool) -> Vec<desis_core::event::
     fig8_stream_at(n, 1_000_000, with_markers)
 }
 
-fn throughput_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) -> Figure {
-    let base = scale.events(1_000_000);
+fn throughput_fig(id: &str, title: &str, h: &Harness, half_user_defined: bool) -> Figure {
+    let base = h.scale.events(1_000_000);
     let mut fig = Figure::new(id, title, "windows", "events/s");
     for system in optimization_systems() {
         let shares = matches!(system, SystemKind::Desis | SystemKind::DeSw);
@@ -78,7 +79,7 @@ fn throughput_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) 
             let queries = window_mix(n_windows, half_user_defined);
             let events = fig8_stream(n, half_user_defined);
             let final_wm = events.last().map_or(0, |e| e.ts) + 11_000;
-            let run = measure_throughput(system, queries, &events, final_wm);
+            let run = measure_throughput(&h.registry, system, queries, &events, final_wm);
             series.push(n_windows as f64, run.throughput);
         }
         fig.series.push(series);
@@ -86,8 +87,8 @@ fn throughput_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) 
     fig
 }
 
-fn slices_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) -> Figure {
-    let base = scale.events(300_000);
+fn slices_fig(id: &str, title: &str, h: &Harness, half_user_defined: bool) -> Figure {
+    let base = h.scale.events(300_000);
     let mut fig = Figure::new(id, title, "windows", "slices/minute");
     for system in optimization_systems() {
         let shares = matches!(system, SystemKind::Desis | SystemKind::DeSw);
@@ -100,7 +101,7 @@ fn slices_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) -> F
             let events = fig8_stream_at(n, n / 60, half_user_defined);
             let event_time_min = (events.last().map_or(1, |e| e.ts).max(1)) as f64 / MINUTE as f64;
             let final_wm = events.last().map_or(0, |e| e.ts) + 11_000;
-            let run = measure_throughput(system, queries, &events, final_wm);
+            let run = measure_throughput(&h.registry, system, queries, &events, final_wm);
             series.push(
                 n_windows as f64,
                 run.metrics.slices as f64 / event_time_min.max(1e-9),
@@ -112,41 +113,36 @@ fn slices_fig(id: &str, title: &str, scale: Scale, half_user_defined: bool) -> F
 }
 
 /// Figure 8a: throughput, concurrent tumbling windows.
-pub fn fig8a(scale: Scale) -> Figure {
+pub fn fig8a(h: &Harness) -> Figure {
     throughput_fig(
         "fig8a",
         "Throughput of concurrent tumbling windows (average)",
-        scale,
+        h,
         false,
     )
 }
 
 /// Figure 8b: slices per minute, concurrent tumbling windows.
-pub fn fig8b(scale: Scale) -> Figure {
+pub fn fig8b(h: &Harness) -> Figure {
     slices_fig(
         "fig8b",
         "Slices per minute, concurrent tumbling windows",
-        scale,
+        h,
         false,
     )
 }
 
 /// Figure 8c: throughput, half user-defined windows.
-pub fn fig8c(scale: Scale) -> Figure {
-    throughput_fig(
-        "fig8c",
-        "Throughput with 50% user-defined windows",
-        scale,
-        true,
-    )
+pub fn fig8c(h: &Harness) -> Figure {
+    throughput_fig("fig8c", "Throughput with 50% user-defined windows", h, true)
 }
 
 /// Figure 8d: slices per minute, half user-defined windows.
-pub fn fig8d(scale: Scale) -> Figure {
+pub fn fig8d(h: &Harness) -> Figure {
     slices_fig(
         "fig8d",
         "Slices per minute with 50% user-defined windows",
-        scale,
+        h,
         true,
     )
 }

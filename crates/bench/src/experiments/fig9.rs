@@ -15,7 +15,8 @@ use desis_gen::spread_quantile_queries;
 use super::adaptive_events;
 use super::fig8::{fig8_stream, optimization_systems};
 use crate::figure::{Figure, Series};
-use crate::measure::{measure_throughput, Scale};
+use crate::harness::Harness;
+use crate::measure::measure_throughput;
 
 /// Tumbling 1 s queries alternating between the functions in `pool`.
 fn function_mix(n: usize, pool: &[Vec<AggFunction>]) -> Vec<Query> {
@@ -33,11 +34,11 @@ fn function_mix(n: usize, pool: &[Vec<AggFunction>]) -> Vec<Query> {
 fn throughput_sweep(
     id: &str,
     title: &str,
-    scale: Scale,
+    h: &Harness,
     base_events: u64,
     queries_for: &dyn Fn(usize) -> Vec<Query>,
 ) -> Figure {
-    let base = scale.events(base_events);
+    let base = h.scale.events(base_events);
     let mut fig = Figure::new(id, title, "windows", "events/s");
     for system in optimization_systems() {
         let shares = matches!(system, SystemKind::Desis | SystemKind::DeSw);
@@ -46,7 +47,13 @@ fn throughput_sweep(
             let n = adaptive_events(base, n_windows, shares);
             let events = fig8_stream(n, false);
             let final_wm = events.last().map_or(0, |e| e.ts) + 2_000;
-            let run = measure_throughput(system, queries_for(n_windows), &events, final_wm);
+            let run = measure_throughput(
+                &h.registry,
+                system,
+                queries_for(n_windows),
+                &events,
+                final_wm,
+            );
             series.push(n_windows as f64, run.throughput);
         }
         fig.series.push(series);
@@ -57,13 +64,13 @@ fn throughput_sweep(
 fn calculations_sweep(
     id: &str,
     title: &str,
-    scale: Scale,
+    h: &Harness,
     queries_for: &dyn Fn(usize) -> Vec<Query>,
 ) -> Figure {
     // The paper sends 10M events and counts executed calculations; the
     // count is proportional to events, so we report calculations *per
     // event* times the paper's 10M for comparability.
-    let n = scale.events(100_000);
+    let n = h.scale.events(100_000);
     let mut fig = Figure::new(id, title, "windows", "calculations per 10M events");
     for system in optimization_systems() {
         let shares = matches!(system, SystemKind::Desis | SystemKind::DeSw);
@@ -72,7 +79,13 @@ fn calculations_sweep(
             let events_n = adaptive_events(n, n_windows, shares);
             let events = fig8_stream(events_n, false);
             let final_wm = events.last().map_or(0, |e| e.ts) + 2_000;
-            let run = measure_throughput(system, queries_for(n_windows), &events, final_wm);
+            let run = measure_throughput(
+                &h.registry,
+                system,
+                queries_for(n_windows),
+                &events,
+                final_wm,
+            );
             let per_event = run.metrics.calculations as f64 / events_n as f64;
             series.push(n_windows as f64, per_event * 10_000_000.0);
         }
@@ -117,85 +130,85 @@ fn mixed_measure_mix(n: usize) -> Vec<Query> {
 }
 
 /// Figure 9a: throughput, average+sum mix.
-pub fn fig9a(scale: Scale) -> Figure {
+pub fn fig9a(h: &Harness) -> Figure {
     throughput_sweep(
         "fig9a",
         "Throughput: average + sum functions",
-        scale,
+        h,
         1_000_000,
         &avg_sum_mix,
     )
 }
 
 /// Figure 9b: calculations, average+sum mix.
-pub fn fig9b(scale: Scale) -> Figure {
+pub fn fig9b(h: &Harness) -> Figure {
     calculations_sweep(
         "fig9b",
         "Calculations: average + sum functions",
-        scale,
+        h,
         &avg_sum_mix,
     )
 }
 
 /// Figure 9c: throughput, distinct quantile levels.
-pub fn fig9c(scale: Scale) -> Figure {
+pub fn fig9c(h: &Harness) -> Figure {
     throughput_sweep(
         "fig9c",
         "Throughput: distinct quantile functions",
-        scale,
+        h,
         300_000,
         &quantile_mix,
     )
 }
 
 /// Figure 9d: calculations, distinct quantile levels.
-pub fn fig9d(scale: Scale) -> Figure {
+pub fn fig9d(h: &Harness) -> Figure {
     calculations_sweep(
         "fig9d",
         "Calculations: distinct quantile functions",
-        scale,
+        h,
         &quantile_mix,
     )
 }
 
 /// Figure 9e: throughput, two functions per window.
-pub fn fig9e(scale: Scale) -> Figure {
+pub fn fig9e(h: &Harness) -> Figure {
     throughput_sweep(
         "fig9e",
         "Throughput: two functions per window",
-        scale,
+        h,
         1_000_000,
         &two_function_mix,
     )
 }
 
 /// Figure 9f: calculations, two functions per window.
-pub fn fig9f(scale: Scale) -> Figure {
+pub fn fig9f(h: &Harness) -> Figure {
     calculations_sweep(
         "fig9f",
         "Calculations: two functions per window",
-        scale,
+        h,
         &two_function_mix,
     )
 }
 
 /// Figure 9g: throughput, quantile+max sharing one sort operator.
-pub fn fig9g(scale: Scale) -> Figure {
+pub fn fig9g(h: &Harness) -> Figure {
     throughput_sweep(
         "fig9g",
         "Throughput: quantile + max (shared sort)",
-        scale,
+        h,
         300_000,
         &quantile_max_mix,
     )
 }
 
 /// Figure 9h: throughput, mixed count/time window measures.
-pub fn fig9h(scale: Scale) -> Figure {
+pub fn fig9h(h: &Harness) -> Figure {
     throughput_sweep(
         "fig9h",
         "Throughput: mixed time- and count-measured windows",
-        scale,
+        h,
         1_000_000,
         &mixed_measure_mix,
     )

@@ -1,7 +1,7 @@
 //! One generator per table/figure of the paper's evaluation (Section 6).
 //!
-//! Every function takes a [`Scale`] and returns a [`Figure`] with the same
-//! series the paper plots. The registry in [`all_figures`] backs the
+//! Every function takes the process's [`Harness`] and returns a [`Figure`]
+//! with the same series the paper plots. The registry in [`all_figures`] backs the
 //! `experiments` binary.
 
 mod fig10;
@@ -26,10 +26,10 @@ use desis_core::event::Event;
 use desis_gen::{DataGenConfig, DataGenerator};
 
 use crate::figure::Figure;
-use crate::measure::Scale;
+use crate::harness::Harness;
 
 /// A figure generator.
-pub type FigureFn = fn(Scale) -> Figure;
+pub type FigureFn = fn(&Harness) -> Figure;
 
 /// The full registry: `(figure id, generator)`, in paper order.
 pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
@@ -122,7 +122,7 @@ mod tests {
     /// expected series shape.
     #[test]
     fn fig7f_smoke() {
-        let fig = fig7f(Scale::Quick);
+        let fig = fig7f(&Harness::quick());
         assert_eq!(fig.id, "fig7f");
         let series = &fig.series[0];
         assert_eq!(series.points.len(), 4);

@@ -16,9 +16,9 @@
 
 pub mod experiments;
 pub mod figure;
+pub mod harness;
 pub mod measure;
-pub mod shard_bench;
 
 pub use figure::{Figure, Series};
+pub use harness::Harness;
 pub use measure::{measure_result_latency, measure_throughput, Scale, SingleNodeRun};
-pub use shard_bench::{run_shard_bench, ShardBenchConfig, ShardBenchReport, ShardPoint};

@@ -64,8 +64,12 @@ pub struct SingleNodeRun {
 ///
 /// Results are drained as produced (so memory stays bounded) and a final
 /// watermark fires pending windows; the clock covers event processing
-/// only, matching the paper's sustainable-throughput methodology.
+/// only, matching the paper's sustainable-throughput methodology. The
+/// run's engine metrics accumulate into `registry` under
+/// `single.<System>.engine.` (counters of repeated runs add up), so
+/// `experiments --metrics-out` covers single-node runs too.
 pub fn measure_throughput(
+    registry: &MetricsRegistry,
     system: SystemKind,
     queries: Vec<Query>,
     events: &[Event],
@@ -84,12 +88,9 @@ pub fn measure_throughput(
     results += p.drain_results().len();
     let elapsed = start.elapsed();
     let metrics = p.metrics();
-    // Accumulate the run into the process-global registry under the
-    // system's label, so `experiments --metrics-out` covers single-node
-    // runs too (counters of repeated runs add up).
     let run_registry = MetricsRegistry::new();
     metrics.publish(&run_registry, "engine");
-    MetricsRegistry::global().merge_snapshot(
+    registry.merge_snapshot(
         &format!("single.{}.", system.label()),
         &run_registry.snapshot(),
     );
@@ -103,15 +104,16 @@ pub fn measure_throughput(
 /// Measures result-production latency: the duration of each ingest call
 /// that produced at least one result (for incremental systems this is the
 /// cost of merging slice partials; for CeBuffer it includes the full
-/// buffer scan). Returns latencies in milliseconds.
+/// buffer scan). Returns latencies in milliseconds and records them into
+/// `registry` as `single.<System>.result_latency_us`.
 pub fn measure_result_latency(
+    registry: &MetricsRegistry,
     system: SystemKind,
     queries: Vec<Query>,
     events: &[Event],
     final_wm: Timestamp,
 ) -> Vec<f64> {
-    let hist = MetricsRegistry::global()
-        .histogram(&format!("single.{}.result_latency_us", system.label()));
+    let hist = registry.histogram(&format!("single.{}.result_latency_us", system.label()));
     let mut p = system.build(queries).expect("valid queries");
     let mut latencies = Vec::new();
     for ev in events {
@@ -133,20 +135,15 @@ pub fn measure_result_latency(
     latencies
 }
 
-/// Writes the process-global metrics snapshot (everything the engines,
-/// clusters, and measurement helpers published this process) as JSON to
-/// `path`.
-pub fn write_global_metrics(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, MetricsRegistry::global().snapshot().to_json())
-}
-
-/// Writes per-figure metric deltas plus the process-global snapshot as
-/// JSON: `{"figures":{id:<MetricsDiff>},"process":<MetricsSnapshot>}`.
+/// Writes per-figure metric deltas plus `registry`'s snapshot (everything
+/// the process ran) as JSON:
+/// `{"figures":{id:<MetricsDiff>},"process":<MetricsSnapshot>}`.
 /// Each figure entry carries the counters/histograms that moved while
 /// that figure ran (with per-second rates over its wall time), so a
 /// figure's numbers are separable from the process totals.
 pub fn write_metrics_report(
     path: &std::path::Path,
+    registry: &MetricsRegistry,
     figures: &[(String, f64, desis_core::obs::MetricsDiff)],
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
@@ -158,7 +155,7 @@ pub fn write_metrics_report(
         let _ = write!(out, "\"{id}\":{}", diff.to_json(*elapsed_secs));
     }
     out.push_str("},\"process\":");
-    out.push_str(&MetricsRegistry::global().snapshot().to_json());
+    out.push_str(&registry.snapshot().to_json());
     out.push('}');
     std::fs::write(path, out)
 }
@@ -184,6 +181,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Harness;
     use desis_core::aggregate::AggFunction;
     use desis_core::window::WindowSpec;
 
@@ -195,23 +193,31 @@ mod tests {
             AggFunction::Average,
         )];
         let events: Vec<Event> = (0..10_000).map(|i| Event::new(i, 0, 1.0)).collect();
-        let run = measure_throughput(SystemKind::Desis, queries, &events, 20_000);
+        let registry = MetricsRegistry::new();
+        let run = measure_throughput(&registry, SystemKind::Desis, queries, &events, 20_000);
         assert!(run.throughput > 0.0);
         assert_eq!(run.metrics.events, 10_000);
         assert_eq!(run.results, 100);
     }
 
     #[test]
-    fn throughput_run_publishes_into_global_registry() {
+    fn throughput_run_publishes_into_the_given_registry() {
         let queries = vec![Query::new(
             1,
             WindowSpec::tumbling_time(100).unwrap(),
             AggFunction::Sum,
         )];
         let events: Vec<Event> = (0..1_000).map(|i| Event::new(i, 0, 1.0)).collect();
-        measure_throughput(SystemKind::Desis, queries, &events, 2_000);
-        let snap = MetricsRegistry::global().snapshot();
-        assert!(snap.counters["single.Desis.engine.events"] >= 1_000);
+        let harness = Harness::quick();
+        measure_throughput(
+            &harness.registry,
+            SystemKind::Desis,
+            queries,
+            &events,
+            2_000,
+        );
+        let snap = harness.registry.snapshot();
+        assert_eq!(snap.counters["single.Desis.engine.events"], 1_000);
     }
 
     #[test]
@@ -222,7 +228,9 @@ mod tests {
             AggFunction::Average,
         )];
         let events: Vec<Event> = (0..5_000).map(|i| Event::new(i, 0, 1.0)).collect();
-        let lats = measure_result_latency(SystemKind::CeBuffer, queries, &events, 10_000);
+        let registry = MetricsRegistry::new();
+        let lats =
+            measure_result_latency(&registry, SystemKind::CeBuffer, queries, &events, 10_000);
         assert!(lats.len() >= 40);
         assert!(lats.iter().all(|l| *l >= 0.0));
     }

@@ -45,6 +45,14 @@ struct OpenSession {
     first_slice: SliceId,
 }
 
+impl OpenSession {
+    /// When the session's gap elapses, saturating at `Timestamp::MAX` so
+    /// that a watermark there still closes the session.
+    fn gap_end(&self, gap: DurationMs) -> Timestamp {
+        self.last_ts.saturating_add(gap)
+    }
+}
+
 /// Per-session-query state.
 #[derive(Debug, Clone)]
 struct SessionSlot {
@@ -568,7 +576,7 @@ impl GroupSlicer {
             }
             for slot in &self.sessions {
                 if let Some(open) = &slot.open {
-                    let gap_end = open.last_ts + slot.gap;
+                    let gap_end = open.gap_end(slot.gap);
                     if gap_end <= up_to {
                         t = Some(t.map_or(gap_end, |x| x.min(gap_end)));
                     }
@@ -616,7 +624,7 @@ impl GroupSlicer {
         // Session gap ends at t.
         let mut drained_session = false;
         for slot in &mut self.sessions {
-            if let Some(open) = slot.open.take_if(|open| open.last_ts + slot.gap == t) {
+            if let Some(open) = slot.open.take_if(|open| open.gap_end(slot.gap) == t) {
                 let query = self.group.queries[slot.query_idx].query.id;
                 ends.push(WindowEnd {
                     query,

@@ -26,7 +26,7 @@ pub mod trace;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::sync::Mutex;
@@ -441,14 +441,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The process-wide registry. Long-running harnesses (the
-    /// `experiments` binary) publish per-run snapshots here so one final
-    /// dump covers everything that ran in the process.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
     fn lock<T>(m: &Mutex<T>) -> crate::sync::MutexGuard<'_, T> {
         // A panic while holding the registration lock cannot corrupt a
         // BTreeMap of Arcs; keep serving metrics rather than poisoning.
@@ -508,8 +500,8 @@ impl MetricsRegistry {
 
     /// Merges a snapshot into this registry under a name prefix:
     /// counters add, gauges keep their maximum, histograms merge
-    /// bucket-wise. Used to publish per-run registries into
-    /// [`MetricsRegistry::global`].
+    /// bucket-wise. A harness that drives several runs publishes each
+    /// run's registry into one of its own this way.
     pub fn merge_snapshot(&self, prefix: &str, snap: &MetricsSnapshot) {
         for (name, v) in &snap.counters {
             self.counter(&format!("{prefix}{name}")).add(*v);
@@ -600,10 +592,10 @@ mod tests {
         let run = MetricsRegistry::new();
         run.counter("bytes").add(10);
         run.histogram("lat").record(8);
-        let global = MetricsRegistry::new();
-        global.merge_snapshot("run1.", &run.snapshot());
-        global.merge_snapshot("run1.", &run.snapshot());
-        let snap = global.snapshot();
+        let harness = MetricsRegistry::new();
+        harness.merge_snapshot("run1.", &run.snapshot());
+        harness.merge_snapshot("run1.", &run.snapshot());
+        let snap = harness.snapshot();
         assert_eq!(snap.counters["run1.bytes"], 20);
         assert_eq!(snap.histograms["run1.lat"].count, 2);
         assert_eq!(snap.histograms["run1.lat"].max, 8);

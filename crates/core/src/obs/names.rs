@@ -219,8 +219,8 @@ pub const NET_ROOT_RETAINED_SLICES_MAX: &str = "net.root.retained_slices_max";
 /// (bound: [`ENGINE_ASSEMBLER_CACHED_BUNDLES`]).
 pub const NET_ROOT_CACHED_BUNDLES_MAX: &str = "net.root.cached_bundles_max";
 
-/// Prefix under which one run's snapshot merges into the process-global
-/// registry, keyed by the system label (`desis`, `disco`, ...).
+/// Prefix under which a harness merges one cluster run's snapshot into
+/// its own registry, keyed by the system label (`desis`, `disco`, ...).
 pub fn cluster_system_prefix(system_label: &str) -> String {
     format!("cluster.{system_label}.")
 }

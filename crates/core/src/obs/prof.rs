@@ -906,8 +906,7 @@ impl FlightSampler {
     /// [`FlightSampler::finish`], retaining `capacity` frames. Falls
     /// back to an inert sampler (empty timeline) if the thread cannot
     /// spawn. The registry is anything that dereferences to one from the
-    /// sampler thread: an `Arc<MetricsRegistry>` or the `&'static`
-    /// process-global registry.
+    /// sampler thread, e.g. an `Arc<MetricsRegistry>`.
     pub fn spawn(
         registry: impl std::ops::Deref<Target = MetricsRegistry> + Send + 'static,
         clock: ProfClock,

@@ -23,7 +23,7 @@
 //! cost is a branch on a `None`.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -301,18 +301,6 @@ impl TraceCollector {
         }
     }
 
-    /// Installs a process-global collector (first call wins) for
-    /// harnesses that cannot thread one through their plumbing. Returns
-    /// the installed collector.
-    pub fn install_global(sample_every: u64, capacity: usize) -> &'static TraceCollector {
-        GLOBAL.get_or_init(|| TraceCollector::new(sample_every, capacity))
-    }
-
-    /// The process-global collector, if one was installed.
-    pub fn global() -> Option<&'static TraceCollector> {
-        GLOBAL.get()
-    }
-
     /// Creates a recorder attributed to `node`.
     pub fn recorder(&self, node: u32) -> TraceRecorder {
         TraceRecorder {
@@ -358,8 +346,6 @@ impl TraceCollector {
         }
     }
 }
-
-static GLOBAL: OnceLock<TraceCollector> = OnceLock::new();
 
 /// All recorded events of one trace id, in causal (time) order.
 #[derive(Debug, Clone)]

@@ -28,10 +28,13 @@ pub const MINUTE: DurationMs = 60 * SECOND;
 /// *in advance*: the engine caches the result and compares each incoming
 /// event against it with a single branch instead of re-deriving window
 /// boundaries per event (Section 6.2.1 of the paper).
+///
+/// `None` when that multiple lies past `u64::MAX`: there is no further
+/// punctuation, so a window whose end is not representable never fires.
 #[inline]
-pub fn next_multiple_after(ts: Timestamp, step: DurationMs) -> Timestamp {
+pub fn next_multiple_after(ts: Timestamp, step: DurationMs) -> Option<Timestamp> {
     debug_assert!(step > 0, "window step must be positive");
-    (ts / step + 1) * step
+    (ts / step).checked_add(1)?.checked_mul(step)
 }
 
 /// Returns the smallest value of the form `k * step + offset` (k >= 0) that
@@ -40,15 +43,19 @@ pub fn next_multiple_after(ts: Timestamp, step: DurationMs) -> Timestamp {
 /// Sliding windows of length `l` and step `s` end at times `k * s + l`;
 /// those end punctuations form an arithmetic progression with offset
 /// `l % s` once the stream has warmed up, but the very first windows end
-/// earlier, so we compute the progression exactly.
+/// earlier, so we compute the progression exactly. `None` past `u64::MAX`,
+/// as for [`next_multiple_after`].
 #[inline]
-pub fn next_progression_after(ts: Timestamp, step: DurationMs, offset: DurationMs) -> Timestamp {
+pub fn next_progression_after(
+    ts: Timestamp,
+    step: DurationMs,
+    offset: DurationMs,
+) -> Option<Timestamp> {
     debug_assert!(step > 0, "window step must be positive");
     if ts < offset {
-        return offset;
+        return Some(offset);
     }
-    let base = ts - offset;
-    (base / step + 1) * step + offset
+    next_multiple_after(ts - offset, step)?.checked_add(offset)
 }
 
 #[cfg(test)]
@@ -57,30 +64,30 @@ mod tests {
 
     #[test]
     fn next_multiple_is_strictly_after() {
-        assert_eq!(next_multiple_after(0, 10), 10);
-        assert_eq!(next_multiple_after(9, 10), 10);
-        assert_eq!(next_multiple_after(10, 10), 20);
-        assert_eq!(next_multiple_after(11, 10), 20);
+        assert_eq!(next_multiple_after(0, 10), Some(10));
+        assert_eq!(next_multiple_after(9, 10), Some(10));
+        assert_eq!(next_multiple_after(10, 10), Some(20));
+        assert_eq!(next_multiple_after(11, 10), Some(20));
     }
 
     #[test]
     fn next_multiple_step_one() {
-        assert_eq!(next_multiple_after(41, 1), 42);
+        assert_eq!(next_multiple_after(41, 1), Some(42));
     }
 
     #[test]
     fn progression_before_offset_returns_offset() {
         // Sliding length 25, step 10: ends at 25, 35, 45, ...
-        assert_eq!(next_progression_after(0, 10, 25), 25);
-        assert_eq!(next_progression_after(24, 10, 25), 25);
+        assert_eq!(next_progression_after(0, 10, 25), Some(25));
+        assert_eq!(next_progression_after(24, 10, 25), Some(25));
     }
 
     #[test]
     fn progression_after_offset() {
-        assert_eq!(next_progression_after(25, 10, 25), 35);
-        assert_eq!(next_progression_after(26, 10, 25), 35);
-        assert_eq!(next_progression_after(44, 10, 25), 45);
-        assert_eq!(next_progression_after(45, 10, 25), 55);
+        assert_eq!(next_progression_after(25, 10, 25), Some(35));
+        assert_eq!(next_progression_after(26, 10, 25), Some(35));
+        assert_eq!(next_progression_after(44, 10, 25), Some(45));
+        assert_eq!(next_progression_after(45, 10, 25), Some(55));
     }
 
     #[test]
@@ -91,5 +98,18 @@ mod tests {
                 next_multiple_after(ts, 10)
             );
         }
+    }
+
+    #[test]
+    fn no_punctuation_past_u64_max() {
+        const MAX: u64 = u64::MAX; // ends in …615
+        assert_eq!(next_multiple_after(MAX - 6, 10), Some(MAX - 5));
+        assert_eq!(next_multiple_after(MAX - 5, 10), None);
+        assert_eq!(next_multiple_after(MAX, 1), None);
+        assert_eq!(next_multiple_after(MAX - 1, 1), Some(MAX));
+        assert_eq!(next_progression_after(MAX - 11, 10, 25), Some(MAX - 10));
+        assert_eq!(next_progression_after(MAX - 10, 10, 25), Some(MAX));
+        assert_eq!(next_progression_after(MAX, 10, 25), None);
+        assert_eq!(next_progression_after(3, 10, MAX), Some(MAX));
     }
 }

@@ -165,38 +165,38 @@ impl WindowSpec {
     /// end of any window instance) strictly after `ts`.
     ///
     /// Returns `None` for data-driven or count-measured windows, whose
-    /// punctuations are not time-computable.
+    /// punctuations are not time-computable, and when no further
+    /// punctuation is representable: a window whose end lies past
+    /// `u64::MAX` never fires.
     pub fn next_time_punct_after(&self, ts: Timestamp) -> Option<Timestamp> {
         if !self.has_precomputable_puncts() {
             return None;
         }
-        match self.kind {
-            WindowKind::Tumbling { length } => {
-                // Starts and ends coincide at multiples of `length`.
-                Some(next_multiple_after(ts, length))
-            }
-            WindowKind::Sliding { length, step } => {
-                // Starts at k*step; ends at k*step + length.
-                let next_start = next_multiple_after(ts, step);
-                let next_end = next_progression_after(ts, step, length);
-                Some(next_start.min(next_end))
-            }
-            _ => unreachable!("guarded by has_precomputable_puncts"),
-        }
+        self.next_fixed_punct_after(ts)
     }
 
     /// For count-measured fixed windows: the earliest punctuation (in event
-    /// counts) strictly after `count` events have been ingested.
+    /// counts) strictly after `count` events have been ingested; `None`
+    /// once it is no longer representable.
     pub fn next_count_punct_after(&self, count: EventCount) -> Option<EventCount> {
         if self.measure != Measure::Count {
             return None;
         }
+        self.next_fixed_punct_after(count)
+    }
+
+    /// The earliest window start or end strictly after `p`, in the
+    /// window's own measure.
+    fn next_fixed_punct_after(&self, p: u64) -> Option<u64> {
         match self.kind {
-            WindowKind::Tumbling { length } => Some(next_multiple_after(count, length)),
+            // Starts and ends coincide at multiples of `length`.
+            WindowKind::Tumbling { length } => next_multiple_after(p, length),
             WindowKind::Sliding { length, step } => {
-                let next_start = next_multiple_after(count, step);
-                let next_end = next_progression_after(count, step, length);
-                Some(next_start.min(next_end))
+                // Starts at k*step; ends at k*step + length. Either may
+                // be the last representable one.
+                let next_start = next_multiple_after(p, step);
+                let next_end = next_progression_after(p, step, length);
+                next_start.into_iter().chain(next_end).min()
             }
             _ => None,
         }

@@ -85,13 +85,10 @@ pub struct ClusterConfig {
     /// measures latency at a sustainable rate rather than at saturation.
     pub pace_speedup: Option<f64>,
     /// Causal slice tracing: when set, every node records provenance
-    /// spans into this collector (falling back to
-    /// [`TraceCollector::global`] when unset). The caller owns draining
-    /// the stitched timeline after the run.
+    /// spans into this collector; `None` records nothing. The caller
+    /// owns draining the stitched timeline after the run.
     pub trace: Option<TraceCollector>,
-    /// Deterministic fault schedule for this run (falling back to
-    /// [`FaultPlan::global`] when unset — the bench driver's `--faults`
-    /// flag installs one there). `None` with no global plan runs
+    /// Deterministic fault schedule for this run; `None` runs
     /// fault-free.
     pub faults: Option<FaultPlan>,
     /// Tunables of the recovery protocol (NACK budget, grace period,
@@ -100,29 +97,10 @@ pub struct ClusterConfig {
     /// Worker shards per local node (Desis only). `1` runs the classic
     /// sequential pipeline; `> 1` hash-partitions events by key across
     /// that many engine threads per local (see
-    /// [`desis_core::engine::ParallelEngine`]). Defaults to the
-    /// process-global value set by [`install_default_shards`] (the bench
-    /// driver's `--shards` flag), or `1`.
+    /// [`desis_core::engine::ParallelEngine`]). Defaults to `1`; `0`
+    /// is treated as `1`.
     pub shards: usize,
 }
-
-/// Installs the process-global default for [`ClusterConfig::shards`]
-/// (clamped to at least 1). Harnesses that cannot thread the value
-/// through their plumbing — the bench driver's `--shards` flag — set it
-/// once at startup; configs built afterwards pick it up.
-pub fn install_default_shards(shards: usize) {
-    DEFAULT_SHARDS.store(shards.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-global default local shard count (1 unless
-/// [`install_default_shards`] was called).
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS
-        .load(std::sync::atomic::Ordering::Relaxed)
-        .max(1)
-}
-
-static DEFAULT_SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
 
 impl ClusterConfig {
     /// A configuration with the paper-ish defaults.
@@ -143,7 +121,7 @@ impl ClusterConfig {
             trace: None,
             faults: None,
             recovery: RecoveryConfig::default(),
-            shards: default_shards(),
+            shards: 1,
         }
     }
 
@@ -363,15 +341,13 @@ struct Run<'a> {
     cfg: &'a ClusterConfig,
     groups: &'a [QueryGroup],
     script: &'a [(Timestamp, CompiledCommand)],
-    /// Every run gets a fresh registry; the snapshot lands in the report
-    /// and is merged into the process-global registry at the end.
+    /// Every run gets a fresh registry; its snapshot lands in the
+    /// report.
     registry: &'a MetricsRegistry,
-    /// Causal tracing: an explicit per-run collector wins over the
-    /// process-global one (if any); `None` keeps every hot-path hook on
-    /// its no-recorder branch.
+    /// Causal tracing ([`ClusterConfig::trace`]); `None` keeps every
+    /// hot-path hook on its no-recorder branch.
     tracing: Option<&'a TraceCollector>,
-    /// Fault injection: an explicit per-run plan wins over the
-    /// process-global one installed by the bench driver's `--faults`.
+    /// Fault injection ([`ClusterConfig::faults`]).
     plan: Option<&'a FaultPlan>,
     fault_stats: Arc<FaultStats>,
     recovery_stats: Arc<RecoveryStats>,
@@ -599,7 +575,7 @@ pub fn run_cluster(
     }
     let groups = analyze_for(cfg.system, cfg.queries.clone())?;
     let script = compile_script(&cfg, groups.len() as GroupId)?;
-    let plan = cfg.faults.as_ref().or(FaultPlan::global());
+    let plan = cfg.faults.as_ref();
     if let Some(plan) = plan {
         plan.validate(topology).map_err(DesisError::FaultPlan)?;
     }
@@ -609,7 +585,7 @@ pub fn run_cluster(
         groups: &groups,
         script: &script,
         registry: &registry,
-        tracing: cfg.trace.as_ref().or(TraceCollector::global()),
+        tracing: cfg.trace.as_ref(),
         plan,
         fault_stats: FaultStats::registered(&registry),
         recovery_stats: RecoveryStats::registered(&registry),
@@ -712,8 +688,6 @@ pub fn run_cluster(
         .counter(names::NET_ROOT_RAW_EVENTS)
         .raise_to(root_raw_events);
     let metrics = registry.snapshot();
-    MetricsRegistry::global()
-        .merge_snapshot(&names::cluster_system_prefix(cfg.system.label()), &metrics);
     let mut faults_injected = injected.lock().unwrap_or_else(|e| e.into_inner()).clone();
     faults_injected.sort_by(|a, b| (a.link, a.frame, a.kind).cmp(&(b.link, b.frame, b.kind)));
     Ok(ClusterReport {
@@ -780,6 +754,37 @@ mod tests {
         }
         engine.on_watermark(last + horizon);
         sorted(engine.drain_results())
+    }
+
+    /// Two runs in one process share nothing: the collector and fault
+    /// plan of the first reach only the run they were configured on.
+    #[test]
+    fn a_run_sees_only_its_own_trace_faults_and_shards() {
+        let topology = Topology::star(1);
+        let local = topology.nodes_with_role(NodeRole::Local)[0];
+        let config = || {
+            ClusterConfig::new(
+                DistributedSystem::Desis,
+                vec![avg_query(100)],
+                topology.clone(),
+            )
+        };
+        assert_eq!(config().shards, 1);
+
+        let collector = TraceCollector::new(1, 1 << 12);
+        let mut first = config();
+        first.trace = Some(collector.clone());
+        first.faults =
+            Some(FaultPlan::new(7).with_link_fault(local, crate::fault::LinkFaultKind::Drop, 2, 3));
+        let faulty = run_cluster(first, vec![feed(500, 3, 0)]).unwrap();
+        assert_eq!(faulty.metrics.counters[names::FAULT_DROPPED], 2);
+        assert!(!collector.drain_timeline().chains.is_empty());
+
+        let clean = run_cluster(config(), vec![feed(500, 3, 0)]).unwrap();
+        assert!(clean.faults_injected.is_empty());
+        assert_eq!(clean.metrics.counters[names::FAULT_DROPPED], 0);
+        assert!(collector.drain_timeline().chains.is_empty());
+        assert_eq!(sorted(clean.results), sorted(faulty.results));
     }
 
     #[test]

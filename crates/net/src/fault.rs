@@ -24,7 +24,7 @@
 //! [`FaultStats`]); what the receiver does about them is the recovery
 //! protocol in [`crate::recovery`].
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use desis_core::obs::{names, Counter, MetricsRegistry};
 use desis_core::time::Timestamp;
@@ -239,19 +239,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Installs a process-global plan (first call wins) for harnesses
-    /// that cannot thread one through their plumbing — the bench driver's
-    /// `--faults` flag. [`crate::cluster::run_cluster`] falls back to it
-    /// when [`crate::cluster::ClusterConfig::faults`] is unset.
-    pub fn install_global(plan: FaultPlan) -> &'static FaultPlan {
-        GLOBAL.get_or_init(|| plan)
-    }
-
-    /// The process-global plan, if one was installed.
-    pub fn global() -> Option<&'static FaultPlan> {
-        GLOBAL.get()
-    }
-
     /// Parses a plan from its JSON description (see `EXPERIMENTS.md`
     /// "Chaos runs" for the schema):
     ///
@@ -291,8 +278,6 @@ impl FaultPlan {
         Ok(plan)
     }
 }
-
-static GLOBAL: OnceLock<FaultPlan> = OnceLock::new();
 
 fn parse_link_fault(value: &json::Value) -> Result<LinkFault, String> {
     let obj = value.as_obj("link fault")?;

@@ -31,7 +31,7 @@ use desis_core::event::{Event, EventBatch};
 use desis_core::metrics::EngineMetrics;
 use desis_core::obs::trace::TraceCollector;
 use desis_core::query::{Query, QueryResult};
-use desis_core::time::{DurationMs, Timestamp};
+use desis_core::time::{next_multiple_after, DurationMs, Timestamp};
 
 use crate::link::LinkSender;
 use crate::merge::{
@@ -465,11 +465,8 @@ impl LocalWorker {
                 return false;
             }
         }
-        if ev.ts >= self.next_watermark {
-            self.next_watermark = (ev.ts / self.watermark_every + 1) * self.watermark_every;
-            if !self.send_watermark(ev.ts, &mut up) {
-                return false;
-            }
+        if ev.ts >= self.next_watermark && !self.send_watermark(ev.ts, &mut up) {
+            return false;
         }
         true
     }
@@ -495,6 +492,8 @@ impl LocalWorker {
     }
 
     fn send_watermark(&mut self, ts: Timestamp, up: &mut Forward<'_>) -> bool {
+        self.next_watermark =
+            next_multiple_after(ts, self.watermark_every).unwrap_or(Timestamp::MAX);
         // A watermark also drives local slicers so idle streams still
         // deliver (possibly empty) slices for completed windows.
         for group in &mut self.groups {
@@ -515,7 +514,7 @@ impl LocalWorker {
     /// windows, flushes batches, and sends `Flush`.
     pub fn finish(&mut self, horizon: DurationMs, uplink: &mut LinkSender) -> bool {
         let mut up = self.forward(uplink);
-        if !self.send_watermark(self.last_ts + horizon, &mut up) {
+        if !self.send_watermark(self.last_ts.saturating_add(horizon), &mut up) {
             return false;
         }
         if let Some(sharded) = &mut self.sharded {

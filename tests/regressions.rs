@@ -890,3 +890,47 @@ fn idle_local_does_not_swallow_a_mixed_groups_tumbling_window() {
     assert_eq!(reference.len(), 2, "{reference:?}");
     assert_eq!(canon(root.drain_results()), reference);
 }
+
+/// Timestamps at the top of the `u64` range: the punctuation after the
+/// last representable one does not exist, so the windows holding the last
+/// events never fire — on every engine, without wrapping to a tiny
+/// punctuation (release builds used to walk ~10^18 boundaries from there)
+/// or overflowing (debug builds used to panic in `time.rs`).
+#[test]
+fn timestamps_near_u64_max_neither_hang_nor_panic() {
+    const MAX: Timestamp = Timestamp::MAX; // ends in …615
+    let queries = || {
+        vec![
+            Query::new(1, WindowSpec::tumbling_time(10).unwrap(), AggFunction::Sum),
+            Query::new(
+                2,
+                WindowSpec::sliding_time(20, 10).unwrap(),
+                AggFunction::Count,
+            ),
+            Query::new(3, WindowSpec::session(3).unwrap(), AggFunction::Max),
+        ]
+    };
+    let events = [
+        Event::new(MAX - 25, 0, 1.0),
+        Event::new(MAX - 15, 0, 2.0),
+        Event::new(MAX - 5, 0, 4.0),
+        Event::new(MAX, 0, 8.0),
+    ];
+    let reference = run_engine(queries(), &events, MAX);
+    // The last representable boundary is …610: tumbling […590, …600) and
+    // […600, …610), sliding […580, …600) and […590, …610), and all four
+    // sessions (the last one's gap end saturates onto the final watermark).
+    let tumbling: Vec<_> = reference.iter().filter(|r| r.query == 1).collect();
+    assert_eq!(tumbling.len(), 2, "{reference:?}");
+    assert_eq!(tumbling[1].window_end, MAX - 5);
+    assert_eq!(tumbling[1].values, vec![Some(2.0)]);
+    assert_eq!(reference.iter().filter(|r| r.query == 2).count(), 2);
+    assert_eq!(reference.iter().filter(|r| r.query == 3).count(), 4);
+
+    let parallel = canon(run_parallel_engine(queries(), &events, 2, MAX));
+    assert_eq!(parallel, reference);
+
+    let cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), Topology::star(1));
+    let report = run_cluster(cfg, vec![events.to_vec()]).unwrap();
+    assert_eq!(canon(report.results), reference);
+}
