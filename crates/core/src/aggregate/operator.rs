@@ -211,12 +211,14 @@ impl OperatorState {
                 None => *extremes = Some((value, value)),
             },
             OperatorState::NSort { values, sorted } => {
-                if *sorted {
-                    if let Some(&last) = values.last() {
-                        if value < last {
-                            *sorted = false;
-                        }
-                    }
+                // The order `seal` sorts by: `<` would call `[0.0, -0.0]`
+                // or a run starting with a NaN sorted.
+                if *sorted
+                    && values
+                        .last()
+                        .is_some_and(|last| value.total_cmp(last).is_lt())
+                {
+                    *sorted = false;
                 }
                 values.push(value);
             }
@@ -240,7 +242,14 @@ impl OperatorState {
     ///
     /// Merging two sealed `NSort` states produces a sealed (sorted) state
     /// via a linear merge of the two sorted runs, so intermediate and root
-    /// nodes always work on sorted data (Section 5.2).
+    /// nodes always work on sorted data (Section 5.2). Runs are ordered by
+    /// `f64::total_cmp` — the one relation `update`, `seal` and `merge`
+    /// share — so the merged run is the run `seal` would produce from the
+    /// concatenation, bit for bit, whichever side a value came from:
+    /// merging commutes and associates on `NaN` and `±0.0` too. The merge
+    /// runs in place from the back of `self` and stops once `other` is
+    /// used up, so folding a short run into a long one allocates nothing
+    /// beyond `self`'s growth and leaves the long run's head untouched.
     ///
     /// # Panics
     ///
@@ -270,21 +279,7 @@ impl OperatorState {
                 },
             ) => {
                 if *sa && *sb {
-                    // Linear merge of two sorted runs.
-                    let mut merged = Vec::with_capacity(a.len() + b.len());
-                    let (mut i, mut j) = (0, 0);
-                    while i < a.len() && j < b.len() {
-                        if a[i] <= b[j] {
-                            merged.push(a[i]);
-                            i += 1;
-                        } else {
-                            merged.push(b[j]);
-                            j += 1;
-                        }
-                    }
-                    merged.extend_from_slice(&a[i..]);
-                    merged.extend_from_slice(&b[j..]);
-                    *a = merged;
+                    merge_sorted_in_place(a, b);
                 } else {
                     a.extend_from_slice(b);
                     *sa = false;
@@ -306,9 +301,29 @@ impl OperatorState {
     }
 }
 
+/// Merges the sorted run `b` into the sorted run `a` (both ascending by
+/// `f64::total_cmp`), filling `a` from the back: the largest value left
+/// goes to the last free slot, until `b` is used up — what is left of `a`
+/// is already in place.
+fn merge_sorted_in_place(a: &mut Vec<f64>, b: &[f64]) {
+    let mut i = a.len();
+    a.resize(i + b.len(), 0.0);
+    for (j, &from_b) in b.iter().enumerate().rev() {
+        // `a[i + j]` is the last free slot: `i` of `a`'s and `j + 1` of
+        // `b`'s values are still to be placed.
+        while i > 0 && a[i - 1].total_cmp(&from_b).is_gt() {
+            a[i + j] = a[i - 1];
+            i -= 1;
+        }
+        a[i + j] = from_b;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn set_union_and_iteration() {
@@ -443,6 +458,137 @@ mod tests {
                 assert_eq!(values, &vec![1.0, 2.0, 3.0, 4.0, 5.0]);
             }
             _ => unreachable!(),
+        }
+    }
+
+    /// A sealed non-decomposable sort over `values`.
+    fn sealed(values: &[f64]) -> OperatorState {
+        let mut state = OperatorState::new(OperatorKind::NonDecomposableSort);
+        for v in values {
+            state.update(*v);
+        }
+        state.seal();
+        state
+    }
+
+    /// The kept values' bit patterns: `==` on `f64` calls `0.0` and
+    /// `-0.0` equal and no `NaN` equal to itself.
+    fn bits(state: &OperatorState) -> Vec<u64> {
+        match state {
+            OperatorState::NSort { values, sorted } => {
+                assert!(*sorted);
+                values.iter().map(|v| v.to_bits()).collect()
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    fn merged(parts: &[&OperatorState]) -> OperatorState {
+        let mut dst = parts[0].clone();
+        for part in &parts[1..] {
+            dst.merge(part);
+        }
+        dst
+    }
+
+    /// `update`, `seal` and `merge` order values by one relation, so a
+    /// run's bits do not say which side of a merge a value came from.
+    /// With `<` / `<=` beside `total_cmp`, `[5.0]` merged with `[NaN]`
+    /// was `[NaN, 5.0]` one way round and `[5.0, NaN]` the other.
+    #[test]
+    fn nsort_merge_commutes_and_associates_bit_for_bit() {
+        let nan = f64::NAN;
+        let runs: [&[f64]; 8] = [
+            &[5.0],
+            &[nan],
+            &[0.0],
+            &[-0.0],
+            &[0.0, -0.0, 0.0],
+            &[-nan, f64::INFINITY, 1.0, 1.0, f64::NEG_INFINITY],
+            &[1.0, nan, -0.0, 1.0, -1.0],
+            &[],
+        ];
+        for a in runs {
+            for b in runs {
+                let concat = sealed(&[a, b].concat());
+                let (sa, sb) = (sealed(a), sealed(b));
+                assert_eq!(bits(&merged(&[&sa, &sb])), bits(&concat), "{a:?} {b:?}");
+                assert_eq!(bits(&merged(&[&sb, &sa])), bits(&concat), "{b:?} {a:?}");
+                for c in runs {
+                    let sc = sealed(c);
+                    let want = bits(&sealed(&[a, b, c].concat()));
+                    let bc = merged(&[&sb, &sc]);
+                    assert_eq!(bits(&merged(&[&sa, &sb, &sc])), want, "{a:?} {b:?} {c:?}");
+                    assert_eq!(bits(&merged(&[&sa, &bc])), want, "{a:?} ({b:?} {c:?})");
+                    assert_eq!(bits(&merged(&[&sc, &sa, &sb])), want, "{c:?} {a:?} {b:?}");
+                }
+            }
+        }
+        // The finalized extremes are the first and last of the run.
+        let run = bits(&merged(&[&sealed(&[5.0]), &sealed(&[nan])]));
+        assert_eq!(run, [5.0f64.to_bits(), nan.to_bits()]);
+        let zeros = bits(&merged(&[&sealed(&[0.0]), &sealed(&[-0.0])]));
+        assert_eq!(zeros, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
+    }
+
+    /// A run that `<` calls sorted but `total_cmp` does not is still
+    /// sorted when sealed.
+    #[test]
+    fn nsort_update_tracks_the_order_seal_sorts_by() {
+        assert_eq!(
+            bits(&sealed(&[0.0, -0.0])),
+            [(-0.0f64).to_bits(), 0.0f64.to_bits()]
+        );
+        assert_eq!(
+            bits(&sealed(&[1.0, -f64::NAN])),
+            [(-f64::NAN).to_bits(), 1.0f64.to_bits()]
+        );
+    }
+
+    /// The merge before it ran in place: a fresh vector of both runs.
+    fn merge_allocating(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].total_cmp(&b[j]).is_le() {
+                merged.push(a[i]);
+                i += 1;
+            } else {
+                merged.push(b[j]);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        merged
+    }
+
+    #[test]
+    fn in_place_merge_equals_the_allocating_merge() {
+        let mut rng = SmallRng::seed_from_u64(0xD515_1800);
+        let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY];
+        for case in 0..2_000 {
+            let run = |rng: &mut SmallRng| {
+                let len = [0, 0, 1, 2, 7, 40][rng.gen_range(0usize..6)];
+                let mut values: Vec<f64> = (0..rng.gen_range(0..=len))
+                    .map(|_| match rng.gen_range(0u32..8) {
+                        0 => specials[rng.gen_range(0usize..specials.len())],
+                        1 => f64::from(rng.gen_range(-3i32..3)),
+                        _ => rng.gen_range(-9.9f64..9.9),
+                    })
+                    .collect();
+                values.sort_unstable_by(f64::total_cmp);
+                values
+            };
+            let (a, b) = (run(&mut rng), run(&mut rng));
+            let want: Vec<u64> = merge_allocating(&a, &b)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let mut got = a.clone();
+            merge_sorted_in_place(&mut got, &b);
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "case {case}: {a:?} with {b:?}");
         }
     }
 

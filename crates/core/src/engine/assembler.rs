@@ -71,6 +71,12 @@ impl Assembler {
         self.store.cached_bundles()
     }
 
+    /// The slice store, for the kernel's state-bound tests.
+    #[cfg(test)]
+    pub(super) fn store(&self) -> &SliceStore {
+        &self.store
+    }
+
     /// Total results emitted so far.
     pub fn results_emitted(&self) -> u64 {
         self.results_emitted

@@ -24,17 +24,20 @@
 //!   merger in the workspace calls instead of carrying its own range
 //!   scan, per-key merge, sorted emission or front-gc loop.
 //!   [`SliceStore::merged_range`] is the one place a window's partial is
-//!   put together, so its memos — merged ranges of the current slice
-//!   end, and two-stack suffix aggregates that make overlapping
-//!   windows O(1) merges per slice end — serve the sequential engine,
-//!   the sharded collector and the cluster root alike.
+//!   put together, so its memos serve the sequential engine, the
+//!   sharded collector and the cluster root alike: the answers of the
+//!   current slice end, shared by every query asking the same range;
+//!   two-stack suffix aggregates, kept across slice ends, that make
+//!   overlapping windows over constant-size partials O(1) merges per
+//!   slice end; and for sort-based partials, whose suffix aggregates
+//!   are too large to keep, suffix chains within the slice end — of the
+//!   windows that end together each is built from the next shorter one.
 //!
 //! Slices also arrive in frames from outside the process and may declare
 //! fewer selections than their group has: the kernel reads selections
 //! with `get`, so a missing selection is an empty contribution, never an
 //! index panic.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
@@ -70,7 +73,8 @@ pub struct QueryInfo {
     /// The query's window.
     pub window: WindowSpec,
     /// Whether the selection's partials are constant-size: its operator
-    /// set holds no non-decomposable sort.
+    /// set holds no non-decomposable sort. Decides how the selection's
+    /// windows are put together ([`SliceStore::merged_range`]).
     pub constant_size: bool,
 }
 
@@ -78,9 +82,11 @@ impl QueryInfo {
     /// Whether this query's windows assemble from its selection's
     /// [`SuffixCache`]: overlapping fixed windows (sliding, `step <
     /// length`) over constant-size partials. Suffix aggregates of
-    /// sorted-value partials would hold O(window²) values per key, and
-    /// tumbling, session and user-defined windows merge every slice once
-    /// already, so both keep the range scan.
+    /// sorted-value partials kept from one slice end to the next would
+    /// hold O(window²) values per key, so those selections chain their
+    /// windows within each slice end instead; constant-size tumbling,
+    /// session and user-defined windows merge every slice once already
+    /// and keep the range scan.
     fn cached(&self) -> bool {
         let overlapping =
             matches!(self.window.kind, WindowKind::Sliding { length, step } if step < length);
@@ -354,15 +360,30 @@ impl SuffixCache {
     }
 }
 
+/// One answer of the current slice end.
+#[derive(Debug, Clone)]
+struct Answer {
+    merged: KeyedBundles,
+    /// Sequence number of the first slice covered, when the answer is a
+    /// link of its selection's suffix chain: the fold newest → oldest of
+    /// the slices from there to the newest one.
+    chained_from: Option<u64>,
+}
+
 /// Slice partials of one source, retained in arrival order until no
-/// window can reference them, plus two memos over them: merged ranges of
-/// the current slice end, and per selection with overlapping windows a
-/// two-stack suffix cache that survives from one slice end to the next.
+/// window can reference them, plus two memos over them: the answers of
+/// the current slice end, and per selection with overlapping windows
+/// over constant-size partials a two-stack suffix cache that survives
+/// from one slice end to the next.
 ///
 /// Retained state: the slices themselves, and per suffix cache at most
 /// one keyed map per slice of the longest window asked of it plus one —
 /// never more than the slices retained, so at most the order of the
-/// store's own contents ([`SliceStore::cached_bundles`]).
+/// store's own contents ([`SliceStore::cached_bundles`]). Transient
+/// state: the answers of one slice end — at most (distinct window
+/// lengths ending together) × (live keys) bundles per selection, suffix
+/// chains included — released when the next slice is pushed or gc
+/// closes the slice end, whichever comes first.
 #[derive(Debug, Clone, Default)]
 pub struct SliceStore {
     slices: VecDeque<StoredSlice>,
@@ -376,8 +397,11 @@ pub struct SliceStore {
     /// Ranges merged since the store last changed: windows of different
     /// queries often cover the same `(selection, range)` (a thousand
     /// equal-length tumbling windows with different functions, Figure
-    /// 9c), which is then merged once.
-    merged: FxHashMap<(usize, SliceRange), KeyedBundles>,
+    /// 9c), which is then merged once. For a selection with sort-based
+    /// partials these answers are also its *suffix chain*: windows that
+    /// end together are nested suffixes of the store, so each is built
+    /// from the next shorter one already here.
+    merged: FxHashMap<(usize, SliceRange), Answer>,
     caches: Vec<SuffixCache>,
     merges: u64,
     /// What a range without data for the selection borrows.
@@ -460,14 +484,35 @@ impl SliceStore {
 
     /// The merged partial of `query`'s selection over `range`, computed
     /// at most once per distinct range and slice end. A one-slice range
-    /// borrows the stored map. Overlapping windows over constant-size
-    /// partials ([`QueryInfo::constant_size`], sliding with `step <
-    /// length`) that end at the newest slice are put together from
-    /// their selection's suffix cache — O(1) amortised [`merge_keyed`]
-    /// calls per window length and slice end instead of one per covered
-    /// slice; everything else is [`SliceStore::merge_range`]. Either way
-    /// the answer is shared until the store changes or gc closes the
-    /// slice end.
+    /// borrows the stored map. A longer range that ends at the newest
+    /// slice of an ordered store is put together by what its selection's
+    /// partials allow:
+    ///
+    /// * constant-size partials ([`QueryInfo::constant_size`]) under
+    ///   overlapping windows (sliding with `step < length`): the
+    ///   selection's two-stack suffix cache, kept across slice ends —
+    ///   O(1) amortised [`merge_keyed`] calls per window length and
+    ///   slice end instead of one per covered slice;
+    /// * sort-based partials: the selection's *suffix chain*. Such a
+    ///   range is **defined** as the fold newest → oldest,
+    ///   `((x[hi-1] ∘ x[hi-2]) ∘ …) ∘ x[a]`, so the answers of one slice
+    ///   end are prefixes of one fold, and a new one starts from a clone
+    ///   of the answer with the nearest later start and folds only the
+    ///   older slices in. Whichever answers exist when a range is asked,
+    ///   it gets the same bits; k lengths ending together cost `longest`
+    ///   [`merge_keyed`] calls when asked short-first and about
+    ///   `longest × H_k` in arbitrary order, against `Σ lengths` for the
+    ///   scan (which only asking long-first still pays). The fold runs
+    ///   towards the old end because that is the end nested suffixes
+    ///   differ at, and it merges the short run of one slice into the
+    ///   long run of the window so far
+    ///   ([`crate::aggregate::OperatorState::merge`]). Nothing of it
+    ///   outlives the slice end.
+    ///
+    /// Everything else — constant-size tumbling windows, unordered
+    /// stores, ranges that end before the newest slice — is
+    /// [`SliceStore::merge_range`]. Either way the answer is shared
+    /// until the store changes or gc closes the slice end.
     pub fn merged_range(&mut self, range: SliceRange, query: &QueryInfo) -> &KeyedBundles {
         let sel = query.selection;
         let run = self.run(range);
@@ -477,29 +522,67 @@ impl SliceStore {
                 return map.unwrap_or(&self.empty);
             }
         }
-        let entry = match self.merged.entry((sel, range)) {
-            Entry::Occupied(e) => return e.into_mut(),
-            Entry::Vacant(e) => e,
-        };
+        // Looked up twice on a hit: a miss reads the other answers
+        // before it inserts its own, which a held entry would forbid.
+        if !self.merged.contains_key(&(sel, range)) {
+            let answer = self.answer(run, range, query);
+            self.merged.insert((sel, range), answer);
+        }
+        self.merged
+            .get(&(sel, range))
+            .map_or(&self.empty, |answer| &answer.merged)
+    }
+
+    /// Puts together a range no answer exists for yet.
+    fn answer(&mut self, run: Option<Range<usize>>, range: SliceRange, q: &QueryInfo) -> Answer {
+        let sel = q.selection;
+        let suffix = run
+            .clone()
+            .filter(|run| run.len() > 1 && run.end == self.slices.len());
+        if let (Some(run), false) = (&suffix, q.constant_size) {
+            return self.chained(run.clone(), sel);
+        }
         let mut merged = KeyedBundles::default();
-        let newest = self.slices.len();
-        let cached = run
-            .as_ref()
-            .filter(|run| query.cached() && run.len() > 1 && run.end == newest)
-            .and_then(|run| {
-                let seqs = (self.base + run.start as u64, self.base + run.end as u64);
-                let at = self.caches.iter().position(|c| c.selection == sel);
-                let at = at.unwrap_or_else(|| {
-                    self.caches.push(SuffixCache::new(sel, seqs.1));
-                    self.caches.len() - 1
-                });
-                self.caches[at].merge_into(&self.slices, self.base, seqs, &mut merged)
+        let cached = suffix.filter(|_| q.cached()).and_then(|run| {
+            let seqs = (self.base + run.start as u64, self.base + run.end as u64);
+            let at = self.caches.iter().position(|c| c.selection == sel);
+            let at = at.unwrap_or_else(|| {
+                self.caches.push(SuffixCache::new(sel, seqs.1));
+                self.caches.len() - 1
             });
+            self.caches[at].merge_into(&self.slices, self.base, seqs, &mut merged)
+        });
         self.merges += match cached {
             Some(merges) => merges,
             None => scan(&self.slices, run, range, sel, &mut merged),
         };
-        entry.insert(merged)
+        Answer {
+            merged,
+            chained_from: None,
+        }
+    }
+
+    /// The next link of selection `sel`'s suffix chain: the slices `run`
+    /// (which ends at the newest) folded newest → oldest, starting from
+    /// the link with the nearest later start if there is one.
+    fn chained(&mut self, run: Range<usize>, sel: usize) -> Answer {
+        let from = self.base + run.start as u64;
+        let links = self.merged.iter().filter(|((s, _), _)| *s == sel);
+        let nearest = links
+            .filter_map(|(_, link)| Some((link.chained_from.filter(|s| *s > from)?, &link.merged)))
+            .min_by_key(|(start, _)| *start);
+        let (mut merged, older) = match nearest {
+            Some((start, link)) => (link.clone(), run.start..(start - self.base) as usize),
+            None => (KeyedBundles::default(), run),
+        };
+        let parts = self.slices.range(older).rev();
+        for map in parts.filter_map(|stored| stored.data.per_selection.get(sel)) {
+            self.merges += merge_keyed(&mut merged, map);
+        }
+        Answer {
+            merged,
+            chained_from: Some(from),
+        }
     }
 
     /// Drops the suffix cache a removed member query read, so a stack
@@ -961,7 +1044,12 @@ mod tests {
 
     /// Checks the located scan and the memoized answer against the
     /// definition of a range — [`scan`] testing every retained slice.
-    fn assert_range(store: &mut SliceStore, range: SliceRange, q: &QueryInfo, context: &str) {
+    fn assert_range(
+        store: &mut SliceStore,
+        range: SliceRange,
+        q: &QueryInfo,
+        context: &str,
+    ) -> bool {
         let mut want = KeyedBundles::default();
         scan(&store.slices, None, range, q.selection, &mut want);
         let mut located = KeyedBundles::default();
@@ -976,16 +1064,28 @@ mod tests {
         let merges = store.merges();
         assert_eq!(store.merged_range(range, q), &want, "{context}: again");
         assert_eq!(store.merges(), merges, "{context}: {range:?} merged twice");
+        // Only a suffix of an ordered store is a link of a chain: an
+        // unordered store (id gap, straggler) and a range that ends
+        // before the newest slice still scan. Returns whether it is.
+        let suffix = store
+            .run(range)
+            .is_some_and(|run| run.len() > 1 && run.end == store.len());
+        let answer = store.merged.get(&(q.selection, range));
+        let chained = answer.is_some_and(|a| a.chained_from.is_some());
+        assert_eq!(chained, suffix && !q.constant_size, "{context}: {range:?}");
+        chained
     }
 
     /// Random walk over everything a store can be asked: windows of
-    /// several lengths and steps on two selections by id and by span,
-    /// empty slices, slices missing a selection, id gaps and timestamps
-    /// running backwards, ranges that do not end at the newest slice or
-    /// start before the last one did, queries that pause and resume
-    /// mid-window, and gc at, behind and past the cache fronts. Values
-    /// are powers of two, so every sum, product and square is exact and
-    /// answers must equal the every-slice scan bit for bit.
+    /// several lengths and steps on three selections by id and by span —
+    /// the third with sort-based partials under sliding and tumbling
+    /// windows whose lengths nest — empty slices, slices missing a
+    /// selection, id gaps and timestamps running backwards, ranges that
+    /// do not end at the newest slice or start before the last one did,
+    /// queries that pause and resume mid-window, and gc at, behind and
+    /// past the cache fronts. Values are powers of two, so every sum,
+    /// product and square is exact and answers must equal the
+    /// every-slice scan bit for bit.
     fn cached_ranges_equal_the_scan(cases: u64) {
         // (selection, slices per window, slices per step, constant-size)
         let specs = [
@@ -995,35 +1095,48 @@ mod tests {
             (0, 32, 2, true),
             (1, 17, 3, true),
             (1, 32, 1, true),
-            // Sort-based partials and windows that do not overlap scan.
-            (1, 16, 1, false),
+            // Windows that do not overlap scan.
             (0, 3, 3, true),
+            // Sort-based partials chain: lengths that nest, sliding ...
+            (2, 2, 1, false),
+            (2, 3, 1, false),
+            (2, 8, 1, false),
+            (2, 17, 3, false),
+            (2, 32, 1, false),
+            // ... and tumbling.
+            (2, 2, 2, false),
+            (2, 3, 3, false),
+            (2, 8, 8, false),
+            (2, 17, 17, false),
+            (2, 32, 32, false),
         ];
         let queries =
             specs.map(|(sel, length, step, constant)| windowed(sel, length, step, constant));
         let longest = 32;
-        // Per selection at most one keyed map per slice of the deepest
-        // range asked (the longest window, started two slices early)
-        // plus the back aggregate.
+        // Per constant-size selection at most one keyed map per slice of
+        // the deepest range asked (the longest window, started two
+        // slices early) plus the back aggregate; chains keep nothing.
         let bound = 2 * (longest + 2 + 1) * KEYS as u64;
-        let operators = constant_size_functions()
+        let scalars = constant_size_functions()
             .iter()
             .fold(OperatorSet::EMPTY, |set, f| set | f.operators());
-        let mut cached_answers = 0;
+        let operators = [scalars, scalars, all_operators().subsume_sorts()];
+        let (mut cached_answers, mut chained_answers) = (0, 0);
         for_cases(cases, |seed, rng| {
             let mut store = SliceStore::default();
-            let mut live = [true; 8];
+            let mut live = [true; 17];
             let mut id = rng.gen_range(0u64..3);
             for tick in 0..rng.gen_range(50u64..200) {
                 let context = format!("seed {seed:#x} tick {tick}");
                 let (start_ts, end_ts) = (tick * TICK, (tick + 1) * TICK);
                 let data = match rng.gen_range(0u32..12) {
-                    0 => SliceData::new(2),
-                    1 => SliceData::new(rng.gen_range(0usize..2)),
+                    0 => SliceData::new(3),
+                    1 => SliceData::new(rng.gen_range(0usize..3)),
                     _ => SliceData {
-                        per_selection: (0..2)
-                            .map(|_| {
-                                arb_keyed_of(rng, operators, |rng| {
+                        per_selection: operators
+                            .iter()
+                            .map(|operators| {
+                                arb_keyed_of(rng, *operators, |rng| {
                                     [0.5, 1.0, 2.0, 4.0][rng.gen_range(0usize..4)]
                                 })
                             })
@@ -1069,13 +1182,14 @@ mod tests {
                         }
                     };
                     let before = store.cached_bundles();
-                    assert_range(&mut store, range(0, 0), q, &context);
+                    let chained = assert_range(&mut store, range(0, 0), q, &context);
                     cached_answers += u64::from(store.cached_bundles() != before);
+                    chained_answers += u64::from(chained);
                     match rng.gen_range(0u32..30) {
                         0 => assert_range(&mut store, range(1, 1), q, &context),
                         1 => assert_range(&mut store, range(2, 0), q, &context),
-                        _ => {}
-                    }
+                        _ => false,
+                    };
                 }
                 assert!(
                     store.cached_bundles() as u64 <= bound,
@@ -1095,6 +1209,7 @@ mod tests {
             }
         });
         assert!(cached_answers > cases, "the caches answered nothing");
+        assert!(chained_answers > cases, "the chains answered nothing");
     }
 
     #[test]
@@ -1111,28 +1226,45 @@ mod tests {
     /// The sequential engine asks a slice end's windows in slicer order,
     /// a collector in query order: with values whose sums round, the
     /// answers must still be the same bits, or sharded results would
-    /// drift from sequential ones.
+    /// drift from sequential ones. Selection 0 holds constant-size
+    /// partials (suffix cache), selection 1 sort-based ones beside a sum
+    /// and a variance (suffix chain: whichever link a range starts from
+    /// must not show in its sum).
     #[test]
     fn answers_do_not_depend_on_the_order_windows_are_asked_in() {
-        let operators = AggFunction::Sum.operators() | AggFunction::Variance.operators();
+        let scalars = AggFunction::Sum.operators() | AggFunction::Variance.operators();
+        let operators = [scalars, scalars | AggFunction::Median.operators()];
         // Lengths and steps in slices; a window ends when its step does.
-        let queries = [(2, 1), (5, 2), (12, 1), (30, 7), (40, 1)]
-            .map(|(length, step)| (windowed(0, length, step, true), step));
+        let queries = [
+            (0, 2, 1),
+            (0, 5, 2),
+            (0, 12, 1),
+            (0, 30, 7),
+            (0, 40, 1),
+            (1, 2, 1),
+            (1, 3, 3),
+            (1, 8, 2),
+            (1, 17, 1),
+            (1, 32, 8),
+            (1, 40, 1),
+        ]
+        .map(|(sel, length, step)| (windowed(sel, length, step, sel == 0), step));
         for_cases(20, |seed, rng| {
-            let mut stores = [SliceStore::default(), SliceStore::default()];
+            let mut stores = [(); 3].map(|()| SliceStore::default());
             let mut newcomer = rng.gen_range(0usize..queries.len());
             for tick in 0..300u64 {
                 let data = SliceData {
-                    per_selection: vec![arb_keyed_of(rng, operators, |rng| {
-                        rng.gen_range(-9.9f64..9.9)
-                    })],
+                    per_selection: operators
+                        .iter()
+                        .map(|set| arb_keyed_of(rng, *set, |rng| rng.gen_range(-9.9f64..9.9)))
+                        .collect(),
                 };
                 // One query joins late: a window shorter than any before.
                 if tick == 100 {
                     newcomer = queries.len();
                 }
                 let end_ts = (tick + 1) * TICK;
-                let mut ending: Vec<(&QueryInfo, SliceRange)> = queries
+                let ending: Vec<(&QueryInfo, SliceRange)> = queries
                     .iter()
                     .enumerate()
                     .filter(|(at, (_, step))| *at != newcomer && (tick + 1) % step == 0)
@@ -1141,39 +1273,57 @@ mod tests {
                         Some((q, SliceRange::Span(start, end_ts)))
                     })
                     .collect();
+                // Forward, backward and shuffled.
+                let forward: Vec<usize> = (0..ending.len()).collect();
+                let mut shuffled = forward.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.gen_range(0..=i));
+                }
+                let orders = [
+                    forward.clone(),
+                    forward.into_iter().rev().collect(),
+                    shuffled,
+                ];
                 let mut answers = Vec::new();
-                for store in &mut stores {
+                for (store, order) in stores.iter_mut().zip(&orders) {
                     store.push(tick, tick * TICK, end_ts, data.clone());
-                    ending.reverse();
-                    for (q, range) in &ending {
-                        answers.push((*range, store.merged_range(*range, q).clone()));
+                    let mut asked = vec![KeyedBundles::default(); ending.len()];
+                    for &at in order {
+                        let (q, range) = ending[at];
+                        asked[at].clone_from(store.merged_range(range, q));
                     }
+                    answers.push(asked);
                     store.gc_span(end_ts.saturating_sub(40 * TICK));
                 }
-                let (forward, backward) = answers.split_at(ending.len());
-                let backward: Vec<_> = backward.iter().rev().cloned().collect();
-                assert_eq!(forward, backward, "seed {seed:#x} tick {tick}");
+                for (asked, order) in answers.iter().zip(&orders) {
+                    assert_eq!(
+                        asked, &answers[0],
+                        "seed {seed:#x} tick {tick} asked in order {order:?}"
+                    );
+                }
             }
         });
     }
 
     /// The assembler before the caches: every window end is one range
-    /// scan. `skip(slice index, query)` leaves a window out.
+    /// scan. `skip(slice index, query)` leaves a window out. Returns the
+    /// results and the bundle merges they took.
     fn assemble_by_scan(
         g: &QueryGroup,
         slices: &[SealedSlice],
         skip: impl Fn(usize, QueryId) -> bool,
-    ) -> Vec<QueryResult> {
+    ) -> (Vec<QueryResult>, u64) {
         let infos: FxHashMap<QueryId, QueryInfo> = query_infos(g).collect();
         let mut store = SliceStore::default();
         let mut out = Vec::new();
+        let mut merges = 0;
         for (at, slice) in slices.iter().enumerate() {
             store.push(slice.id, slice.start_ts, slice.end_ts, slice.data.clone());
             for end in slice.ends.iter().filter(|e| !skip(at, e.query)) {
                 let q = &infos[&end.query];
                 let mut merged = KeyedBundles::default();
                 let range = SliceRange::Ids(end.first_slice, end.last_slice);
-                store.merge_range(range, q.selection, &mut merged);
+                merges += store.merge_range(range, q.selection, &mut merged);
                 finalize_sorted(
                     end.query,
                     &q.functions,
@@ -1186,7 +1336,7 @@ mod tests {
             store.gc_ids(slice.low_watermark);
         }
         crate::query::sort_results(&mut out);
-        out
+        (out, merges)
     }
 
     /// Seeded streams through the slicer into [`Assembler`] and — merged
@@ -1194,9 +1344,10 @@ mod tests {
     /// each of the eleven functions alone and together, several lengths
     /// and steps on one selection (time and count) and a query removed
     /// mid-window. Groups holding a non-decomposable sort must not
-    /// cache. Values are powers of two, so answers agree bit for bit
-    /// however the caches associate them (fractional values:
-    /// `tests/properties.rs`).
+    /// cache — their chains do not outlive a slice end — yet take fewer
+    /// merges than the scan. Values are powers of two, so answers agree
+    /// bit for bit however caches and chains associate them (fractional
+    /// values: `tests/properties.rs`).
     #[test]
     fn assembly_equals_the_scan_for_every_function() {
         let sets = FUNCTIONS
@@ -1230,7 +1381,7 @@ mod tests {
                     let slices = arb_slices(rng, &g);
                     let removed_at = slices.len() / 2;
                     let skip = |at: usize, query: QueryId| query == 3 && at >= removed_at;
-                    let want = assemble_by_scan(&g, &slices, skip);
+                    let (want, scan_merges) = assemble_by_scan(&g, &slices, skip);
                     assert_eq!(want.iter().any(|r| r.query == 5), counted, "{context}");
 
                     let mut assembler = Assembler::new(&g);
@@ -1251,6 +1402,10 @@ mod tests {
                     }
                     crate::query::sort_results(&mut got);
                     assert_eq!(got, want, "{context}");
+                    if sorts {
+                        let merges = assembler.merges();
+                        assert!(merges < scan_merges, "{context}: {merges} merges");
+                    }
                     if !counted {
                         crate::query::sort_results(&mut got_by_span);
                         assert_eq!(got_by_span, want, "{context} (by span)");
@@ -1286,37 +1441,42 @@ mod tests {
         slices
     }
 
-    /// ROADMAP item 6 for the caches: over a long stream the bundles
-    /// they hold stay under (slices of the longest live window + 1) ×
-    /// keys per selection, `retained_slices` stays flat, and a query
-    /// that stops ending windows — removed here, or only dropped
-    /// upstream — takes its share of the stack with it at once.
+    /// ROADMAP item 6 for the memos: over a long stream the bundles the
+    /// suffix caches hold stay under (slices of the longest live
+    /// window + 1) × keys per selection, `retained_slices` stays flat, and a
+    /// query that stops ending windows — removed here, or only dropped
+    /// upstream — takes its share of the stack with it at once. A group
+    /// with sort-based partials (a sliding and a tumbling window whose
+    /// ends coincide) caches nothing at all, and no store holds an
+    /// answer of a slice end — chain links included — once `on_slice`
+    /// has returned.
     fn cache_state_stays_flat(slices: u64) {
+        let sorted = vec![AggFunction::Median, AggFunction::Sum];
+        // (slices per window, slices per step) of queries 1 and 2.
+        state_stays_flat(slices, constant_size_functions(), [(32, 1), (16, 1)]);
+        state_stays_flat(slices, sorted, [(16, 16), (32, 1)]);
+    }
+
+    fn state_stays_flat(slices: u64, functions: Vec<AggFunction>, windows: [(u64, u64); 2]) {
         let keys = 16u32;
-        let functions = constant_size_functions();
-        let g = group(vec![
-            Query::with_functions(
-                1,
-                WindowSpec::sliding_time(32 * TICK, TICK).unwrap(),
-                functions.clone(),
-            ),
-            Query::with_functions(
-                2,
-                WindowSpec::sliding_time(16 * TICK, TICK).unwrap(),
-                functions,
-            ),
-        ]);
+        let queries = [1, 2].map(|id| {
+            let (length, step) = windows[id as usize - 1];
+            let window = WindowSpec::sliding_time(length * TICK, step * TICK);
+            Query::with_functions(id, window.unwrap(), functions.clone())
+        });
+        let g = group(queries.to_vec());
         let operators = g.selections[0].operators;
+        let chains = operators.contains(OperatorKind::NonDecomposableSort);
         let mut by_id = Assembler::new(&g);
         let mut by_span = TimeAssembler::new(&g);
         let mut out = Vec::new();
-        let (mut peak, mut early_peak) = (0, 0);
+        let (mut peak, mut early_peak, mut scan_merges) = (0, 0, 0);
         for i in 0..slices {
             // Query 1 is dropped upstream after a third of the stream
             // and removed at the root; query 2 after two thirds.
-            let live: &[(QueryId, u64)] = match 3 * i / slices {
-                0 => &[(1, 32), (2, 16)],
-                1 => &[(2, 16)],
+            let live: &[(QueryId, (u64, u64))] = match 3 * i / slices {
+                0 => &[(1, windows[0]), (2, windows[1])],
+                1 => &[(2, windows[1])],
                 _ => &[],
             };
             if i == slices / 3 {
@@ -1331,24 +1491,29 @@ mod tests {
                 bundle.seal();
                 data.per_selection[0].insert(key, bundle);
             }
-            let longest = live.iter().map(|(_, n)| *n).max().unwrap_or(1);
+            let longest = live.iter().map(|(_, (n, _))| *n).max().unwrap_or(1);
             let low = (i + 2).saturating_sub(longest);
+            let ends: Vec<WindowEnd> = live
+                .iter()
+                .filter(|(_, (n, step))| i + 1 >= *n && (i + 1) % step == 0)
+                .map(|(query, (n, _))| WindowEnd {
+                    query: *query,
+                    first_slice: i + 1 - n,
+                    last_slice: i,
+                    start_ts: (i + 1 - n) * TICK,
+                    end_ts: (i + 1) * TICK,
+                })
+                .collect();
+            scan_merges += ends
+                .iter()
+                .map(|end| (end.last_slice - end.first_slice) * u64::from(keys))
+                .sum::<u64>();
             let slice = SealedSlice {
                 id: i,
                 start_ts: i * TICK,
                 end_ts: (i + 1) * TICK,
                 data,
-                ends: live
-                    .iter()
-                    .filter(|(_, n)| i + 1 >= *n)
-                    .map(|(query, n)| WindowEnd {
-                        query: *query,
-                        first_slice: i + 1 - n,
-                        last_slice: i,
-                        start_ts: (i + 1 - n) * TICK,
-                        end_ts: (i + 1) * TICK,
-                    })
-                    .collect(),
+                ends,
                 session_gaps: Vec::new(),
                 low_watermark: low,
                 low_watermark_ts: low * TICK,
@@ -1357,12 +1522,15 @@ mod tests {
             by_id.on_slice(slice.clone(), &mut out);
             by_span.on_slice(slice, &mut out);
             out.clear();
-            for (retained, cached) in [
-                (by_id.retained_slices(), by_id.cached_bundles()),
-                (by_span.retained_slices(), by_span.cached_bundles()),
+            for (store, cached) in [
+                (by_id.store(), by_id.cached_bundles()),
+                (&by_span.store, by_span.cached_bundles()),
             ] {
-                assert!(retained as u64 <= longest, "slice {i}: {retained} retained");
+                let retained = store.len() as u64;
+                assert!(retained <= longest, "slice {i}: {retained} retained");
+                assert!(store.merged.is_empty(), "slice {i}: answers outlive it");
                 let allowed = match live {
+                    _ if chains => 0,
                     [] => 0,
                     _ => (longest + 1) * u64::from(keys),
                 };
@@ -1376,7 +1544,14 @@ mod tests {
                 }
             }
         }
-        assert!(early_peak > 0, "the caches were never used");
+        if chains {
+            // Of two windows ending together the longer, asked second,
+            // starts from the shorter's answer.
+            let merges = by_id.merges().max(by_span.merges());
+            assert!(merges < scan_merges, "the chains were never used");
+        } else {
+            assert!(early_peak > 0, "the caches were never used");
+        }
         assert_eq!(
             peak, early_peak,
             "cached state grew after the first 100 slices"

@@ -226,7 +226,9 @@ fn slicing_matches_naive_windows() {
     });
 }
 
-/// Overlapping windows are assembled from suffix aggregates, which
+/// Overlapping windows are assembled from suffix aggregates — two-stack
+/// caches over constant-size partials, newest-to-oldest chains where a
+/// Median or Quantile puts sort-based partials beside the sums — which
 /// associate slice partials differently from a pass over the window:
 /// with fractional values the engine agrees with the naive baseline to
 /// 1e-9, while the sharded engine — the same store kernel over the same
@@ -240,8 +242,14 @@ fn sliding_windows_over_fractional_values_agree_across_engines() {
         AggFunction::Min,
         AggFunction::Max,
         AggFunction::Variance,
+        AggFunction::Median,
+        AggFunction::Quantile(0.9),
     ];
-    let mut results = 0;
+    let sorts = |q: &Query| {
+        let sorted = AggFunction::Median.operators();
+        q.functions.iter().any(|f| f.operators() == sorted)
+    };
+    let (mut results, mut sums_beside_sorts) = (0, 0);
     for_cases(24, |seed, rng| {
         let queries: Vec<Query> = (1..=rng.gen_range(1u64..5))
             .map(|id| {
@@ -264,8 +272,11 @@ fn sliding_windows_over_fractional_values_agree_across_engines() {
             assert_eq!(parallel, sequential, "{context}, {shards} shards");
         }
         results += sequential.len();
+        let sorted = queries.iter().filter(|q| sorts(q)).count();
+        sums_beside_sorts += usize::from(sorted > 0 && sorted < queries.len());
     });
     assert!(results > 0, "no case closed a window");
+    assert!(sums_beside_sorts > 0, "no case chained a rounding sum");
 }
 
 /// Merging operator partials is order-insensitive and matches the

@@ -20,6 +20,9 @@
 //!   never a panic.
 //! * Idle local: a fixed window sharing its group with a session query
 //!   still leaves the root when one local stream never sees an event.
+//! * Correlated windows: sort-based windows that end together are built
+//!   from one another, counted in bundle merges against one range scan
+//!   per window end.
 
 use desis::prelude::*;
 
@@ -933,4 +936,92 @@ fn timestamps_near_u64_max_neither_hang_nor_panic() {
     let cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), Topology::star(1));
     let report = run_cluster(cfg, vec![events.to_vec()]).unwrap();
     assert_eq!(canon(report.results), reference);
+}
+
+/// Paper Section 4.3 / Figure 13a, counted: some sixty correlated
+/// windows over sort-based partials cost the engine at most half the
+/// bundle merges of putting every window end together by itself, because
+/// windows that end at one slice are nested suffixes of the store and
+/// each starts from the next shorter one. The reference is the kernel's
+/// own oracle — one `SliceStore::merge_range` per window end over the
+/// same slices — so the ratio cannot drift back unnoticed (ROADMAP item
+/// 1), and the results are still the naive baseline's.
+#[test]
+fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
+    use desis::core::engine::merge::{query_infos, KeyedBundles, SliceRange, SliceStore};
+    use desis::core::engine::{GroupSlicer, QueryAnalyzer};
+
+    // One 500 ms grid: thirty tumbling lengths and thirty longer sliding
+    // ones, no two alike, steps of 1, 2, 3 and 5 ticks.
+    const TICK: u64 = 500;
+    let functions = [
+        AggFunction::Median,
+        AggFunction::Quantile(0.9),
+        AggFunction::Sum,
+    ];
+    let queries: Vec<Query> = (1..=60u64)
+        .map(|id| {
+            let window = if id <= 30 {
+                WindowSpec::tumbling_time(id * TICK)
+            } else {
+                let step = [1, 2, 3, 5][(id % 4) as usize];
+                WindowSpec::sliding_time(id * TICK, step * TICK)
+            };
+            Query::new(id, window.unwrap(), functions[(id % 3) as usize])
+        })
+        .collect();
+    // 40 s of events, 64 keys in rotation (a key comes up every 1.28 s,
+    // so slices hold some keys and miss others), whole values: medians
+    // and sums are exact in every system.
+    let events: Vec<Event> = (0..2_000u64)
+        .map(|i| Event::new(i * 20, (i % 64) as Key, ((i * 7919) % 101) as f64))
+        .collect();
+    let final_wm = 40_000;
+
+    let mut engine = AggregationEngine::new(queries.clone()).unwrap();
+    for ev in &events {
+        engine.on_event(ev);
+    }
+    engine.on_watermark(final_wm);
+    let results = canon(engine.drain_results());
+    let merges = engine.metrics().merges;
+
+    let mut groups = QueryAnalyzer::default().analyze(queries.clone()).unwrap();
+    assert_eq!(groups.len(), 1, "one query-group, so one store");
+    let group = groups.remove(0);
+    let infos: std::collections::BTreeMap<_, _> = query_infos(&group).collect();
+    let mut slicer = GroupSlicer::new(group);
+    let mut slices = Vec::new();
+    for ev in &events {
+        slicer.on_event(ev, &mut slices);
+    }
+    slicer.on_watermark(final_wm, &mut slices);
+    let mut store = SliceStore::default();
+    let (mut scan_merges, mut window_ends) = (0, 0);
+    for slice in slices {
+        store.push(slice.id, slice.start_ts, slice.end_ts, slice.data);
+        for end in &slice.ends {
+            let range = SliceRange::Ids(end.first_slice, end.last_slice);
+            let selection = infos[&end.query].selection;
+            scan_merges += store.merge_range(range, selection, &mut KeyedBundles::default());
+            window_ends += 1;
+        }
+        store.gc_ids(slice.low_watermark);
+    }
+    assert!(window_ends > 500, "{window_ends} window ends");
+    assert!(
+        2 * merges <= scan_merges,
+        "{merges} merges against {scan_merges} for one scan per window end"
+    );
+
+    // The most naive baseline: a buffer per window, aggregated at its end.
+    let mut naive = SystemKind::CeBuffer.build(queries).unwrap();
+    let mut expected = Vec::new();
+    for ev in &events {
+        naive.on_event(ev);
+        expected.extend(naive.drain_results());
+    }
+    naive.on_watermark(final_wm);
+    expected.extend(naive.drain_results());
+    assert_eq!(results, canon(expected));
 }
