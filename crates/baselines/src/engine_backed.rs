@@ -58,11 +58,6 @@ impl EngineBacked {
     pub fn group_count(&self) -> usize {
         self.engine.group_count()
     }
-
-    /// Access to the underlying engine (for decentralized deployments).
-    pub fn engine_mut(&mut self) -> &mut AggregationEngine {
-        &mut self.engine
-    }
 }
 
 impl Processor for EngineBacked {
@@ -84,10 +79,6 @@ impl Processor for EngineBacked {
 
     fn metrics(&self) -> EngineMetrics {
         self.engine.metrics()
-    }
-
-    fn reset_metrics(&mut self) {
-        self.engine.reset_metrics();
     }
 }
 

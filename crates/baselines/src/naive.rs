@@ -426,10 +426,6 @@ impl<S: WindowState> Processor for NaiveProcessor<S> {
     fn metrics(&self) -> EngineMetrics {
         self.metrics.clone()
     }
-
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,4 @@ pub trait Processor {
 
     /// Metrics snapshot (events, calculations, slices, results).
     fn metrics(&self) -> EngineMetrics;
-
-    /// Resets the metric counters.
-    fn reset_metrics(&mut self);
 }

@@ -92,16 +92,6 @@ impl Assembler {
         &self.registry
     }
 
-    /// Stops finalizing windows for `query` (runtime removal, Section
-    /// 3.2). Returns `false` if the query is unknown.
-    pub fn remove_query(&mut self, query: QueryId) -> bool {
-        let removed = self.queries.remove(&query);
-        if let Some(removed) = &removed {
-            self.store.query_removed(removed);
-        }
-        removed.is_some()
-    }
-
     /// Ingests a sealed slice: stores its partials, assembles every window
     /// it terminates, then garbage-collects unreachable partials.
     ///
@@ -163,31 +153,28 @@ mod tests {
     use super::*;
     use crate::aggregate::AggFunction;
     use crate::engine::analyzer::QueryAnalyzer;
-    use crate::engine::slicer::GroupSlicer;
+    use crate::engine::terminal::RawTerminal;
     use crate::event::Event;
+    use crate::metrics::EngineMetrics;
     use crate::query::Query;
     use crate::time::Timestamp;
     use crate::window::WindowSpec;
 
-    /// End-to-end slicer + assembler over one group.
-    fn run(queries: Vec<Query>, events: &[Event], final_wm: Timestamp) -> Vec<QueryResult> {
+    /// A slicer feeding an assembler over the one group of `queries`.
+    fn terminal(queries: Vec<Query>) -> RawTerminal {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
-        let group = groups.remove(0);
-        let mut slicer = GroupSlicer::new(group.clone());
-        let mut assembler = Assembler::new(&group);
-        let mut slices = Vec::new();
+        RawTerminal::new(groups.remove(0), Arc::new(MetricsRegistry::new()), None)
+    }
+
+    /// End-to-end slicer + assembler over one group.
+    fn run(queries: Vec<Query>, events: &[Event], final_wm: Timestamp) -> Vec<QueryResult> {
+        let mut terminal = terminal(queries);
         let mut results = Vec::new();
         for ev in events {
-            slicer.on_event(ev, &mut slices);
-            for s in slices.drain(..) {
-                assembler.on_slice(s, &mut results);
-            }
+            terminal.on_event(ev, &mut results);
         }
-        slicer.on_watermark(final_wm, &mut slices);
-        for s in slices.drain(..) {
-            assembler.on_slice(s, &mut results);
-        }
+        terminal.on_watermark(final_wm, &mut results);
         results
     }
 
@@ -283,21 +270,16 @@ mod tests {
     #[test]
     fn gc_drops_unreachable_partials() {
         let q = Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum);
-        let mut groups = QueryAnalyzer::default().analyze(vec![q]).unwrap();
-        let group = groups.remove(0);
-        let mut slicer = GroupSlicer::new(group.clone());
-        let mut assembler = Assembler::new(&group);
-        let mut slices = Vec::new();
+        let mut terminal = terminal(vec![q]);
         let mut results = Vec::new();
         for ts in (0..10_000).step_by(10) {
-            slicer.on_event(&Event::new(ts, 0, 1.0), &mut slices);
-            for s in slices.drain(..) {
-                assembler.on_slice(s, &mut results);
-            }
+            terminal.on_event(&Event::new(ts, 0, 1.0), &mut results);
         }
+        let (mut m, mut retained) = (EngineMetrics::default(), (0, 0));
+        terminal.roll_up(&mut m, &mut retained);
         // Tumbling windows never need more than the current slice.
-        assert!(assembler.retained_slices() <= 1);
-        assert_eq!(assembler.results_emitted(), results.len() as u64);
+        assert!(retained.0 <= 1);
+        assert_eq!(m.results, results.len() as u64);
     }
 
     #[test]

@@ -766,16 +766,54 @@ impl AlignedSliceMerger {
 // Window assembly over merged slices, by time range.
 // ---------------------------------------------------------------------
 
+/// The retirement rule (runtime removal, paper Section 3.2): the end of
+/// the last window of `window` that still emits once its query is removed
+/// at event time `at` — a pure function of the two. Immediate removal
+/// keeps the windows that ended at or before `at`; a draining one also
+/// those that had started by then; nothing later. `0` when no window
+/// qualifies (none ends there), `Timestamp::MAX` when the last one's end
+/// is not representable (it never fires). A slicer removing the query
+/// while its stream stands at `at` emits exactly these windows, so a
+/// [`TimeAssembler`], which derives window ends itself, reads the same
+/// answer off the slice stream.
+pub fn last_window_end(window: &WindowSpec, at: Timestamp, immediate: bool) -> Timestamp {
+    let (length, step) = match window.kind {
+        WindowKind::Tumbling { length } => (length, length),
+        WindowKind::Sliding { length, step } => (length, step),
+        // Data-driven windows end where their sources say.
+        WindowKind::Session { .. } | WindowKind::UserDefined { .. } => return Timestamp::MAX,
+    };
+    // Windows are `[k * step, k * step + length)`.
+    let last_start = if immediate {
+        let Some(room) = at.checked_sub(length) else {
+            return 0;
+        };
+        room / step * step
+    } else {
+        at / step * step
+    };
+    last_start.checked_add(length).unwrap_or(Timestamp::MAX)
+}
+
 /// Assembles fixed time windows from merged slices, selecting slices by
 /// time range (merged slice ids are merger-local) and deriving window
 /// ends from the specs; `ends` shipped with a slice are ignored.
 #[derive(Debug)]
 pub struct TimeAssembler {
-    queries: Vec<(QueryId, QueryInfo)>,
+    queries: Vec<Member>,
     store: SliceStore,
     results_emitted: u64,
     /// Provenance span recorder; `None` (the default) disables tracing.
     recorder: Option<TraceRecorder>,
+}
+
+/// A member query and, once it is removed, the end of its last window
+/// that emits.
+#[derive(Debug)]
+struct Member {
+    id: QueryId,
+    info: QueryInfo,
+    last_end: Option<Timestamp>,
 }
 
 impl TimeAssembler {
@@ -783,6 +821,11 @@ impl TimeAssembler {
     pub fn new(group: &QueryGroup) -> Self {
         let queries = query_infos(group)
             .filter(|(_, q)| q.window.has_precomputable_puncts())
+            .map(|(id, info)| Member {
+                id,
+                info,
+                last_end: None,
+            })
             .collect();
         Self {
             queries,
@@ -819,14 +862,18 @@ impl TimeAssembler {
         self.store.cached_bundles()
     }
 
-    /// Stops assembling windows for `query` (runtime removal, Section
-    /// 3.2). Returns `false` if the query is unknown.
-    pub fn remove_query(&mut self, query: QueryId) -> bool {
-        let Some(at) = self.queries.iter().position(|(id, _)| *id == query) else {
+    /// Retires `query`, removed at event time `at` (runtime removal,
+    /// Section 3.2): its windows up to [`last_window_end`] still assemble
+    /// as their slices arrive — slices in flight when the removal is
+    /// announced included, so no barrier is needed and the call may come
+    /// any time before the slice stream passes `at`, more than once —
+    /// and the query is dropped with the first slice at or past that end.
+    /// Returns `false` if the query is unknown.
+    pub fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) -> bool {
+        let Some(member) = self.queries.iter_mut().find(|m| m.id == query) else {
             return false;
         };
-        let (_, removed) = self.queries.remove(at);
-        self.store.query_removed(&removed);
+        member.last_end = Some(last_window_end(&member.info.window, at, immediate));
         true
     }
 
@@ -837,18 +884,29 @@ impl TimeAssembler {
         let before = out.len();
         self.store
             .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
-        for (id, q) in &self.queries {
-            let Some(start) = q.window.fixed_window_ending_at(slice_end) else {
+        for Member { id, info, last_end } in &self.queries {
+            let Some(start) = info.window.fixed_window_ending_at(slice_end) else {
                 continue;
             };
+            if last_end.is_some_and(|last| slice_end > last) {
+                continue;
+            }
             let merged = self
                 .store
-                .merged_range(SliceRange::Span(start, slice_end), q);
-            finalize_sorted(*id, &q.functions, merged, start, slice_end, out);
+                .merged_range(SliceRange::Span(start, slice_end), info);
+            finalize_sorted(*id, &info.functions, merged, start, slice_end, out);
         }
         self.results_emitted += (out.len() - before) as u64;
         record_assembly(&mut self.recorder, slice.trace, &out[before..]);
-        self.store.gc_span(low_ts);
+        let store = &mut self.store;
+        self.queries.retain(|m| {
+            let gone = m.last_end.is_some_and(|last| last <= slice_end);
+            if gone {
+                store.query_removed(&m.info);
+            }
+            !gone
+        });
+        store.gc_span(low_ts);
     }
 }
 
@@ -1390,9 +1448,13 @@ mod tests {
                     let (mut got, mut got_by_span) = (Vec::new(), Vec::new());
                     for (at, slice) in slices.iter().enumerate() {
                         if at == removed_at {
-                            assert!(assembler.remove_query(3) && by_span.remove_query(3));
+                            assert!(by_span.remove_query(3, slices[at - 1].end_ts, true));
                         }
-                        assembler.on_slice(slice.clone(), &mut got);
+                        // A slicer that removed the query stops ending
+                        // its windows.
+                        let mut sliced = slice.clone();
+                        sliced.ends.retain(|end| !skip(at, end.query));
+                        assembler.on_slice(sliced, &mut got);
                         merger.on_slice(slice.clone(), 1);
                         for merged in merger.take_ready() {
                             by_span.on_slice(merged, &mut got_by_span);
@@ -1480,9 +1542,9 @@ mod tests {
                 _ => &[],
             };
             if i == slices / 3 {
-                by_span.remove_query(1);
+                by_span.remove_query(1, i * TICK, true);
             } else if i == 2 * (slices / 3) + 1 {
-                by_span.remove_query(2);
+                by_span.remove_query(2, i * TICK, true);
             }
             let mut data = SliceData::new(1);
             for key in 0..keys {

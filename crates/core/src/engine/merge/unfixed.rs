@@ -351,6 +351,11 @@ impl<S: Copy + Ord> UnfixedMerger<S> {
         self.release_fixed();
     }
 
+    /// Whether `id` is a member query whose windows merge here.
+    pub fn merges_query(&self, id: QueryId) -> bool {
+        self.queries.contains_key(&id)
+    }
+
     /// Purges every trace of a removed query.
     pub fn remove_query(&mut self, id: QueryId) {
         self.sessions.retain(|s| s.query != id);

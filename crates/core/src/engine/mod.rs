@@ -8,8 +8,9 @@
 //! partials; intermediate nodes, the root and the sharded collector merge
 //! and assemble them with the one aligned merger, the one unfixed merger
 //! and the one time-range assembler of [`merge`], whose slice-store
-//! kernel the [`Assembler`] shares (the root runs an [`Assembler`] itself
-//! for groups it slices from raw events and behind its unfixed merger).
+//! kernel the [`Assembler`] shares. Where a group ends — here, at the
+//! sharded collector or at the root — it ends in a [`terminal`]: this
+//! engine runs every group as a [`RawTerminal`].
 
 pub mod analyzer;
 pub mod assembler;
@@ -19,6 +20,7 @@ pub mod parallel;
 pub mod reorder;
 pub mod slice;
 pub mod slicer;
+pub mod terminal;
 
 pub use analyzer::{Deployment, QueryAnalyzer, SharingPolicy};
 pub use assembler::Assembler;
@@ -27,6 +29,7 @@ pub use parallel::{ParallelConfig, ParallelEngine, ShardedSlicer};
 pub use reorder::ReorderBuffer;
 pub use slice::{SealedSlice, SessionGap, SliceData, SliceId, WindowEnd};
 pub use slicer::GroupSlicer;
+pub use terminal::{GroupPlan, GroupTerminal, RawTerminal};
 
 use std::sync::Arc;
 
@@ -34,16 +37,9 @@ use crate::error::DesisError;
 use crate::event::Event;
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, ProfHandle, Profiler, Stage};
-use crate::obs::{names, MetricsRegistry};
+use crate::obs::MetricsRegistry;
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
-
-/// One query-group pipeline: slicer feeding an assembler.
-#[derive(Debug, Clone)]
-struct Pipeline {
-    slicer: GroupSlicer,
-    assembler: Assembler,
-}
 
 /// Single-node Desis aggregation engine.
 ///
@@ -66,8 +62,8 @@ struct Pipeline {
 #[derive(Debug, Clone)]
 pub struct AggregationEngine {
     analyzer: QueryAnalyzer,
-    pipelines: Vec<Pipeline>,
-    scratch: Vec<SealedSlice>,
+    /// One terminal per query-group, each slicing the raw stream itself.
+    pipelines: Vec<RawTerminal>,
     results: Vec<QueryResult>,
     next_group_id: GroupId,
     registry: Arc<MetricsRegistry>,
@@ -104,15 +100,11 @@ impl AggregationEngine {
         let next_group_id = groups.len() as GroupId;
         let pipelines = groups
             .into_iter()
-            .map(|g| Pipeline {
-                assembler: Assembler::with_registry(&g, Arc::clone(&registry)),
-                slicer: GroupSlicer::new(g),
-            })
+            .map(|g| RawTerminal::new(g, Arc::clone(&registry), None))
             .collect();
         Ok(Self {
             analyzer,
             pipelines,
-            scratch: Vec::new(),
             results: Vec::new(),
             next_group_id,
             registry,
@@ -136,14 +128,9 @@ impl AggregationEngine {
         for p in &mut self.pipelines {
             {
                 let _slice = prof::scope(&mut self.prof, Stage::Slicer);
-                p.slicer.on_event(ev, &mut self.scratch);
+                p.slicer.on_event(ev, &mut p.sealed);
             }
-            if !self.scratch.is_empty() {
-                let _assemble = prof::scope(&mut self.prof, Stage::Assemble);
-                for slice in self.scratch.drain(..) {
-                    p.assembler.on_slice(slice, &mut self.results);
-                }
-            }
+            Self::assemble(&mut self.prof, p, &mut self.results);
         }
     }
 
@@ -152,14 +139,17 @@ impl AggregationEngine {
         for p in &mut self.pipelines {
             {
                 let _slice = prof::scope(&mut self.prof, Stage::Slicer);
-                p.slicer.on_watermark(ts, &mut self.scratch);
+                p.slicer.on_watermark(ts, &mut p.sealed);
             }
-            if !self.scratch.is_empty() {
-                let _assemble = prof::scope(&mut self.prof, Stage::Assemble);
-                for slice in self.scratch.drain(..) {
-                    p.assembler.on_slice(slice, &mut self.results);
-                }
-            }
+            Self::assemble(&mut self.prof, p, &mut self.results);
+        }
+    }
+
+    #[inline]
+    fn assemble(prof: &mut Option<ProfHandle>, p: &mut RawTerminal, out: &mut Vec<QueryResult>) {
+        if !p.sealed.is_empty() {
+            let _assemble = prof::scope(prof, Stage::Assemble);
+            p.assemble(out);
         }
     }
 
@@ -178,11 +168,6 @@ impl AggregationEngine {
             h.flush();
         }
         out
-    }
-
-    /// Results produced and not yet drained.
-    pub fn pending_results(&self) -> usize {
-        self.results.len()
     }
 
     /// Adds a query at runtime (Section 3.2). The query starts processing
@@ -206,10 +191,8 @@ impl AggregationEngine {
         let mut group = groups.remove(0);
         group.id = self.next_group_id;
         self.next_group_id += 1;
-        self.pipelines.push(Pipeline {
-            assembler: Assembler::with_registry(&group, Arc::clone(&self.registry)),
-            slicer: GroupSlicer::new(group),
-        });
+        let registry = Arc::clone(&self.registry);
+        self.pipelines.push(RawTerminal::new(group, registry, None));
         Ok(())
     }
 
@@ -233,26 +216,12 @@ impl AggregationEngine {
     /// counters, next to gauges of the assemblers' retained state.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
-        let (mut retained, mut cached) = (0, 0);
+        let mut retained = (0, 0);
         for p in &self.pipelines {
-            m.absorb(p.slicer.metrics());
-            m.results += p.assembler.results_emitted();
-            m.merges += p.assembler.merges();
-            retained += p.assembler.retained_slices();
-            cached += p.assembler.cached_bundles();
+            p.roll_up(&mut m, &mut retained);
         }
-        m.publish(&self.registry, "engine");
-        let gauge = |name, level: usize| self.registry.gauge(name).set(level as i64);
-        gauge(names::ENGINE_ASSEMBLER_RETAINED_SLICES, retained);
-        gauge(names::ENGINE_ASSEMBLER_CACHED_BUNDLES, cached);
+        terminal::publish(&m, retained, &self.registry);
         m
-    }
-
-    /// Resets all metric counters.
-    pub fn reset_metrics(&mut self) {
-        for p in &mut self.pipelines {
-            p.slicer.reset_metrics();
-        }
     }
 }
 
@@ -260,6 +229,7 @@ impl AggregationEngine {
 mod tests {
     use super::*;
     use crate::aggregate::AggFunction;
+    use crate::obs::names;
     use crate::window::WindowSpec;
 
     fn tumbling(id: u64, len: u64, f: AggFunction) -> Query {
@@ -377,8 +347,6 @@ mod tests {
         assert_eq!(m.calculations, 200); // sum + count shared
         assert_eq!(m.slices, 1);
         assert_eq!(m.results, 2);
-        engine.reset_metrics();
-        assert_eq!(engine.metrics().events, 0);
     }
 
     #[test]

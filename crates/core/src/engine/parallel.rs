@@ -73,9 +73,6 @@ pub struct ParallelConfig {
     /// Events accumulated at the inlet before a batch is sent to the
     /// shards (amortizes channel overhead).
     pub batch_size: usize,
-    /// Per-shard channel capacity in batches (bounded channels give
-    /// backpressure, i.e. sustainable throughput).
-    pub channel_capacity: usize,
     /// Allowed out-of-orderness: `Some(l)` runs a reorder buffer of
     /// lateness `l` in front of every shard's slicers (and the
     /// collector-side count replays); `None` assumes timestamp-ordered
@@ -98,7 +95,6 @@ impl ParallelConfig {
         Self {
             shards: shards.max(1),
             batch_size: 256,
-            channel_capacity: 64,
             lateness: None,
             registry: None,
             profiler: Profiler::global().cloned(),

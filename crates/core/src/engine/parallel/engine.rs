@@ -1,105 +1,21 @@
-//! The parallel engine facade: [`ParallelEngine`] assembles windows from
-//! the merged slice stream of a [`ShardedSlicer`] and replays count
-//! query-groups at the collector.
+//! The parallel engine facade: [`ParallelEngine`] ends every sharded
+//! group's merged slice stream in a [`GroupTerminal`] and replays count
+//! query-groups at the collector through a [`RawTerminal`].
 
 use std::sync::Arc;
 
 use super::{prof_record, prof_stamp, ParallelConfig, ShardedSlicer};
-use crate::engine::merge::TimeAssembler;
-use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
-use crate::engine::slicer::GroupSlicer;
-use crate::engine::{Assembler, QueryAnalyzer, QueryGroup};
+use crate::engine::terminal::{self, GroupPlan, GroupTerminal, RawTerminal};
+use crate::engine::QueryAnalyzer;
 use crate::error::DesisError;
 use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::Stage;
-use crate::obs::trace::{TraceCollector, TraceRecorder};
-use crate::obs::{names, MetricsRegistry};
+use crate::obs::trace::TraceCollector;
+use crate::obs::MetricsRegistry;
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
-use crate::window::WindowKind;
-
-/// Collector-side assembler of one sharded group's merged slice stream.
-#[derive(Debug)]
-enum MergedAssembler {
-    /// Fixed time windows: range-select assembly over merged slices.
-    Fixed(TimeAssembler),
-    /// Session/user-defined windows: the unfixed merger emits
-    /// self-contained per-window slices that the ordinary assembler
-    /// consumes unchanged.
-    Unfixed(Assembler),
-}
-
-impl MergedAssembler {
-    /// The assembler matching [`ShardedSlicer`]'s merger for `group`.
-    fn for_group(group: &QueryGroup, registry: &Arc<MetricsRegistry>) -> Self {
-        if group.has_unfixed_windows() {
-            MergedAssembler::Unfixed(Assembler::with_registry(group, Arc::clone(registry)))
-        } else {
-            MergedAssembler::Fixed(TimeAssembler::new(group))
-        }
-    }
-
-    fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
-        match self {
-            MergedAssembler::Fixed(a) => a.on_slice(slice, out),
-            MergedAssembler::Unfixed(a) => a.on_slice(slice, out),
-        }
-    }
-
-    /// Stops emission for a removed query. Only the fixed assembler
-    /// acts: it derives window ends from the specs itself, while the
-    /// unfixed path is governed by slicer/merger-side removal (so a
-    /// draining removal still emits in-flight windows, like the
-    /// sequential engine).
-    fn remove_query(&mut self, id: QueryId) {
-        if let MergedAssembler::Fixed(a) = self {
-            a.remove_query(id);
-        }
-    }
-
-    fn set_recorder(&mut self, recorder: TraceRecorder) {
-        match self {
-            MergedAssembler::Fixed(a) => a.set_recorder(recorder),
-            MergedAssembler::Unfixed(a) => a.set_recorder(recorder),
-        }
-    }
-
-    fn results_emitted(&self) -> u64 {
-        match self {
-            MergedAssembler::Fixed(a) => a.results_emitted(),
-            MergedAssembler::Unfixed(a) => a.results_emitted(),
-        }
-    }
-
-    fn merges(&self) -> u64 {
-        match self {
-            MergedAssembler::Fixed(a) => a.merges(),
-            MergedAssembler::Unfixed(a) => a.merges(),
-        }
-    }
-
-    /// `(slices, suffix-cache bundles)` retained for open windows.
-    fn retained_state(&self) -> (usize, usize) {
-        match self {
-            MergedAssembler::Fixed(a) => (a.retained_slices(), a.cached_bundles()),
-            MergedAssembler::Unfixed(a) => (a.retained_slices(), a.cached_bundles()),
-        }
-    }
-}
-
-/// A count-measured query-group, replayed sequentially at the
-/// collector: the shard-side filters forward only selection-matching
-/// events (count windows advance on matches only, so the filter is
-/// result-preserving), and this pipeline consumes them in global ingest
-/// order at every watermark barrier.
-#[derive(Debug)]
-struct CountReplay {
-    slicer: GroupSlicer,
-    assembler: Assembler,
-    reorder: Option<ReorderBuffer>,
-}
 
 /// Key-sharded parallel twin of [`crate::engine::AggregationEngine`]: same
 /// queries, same results, N slicer threads (see the module docs for the
@@ -126,10 +42,15 @@ struct CountReplay {
 #[derive(Debug)]
 pub struct ParallelEngine {
     pub(super) sharded: Option<ShardedSlicer>,
-    assemblers: Vec<MergedAssembler>,
-    replays: Vec<CountReplay>,
-    ordered: Vec<Event>,
-    scratch: Vec<SealedSlice>,
+    /// The terminal of every sharded group, by its index in the merged
+    /// slice stream.
+    terminals: Vec<GroupTerminal>,
+    /// Count-measured query-groups, replayed sequentially at the
+    /// collector: the shard-side filters forward only selection-matching
+    /// events (count windows advance on matches only, so the filter is
+    /// result-preserving), and the replay consumes them in global ingest
+    /// order at every watermark barrier. Indexed by replay slot.
+    replays: Vec<RawTerminal>,
     merged: Vec<(usize, SealedSlice)>,
     results: Vec<QueryResult>,
     registry: Arc<MetricsRegistry>,
@@ -160,83 +81,78 @@ impl ParallelEngine {
         // Resolve per-shard live counter handles at spawn (see
         // [`ShardedSlicer::publish`] / `note_send`).
         cfg.registry = Some(Arc::clone(&registry));
-        let query_ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        // Query analysis is driver-lane work that happens before the
-        // sharded slicer (and its profiler handle) exists; a transient
-        // handle attributes it and merges additively into the lane.
-        let mut boot = cfg.profiler.as_ref().map(|p| p.handle("driver"));
-        let analyzer_t0 = prof_stamp(&boot);
-        // Partition *queries* before analysis: a single session query
-        // sharing a predicate with ten fixed-window queries would
-        // otherwise drag the whole group through the (costlier) unfixed
-        // merge. Splitting trades the cross-type slice sharing between
-        // the sets (only ever present within one predicate-group) for
-        // the cheapest merge path per window class.
-        let (fixed, rest): (Vec<_>, Vec<_>) = queries
-            .into_iter()
-            .partition(|q| q.window.has_precomputable_puncts());
-        let (unfixed, counts): (Vec<_>, Vec<_>) = rest.into_iter().partition(|q| {
-            matches!(
-                q.window.kind,
-                WindowKind::Session { .. } | WindowKind::UserDefined { .. }
-            )
-        });
-        let analyzer = QueryAnalyzer::default();
-        let analyze = |qs: Vec<Query>| -> Result<Vec<QueryGroup>, DesisError> {
-            if qs.is_empty() {
-                Ok(Vec::new())
-            } else {
-                analyzer.analyze(qs)
-            }
-        };
-        let mut sharded_groups = analyze(fixed)?;
-        let mut unfixed_groups = analyze(unfixed)?;
-        let mut count_groups = analyze(counts)?;
-        debug_assert!(sharded_groups.iter().all(group_is_shardable));
-        // Re-number the later analyses so group ids stay unique.
-        let mut next_group_id = sharded_groups.len() as crate::engine::GroupId;
-        for g in unfixed_groups.iter_mut().chain(count_groups.iter_mut()) {
-            g.id = next_group_id;
-            next_group_id += 1;
-        }
-        sharded_groups.append(&mut unfixed_groups);
-        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
-        drop(boot);
-        let assemblers: Vec<MergedAssembler> = sharded_groups
-            .iter()
-            .map(|g| MergedAssembler::for_group(g, &registry))
-            .collect();
-        let sharded = if sharded_groups.is_empty() && count_groups.is_empty() {
-            None
-        } else {
-            Some(ShardedSlicer::with_counts(
-                &sharded_groups,
-                &count_groups,
-                &cfg,
-            )?)
-        };
-        let replays = count_groups
-            .into_iter()
-            .map(|g| CountReplay {
-                assembler: Assembler::with_registry(&g, Arc::clone(&registry)),
-                reorder: cfg.lateness.map(ReorderBuffer::new),
-                slicer: GroupSlicer::new(g),
-            })
-            .collect();
-        Ok(Self {
-            sharded,
-            assemblers,
-            replays,
-            ordered: Vec::new(),
-            scratch: Vec::new(),
+        let mut engine = Self {
+            sharded: None,
+            terminals: Vec::new(),
+            replays: Vec::new(),
             merged: Vec::new(),
             results: Vec::new(),
             registry,
             events: 0,
             cfg,
-            query_ids,
-            next_group_id,
-        })
+            query_ids: Vec::new(),
+            next_group_id: 0,
+        };
+        // Partition *queries* by plan before analysis: a single session
+        // query sharing a predicate with ten fixed-window queries would
+        // otherwise drag the whole group through the (costlier) unfixed
+        // merge. Splitting trades the cross-type slice sharing between
+        // the sets (only ever present within one predicate-group) for
+        // the cheapest merge path per window class.
+        let mut by_plan: [Vec<Query>; 3] = Default::default();
+        for q in queries {
+            by_plan[GroupPlan::of_window(&q.window) as usize].push(q);
+        }
+        for queries in by_plan {
+            engine.install(queries)?;
+        }
+        Ok(engine)
+    }
+
+    /// Analyzes `queries` — all of one plan — into query-groups and
+    /// installs each on the shards and at the collector: a slicer per
+    /// shard with a merger and a terminal here, or, for count windows,
+    /// shard-side filters feeding a collector replay. The groups start
+    /// processing with the next ingested event.
+    fn install(&mut self, queries: Vec<Query>) -> Result<(), DesisError> {
+        if queries.is_empty() {
+            return Ok(());
+        }
+        let ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
+        // Query analysis is driver-lane work that may happen before the
+        // sharded slicer (and its profiler handle) exists; a transient
+        // handle attributes it and merges additively into the lane.
+        let mut boot = self.cfg.profiler.as_ref().map(|p| p.handle("driver"));
+        let analyzer_t0 = prof_stamp(&boot);
+        let groups = QueryAnalyzer::default().analyze(queries)?;
+        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
+        drop(boot);
+        let sharded = match &mut self.sharded {
+            Some(sharded) => sharded,
+            none => none.insert(ShardedSlicer::with_counts(&[], &[], &self.cfg)?),
+        };
+        for mut group in groups {
+            group.id = self.next_group_id;
+            self.next_group_id += 1;
+            match GroupPlan::of(&group) {
+                GroupPlan::Raw => {
+                    let predicates = group.selections.iter().map(|s| s.predicate).collect();
+                    let replay = sharded.add_count_filter(predicates);
+                    debug_assert_eq!(replay, self.replays.len());
+                    let registry = Arc::clone(&self.registry);
+                    self.replays
+                        .push(RawTerminal::new(group, registry, self.cfg.lateness));
+                }
+                plan => {
+                    self.terminals
+                        .push(GroupTerminal::new(plan, &group, &self.registry));
+                    let index = sharded.add_group(group);
+                    debug_assert_eq!(index + 1, self.terminals.len());
+                }
+            }
+        }
+        self.query_ids.extend(ids);
+        Ok(())
     }
 
     /// Worker shard count.
@@ -246,7 +162,7 @@ impl ParallelEngine {
 
     /// Number of query-groups (sharded + count replays).
     pub fn group_count(&self) -> usize {
-        self.assemblers.len() + self.replays.len()
+        self.terminals.len() + self.replays.len()
     }
 
     /// The engine's observability registry.
@@ -264,12 +180,7 @@ impl ParallelEngine {
     /// configured).
     pub fn late_dropped(&self) -> u64 {
         let sharded = self.sharded.as_ref().map_or(0, ShardedSlicer::late_dropped);
-        let replays: u64 = self
-            .replays
-            .iter()
-            .filter_map(|r| r.reorder.as_ref())
-            .map(ReorderBuffer::late_dropped)
-            .sum();
+        let replays: u64 = self.replays.iter().map(RawTerminal::late_dropped).sum();
         sharded + replays
     }
 
@@ -279,12 +190,11 @@ impl ParallelEngine {
         if let Some(sharded) = &mut self.sharded {
             sharded.install_tracing(collector, node);
         }
-        for assembler in &mut self.assemblers {
-            assembler.set_recorder(collector.recorder(node));
+        for terminal in &mut self.terminals {
+            terminal.set_recorder(collector.recorder(node));
         }
         for replay in &mut self.replays {
-            replay.slicer.set_recorder(collector.recorder(node));
-            replay.assembler.set_recorder(collector.recorder(node));
+            replay.set_recorder(collector.recorder(node));
         }
     }
 
@@ -338,34 +248,8 @@ impl ParallelEngine {
         for (idx, replay) in self.replays.iter_mut().enumerate() {
             let mut items = sharded.take_count_events(idx);
             items.sort_unstable_by_key(|(seq, _)| *seq);
-            match &mut replay.reorder {
-                Some(rb) => {
-                    for (_, ev) in &items {
-                        rb.push(*ev, &mut self.ordered);
-                    }
-                    match wm {
-                        Some(ts) => rb.advance(ts, &mut self.ordered),
-                        // End of stream: release everything, like the
-                        // shard workers flushing their buffers.
-                        None => rb.flush(&mut self.ordered),
-                    }
-                }
-                None => self.ordered.extend(items.iter().map(|(_, ev)| *ev)),
-            }
-            for i in 0..self.ordered.len() {
-                let ev = self.ordered[i];
-                replay.slicer.on_event(&ev, &mut self.scratch);
-                for slice in self.scratch.drain(..) {
-                    replay.assembler.on_slice(slice, &mut self.results);
-                }
-            }
-            self.ordered.clear();
-            if let Some(ts) = wm {
-                replay.slicer.on_watermark(ts, &mut self.scratch);
-                for slice in self.scratch.drain(..) {
-                    replay.assembler.on_slice(slice, &mut self.results);
-                }
-            }
+            let events = items.into_iter().map(|(_, ev)| ev);
+            replay.replay(events, wm, &mut self.results);
         }
         prof_record(&mut sharded.prof, Stage::Replay, replay_t0);
     }
@@ -380,8 +264,8 @@ impl ParallelEngine {
         }
         let t0 = prof_stamp(&sharded.prof);
         for (group, slice) in self.merged.drain(..) {
-            if let Some(assembler) = self.assemblers.get_mut(group) {
-                assembler.on_slice(slice, &mut self.results);
+            if let Some(terminal) = self.terminals.get_mut(group) {
+                terminal.on_slice(slice, &mut self.results);
             }
         }
         prof_record(&mut sharded.prof, Stage::Assemble, t0);
@@ -405,37 +289,45 @@ impl ParallelEngine {
         out
     }
 
-    /// Results produced and not yet drained.
-    pub fn pending_results(&self) -> usize {
-        self.results.len()
-    }
-
     /// Removes a query at runtime on every shard and count replay, the
-    /// counterpart of [`ParallelEngine::add_query`]. Same semantics as
-    /// the sequential engine: `immediate` drops in-flight windows,
-    /// otherwise they drain.
+    /// counterpart of [`ParallelEngine::add_query`], with the sequential
+    /// engine's answer: the removal takes effect at the event time the
+    /// stream has reached, `immediate` keeps the query's windows that
+    /// ended by then, a draining removal also those that had started.
+    /// An aligned group needs no barrier for that — its terminal reads
+    /// the rule off the slice stream, so windows whose slices are still
+    /// in flight assemble as they arrive; a count replay is first brought
+    /// up to the removal, which takes one.
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.remove_query(id, immediate);
-        }
-        for assembler in &mut self.assemblers {
-            assembler.remove_query(id);
-        }
-        for replay in &mut self.replays {
-            replay.slicer.remove_query(id, immediate);
-        }
         self.query_ids.retain(|q| *q != id);
+        let Some(sharded) = &mut self.sharded else {
+            return;
+        };
+        // Before its first event the stream stands nowhere, and a slicer
+        // removing a query then drops it outright.
+        let (at, immediate) = match sharded.remove_query(id, immediate) {
+            Some(at) => (at, immediate),
+            None => (0, true),
+        };
+        for terminal in &mut self.terminals {
+            terminal.remove_query(id, at, immediate, &mut self.results);
+        }
+        if let Some(replay) = self
+            .replays
+            .iter()
+            .position(|r| r.slicer.group().query_index(id).is_some())
+        {
+            self.on_watermark(at);
+            self.replays[replay].slicer.remove_query(id, immediate);
+        }
     }
 
     /// Adds a query at runtime (Section 3.2), the counterpart of the
     /// sequential engine's `add_query`. The query is classified exactly
-    /// like at construction — precomputable punctuations shard as a
-    /// fixed group, session/user-defined windows shard behind the
-    /// cross-shard unfixed merger, count windows install shard-side
-    /// filters feeding a collector replay — and starts processing with
-    /// the next ingested event (the inlet is flushed first, and the
-    /// punctuation sets of the new group are computed from its own
-    /// specs by the per-shard slicers).
+    /// like at construction and starts processing with the next ingested
+    /// event (the inlet is flushed first, and the punctuation sets of the
+    /// new group are computed from its own specs by the per-shard
+    /// slicers).
     pub fn add_query(&mut self, query: Query) -> Result<(), DesisError> {
         if self.query_ids.contains(&query.id) {
             return Err(DesisError::InvalidQuery(format!(
@@ -443,42 +335,7 @@ impl ParallelEngine {
                 query.id
             )));
         }
-        let id = query.id;
-        let is_fixed = query.window.has_precomputable_puncts();
-        let is_unfixed = matches!(
-            query.window.kind,
-            WindowKind::Session { .. } | WindowKind::UserDefined { .. }
-        );
-        let mut boot = self.cfg.profiler.as_ref().map(|p| p.handle("driver"));
-        let analyzer_t0 = prof_stamp(&boot);
-        let mut groups = QueryAnalyzer::default().analyze(vec![query])?;
-        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
-        drop(boot);
-        let mut group = groups.remove(0);
-        group.id = self.next_group_id;
-        self.next_group_id += 1;
-        if self.sharded.is_none() {
-            self.sharded = Some(ShardedSlicer::with_counts(&[], &[], &self.cfg)?);
-        }
-        if let Some(sharded) = &mut self.sharded {
-            if is_fixed || is_unfixed {
-                let index = sharded.add_group(group.clone());
-                debug_assert_eq!(index, self.assemblers.len());
-                self.assemblers
-                    .push(MergedAssembler::for_group(&group, &self.registry));
-            } else {
-                let predicates = group.selections.iter().map(|s| s.predicate).collect();
-                let replay = sharded.add_count_filter(predicates);
-                debug_assert_eq!(replay, self.replays.len());
-                self.replays.push(CountReplay {
-                    assembler: Assembler::with_registry(&group, Arc::clone(&self.registry)),
-                    reorder: self.cfg.lateness.map(ReorderBuffer::new),
-                    slicer: GroupSlicer::new(group),
-                });
-            }
-        }
-        self.query_ids.push(id);
-        Ok(())
+        self.install(vec![query])
     }
 
     /// Ends the stream: joins the shard workers, replays the remaining
@@ -500,45 +357,23 @@ impl ParallelEngine {
     /// state the collector retains for open windows.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
-        let (mut retained, mut cached) = (0, 0);
-        let mut retain = |state: (usize, usize)| {
-            retained += state.0;
-            cached += state.1;
-        };
+        let mut retained = (0, 0);
         if let Some(sharded) = &self.sharded {
             m.absorb(&sharded.metrics());
             sharded.publish(&self.registry);
-            retain(sharded.retained_state());
+            retained = sharded.retained_state();
         }
-        for assembler in &self.assemblers {
-            m.results += assembler.results_emitted();
-            m.merges += assembler.merges();
-            retain(assembler.retained_state());
+        for terminal in &self.terminals {
+            terminal.roll_up(&mut m, &mut retained);
         }
         for replay in &self.replays {
-            m.absorb(replay.slicer.metrics());
-            m.results += replay.assembler.results_emitted();
-            m.merges += replay.assembler.merges();
-            let assembler = &replay.assembler;
-            retain((assembler.retained_slices(), assembler.cached_bundles()));
+            replay.roll_up(&mut m, &mut retained);
         }
         m.events = self.events;
-        m.publish(&self.registry, "engine");
-        let gauge = |name, level: usize| self.registry.gauge(name).set(level as i64);
-        gauge(names::ENGINE_ASSEMBLER_RETAINED_SLICES, retained);
-        gauge(names::ENGINE_ASSEMBLER_CACHED_BUNDLES, cached);
+        terminal::publish(&m, retained, &self.registry);
         if let Some(profiler) = &self.cfg.profiler {
             profiler.publish(&self.registry);
         }
         m
     }
-}
-
-/// Whether every window of the group punctuates at data-independent
-/// instants (fixed time windows), making the group safe to shard by key.
-fn group_is_shardable(group: &QueryGroup) -> bool {
-    group
-        .queries
-        .iter()
-        .all(|cq| cq.query.window.has_precomputable_puncts())
 }

@@ -11,6 +11,7 @@ use super::{prof_record, prof_stamp, ParallelConfig};
 use crate::engine::merge::AlignedSliceMerger;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
+use crate::engine::terminal::GroupPlan;
 use crate::engine::QueryGroup;
 use crate::error::DesisError;
 use crate::event::{Event, EventBatch};
@@ -20,7 +21,11 @@ use crate::obs::trace::{TraceCollector, TraceRecorder};
 use crate::obs::{names, Counter, MetricsRegistry};
 use crate::predicate::Predicate;
 use crate::query::QueryId;
-use crate::time::Timestamp;
+use crate::time::{DurationMs, Timestamp};
+
+/// Per-shard channel capacity in batches (bounded channels give
+/// backpressure, i.e. sustainable throughput).
+const CHANNEL_CAPACITY: usize = 64;
 
 /// The per-group collector-side merger: fixed-only groups align by
 /// slice-end timestamp — a shard is a child covering one stream — and
@@ -33,11 +38,14 @@ enum GroupMerger {
 }
 
 impl GroupMerger {
+    /// The merger of `group`'s plan (a count group is not sliced on the
+    /// shards and has none).
     fn for_group(group: &QueryGroup, shards: usize) -> Self {
-        if group.has_unfixed_windows() {
-            GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
-        } else {
-            GroupMerger::Fixed(AlignedSliceMerger::new(shards as u32))
+        match GroupPlan::of(group) {
+            GroupPlan::Aligned => GroupMerger::Fixed(AlignedSliceMerger::new(shards as u32)),
+            GroupPlan::Unfixed | GroupPlan::Raw => {
+                GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
+            }
         }
     }
 
@@ -67,8 +75,13 @@ impl GroupMerger {
         }
     }
 
-    /// Purges merger-side state of an immediately-removed query (the
+    /// Whether windows of query `id` can be pending in this merger (the
     /// fixed merger keeps no per-query state).
+    fn merges_query(&self, id: QueryId) -> bool {
+        matches!(self, GroupMerger::Unfixed(m) if m.merges_query(id))
+    }
+
+    /// Purges merger-side state of an immediately-removed query.
     fn remove_query(&mut self, id: QueryId) {
         if let GroupMerger::Unfixed(m) = self {
             m.remove_query(id);
@@ -128,6 +141,12 @@ pub struct ShardedSlicer {
     states: Vec<ShardState>,
     inlet: EventBatch,
     batch_size: usize,
+    /// Event time every shard's slicers may be advanced to without
+    /// turning away an event the lateness bound still allows: the newest
+    /// flushed timestamp (less the lateness) or watermark. `None` until
+    /// the first event is flushed — slicers start with their first event.
+    reached: Option<Timestamp>,
+    lateness: Option<DurationMs>,
     shards: usize,
     /// Broadcast marker events to every shard (any group has
     /// user-defined windows).
@@ -175,7 +194,7 @@ impl ShardedSlicer {
         let mut senders = Vec::with_capacity(shards);
         let mut threads = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = crossbeam_channel::bounded(cfg.channel_capacity.max(1));
+            let (tx, rx) = crossbeam_channel::bounded(CHANNEL_CAPACITY);
             let slicers: Vec<GroupSlicer> =
                 groups.iter().map(|g| GroupSlicer::new(g.clone())).collect();
             let lateness = cfg.lateness;
@@ -210,6 +229,8 @@ impl ShardedSlicer {
             states: vec![ShardState::Running; shards],
             inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
             batch_size: cfg.batch_size.max(1),
+            reached: None,
+            lateness: cfg.lateness,
             shards,
             broadcast: groups.iter().any(|g| !g.user_defined_queries().is_empty()),
             stamp: !count_groups.is_empty(),
@@ -267,22 +288,39 @@ impl ShardedSlicer {
         }
     }
 
-    /// Removes a query at runtime on every shard. With `immediate` the
-    /// collector-side merger state is purged too; a draining removal
-    /// keeps it so in-flight windows still complete (shards report the
-    /// query's slot gone once drained, which releases any remainder).
-    pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
+    /// Removes a query at runtime on every shard and returns the event
+    /// time the removal took effect at: the stream's newest, which every
+    /// shard's slicers are advanced to first so they all apply the
+    /// retirement rule at the same instant (`None` before the first
+    /// event: nothing is open yet). With `immediate` the collector-side
+    /// merger state of an unfixed group is purged too — behind a
+    /// watermark barrier, so the windows its shards completed before the
+    /// removal are merged and released first; a draining removal keeps it
+    /// so in-flight windows still complete (shards report the query's
+    /// slot gone once drained, which releases any remainder).
+    pub fn remove_query(&mut self, id: QueryId, immediate: bool) -> Option<Timestamp> {
         // Flush first so the removal lands between the events ingested
         // before and after this call, like the sequential engine's.
         self.flush_inlet();
+        let purge = immediate && self.mergers.iter().any(|m| m.merges_query(id));
+        if let Some(at) = self.reached {
+            if purge {
+                self.on_watermark(at);
+            } else {
+                for tx in &self.senders {
+                    let _ = tx.send(ShardMsg::Watermark(at));
+                }
+            }
+        }
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Remove { id, immediate });
         }
-        if immediate {
+        if purge {
             for merger in &mut self.mergers {
                 merger.remove_query(id);
             }
         }
+        self.reached
     }
 
     /// Adds a query-group at runtime: one more slicer on every shard
@@ -368,6 +406,12 @@ impl ShardedSlicer {
             return;
         }
         let ingest = prof_stamp(&self.prof);
+        if let Some(last) = self.inlet.as_slice().last() {
+            let settled = last
+                .ts
+                .saturating_sub(self.lateness.map_or(0, |l| l.saturating_add(1)));
+            self.reached = self.reached.max(Some(settled));
+        }
         self.flush_inlet_inner();
         prof_record(&mut self.prof, Stage::Ingest, ingest);
     }
@@ -446,6 +490,7 @@ impl ShardedSlicer {
     /// the events and watermarks ingested so far is in the mergers.
     pub fn on_watermark(&mut self, ts: Timestamp) {
         self.flush_inlet();
+        self.reached = self.reached.map(|reached| reached.max(ts));
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Watermark(ts));
         }

@@ -361,7 +361,11 @@ fn unfixed_results_are_deterministic_at_watermark_barriers() {
 
 /// Regression: runtime admission (`add_query`) then removal
 /// mid-stream stays byte-identical to the sequential engine doing
-/// the same churn at the same stream positions.
+/// the same churn at the same stream positions — with no watermark in
+/// front of the removals, for a query of every plan and in both modes:
+/// an aligned one (retired from the slice stream), a session query
+/// (purged behind a barrier) and a count query (replayed up to the
+/// removal first).
 #[test]
 fn add_then_remove_query_mid_stream_matches_sequential() {
     let evs = gapped_marked_events(3_000, 6);
@@ -380,59 +384,65 @@ fn add_then_remove_query_mid_stream_matches_sequential() {
             ),
             Query::new(
                 9,
-                WindowSpec::tumbling_time(500).unwrap(),
+                WindowSpec::sliding_time(1_500, 500).unwrap(),
                 AggFunction::Count,
             ),
             Query::new(10, WindowSpec::user_defined(7), AggFunction::Max),
         ]
     };
-    let seq = {
-        let mut engine = AggregationEngine::new(initial.clone()).unwrap();
-        for ev in &evs[..1_000] {
-            engine.on_event(ev);
+    for immediate in [true, false] {
+        let seq = {
+            let mut engine = AggregationEngine::new(initial.clone()).unwrap();
+            for ev in &evs[..1_000] {
+                engine.on_event(ev);
+            }
+            for q in added() {
+                engine.add_query(q).unwrap();
+            }
+            for ev in &evs[1_000..2_030] {
+                engine.on_event(ev);
+            }
+            for id in [9, 7, 8] {
+                engine.remove_query(id, immediate).unwrap();
+            }
+            for ev in &evs[2_030..] {
+                engine.on_event(ev);
+            }
+            engine.on_watermark(60_000);
+            canon(engine.drain_results())
+        };
+        for id in [7, 8, 9, 10] {
+            assert!(seq.iter().any(|r| r.query == id), "query {id} must emit");
         }
-        engine.on_watermark(evs[999].ts);
-        for q in added() {
-            engine.add_query(q).unwrap();
+        for shards in [1, 2, 4] {
+            let mut engine = ParallelEngine::new(initial.clone(), shards).unwrap();
+            for ev in &evs[..1_000] {
+                engine.on_event(ev);
+            }
+            for q in added() {
+                engine.add_query(q).unwrap();
+            }
+            assert!(
+                engine.add_query(added().remove(0)).is_err(),
+                "duplicate query ids must be rejected"
+            );
+            for ev in &evs[1_000..2_030] {
+                engine.on_event(ev);
+            }
+            for id in [9, 7, 8] {
+                engine.remove_query(id, immediate);
+            }
+            for ev in &evs[2_030..] {
+                engine.on_event(ev);
+            }
+            engine.on_watermark(60_000);
+            engine.finish();
+            assert_eq!(
+                canon(engine.drain_results()),
+                seq,
+                "immediate={immediate} shards={shards}"
+            );
         }
-        for ev in &evs[1_000..2_000] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(evs[1_999].ts);
-        engine.remove_query(9, true).unwrap();
-        for ev in &evs[2_000..] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        canon(engine.drain_results())
-    };
-    assert!(seq.iter().any(|r| r.query == 7), "sessions must emit");
-    assert!(seq.iter().any(|r| r.query == 8), "count windows must emit");
-    assert!(seq.iter().any(|r| r.query == 10), "user-defined must emit");
-    for shards in [1, 2, 4] {
-        let mut engine = ParallelEngine::new(initial.clone(), shards).unwrap();
-        for ev in &evs[..1_000] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(evs[999].ts);
-        for q in added() {
-            engine.add_query(q).unwrap();
-        }
-        assert!(
-            engine.add_query(added().remove(0)).is_err(),
-            "duplicate query ids must be rejected"
-        );
-        for ev in &evs[1_000..2_000] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(evs[1_999].ts);
-        engine.remove_query(9, true);
-        for ev in &evs[2_000..] {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(60_000);
-        engine.finish();
-        assert_eq!(canon(engine.drain_results()), seq, "shards={shards}");
     }
 }
 

@@ -16,7 +16,7 @@ use crate::event::Event;
 use crate::time::{DurationMs, Timestamp};
 
 /// Buffers a bounded amount of disorder and releases an ordered stream.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     lateness: DurationMs,
     /// Min-heap over `(ts, arrival sequence)` for stable ordering of ties.

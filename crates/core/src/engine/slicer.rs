@@ -279,16 +279,6 @@ impl GroupSlicer {
         &self.metrics
     }
 
-    /// Resets the metric counters (between measurement phases).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
-    /// Id the next sealed slice will get.
-    pub fn next_slice_id(&self) -> SliceId {
-        self.slice_seq
-    }
-
     /// Lazily aligns window instances to the first event of the stream.
     fn init(&mut self, first_ts: Timestamp) {
         self.cur_start = first_ts;

@@ -33,11 +33,6 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = EngineMetrics::default();
-    }
-
     /// Adds another metrics snapshot into this one (for summing across
     /// nodes of a cluster).
     pub fn absorb(&mut self, other: &EngineMetrics) {
@@ -72,19 +67,6 @@ impl EngineMetrics {
             ("merges", self.merges),
         ]
     }
-
-    /// Serializes the snapshot as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (field, value)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{field}\":{value}"));
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -112,16 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut a = EngineMetrics {
-            events: 1,
-            ..Default::default()
-        };
-        a.reset();
-        assert_eq!(a, EngineMetrics::default());
-    }
-
-    #[test]
     fn publish_is_idempotent_per_value() {
         let registry = MetricsRegistry::new();
         let m = EngineMetrics {
@@ -134,18 +106,5 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["engine.events"], 10);
         assert_eq!(snap.counters["engine.results"], 3);
-    }
-
-    #[test]
-    fn json_has_all_fields() {
-        let m = EngineMetrics {
-            events: 7,
-            merges: 2,
-            ..Default::default()
-        };
-        let json = m.to_json();
-        assert!(json.contains("\"events\":7"), "{json}");
-        assert!(json.contains("\"merges\":2"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 }

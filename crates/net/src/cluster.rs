@@ -8,10 +8,9 @@
 //! and event-time latency.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 use desis_core::engine::{GroupId, QueryGroup};
@@ -49,6 +48,13 @@ pub enum ClusterCommand {
     },
 }
 
+/// Link queue capacity in messages (bounded channels give backpressure,
+/// i.e. sustainable throughput).
+const CHANNEL_CAPACITY: usize = 256;
+
+/// Locals record one latency sample every this many events.
+const LATENCY_SAMPLE_EVERY: u64 = 256;
+
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -61,25 +67,14 @@ pub struct ClusterConfig {
     pub topology: Topology,
     /// Raw-event batch size for forwarding links.
     pub batch_size: usize,
-    /// Link queue capacity in messages (bounded channels give
-    /// backpressure, i.e. sustainable throughput).
-    pub channel_capacity: usize,
     /// Optional per-link bandwidth cap in bytes/second (the Raspberry Pi
     /// experiment, Figure 13).
     pub bandwidth: Option<u64>,
     /// Locals emit a watermark every this much event time.
     pub watermark_every: DurationMs,
-    /// Extra event time appended at end-of-stream to fire pending
-    /// windows; `None` derives it from the largest window.
-    pub flush_horizon: Option<DurationMs>,
-    /// Wire format override; `None` picks the system's default (text for
-    /// Disco, binary otherwise — Section 6.4.1).
-    pub codec: Option<CodecKind>,
     /// Scheduled runtime reconfigurations: `(event time, command)`
     /// (Section 3.2). Only supported for [`DistributedSystem::Desis`].
     pub script: Vec<(Timestamp, ClusterCommand)>,
-    /// Record one latency sample every N events per local.
-    pub latency_sample_every: u64,
     /// When set, locals pace ingestion so one unit of event time takes
     /// one unit of wall time (divided by this speed-up factor). The paper
     /// measures latency at a sustainable rate rather than at saturation.
@@ -91,8 +86,7 @@ pub struct ClusterConfig {
     /// Deterministic fault schedule for this run; `None` runs
     /// fault-free.
     pub faults: Option<FaultPlan>,
-    /// Tunables of the recovery protocol (NACK budget, grace period,
-    /// retransmit history, reorder buffer, suspect lag).
+    /// Tunables of the recovery protocol (NACK budget, grace period).
     pub recovery: RecoveryConfig,
     /// Worker shards per local node (Desis only). `1` runs the classic
     /// sequential pipeline; `> 1` hash-partitions events by key across
@@ -110,13 +104,9 @@ impl ClusterConfig {
             queries,
             topology,
             batch_size: 512,
-            channel_capacity: 256,
             bandwidth: None,
             watermark_every: 1_000,
-            flush_horizon: None,
-            codec: None,
             script: Vec::new(),
-            latency_sample_every: 256,
             pace_speedup: None,
             trace: None,
             faults: None,
@@ -125,11 +115,13 @@ impl ClusterConfig {
         }
     }
 
+    /// The system's wire format: text for Disco, binary otherwise
+    /// (Section 6.4.1).
     fn effective_codec(&self) -> CodecKind {
-        self.codec.unwrap_or(match self.system {
+        match self.system {
             DistributedSystem::Disco => CodecKind::Text,
             _ => CodecKind::Binary,
-        })
+        }
     }
 
     /// The initial queries and every query the script adds.
@@ -141,18 +133,18 @@ impl ClusterConfig {
         self.queries.iter().chain(added)
     }
 
+    /// Extra event time appended at end-of-stream to fire pending
+    /// windows, derived from the largest window.
     fn effective_flush_horizon(&self) -> DurationMs {
-        self.flush_horizon.unwrap_or_else(|| {
-            let mut horizon = self.watermark_every;
-            for q in self.all_queries() {
-                let h = match q.window.measure {
-                    desis_core::window::Measure::Time => open_span(q),
-                    desis_core::window::Measure::Count => 0,
-                };
-                horizon = horizon.max(h + 1);
-            }
-            horizon + self.watermark_every
-        })
+        let mut horizon = self.watermark_every;
+        for q in self.all_queries() {
+            let h = match q.window.measure {
+                desis_core::window::Measure::Time => open_span(q),
+                desis_core::window::Measure::Count => 0,
+            };
+            horizon = horizon.max(h + 1);
+        }
+        horizon + self.watermark_every
     }
 }
 
@@ -164,6 +156,12 @@ fn open_span(q: &Query) -> DurationMs {
         WindowKind::Session { gap } => gap,
         WindowKind::UserDefined { .. } => 0,
     }
+}
+
+/// Poison-tolerant lock: a panicked node thread must not take the
+/// report down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Wall-clock samples of event-time progress, shared by locals (writers)
@@ -180,13 +178,13 @@ impl LatencyTable {
     /// Records that event time `ts` was generated "now" (first writer
     /// wins, so the sample reflects the earliest stream reaching `ts`).
     pub fn record(&self, ts: Timestamp) {
-        self.samples.lock().entry(ts).or_insert_with(Instant::now);
+        lock(&self.samples).entry(ts).or_insert_with(Instant::now);
     }
 
     /// Registers a paced run: event time `first_ts` maps to `start`, and
     /// event time advances at `speedup` × wall time.
     pub fn record_pace(&self, first_ts: Timestamp, start: Instant, speedup: f64) {
-        let mut pace = self.pace.lock();
+        let mut pace = lock(&self.pace);
         if pace.is_none() {
             *pace = Some((first_ts, start, speedup));
         }
@@ -194,11 +192,11 @@ impl LatencyTable {
 
     /// Wall-clock instant at which event time first advanced to `>= ts`.
     pub fn lookup(&self, ts: Timestamp) -> Option<Instant> {
-        if let Some((first_ts, start, speedup)) = *self.pace.lock() {
+        if let Some((first_ts, start, speedup)) = *lock(&self.pace) {
             let delta = ts.saturating_sub(first_ts) as f64 / 1e3 / speedup;
             return Some(start + Duration::from_secs_f64(delta));
         }
-        self.samples.lock().range(ts..).next().map(|(_, i)| *i)
+        lock(&self.samples).range(ts..).next().map(|(_, i)| *i)
     }
 }
 
@@ -288,19 +286,11 @@ impl ClusterReport {
 #[derive(Debug, Clone)]
 enum CompiledCommand {
     Add(QueryGroup),
-    Remove {
-        id: QueryId,
-        immediate: bool,
-        /// Watermark at which the root drops the query (past the drain
-        /// horizon for non-immediate removals).
-        root_at: Timestamp,
-    },
+    Remove { id: QueryId, immediate: bool },
 }
 
 /// Compiles the runtime script: added queries get fresh group ids
-/// (from `first_gid`) that locals and root agree on; removals record when
-/// the root may drop the query's finalization info (after the drain
-/// horizon unless immediate).
+/// (from `first_gid`) that locals and root agree on.
 fn compile_script(
     cfg: &ClusterConfig,
     first_gid: GroupId,
@@ -310,8 +300,6 @@ fn compile_script(
             "runtime query scripts require the Desis system",
         ));
     }
-    let window_of =
-        |id: QueryId| -> DurationMs { cfg.all_queries().find(|q| q.id == id).map_or(0, open_span) };
     let mut next_gid = first_gid;
     let mut compiled = Vec::with_capacity(cfg.script.len());
     for (ts, cmd) in &cfg.script {
@@ -327,7 +315,6 @@ fn compile_script(
                 ClusterCommand::RemoveQuery { id, immediate } => CompiledCommand::Remove {
                     id: *id,
                     immediate: *immediate,
-                    root_at: ts + if *immediate { 0 } else { window_of(*id) + 1 },
                 },
             },
         ));
@@ -387,7 +374,7 @@ impl Run<'_> {
                 stalls.inc();
             }
         });
-        self.lost.lock().extend(lost);
+        lock(&self.lost).extend(lost);
     }
 
     /// Serves the parent's retransmit requests until it acknowledges our
@@ -414,7 +401,6 @@ impl Run<'_> {
         }
         let crash_at = self.plan.and_then(|p| p.crash_at(node));
         let mut stall_at = self.plan.and_then(|p| p.stall_at(node));
-        let sample_every = cfg.latency_sample_every.max(1);
         let mut since_sample = 0u64;
         let mut script = self.script.iter().peekable();
         let pace_start = Instant::now();
@@ -428,17 +414,23 @@ impl Run<'_> {
                 // Crash: exit without finish or Flush. Dropping the
                 // uplink is the disconnect the parent sees.
                 self.fault_stats.crashes.inc();
-                self.local_metrics.lock().absorb(&worker.metrics());
+                lock(&self.local_metrics).absorb(&worker.metrics());
                 return;
             }
             if let Some((_, ms)) = stall_at.take_if(|(at, _)| ev.ts >= *at) {
                 self.fault_stats.stalls.inc();
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            while let Some((_, cmd)) = script.next_if(|(at, _)| ev.ts >= *at) {
+            while let Some((at, cmd)) = script.next_if(|(at, _)| ev.ts >= *at) {
                 match cmd {
                     CompiledCommand::Add(group) => worker.add_group(group),
-                    CompiledCommand::Remove { id, immediate, .. } => {
+                    CompiledCommand::Remove { id, immediate } => {
+                        // The removal takes effect at the same event time
+                        // on every node — the last instant before the
+                        // script's — whatever this stream saw last.
+                        if !worker.on_watermark(at.saturating_sub(1), &mut uplink) {
+                            break;
+                        }
                         worker.remove_query(*id, *immediate);
                     }
                 }
@@ -458,7 +450,7 @@ impl Run<'_> {
             if since_sample == 0 {
                 self.latency.record(ev.ts);
             }
-            since_sample = (since_sample + 1) % sample_every;
+            since_sample = (since_sample + 1) % LATENCY_SAMPLE_EVERY;
             let _ingest = prof::scope(&mut lane, Stage::Ingest);
             if !worker.on_event(&ev, &mut uplink) {
                 break;
@@ -469,7 +461,7 @@ impl Run<'_> {
             let _ = worker.finish(cfg.effective_flush_horizon(), &mut uplink);
         }
         drop(lane);
-        self.local_metrics.lock().absorb(&worker.metrics());
+        lock(&self.local_metrics).absorb(&worker.metrics());
         self.linger(uplink);
     }
 
@@ -523,17 +515,17 @@ impl Run<'_> {
         if let Some(tc) = self.tracing {
             worker.install_tracing(tc, node);
         }
-        // Added groups are registered up front so their partials are
-        // never dropped; removals apply once the watermark passes.
-        let mut removals: Vec<(Timestamp, QueryId)> = Vec::new();
-        for (_, cmd) in self.script {
+        // The script is registered up front: added groups so that their
+        // partials are never dropped, removals because the root applies
+        // them by event time, not by when it hears of them.
+        for (at, cmd) in self.script {
             match cmd {
                 CompiledCommand::Add(group) => worker.add_group(cfg.system, group, n_leaves),
-                CompiledCommand::Remove { id, root_at, .. } => removals.push((*root_at, *id)),
+                CompiledCommand::Remove { id, immediate } => {
+                    worker.remove_query(*id, at.saturating_sub(1), *immediate);
+                }
             }
         }
-        removals.sort_unstable();
-        let mut removals = removals.into_iter().peekable();
         let mut stamped: Vec<(QueryResult, Instant)> = Vec::new();
         let retained_max = self.registry.gauge(names::NET_ROOT_RETAINED_SLICES_MAX);
         let cached_max = self.registry.gauge(names::NET_ROOT_CACHED_BUNDLES_MAX);
@@ -542,14 +534,9 @@ impl Run<'_> {
             let (retained, cached) = worker.retained_state();
             retained_max.set_max(retained as i64);
             cached_max.set_max(cached as i64);
-            let pending = worker.pending_merges();
-            let watermark = worker.watermark();
-            while let Some((_, id)) = removals.next_if(|(at, _)| watermark >= *at) {
-                worker.remove_query(id);
-            }
             let now = Instant::now();
             stamped.extend(worker.drain_results().into_iter().map(|r| (r, now)));
-            pending
+            worker.pending_merges()
         });
         self.registry
             .counter(&names::unroutable_msgs("root"))
@@ -607,11 +594,10 @@ pub fn run_cluster(
         };
         let (mut tx, rx, st) = link_with_stats(
             cfg.effective_codec(),
-            cfg.channel_capacity,
+            CHANNEL_CAPACITY,
             cfg.bandwidth,
             Arc::new(LinkStats::registered(&registry, node)),
         );
-        tx.set_history_cap(cfg.recovery.history_cap);
         let injector = plan.and_then(|p| {
             p.injector_for(node, Arc::clone(&run.fault_stats), Arc::clone(&injected))
         });
@@ -659,7 +645,7 @@ pub fn run_cluster(
     });
     let (stamped, root_raw_events) = root_result?;
     let wall = started.elapsed();
-    let mut lost_children = std::mem::take(&mut *run.lost.lock());
+    let mut lost_children = std::mem::take(&mut *lock(&run.lost));
     lost_children.sort_unstable();
 
     let latency_hist = registry.histogram(names::CLUSTER_RESULT_LATENCY_US);
@@ -682,13 +668,13 @@ pub fn run_cluster(
 
     let bytes_by_node: BTreeMap<NodeId, u64> =
         stats.iter().map(|(node, st)| (*node, st.bytes())).collect();
-    let local_metrics = run.local_metrics.lock().clone();
+    let local_metrics = lock(&run.local_metrics).clone();
     local_metrics.publish(&registry, names::CLUSTER_LOCAL_ENGINE_PREFIX);
     registry
         .counter(names::NET_ROOT_RAW_EVENTS)
         .raise_to(root_raw_events);
     let metrics = registry.snapshot();
-    let mut faults_injected = injected.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let mut faults_injected = lock(&injected).clone();
     faults_injected.sort_by(|a, b| (a.link, a.frame, a.kind).cmp(&(b.link, b.frame, b.kind)));
     Ok(ClusterReport {
         results,
@@ -1276,10 +1262,11 @@ mod runtime_reconfig_tests {
         let q2: Vec<_> = report.results.iter().filter(|r| r.query == 2).collect();
         assert_eq!(q1.len(), 10, "query 1 runs for the whole stream");
         assert!(!q2.is_empty());
-        // Query 2 only exists between its installation and removal (plus
-        // the drain horizon).
+        // Query 2 only exists between its installation and removal: the
+        // drained removal at 7000 lets the window that had started by
+        // 6999 finish, and nothing later.
         assert!(q2.iter().all(|r| r.window_start >= 3_000), "{q2:?}");
-        assert!(q2.iter().all(|r| r.window_end <= 8_000), "{q2:?}");
+        assert_eq!(q2.iter().map(|r| r.window_end).max(), Some(7_000));
         // Both locals contributed to the added query's windows.
         let full = q2
             .iter()
@@ -1294,6 +1281,57 @@ mod runtime_reconfig_tests {
                 sharded.bytes_by_node[&local], report.bytes_by_node[&local],
                 "uplink bytes of local {local}"
             );
+        }
+    }
+
+    /// A scripted removal lands at one event time for every plan: the
+    /// raw-event terminal of a count group stops the query in the ordered
+    /// event stream right there, and an unfixed group's merger is purged
+    /// when the root's watermark gets there. One local, so the root's
+    /// merged stream is the sequential engine's.
+    #[test]
+    fn scripted_removal_of_count_and_session_queries_matches_sequential() {
+        const T: Timestamp = 4_321;
+        let queries = vec![
+            Query::new(
+                1,
+                WindowSpec::tumbling_time(1_000).unwrap(),
+                AggFunction::Sum,
+            ),
+            Query::new(
+                2,
+                WindowSpec::sliding_count(50, 20).unwrap(),
+                AggFunction::Sum,
+            ),
+            Query::new(3, WindowSpec::session(150).unwrap(), AggFunction::Count),
+        ];
+        // Bursts of 300 ms with 300 ms of silence between them; the
+        // removal falls inside a burst.
+        let events: Vec<Event> = (0..9_000u64)
+            .filter(|ts| ts % 600 < 300)
+            .map(|ts| Event::new(ts, (ts % 3) as u32, (ts % 7) as f64))
+            .collect();
+        for immediate in [true, false] {
+            let mut oracle = desis_core::engine::AggregationEngine::new(queries.clone()).unwrap();
+            let (before, after) = events.split_at(events.partition_point(|ev| ev.ts < T));
+            before.iter().for_each(|ev| oracle.on_event(ev));
+            oracle.on_watermark(T - 1);
+            oracle.remove_query(2, immediate).unwrap();
+            oracle.remove_query(3, immediate).unwrap();
+            after.iter().for_each(|ev| oracle.on_event(ev));
+            oracle.on_watermark(20_000);
+            let expected = oracle.drain_results();
+            for id in [2, 3] {
+                assert!(expected.iter().any(|r| r.query == id), "query {id} emits");
+            }
+
+            let mut cfg =
+                ClusterConfig::new(DistributedSystem::Desis, queries.clone(), Topology::star(1));
+            cfg.script = [2, 3]
+                .map(|id| (T, ClusterCommand::RemoveQuery { id, immediate }))
+                .to_vec();
+            let report = run_cluster(cfg, vec![events.clone()]).unwrap();
+            assert_eq!(report.results, expected, "immediate={immediate}");
         }
     }
 

@@ -30,7 +30,7 @@ use desis_core::obs::{names, Counter, MetricsRegistry};
 use crate::codec::{CodecError, CodecKind, Frame};
 use crate::fault::FaultInjector;
 use crate::message::Message;
-use crate::recovery::{Control, RecoveryConfig};
+use crate::recovery::Control;
 
 /// Counters of one directed link, backed by the shared observability
 /// [`Counter`] type so they can live inside a [`MetricsRegistry`] and show
@@ -117,6 +117,10 @@ impl TokenBucket {
     }
 }
 
+/// Clean frames a sender keeps for retransmission; a gap older than this
+/// is unrecoverable and loses the child.
+const HISTORY_CAP: usize = 1024;
+
 /// Sending half of a link: serializes messages into sequence-numbered v3
 /// frames, keeps a bounded retransmit history, and answers NACKs from the
 /// receiving pump.
@@ -132,7 +136,6 @@ pub struct LinkSender {
     next_seq: u64,
     /// Clean frames kept for retransmission, oldest first.
     history: VecDeque<(u64, Vec<u8>)>,
-    history_cap: usize,
     /// Fault injection for original transmissions, if scheduled.
     injector: Option<FaultInjector>,
     /// Whether the receiver already acknowledged the final Flush.
@@ -149,15 +152,6 @@ impl LinkSender {
     /// Installs a fault injector consulted for every original frame.
     pub fn set_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
-    }
-
-    /// Bounds the retransmit history (frames). Evicted frames cannot be
-    /// retransmitted; a gap older than the history loses the child.
-    pub fn set_history_cap(&mut self, cap: usize) {
-        self.history_cap = cap;
-        while self.history.len() > cap {
-            self.history.pop_front();
-        }
     }
 
     /// Serializes and sends a message. Blocks on backpressure and on the
@@ -184,7 +178,7 @@ impl LinkSender {
             }
         }
         self.history.push_back((seq, frame.clone()));
-        while self.history.len() > self.history_cap {
+        if self.history.len() > HISTORY_CAP {
             self.history.pop_front();
         }
         let fate = self
@@ -400,7 +394,6 @@ pub fn link_with_stats(
             control: control_rx,
             next_seq: 0,
             history: VecDeque::new(),
-            history_cap: RecoveryConfig::default().history_cap,
             injector: None,
             done: false,
         },
@@ -483,30 +476,22 @@ mod tests {
 
     #[test]
     fn history_eviction_forgets_old_frames() {
-        let (mut tx, rx, _) = link(CodecKind::Binary, 32, None);
-        tx.set_history_cap(2);
-        for i in 0..4u64 {
+        // Two frames more than the history keeps.
+        let sent = HISTORY_CAP as u64 + 2;
+        let (mut tx, rx, _) = link(CodecKind::Binary, 3 * HISTORY_CAP, None);
+        for i in 0..sent {
             assert!(tx.send(&Message::Watermark(i)));
         }
         assert!(rx.nack(0)); // frames 0 and 1 are already evicted
         assert!(tx.send(&Message::Flush));
-        let seqs: Vec<Option<u64>> = (0..7)
+        let seqs: Vec<u64> = (0..2 * sent - 1)
             .map(|_| rx.decode_framed(&rx.raw().recv().unwrap()).unwrap().seq)
+            .map(|seq| seq.expect("cluster frames are numbered"))
             .collect();
-        // Originals 0..=3, then only the surviving history (2, 3), then
-        // the Flush (4).
-        assert_eq!(
-            seqs,
-            vec![
-                Some(0),
-                Some(1),
-                Some(2),
-                Some(3),
-                Some(2),
-                Some(3),
-                Some(4)
-            ]
-        );
+        // The originals, then only the surviving history (2 onwards),
+        // then the Flush.
+        let expected: Vec<u64> = (0..sent).chain(2..sent).chain([sent]).collect();
+        assert_eq!(seqs, expected);
     }
 
     #[test]

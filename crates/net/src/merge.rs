@@ -7,9 +7,11 @@
 //! * [`UnfixedRootMerger`] — session and user-defined windows slice at
 //!   data-driven points that differ per stream (Section 5.1.2). They
 //!   merge per window in `desis_core::engine::merge::UnfixedMerger`, the
-//!   merger the sharded collector runs over its shards; this facade
-//!   feeds it child partials keyed by originating `NodeId` and finalizes
-//!   what it releases through the core `Assembler`.
+//!   merger the sharded collector runs over its shards, keyed at the
+//!   root by originating `NodeId`, and what it releases is finalized by
+//!   the core `Assembler`. The root worker holds the two halves apart
+//!   (the assembler is its group terminal); this is the pair in one
+//!   piece, for driving a single group by hand.
 //! * [`EventMerger`] — watermark-aligned reordering of raw event streams
 //!   for root-processed groups (count windows, centralized baselines).
 //! * [`PartialAssembler`] / [`WindowPartialMerger`] — the Disco baseline's
@@ -29,7 +31,6 @@ use desis_core::engine::merge::{
 };
 use desis_core::engine::{Assembler, QueryGroup, SealedSlice};
 use desis_core::event::Event;
-use desis_core::obs::trace::TraceRecorder;
 use desis_core::query::{QueryId, QueryResult};
 use desis_core::time::Timestamp;
 
@@ -62,31 +63,6 @@ impl UnfixedRootMerger {
         }
     }
 
-    /// Enables causal slice tracing: the merger records
-    /// `MergeStart`/`MergeDone`, the assembler
-    /// `WindowAssembled`/`ResultEmitted` (each on its own ring of
-    /// `recorder`'s collector).
-    pub fn set_recorder(&mut self, recorder: TraceRecorder) {
-        self.merger.set_recorder(recorder.clone());
-        self.assembler.set_recorder(recorder);
-    }
-
-    /// Windows held back waiting for other children — a merge-stall
-    /// depth for observability.
-    pub fn pending_len(&self) -> usize {
-        self.merger.pending_len()
-    }
-
-    /// Slices retained per origin and by the assembler.
-    pub fn retained_slices(&self) -> usize {
-        self.merger.retained_slices() + self.assembler.retained_slices()
-    }
-
-    /// Bundles held by the suffix caches over those slices.
-    pub fn cached_bundles(&self) -> usize {
-        self.merger.cached_bundles() + self.assembler.cached_bundles()
-    }
-
     /// Ingests one child partial, identified by its originating local
     /// node.
     pub fn on_slice(&mut self, origin: NodeId, partial: SealedSlice, out: &mut Vec<QueryResult>) {
@@ -105,12 +81,6 @@ impl UnfixedRootMerger {
     pub fn flush(&mut self, out: &mut Vec<QueryResult>) {
         self.merger.flush();
         self.assemble(out);
-    }
-
-    /// Stops merging windows for `query` (runtime removal, Section 3.2).
-    pub fn remove_query(&mut self, query: QueryId) -> bool {
-        self.merger.remove_query(query);
-        self.assembler.remove_query(query)
     }
 
     fn assemble(&mut self, out: &mut Vec<QueryResult>) {

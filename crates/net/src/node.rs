@@ -18,26 +18,28 @@
 //!   node ships what its own slicers seal through the same `Forward` with
 //!   coverage 1.
 //! * `Terminal` is the upstream that ends the tree: the **root** is
-//!   `Children` + `Terminal`, which assembles windows and emits results.
+//!   `Children` + `Terminal`, which ends every group in the core
+//!   [`GroupTerminal`] of its plan — the type the sequential engine and
+//!   the sharded collector end theirs in — and emits the results.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use desis_baselines::Processor;
+use desis_core::engine::merge::UnfixedMerger;
 use desis_core::engine::{
-    Assembler, GroupExecution, GroupId, GroupSlicer, ParallelConfig, QueryGroup, SealedSlice,
-    ShardedSlicer,
+    GroupExecution, GroupId, GroupPlan, GroupSlicer, GroupTerminal, ParallelConfig, QueryGroup,
+    SealedSlice, ShardedSlicer,
 };
 use desis_core::event::{Event, EventBatch};
 use desis_core::metrics::EngineMetrics;
 use desis_core::obs::trace::TraceCollector;
-use desis_core::query::{Query, QueryResult};
+use desis_core::obs::MetricsRegistry;
+use desis_core::query::{Query, QueryId, QueryResult};
 use desis_core::time::{next_multiple_after, DurationMs, Timestamp};
 
 use crate::link::LinkSender;
-use crate::merge::{
-    AlignedSliceMerger, EventMerger, PartialAssembler, TimeAssembler, UnfixedRootMerger,
-    WindowPartialMerger,
-};
+use crate::merge::{AlignedSliceMerger, EventMerger, PartialAssembler, WindowPartialMerger};
 use crate::message::{Message, WindowPartial};
 use crate::topology::NodeId;
 
@@ -111,19 +113,19 @@ impl ChildClock {
 /// One row of the deployment table: how a system runs one query-group on
 /// every node role (Sections 5.1, 5.2 and 6.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GroupPlan {
-    /// Locals slice and ship per-slice partials without their `ep` marks
-    /// (fixed time windows end at spec-derivable times); every non-leaf
-    /// node merges the slices by slice end; the root assembles windows by
-    /// time range.
-    Aligned,
-    /// Locals slice and ship per-slice partials with their data-driven
-    /// (session/user-defined) ends; intermediates pass the slices through
-    /// untouched; the root merges per window and originating local.
-    Unfixed,
-    /// Only the root can process the group: locals ship raw events, inner
-    /// nodes reorder them, the root re-slices and assembles.
-    Raw,
+enum NodePlan {
+    /// The group runs by a core [`GroupPlan`] and the root ends it in that
+    /// plan's [`GroupTerminal`]:
+    /// * `Aligned` — locals slice and ship per-slice partials without
+    ///   their `ep` marks (fixed time windows end at spec-derivable
+    ///   times); every non-leaf node merges the slices by slice end.
+    /// * `Unfixed` — locals slice and ship per-slice partials with their
+    ///   data-driven (session/user-defined) ends; intermediates pass the
+    ///   slices through untouched; the root merges per window and
+    ///   originating local.
+    /// * `Raw` — only the root can process the group: locals ship raw
+    ///   events, inner nodes reorder them, the root re-slices.
+    Core(GroupPlan),
     /// Disco: locals slice and ship per-*window* partials, which every
     /// non-leaf node merges by window; the root finalizes them.
     Partials,
@@ -132,16 +134,16 @@ enum GroupPlan {
     Centralized,
 }
 
-/// The deployment table.
-fn deployment(system: DistributedSystem, group: &QueryGroup) -> GroupPlan {
+/// The deployment table: the system's overrides over the group's own plan.
+fn deployment(system: DistributedSystem, group: &QueryGroup) -> NodePlan {
     match (system, group.execution) {
-        (DistributedSystem::Centralized(_), _) => GroupPlan::Centralized,
-        (_, GroupExecution::RootRaw) | (DistributedSystem::Disco, GroupExecution::RootSorted) => {
-            GroupPlan::Raw
+        (DistributedSystem::Centralized(_), _) => NodePlan::Centralized,
+        (DistributedSystem::Disco, GroupExecution::Decentralized) => NodePlan::Partials,
+        // What Disco cannot decompose it ships raw.
+        (DistributedSystem::Disco, GroupExecution::RootSorted | GroupExecution::RootRaw) => {
+            NodePlan::Core(GroupPlan::Raw)
         }
-        (DistributedSystem::Disco, GroupExecution::Decentralized) => GroupPlan::Partials,
-        (DistributedSystem::Desis, _) if group.has_unfixed_windows() => GroupPlan::Unfixed,
-        (DistributedSystem::Desis, _) => GroupPlan::Aligned,
+        (DistributedSystem::Desis, _) => NodePlan::Core(GroupPlan::of(group)),
     }
 }
 
@@ -293,7 +295,7 @@ pub struct LocalWorker {
     /// indices back to wire group ids.
     sharded: Option<ShardedSlicer>,
     sharded_gids: Vec<GroupId>,
-    sharded_queries: Vec<desis_core::query::QueryId>,
+    sharded_queries: Vec<QueryId>,
     merged: Vec<(usize, SealedSlice)>,
     /// Raw-event batch shared by all raw-shipped groups.
     batch: EventBatch,
@@ -355,7 +357,7 @@ impl LocalWorker {
         for g in groups {
             let sliced = matches!(
                 deployment(system, g),
-                GroupPlan::Aligned | GroupPlan::Unfixed
+                NodePlan::Core(GroupPlan::Aligned | GroupPlan::Unfixed)
             );
             if shards > 1 && sliced {
                 shardable.push(g.clone());
@@ -404,13 +406,13 @@ impl LocalWorker {
     /// root.
     pub fn add_group(&mut self, group: &QueryGroup) {
         let ship = match deployment(self.system, group) {
-            GroupPlan::Raw | GroupPlan::Centralized => {
+            NodePlan::Core(GroupPlan::Raw) | NodePlan::Centralized => {
                 self.needs_raw = true;
                 return;
             }
-            GroupPlan::Aligned => Ship::Slices { ends: false },
-            GroupPlan::Unfixed => Ship::Slices { ends: true },
-            GroupPlan::Partials => Ship::WindowPartials(PartialAssembler::new(group)),
+            NodePlan::Core(GroupPlan::Aligned) => Ship::Slices { ends: false },
+            NodePlan::Core(GroupPlan::Unfixed) => Ship::Slices { ends: true },
+            NodePlan::Partials => Ship::WindowPartials(PartialAssembler::new(group)),
         };
         let slicer = GroupSlicer::new(group.clone());
         self.groups.push(LocalGroup { slicer, ship });
@@ -418,7 +420,7 @@ impl LocalWorker {
 
     /// Removes a query at runtime (Section 3.2): with `immediate`, its
     /// in-flight windows are dropped; otherwise they drain.
-    pub fn remove_query(&mut self, id: desis_core::query::QueryId, immediate: bool) -> bool {
+    pub fn remove_query(&mut self, id: QueryId, immediate: bool) -> bool {
         let mut removed = false;
         for group in &mut self.groups {
             removed |= group.slicer.remove_query(id, immediate);
@@ -510,6 +512,14 @@ impl LocalWorker {
         self.ship_sharded(up) && up.raw_batch(&mut self.batch) && up.watermark(ts)
     }
 
+    /// Advances event time to `ts` without data: fires the slicers'
+    /// pending punctuations, ships what they seal and tells the parent.
+    /// Returns `false` if the uplink is closed.
+    pub fn on_watermark(&mut self, ts: Timestamp, uplink: &mut LinkSender) -> bool {
+        let mut up = self.forward(uplink);
+        self.send_watermark(ts, &mut up)
+    }
+
     /// Ends the stream: advances time by `horizon` to fire pending
     /// windows, flushes batches, and sends `Flush`.
     pub fn finish(&mut self, horizon: DurationMs, uplink: &mut LinkSender) -> bool {
@@ -592,7 +602,7 @@ impl Children {
         }
         if groups
             .iter()
-            .any(|g| deployment(system, g) == GroupPlan::Partials)
+            .any(|g| deployment(system, g) == NodePlan::Partials)
         {
             this.partials = Some(WindowPartialMerger::new(&merge_groups(groups), expected));
         }
@@ -601,12 +611,12 @@ impl Children {
 
     fn add_group(&mut self, system: DistributedSystem, group: &QueryGroup) {
         match deployment(system, group) {
-            GroupPlan::Aligned => {
+            NodePlan::Core(GroupPlan::Aligned) => {
                 let merger = AlignedSliceMerger::new(self.expected);
                 self.aligned.insert(group.id, merger);
             }
-            GroupPlan::Raw | GroupPlan::Centralized => self.reorder_raw(),
-            GroupPlan::Unfixed | GroupPlan::Partials => {}
+            NodePlan::Core(GroupPlan::Raw) | NodePlan::Centralized => self.reorder_raw(),
+            NodePlan::Core(GroupPlan::Unfixed) | NodePlan::Partials => {}
         }
     }
 
@@ -800,24 +810,20 @@ fn merge_groups(groups: &[QueryGroup]) -> QueryGroup {
     QueryGroup::build(0, members, vec![desis_core::predicate::Predicate::True])
 }
 
-/// How the root terminates one query-group's merged stream.
-#[derive(Debug)]
-enum RootGroup {
-    /// Assembles the aligned merger's slices by time range.
-    Aligned(Box<TimeAssembler>),
-    /// Per-origin merging for groups with session/user-defined windows.
-    Unfixed(Box<UnfixedRootMerger>),
-    /// Raw events re-sliced and assembled at the root.
-    Raw(Box<GroupSlicer>, Box<Assembler>),
-}
-
-/// The root's end of the tree: assembles windows from what its
-/// [`Children`] release and collects the final results.
+/// The root's end of the tree: ends every group in the core terminal of
+/// its plan and collects the final results.
 struct Terminal {
-    groups: BTreeMap<GroupId, RootGroup>,
+    groups: BTreeMap<GroupId, GroupTerminal>,
+    /// The per-origin mergers in front of the unfixed groups' terminals
+    /// (intermediates pass those slices through unmerged).
+    unfixed: BTreeMap<GroupId, UnfixedMerger<NodeId>>,
+    /// Scripted removals event time has not reached yet, ascending:
+    /// `(event time, query, immediate)`.
+    removals: VecDeque<(Timestamp, QueryId, bool)>,
+    /// Receives the assemblers' per-query latency histograms.
+    registry: Arc<MetricsRegistry>,
     centralized: Option<Box<dyn Processor>>,
     results: Vec<QueryResult>,
-    slice_scratch: Vec<SealedSlice>,
     raw_events: u64,
     /// Checksum-valid slices of groups the root cannot route.
     unroutable: u64,
@@ -825,18 +831,59 @@ struct Terminal {
 
 impl Terminal {
     fn add_group(&mut self, system: DistributedSystem, g: &QueryGroup, n_leaves: usize) {
-        let group = match deployment(system, g) {
-            GroupPlan::Aligned => RootGroup::Aligned(Box::new(TimeAssembler::new(g))),
-            GroupPlan::Unfixed => RootGroup::Unfixed(Box::new(UnfixedRootMerger::new(g, n_leaves))),
-            GroupPlan::Raw => RootGroup::Raw(
-                Box::new(GroupSlicer::new(g.clone())),
-                Box::new(Assembler::new(g)),
-            ),
-            // Merged by the shared window-partial merger / processed by
-            // the centralized engine: no per-group machinery.
-            GroupPlan::Partials | GroupPlan::Centralized => return,
+        // Window partials are merged by the shared window-partial merger
+        // and the centralized engine does its own processing: no
+        // per-group machinery.
+        let NodePlan::Core(plan) = deployment(system, g) else {
+            return;
         };
-        self.groups.insert(g.id, group);
+        if plan == GroupPlan::Unfixed {
+            self.unfixed.insert(g.id, UnfixedMerger::new(g, n_leaves));
+        }
+        let terminal = GroupTerminal::new(plan, g, &self.registry);
+        self.groups.insert(g.id, terminal);
+    }
+
+    /// Schedules the removal of `query` at event time `at`. An aligned
+    /// terminal reads the retirement rule off its slice stream, whenever
+    /// it is told, so it is told now; whatever slices or merges per
+    /// origin is told when event time gets there ([`Terminal::reach`]).
+    fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) {
+        for group in self.groups.values_mut() {
+            if matches!(group, GroupTerminal::Aligned(_)) {
+                group.remove_query(query, at, immediate, &mut self.results);
+            }
+        }
+        let pos = self.removals.partition_point(|(due, ..)| *due <= at);
+        self.removals.insert(pos, (at, query, immediate));
+    }
+
+    /// Applies the removals scheduled at or before `ts`, which event time
+    /// is about to pass: an immediate one purges what the unfixed mergers
+    /// still hold for the query, and slicing terminals stop its windows
+    /// at that instant.
+    fn reach(&mut self, ts: Timestamp) {
+        while let Some((at, query, immediate)) = self.removals.pop_front_if(|r| r.0 <= ts) {
+            if immediate {
+                for merger in self.unfixed.values_mut() {
+                    merger.remove_query(query);
+                }
+            }
+            for group in self.groups.values_mut() {
+                group.remove_query(query, at, immediate, &mut self.results);
+            }
+        }
+    }
+
+    /// Hands the windows the unfixed mergers completed to their terminals.
+    fn assemble_unfixed(&mut self) {
+        for (gid, merger) in &mut self.unfixed {
+            if let Some(terminal) = self.groups.get_mut(gid) {
+                for window in merger.take_ready() {
+                    terminal.on_slice(window, &mut self.results);
+                }
+            }
+        }
     }
 }
 
@@ -844,13 +891,11 @@ impl Upstream for Terminal {
     fn events(&mut self, events: &mut Vec<Event>) -> bool {
         self.raw_events += events.len() as u64;
         for ev in events.drain(..) {
+            if self.removals.front().is_some_and(|r| r.0 < ev.ts) {
+                self.reach(ev.ts - 1);
+            }
             for group in self.groups.values_mut() {
-                if let RootGroup::Raw(slicer, assembler) = group {
-                    slicer.on_event(&ev, &mut self.slice_scratch);
-                    for slice in self.slice_scratch.drain(..) {
-                        assembler.on_slice(slice, &mut self.results);
-                    }
-                }
+                group.on_event(&ev, &mut self.results);
             }
             if let Some(p) = &mut self.centralized {
                 p.on_event(&ev);
@@ -863,8 +908,8 @@ impl Upstream for Terminal {
     }
 
     fn merged_slice(&mut self, group: GroupId, slice: SealedSlice) -> bool {
-        if let Some(RootGroup::Aligned(assembler)) = self.groups.get_mut(&group) {
-            assembler.on_slice(slice, &mut self.results);
+        if let Some(terminal) = self.groups.get_mut(&group) {
+            terminal.on_slice(slice, &mut self.results);
         }
         true
     }
@@ -876,11 +921,14 @@ impl Upstream for Terminal {
         _: u32,
         partial: SealedSlice,
     ) -> bool {
-        match self.groups.get_mut(&group) {
-            Some(RootGroup::Unfixed(merger)) => merger.on_slice(origin, partial, &mut self.results),
+        match self.unfixed.get_mut(&group) {
+            Some(merger) => {
+                merger.on_slice(origin, partial);
+                self.assemble_unfixed();
+            }
             // Input from outside the process: a slice of a group that is
             // unknown here, or that the root re-slices from raw events.
-            _ => self.unroutable += 1,
+            None => self.unroutable += 1,
         }
         true
     }
@@ -897,17 +945,14 @@ impl Upstream for Terminal {
     }
 
     fn watermark(&mut self, ts: Timestamp) -> bool {
+        self.reach(ts);
+        // Idle children produce no slices but still vouch for time.
+        for merger in self.unfixed.values_mut() {
+            merger.advance(ts);
+        }
+        self.assemble_unfixed();
         for group in self.groups.values_mut() {
-            match group {
-                RootGroup::Aligned(_) => {}
-                RootGroup::Unfixed(merger) => merger.on_watermark(ts, &mut self.results),
-                RootGroup::Raw(slicer, assembler) => {
-                    slicer.on_watermark(ts, &mut self.slice_scratch);
-                    for slice in self.slice_scratch.drain(..) {
-                        assembler.on_slice(slice, &mut self.results);
-                    }
-                }
-            }
+            group.on_watermark(ts, &mut self.results);
         }
         if let Some(p) = &mut self.centralized {
             p.on_watermark(ts);
@@ -918,11 +963,10 @@ impl Upstream for Terminal {
 
     /// End of all streams: nothing can extend a pending session any more.
     fn end(&mut self) -> bool {
-        for group in self.groups.values_mut() {
-            if let RootGroup::Unfixed(merger) = group {
-                merger.flush(&mut self.results);
-            }
+        for merger in self.unfixed.values_mut() {
+            merger.flush();
         }
+        self.assemble_unfixed();
         true
     }
 }
@@ -958,9 +1002,11 @@ impl RootWorker {
         };
         let mut terminal = Terminal {
             groups: BTreeMap::new(),
+            unfixed: BTreeMap::new(),
+            removals: VecDeque::new(),
+            registry: Arc::new(MetricsRegistry::new()),
             centralized,
             results: Vec::new(),
-            slice_scratch: Vec::new(),
             raw_events: 0,
             unroutable: 0,
         };
@@ -980,15 +1026,11 @@ impl RootWorker {
     /// no trace ids and stay untraced.
     pub fn install_tracing(&mut self, collector: &TraceCollector, node: NodeId) {
         self.children.install_tracing(collector, node);
+        for merger in self.terminal.unfixed.values_mut() {
+            merger.set_recorder(collector.recorder(node));
+        }
         for group in self.terminal.groups.values_mut() {
-            match group {
-                RootGroup::Aligned(assembler) => assembler.set_recorder(collector.recorder(node)),
-                RootGroup::Unfixed(merger) => merger.set_recorder(collector.recorder(node)),
-                RootGroup::Raw(slicer, assembler) => {
-                    slicer.set_recorder(collector.recorder(node));
-                    assembler.set_recorder(collector.recorder(node));
-                }
-            }
+            group.set_recorder(collector.recorder(node));
         }
     }
 
@@ -999,22 +1041,13 @@ impl RootWorker {
         self.terminal.add_group(system, group, n_leaves);
     }
 
-    /// Stops producing results for `query` (runtime removal, Section 3.2).
-    pub fn remove_query(&mut self, query: desis_core::query::QueryId) {
-        for group in self.terminal.groups.values_mut() {
-            match group {
-                RootGroup::Aligned(assembler) => {
-                    assembler.remove_query(query);
-                }
-                RootGroup::Unfixed(merger) => {
-                    merger.remove_query(query);
-                }
-                RootGroup::Raw(slicer, assembler) => {
-                    slicer.remove_query(query, true);
-                    assembler.remove_query(query);
-                }
-            }
-        }
+    /// Schedules the removal of `query` at event time `at` (runtime
+    /// removal, Section 3.2), where the locals apply it too: its windows
+    /// that ended by then still emit, with a draining removal
+    /// (`immediate == false`) also those that had started — the sequential
+    /// engine's answer. May be told ahead of time.
+    pub fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) {
+        self.terminal.remove_query(query, at, immediate);
     }
 
     /// Handles one message from a direct child.
@@ -1025,11 +1058,6 @@ impl RootWorker {
     /// Whether every child flushed.
     pub fn finished(&self) -> bool {
         self.children.clock.all_flushed()
-    }
-
-    /// The event-time watermark the root has applied so far.
-    pub fn watermark(&self) -> Timestamp {
-        self.children.applied
     }
 
     /// Takes the results produced since the last drain.
@@ -1046,22 +1074,23 @@ impl RootWorker {
     /// Partials currently held back waiting for sibling streams (the
     /// merge-stall depth reported to the metrics registry).
     pub fn pending_merges(&self) -> usize {
-        let unfixed = self.terminal.groups.values().map(|g| match g {
-            RootGroup::Unfixed(m) => m.pending_len(),
-            RootGroup::Aligned(_) | RootGroup::Raw(..) => 0,
-        });
+        let unfixed = self.terminal.unfixed.values().map(|m| m.pending_len());
         self.children.pending() + unfixed.sum::<usize>()
     }
 
-    /// `(slices, suffix-cache bundles)` the terminal's assemblers and
-    /// unfixed mergers retain for open windows.
+    /// `(slices, suffix-cache bundles)` the terminals and the unfixed
+    /// mergers retain for open windows.
     pub(crate) fn retained_state(&self) -> (usize, usize) {
-        let state = self.terminal.groups.values().map(|g| match g {
-            RootGroup::Aligned(a) => (a.retained_slices(), a.cached_bundles()),
-            RootGroup::Unfixed(m) => (m.retained_slices(), m.cached_bundles()),
-            RootGroup::Raw(_, a) => (a.retained_slices(), a.cached_bundles()),
-        });
-        state.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+        let mut retained = (0, 0);
+        for merger in self.terminal.unfixed.values() {
+            retained.0 += merger.retained_slices();
+            retained.1 += merger.cached_bundles();
+        }
+        let mut counters = EngineMetrics::default();
+        for group in self.terminal.groups.values() {
+            group.roll_up(&mut counters, &mut retained);
+        }
+        retained
     }
 
     /// Checksum-valid messages dropped for want of a route.

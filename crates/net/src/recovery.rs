@@ -26,7 +26,7 @@
 //!   once, as before);
 //! * the existing watermark clock doubles as a liveness signal: a child
 //!   whose watermark trails the furthest sibling by more than
-//!   [`RecoveryConfig::suspect_lag`] is marked *Suspect* (an advisory
+//!   `SUSPECT_LAG` (10 s of event time) is marked *Suspect* (an advisory
 //!   state that clears by itself — it never escalates without a gap).
 //!
 //! Per-child state machine:
@@ -79,8 +79,15 @@ pub enum Control {
     Done,
 }
 
-/// Tunables of the recovery protocol (receive side and the sender's
-/// retransmit history).
+/// Out-of-order frames the receiver buffers per child while a gap is
+/// open; overflowing the buffer loses the child.
+const REORDER_CAP: usize = 256;
+
+/// Watermark lag (event-time ms) behind the furthest sibling at which a
+/// child is marked Suspect.
+const SUSPECT_LAG: DurationMs = 10_000;
+
+/// Tunables of the recovery protocol's receive side.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// NACKs sent per gap before the child is declared lost.
@@ -88,15 +95,6 @@ pub struct RecoveryConfig {
     /// How long to wait for a NACK to be answered before re-sending it
     /// (also the pump's idle tick and the sender's linger probe period).
     pub nack_grace: Duration,
-    /// Frames the sender keeps for retransmission; gaps older than this
-    /// are unrecoverable.
-    pub history_cap: usize,
-    /// Out-of-order frames the receiver buffers per child while a gap is
-    /// open; overflowing the buffer loses the child.
-    pub reorder_cap: usize,
-    /// Watermark lag (event-time ms) behind the furthest sibling at which
-    /// a child is marked Suspect.
-    pub suspect_lag: DurationMs,
 }
 
 impl Default for RecoveryConfig {
@@ -104,9 +102,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             retry_budget: 4,
             nack_grace: Duration::from_millis(200),
-            history_cap: 1024,
-            reorder_cap: 256,
-            suspect_lag: 10_000,
         }
     }
 }
@@ -116,7 +111,7 @@ impl RecoveryConfig {
     fn limits(&self) -> ProtocolLimits {
         ProtocolLimits {
             retry_budget: self.retry_budget,
-            reorder_cap: self.reorder_cap,
+            reorder_cap: REORDER_CAP,
         }
     }
 }
@@ -474,12 +469,11 @@ impl<F: FnMut(NodeId, Message)> Pump<'_, F> {
         if ts > self.max_watermark {
             self.max_watermark = ts;
         }
-        let lag_limit = self.ctx.config.suspect_lag;
         for j in 0..self.receivers.len() {
             let Some(wm) = self.states[j].watermark else {
                 continue;
             };
-            let lagging = self.max_watermark.saturating_sub(wm) > lag_limit;
+            let lagging = self.max_watermark.saturating_sub(wm) > SUSPECT_LAG;
             let Some(health) = self.states[j].machine.note_watermark_lag(lagging) else {
                 continue;
             };

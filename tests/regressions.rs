@@ -1025,3 +1025,85 @@ fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
     expected.extend(naive.drain_results());
     assert_eq!(results, canon(expected));
 }
+
+/// Paper Section 3.2, runtime removal: one retirement rule on all three
+/// engines. `tumbling(1000)` + `sliding(2000, 500)` Sum, one event per
+/// millisecond for 8 s over four keys, the sliding query removed before
+/// the event at 3250 with **no** watermark in front of the removal.
+/// Immediate: its windows ending at or before 3249 emit (last end 3000);
+/// draining: so do the windows that started by then (last end 5000);
+/// nothing later. The sequential engine is the oracle — for the cluster
+/// it is told `on_watermark(T - 1)` before the removal and the script
+/// says `T`. Before the rule lived in one terminal the sharded engine
+/// emitted nothing for the query in either mode (the collector dropped
+/// it together with the slices still in flight) and the root kept
+/// assembling until its next watermark (last ends 4000 and 6000).
+#[test]
+fn remove_query_gives_one_answer_on_all_three_engines() {
+    const T: Timestamp = 3_250;
+    let queries = || {
+        vec![
+            Query::new(
+                1,
+                WindowSpec::tumbling_time(1_000).unwrap(),
+                AggFunction::Sum,
+            ),
+            Query::new(
+                2,
+                WindowSpec::sliding_time(2_000, 500).unwrap(),
+                AggFunction::Sum,
+            ),
+        ]
+    };
+    let events: Vec<Event> = (0..8_000u64)
+        .map(|ts| Event::new(ts, (ts % 4) as Key, (ts % 13) as f64))
+        .collect();
+    let (before, after) = events.split_at(T as usize);
+    let final_wm = 12_000;
+
+    for (immediate, results, last_end) in [(true, 12, 3_000), (false, 28, 5_000)] {
+        let sequential = |watermark_first: bool| {
+            let mut engine = AggregationEngine::new(queries()).unwrap();
+            before.iter().for_each(|ev| engine.on_event(ev));
+            if watermark_first {
+                engine.on_watermark(T - 1);
+            }
+            engine.remove_query(2, immediate).unwrap();
+            after.iter().for_each(|ev| engine.on_event(ev));
+            engine.on_watermark(final_wm);
+            canon(engine.drain_results())
+        };
+        let oracle = sequential(false);
+        let removed: Vec<_> = oracle.iter().filter(|r| r.query == 2).collect();
+        assert_eq!(removed.len(), results, "immediate={immediate}");
+        assert_eq!(removed.iter().map(|r| r.window_end).max(), Some(last_end));
+        assert_eq!(
+            sequential(true),
+            oracle,
+            "a watermark at T - 1 changes nothing"
+        );
+
+        for shards in [1, 2, 4, 7] {
+            let mut engine = ParallelEngine::new(queries(), shards).unwrap();
+            before.iter().for_each(|ev| engine.on_event(ev));
+            engine.remove_query(2, immediate);
+            after.iter().for_each(|ev| engine.on_event(ev));
+            engine.on_watermark(final_wm);
+            engine.finish();
+            assert_eq!(
+                canon(engine.drain_results()),
+                oracle,
+                "immediate={immediate} shards={shards}"
+            );
+        }
+
+        for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
+            let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), topology);
+            cfg.script = vec![(T, ClusterCommand::RemoveQuery { id: 2, immediate })];
+            // Keys 0 and 2 on one local, 1 and 3 on the other.
+            let feeds = shard_by_key(&events, 2);
+            let report = run_cluster(cfg, feeds).unwrap();
+            assert_eq!(canon(report.results), oracle, "immediate={immediate}");
+        }
+    }
+}
