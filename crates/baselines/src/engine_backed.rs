@@ -9,14 +9,21 @@
 //!   the same aggregation functions (any window type or measure); a
 //!   re-implementation of the Scotty baseline's sharing capability.
 
+use std::sync::Arc;
+
 use desis_core::engine::{AggregationEngine, Deployment, QueryAnalyzer, SharingPolicy};
 use desis_core::error::DesisError;
 use desis_core::event::Event;
 use desis_core::metrics::EngineMetrics;
+use desis_core::obs::MetricsRegistry;
 use desis_core::query::{Query, QueryResult};
 use desis_core::time::Timestamp;
 
 use crate::processor::Processor;
+
+/// The registry an engine publishes its `engine.*` counters into and,
+/// if it is profiled, times its stages against.
+type Registry = Arc<MetricsRegistry>;
 
 /// An engine-backed system with a fixed name and sharing policy.
 #[derive(Debug, Clone)]
@@ -30,27 +37,27 @@ impl EngineBacked {
         name: &'static str,
         policy: SharingPolicy,
         queries: Vec<Query>,
+        registry: Registry,
     ) -> Result<Self, DesisError> {
-        let engine = AggregationEngine::with_analyzer(
-            queries,
-            QueryAnalyzer::new(policy, Deployment::Centralized),
-        )?;
+        let analyzer = QueryAnalyzer::new(policy, Deployment::Centralized);
+        let engine = AggregationEngine::with_registry(queries, analyzer, registry)?;
         Ok(Self { name, engine })
     }
 
     /// Full Desis sharing.
-    pub fn desis(queries: Vec<Query>) -> Result<Self, DesisError> {
-        Self::build("Desis", SharingPolicy::Full, queries)
+    pub fn desis(queries: Vec<Query>, registry: Registry) -> Result<Self, DesisError> {
+        Self::build("Desis", SharingPolicy::Full, queries, registry)
     }
 
     /// DeSW: sharing within identical (functions, measure) only.
-    pub fn desw(queries: Vec<Query>) -> Result<Self, DesisError> {
-        Self::build("DeSW", SharingPolicy::PerFunctionAndMeasure, queries)
+    pub fn desw(queries: Vec<Query>, registry: Registry) -> Result<Self, DesisError> {
+        let policy = SharingPolicy::PerFunctionAndMeasure;
+        Self::build("DeSW", policy, queries, registry)
     }
 
     /// Scotty-style: sharing within identical functions only.
-    pub fn scotty(queries: Vec<Query>) -> Result<Self, DesisError> {
-        Self::build("Scotty", SharingPolicy::PerFunction, queries)
+    pub fn scotty(queries: Vec<Query>, registry: Registry) -> Result<Self, DesisError> {
+        Self::build("Scotty", SharingPolicy::PerFunction, queries, registry)
     }
 
     /// Number of query-groups the analyzer produced — the paper's measure
@@ -104,17 +111,32 @@ mod tests {
     fn group_counts_reflect_sharing_capability() {
         // Desis: one group. Scotty: avg | sum+sum(count) -> 2 groups.
         // DeSW: avg | sum | sum-count-measure -> 3 groups.
-        assert_eq!(EngineBacked::desis(queries()).unwrap().group_count(), 1);
-        assert_eq!(EngineBacked::scotty(queries()).unwrap().group_count(), 2);
-        assert_eq!(EngineBacked::desw(queries()).unwrap().group_count(), 3);
+        assert_eq!(
+            EngineBacked::desis(queries(), Arc::default())
+                .unwrap()
+                .group_count(),
+            1
+        );
+        assert_eq!(
+            EngineBacked::scotty(queries(), Arc::default())
+                .unwrap()
+                .group_count(),
+            2
+        );
+        assert_eq!(
+            EngineBacked::desw(queries(), Arc::default())
+                .unwrap()
+                .group_count(),
+            3
+        );
     }
 
     #[test]
     fn all_policies_produce_identical_results() {
         let mut systems = vec![
-            EngineBacked::desis(queries()).unwrap(),
-            EngineBacked::desw(queries()).unwrap(),
-            EngineBacked::scotty(queries()).unwrap(),
+            EngineBacked::desis(queries(), Arc::default()).unwrap(),
+            EngineBacked::desw(queries(), Arc::default()).unwrap(),
+            EngineBacked::scotty(queries(), Arc::default()).unwrap(),
         ];
         for sys in &mut systems {
             for ts in 0..500u64 {
@@ -140,8 +162,8 @@ mod tests {
 
     #[test]
     fn calculations_differ_by_policy() {
-        let mut desis = EngineBacked::desis(queries()).unwrap();
-        let mut desw = EngineBacked::desw(queries()).unwrap();
+        let mut desis = EngineBacked::desis(queries(), Arc::default()).unwrap();
+        let mut desw = EngineBacked::desw(queries(), Arc::default()).unwrap();
         for ts in 0..100u64 {
             let ev = Event::new(ts, 0, 1.0);
             desis.on_event(&ev);

@@ -27,7 +27,10 @@ pub use engine_backed::EngineBacked;
 pub use naive::{BucketState, BufferState, CeBuffer, DeBucket, NaiveProcessor, WindowState};
 pub use processor::Processor;
 
+use std::sync::Arc;
+
 use desis_core::error::DesisError;
+use desis_core::obs::MetricsRegistry;
 use desis_core::query::Query;
 
 /// All single-node systems of the paper's evaluation, by figure label.
@@ -68,10 +71,23 @@ impl SystemKind {
 
     /// Instantiates the system over `queries`.
     pub fn build(self, queries: Vec<Query>) -> Result<Box<dyn Processor>, DesisError> {
+        self.build_in(queries, &Arc::default())
+    }
+
+    /// Instantiates the system over `queries` in the context of
+    /// `registry`: the engine-backed systems publish their `engine.*`
+    /// counters there and, if it is profiled, time their stages on its
+    /// `seq` lane. The naive systems have no instruments of their own.
+    pub fn build_in(
+        self,
+        queries: Vec<Query>,
+        registry: &Arc<MetricsRegistry>,
+    ) -> Result<Box<dyn Processor>, DesisError> {
+        let registry = Arc::clone(registry);
         Ok(match self {
-            SystemKind::Desis => Box::new(EngineBacked::desis(queries)?),
-            SystemKind::DeSw => Box::new(EngineBacked::desw(queries)?),
-            SystemKind::Scotty => Box::new(EngineBacked::scotty(queries)?),
+            SystemKind::Desis => Box::new(EngineBacked::desis(queries, registry)?),
+            SystemKind::DeSw => Box::new(EngineBacked::desw(queries, registry)?),
+            SystemKind::Scotty => Box::new(EngineBacked::scotty(queries, registry)?),
             SystemKind::DeBucket => Box::new(DeBucket::debucket(queries)),
             SystemKind::CeBuffer => Box::new(CeBuffer::cebuffer(queries)),
         })

@@ -4,8 +4,8 @@
 //! experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]
 //!             [--trace-out <path>] [--trace-sample <N>]
 //!             [--faults <plan.json>] [--fault-seed <N>]
-//!             [--shards <N>] [--profile-out <path>]
-//!             <figure-id>... | all | list | profile | prof-overhead
+//!             [--shards <N>] [--profile]
+//!             <figure-id>... | all | list | profile
 //! ```
 //!
 //! Each figure prints the series the paper plots (one row per x-value,
@@ -23,31 +23,30 @@
 //! `--fault-seed <N>` overrides the plan's RNG seed so the same plan can
 //! be replayed with different probabilistic placements.
 //!
-//! With `--profile-out <path>`, a process-global pipeline profiler is
-//! installed: every engine the selected figures start attributes wall
-//! time per stage per lane, a background flight recorder samples the
-//! harness registry, and the per-stage self-time table plus the flight
-//! timeline are written as JSON. The pseudo-command `profile` prints
-//! the same report as a human-readable table instead (defaulting to
-//! `fig6a` if no figure is named). `prof-overhead` runs the CI gate's
-//! A/B probe: the `end_to_end` workload min-of-5, without a profiler
-//! and with an installed-but-disabled one.
+//! With `--profile`, the harness registry is a profiled one: every
+//! engine, node loop and pump the selected figures start attributes wall
+//! time per stage per lane into it (`prof.*` counters), a background
+//! flight recorder samples it, and the `--metrics-out` report gains the
+//! per-lane stage table (`"profile"`) and the flight timeline
+//! (`"flight"`). The pseudo-command `profile` prints the stage table
+//! as a human-readable table instead (defaulting to `fig6a` if no figure
+//! is named).
 
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desis_bench::experiments::all_figures;
-use desis_bench::measure::{write_metrics_report, Scale};
+use desis_bench::measure::{metrics_report, Scale};
 use desis_bench::Harness;
 use desis_core::obs::prof::{
-    self, FlightRecorder, FlightSampler, ProfClock, ProfHandle, Profiler, Stage,
+    self, FlightRecorder, FlightSampler, ProfClock, ProfHandle, ProfileReport, Stage,
 };
 use desis_core::obs::trace::{TraceCollector, DEFAULT_RING_CAPACITY};
 use desis_core::obs::{MetricsDiff, MetricsRegistry};
 use desis_net::fault::FaultPlan;
 
-/// Per-stage allocation accounting (`--profile-out` reports allocs and
+/// Per-stage allocation accounting (`--profile` reports allocs and
 /// bytes per pipeline stage) when the binary is built with
 /// `--features prof-alloc`; libraries never install a global allocator.
 #[cfg(feature = "prof-alloc")]
@@ -89,7 +88,7 @@ fn main() {
     let mut faults_path: Option<String> = None;
     let mut fault_seed: Option<u64> = None;
     let mut shards: Option<usize> = None;
-    let mut profile_out: Option<String> = None;
+    let mut profile = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -147,12 +146,7 @@ fn main() {
                 });
                 shards = Some(n.max(1));
             }
-            "--profile-out" => {
-                profile_out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--profile-out requires a file path");
-                    std::process::exit(2);
-                }));
-            }
+            "--profile" => profile = true,
             "--help" | "-h" => {
                 print_usage();
                 return;
@@ -188,62 +182,57 @@ fn main() {
     if let Some(n) = shards {
         eprintln!("local nodes run {n} engine shard(s)");
     }
+    let profile_summary = wanted.iter().any(|w| w == "profile");
+    wanted.retain(|w| w != "profile");
+    if profile && metrics_out.is_none() {
+        eprintln!("--profile writes into the --metrics-out report; name one");
+        std::process::exit(2);
+    }
+    let clock = (profile || profile_summary).then(ProfClock::wall);
     // One harness carries the flags into every cluster and measurement
     // the figures start.
     let harness = Harness {
         scale,
+        registry: Arc::new(
+            clock
+                .clone()
+                .map_or_else(MetricsRegistry::new, MetricsRegistry::profiled),
+        ),
         trace: trace_out
             .as_ref()
             .map(|_| TraceCollector::new(trace_sample, DEFAULT_RING_CAPACITY)),
         faults,
         shards: shards.unwrap_or(1),
-        ..Harness::quick()
     };
 
     let registry = all_figures();
     if wanted.iter().any(|w| w == "list") {
         println!("table1");
         println!("profile");
-        println!("prof-overhead");
         for (id, _) in &registry {
             println!("{id}");
         }
         return;
     }
-    // The overhead probe measures a profiler-free process first, so it
-    // must run before any profiler is installed — and alone.
-    if wanted.iter().any(|w| w == "prof-overhead") {
-        run_prof_overhead(profile_out.as_deref());
-        return;
-    }
-    let profile_summary = wanted.iter().any(|w| w == "profile");
-    wanted.retain(|w| w != "profile");
     if profile_summary && wanted.is_empty() {
         wanted.push("fig6a".to_string());
     }
-    let prof_session = if profile_out.is_some() || profile_summary {
-        let profiler = Profiler::new(ProfClock::wall()).install_global();
-        profiler.begin();
-        let sampler = FlightSampler::spawn(
+    let prof_session = clock.map(|clock| ProfSession {
+        sampler: FlightSampler::spawn(
             Arc::clone(&harness.registry),
-            profiler.clock().clone(),
+            clock.clone(),
             Duration::from_millis(25),
             4_096,
-        );
-        Some(ProfSession {
-            profiler,
-            sampler,
-            out: profile_out.clone(),
-            summary: profile_summary,
-        })
-    } else {
-        None
-    };
+        ),
+        start_ns: clock.now_ns(),
+        clock,
+        summary: profile_summary,
+    });
     // The main lane covers the driver thread: with every figure run
     // inside a scope, the busiest lane accounts for (nearly) the
     // whole measured wall span, which is what the coverage acceptance
     // metric checks.
-    let mut main_lane = Profiler::global().map(|p| p.handle("main"));
+    let mut main_lane = harness.registry.lane("main");
     if wanted.iter().any(|w| w == "table1" || w == "all") {
         print_table1();
         wanted.retain(|w| w != "table1");
@@ -314,51 +303,38 @@ fn main() {
     );
 }
 
-/// One profiling session of the experiments process: the installed
-/// global profiler plus the background flight sampler over the harness
-/// registry, and where the report goes.
+/// One profiling session of the experiments process: the background
+/// flight sampler over the (profiled) harness registry and the clock
+/// reading the measured span started at.
 struct ProfSession {
-    profiler: &'static Profiler,
     sampler: FlightSampler,
-    out: Option<String>,
+    clock: ProfClock,
+    start_ns: u64,
+    /// The `profile` command: print the stage table.
     summary: bool,
 }
 
 impl ProfSession {
-    /// Ends the measured span, publishes `prof.*` instruments into
-    /// `registry` (so `--metrics-out` carries them), writes/prints the
-    /// report, and returns the flight timeline for the Perfetto counter
-    /// tracks.
-    fn finish(self, registry: &MetricsRegistry) -> FlightRecorder {
-        self.profiler.end();
+    /// Ends the measured span: returns its wall nanoseconds and the
+    /// flight timeline, and prints the stage table if asked to.
+    fn finish(self, registry: &MetricsRegistry) -> (u64, FlightRecorder) {
+        let wall_ns = self.clock.now_ns() - self.start_ns;
         let flight = self.sampler.finish();
-        self.profiler.publish(registry);
-        let report = self.profiler.report();
-        if let Some(path) = &self.out {
-            if let Err(err) = std::fs::write(path, report.to_json(Some(&flight))) {
-                eprintln!("cannot write profile to {path}: {err}");
-                std::process::exit(2);
-            }
-            eprintln!(
-                "wrote {path} (coverage {:.1}%, {} lanes, {} flight frames)",
-                report.coverage() * 100.0,
-                report.lanes.len(),
-                flight.frames().len()
-            );
-        }
         if self.summary {
+            let report = ProfileReport::from_snapshot(&registry.snapshot(), wall_ns);
             print!("{}", report.to_table());
         }
-        flight
+        (wall_ns, flight)
     }
 }
 
 /// Flushes the driver-lane handle, closes the profiling session (if
 /// any), drains the harness's trace timeline (publishing per-stage
-/// latency histograms into its registry first, so the metrics report
-/// includes them) and writes the requested output files. When a flight
-/// timeline was recorded, its counter trajectories ride along in the
-/// Chrome trace as Perfetto counter tracks.
+/// latency histograms into its registry first, so the report includes
+/// them) and writes the requested output files: the report, and the
+/// Chrome trace. When a flight timeline was recorded, its counter
+/// trajectories ride along in the Chrome trace as Perfetto counter
+/// tracks.
 fn wrap_up(
     harness: &Harness,
     prof_session: Option<ProfSession>,
@@ -367,18 +343,18 @@ fn wrap_up(
     trace_out: Option<&str>,
     figures: &[(String, f64, MetricsDiff)],
 ) {
-    // The handle flushes its tallies on drop; it must go before
-    // `ProfSession::finish` reads the report.
+    // The handle flushes its tallies on drop; it must go before anything
+    // reads the stage table.
     drop(main_lane);
-    let flight = prof_session.map(|s| s.finish(&harness.registry));
+    let profile = prof_session.map(|s| s.finish(&harness.registry));
     if let (Some(path), Some(collector)) = (trace_out, &harness.trace) {
         let timeline = collector.drain_timeline();
         timeline.publish(&harness.registry);
-        let tracks = flight
+        let tracks = profile
             .as_ref()
-            .map(|f| f.counter_tracks(&["engine.", "net.", "prof.", "trace.", "cluster."]))
+            .map(|(_, f)| f.counter_tracks(&["engine.", "net.", "prof.", "trace.", "cluster."]))
             .unwrap_or_default();
-        if let Err(err) = std::fs::write(path, timeline.to_chrome_json_with(&tracks)) {
+        if let Err(err) = std::fs::write(path, timeline.to_chrome_json(&tracks)) {
             eprintln!("cannot write trace to {path}: {err}");
             std::process::exit(2);
         }
@@ -390,81 +366,12 @@ fn wrap_up(
         );
     }
     if let Some(path) = metrics_out {
-        if let Err(err) =
-            write_metrics_report(std::path::Path::new(path), &harness.registry, figures)
-        {
+        let profile = profile.as_ref().map(|(wall_ns, flight)| (*wall_ns, flight));
+        let report = metrics_report(&harness.registry, figures, profile);
+        if let Err(err) = std::fs::write(path, report) {
             eprintln!("cannot write metrics to {path}: {err}");
             std::process::exit(2);
         }
-        eprintln!("wrote {path}");
-    }
-}
-
-/// The CI overhead gate's A/B probe: the `end_to_end` workload
-/// (tumbling max + sliding quantile + session median, the Figure 4
-/// shape), min-of-N wall time — first in a
-/// profiler-free process, then with an installed-but-disabled global
-/// profiler, the configuration every unprofiled run pays for. Prints
-/// the overhead and writes it as JSON when `--profile-out` is given;
-/// CI fails the gate at ≥3%.
-fn run_prof_overhead(out: Option<&str>) {
-    use desis_core::aggregate::AggFunction;
-    use desis_core::engine::AggregationEngine;
-    use desis_core::event::Event;
-    use desis_core::query::Query;
-    use desis_core::window::WindowSpec;
-    const N: u64 = 1_000_000;
-    const REPS: usize = 9;
-    let queries = vec![
-        Query::new(
-            1,
-            WindowSpec::tumbling_time(1_000).unwrap(),
-            AggFunction::Max,
-        ),
-        Query::new(
-            2,
-            WindowSpec::sliding_time(2_000, 500).unwrap(),
-            AggFunction::Quantile(0.9),
-        ),
-        Query::new(3, WindowSpec::session(400).unwrap(), AggFunction::Median),
-    ];
-    let events: Vec<Event> = (0..N)
-        .map(|i| Event::new(i / 10, (i % 10) as u32, (i % 97) as f64))
-        .collect();
-    let run_once = || -> f64 {
-        let start = Instant::now();
-        let mut engine = AggregationEngine::new(queries.clone()).expect("probe workload is valid");
-        for ev in &events {
-            engine.on_event(ev);
-        }
-        engine.on_watermark(20_000);
-        assert!(!engine.drain_results().is_empty());
-        start.elapsed().as_secs_f64()
-    };
-    let min_of_reps = || (0..REPS).map(|_| run_once()).fold(f64::INFINITY, f64::min);
-    run_once(); // warm caches so the A side is not the cold one
-    let baseline = min_of_reps();
-    // Installed but disabled: handles exist on every engine, each scope
-    // is one relaxed load.
-    Profiler::disabled(ProfClock::wall()).install_global();
-    run_once();
-    let disabled = min_of_reps();
-    let overhead = disabled / baseline.max(1e-12) - 1.0;
-    println!(
-        "prof-overhead end_to_end min-of-{REPS}: baseline {baseline:.4}s, \
-         disabled-profiler {disabled:.4}s, overhead {:+.2}%",
-        overhead * 100.0
-    );
-    let json = format!(
-        "{{\"bench\": \"prof_overhead\", \"workload\": \"end_to_end\", \"reps\": {REPS}, \
-         \"events\": {N}, \"baseline_s\": {baseline:.6}, \"disabled_s\": {disabled:.6}, \
-         \"overhead\": {overhead:.6}}}\n"
-    );
-    if let Some(path) = out {
-        std::fs::write(path, json).unwrap_or_else(|err| {
-            eprintln!("cannot write {path}: {err}");
-            std::process::exit(2);
-        });
         eprintln!("wrote {path}");
     }
 }
@@ -474,8 +381,8 @@ fn print_usage() {
         "usage: experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]\n\
          \x20                  [--trace-out <path>] [--trace-sample <N>]\n\
          \x20                  [--faults <plan.json>] [--fault-seed <N>]\n\
-         \x20                  [--shards <N>] [--profile-out <path>]\n\
-         \x20                  <figure-id>... | all | list | profile | prof-overhead\n\
+         \x20                  [--shards <N>] [--profile]\n\
+         \x20                  <figure-id>... | all | list | profile\n\
          reproduces the Desis (EDBT 2023) evaluation figures; see EXPERIMENTS.md\n\
          --metrics-out writes per-figure metric deltas plus the process\n\
          snapshot (bytes, message counts, latency histograms) as JSON\n\
@@ -484,9 +391,8 @@ fn print_usage() {
          --faults injects a deterministic fault plan (EXPERIMENTS.md \"Chaos\n\
          runs\") into every cluster; --fault-seed overrides the plan's seed\n\
          --shards N runs every cluster's local nodes with N engine shards\n\
-         --profile-out installs the pipeline profiler and writes the\n\
-         per-lane stage table + flight-recorder timeline as JSON\n\
-         `profile [figure-id...]` prints the stage table (default fig6a)\n\
-         `prof-overhead` runs the <3% disabled-profiler A/B gate probe"
+         --profile times every stage of every run per lane and adds the\n\
+         stage table + flight-recorder timeline to the --metrics-out report\n\
+         `profile [figure-id...]` prints the stage table (default fig6a)"
     );
 }

@@ -15,8 +15,8 @@ use desis_net::topology::Topology;
 
 use crate::measure::Scale;
 
-/// What `--scale`, `--metrics-out`, `--trace-out`, `--faults` and
-/// `--shards` resolve to. Nothing a figure starts looks any of it up
+/// What `--scale`, `--metrics-out`, `--profile`, `--trace-out`,
+/// `--faults` and `--shards` resolve to. Nothing a figure starts looks any of it up
 /// ambiently: clusters get it through [`Harness::cluster`], single-node
 /// measurements through [`Harness::registry`].
 #[derive(Debug, Clone)]
@@ -25,6 +25,7 @@ pub struct Harness {
     pub scale: Scale,
     /// Accumulates every run of the process: cluster reports under
     /// `cluster.<System>.`, single-node runs under `single.<System>.`.
+    /// If it is profiled, so is every run, on the same clock.
     pub registry: Arc<MetricsRegistry>,
     /// Collector every cluster records provenance spans into.
     pub trace: Option<TraceCollector>,
@@ -47,7 +48,7 @@ impl Harness {
     }
 
     /// [`ClusterConfig::new`] carrying this harness's collector, fault
-    /// plan and shard count.
+    /// plan, shard count and profiling clock.
     pub fn cluster(
         &self,
         system: DistributedSystem,
@@ -58,6 +59,7 @@ impl Harness {
         cfg.trace = self.trace.clone();
         cfg.faults = self.faults.clone();
         cfg.shards = self.shards;
+        cfg.profile = self.registry.prof_clock().cloned();
         cfg
     }
 
@@ -100,6 +102,7 @@ mod tests {
         assert!(cfg.trace.is_some());
         assert_eq!(cfg.faults, harness.faults);
         assert_eq!(cfg.shards, 2);
+        assert!(cfg.profile.is_none(), "the harness registry is unprofiled");
 
         let feed: Vec<Event> = (0..1_000).map(|i| Event::new(i, 0, 1.0)).collect();
         let report = harness.run_cluster(cfg, vec![feed]).unwrap();

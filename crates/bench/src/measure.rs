@@ -1,12 +1,14 @@
 //! Measurement helpers: single-node throughput, result-production
 //! latency, and workload scaling.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use desis_baselines::SystemKind;
 use desis_core::event::Event;
 use desis_core::metrics::EngineMetrics;
-use desis_core::obs::MetricsRegistry;
+use desis_core::obs::prof::{FlightRecorder, ProfileReport};
+use desis_core::obs::{MetricsDiff, MetricsRegistry};
 use desis_core::query::Query;
 use desis_core::time::Timestamp;
 
@@ -60,13 +62,28 @@ pub struct SingleNodeRun {
     pub results: usize,
 }
 
+/// The registry of one single-node run: fresh, and profiled on the
+/// harness registry's clock iff that one is.
+fn run_registry(harness: &MetricsRegistry) -> Arc<MetricsRegistry> {
+    let clock = harness.prof_clock().cloned();
+    Arc::new(clock.map_or_else(MetricsRegistry::new, MetricsRegistry::profiled))
+}
+
+/// Merges a finished run's registry into the harness's under
+/// `single.<System>.`, as cluster reports merge under
+/// `cluster.<System>.` (counters of repeated runs add up).
+fn merge_run(harness: &MetricsRegistry, system: SystemKind, run: &MetricsRegistry) {
+    harness.merge_snapshot(&format!("single.{}.", system.label()), &run.snapshot());
+}
+
 /// Runs `system` over `events` and measures wall-clock throughput.
 ///
 /// Results are drained as produced (so memory stays bounded) and a final
 /// watermark fires pending windows; the clock covers event processing
 /// only, matching the paper's sustainable-throughput methodology. The
-/// run's engine metrics accumulate into `registry` under
-/// `single.<System>.engine.` (counters of repeated runs add up), so
+/// system runs in a registry of its own, which ends up in `registry`
+/// under `single.<System>.` — its `engine.*` metrics and, when `registry`
+/// is profiled, the `seq` lane's stage time — so
 /// `experiments --metrics-out` covers single-node runs too.
 pub fn measure_throughput(
     registry: &MetricsRegistry,
@@ -75,7 +92,10 @@ pub fn measure_throughput(
     events: &[Event],
     final_wm: Timestamp,
 ) -> SingleNodeRun {
-    let mut p = system.build(queries).expect("valid queries");
+    let run_registry = run_registry(registry);
+    let mut p = system
+        .build_in(queries, &run_registry)
+        .expect("valid queries");
     let mut results = 0usize;
     let start = Instant::now();
     for (i, ev) in events.iter().enumerate() {
@@ -88,12 +108,11 @@ pub fn measure_throughput(
     results += p.drain_results().len();
     let elapsed = start.elapsed();
     let metrics = p.metrics();
-    let run_registry = MetricsRegistry::new();
+    // The naive systems publish nothing themselves; dropping the system
+    // flushes an engine's lane.
+    drop(p);
     metrics.publish(&run_registry, "engine");
-    registry.merge_snapshot(
-        &format!("single.{}.", system.label()),
-        &run_registry.snapshot(),
-    );
+    merge_run(registry, system, &run_registry);
     SingleNodeRun {
         throughput: events.len() as f64 / elapsed.as_secs_f64().max(1e-9),
         metrics,
@@ -104,8 +123,9 @@ pub fn measure_throughput(
 /// Measures result-production latency: the duration of each ingest call
 /// that produced at least one result (for incremental systems this is the
 /// cost of merging slice partials; for CeBuffer it includes the full
-/// buffer scan). Returns latencies in milliseconds and records them into
-/// `registry` as `single.<System>.result_latency_us`.
+/// buffer scan). Returns latencies in milliseconds and records them as
+/// `result_latency_us` in the run's own registry, which ends up in
+/// `registry` under `single.<System>.` like [`measure_throughput`]'s.
 pub fn measure_result_latency(
     registry: &MetricsRegistry,
     system: SystemKind,
@@ -113,8 +133,11 @@ pub fn measure_result_latency(
     events: &[Event],
     final_wm: Timestamp,
 ) -> Vec<f64> {
-    let hist = registry.histogram(&format!("single.{}.result_latency_us", system.label()));
-    let mut p = system.build(queries).expect("valid queries");
+    let run_registry = run_registry(registry);
+    let hist = run_registry.histogram("result_latency_us");
+    let mut p = system
+        .build_in(queries, &run_registry)
+        .expect("valid queries");
     let mut latencies = Vec::new();
     for ev in events {
         let t0 = Instant::now();
@@ -132,32 +155,47 @@ pub fn measure_result_latency(
         hist.record_secs(dt.as_secs_f64());
         latencies.push(dt.as_secs_f64() * 1e3);
     }
+    drop(p);
+    merge_run(registry, system, &run_registry);
     latencies
 }
 
-/// Writes per-figure metric deltas plus `registry`'s snapshot (everything
-/// the process ran) as JSON:
-/// `{"figures":{id:<MetricsDiff>},"process":<MetricsSnapshot>}`.
-/// Each figure entry carries the counters/histograms that moved while
-/// that figure ran (with per-second rates over its wall time), so a
-/// figure's numbers are separable from the process totals.
-pub fn write_metrics_report(
-    path: &std::path::Path,
+/// Schema version of [`metrics_report`]'s JSON.
+pub const REPORT_VERSION: u32 = 1;
+
+/// The one report of an `experiments` process, as JSON:
+/// `{"version":1,"figures":{id:<MetricsDiff>},"process":<MetricsSnapshot>}`
+/// plus, for a profiled process (`profile` = its wall span in
+/// nanoseconds and its flight timeline), `"profile":<ProfileReport>` and
+/// `"flight":[<frame>…]`. Each figure entry carries the
+/// counters/histograms that moved while that figure ran (with per-second
+/// rates over its wall time), so a figure's numbers are separable from
+/// the process totals; `process` is `registry`'s snapshot, everything the
+/// process ran, and `profile` the stage table read from that same
+/// snapshot.
+pub fn metrics_report(
     registry: &MetricsRegistry,
-    figures: &[(String, f64, desis_core::obs::MetricsDiff)],
-) -> std::io::Result<()> {
+    figures: &[(String, f64, MetricsDiff)],
+    profile: Option<(u64, &FlightRecorder)>,
+) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"figures\":{");
+    let mut out = format!("{{\"version\":{REPORT_VERSION},\"figures\":{{");
     for (i, (id, elapsed_secs, diff)) in figures.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\"{id}\":{}", diff.to_json(*elapsed_secs));
     }
+    let snapshot = registry.snapshot();
     out.push_str("},\"process\":");
-    out.push_str(&registry.snapshot().to_json());
+    out.push_str(&snapshot.to_json());
+    if let Some((wall_ns, flight)) = profile {
+        let report = ProfileReport::from_snapshot(&snapshot, wall_ns);
+        let _ = write!(out, ",\"profile\":{},\"flight\":", report.to_json());
+        flight.write_json(&mut out);
+    }
     out.push('}');
-    std::fs::write(path, out)
+    out
 }
 
 /// Mean of a sample set.
@@ -233,6 +271,82 @@ mod tests {
             measure_result_latency(&registry, SystemKind::CeBuffer, queries, &events, 10_000);
         assert!(lats.len() >= 40);
         assert!(lats.iter().all(|l| *l >= 0.0));
+    }
+
+    #[test]
+    fn profiled_harness_profiles_single_node_runs() {
+        use desis_core::obs::prof::ProfClock;
+        let queries = vec![Query::new(
+            1,
+            WindowSpec::tumbling_time(100).unwrap(),
+            AggFunction::Sum,
+        )];
+        let events: Vec<Event> = (0..1_000).map(|i| Event::new(i, 0, 1.0)).collect();
+        let registry = MetricsRegistry::profiled(ProfClock::wall());
+        measure_throughput(
+            &registry,
+            SystemKind::Scotty,
+            queries.clone(),
+            &events,
+            2_000,
+        );
+        measure_result_latency(&registry, SystemKind::Scotty, queries, &events, 2_000);
+        let snap = registry.snapshot();
+        // 1 000 events and one watermark, twice.
+        assert_eq!(snap.counters["single.Scotty.prof.seq.slicer_calls"], 2_002);
+        assert_eq!(snap.histograms["single.Scotty.result_latency_us"].count, 10);
+        let report = ProfileReport::from_snapshot(&snap, 1);
+        assert_eq!(report.lanes.len(), 1);
+        assert_eq!(report.lanes[0].lane, "seq");
+    }
+
+    /// The report's schema, byte for byte: a fixed span script on a manual
+    /// clock, one flight frame.
+    #[cfg(not(feature = "prof-alloc"))]
+    #[test]
+    fn report_schema_is_pinned() {
+        use desis_core::obs::prof::{self, ProfClock, Stage};
+        use std::sync::atomic::Ordering;
+        let (clock, tick) = ProfClock::manual();
+        let registry = Arc::new(MetricsRegistry::profiled(clock.clone()));
+        let mut flight = FlightRecorder::new(clock, 8);
+        flight.tick(&registry);
+        let mut main = registry.lane("main");
+        let mut seq = registry.lane("seq");
+        {
+            let _figure = prof::scope(&mut main, Stage::Handler);
+            for ns in [300, 200] {
+                let _slice = prof::scope(&mut seq, Stage::Slicer);
+                tick.fetch_add(ns, Ordering::Relaxed);
+            }
+            let t0 = prof::stamp(&seq);
+            tick.fetch_add(400, Ordering::Relaxed);
+            prof::record(&mut seq, Stage::Assemble, t0);
+            tick.fetch_add(100, Ordering::Relaxed);
+        }
+        drop((main, seq));
+        registry.counter("single.Desis.engine.events").add(7);
+        registry.gauge("depth").set(3);
+        flight.tick(&registry);
+        let report = metrics_report(&registry, &[], Some((1_000, &flight)));
+        let prof_counters = "\"prof.main.handler_calls\":1,\"prof.main.handler_ns\":1000,\
+            \"prof.seq.assemble_calls\":1,\"prof.seq.assemble_ns\":400,\
+            \"prof.seq.slicer_calls\":2,\"prof.seq.slicer_ns\":500,\
+            \"single.Desis.engine.events\":7";
+        let want = format!(
+            "{{\"version\":1,\"figures\":{{}},\
+             \"process\":{{\"counters\":{{{prof_counters}}},\"gauges\":{{\"depth\":3}},\
+             \"histograms\":{{}}}},\
+             \"profile\":{{\"wall_ns\":1000,\"coverage\":1.0000,\"lanes\":{{\
+             \"main\":{{\"total_ns\":1000,\"stages\":{{\
+             \"handler\":{{\"ns\":1000,\"calls\":1}}}}}},\
+             \"seq\":{{\"total_ns\":900,\"stages\":{{\
+             \"slicer\":{{\"ns\":500,\"calls\":2}},\
+             \"assemble\":{{\"ns\":400,\"calls\":1}}}}}}}}}},\
+             \"flight\":[{{\"at_ms\":0.001,\"counters\":{{{prof_counters}}},\
+             \"gauges\":{{\"depth\":3}}}}]}}"
+        );
+        assert_eq!(report, want);
     }
 
     #[test]

@@ -7,16 +7,12 @@
 //! [`QueryResult`]s. Partial results no longer referenced by any active
 //! window are garbage collected using the slicer's low watermark.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use rustc_hash::FxHashMap;
 
 use crate::engine::group::QueryGroup;
 use crate::engine::merge::{finalize_sorted, query_infos, QueryInfo, SliceRange, SliceStore};
 use crate::engine::slice::{SealedSlice, WindowEnd};
 use crate::obs::trace::{SpanKind, TraceRecorder};
-use crate::obs::{LogHistogram, MetricsRegistry};
 use crate::query::{QueryId, QueryResult};
 
 /// Assembles window results from sealed slices of one query-group.
@@ -27,29 +23,17 @@ pub struct Assembler {
     /// Number of results emitted (paper: result materialization dominates
     /// beyond 10k queries, Figure 13a).
     results_emitted: u64,
-    /// Observability registry receiving per-query result latencies.
-    registry: Arc<MetricsRegistry>,
-    /// Cached per-query latency histogram handles
-    /// (`engine.result_latency_us.q<id>`).
-    latency: FxHashMap<QueryId, Arc<LogHistogram>>,
     /// Provenance span recorder; `None` (the default) disables tracing.
     tracer: Option<TraceRecorder>,
 }
 
 impl Assembler {
-    /// Creates an assembler for `group` with a private metrics registry.
+    /// Creates an assembler for `group`.
     pub fn new(group: &QueryGroup) -> Self {
-        Self::with_registry(group, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Creates an assembler publishing into a shared `registry`.
-    pub fn with_registry(group: &QueryGroup, registry: Arc<MetricsRegistry>) -> Self {
         Self {
             queries: query_infos(group).collect(),
             store: SliceStore::default(),
             results_emitted: 0,
-            registry,
-            latency: FxHashMap::default(),
             tracer: None,
         }
     }
@@ -87,11 +71,6 @@ impl Assembler {
         self.store.merges()
     }
 
-    /// The registry receiving this assembler's latency histograms.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Ingests a sealed slice: stores its partials, assembles every window
     /// it terminates, then garbage-collects unreachable partials.
     ///
@@ -125,7 +104,6 @@ impl Assembler {
         let Some(info) = self.queries.get(&end.query) else {
             return;
         };
-        let started = Instant::now();
         let merged = self
             .store
             .merged_range(SliceRange::Ids(end.first_slice, end.last_slice), info);
@@ -139,12 +117,6 @@ impl Assembler {
             out,
         );
         self.results_emitted += (out.len() - before) as u64;
-        // The handle is created on first use and borrowed afterwards.
-        let registry = &self.registry;
-        let latency = self.latency.entry(end.query).or_insert_with(|| {
-            registry.histogram(&crate::obs::names::engine_result_latency_us(end.query))
-        });
-        latency.record_secs(started.elapsed().as_secs_f64());
     }
 }
 
@@ -164,7 +136,7 @@ mod tests {
     fn terminal(queries: Vec<Query>) -> RawTerminal {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
-        RawTerminal::new(groups.remove(0), Arc::new(MetricsRegistry::new()), None)
+        RawTerminal::new(groups.remove(0), None)
     }
 
     /// End-to-end slicer + assembler over one group.

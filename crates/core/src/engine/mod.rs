@@ -36,7 +36,7 @@ use std::sync::Arc;
 use crate::error::DesisError;
 use crate::event::Event;
 use crate::metrics::EngineMetrics;
-use crate::obs::prof::{self, ProfHandle, Profiler, Stage};
+use crate::obs::prof::{self, ProfHandle, Stage};
 use crate::obs::MetricsRegistry;
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
@@ -67,9 +67,8 @@ pub struct AggregationEngine {
     results: Vec<QueryResult>,
     next_group_id: GroupId,
     registry: Arc<MetricsRegistry>,
-    /// Profiler handle on the `"seq"` lane, present when a global
-    /// profiler is installed at construction (clones mint a fresh
-    /// handle; tallies merge additively by lane).
+    /// The registry's `"seq"` lane; `None` unless the registry is
+    /// profiled (clones mint a fresh handle on the lane).
     prof: Option<ProfHandle>,
 }
 
@@ -85,14 +84,14 @@ impl AggregationEngine {
     }
 
     /// Builds an engine publishing observability into a shared `registry`
-    /// (per-query result-latency histograms, cumulative `engine.*`
-    /// counters on [`AggregationEngine::metrics`]).
+    /// (cumulative `engine.*` counters on [`AggregationEngine::metrics`],
+    /// stage time on the `"seq"` lane if the registry is profiled).
     pub fn with_registry(
         queries: Vec<Query>,
         analyzer: QueryAnalyzer,
         registry: Arc<MetricsRegistry>,
     ) -> Result<Self, DesisError> {
-        let mut prof = Profiler::global().map(|p| p.handle("seq"));
+        let mut prof = registry.lane("seq");
         let groups = {
             let _analyze = prof::scope(&mut prof, Stage::Analyzer);
             analyzer.analyze(queries)?
@@ -100,7 +99,7 @@ impl AggregationEngine {
         let next_group_id = groups.len() as GroupId;
         let pipelines = groups
             .into_iter()
-            .map(|g| RawTerminal::new(g, Arc::clone(&registry), None))
+            .map(|g| RawTerminal::new(g, None))
             .collect();
         Ok(Self {
             analyzer,
@@ -191,8 +190,7 @@ impl AggregationEngine {
         let mut group = groups.remove(0);
         group.id = self.next_group_id;
         self.next_group_id += 1;
-        let registry = Arc::clone(&self.registry);
-        self.pipelines.push(RawTerminal::new(group, registry, None));
+        self.pipelines.push(RawTerminal::new(group, None));
         Ok(())
     }
 

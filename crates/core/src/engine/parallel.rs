@@ -46,7 +46,6 @@
 
 use std::sync::Arc;
 
-use crate::obs::prof::{self, ProfHandle, Profiler, Stage};
 use crate::obs::MetricsRegistry;
 use crate::time::DurationMs;
 
@@ -78,15 +77,12 @@ pub struct ParallelConfig {
     /// collector-side count replays); `None` assumes timestamp-ordered
     /// input, like [`super::AggregationEngine`].
     pub lateness: Option<DurationMs>,
-    /// Registry the sharded slicer resolves its per-shard hot-path
-    /// counter handles against at spawn (so the inlet increments live
-    /// counters instead of deferring to a publish); `None` keeps the
-    /// counters internal until [`ShardedSlicer::publish`].
+    /// Registry the sharded slicer counts into: the per-shard inlet
+    /// counters live there from spawn, and if it is profiled the
+    /// collector and the shard workers time their stages on its
+    /// `driver` / `shard<i>` lanes ([`crate::obs::prof`]). `None` gives
+    /// the slicer a private, unprofiled registry.
     pub registry: Option<Arc<MetricsRegistry>>,
-    /// Pipeline profiler: shard workers and the collector open stage
-    /// scopes against it ([`crate::obs::prof`]). Defaults to the
-    /// process-global profiler, if one is installed.
-    pub profiler: Option<Profiler>,
 }
 
 impl ParallelConfig {
@@ -97,20 +93,6 @@ impl ParallelConfig {
             batch_size: 256,
             lateness: None,
             registry: None,
-            profiler: Profiler::global().cloned(),
         }
-    }
-}
-
-/// Clock stamp for a manual (non-RAII) stage span; `None` when no
-/// profiler is attached or it is disabled.
-fn prof_stamp(prof: &Option<ProfHandle>) -> Option<prof::Stamp> {
-    prof.as_ref().and_then(ProfHandle::stamp)
-}
-
-/// Closes a manual stage span opened by [`prof_stamp`].
-fn prof_record(prof: &mut Option<ProfHandle>, stage: Stage, stamp: Option<prof::Stamp>) {
-    if let (Some(h), Some(t0)) = (prof.as_mut(), stamp) {
-        h.record_since(stage, t0);
     }
 }

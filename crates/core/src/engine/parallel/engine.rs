@@ -4,14 +4,14 @@
 
 use std::sync::Arc;
 
-use super::{prof_record, prof_stamp, ParallelConfig, ShardedSlicer};
+use super::{ParallelConfig, ShardedSlicer};
 use crate::engine::slice::SealedSlice;
 use crate::engine::terminal::{self, GroupPlan, GroupTerminal, RawTerminal};
 use crate::engine::QueryAnalyzer;
 use crate::error::DesisError;
 use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
-use crate::obs::prof::Stage;
+use crate::obs::prof::{self, Stage};
 use crate::obs::trace::TraceCollector;
 use crate::obs::MetricsRegistry;
 use crate::query::{Query, QueryId, QueryResult};
@@ -41,7 +41,7 @@ use crate::time::Timestamp;
 /// ```
 #[derive(Debug)]
 pub struct ParallelEngine {
-    pub(super) sharded: Option<ShardedSlicer>,
+    pub(super) sharded: ShardedSlicer,
     /// The terminal of every sharded group, by its index in the merged
     /// slice stream.
     terminals: Vec<GroupTerminal>,
@@ -78,11 +78,10 @@ impl ParallelEngine {
         registry: Arc<MetricsRegistry>,
     ) -> Result<Self, DesisError> {
         cfg.shards = cfg.shards.max(1);
-        // Resolve per-shard live counter handles at spawn (see
-        // [`ShardedSlicer::publish`] / `note_send`).
+        // The slicer counts and times into the engine's registry.
         cfg.registry = Some(Arc::clone(&registry));
         let mut engine = Self {
-            sharded: None,
+            sharded: ShardedSlicer::with_counts(&[], &[], &cfg)?,
             terminals: Vec::new(),
             replays: Vec::new(),
             merged: Vec::new(),
@@ -119,18 +118,10 @@ impl ParallelEngine {
             return Ok(());
         }
         let ids: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
-        // Query analysis is driver-lane work that may happen before the
-        // sharded slicer (and its profiler handle) exists; a transient
-        // handle attributes it and merges additively into the lane.
-        let mut boot = self.cfg.profiler.as_ref().map(|p| p.handle("driver"));
-        let analyzer_t0 = prof_stamp(&boot);
+        let sharded = &mut self.sharded;
+        let analyzer_t0 = prof::stamp(&sharded.prof);
         let groups = QueryAnalyzer::default().analyze(queries)?;
-        prof_record(&mut boot, Stage::Analyzer, analyzer_t0);
-        drop(boot);
-        let sharded = match &mut self.sharded {
-            Some(sharded) => sharded,
-            none => none.insert(ShardedSlicer::with_counts(&[], &[], &self.cfg)?),
-        };
+        prof::record(&mut sharded.prof, Stage::Analyzer, analyzer_t0);
         for mut group in groups {
             group.id = self.next_group_id;
             self.next_group_id += 1;
@@ -139,13 +130,11 @@ impl ParallelEngine {
                     let predicates = group.selections.iter().map(|s| s.predicate).collect();
                     let replay = sharded.add_count_filter(predicates);
                     debug_assert_eq!(replay, self.replays.len());
-                    let registry = Arc::clone(&self.registry);
                     self.replays
-                        .push(RawTerminal::new(group, registry, self.cfg.lateness));
+                        .push(RawTerminal::new(group, self.cfg.lateness));
                 }
                 plan => {
-                    self.terminals
-                        .push(GroupTerminal::new(plan, &group, &self.registry));
+                    self.terminals.push(GroupTerminal::new(plan, &group));
                     let index = sharded.add_group(group);
                     debug_assert_eq!(index + 1, self.terminals.len());
                 }
@@ -172,24 +161,21 @@ impl ParallelEngine {
 
     /// Shard workers that panicked and were degraded.
     pub fn shard_panics(&self) -> u64 {
-        self.sharded.as_ref().map_or(0, ShardedSlicer::shard_panics)
+        self.sharded.shard_panics()
     }
 
     /// Events dropped as too late across the sharded reorder buffers
     /// and the count replays' buffers (0 when no lateness is
     /// configured).
     pub fn late_dropped(&self) -> u64 {
-        let sharded = self.sharded.as_ref().map_or(0, ShardedSlicer::late_dropped);
         let replays: u64 = self.replays.iter().map(RawTerminal::late_dropped).sum();
-        sharded + replays
+        self.sharded.late_dropped() + replays
     }
 
     /// Enables causal slice tracing on every shard worker and the
     /// merge-back/assembly path; `node` keys the ring buffers.
     pub fn install_tracing(&mut self, collector: &TraceCollector, node: u32) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.install_tracing(collector, node);
-        }
+        self.sharded.install_tracing(collector, node);
         for terminal in &mut self.terminals {
             terminal.set_recorder(collector.recorder(node));
         }
@@ -203,19 +189,15 @@ impl ParallelEngine {
     #[inline]
     pub fn on_event(&mut self, ev: &Event) {
         self.events += 1;
-        if let Some(sharded) = &mut self.sharded {
-            if sharded.on_event(ev) {
-                self.collect_ready();
-            }
+        if self.sharded.on_event(ev) {
+            self.collect_ready();
         }
     }
 
     /// Ingests a batch of events.
     pub fn on_batch(&mut self, batch: &EventBatch) {
         self.events += batch.len() as u64;
-        if let Some(sharded) = &mut self.sharded {
-            sharded.on_batch(batch);
-        }
+        self.sharded.on_batch(batch);
         self.collect_ready();
     }
 
@@ -223,9 +205,7 @@ impl ParallelEngine {
     /// live shard has processed the watermark, so a subsequent
     /// [`ParallelEngine::drain_results`] is deterministic.
     pub fn on_watermark(&mut self, ts: Timestamp) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.on_watermark(ts);
-        }
+        self.sharded.on_watermark(ts);
         self.replay_counts(Some(ts));
         self.collect_ready();
     }
@@ -238,37 +218,33 @@ impl ParallelEngine {
         if self.replays.is_empty() {
             return;
         }
-        let Some(sharded) = &mut self.sharded else {
-            return;
-        };
+        let sharded = &mut self.sharded;
         // Replay is driver-lane self-time; the merge spans recorded by
         // `take_count_events → collect` on the same handle are nested
         // and subtract out.
-        let replay_t0 = prof_stamp(&sharded.prof);
+        let replay_t0 = prof::stamp(&sharded.prof);
         for (idx, replay) in self.replays.iter_mut().enumerate() {
             let mut items = sharded.take_count_events(idx);
             items.sort_unstable_by_key(|(seq, _)| *seq);
             let events = items.into_iter().map(|(_, ev)| ev);
             replay.replay(events, wm, &mut self.results);
         }
-        prof_record(&mut sharded.prof, Stage::Replay, replay_t0);
+        prof::record(&mut sharded.prof, Stage::Replay, replay_t0);
     }
 
     fn collect_ready(&mut self) {
-        let Some(sharded) = &mut self.sharded else {
-            return;
-        };
+        let sharded = &mut self.sharded;
         sharded.drain_merged(&mut self.merged);
         if self.merged.is_empty() {
             return;
         }
-        let t0 = prof_stamp(&sharded.prof);
+        let t0 = prof::stamp(&sharded.prof);
         for (group, slice) in self.merged.drain(..) {
             if let Some(terminal) = self.terminals.get_mut(group) {
                 terminal.on_slice(slice, &mut self.results);
             }
         }
-        prof_record(&mut sharded.prof, Stage::Assemble, t0);
+        prof::record(&mut sharded.prof, Stage::Assemble, t0);
     }
 
     /// Takes all results produced since the last drain, in canonical
@@ -276,15 +252,14 @@ impl ParallelEngine {
     pub fn drain_results(&mut self) -> Vec<QueryResult> {
         self.collect_ready();
         let mut out = std::mem::take(&mut self.results);
-        let t0 = self.sharded.as_ref().and_then(|s| prof_stamp(&s.prof));
+        let prof = &mut self.sharded.prof;
+        let t0 = prof::stamp(prof);
         crate::query::sort_results(&mut out);
-        if let Some(sharded) = &mut self.sharded {
-            prof_record(&mut sharded.prof, Stage::Drain, t0);
-            // A drain typically follows `finish` (which already flushed
-            // the driver handle), so push this span through eagerly.
-            if let Some(h) = &mut sharded.prof {
-                h.flush();
-            }
+        prof::record(prof, Stage::Drain, t0);
+        // A drain typically follows `finish` (which already flushed the
+        // driver handle), so push this span through eagerly.
+        if let Some(h) = prof {
+            h.flush();
         }
         out
     }
@@ -300,12 +275,9 @@ impl ParallelEngine {
     /// up to the removal, which takes one.
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
         self.query_ids.retain(|q| *q != id);
-        let Some(sharded) = &mut self.sharded else {
-            return;
-        };
         // Before its first event the stream stands nowhere, and a slicer
         // removing a query then drops it outright.
-        let (at, immediate) = match sharded.remove_query(id, immediate) {
+        let (at, immediate) = match self.sharded.remove_query(id, immediate) {
             Some(at) => (at, immediate),
             None => (0, true),
         };
@@ -343,9 +315,7 @@ impl ParallelEngine {
     /// a final [`ParallelEngine::on_watermark`] past the last window of
     /// interest.
     pub fn finish(&mut self) {
-        if let Some(sharded) = &mut self.sharded {
-            sharded.finish();
-        }
+        self.sharded.finish();
         self.replay_counts(None);
         self.collect_ready();
     }
@@ -356,13 +326,9 @@ impl ParallelEngine {
     /// and per-shard counters into the registry, next to gauges of the
     /// state the collector retains for open windows.
     pub fn metrics(&self) -> EngineMetrics {
-        let mut m = EngineMetrics::default();
-        let mut retained = (0, 0);
-        if let Some(sharded) = &self.sharded {
-            m.absorb(&sharded.metrics());
-            sharded.publish(&self.registry);
-            retained = sharded.retained_state();
-        }
+        let mut m = self.sharded.metrics();
+        self.sharded.publish(&self.registry);
+        let mut retained = self.sharded.retained_state();
         for terminal in &self.terminals {
             terminal.roll_up(&mut m, &mut retained);
         }
@@ -371,9 +337,6 @@ impl ParallelEngine {
         }
         m.events = self.events;
         terminal::publish(&m, retained, &self.registry);
-        if let Some(profiler) = &self.cfg.profiler {
-            profiler.publish(&self.registry);
-        }
         m
     }
 }

@@ -11,7 +11,7 @@ use crate::engine::slicer::GroupSlicer;
 use crate::engine::QueryGroup;
 use crate::event::Event;
 use crate::metrics::EngineMetrics;
-use crate::obs::prof::{self, Profiler, Stage};
+use crate::obs::prof::{self, ProfHandle, Stage};
 use crate::obs::trace::TraceCollector;
 use crate::predicate::Predicate;
 use crate::query::QueryId;
@@ -151,10 +151,9 @@ pub(super) fn run_shard(
     lateness: Option<DurationMs>,
     rx: crossbeam_channel::Receiver<ShardMsg>,
     inbox: Arc<Inbox<ShardItem>>,
-    profiler: Option<Profiler>,
+    mut prof: Option<ProfHandle>,
 ) {
     let guard = InboxGuard::new(inbox, shard);
-    let mut prof = profiler.map(|p| p.handle(&format!("shard{shard}")));
     let mut reorder = lateness.map(ReorderBuffer::new);
     let mut ordered: Vec<Event> = Vec::new();
     let mut scratch: Vec<SealedSlice> = Vec::new();

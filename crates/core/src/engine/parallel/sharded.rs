@@ -7,7 +7,7 @@ use std::sync::Arc;
 use super::handoff::{Inbox, ShardExit};
 use super::shard::{run_shard, ShardItem, ShardMsg};
 use super::unfixed::UnfixedShardMerger;
-use super::{prof_record, prof_stamp, ParallelConfig};
+use super::ParallelConfig;
 use crate::engine::merge::AlignedSliceMerger;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
@@ -16,7 +16,7 @@ use crate::engine::QueryGroup;
 use crate::error::DesisError;
 use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
-use crate::obs::prof::{ProfHandle, Stage};
+use crate::obs::prof::{self, ProfHandle, Stage};
 use crate::obs::trace::{TraceCollector, TraceRecorder};
 use crate::obs::{names, Counter, MetricsRegistry};
 use crate::predicate::Predicate;
@@ -102,7 +102,7 @@ impl GroupMerger {
         }
     }
 
-    /// Profiler stage this merger's work is attributed to.
+    /// The stage this merger's work is timed as.
     fn prof_stage(&self) -> Stage {
         match self {
             GroupMerger::Fixed(_) => Stage::ShardMerge,
@@ -158,13 +158,12 @@ pub struct ShardedSlicer {
     /// Per-replay-slot count events collected from the shard filters.
     count_buf: Vec<Vec<(u64, Event)>>,
     panics: u64,
-    shard_events: Vec<u64>,
-    shard_batches: Vec<u64>,
-    /// Per-shard `(events, batches)` counter handles, resolved once at
-    /// spawn when a registry is configured, so the inlet hot path
-    /// increments live instruments without any name formatting.
-    live_counters: Option<Vec<(Arc<Counter>, Arc<Counter>)>>,
-    /// Collector-lane profiler handle (ingest/barrier/merge stages).
+    /// [`ParallelConfig::registry`], or a private one.
+    registry: Arc<MetricsRegistry>,
+    /// Per-shard `(events, batches)` counters of the registry, resolved
+    /// once at spawn: the inlet's only tally of what it sent where.
+    sent: Vec<(Arc<Counter>, Arc<Counter>)>,
+    /// The registry's `driver` lane (ingest/barrier/merge stages).
     pub(super) prof: Option<ProfHandle>,
     collected: EngineMetrics,
     late_dropped: u64,
@@ -190,6 +189,7 @@ impl ShardedSlicer {
         cfg: &ParallelConfig,
     ) -> Result<Self, DesisError> {
         let shards = cfg.shards.max(1);
+        let registry = cfg.registry.clone().unwrap_or_default();
         let inbox = Arc::new(Inbox::new(shards));
         let mut senders = Vec::with_capacity(shards);
         let mut threads = Vec::with_capacity(shards);
@@ -199,24 +199,22 @@ impl ShardedSlicer {
                 groups.iter().map(|g| GroupSlicer::new(g.clone())).collect();
             let lateness = cfg.lateness;
             let inbox = Arc::clone(&inbox);
-            let profiler = cfg.profiler.clone();
+            let lane = registry.lane(&format!("shard{shard}"));
             let handle = std::thread::Builder::new()
                 .name(format!("desis-shard-{shard}"))
-                .spawn(move || run_shard(shard, shards, slicers, lateness, rx, inbox, profiler))
+                .spawn(move || run_shard(shard, shards, slicers, lateness, rx, inbox, lane))
                 .map_err(|_| DesisError::Cluster("failed to spawn shard worker thread"))?;
             senders.push(tx);
             threads.push(handle);
         }
-        let live_counters = cfg.registry.as_ref().map(|registry| {
-            (0..shards)
-                .map(|shard| {
-                    (
-                        registry.counter(&names::engine_shard_events(shard)),
-                        registry.counter(&names::engine_shard_batches(shard)),
-                    )
-                })
-                .collect()
-        });
+        let sent = (0..shards)
+            .map(|shard| {
+                (
+                    registry.counter(&names::engine_shard_events(shard)),
+                    registry.counter(&names::engine_shard_batches(shard)),
+                )
+            })
+            .collect();
         let this = Self {
             senders,
             threads,
@@ -237,10 +235,9 @@ impl ShardedSlicer {
             seq: 0,
             count_buf: vec![Vec::new(); count_groups.len()],
             panics: 0,
-            shard_events: vec![0; shards],
-            shard_batches: vec![0; shards],
-            live_counters,
-            prof: cfg.profiler.as_ref().map(|p| p.handle("driver")),
+            prof: registry.lane("driver"),
+            registry,
+            sent,
             collected: EngineMetrics::default(),
             late_dropped: 0,
             item_buf: Vec::new(),
@@ -388,24 +385,19 @@ impl ShardedSlicer {
         }
     }
 
-    /// Counts a partition sent to `shard` (both the internal tallies
-    /// and, when a registry was configured, the pre-resolved live
-    /// counter handles — no name formatting on this path).
+    /// Counts a partition sent to `shard` (pre-resolved counters — no
+    /// name formatting on this path).
     #[inline]
-    fn note_send(&mut self, shard: usize, events: u64) {
-        self.shard_events[shard] += events;
-        self.shard_batches[shard] += 1;
-        if let Some(handles) = &self.live_counters {
-            handles[shard].0.add(events);
-            handles[shard].1.inc();
-        }
+    fn note_send(&self, shard: usize, events: u64) {
+        self.sent[shard].0.add(events);
+        self.sent[shard].1.inc();
     }
 
     fn flush_inlet(&mut self) {
         if self.inlet.is_empty() {
             return;
         }
-        let ingest = prof_stamp(&self.prof);
+        let ingest = prof::stamp(&self.prof);
         if let Some(last) = self.inlet.as_slice().last() {
             let settled = last
                 .ts
@@ -413,7 +405,7 @@ impl ShardedSlicer {
             self.reached = self.reached.max(Some(settled));
         }
         self.flush_inlet_inner();
-        prof_record(&mut self.prof, Stage::Ingest, ingest);
+        prof::record(&mut self.prof, Stage::Ingest, ingest);
     }
 
     fn flush_inlet_inner(&mut self) {
@@ -494,7 +486,7 @@ impl ShardedSlicer {
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Watermark(ts));
         }
-        let barrier = prof_stamp(&self.prof);
+        let barrier = prof::stamp(&self.prof);
         loop {
             self.collect();
             let reached = self
@@ -507,7 +499,7 @@ impl ShardedSlicer {
             }
             std::thread::yield_now();
         }
-        prof_record(&mut self.prof, Stage::Barrier, barrier);
+        prof::record(&mut self.prof, Stage::Barrier, barrier);
     }
 
     /// Drains handoff items from every shard into the mergers and
@@ -521,11 +513,11 @@ impl ShardedSlicer {
                     ShardItem::Slices { group, slices } => {
                         if let Some(merger) = self.mergers.get_mut(group) {
                             let stage = merger.prof_stage();
-                            let t0 = prof_stamp(&self.prof);
+                            let t0 = prof::stamp(&self.prof);
                             for slice in slices {
                                 merger.on_slice(shard, slice);
                             }
-                            prof_record(&mut self.prof, stage, t0);
+                            prof::record(&mut self.prof, stage, t0);
                         }
                     }
                     ShardItem::Clears { group, clears } => {
@@ -579,9 +571,9 @@ impl ShardedSlicer {
             .unwrap_or(Timestamp::MAX);
         for merger in &mut self.mergers {
             let stage = merger.prof_stage();
-            let t0 = prof_stamp(&self.prof);
+            let t0 = prof::stamp(&self.prof);
             merger.advance(wm);
-            prof_record(&mut self.prof, stage, t0);
+            prof::record(&mut self.prof, stage, t0);
         }
     }
 
@@ -644,18 +636,26 @@ impl ShardedSlicer {
         unfixed.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
     }
 
+    /// The registry the slicer counts into.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.registry
+    }
+
     /// Publishes per-shard inlet counters, the panic count, and the
     /// shard-balance telemetry gauges (routing imbalance, inbox
     /// high-water depths, unfixed-merger retained state) into
-    /// `registry`.
+    /// `registry` — for the slicer's own registry the inlet counters are
+    /// there already. Slicers sharing a registry (the locals of one
+    /// cluster run) add their counters up; the gauges keep the last
+    /// publisher's level.
     pub fn publish(&self, registry: &MetricsRegistry) {
-        for shard in 0..self.shards {
+        for (shard, (events, batches)) in self.sent.iter().enumerate() {
             registry
                 .counter(&names::engine_shard_events(shard))
-                .raise_to(self.shard_events[shard]);
+                .raise_to(events.get());
             registry
                 .counter(&names::engine_shard_batches(shard))
-                .raise_to(self.shard_batches[shard]);
+                .raise_to(batches.get());
             registry
                 .gauge(&names::engine_shard_inbox_depth_max(shard))
                 .set_max(self.inbox.depth_max(shard) as i64);
@@ -663,8 +663,9 @@ impl ShardedSlicer {
         registry
             .counter(names::ENGINE_SHARD_PANICS)
             .raise_to(self.panics);
-        let max = self.shard_events.iter().copied().max().unwrap_or(0);
-        let min = self.shard_events.iter().copied().min().unwrap_or(0);
+        let events = self.sent.iter().map(|(events, _)| events.get());
+        let max = events.clone().max().unwrap_or(0);
+        let min = events.min().unwrap_or(0);
         let imbalance = ((max - min) * 1000).checked_div(max).unwrap_or(0);
         registry
             .gauge(names::ENGINE_SHARD_IMBALANCE_PERMILLE)

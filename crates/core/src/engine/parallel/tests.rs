@@ -9,7 +9,7 @@ use crate::aggregate::AggFunction;
 use crate::engine::AggregationEngine;
 use crate::event::{Event, EventBatch, Marker, MarkerKind};
 use crate::obs::names;
-use crate::obs::prof::{self, Profiler};
+use crate::obs::prof::{ProfClock, ProfileReport};
 use crate::obs::trace::TraceCollector;
 use crate::predicate::Predicate;
 use crate::query::{Query, QueryResult};
@@ -499,7 +499,7 @@ fn snapshot_diff_across_shard_panic_keeps_counters_monotone() {
     engine.on_watermark(1_000);
     engine.metrics();
     let before = engine.registry().snapshot();
-    engine.sharded.as_ref().unwrap().inject_panic(0);
+    engine.sharded.inject_panic(0);
     for ev in &evs[1_000..] {
         engine.on_event(ev);
     }
@@ -640,12 +640,12 @@ fn metrics_publish_the_collectors_retained_state() {
 
 #[test]
 fn profiler_attributes_driver_and_shard_stage_time() {
-    let profiler = Profiler::new(prof::ProfClock::wall());
-    profiler.begin();
-    let mut cfg = ParallelConfig::new(2);
-    cfg.profiler = Some(profiler.clone());
+    let clock = ProfClock::wall();
+    let registry = Arc::new(MetricsRegistry::profiled(clock.clone()));
     let evs = gapped_marked_events(4_000, 10);
-    let mut engine = ParallelEngine::with_config(full_mix_queries(), cfg).unwrap();
+    let mut engine =
+        ParallelEngine::with_registry(full_mix_queries(), ParallelConfig::new(2), registry)
+            .unwrap();
     for ev in &evs {
         engine.on_event(ev);
     }
@@ -653,8 +653,8 @@ fn profiler_attributes_driver_and_shard_stage_time() {
     engine.finish();
     let _ = engine.drain_results();
     engine.metrics();
-    profiler.end();
-    let report = profiler.report();
+    let snap = engine.registry().snapshot();
+    let report = ProfileReport::from_snapshot(&snap, clock.now_ns());
     assert!(report.wall_ns > 0);
     let lanes: Vec<&str> = report.lanes.iter().map(|l| l.lane.as_str()).collect();
     for lane in ["driver", "shard0", "shard1"] {
@@ -696,8 +696,7 @@ fn profiler_attributes_driver_and_shard_stage_time() {
             "shard0 missing {required}: {worker:?}"
         );
     }
-    // `metrics()` exported the tallies as prof.* counters.
-    let snap = engine.registry().snapshot();
+    // The table is a view over the registry's prof.* counters.
     assert!(snap.counters.keys().any(|k| k.starts_with("prof.driver.")));
     assert!(snap.counters.keys().any(|k| k.starts_with("prof.shard1.")));
 }
@@ -706,18 +705,16 @@ fn profiler_attributes_driver_and_shard_stage_time() {
 fn profiling_enabled_results_match_unprofiled_run() {
     let evs = gapped_marked_events(3_000, 9);
     let plain = run_parallel(full_mix_queries(), &evs, 60_000, 3);
-    let profiler = Profiler::new(prof::ProfClock::wall());
-    profiler.begin();
-    let mut cfg = ParallelConfig::new(3);
-    cfg.profiler = Some(profiler.clone());
-    let mut engine = ParallelEngine::with_config(full_mix_queries(), cfg).unwrap();
+    let registry = Arc::new(MetricsRegistry::profiled(ProfClock::wall()));
+    let mut engine =
+        ParallelEngine::with_registry(full_mix_queries(), ParallelConfig::new(3), registry)
+            .unwrap();
     for ev in &evs {
         engine.on_event(ev);
     }
     engine.on_watermark(60_000);
     engine.finish();
     let profiled = canon(engine.drain_results());
-    profiler.end();
     assert_eq!(profiled, plain, "profiling must not perturb results");
 }
 

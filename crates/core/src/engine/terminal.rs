@@ -17,8 +17,6 @@
 //! [`TimeAssembler`] reads it off the slice stream; an unfixed group's
 //! window ends are its sources' to stop sending.
 
-use std::sync::Arc;
-
 use crate::engine::assembler::Assembler;
 use crate::engine::group::QueryGroup;
 use crate::engine::merge::TimeAssembler;
@@ -87,13 +85,9 @@ pub struct RawTerminal {
 impl RawTerminal {
     /// A terminal slicing and assembling `group`; `lateness` puts a
     /// reorder buffer in front of [`RawTerminal::replay`].
-    pub fn new(
-        group: QueryGroup,
-        registry: Arc<MetricsRegistry>,
-        lateness: Option<DurationMs>,
-    ) -> Self {
+    pub fn new(group: QueryGroup, lateness: Option<DurationMs>) -> Self {
         Self {
-            assembler: Assembler::with_registry(&group, registry),
+            assembler: Assembler::new(&group),
             slicer: GroupSlicer::new(group),
             reorder: lateness.map(ReorderBuffer::new),
             sealed: Vec::new(),
@@ -206,14 +200,11 @@ pub enum GroupTerminal {
 
 impl GroupTerminal {
     /// The terminal that ends `group` under `plan`.
-    pub fn new(plan: GroupPlan, group: &QueryGroup, registry: &Arc<MetricsRegistry>) -> Self {
-        let registry = Arc::clone(registry);
+    pub fn new(plan: GroupPlan, group: &QueryGroup) -> Self {
         match plan {
             GroupPlan::Aligned => GroupTerminal::Aligned(TimeAssembler::new(group)),
-            GroupPlan::Unfixed => GroupTerminal::Unfixed(Assembler::with_registry(group, registry)),
-            GroupPlan::Raw => {
-                GroupTerminal::Raw(Box::new(RawTerminal::new(group.clone(), registry, None)))
-            }
+            GroupPlan::Unfixed => GroupTerminal::Unfixed(Assembler::new(group)),
+            GroupPlan::Raw => GroupTerminal::Raw(Box::new(RawTerminal::new(group.clone(), None))),
         }
     }
 
@@ -336,8 +327,7 @@ mod tests {
                 let mut groups = crate::engine::QueryAnalyzer::default()
                     .analyze(queries)
                     .unwrap();
-                let registry = Arc::new(MetricsRegistry::new());
-                let mut terminal = RawTerminal::new(groups.remove(0), registry, None);
+                let mut terminal = RawTerminal::new(groups.remove(0), None);
                 let mut out = Vec::new();
                 for ts in 0..=at {
                     terminal.on_event(&Event::new(ts, 0, 1.0), &mut out);

@@ -30,6 +30,7 @@ use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::sync::Mutex;
+use prof::{ProfClock, ProfHandle};
 
 /// Number of histogram buckets: one per power of two of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -263,11 +264,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Whether the snapshot holds no instruments at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Difference against an `earlier` snapshot of the same registry:
     /// counters and histogram counts/sums become deltas (saturating, so
     /// instruments that only exist in `self` diff against zero), gauges
@@ -312,30 +308,46 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":", json_escape(name));
-            h.write_json(&mut out);
-        }
-        out.push_str("}}");
+        write_members(&mut out, &self.counters, write_display);
+        out.push_str("},");
+        write_levels(&mut out, &self.gauges, &self.histograms);
         out
     }
+}
+
+/// Appends `"name":value` members to a JSON object under construction,
+/// comma-separated; `value` writes one member's value.
+pub(crate) fn write_members<N: AsRef<str>, V>(
+    out: &mut String,
+    members: impl IntoIterator<Item = (N, V)>,
+    mut value: impl FnMut(&mut String, V),
+) {
+    for (i, (name, v)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":", json_escape(name.as_ref()));
+        value(out, v);
+    }
+}
+
+/// [`write_members`]' `value` for plain numbers.
+pub(crate) fn write_display(out: &mut String, v: impl std::fmt::Display) {
+    let _ = write!(out, "{v}");
+}
+
+/// `"gauges":{…},"histograms":{…}}` — the tail a snapshot's and a diff's
+/// JSON share.
+fn write_levels(
+    out: &mut String,
+    gauges: &BTreeMap<String, i64>,
+    histograms: &BTreeMap<String, HistogramSnapshot>,
+) {
+    out.push_str("\"gauges\":{");
+    write_members(out, gauges, write_display);
+    out.push_str("},\"histograms\":{");
+    write_members(out, histograms, |out, h| h.write_json(out));
+    out.push_str("}}");
 }
 
 /// The change between two [`MetricsSnapshot`]s of the same registry:
@@ -373,33 +385,15 @@ impl MetricsDiff {
     pub fn to_json(&self, elapsed_secs: f64) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(out, "{{\"elapsed_secs\":{elapsed_secs:.3},\"counters\":{{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"delta\":{v},\"per_sec\":{:.3}}}",
-                json_escape(name),
-                self.rate(name, elapsed_secs),
-            );
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":", json_escape(name));
-            h.write_json(&mut out);
-        }
-        out.push_str("}}");
+        let rated = self
+            .counters
+            .iter()
+            .map(|(name, v)| (name, (v, self.rate(name, elapsed_secs))));
+        write_members(&mut out, rated, |out, (delta, per_sec)| {
+            let _ = write!(out, "{{\"delta\":{delta},\"per_sec\":{per_sec:.3}}}");
+        });
+        out.push_str("},");
+        write_levels(&mut out, &self.gauges, &self.histograms);
         out
     }
 }
@@ -428,11 +422,17 @@ pub fn json_escape(s: &str) -> String {
 /// `counter`/`gauge`/`histogram` get-or-create by name under a short
 /// lock; the returned `Arc` handles are lock-free to update. Names use
 /// dotted paths, e.g. `net.node3.egress_bytes`.
+///
+/// A registry is also the profiling context of whatever runs against
+/// it: one built by [`MetricsRegistry::profiled`] hands out stage-time
+/// lanes ([`MetricsRegistry::lane`]), one built by
+/// [`MetricsRegistry::new`] hands out none.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<LogHistogram>>>,
+    prof_clock: Option<ProfClock>,
 }
 
 impl MetricsRegistry {
@@ -441,60 +441,75 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Creates an empty registry whose lanes time their stages against
+    /// `clock` (see [`prof`]).
+    pub fn profiled(clock: ProfClock) -> Self {
+        Self {
+            prof_clock: Some(clock),
+            ..Self::default()
+        }
+    }
+
+    /// The profiling clock; `None` for an unprofiled registry. A harness
+    /// hands it to the registries of the runs it starts.
+    pub fn prof_clock(&self) -> Option<&ProfClock> {
+        self.prof_clock.as_ref()
+    }
+
+    /// A handle attributing stage time to `lane` (e.g. `"seq"`,
+    /// `"shard0"`, `"node1"`, `"root"`; no dots) as
+    /// `prof.<lane>.<stage>_{ns,calls}` counters of this registry, or
+    /// `None` when the registry is unprofiled. Handles on the same lane
+    /// add up.
+    pub fn lane(self: &Arc<Self>, lane: &str) -> Option<ProfHandle> {
+        let clock = self.prof_clock.clone()?;
+        Some(ProfHandle::new(Arc::clone(self), clock, lane))
+    }
+
     fn lock<T>(m: &Mutex<T>) -> crate::sync::MutexGuard<'_, T> {
         // A panic while holding the registration lock cannot corrupt a
         // BTreeMap of Arcs; keep serving metrics rather than poisoning.
         m.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn get_or_create<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+        let mut map = Self::lock(map);
+        if let Some(instrument) = map.get(name) {
+            return Arc::clone(instrument);
+        }
+        let instrument = Arc::new(T::default());
+        map.insert(name.to_string(), Arc::clone(&instrument));
+        instrument
+    }
+
     /// Returns the counter with `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = Self::lock(&self.counters);
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        map.insert(name.to_string(), Arc::clone(&c));
-        c
+        Self::get_or_create(&self.counters, name)
     }
 
     /// Returns the gauge with `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = Self::lock(&self.gauges);
-        if let Some(g) = map.get(name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        map.insert(name.to_string(), Arc::clone(&g));
-        g
+        Self::get_or_create(&self.gauges, name)
     }
 
     /// Returns the histogram with `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        let mut map = Self::lock(&self.histograms);
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(LogHistogram::default());
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
+        Self::get_or_create(&self.histograms, name)
     }
 
     /// Freezes every instrument into a [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
+        fn freeze<T, V>(
+            map: &Mutex<BTreeMap<String, Arc<T>>>,
+            read: impl Fn(&T) -> V,
+        ) -> BTreeMap<String, V> {
+            let map = MetricsRegistry::lock(map);
+            map.iter().map(|(k, v)| (k.clone(), read(v))).collect()
+        }
         MetricsSnapshot {
-            counters: Self::lock(&self.counters)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: Self::lock(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: Self::lock(&self.histograms)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            counters: freeze(&self.counters, Counter::get),
+            gauges: freeze(&self.gauges, Gauge::get),
+            histograms: freeze(&self.histograms, LogHistogram::snapshot),
         }
     }
 

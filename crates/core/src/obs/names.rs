@@ -139,11 +139,6 @@ pub fn egress_msgs(node: u32) -> String {
 
 // --- engine.* ---------------------------------------------------------
 
-/// Per-query result-latency histogram recorded at window assembly.
-pub fn engine_result_latency_us(query: u64) -> String {
-    format!("engine.result_latency_us.q{query}")
-}
-
 /// Shard workers of the parallel engine that panicked and were degraded
 /// (their in-flight contributions are force-released without the shard).
 pub const ENGINE_SHARD_PANICS: &str = "engine.shard_panics";
@@ -204,6 +199,20 @@ pub fn prof_stage_calls(lane: &str, stage: &str) -> String {
     format!("prof.{lane}.{stage}_calls")
 }
 
+/// The inverse of [`prof_stage_ns`] / [`prof_stage_calls`], under any
+/// prefix a merge put in front: `(lane, stage, is the _ns counter)`.
+pub fn parse_prof_stage(name: &str) -> Option<(&str, &str, bool)> {
+    let mut parts = name.rsplitn(3, '.');
+    let (cell, lane, head) = (parts.next()?, parts.next()?, parts.next()?);
+    if head != "prof" && !head.ends_with(".prof") {
+        return None;
+    }
+    match cell.strip_suffix("_ns") {
+        Some(stage) => Some((lane, stage, true)),
+        None => Some((lane, cell.strip_suffix("_calls")?, false)),
+    }
+}
+
 // --- cluster.* (whole-run aggregates) ---------------------------------
 
 /// Result latency (generation to emission) histogram of a cluster run.
@@ -235,7 +244,6 @@ mod tests {
         assert_eq!(ingress_msgs("root", TAG_SLICE), "net.root.msgs.slice");
         assert_eq!(egress_bytes(7), "net.node7.egress_bytes");
         assert_eq!(trace_stage_us(3, "merge"), "trace.q3.merge_us");
-        assert_eq!(engine_result_latency_us(1), "engine.result_latency_us.q1");
         assert_eq!(engine_shard_events(2), "engine.shard2.events");
         assert_eq!(engine_shard_batches(0), "engine.shard0.batches");
         assert_eq!(
@@ -249,6 +257,21 @@ mod tests {
             "prof.driver.barrier_calls"
         );
         assert_eq!(cluster_system_prefix("desis"), "cluster.desis.");
+    }
+
+    #[test]
+    fn prof_stage_names_parse_back_under_any_prefix() {
+        let ns = prof_stage_ns("shard0", "count_filter");
+        assert_eq!(
+            parse_prof_stage(&ns),
+            Some(("shard0", "count_filter", true))
+        );
+        let calls = format!("cluster.Desis.{}", prof_stage_calls("node1", "pace"));
+        assert_eq!(parse_prof_stage(&calls), Some(("node1", "pace", false)));
+        for other in ["engine.shard0.events", "prof.seq", "xprof.seq.drain_ns"] {
+            assert_eq!(parse_prof_stage(other), None, "{other}");
+        }
+        assert_eq!(parse_prof_stage("prof.seq.drain_us"), None);
     }
 
     #[test]

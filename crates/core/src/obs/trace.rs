@@ -456,20 +456,14 @@ impl TraceTimeline {
     /// Serializes the timeline as Chrome trace-event JSON (the format
     /// Perfetto and `chrome://tracing` load): one instant event per span
     /// plus one duration (`"ph":"X"`) event per stage, with `pid` =
-    /// recording node and `tid` = trace id.
-    pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with(&[])
-    }
-
-    /// Like [`TraceTimeline::to_chrome_json`], additionally appending
-    /// one Perfetto counter track (`"ph":"C"`) per entry of `tracks`
-    /// under a synthetic `pid` 999999 ("metrics"). Track samples are
-    /// `(ts_us, value)` pairs — e.g. flight-recorder counter rates via
+    /// recording node and `tid` = trace id — and one Perfetto counter
+    /// track (`"ph":"C"`) per entry of `tracks` under a synthetic `pid`
+    /// 999999 ("metrics"). Track samples are `(ts_us, value)` pairs —
+    /// e.g. flight-recorder counter rates via
     /// [`crate::obs::prof::FlightRecorder::counter_tracks`] — on the
-    /// profiler's own time base (its `begin`), which for a run traced
-    /// end to end coincides with the span epoch to within startup
-    /// latency.
-    pub fn to_chrome_json_with(&self, tracks: &[(String, Vec<(u64, f64)>)]) -> String {
+    /// recorder's own clock, whose origin for a run traced end to end
+    /// coincides with the span epoch to within startup latency.
+    pub fn to_chrome_json(&self, tracks: &[(String, Vec<(u64, f64)>)]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -660,7 +654,7 @@ mod tests {
         rec.record(id, SpanKind::SliceEncoded { bytes: 17 });
         rec.record(id, SpanKind::ResultEmitted { query: 1 });
         drop(rec);
-        let json = tc.drain_timeline().to_chrome_json();
+        let json = tc.drain_timeline().to_chrome_json(&[]);
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"traceEvents\":["), "{json}");
         assert!(json.contains("\"SliceCreated\""), "{json}");
@@ -687,7 +681,7 @@ mod tests {
             ),
             ("prof.driver.barrier_ns".to_string(), vec![(5, 1_000.0)]),
         ];
-        let json = tc.drain_timeline().to_chrome_json_with(&tracks);
+        let json = tc.drain_timeline().to_chrome_json(&tracks);
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert!(json.contains("\"engine.shard0.events\""), "{json}");
         assert!(json.contains("\"value\":25"), "{json}");
@@ -699,7 +693,7 @@ mod tests {
 
         // Tracks alone (no chains) still export well-formed JSON.
         let empty = TraceCollector::new(1, 8).drain_timeline();
-        let json = empty.to_chrome_json_with(&tracks);
+        let json = empty.to_chrome_json(&tracks);
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -710,7 +704,7 @@ mod tests {
         let tl = tc.drain_timeline();
         assert_eq!(tl.chains.len(), 0);
         assert_eq!(
-            tl.to_chrome_json(),
+            tl.to_chrome_json(&[]),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
         );
     }

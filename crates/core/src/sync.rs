@@ -8,9 +8,9 @@
 //! explores every thread interleaving of those modules (see
 //! `crates/core/tests/loom.rs`).
 //!
-//! `Arc` and `OnceLock` intentionally stay `std` in both builds: the
-//! model checks target the mutable hot-path state (counters, rings,
-//! registration maps), not reference counting or one-time init.
+//! `Arc` intentionally stays `std` in both builds: the model checks
+//! target the mutable hot-path state (counters, rings, registration
+//! maps), not reference counting.
 
 #[cfg(loom)]
 pub use loom::sync::{atomic, Mutex, MutexGuard};

@@ -17,7 +17,7 @@ use desis_core::engine::{GroupId, QueryGroup};
 use desis_core::error::DesisError;
 use desis_core::event::Event;
 use desis_core::metrics::EngineMetrics;
-use desis_core::obs::prof::{self, Profiler, Stage};
+use desis_core::obs::prof::{self, ProfClock, Stage};
 use desis_core::obs::trace::TraceCollector;
 use desis_core::obs::{names, MetricsRegistry, MetricsSnapshot};
 use desis_core::query::{Query, QueryId, QueryResult};
@@ -86,6 +86,12 @@ pub struct ClusterConfig {
     /// Deterministic fault schedule for this run; `None` runs
     /// fault-free.
     pub faults: Option<FaultPlan>,
+    /// Stage-time profiling: when set, the run's registry is
+    /// [`MetricsRegistry::profiled`] with this clock, so every node loop,
+    /// pump and engine shard times its stages into
+    /// [`ClusterReport::metrics`] as `prof.*` counters; `None` times
+    /// nothing.
+    pub profile: Option<ProfClock>,
     /// Tunables of the recovery protocol (NACK budget, grace period).
     pub recovery: RecoveryConfig,
     /// Worker shards per local node (Desis only). `1` runs the classic
@@ -110,6 +116,7 @@ impl ClusterConfig {
             pace_speedup: None,
             trace: None,
             faults: None,
+            profile: None,
             recovery: RecoveryConfig::default(),
             shards: 1,
         }
@@ -328,9 +335,9 @@ struct Run<'a> {
     cfg: &'a ClusterConfig,
     groups: &'a [QueryGroup],
     script: &'a [(Timestamp, CompiledCommand)],
-    /// Every run gets a fresh registry; its snapshot lands in the
-    /// report.
-    registry: &'a MetricsRegistry,
+    /// Every run gets a fresh registry ([`ClusterConfig::profile`] makes
+    /// it a profiled one); its snapshot lands in the report.
+    registry: &'a Arc<MetricsRegistry>,
     /// Causal tracing ([`ClusterConfig::trace`]); `None` keeps every
     /// hot-path hook on its no-recorder branch.
     tracing: Option<&'a TraceCollector>,
@@ -394,6 +401,7 @@ impl Run<'_> {
             cfg.batch_size,
             cfg.watermark_every,
             cfg.shards.max(1),
+            self.registry,
         );
         if let Some(tc) = self.tracing {
             worker.install_tracing(tc);
@@ -408,7 +416,7 @@ impl Run<'_> {
         // Leaf-lane stage attribution: pace sleeps vs. actual ingest
         // work, so a profile distinguishes "replaying in real time" from
         // "saturated".
-        let mut lane = Profiler::global().map(|p| p.handle(&format!("node{node}")));
+        let mut lane = self.registry.lane(&format!("node{node}"));
         for ev in feed {
             if crash_at.is_some_and(|at| ev.ts >= at) {
                 // Crash: exit without finish or Flush. Dropping the
@@ -510,8 +518,14 @@ impl Run<'_> {
         let cfg = self.cfg;
         let n_leaves = cfg.topology.nodes_with_role(NodeRole::Local).len();
         let child_ids = receivers.iter().map(|(c, _)| *c).collect();
-        let mut worker =
-            RootWorker::new(cfg.system, self.groups, &cfg.queries, n_leaves, child_ids)?;
+        let mut worker = RootWorker::with_registry(
+            cfg.system,
+            self.groups,
+            &cfg.queries,
+            n_leaves,
+            child_ids,
+            self.registry,
+        )?;
         if let Some(tc) = self.tracing {
             worker.install_tracing(tc, node);
         }
@@ -566,7 +580,8 @@ pub fn run_cluster(
     if let Some(plan) = plan {
         plan.validate(topology).map_err(DesisError::FaultPlan)?;
     }
-    let registry = MetricsRegistry::new();
+    let profile = cfg.profile.clone();
+    let registry = Arc::new(profile.map_or_else(MetricsRegistry::new, MetricsRegistry::profiled));
     let run = Run {
         cfg: &cfg,
         groups: &groups,
@@ -1080,7 +1095,7 @@ mod tests {
         let (raw_tx, rx) = crate::link::raw_link(CodecKind::Binary, 8);
         raw_tx.send(vec![0xFF, 0x13, 0x37]).unwrap();
         drop(raw_tx);
-        let registry = MetricsRegistry::new();
+        let registry = Arc::new(MetricsRegistry::new());
         let obs = PumpObs::new(&registry, "root");
         let receivers = vec![(3, rx)];
         let mut flushes = 0;
@@ -1104,7 +1119,7 @@ mod tests {
         frame.push(0xAB);
         raw_tx.send(frame).unwrap();
         drop(raw_tx);
-        let registry = MetricsRegistry::new();
+        let registry = Arc::new(MetricsRegistry::new());
         let obs = PumpObs::new(&registry, "root");
         let receivers = vec![(5, rx)];
         let mut flushes = 0;
@@ -1404,7 +1419,7 @@ mod runtime_reconfig_tests {
             RootWorker::new(DistributedSystem::Desis, &groups, &queries, 2, vec![7, 9]).unwrap();
         let mut results = Vec::new();
         let receivers = vec![(7, rx_a), (9, rx_b)];
-        let registry = MetricsRegistry::new();
+        let registry = Arc::new(MetricsRegistry::new());
         let obs = PumpObs::new(&registry, "root");
         let lost = pump_children(&receivers, &obs, RecoveryCtx::detached(), |child, msg| {
             worker.on_message(child, msg);

@@ -318,7 +318,16 @@ impl LocalWorker {
         batch_size: usize,
         watermark_every: DurationMs,
     ) -> Self {
-        Self::with_shards(id, system, groups, batch_size, watermark_every, 1)
+        let registry = Arc::default();
+        Self::with_shards(
+            id,
+            system,
+            groups,
+            batch_size,
+            watermark_every,
+            1,
+            &registry,
+        )
     }
 
     /// Builds the local worker with `shards` slicer threads for the
@@ -328,6 +337,9 @@ impl LocalWorker {
     /// `shards <= 1` run sequentially on the node's event loop). The
     /// sharded slicers feed a per-group merger, so the uplink carries the
     /// same deterministic slice stream a sequential node would ship.
+    /// They count (and, if it is profiled, time their stages) into
+    /// `registry`; [`LocalWorker::finish`] publishes their telemetry
+    /// there.
     pub fn with_shards(
         id: NodeId,
         system: DistributedSystem,
@@ -335,6 +347,7 @@ impl LocalWorker {
         batch_size: usize,
         watermark_every: DurationMs,
         shards: usize,
+        registry: &Arc<MetricsRegistry>,
     ) -> Self {
         let mut worker = Self {
             id,
@@ -370,6 +383,7 @@ impl LocalWorker {
         }
         let mut cfg = ParallelConfig::new(shards);
         cfg.batch_size = batch_size.max(1);
+        cfg.registry = Some(Arc::clone(registry));
         match ShardedSlicer::new(&shardable, &cfg) {
             Ok(sharded) => {
                 worker.sharded = Some(sharded);
@@ -529,6 +543,7 @@ impl LocalWorker {
         }
         if let Some(sharded) = &mut self.sharded {
             sharded.finish();
+            sharded.publish(sharded.registry());
         }
         self.ship_sharded(&mut up) && up.end()
     }
@@ -820,8 +835,6 @@ struct Terminal {
     /// Scripted removals event time has not reached yet, ascending:
     /// `(event time, query, immediate)`.
     removals: VecDeque<(Timestamp, QueryId, bool)>,
-    /// Receives the assemblers' per-query latency histograms.
-    registry: Arc<MetricsRegistry>,
     centralized: Option<Box<dyn Processor>>,
     results: Vec<QueryResult>,
     raw_events: u64,
@@ -840,7 +853,7 @@ impl Terminal {
         if plan == GroupPlan::Unfixed {
             self.unfixed.insert(g.id, UnfixedMerger::new(g, n_leaves));
         }
-        let terminal = GroupTerminal::new(plan, g, &self.registry);
+        let terminal = GroupTerminal::new(plan, g);
         self.groups.insert(g.id, terminal);
     }
 
@@ -996,15 +1009,31 @@ impl RootWorker {
         n_leaves: usize,
         children: Vec<NodeId>,
     ) -> Result<Self, desis_core::DesisError> {
+        let registry = Arc::default();
+        Self::with_registry(system, groups, all_queries, n_leaves, children, &registry)
+    }
+
+    /// [`RootWorker::new`] in the context of a run's `registry`: a
+    /// centralized system's engine is built in it
+    /// ([`desis_baselines::SystemKind::build_in`]).
+    pub fn with_registry(
+        system: DistributedSystem,
+        groups: &[QueryGroup],
+        all_queries: &[Query],
+        n_leaves: usize,
+        children: Vec<NodeId>,
+        registry: &Arc<MetricsRegistry>,
+    ) -> Result<Self, desis_core::DesisError> {
         let centralized = match system {
-            DistributedSystem::Centralized(kind) => Some(kind.build(all_queries.to_vec())?),
+            DistributedSystem::Centralized(kind) => {
+                Some(kind.build_in(all_queries.to_vec(), registry)?)
+            }
             DistributedSystem::Desis | DistributedSystem::Disco => None,
         };
         let mut terminal = Terminal {
             groups: BTreeMap::new(),
             unfixed: BTreeMap::new(),
             removals: VecDeque::new(),
-            registry: Arc::new(MetricsRegistry::new()),
             centralized,
             results: Vec::new(),
             raw_events: 0,

@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::Select;
-use desis_core::obs::prof::{self, ProfHandle, Profiler, Stage};
+use desis_core::obs::prof::{self, ProfHandle, Stage};
 use desis_core::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use desis_core::obs::{names, Counter, Gauge, MetricsRegistry};
 use desis_core::time::{DurationMs, Timestamp};
@@ -199,9 +199,9 @@ impl RecoveryCtx {
 /// into the run's [`MetricsRegistry`]: received bytes, message counts by
 /// kind, the high-water inbound queue depth, and undecodable frames.
 pub(crate) struct PumpObs {
-    /// The node role this pump runs under ("intermediate", "root", …);
-    /// doubles as the profiler lane name for the pump loop.
-    role: String,
+    /// The registry's lane named after the node role ("intermediate",
+    /// "root", …); the pump loop times itself on a clone.
+    lane: Option<ProfHandle>,
     ingress_bytes: Arc<Counter>,
     msgs: [(&'static str, Arc<Counter>); 5],
     other_msgs: Arc<Counter>,
@@ -211,10 +211,10 @@ pub(crate) struct PumpObs {
 }
 
 impl PumpObs {
-    pub(crate) fn new(registry: &MetricsRegistry, role: &str) -> Self {
+    pub(crate) fn new(registry: &Arc<MetricsRegistry>, role: &str) -> Self {
         let tag_counter = |tag: &str| registry.counter(&names::ingress_msgs(role, tag));
         Self {
-            role: role.to_string(),
+            lane: registry.lane(role),
             ingress_bytes: registry.counter(&names::ingress_bytes(role)),
             msgs: names::MSG_TAGS.map(|tag| (tag, tag_counter(tag))),
             other_msgs: tag_counter(names::TAG_OTHER),
@@ -270,8 +270,7 @@ struct Pump<'a, F: FnMut(NodeId, Message)> {
     lost: Vec<NodeId>,
     open: usize,
     max_watermark: Timestamp,
-    /// Stage attribution for this pump loop, on the lane named after the
-    /// node role; `None` unless a global [`Profiler`] is installed.
+    /// Stage attribution for this pump loop ([`PumpObs::lane`]).
     prof: Option<ProfHandle>,
 }
 
@@ -312,7 +311,7 @@ pub(crate) fn pump_children(
         lost: Vec::new(),
         open,
         max_watermark: 0,
-        prof: Profiler::global().map(|p| p.handle(&obs.role)),
+        prof: obs.lane.clone(),
     }
     .run()
 }
@@ -323,10 +322,10 @@ impl<F: FnMut(NodeId, Message)> Pump<'_, F> {
         while self.open > 0 {
             // Manual stamps instead of RAII scopes: the handler arms below
             // take `&mut self`, which a live `Scope` borrow would block.
-            let recv_t0 = self.prof.as_ref().and_then(ProfHandle::stamp);
+            let recv_t0 = prof::stamp(&self.prof);
             let selected = self.sel.select_timeout(tick);
-            Self::prof_record(&mut self.prof, Stage::Recv, recv_t0);
-            let handle_t0 = self.prof.as_ref().and_then(ProfHandle::stamp);
+            prof::record(&mut self.prof, Stage::Recv, recv_t0);
+            let handle_t0 = prof::stamp(&self.prof);
             match selected {
                 Ok(op) => {
                     let idx = op.index();
@@ -337,16 +336,9 @@ impl<F: FnMut(NodeId, Message)> Pump<'_, F> {
                 }
                 Err(_) => self.tick(),
             }
-            Self::prof_record(&mut self.prof, Stage::Handler, handle_t0);
+            prof::record(&mut self.prof, Stage::Handler, handle_t0);
         }
         self.lost
-    }
-
-    /// Closes a manual stage span opened by [`ProfHandle::stamp`].
-    fn prof_record(prof: &mut Option<ProfHandle>, stage: Stage, stamp: Option<prof::Stamp>) {
-        if let (Some(h), Some(t0)) = (prof.as_mut(), stamp) {
-            h.record_since(stage, t0);
-        }
     }
 
     /// Feeds one event into the child's protocol machine and executes the
@@ -506,8 +498,8 @@ mod tests {
     use crate::link::{link, LinkSender};
     use desis_core::obs::MetricsRegistry;
 
-    fn test_obs() -> (MetricsRegistry, PumpObs) {
-        let registry = MetricsRegistry::new();
+    fn test_obs() -> (Arc<MetricsRegistry>, PumpObs) {
+        let registry = Arc::new(MetricsRegistry::new());
         let obs = PumpObs::new(&registry, "root");
         (registry, obs)
     }

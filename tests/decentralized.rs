@@ -244,6 +244,81 @@ fn cluster_report_metrics_populated() {
     assert_eq!(report.local_metrics.events, 40_000);
 }
 
+/// A sharded local's shard instruments reach the report: the run's
+/// registry, not a private one, is what its `ShardedSlicer` counts into
+/// and publishes to.
+#[test]
+fn sharded_locals_report_their_shard_instruments() {
+    use desis::core::obs::names;
+    let mut cfg = ClusterConfig::new(DistributedSystem::Desis, mixed_queries(), Topology::star(2));
+    cfg.shards = 2;
+    let report = run_cluster(cfg, feeds(2, 10_000)).unwrap();
+    assert_eq!(report.events, 20_000);
+    let counters = &report.metrics.counters;
+    let sent: u64 = (0..2)
+        .map(|s| counters[&names::engine_shard_events(s)])
+        .sum();
+    assert_eq!(sent, 20_000, "both locals' shards add up to the events");
+    assert!(counters[&names::engine_shard_batches(0)] > 0);
+    assert_eq!(counters[names::ENGINE_SHARD_PANICS], 0);
+    let gauges = &report.metrics.gauges;
+    assert!(gauges.contains_key(names::ENGINE_SHARD_IMBALANCE_PERMILLE));
+}
+
+/// Two runs in one process share nothing: profiling is a property of the
+/// registry a run is handed, so a profiled and an unprofiled run of the
+/// same input — engine or cluster — give the same results, only the
+/// profiled one holds `prof.*` instruments, and those hold its own lanes.
+#[test]
+fn profiled_and_unprofiled_runs_share_nothing() {
+    use desis::core::obs::prof::ProfClock;
+    use std::sync::Arc;
+    let has_prof = |snap: &MetricsSnapshot| snap.counters.keys().any(|k| k.starts_with("prof."));
+
+    let events = feeds(1, 5_000).remove(0);
+    let run_engine = |registry: Arc<MetricsRegistry>| {
+        let analyzer = QueryAnalyzer::default();
+        let mut engine =
+            AggregationEngine::with_registry(mixed_queries(), analyzer, registry).unwrap();
+        for ev in &events {
+            engine.on_event(ev);
+        }
+        engine.on_watermark(events.last().unwrap().ts + 60_000);
+        let results = engine.drain_results();
+        engine.metrics();
+        (results, engine.registry().snapshot())
+    };
+    let (plain, plain_snap) = run_engine(Arc::new(MetricsRegistry::new()));
+    let (timed, timed_snap) = run_engine(Arc::new(MetricsRegistry::profiled(ProfClock::wall())));
+    assert_eq!(timed, plain, "profiling must not perturb results");
+    assert!(!has_prof(&plain_snap));
+    assert!(timed_snap.counters["prof.seq.slicer_ns"] > 0);
+    assert_eq!(
+        timed_snap.counters["prof.seq.slicer_calls"],
+        events.len() as u64 + 1,
+        "one slicer span per event and one for the watermark"
+    );
+
+    let run = |profile: Option<ProfClock>| {
+        let mut cfg =
+            ClusterConfig::new(DistributedSystem::Desis, mixed_queries(), Topology::star(2));
+        cfg.profile = profile;
+        run_cluster(cfg, feeds(2, 5_000)).unwrap()
+    };
+    let (plain, timed) = (run(None), run(Some(ProfClock::wall())));
+    assert_eq!(timed.results, plain.results);
+    assert_eq!(timed.bytes_by_node, plain.bytes_by_node);
+    assert!(!has_prof(&plain.metrics));
+    for name in [
+        "prof.node1.ingest_ns",
+        "prof.node2.ingest_ns",
+        "prof.root.handler_ns",
+    ] {
+        assert!(timed.metrics.counters[name] > 0, "{name}");
+    }
+    assert_eq!(timed.metrics.counters["prof.node1.ingest_calls"], 5_000);
+}
+
 /// Checks the causal trace of one traced cluster run: every chain is
 /// time-monotone, and every chain that emitted a result is a complete
 /// `SliceCreated → … → ResultEmitted` provenance chain carrying every
