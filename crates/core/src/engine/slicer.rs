@@ -543,6 +543,23 @@ impl GroupSlicer {
         self.fire_time_puncts(ts, out);
     }
 
+    /// The earliest pending time punctuation: the next fixed-window
+    /// boundary or the gap end of an open session, whichever comes first —
+    /// the first instant at which [`GroupSlicer::on_watermark`] seals
+    /// something. `None` before the first event, and for a group whose
+    /// boundaries are all data-driven (count and user-defined windows).
+    #[inline]
+    pub fn next_punctuation(&self) -> Option<Timestamp> {
+        let mut next = self.next_time_punct;
+        for slot in &self.sessions {
+            if let Some(open) = &slot.open {
+                let gap_end = open.gap_end(slot.gap);
+                next = Some(next.map_or(gap_end, |t| t.min(gap_end)));
+            }
+        }
+        next
+    }
+
     /// Force-seals the current slice (node shutdown / end of measurement)
     /// without terminating any window.
     pub fn flush(&mut self, out: &mut Vec<SealedSlice>) {
@@ -557,22 +574,7 @@ impl GroupSlicer {
     /// timestamp order, sealing one slice per distinct punctuation time.
     #[inline]
     fn fire_time_puncts(&mut self, up_to: Timestamp, out: &mut Vec<SealedSlice>) {
-        loop {
-            let mut t: Option<Timestamp> = None;
-            if let Some(p) = self.next_time_punct {
-                if p <= up_to {
-                    t = Some(p);
-                }
-            }
-            for slot in &self.sessions {
-                if let Some(open) = &slot.open {
-                    let gap_end = open.gap_end(slot.gap);
-                    if gap_end <= up_to {
-                        t = Some(t.map_or(gap_end, |x| x.min(gap_end)));
-                    }
-                }
-            }
-            let Some(t) = t else { break };
+        while let Some(t) = self.next_punctuation().filter(|t| *t <= up_to) {
             self.seal_time_boundary(t, out);
         }
     }
@@ -1261,6 +1263,53 @@ mod tests {
         assert!(out.is_empty());
         s.flush(&mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn next_punctuation_is_the_earliest_pending_boundary_or_gap_end() {
+        let tumbling = Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum);
+        let sliding = Query::new(
+            2,
+            WindowSpec::sliding_time(300, 40).unwrap(),
+            AggFunction::Sum,
+        );
+        let session = Query::new(3, WindowSpec::session(25).unwrap(), AggFunction::Sum);
+        let mut out = Vec::new();
+
+        let mut s = slicer_for(vec![tumbling.clone()]);
+        assert_eq!(s.next_punctuation(), None, "no stream, no boundary");
+        s.on_event(&Event::new(230, 0, 1.0), &mut out);
+        assert_eq!(s.next_punctuation(), Some(300));
+        let mut s = slicer_for(vec![sliding.clone()]);
+        s.on_event(&Event::new(230, 0, 1.0), &mut out);
+        assert_eq!(s.next_punctuation(), Some(240));
+        let mut s = slicer_for(vec![session.clone()]);
+        s.on_event(&Event::new(230, 0, 1.0), &mut out);
+        assert_eq!(s.next_punctuation(), Some(255), "last event + gap");
+        s.on_event(&Event::new(250, 0, 1.0), &mut out);
+        assert_eq!(s.next_punctuation(), Some(275), "the session was extended");
+
+        // The minimum of both, moved by a watermark only once it gets there.
+        let mut s = slicer_for(vec![tumbling, session]);
+        s.on_event(&Event::new(230, 0, 1.0), &mut out);
+        s.on_event(&Event::new(290, 0, 1.0), &mut out);
+        out.clear();
+        assert_eq!(s.next_punctuation(), Some(300));
+        s.on_watermark(299, &mut out);
+        assert_eq!((s.next_punctuation(), out.len()), (Some(300), 0));
+        s.on_watermark(300, &mut out);
+        assert_eq!((s.next_punctuation(), out.len()), (Some(315), 1));
+        s.on_watermark(315, &mut out);
+        assert_eq!((s.next_punctuation(), out.len()), (Some(400), 2));
+        assert_eq!(out[1].ends[0].query, 3, "the session closed at its gap end");
+
+        // Count and user-defined windows end on data: nothing is pending.
+        let mut s = slicer_for(vec![
+            Query::new(1, WindowSpec::tumbling_count(3).unwrap(), AggFunction::Sum),
+            Query::new(2, WindowSpec::user_defined(1), AggFunction::Sum),
+        ]);
+        s.on_event(&Event::new(230, 0, 1.0), &mut out);
+        assert_eq!(s.next_punctuation(), None);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub fn unroutable_msgs(role: &str) -> String {
     format!("net.{role}.unroutable_msgs")
 }
 
-// --- net.node<id>.* (per-node egress) ---------------------------------
+// --- net.node<id>.* (per-node egress and progress) --------------------
 
 /// Payload bytes sent on `node`'s uplink.
 pub fn egress_bytes(node: u32) -> String {
@@ -135,6 +135,12 @@ pub fn egress_bytes(node: u32) -> String {
 /// Messages sent on `node`'s uplink.
 pub fn egress_msgs(node: u32) -> String {
     format!("net.node{node}.egress_msgs")
+}
+
+/// Watermarks the paced local `node` sent without data, one for every
+/// pending punctuation and grid point an idle gap of its feed passed.
+pub fn heartbeats(node: u32) -> String {
+    format!("net.node{node}.heartbeats")
 }
 
 // --- engine.* ---------------------------------------------------------
@@ -217,6 +223,8 @@ pub fn parse_prof_stage(name: &str) -> Option<(&str, &str, bool)> {
 
 /// Result latency (generation to emission) histogram of a cluster run.
 pub const CLUSTER_RESULT_LATENCY_US: &str = "cluster.result_latency_us";
+/// [`heartbeats`] summed over the run's locals.
+pub const CLUSTER_HEARTBEATS: &str = "cluster.heartbeats";
 /// Prefix under which summed local-engine counters are published.
 pub const CLUSTER_LOCAL_ENGINE_PREFIX: &str = "cluster.local_engine";
 /// Raw events that reached the root (centralized baseline traffic).
@@ -243,6 +251,7 @@ mod tests {
         assert_eq!(ingress_bytes("root"), "net.root.ingress_bytes");
         assert_eq!(ingress_msgs("root", TAG_SLICE), "net.root.msgs.slice");
         assert_eq!(egress_bytes(7), "net.node7.egress_bytes");
+        assert_eq!(heartbeats(7), "net.node7.heartbeats");
         assert_eq!(trace_stage_us(3, "merge"), "trace.q3.merge_us");
         assert_eq!(engine_shard_events(2), "engine.shard2.events");
         assert_eq!(engine_shard_batches(0), "engine.shard0.batches");

@@ -88,7 +88,8 @@ pub enum Stage {
     Replay = 9,
     /// Result draining and canonical sorting.
     Drain = 10,
-    /// Source pacing sleeps (cluster locals replaying at stream rate).
+    /// Source pacing sleeps (cluster locals replaying at stream rate:
+    /// waiting for the next event or heartbeat to fall due).
     Pace = 11,
     /// Receiving pump: blocking on incoming frames.
     Recv = 12,

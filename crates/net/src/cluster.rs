@@ -171,14 +171,40 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The wall ↔ event-time map of a paced source: event time `base` is due
+/// at `start`, and event time runs `speedup` × wall time from there.
+#[derive(Debug, Clone, Copy)]
+struct Pace {
+    base: Timestamp,
+    start: Instant,
+    speedup: f64,
+}
+
+impl Pace {
+    /// The wall-clock instant at which event time `ts` is due.
+    fn due(&self, ts: Timestamp) -> Instant {
+        let delta = ts.saturating_sub(self.base) as f64 / 1e3 / self.speedup;
+        self.start + Duration::from_secs_f64(delta)
+    }
+
+    /// Sleeps until event time `ts` is due, on `lane`'s [`Stage::Pace`];
+    /// a source that runs late does not wait.
+    fn wait_for(&self, ts: Timestamp, lane: &mut Option<prof::ProfHandle>) {
+        let wait = self.due(ts).saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            let _pace = prof::scope(lane, Stage::Pace);
+            std::thread::sleep(wait);
+        }
+    }
+}
+
 /// Wall-clock samples of event-time progress, shared by locals (writers)
 /// and the measurement of result latency (reader).
 #[derive(Debug, Default)]
 pub struct LatencyTable {
     samples: Mutex<BTreeMap<Timestamp, Instant>>,
-    /// When ingestion is paced, generation time is analytic:
-    /// `(first_ts, wall start, speedup)`.
-    pace: Mutex<Option<(Timestamp, Instant, f64)>>,
+    /// When ingestion is paced, generation time is analytic.
+    pace: Mutex<Option<Pace>>,
 }
 
 impl LatencyTable {
@@ -191,17 +217,17 @@ impl LatencyTable {
     /// Registers a paced run: event time `first_ts` maps to `start`, and
     /// event time advances at `speedup` × wall time.
     pub fn record_pace(&self, first_ts: Timestamp, start: Instant, speedup: f64) {
-        let mut pace = lock(&self.pace);
-        if pace.is_none() {
-            *pace = Some((first_ts, start, speedup));
-        }
+        lock(&self.pace).get_or_insert(Pace {
+            base: first_ts,
+            start,
+            speedup,
+        });
     }
 
     /// Wall-clock instant at which event time first advanced to `>= ts`.
     pub fn lookup(&self, ts: Timestamp) -> Option<Instant> {
-        if let Some((first_ts, start, speedup)) = *lock(&self.pace) {
-            let delta = ts.saturating_sub(first_ts) as f64 / 1e3 / speedup;
-            return Some(start + Duration::from_secs_f64(delta));
+        if let Some(pace) = *lock(&self.pace) {
+            return Some(pace.due(ts));
         }
         lock(&self.samples).range(ts..).next().map(|(_, i)| *i)
     }
@@ -412,12 +438,18 @@ impl Run<'_> {
         let mut since_sample = 0u64;
         let mut script = self.script.iter().peekable();
         let pace_start = Instant::now();
-        let mut first_ts: Option<Timestamp> = None;
+        // A paced source is a live source: its clock starts with its
+        // first event and runs through the gaps between events.
+        let mut pace: Option<Pace> = None;
+        let heartbeats = [
+            self.registry.counter(&names::heartbeats(node)),
+            self.registry.counter(names::CLUSTER_HEARTBEATS),
+        ];
         // Leaf-lane stage attribution: pace sleeps vs. actual ingest
         // work, so a profile distinguishes "replaying in real time" from
         // "saturated".
         let mut lane = self.registry.lane(&format!("node{node}"));
-        for ev in feed {
+        'feed: for ev in feed {
             if crash_at.is_some_and(|at| ev.ts >= at) {
                 // Crash: exit without finish or Flush. Dropping the
                 // uplink is the disconnect the parent sees.
@@ -429,31 +461,56 @@ impl Run<'_> {
                 self.fault_stats.stalls.inc();
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            while let Some((at, cmd)) = script.next_if(|(at, _)| ev.ts >= *at) {
+            // What event time passes on its way to `ev`, in event-time
+            // order: the scripted commands at or below `ev.ts` and, paced,
+            // every heartbeat below it — each when it is due, late or
+            // not, so the frames sent are a function of the feed alone.
+            loop {
+                let command = script.peek().map(|(at, _)| *at).filter(|at| *at <= ev.ts);
+                let until = command.unwrap_or(ev.ts);
+                // (Unpaced, the per-event path does not even ask.)
+                let beat = pace.and_then(|pace| {
+                    let t = worker.next_heartbeat().filter(|t| *t < until)?;
+                    Some((pace, t))
+                });
+                if let Some((pace, t)) = beat {
+                    pace.wait_for(t, &mut lane);
+                    heartbeats.iter().for_each(|c| c.inc());
+                    if !worker.on_watermark(t, &mut uplink) {
+                        break 'feed;
+                    }
+                    continue;
+                }
+                let Some((at, cmd)) = script.next_if(|_| command.is_some()) else {
+                    break;
+                };
                 match cmd {
                     CompiledCommand::Add(group) => worker.add_group(group),
                     CompiledCommand::Remove { id, immediate } => {
                         // The removal takes effect at the same event time
                         // on every node — the last instant before the
                         // script's — whatever this stream saw last.
-                        if !worker.on_watermark(at.saturating_sub(1), &mut uplink) {
-                            break;
+                        let at = at.saturating_sub(1);
+                        if let Some(pace) = pace {
+                            pace.wait_for(at, &mut lane);
+                        }
+                        if !worker.on_watermark(at, &mut uplink) {
+                            break 'feed;
                         }
                         worker.remove_query(*id, *immediate);
                     }
                 }
             }
             if let Some(speedup) = cfg.pace_speedup {
-                let base = *first_ts.get_or_insert_with(|| {
+                let pace = *pace.get_or_insert_with(|| {
                     self.latency.record_pace(ev.ts, pace_start, speedup);
-                    ev.ts
+                    Pace {
+                        base: ev.ts,
+                        start: pace_start,
+                        speedup,
+                    }
                 });
-                let due = (ev.ts - base) as f64 / 1e3 / speedup;
-                let elapsed = pace_start.elapsed().as_secs_f64();
-                if due > elapsed {
-                    let _pace = prof::scope(&mut lane, Stage::Pace);
-                    std::thread::sleep(Duration::from_secs_f64(due - elapsed));
-                }
+                pace.wait_for(ev.ts, &mut lane);
             }
             if since_sample == 0 {
                 self.latency.record(ev.ts);

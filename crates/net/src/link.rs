@@ -193,20 +193,17 @@ impl LinkSender {
         if fate.delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(fate.delay_ms));
         }
-        let wire = match fate.corrupt_at {
-            Some(pos) => {
-                let mut bad = frame.clone();
-                let at = pos % bad.len();
-                bad[at] ^= 0xA5;
-                bad
-            }
-            None => frame,
-        };
-        let mut ok = self.transmit(wire.clone());
-        if fate.duplicate {
-            ok = self.transmit(wire) && ok;
+        // History holds the clean copy; this one goes on the wire.
+        let mut wire = frame;
+        if let Some(pos) = fate.corrupt_at {
+            let at = pos % wire.len();
+            wire[at] ^= 0xA5;
         }
-        ok
+        if fate.duplicate {
+            let first = self.transmit(wire.clone());
+            return self.transmit(wire) && first;
+        }
+        self.transmit(wire)
     }
 
     /// Sends a raw event batch as one [`Message::Events`] frame, taking

@@ -94,19 +94,41 @@ impl UnfixedRootMerger {
 // Raw event merging (root-processed groups, centralized baselines).
 // ---------------------------------------------------------------------
 
-/// Watermark-aligned k-way merge of raw event streams: events are released
-/// in timestamp order once every child has advanced past them.
+/// Watermark-aligned k-way merge of raw event streams into the one
+/// sequence ordered by `(timestamp, child id, position in the child's
+/// stream)`, whatever the arrival order of the children's messages.
+///
+/// A child that vouched for `t` — by a watermark at `t`, or by a batch
+/// whose last event is at `t` — has sent everything *below* `t` and may
+/// still send events *at* `t` (a batch boundary or a watermark can fall
+/// inside a millisecond). So an event of child `c` at `t` is released
+/// once every child before `c` vouched past `t` and every child after it
+/// vouched for `t`: count-measured windows depend on the order being one.
 #[derive(Debug)]
 pub struct EventMerger {
-    children: FxHashMap<NodeId, ChildEvents>,
+    /// The children heard of so far, ascending by id.
+    children: Vec<ChildEvents>,
     expected_children: usize,
 }
 
 #[derive(Debug, Default)]
 struct ChildEvents {
+    id: NodeId,
     queue: VecDeque<Event>,
     guarantee: Timestamp,
     flushed: bool,
+}
+
+impl ChildEvents {
+    /// No event at or below `ts` is still to come.
+    fn vouched_past(&self, ts: Timestamp) -> bool {
+        self.flushed || self.guarantee > ts
+    }
+
+    /// No event below `ts` is still to come.
+    fn vouched_for(&self, ts: Timestamp) -> bool {
+        self.flushed || self.guarantee >= ts
+    }
 }
 
 impl EventMerger {
@@ -114,13 +136,24 @@ impl EventMerger {
     /// to at least 1).
     pub fn new(expected_children: usize) -> Self {
         Self {
-            children: FxHashMap::default(),
+            children: Vec::new(),
             expected_children: expected_children.max(1),
         }
     }
 
     fn child(&mut self, origin: NodeId) -> &mut ChildEvents {
-        self.children.entry(origin).or_default()
+        let at = match self.children.binary_search_by_key(&origin, |c| c.id) {
+            Ok(at) => at,
+            Err(at) => {
+                let child = ChildEvents {
+                    id: origin,
+                    ..ChildEvents::default()
+                };
+                self.children.insert(at, child);
+                at
+            }
+        };
+        &mut self.children[at]
     }
 
     /// Buffers a batch from one child.
@@ -143,50 +176,31 @@ impl EventMerger {
         self.child(origin).flushed = true;
     }
 
-    /// The timestamp up to which the merged stream is complete.
-    pub fn frontier(&self) -> Timestamp {
-        if self.children.len() < self.expected_children {
-            return 0;
-        }
-        self.children
-            .values()
-            .map(|c| {
-                if c.flushed {
-                    Timestamp::MAX
-                } else {
-                    c.guarantee
-                }
-            })
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Releases all events ready under the current frontier, in timestamp
-    /// order. Ties break towards the lowest child id, so the merged order
-    /// is deterministic (count-measured windows depend on it).
+    /// Releases, in merged order, every event no child can still get
+    /// ahead of (none until every expected child was heard of).
     pub fn drain_ready(&mut self, out: &mut Vec<Event>) {
-        let frontier = self.frontier();
-        let mut ids: Vec<NodeId> = self.children.keys().copied().collect();
-        ids.sort_unstable();
+        if self.children.len() < self.expected_children {
+            return;
+        }
         loop {
-            let mut best: Option<(NodeId, Timestamp)> = None;
-            for id in &ids {
-                let child = &self.children[id];
+            // The earliest queued event, the lowest child first. If it
+            // must wait, so must every later one.
+            let mut next: Option<(usize, Timestamp)> = None;
+            for (at, child) in self.children.iter().enumerate() {
                 if let Some(ev) = child.queue.front() {
-                    if ev.ts <= frontier && best.is_none_or(|(_, ts)| ev.ts < ts) {
-                        best = Some((*id, ev.ts));
+                    if next.is_none_or(|(_, ts)| ev.ts < ts) {
+                        next = Some((at, ev.ts));
                     }
                 }
             }
-            let Some((id, _)) = best else { break };
-            let Some(ev) = self
-                .children
-                .get_mut(&id)
-                .and_then(|child| child.queue.pop_front())
-            else {
+            let Some((at, ts)) = next else { break };
+            let (before, after) = self.children.split_at(at);
+            if !(before.iter().all(|c| c.vouched_past(ts))
+                && after[1..].iter().all(|c| c.vouched_for(ts)))
+            {
                 break;
-            };
-            out.push(ev);
+            }
+            out.extend(self.children[at].queue.pop_front());
         }
     }
 
@@ -195,7 +209,7 @@ impl EventMerger {
         self.children.len() == self.expected_children
             && self
                 .children
-                .values()
+                .iter()
                 .all(|c| c.flushed && c.queue.is_empty())
     }
 }
@@ -397,7 +411,8 @@ mod tests {
         m.on_events(1, vec![Event::new(20, 1, 2.0)]);
         let mut out = Vec::new();
         m.drain_ready(&mut out);
-        // Frontier = min(30, 20) = 20: events at 10 and 20 are safe.
+        // Child 0 vouched for 30 and child 1 for 20: the events at 10 and
+        // 20 are safe.
         assert_eq!(out.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![10, 20]);
         m.on_watermark(1, 100);
         m.drain_ready(&mut out);

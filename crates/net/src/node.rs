@@ -302,8 +302,12 @@ pub struct LocalWorker {
     needs_raw: bool,
     batch_size: usize,
     watermark_every: DurationMs,
+    /// The next point of the `watermark_every` grid, strictly after
+    /// `vouched` once the stream began.
     next_watermark: Timestamp,
-    last_ts: Timestamp,
+    /// The latest instant the node vouched for: its newest event or the
+    /// watermark it sent last, whichever is later.
+    vouched: Timestamp,
     scratch: Vec<SealedSlice>,
     events: u64,
 }
@@ -362,7 +366,7 @@ impl LocalWorker {
             batch_size,
             watermark_every,
             next_watermark: watermark_every,
-            last_ts: 0,
+            vouched: 0,
             scratch: Vec::new(),
             events: 0,
         };
@@ -461,7 +465,7 @@ impl LocalWorker {
     pub fn on_event(&mut self, ev: &Event, uplink: &mut LinkSender) -> bool {
         let mut up = self.forward(uplink);
         self.events += 1;
-        self.last_ts = ev.ts;
+        self.vouched = self.vouched.max(ev.ts);
         for group in &mut self.groups {
             group.slicer.on_event(ev, &mut self.scratch);
             if !group.ship(&mut self.scratch, &mut up) {
@@ -508,6 +512,9 @@ impl LocalWorker {
     }
 
     fn send_watermark(&mut self, ts: Timestamp, up: &mut Forward<'_>) -> bool {
+        // A watermark never lowers what the node vouched for.
+        let ts = ts.max(self.vouched);
+        self.vouched = ts;
         self.next_watermark =
             next_multiple_after(ts, self.watermark_every).unwrap_or(Timestamp::MAX);
         // A watermark also drives local slicers so idle streams still
@@ -526,19 +533,47 @@ impl LocalWorker {
         self.ship_sharded(up) && up.raw_batch(&mut self.batch) && up.watermark(ts)
     }
 
-    /// Advances event time to `ts` without data: fires the slicers'
-    /// pending punctuations, ships what they seal and tells the parent.
-    /// Returns `false` if the uplink is closed.
+    /// The next instant at which this node has something to say without
+    /// data, strictly after the last one it vouched for: the earliest
+    /// pending punctuation of its own slicers or the next point of the
+    /// `watermark_every` grid, whichever comes first. Sharded and
+    /// raw-shipped groups ride the grid — the shards' slicer state is not
+    /// visible from the node's event loop, and only the root slices a raw
+    /// group. `None` before the first event: a stream that has not begun
+    /// has no clock.
+    ///
+    /// A live source calls [`LocalWorker::on_watermark`] at every such
+    /// instant that passes before its next event, so results leave when
+    /// they are due, not when the stream resumes.
+    pub fn next_heartbeat(&self) -> Option<Timestamp> {
+        if self.events == 0 {
+            return None;
+        }
+        let punctuations = self
+            .groups
+            .iter()
+            .filter_map(|g| g.slicer.next_punctuation());
+        punctuations
+            .chain([self.next_watermark])
+            .filter(|t| *t > self.vouched)
+            .min()
+    }
+
+    /// Advances event time to `ts` (or to what the node already vouched
+    /// for, if that is later) without data: fires the slicers' pending
+    /// punctuations, ships what they seal and tells the parent. Returns
+    /// `false` if the uplink is closed.
     pub fn on_watermark(&mut self, ts: Timestamp, uplink: &mut LinkSender) -> bool {
         let mut up = self.forward(uplink);
         self.send_watermark(ts, &mut up)
     }
 
-    /// Ends the stream: advances time by `horizon` to fire pending
-    /// windows, flushes batches, and sends `Flush`.
+    /// Ends the stream: advances time by `horizon` past the last instant
+    /// the node vouched for to fire pending windows, flushes batches, and
+    /// sends `Flush`.
     pub fn finish(&mut self, horizon: DurationMs, uplink: &mut LinkSender) -> bool {
         let mut up = self.forward(uplink);
-        if !self.send_watermark(self.last_ts.saturating_add(horizon), &mut up) {
+        if !self.send_watermark(self.vouched.saturating_add(horizon), &mut up) {
             return false;
         }
         if let Some(sharded) = &mut self.sharded {
@@ -832,7 +867,7 @@ struct Terminal {
     /// The per-origin mergers in front of the unfixed groups' terminals
     /// (intermediates pass those slices through unmerged).
     unfixed: BTreeMap<GroupId, UnfixedMerger<NodeId>>,
-    /// Scripted removals event time has not reached yet, ascending:
+    /// Scripted removals event time has not passed yet, ascending:
     /// `(event time, query, immediate)`.
     removals: VecDeque<(Timestamp, QueryId, bool)>,
     centralized: Option<Box<dyn Processor>>,
@@ -860,7 +895,7 @@ impl Terminal {
     /// Schedules the removal of `query` at event time `at`. An aligned
     /// terminal reads the retirement rule off its slice stream, whenever
     /// it is told, so it is told now; whatever slices or merges per
-    /// origin is told when event time gets there ([`Terminal::reach`]).
+    /// origin is told when event time has passed it ([`Terminal::reach`]).
     fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) {
         for group in self.groups.values_mut() {
             if matches!(group, GroupTerminal::Aligned(_)) {
@@ -872,9 +907,9 @@ impl Terminal {
     }
 
     /// Applies the removals scheduled at or before `ts`, which event time
-    /// is about to pass: an immediate one purges what the unfixed mergers
-    /// still hold for the query, and slicing terminals stop its windows
-    /// at that instant.
+    /// has passed — every event at or below `ts` is in: an immediate one
+    /// purges what the unfixed mergers still hold for the query, and
+    /// slicing terminals stop its windows at that instant.
     fn reach(&mut self, ts: Timestamp) {
         while let Some((at, query, immediate)) = self.removals.pop_front_if(|r| r.0 <= ts) {
             if immediate {
@@ -958,7 +993,13 @@ impl Upstream for Terminal {
     }
 
     fn watermark(&mut self, ts: Timestamp) -> bool {
-        self.reach(ts);
+        // A watermark at `ts` vouches for what lies below it: raw events
+        // *at* `ts` may still be held behind a lower child
+        // ([`EventMerger`]), so a removal at `ts` waits for the first
+        // event or watermark past it.
+        if let Some(passed) = ts.checked_sub(1) {
+            self.reach(passed);
+        }
         // Idle children produce no slices but still vouch for time.
         for merger in self.unfixed.values_mut() {
             merger.advance(ts);

@@ -65,6 +65,43 @@ fn local_worker_forwards_raw_for_count_groups() {
     assert_eq!(raw_events, 100);
 }
 
+/// A local's next heartbeat is the earliest of its slicers' pending
+/// punctuations and the next grid point, strictly after what it vouched
+/// for; a watermark never takes that back, and `finish` starts from it.
+#[test]
+fn local_heartbeats_follow_punctuations_and_the_grid_and_never_go_back() {
+    let queries = vec![
+        Query::new(1, WindowSpec::tumbling_time(400).unwrap(), AggFunction::Sum),
+        Query::new(2, WindowSpec::session(150).unwrap(), AggFunction::Sum),
+        // Raw-shipped: only the root slices it, so it rides the grid.
+        Query::new(3, WindowSpec::tumbling_count(10).unwrap(), AggFunction::Sum),
+    ];
+    let groups = analyze_for(DistributedSystem::Desis, queries).unwrap();
+    let mut local = LocalWorker::new(1, DistributedSystem::Desis, &groups, 64, 1_000);
+    let (mut tx, rx, _) = link(CodecKind::Binary, 4096, None);
+    assert_eq!(local.next_heartbeat(), None, "no stream, no clock");
+    assert!(local.on_event(&Event::new(130, 0, 1.0), &mut tx));
+    let mut beats = Vec::new();
+    while let Some(t) = local.next_heartbeat().filter(|t| *t < 2_100) {
+        beats.push(t);
+        assert!(local.on_watermark(t, &mut tx));
+    }
+    assert_eq!(beats, [280, 400, 800, 1_000, 1_200, 1_600, 2_000]);
+    // Late news changes nothing: the node stands by 2 000.
+    assert!(local.on_watermark(1_234, &mut tx));
+    assert_eq!(local.next_heartbeat(), Some(2_400));
+    assert!(local.finish(500, &mut tx));
+    drop(tx);
+    let mut watermarks = Vec::new();
+    while let Some(msg) = rx.recv() {
+        if let Message::Watermark(ts) = msg.unwrap() {
+            watermarks.push(ts);
+        }
+    }
+    beats.extend([2_000, 2_500]);
+    assert_eq!(watermarks, beats);
+}
+
 #[test]
 fn intermediate_merges_before_forwarding() {
     let queries = vec![Query::new(
@@ -284,6 +321,60 @@ fn local_worker_remove_query_stops_its_windows() {
     }
     // The session was dropped before its gap could fire.
     assert_eq!(session_gaps, 0);
+}
+
+/// A removal at `at` waits until event time is strictly past `at`: a
+/// watermark *at* `at` says what lies below it has been sent, and the
+/// higher child's raw events of that millisecond are still held behind
+/// the lower child, which may add to it.
+#[test]
+fn root_applies_a_removal_after_the_held_events_of_its_millisecond() {
+    const AT: Timestamp = 99;
+    let queries = vec![Query::new(
+        1,
+        WindowSpec::sliding_count(4, 1).unwrap(),
+        AggFunction::Sum,
+    )];
+    let groups = analyze_for(DistributedSystem::Desis, queries.clone()).unwrap();
+    // One event per child and millisecond, up to `AT` and from `AT + 1`.
+    let stream = |child: u32, span: std::ops::RangeInclusive<Timestamp>| -> Vec<Event> {
+        span.map(|ts| Event::new(ts, child, (ts * 2 + u64::from(child)) as f64))
+            .collect()
+    };
+    for immediate in [true, false] {
+        let mut oracle = desis_core::engine::AggregationEngine::new(queries.clone()).unwrap();
+        let merged = |span: std::ops::RangeInclusive<Timestamp>| {
+            span.flat_map(|ts| [0, 1].map(|child| stream(child, ts..=ts)[0]))
+        };
+        merged(90..=AT).for_each(|ev| oracle.on_event(&ev));
+        oracle.on_watermark(AT);
+        oracle.remove_query(1, immediate).unwrap();
+        merged(AT + 1..=110).for_each(|ev| oracle.on_event(&ev));
+        oracle.on_watermark(1_000);
+        let mut expected = oracle.drain_results();
+        desis_core::query::sort_results(&mut expected);
+
+        let mut root =
+            RootWorker::new(DistributedSystem::Desis, &groups, &queries, 2, vec![0, 1]).unwrap();
+        root.remove_query(1, AT, immediate);
+        for child in [0, 1] {
+            root.on_message(child, Message::Events(stream(child, 90..=AT)));
+        }
+        // Both children vouch *for* `AT`: the root's clock stands there
+        // with child 1's event of that millisecond still queued.
+        for child in [0, 1] {
+            root.on_message(child, Message::Watermark(AT));
+        }
+        for child in [0, 1] {
+            root.on_message(child, Message::Events(stream(child, AT + 1..=110)));
+            root.on_message(child, Message::Watermark(1_000));
+            root.on_message(child, Message::Flush);
+        }
+        assert!(root.finished());
+        let mut results = root.drain_results();
+        desis_core::query::sort_results(&mut results);
+        assert_eq!(results, expected, "immediate={immediate}");
+    }
 }
 
 #[test]

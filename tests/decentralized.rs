@@ -619,7 +619,13 @@ fn results_digest(results: &[QueryResult]) -> (usize, u64) {
 /// frames on each of the three links and produce exactly the recorded
 /// results — for Desis, Disco and the centralized Scotty baseline. The
 /// constants were recorded from this test on the code of PR 14; a change
-/// to them is a change of the wire protocol or of results.
+/// to them is a change of the wire protocol or of results. (The three
+/// `intermediate` links were re-recorded in PR 24, 4 `Events` frames more
+/// each: both locals carry their markers at the same instants, five of
+/// which local 0 also sends its grid watermark *at*, and the
+/// intermediate's `EventMerger` no longer forwards local 1's event of
+/// such an instant while local 0 may still add to it. Same events, same
+/// order, same results; the locals' links did not move.)
 #[test]
 fn worker_wire_transcript_is_pinned() {
     use desis::net::node::{analyze_for, IntermediateWorker, LocalWorker, RootWorker};
@@ -648,7 +654,7 @@ fn worker_wire_transcript_is_pinned() {
                 (123, 30_219, 12305459716169122039),
                 (123, 30_318, 8777263300021641076),
             ],
-            intermediate: (229, 60_410, 9148277542848733309),
+            intermediate: (233, 60_466, 1304290562843795239),
             results: (870, 8758588666651438953),
         },
         // Disco ships per-window partials keyed by window range, which
@@ -660,7 +666,7 @@ fn worker_wire_transcript_is_pinned() {
                 (135, 35_259, 8490938443825535600),
                 (135, 35_378, 5075666609732361505),
             ],
-            intermediate: (169, 57_752, 4810832684748170182),
+            intermediate: (173, 57_880, 9936669114250244467),
             results: (730, 13551523760188392771),
         },
         Pinned {
@@ -670,7 +676,7 @@ fn worker_wire_transcript_is_pinned() {
                 (51, 18_942, 1644316457697413408),
                 (51, 19_041, 7266580636548109149),
             ],
-            intermediate: (85, 37_755, 14618599531549428253),
+            intermediate: (89, 37_807, 6823332382532674370),
             results: (870, 8758588666651438953),
         },
     ];

@@ -1038,6 +1038,12 @@ fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
 /// emitted nothing for the query in either mode (the collector dropped
 /// it together with the slices still in flight) and the root kept
 /// assembling until its next watermark (last ends 4000 and 6000).
+///
+/// A paced cluster is a live source and heartbeats through the gaps of
+/// its feed (the window boundaries and grid points inside them): with the
+/// stream silent from 2900 to 4100 the removal lands inside a gap, after
+/// the heartbeat at 3000 and before the one at 3500, and the answer is
+/// still the sequential engine's over the same stream.
 #[test]
 fn remove_query_gives_one_answer_on_all_three_engines() {
     const T: Timestamp = 3_250;
@@ -1059,11 +1065,17 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
         .map(|ts| Event::new(ts, (ts % 4) as Key, (ts % 13) as f64))
         .collect();
     let (before, after) = events.split_at(T as usize);
+    let gapped: Vec<Event> = events
+        .iter()
+        .filter(|ev| !(2_900..4_100).contains(&ev.ts))
+        .copied()
+        .collect();
     let final_wm = 12_000;
 
     for (immediate, results, last_end) in [(true, 12, 3_000), (false, 28, 5_000)] {
-        let sequential = |watermark_first: bool| {
+        let sequential_over = |events: &[Event], watermark_first: bool| {
             let mut engine = AggregationEngine::new(queries()).unwrap();
+            let (before, after) = events.split_at(events.partition_point(|ev| ev.ts < T));
             before.iter().for_each(|ev| engine.on_event(ev));
             if watermark_first {
                 engine.on_watermark(T - 1);
@@ -1073,6 +1085,7 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
             engine.on_watermark(final_wm);
             canon(engine.drain_results())
         };
+        let sequential = |watermark_first: bool| sequential_over(&events, watermark_first);
         let oracle = sequential(false);
         let removed: Vec<_> = oracle.iter().filter(|r| r.query == 2).collect();
         assert_eq!(removed.len(), results, "immediate={immediate}");
@@ -1097,13 +1110,31 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
             );
         }
 
-        for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
-            let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), topology);
-            cfg.script = vec![(T, ClusterCommand::RemoveQuery { id: 2, immediate })];
-            // Keys 0 and 2 on one local, 1 and 3 on the other.
-            let feeds = shard_by_key(&events, 2);
-            let report = run_cluster(cfg, feeds).unwrap();
-            assert_eq!(canon(report.results), oracle, "immediate={immediate}");
+        let gapped_oracle = sequential_over(&gapped, true);
+        let removed = gapped_oracle.iter().filter(|r| r.query == 2);
+        assert_eq!(removed.map(|r| r.window_end).max(), Some(last_end));
+        // Unpaced over the dense stream; paced (8 s of event time in
+        // 20 ms) over the gapped one.
+        let cases = [
+            (&events, &oracle, None),
+            (&gapped, &gapped_oracle, Some(400.0)),
+        ];
+        for (stream, oracle, pace_speedup) in cases {
+            for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
+                let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), topology);
+                cfg.script = vec![(T, ClusterCommand::RemoveQuery { id: 2, immediate })];
+                cfg.pace_speedup = pace_speedup;
+                // Keys 0 and 2 on one local, 1 and 3 on the other.
+                let report = run_cluster(cfg, shard_by_key(stream, 2)).unwrap();
+                let heartbeats = report.metrics.counters["cluster.heartbeats"];
+                assert_eq!(heartbeats >= 4, pace_speedup.is_some());
+                assert_eq!(
+                    &canon(report.results),
+                    oracle,
+                    "immediate={immediate} paced={}",
+                    pace_speedup.is_some()
+                );
+            }
         }
     }
 }
