@@ -136,7 +136,7 @@ mod tests {
     fn terminal(queries: Vec<Query>) -> RawTerminal {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
-        RawTerminal::new(groups.remove(0), None)
+        RawTerminal::new(groups.remove(0))
     }
 
     /// End-to-end slicer + assembler over one group.

@@ -97,10 +97,7 @@ impl AggregationEngine {
             analyzer.analyze(queries)?
         };
         let next_group_id = groups.len() as GroupId;
-        let pipelines = groups
-            .into_iter()
-            .map(|g| RawTerminal::new(g, None))
-            .collect();
+        let pipelines = groups.into_iter().map(RawTerminal::new).collect();
         Ok(Self {
             analyzer,
             pipelines,
@@ -190,7 +187,7 @@ impl AggregationEngine {
         let mut group = groups.remove(0);
         group.id = self.next_group_id;
         self.next_group_id += 1;
-        self.pipelines.push(RawTerminal::new(group, None));
+        self.pipelines.push(RawTerminal::new(group));
         Ok(())
     }
 

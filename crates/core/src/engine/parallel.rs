@@ -7,9 +7,15 @@
 //! as a sequential engine and merging shard partials per slice
 //! reconstructs the sequential slice exactly. [`ParallelEngine`]
 //! hash-partitions events by `key % shards` across N worker threads,
-//! each running the existing reorder→slicer pipeline, and a
-//! shard-merging window assembler recombines the per-shard slice
-//! partials before emission.
+//! each running one slicer per group, and a shard-merging window
+//! assembler recombines the per-shard slice partials before emission.
+//!
+//! **Where disorder is handled.** Once, at the inlet on the caller's
+//! thread: with [`ParallelConfig::lateness`] set, every batch passes one
+//! [`super::ReorderBuffer`] before it is partitioned, so every shard
+//! receives its part of the one ordered stream a sequential engine
+//! behind the same buffer would see — the same events dropped as too
+//! late, each counted once ([`ParallelEngine::late_dropped`]).
 //!
 //! **What shards.** *Fixed time* windows
 //! ([`crate::window::WindowSpec::has_precomputable_puncts`]) slice at
@@ -22,13 +28,11 @@
 //! *clear frontiers* so no session is released before the sequential
 //! engine would have closed it) and aligns user-defined windows, whose
 //! boundary markers the inlet broadcasts to every shard. *Count*
-//! windows advance only on selection-matching events, so each shard
-//! runs the query's selection predicates as a filter and forwards
-//! matches — tagged with inlet sequence numbers — back to the
-//! collector, where a sequential replay pipeline consumes them in
-//! global ingest order at every watermark barrier (the parallel win is
-//! the distributed predicate evaluation, not the aggregation itself).
-//! No query class pins the caller thread anymore.
+//! windows are placed on the ordered stream alone (paper Sections 4.1–4.2):
+//! the inlet evaluates each count group's selection predicates once per
+//! event and the group's slicer, on the driver thread, takes the matches
+//! as each batch leaves for the shards — it slices while they do, and is
+//! advanced only at watermarks.
 //!
 //! **Determinism.** Watermarks are barriers: [`ParallelEngine::on_watermark`]
 //! waits until every live shard acknowledged the watermark, so the set
@@ -72,10 +76,11 @@ pub struct ParallelConfig {
     /// Events accumulated at the inlet before a batch is sent to the
     /// shards (amortizes channel overhead).
     pub batch_size: usize,
-    /// Allowed out-of-orderness: `Some(l)` runs a reorder buffer of
-    /// lateness `l` in front of every shard's slicers (and the
-    /// collector-side count replays); `None` assumes timestamp-ordered
-    /// input, like [`super::AggregationEngine`].
+    /// Allowed out-of-orderness: `Some(l)` orders the stream at the
+    /// inlet through one reorder buffer of lateness `l`, in front of the
+    /// shards and the count groups alike, so results and drops are those
+    /// of that buffer in front of [`super::AggregationEngine`]; `None`
+    /// assumes timestamp-ordered input, like the sequential engine.
     pub lateness: Option<DurationMs>,
     /// Registry the sharded slicer counts into: the per-shard inlet
     /// counters live there from spawn, and if it is profiled the

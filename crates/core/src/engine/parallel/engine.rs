@@ -1,6 +1,7 @@
 //! The parallel engine facade: [`ParallelEngine`] ends every sharded
-//! group's merged slice stream in a [`GroupTerminal`] and replays count
-//! query-groups at the collector through a [`RawTerminal`].
+//! group's merged slice stream in a [`GroupTerminal`] and slices count
+//! query-groups on the driver thread through a [`RawTerminal`], fed from
+//! the inlet's ordered stream.
 
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, Stage};
 use crate::obs::trace::TraceCollector;
-use crate::obs::MetricsRegistry;
+use crate::obs::{names, MetricsRegistry};
 use crate::query::{Query, QueryId, QueryResult};
 use crate::time::Timestamp;
 
@@ -45,17 +46,15 @@ pub struct ParallelEngine {
     /// The terminal of every sharded group, by its index in the merged
     /// slice stream.
     terminals: Vec<GroupTerminal>,
-    /// Count-measured query-groups, replayed sequentially at the
-    /// collector: the shard-side filters forward only selection-matching
-    /// events (count windows advance on matches only, so the filter is
-    /// result-preserving), and the replay consumes them in global ingest
-    /// order at every watermark barrier. Indexed by replay slot.
+    /// Count-measured query-groups, sliced on the driver thread: each
+    /// takes its inlet filter's matches (count windows advance on matches
+    /// only, so the filter is result-preserving) as every batch leaves
+    /// for the shards, while they slice it. Indexed by replay slot.
     replays: Vec<RawTerminal>,
     merged: Vec<(usize, SealedSlice)>,
     results: Vec<QueryResult>,
     registry: Arc<MetricsRegistry>,
     events: u64,
-    cfg: ParallelConfig,
     query_ids: Vec<QueryId>,
     next_group_id: crate::engine::GroupId,
 }
@@ -77,7 +76,6 @@ impl ParallelEngine {
         mut cfg: ParallelConfig,
         registry: Arc<MetricsRegistry>,
     ) -> Result<Self, DesisError> {
-        cfg.shards = cfg.shards.max(1);
         // The slicer counts and times into the engine's registry.
         cfg.registry = Some(Arc::clone(&registry));
         let mut engine = Self {
@@ -88,7 +86,6 @@ impl ParallelEngine {
             results: Vec::new(),
             registry,
             events: 0,
-            cfg,
             query_ids: Vec::new(),
             next_group_id: 0,
         };
@@ -110,9 +107,9 @@ impl ParallelEngine {
 
     /// Analyzes `queries` — all of one plan — into query-groups and
     /// installs each on the shards and at the collector: a slicer per
-    /// shard with a merger and a terminal here, or, for count windows,
-    /// shard-side filters feeding a collector replay. The groups start
-    /// processing with the next ingested event.
+    /// shard with a merger and a terminal here, or, for count windows, an
+    /// inlet filter feeding a terminal here. The groups start processing
+    /// with the next ingested event.
     fn install(&mut self, queries: Vec<Query>) -> Result<(), DesisError> {
         if queries.is_empty() {
             return Ok(());
@@ -130,8 +127,7 @@ impl ParallelEngine {
                     let predicates = group.selections.iter().map(|s| s.predicate).collect();
                     let replay = sharded.add_count_filter(predicates);
                     debug_assert_eq!(replay, self.replays.len());
-                    self.replays
-                        .push(RawTerminal::new(group, self.cfg.lateness));
+                    self.replays.push(RawTerminal::new(group));
                 }
                 plan => {
                     self.terminals.push(GroupTerminal::new(plan, &group));
@@ -146,10 +142,10 @@ impl ParallelEngine {
 
     /// Worker shard count.
     pub fn shards(&self) -> usize {
-        self.cfg.shards
+        self.sharded.shards()
     }
 
-    /// Number of query-groups (sharded + count replays).
+    /// Number of query-groups (sharded + count groups).
     pub fn group_count(&self) -> usize {
         self.terminals.len() + self.replays.len()
     }
@@ -164,12 +160,11 @@ impl ParallelEngine {
         self.sharded.shard_panics()
     }
 
-    /// Events dropped as too late across the sharded reorder buffers
-    /// and the count replays' buffers (0 when no lateness is
-    /// configured).
+    /// Events the inlet's reorder buffer dropped as too late (0 when no
+    /// lateness is configured): each one once, whichever groups it was
+    /// for.
     pub fn late_dropped(&self) -> u64 {
-        let replays: u64 = self.replays.iter().map(RawTerminal::late_dropped).sum();
-        self.sharded.late_dropped() + replays
+        self.sharded.late_dropped()
     }
 
     /// Enables causal slice tracing on every shard worker and the
@@ -190,6 +185,7 @@ impl ParallelEngine {
     pub fn on_event(&mut self, ev: &Event) {
         self.events += 1;
         if self.sharded.on_event(ev) {
+            self.slice_counts(None);
             self.collect_ready();
         }
     }
@@ -198,36 +194,36 @@ impl ParallelEngine {
     pub fn on_batch(&mut self, batch: &EventBatch) {
         self.events += batch.len() as u64;
         self.sharded.on_batch(batch);
+        self.slice_counts(None);
         self.collect_ready();
     }
 
     /// Advances event time. This is a **barrier**: it returns once every
     /// live shard has processed the watermark, so a subsequent
-    /// [`ParallelEngine::drain_results`] is deterministic.
+    /// [`ParallelEngine::drain_results`] is deterministic. The count
+    /// groups reach the watermark while the shards work towards it.
     pub fn on_watermark(&mut self, ts: Timestamp) {
-        self.sharded.on_watermark(ts);
-        self.replay_counts(Some(ts));
+        self.sharded.send_watermark(ts);
+        self.slice_counts(Some(ts));
+        self.sharded.await_watermark(ts);
         self.collect_ready();
     }
 
-    /// Replays the count-query events forwarded by the shard filters.
-    /// Called only at watermark barriers (`wm = Some(ts)`) and at finish
-    /// (`wm = None`), when the forwarded set is complete; the inlet
-    /// sequence tags restore global ingest order across shards.
-    fn replay_counts(&mut self, wm: Option<Timestamp>) {
+    /// Slices the count groups' inlet matches not yet taken, then
+    /// advances them to `wm` if given.
+    fn slice_counts(&mut self, wm: Option<Timestamp>) {
         if self.replays.is_empty() {
             return;
         }
         let sharded = &mut self.sharded;
-        // Replay is driver-lane self-time; the merge spans recorded by
-        // `take_count_events → collect` on the same handle are nested
-        // and subtract out.
         let replay_t0 = prof::stamp(&sharded.prof);
         for (idx, replay) in self.replays.iter_mut().enumerate() {
-            let mut items = sharded.take_count_events(idx);
-            items.sort_unstable_by_key(|(seq, _)| *seq);
-            let events = items.into_iter().map(|(_, ev)| ev);
-            replay.replay(events, wm, &mut self.results);
+            for (_, ev) in sharded.count_matches(idx).drain(..) {
+                replay.on_event(&ev, &mut self.results);
+            }
+            if let Some(ts) = wm {
+                replay.on_watermark(ts, &mut self.results);
+            }
         }
         prof::record(&mut sharded.prof, Stage::Replay, replay_t0);
     }
@@ -264,15 +260,15 @@ impl ParallelEngine {
         out
     }
 
-    /// Removes a query at runtime on every shard and count replay, the
+    /// Removes a query at runtime on every shard and count group, the
     /// counterpart of [`ParallelEngine::add_query`], with the sequential
     /// engine's answer: the removal takes effect at the event time the
     /// stream has reached, `immediate` keeps the query's windows that
     /// ended by then, a draining removal also those that had started.
-    /// An aligned group needs no barrier for that — its terminal reads
-    /// the rule off the slice stream, so windows whose slices are still
-    /// in flight assemble as they arrive; a count replay is first brought
-    /// up to the removal, which takes one.
+    /// No group needs a barrier for that: an aligned terminal reads the
+    /// rule off the slice stream, so windows whose slices are still in
+    /// flight assemble as they arrive, and a count group has sliced
+    /// everything the inlet released once it took its matches.
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
         self.query_ids.retain(|q| *q != id);
         // Before its first event the stream stands nowhere, and a slicer
@@ -284,13 +280,14 @@ impl ParallelEngine {
         for terminal in &mut self.terminals {
             terminal.remove_query(id, at, immediate, &mut self.results);
         }
+        self.slice_counts(None);
         if let Some(replay) = self
             .replays
-            .iter()
-            .position(|r| r.slicer.group().query_index(id).is_some())
+            .iter_mut()
+            .find(|r| r.slicer.group().query_index(id).is_some())
         {
-            self.on_watermark(at);
-            self.replays[replay].slicer.remove_query(id, immediate);
+            replay.on_watermark(at, &mut self.results);
+            replay.slicer.remove_query(id, immediate);
         }
     }
 
@@ -310,13 +307,13 @@ impl ParallelEngine {
         self.install(vec![query])
     }
 
-    /// Ends the stream: joins the shard workers, replays the remaining
-    /// count events, and drains what the watermarks covered. Call after
-    /// a final [`ParallelEngine::on_watermark`] past the last window of
-    /// interest.
+    /// Ends the stream: joins the shard workers, slices the count
+    /// groups' remaining matches, and drains what the watermarks covered.
+    /// Call after a final [`ParallelEngine::on_watermark`] past the last
+    /// window of interest.
     pub fn finish(&mut self) {
         self.sharded.finish();
-        self.replay_counts(None);
+        self.slice_counts(None);
         self.collect_ready();
     }
 
@@ -324,10 +321,16 @@ impl ParallelEngine {
     /// counters of shard workers are complete after
     /// [`ParallelEngine::finish`]. Also publishes cumulative `engine.*`
     /// and per-shard counters into the registry, next to gauges of the
-    /// state the collector retains for open windows.
+    /// state the collector and the inlet's reorder buffer retain.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = self.sharded.metrics();
         self.sharded.publish(&self.registry);
+        self.registry
+            .counter(names::ENGINE_LATE_DROPPED)
+            .raise_to(self.late_dropped());
+        self.registry
+            .gauge(names::ENGINE_REORDER_BUFFERED_MAX)
+            .set_max(self.sharded.reorder_buffered_max() as i64);
         let mut retained = self.sharded.retained_state();
         for terminal in &self.terminals {
             terminal.roll_up(&mut m, &mut retained);

@@ -1,11 +1,10 @@
 //! The shard-side worker of the parallel engine: the messages the inlet
 //! sends a shard, the items a shard hands back to the collector, and the
-//! worker loop (reorder → one slicer per sharded group → handoff inbox).
+//! worker loop (one slicer per sharded group → handoff inbox).
 
 use std::sync::Arc;
 
 use super::handoff::{Inbox, InboxGuard};
-use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
 use crate::engine::QueryGroup;
@@ -13,20 +12,14 @@ use crate::event::Event;
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, ProfHandle, Stage};
 use crate::obs::trace::TraceCollector;
-use crate::predicate::Predicate;
 use crate::query::QueryId;
-use crate::time::{DurationMs, Timestamp};
+use crate::time::Timestamp;
 
 /// Messages from the inlet to one shard worker.
 #[derive(Debug)]
 pub(super) enum ShardMsg {
-    /// A key-partitioned event batch, in ingestion order.
+    /// A key-partitioned event batch, in timestamp order.
     Batch(Vec<Event>),
-    /// A key-partitioned batch tagged with global inlet sequence
-    /// numbers, sent instead of [`ShardMsg::Batch`] while count-query
-    /// filters are installed (the tags let the collector replay
-    /// forwarded events in global ingest order).
-    SeqBatch(Vec<(u64, Event)>),
     /// Advance event time (punctuation-seals idle spans); the worker
     /// acknowledges with a frontier item.
     Watermark(Timestamp),
@@ -34,9 +27,6 @@ pub(super) enum ShardMsg {
     Remove { id: QueryId, immediate: bool },
     /// Add a query-group at runtime: one more slicer on this shard.
     AddGroup(QueryGroup),
-    /// Install a count-query filter: forward events matching any of the
-    /// predicates to the collector's replay slot.
-    AddCountFilter(usize, Vec<Predicate>),
     /// Enable causal tracing: mint one recorder per slicer for `node`.
     Install(TraceCollector, u32),
     /// End of stream: report metrics and exit cleanly.
@@ -64,19 +54,10 @@ pub(super) enum ShardItem {
         group: usize,
         clears: Vec<(usize, Timestamp)>,
     },
-    /// Events matching a count query's selections, tagged with inlet
-    /// sequence numbers, for the collector's replay slot.
-    CountEvents {
-        replay: usize,
-        items: Vec<(u64, Event)>,
-    },
     /// The shard has processed every event up to this watermark.
     Frontier(Timestamp),
     /// Final per-shard metrics, sent right before a clean exit.
-    Done {
-        metrics: EngineMetrics,
-        late_dropped: u64,
-    },
+    Done(EngineMetrics),
 }
 
 /// Feeds a run of in-order events through every slicer of the shard and
@@ -140,25 +121,21 @@ fn push_clears(slicers: &[GroupSlicer], guard: &InboxGuard<ShardItem>, floor: Ti
     }
 }
 
-/// The shard worker loop: reorder (optional) → one slicer per sharded
-/// group (+ count-query filters) → handoff inbox. Runs on its own
-/// thread; panics anywhere in the loop are reported by the guard and
+/// The shard worker loop: one slicer per sharded group → handoff inbox.
+/// Batches arrive in timestamp order (the inlet reorders). Runs on its
+/// own thread; panics anywhere in the loop are reported by the guard and
 /// degrade only this shard.
 pub(super) fn run_shard(
     shard: usize,
     shards_total: usize,
     mut slicers: Vec<GroupSlicer>,
-    lateness: Option<DurationMs>,
     rx: crossbeam_channel::Receiver<ShardMsg>,
     inbox: Arc<Inbox<ShardItem>>,
     mut prof: Option<ProfHandle>,
 ) {
     let guard = InboxGuard::new(inbox, shard);
-    let mut reorder = lateness.map(ReorderBuffer::new);
-    let mut ordered: Vec<Event> = Vec::new();
     let mut scratch: Vec<SealedSlice> = Vec::new();
     let mut outs: Vec<Vec<SealedSlice>> = Vec::new();
-    let mut count_filters: Vec<(usize, Vec<Predicate>)> = Vec::new();
     loop {
         let msg = {
             let _idle = prof::scope(&mut prof, Stage::Idle);
@@ -167,49 +144,19 @@ pub(super) fn run_shard(
                 Err(_) => break,
             }
         };
-        let batch: Option<Vec<Event>> = match msg {
-            ShardMsg::Batch(events) => Some(events),
-            ShardMsg::SeqBatch(items) => {
-                // Count windows advance only on selection matches, so
-                // forwarding just the matching events (in sequence
-                // order) is result-preserving. Broadcast markers are
-                // forwarded by their owning shard only.
-                let _filter = prof::scope(&mut prof, Stage::CountFilter);
-                for (replay, predicates) in &count_filters {
-                    let matched: Vec<(u64, Event)> = items
-                        .iter()
-                        .filter(|(_, ev)| {
-                            (ev.marker.is_none() || (ev.key as usize) % shards_total == shard)
-                                && predicates.iter().any(|p| p.matches(ev))
-                        })
-                        .copied()
-                        .collect();
-                    if !matched.is_empty() {
-                        guard.push(ShardItem::CountEvents {
-                            replay: *replay,
-                            items: matched,
-                        });
-                    }
-                }
-                Some(items.into_iter().map(|(_, ev)| ev).collect())
+        match msg {
+            ShardMsg::Batch(events) => {
+                let _slice = prof::scope(&mut prof, Stage::Slicer);
+                feed_events(
+                    shard,
+                    shards_total,
+                    &mut slicers,
+                    &mut outs,
+                    &guard,
+                    &events,
+                );
             }
             ShardMsg::Watermark(ts) => {
-                if let Some(rb) = &mut reorder {
-                    {
-                        let _reorder = prof::scope(&mut prof, Stage::Reorder);
-                        rb.advance(ts, &mut ordered);
-                    }
-                    let _slice = prof::scope(&mut prof, Stage::Slicer);
-                    feed_events(
-                        shard,
-                        shards_total,
-                        &mut slicers,
-                        &mut outs,
-                        &guard,
-                        &ordered,
-                    );
-                    ordered.clear();
-                }
                 let _slice = prof::scope(&mut prof, Stage::Slicer);
                 for (group, slicer) in slicers.iter_mut().enumerate() {
                     slicer.on_watermark(ts, &mut scratch);
@@ -222,81 +169,22 @@ pub(super) fn run_shard(
                 }
                 push_clears(&slicers, &guard, ts);
                 guard.push(ShardItem::Frontier(ts));
-                None
             }
             ShardMsg::Remove { id, immediate } => {
                 for slicer in &mut slicers {
                     slicer.remove_query(id, immediate);
                 }
-                None
             }
-            ShardMsg::AddGroup(group) => {
-                slicers.push(GroupSlicer::new(group));
-                None
-            }
-            ShardMsg::AddCountFilter(replay, predicates) => {
-                count_filters.push((replay, predicates));
-                None
-            }
+            ShardMsg::AddGroup(group) => slicers.push(GroupSlicer::new(group)),
             ShardMsg::Install(collector, node) => {
                 for slicer in &mut slicers {
                     slicer.set_recorder(collector.recorder(node));
                 }
-                None
             }
             ShardMsg::Flush => break,
             #[cfg(test)]
             ShardMsg::Panic => std::panic::panic_any("injected shard panic"),
-        };
-        if let Some(events) = batch {
-            if let Some(rb) = &mut reorder {
-                {
-                    let _reorder = prof::scope(&mut prof, Stage::Reorder);
-                    for ev in events {
-                        rb.push(ev, &mut ordered);
-                    }
-                }
-                let _slice = prof::scope(&mut prof, Stage::Slicer);
-                feed_events(
-                    shard,
-                    shards_total,
-                    &mut slicers,
-                    &mut outs,
-                    &guard,
-                    &ordered,
-                );
-                ordered.clear();
-            } else {
-                let _slice = prof::scope(&mut prof, Stage::Slicer);
-                feed_events(
-                    shard,
-                    shards_total,
-                    &mut slicers,
-                    &mut outs,
-                    &guard,
-                    &events,
-                );
-            }
         }
-    }
-    // Events still buffered past the final watermark fold in best-effort
-    // (their slices seal only if a punctuation is crossed) — the same
-    // contract as draining a sequential engine without a final watermark.
-    if let Some(rb) = &mut reorder {
-        {
-            let _reorder = prof::scope(&mut prof, Stage::Reorder);
-            rb.flush(&mut ordered);
-        }
-        let _slice = prof::scope(&mut prof, Stage::Slicer);
-        feed_events(
-            shard,
-            shards_total,
-            &mut slicers,
-            &mut outs,
-            &guard,
-            &ordered,
-        );
-        ordered.clear();
     }
     // End of stream: no slot can open another session fragment, so
     // closed session queries clear all the way out.
@@ -305,10 +193,6 @@ pub(super) fn run_shard(
     for slicer in &slicers {
         metrics.absorb(slicer.metrics());
     }
-    let late_dropped = reorder.as_ref().map_or(0, ReorderBuffer::late_dropped);
-    guard.push(ShardItem::Done {
-        metrics,
-        late_dropped,
-    });
+    guard.push(ShardItem::Done(metrics));
     guard.finish();
 }

@@ -1,6 +1,6 @@
-//! The sharded slicer: inlet batching, the shard worker threads, and the
-//! collector-side merge of per-shard slices back into one deterministic
-//! slice stream per group.
+//! The sharded slicer: the inlet (reorder buffer, count filters,
+//! batching), the shard worker threads, and the collector-side merge of
+//! per-shard slices back into one deterministic slice stream per group.
 
 use std::sync::Arc;
 
@@ -9,6 +9,7 @@ use super::shard::{run_shard, ShardItem, ShardMsg};
 use super::unfixed::UnfixedShardMerger;
 use super::ParallelConfig;
 use crate::engine::merge::AlignedSliceMerger;
+use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
 use crate::engine::terminal::GroupPlan;
@@ -21,7 +22,7 @@ use crate::obs::trace::{TraceCollector, TraceRecorder};
 use crate::obs::{names, Counter, MetricsRegistry};
 use crate::predicate::Predicate;
 use crate::query::QueryId;
-use crate::time::{DurationMs, Timestamp};
+use crate::time::Timestamp;
 
 /// Per-shard channel capacity in batches (bounded channels give
 /// backpressure, i.e. sustainable throughput).
@@ -111,6 +112,39 @@ impl GroupMerger {
     }
 }
 
+/// One count query-group's selection filter at the inlet: the union of
+/// its selections' predicates, and the matches not yet taken.
+#[derive(Debug)]
+struct CountFilter {
+    predicates: Vec<Predicate>,
+    matched: Vec<(u64, Event)>,
+}
+
+impl CountFilter {
+    fn new(predicates: Vec<Predicate>) -> Self {
+        Self {
+            predicates,
+            matched: Vec::new(),
+        }
+    }
+
+    fn of(group: &QueryGroup) -> Self {
+        Self::new(group.selections.iter().map(|s| s.predicate).collect())
+    }
+}
+
+/// What a flush releases from the reorder buffer beyond what the
+/// lateness bound settles.
+#[derive(Debug, Clone, Copy)]
+enum Release {
+    /// Nothing more.
+    Settled,
+    /// Everything at or below a watermark.
+    Through(Timestamp),
+    /// Everything: the stream ended.
+    All,
+}
+
 /// Lifecycle of one shard as seen by the collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShardState {
@@ -122,9 +156,13 @@ enum ShardState {
 /// Runs the slicers of a set of sharded groups (fixed time windows
 /// *and* session/user-defined windows) across N worker threads,
 /// partitioned by `key % shards`, and merges the per-shard sealed
-/// slices back into one deterministic slice stream per group. Count
-/// query-groups ride along as shard-side selection filters whose
-/// matches the collector replays sequentially
+/// slices back into one deterministic slice stream per group.
+///
+/// The inlet orders the stream once, on the caller's thread: with
+/// [`ParallelConfig::lateness`] set, every flushed batch passes one
+/// [`ReorderBuffer`] and the shards receive what it released, in
+/// timestamp order. Count query-groups are selection filters over that
+/// ordered stream, evaluated once per event at the inlet
 /// ([`ShardedSlicer::take_count_events`]).
 ///
 /// This is the engine-internal building block shared by
@@ -139,24 +177,27 @@ pub struct ShardedSlicer {
     mergers: Vec<GroupMerger>,
     frontiers: Vec<Timestamp>,
     states: Vec<ShardState>,
+    /// Arrivals not yet flushed; while flushing, what they released.
     inlet: EventBatch,
     batch_size: usize,
-    /// Event time every shard's slicers may be advanced to without
-    /// turning away an event the lateness bound still allows: the newest
-    /// flushed timestamp (less the lateness) or watermark. `None` until
-    /// the first event is flushed — slicers start with their first event.
+    /// Orders the arrivals ([`ParallelConfig::lateness`]); `None`: the
+    /// input is in timestamp order already.
+    reorder: Option<ReorderBuffer>,
+    /// High-water level of the reorder buffer after a flush.
+    buffered_max: usize,
+    /// The stream's released frontier: the newest timestamp sent to the
+    /// shards, or watermark — every shard's slicers may be advanced to
+    /// it. `None` until the first event is flushed — slicers start with
+    /// their first event.
     reached: Option<Timestamp>,
-    lateness: Option<DurationMs>,
     shards: usize,
     /// Broadcast marker events to every shard (any group has
     /// user-defined windows).
     broadcast: bool,
-    /// Tag batches with inlet sequence numbers (count filters are
-    /// installed).
-    stamp: bool,
+    /// Inlet sequence number of the next released event.
     seq: u64,
-    /// Per-replay-slot count events collected from the shard filters.
-    count_buf: Vec<Vec<(u64, Event)>>,
+    /// One filter per count query-group, by replay slot.
+    counts: Vec<CountFilter>,
     panics: u64,
     /// [`ParallelConfig::registry`], or a private one.
     registry: Arc<MetricsRegistry>,
@@ -166,7 +207,6 @@ pub struct ShardedSlicer {
     /// The registry's `driver` lane (ingest/barrier/merge stages).
     pub(super) prof: Option<ProfHandle>,
     collected: EngineMetrics,
-    late_dropped: u64,
     item_buf: Vec<ShardItem>,
     finished: bool,
 }
@@ -179,10 +219,9 @@ impl ShardedSlicer {
         Self::with_counts(groups, &[], cfg)
     }
 
-    /// Like [`ShardedSlicer::new`], additionally installing one
-    /// shard-side selection filter per count query-group: matching
-    /// events come back through [`ShardedSlicer::take_count_events`]
-    /// tagged with inlet sequence numbers for ordered replay.
+    /// Like [`ShardedSlicer::new`], additionally installing one inlet
+    /// selection filter per count query-group: matching events come back
+    /// through [`ShardedSlicer::take_count_events`].
     pub fn with_counts(
         groups: &[QueryGroup],
         count_groups: &[QueryGroup],
@@ -197,12 +236,11 @@ impl ShardedSlicer {
             let (tx, rx) = crossbeam_channel::bounded(CHANNEL_CAPACITY);
             let slicers: Vec<GroupSlicer> =
                 groups.iter().map(|g| GroupSlicer::new(g.clone())).collect();
-            let lateness = cfg.lateness;
             let inbox = Arc::clone(&inbox);
             let lane = registry.lane(&format!("shard{shard}"));
             let handle = std::thread::Builder::new()
                 .name(format!("desis-shard-{shard}"))
-                .spawn(move || run_shard(shard, shards, slicers, lateness, rx, inbox, lane))
+                .spawn(move || run_shard(shard, shards, slicers, rx, inbox, lane))
                 .map_err(|_| DesisError::Cluster("failed to spawn shard worker thread"))?;
             senders.push(tx);
             threads.push(handle);
@@ -215,7 +253,7 @@ impl ShardedSlicer {
                 )
             })
             .collect();
-        let this = Self {
+        Ok(Self {
             senders,
             threads,
             inbox,
@@ -227,29 +265,21 @@ impl ShardedSlicer {
             states: vec![ShardState::Running; shards],
             inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
             batch_size: cfg.batch_size.max(1),
+            reorder: cfg.lateness.map(ReorderBuffer::new),
+            buffered_max: 0,
             reached: None,
-            lateness: cfg.lateness,
             shards,
             broadcast: groups.iter().any(|g| !g.user_defined_queries().is_empty()),
-            stamp: !count_groups.is_empty(),
             seq: 0,
-            count_buf: vec![Vec::new(); count_groups.len()],
+            counts: count_groups.iter().map(CountFilter::of).collect(),
             panics: 0,
             prof: registry.lane("driver"),
             registry,
             sent,
             collected: EngineMetrics::default(),
-            late_dropped: 0,
             item_buf: Vec::new(),
             finished: false,
-        };
-        for (replay, g) in count_groups.iter().enumerate() {
-            let predicates: Vec<Predicate> = g.selections.iter().map(|s| s.predicate).collect();
-            for tx in &this.senders {
-                let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
-            }
-        }
-        Ok(this)
+        })
     }
 
     /// Shard count.
@@ -267,10 +297,16 @@ impl ShardedSlicer {
         self.panics
     }
 
-    /// Events dropped as too late by the per-shard reorder buffers
-    /// (complete only after [`ShardedSlicer::finish`]).
+    /// Events the inlet's reorder buffer dropped as too late (0 without
+    /// a lateness bound).
     pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
+        self.reorder.as_ref().map_or(0, ReorderBuffer::late_dropped)
+    }
+
+    /// High-water level of the inlet's reorder buffer, sampled after
+    /// every flush.
+    pub(super) fn reorder_buffered_max(&self) -> usize {
+        self.buffered_max
     }
 
     /// Enables causal tracing: every shard worker mints per-slicer ring
@@ -298,7 +334,7 @@ impl ShardedSlicer {
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) -> Option<Timestamp> {
         // Flush first so the removal lands between the events ingested
         // before and after this call, like the sequential engine's.
-        self.flush_inlet();
+        self.flush_inlet(Release::Settled);
         let purge = immediate && self.mergers.iter().any(|m| m.merges_query(id));
         if let Some(at) = self.reached {
             if purge {
@@ -325,7 +361,7 @@ impl ShardedSlicer {
     /// in the merged-slice stream. The group starts processing with the
     /// next ingested event (the inlet is flushed first).
     pub fn add_group(&mut self, group: QueryGroup) -> usize {
-        self.flush_inlet();
+        self.flush_inlet(Release::Settled);
         self.broadcast |= !group.user_defined_queries().is_empty();
         self.mergers
             .push(GroupMerger::for_group(&group, self.shards));
@@ -335,31 +371,32 @@ impl ShardedSlicer {
         self.mergers.len() - 1
     }
 
-    /// Adds a count-query replay slot at runtime: every shard starts
-    /// forwarding events matching any of `predicates`, tagged with
-    /// inlet sequence numbers. Returns the replay slot index.
+    /// Adds a count-query replay slot at runtime: the inlet starts
+    /// keeping the events matching any of `predicates`, beginning with
+    /// the next ingested event (the inlet is flushed first). Returns the
+    /// replay slot index.
     pub fn add_count_filter(&mut self, predicates: Vec<Predicate>) -> usize {
-        self.flush_inlet();
-        self.stamp = true;
-        self.count_buf.push(Vec::new());
-        let replay = self.count_buf.len() - 1;
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::AddCountFilter(replay, predicates.clone()));
-        }
-        replay
+        self.flush_inlet(Release::Settled);
+        self.counts.push(CountFilter::new(predicates));
+        self.counts.len() - 1
     }
 
-    /// Drains the count-query events forwarded for replay slot
-    /// `replay`. The set is complete (for everything up to a watermark)
-    /// only right after [`ShardedSlicer::on_watermark`] or
-    /// [`ShardedSlicer::finish`]; sort by the sequence tag to restore
-    /// global ingest order.
+    /// Takes the matches of replay slot `replay` kept so far: every event
+    /// released to the shards since the last take that matches the
+    /// slot's predicates, in stream order and tagged with its inlet
+    /// sequence number. The inlet releases when a batch fills, at a
+    /// watermark and at [`ShardedSlicer::finish`].
     pub fn take_count_events(&mut self, replay: usize) -> Vec<(u64, Event)> {
-        self.collect();
-        self.count_buf
+        self.counts
             .get_mut(replay)
-            .map(std::mem::take)
+            .map(|filter| std::mem::take(&mut filter.matched))
             .unwrap_or_default()
+    }
+
+    /// The matches of replay slot `replay` not yet taken, to drain in
+    /// place.
+    pub(super) fn count_matches(&mut self, replay: usize) -> &mut Vec<(u64, Event)> {
+        &mut self.counts[replay].matched
     }
 
     /// Ingests one event; returns `true` when the inlet batch filled and
@@ -369,7 +406,7 @@ impl ShardedSlicer {
     pub fn on_event(&mut self, ev: &Event) -> bool {
         self.inlet.push(*ev);
         if self.inlet.len() >= self.batch_size {
-            self.flush_inlet();
+            self.flush_inlet(Release::Settled);
             return true;
         }
         false
@@ -381,7 +418,7 @@ impl ShardedSlicer {
             self.inlet.push(*ev);
         }
         if self.inlet.len() >= self.batch_size {
-            self.flush_inlet();
+            self.flush_inlet(Release::Settled);
         }
     }
 
@@ -393,51 +430,52 @@ impl ShardedSlicer {
         self.sent[shard].1.inc();
     }
 
-    fn flush_inlet(&mut self) {
-        if self.inlet.is_empty() {
+    /// Moves the inlet's arrivals out: through the reorder buffer, if
+    /// there is one, together with what `release` adds, then to the
+    /// count filters and the shards.
+    fn flush_inlet(&mut self, release: Release) {
+        let releases = self.reorder.is_some() && !matches!(release, Release::Settled);
+        if self.inlet.is_empty() && !releases {
             return;
         }
         let ingest = prof::stamp(&self.prof);
-        if let Some(last) = self.inlet.as_slice().last() {
-            let settled = last
-                .ts
-                .saturating_sub(self.lateness.map_or(0, |l| l.saturating_add(1)));
-            self.reached = self.reached.max(Some(settled));
+        if let Some(reorder) = &mut self.reorder {
+            let t0 = prof::stamp(&self.prof);
+            let mut ordered = Vec::with_capacity(self.inlet.len());
+            for ev in &self.inlet {
+                reorder.push(*ev, &mut ordered);
+            }
+            match release {
+                Release::Settled => {}
+                Release::Through(ts) => reorder.advance(ts, &mut ordered),
+                Release::All => reorder.flush(&mut ordered),
+            }
+            self.buffered_max = self.buffered_max.max(reorder.buffered());
+            self.inlet = EventBatch::from(ordered);
+            prof::record(&mut self.prof, Stage::Reorder, t0);
         }
-        self.flush_inlet_inner();
+        if let Some(last) = self.inlet.as_slice().last() {
+            self.reached = self.reached.max(Some(last.ts));
+            self.filter_counts();
+            self.send_inlet();
+        }
         prof::record(&mut self.prof, Stage::Ingest, ingest);
     }
 
-    fn flush_inlet_inner(&mut self) {
-        if self.stamp {
-            // Count filters installed: tag every event with its global
-            // inlet sequence number so the collector can restore ingest
-            // order across shards. Markers still broadcast (each copy
-            // keeps the original's sequence number; only the owning
-            // shard forwards it to the count filters).
-            let inlet =
-                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
-            let mut parts: Vec<Vec<(u64, Event)>> = vec![Vec::new(); self.shards];
-            for ev in &inlet {
-                let seq = self.seq;
-                self.seq += 1;
-                if self.broadcast && ev.marker.is_some() {
-                    for part in &mut parts {
-                        part.push((seq, *ev));
-                    }
-                } else {
-                    parts[ev.key as usize % self.shards].push((seq, *ev));
-                }
-            }
-            for (shard, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                self.note_send(shard, part.len() as u64);
-                let _ = self.senders[shard].send(ShardMsg::SeqBatch(part));
-            }
-            return;
+    /// Keeps the inlet's matches of every count filter, tagged with their
+    /// inlet sequence numbers.
+    fn filter_counts(&mut self) {
+        let first = self.seq;
+        self.seq += self.inlet.len() as u64;
+        for filter in &mut self.counts {
+            let events = self.inlet.as_slice().iter().zip(first..);
+            let matches = events.filter(|(ev, _)| filter.predicates.iter().any(|p| p.matches(ev)));
+            filter.matched.extend(matches.map(|(ev, seq)| (seq, *ev)));
         }
+    }
+
+    /// Partitions the inlet by key and sends each part to its shard.
+    fn send_inlet(&mut self) {
         if self.broadcast {
             // User-defined windows close at markers, which every shard
             // must observe at the same stream position: copy marker
@@ -476,16 +514,29 @@ impl ShardedSlicer {
         }
     }
 
-    /// Flushes the inlet and broadcasts a watermark, then **blocks**
-    /// until every live shard acknowledged it — the barrier that makes
-    /// results deterministic: after this returns, everything implied by
-    /// the events and watermarks ingested so far is in the mergers.
+    /// Flushes the inlet — releasing the reorder buffer through `ts` —
+    /// and broadcasts a watermark, then **blocks** until every live shard
+    /// acknowledged it — the barrier that makes results deterministic:
+    /// after this returns, everything implied by the events and
+    /// watermarks ingested so far is in the mergers.
     pub fn on_watermark(&mut self, ts: Timestamp) {
-        self.flush_inlet();
+        self.send_watermark(ts);
+        self.await_watermark(ts);
+    }
+
+    /// The non-blocking half of [`ShardedSlicer::on_watermark`]: flushes
+    /// the inlet through `ts` and broadcasts the watermark.
+    pub(super) fn send_watermark(&mut self, ts: Timestamp) {
+        self.flush_inlet(Release::Through(ts));
         self.reached = self.reached.map(|reached| reached.max(ts));
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Watermark(ts));
         }
+    }
+
+    /// The barrier half of [`ShardedSlicer::on_watermark`]: blocks until
+    /// every live shard acknowledged a watermark at `ts`.
+    pub(super) fn await_watermark(&mut self, ts: Timestamp) {
         let barrier = prof::stamp(&self.prof);
         loop {
             self.collect();
@@ -525,23 +576,12 @@ impl ShardedSlicer {
                             merger.on_clears(shard, &clears);
                         }
                     }
-                    ShardItem::CountEvents { replay, items } => {
-                        if let Some(buf) = self.count_buf.get_mut(replay) {
-                            buf.extend(items);
-                        }
-                    }
                     ShardItem::Frontier(ts) => {
                         if ts > self.frontiers[shard] {
                             self.frontiers[shard] = ts;
                         }
                     }
-                    ShardItem::Done {
-                        metrics,
-                        late_dropped,
-                    } => {
-                        self.collected.absorb(&metrics);
-                        self.late_dropped += late_dropped;
-                    }
+                    ShardItem::Done(metrics) => self.collected.absorb(&metrics),
                 }
             }
             if self.states[shard] == ShardState::Running {
@@ -586,17 +626,18 @@ impl ShardedSlicer {
         }
     }
 
-    /// Ends the stream: flushes the inlet, tells every worker to exit,
-    /// joins the threads, and collects their final metrics. Idempotent.
-    /// Slices still pending afterwards were never covered by a watermark
-    /// and stay unreleased (the sequential engine would not have sealed
-    /// them everywhere either).
+    /// Ends the stream: flushes the inlet and everything the reorder
+    /// buffer still holds, tells every worker to exit, joins the threads,
+    /// and collects their final metrics. Idempotent. Slices still pending
+    /// afterwards were never covered by a watermark and stay unreleased
+    /// (the sequential engine would not have sealed them everywhere
+    /// either).
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        self.flush_inlet();
+        self.flush_inlet(Release::All);
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Flush);
         }
@@ -684,7 +725,7 @@ impl ShardedSlicer {
         registry
             .gauge(names::ENGINE_UNFIXED_QUEUED_UD_SLICES)
             .set(queued_ud as i64);
-        let survivors: usize = self.count_buf.iter().map(Vec::len).sum();
+        let survivors: usize = self.counts.iter().map(|c| c.matched.len()).sum();
         registry
             .gauge(names::ENGINE_UNFIXED_COUNT_SURVIVORS)
             .set(survivors as i64);

@@ -364,7 +364,7 @@ fn unfixed_results_are_deterministic_at_watermark_barriers() {
 /// the same churn at the same stream positions — with no watermark in
 /// front of the removals, for a query of every plan and in both modes:
 /// an aligned one (retired from the slice stream), a session query
-/// (purged behind a barrier) and a count query (replayed up to the
+/// (purged behind a barrier) and a count query (sliced up to the
 /// removal first).
 #[test]
 fn add_then_remove_query_mid_stream_matches_sequential() {
@@ -643,9 +643,9 @@ fn profiler_attributes_driver_and_shard_stage_time() {
     let clock = ProfClock::wall();
     let registry = Arc::new(MetricsRegistry::profiled(clock.clone()));
     let evs = gapped_marked_events(4_000, 10);
-    let mut engine =
-        ParallelEngine::with_registry(full_mix_queries(), ParallelConfig::new(2), registry)
-            .unwrap();
+    let mut cfg = ParallelConfig::new(2);
+    cfg.lateness = Some(50);
+    let mut engine = ParallelEngine::with_registry(full_mix_queries(), cfg, registry).unwrap();
     for ev in &evs {
         engine.on_event(ev);
     }
@@ -676,6 +676,7 @@ fn profiler_attributes_driver_and_shard_stage_time() {
     for required in [
         "analyzer",
         "ingest",
+        "reorder",
         "barrier",
         "shard_merge",
         "unfixed_merge",
@@ -690,12 +691,14 @@ fn profiler_attributes_driver_and_shard_stage_time() {
     }
     let shard0 = report.lanes.iter().find(|l| l.lane == "shard0").unwrap();
     let worker: Vec<&str> = shard0.stages.iter().map(|s| s.stage).collect();
-    for required in ["slicer", "count_filter", "idle"] {
+    for required in ["slicer", "idle"] {
         assert!(
             worker.contains(&required),
             "shard0 missing {required}: {worker:?}"
         );
     }
+    // The stream is ordered once, at the inlet.
+    assert!(!worker.contains(&"reorder"), "shard0 reorders: {worker:?}");
     // The table is a view over the registry's prof.* counters.
     assert!(snap.counters.keys().any(|k| k.starts_with("prof.driver.")));
     assert!(snap.counters.keys().any(|k| k.starts_with("prof.shard1.")));

@@ -8,9 +8,20 @@
 //! timestamp has advanced past `ts + lateness`, then released in order;
 //! events arriving later than the allowed lateness are counted and
 //! dropped.
+//!
+//! Output is the arrivals sorted by `(ts, arrival)` — ties leave in
+//! arrival order. Most arrivals of a real source are in order, so the
+//! buffer keeps them as a sorted *run*: an arrival at or after the newest
+//! one appended so far is appended in O(1). Only the others, the
+//! *stragglers*, go to a heap. A straggler ties with a run event only if
+//! that event arrived first (the run's tail only grows, and a straggler
+//! is below it when it arrives), so a release that takes the run's front
+//! on a tie is the stable order. Reverse-ordered input is the O(log n)
+//! worst case.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::Event;
 use crate::time::{DurationMs, Timestamp};
@@ -19,10 +30,15 @@ use crate::time::{DurationMs, Timestamp};
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     lateness: DurationMs,
-    /// Min-heap over `(ts, arrival sequence)` for stable ordering of ties.
-    heap: BinaryHeap<Reverse<(Timestamp, u64)>>,
-    /// Events keyed by arrival sequence (heap payloads stay `Copy`).
-    pending: rustc_hash::FxHashMap<u64, Event>,
+    /// In-order arrivals, sorted by `(ts, arrival)`.
+    run: VecDeque<Event>,
+    /// The newest timestamp ever appended to the run (it outlives the
+    /// events: an arrival below it is a straggler even once the run has
+    /// drained).
+    run_tail: Timestamp,
+    /// Out-of-order arrivals, a min-heap over `(ts, arrival)`.
+    stragglers: BinaryHeap<Straggler>,
+    /// Arrival counter of the stragglers (orders their ties).
     seq: u64,
     max_ts: Timestamp,
     /// Events with `ts < floor` are final: releasing below this bound has
@@ -31,14 +47,49 @@ pub struct ReorderBuffer {
     late_dropped: u64,
 }
 
+/// An out-of-order arrival, ordered for a min-heap by `(ts, arrival)`.
+#[derive(Debug, Clone)]
+struct Straggler {
+    seq: u64,
+    ev: Event,
+}
+
+impl Straggler {
+    fn key(&self) -> (Timestamp, u64) {
+        (self.ev.ts, self.seq)
+    }
+}
+
+impl PartialEq for Straggler {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Straggler {}
+
+impl PartialOrd for Straggler {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Straggler {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap.
+        other.key().cmp(&self.key())
+    }
+}
+
 impl ReorderBuffer {
     /// Creates a buffer tolerating up to `lateness` of event-time
     /// disorder.
     pub fn new(lateness: DurationMs) -> Self {
         Self {
             lateness,
-            heap: BinaryHeap::new(),
-            pending: rustc_hash::FxHashMap::default(),
+            run: VecDeque::new(),
+            run_tail: 0,
+            stragglers: BinaryHeap::new(),
             seq: 0,
             max_ts: 0,
             floor: 0,
@@ -48,7 +99,7 @@ impl ReorderBuffer {
 
     /// Number of events currently buffered.
     pub fn buffered(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.stragglers.len()
     }
 
     /// Events dropped because they exceeded the allowed lateness.
@@ -71,14 +122,21 @@ impl ReorderBuffer {
             self.late_dropped += 1;
             return false;
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((ev.ts, seq)));
-        self.pending.insert(seq, ev);
+        if ev.ts >= self.run_tail {
+            self.run_tail = ev.ts;
+            self.run.push_back(ev);
+        } else {
+            self.stragglers.push(Straggler { seq: self.seq, ev });
+            self.seq += 1;
+        }
         self.max_ts = self.max_ts.max(ev.ts);
         // Anything more than `lateness` behind the stream's maximum is
         // final.
-        self.release_below(self.max_ts.saturating_sub(self.lateness), out);
+        let bound = self.max_ts.saturating_sub(self.lateness);
+        if let Some(limit) = bound.checked_sub(1) {
+            self.release_through(limit, out);
+        }
+        self.floor = self.floor.max(bound);
         true
     }
 
@@ -86,30 +144,42 @@ impl ReorderBuffer {
     /// everything at or below `ts` is complete, so it is released.
     pub fn advance(&mut self, ts: Timestamp, out: &mut Vec<Event>) {
         self.max_ts = self.max_ts.max(ts);
-        self.release_below(ts.saturating_add(1), out);
+        self.release_through(ts, out);
+        if let Some(bound) = ts.checked_add(1) {
+            self.floor = self.floor.max(bound);
+        }
     }
 
     /// Releases every buffered event (end of stream).
     pub fn flush(&mut self, out: &mut Vec<Event>) {
-        self.release_below(Timestamp::MAX, out);
+        self.release_through(Timestamp::MAX, out);
     }
 
-    /// Releases all buffered events with `ts < bound`, in order.
-    fn release_below(&mut self, bound: Timestamp, out: &mut Vec<Event>) {
-        while let Some(&Reverse((ts, seq))) = self.heap.peek() {
-            if ts >= bound {
+    /// Releases all buffered events with `ts <= limit`, in order: O(1)
+    /// per event leaving the run, O(log n) per straggler.
+    fn release_through(&mut self, limit: Timestamp, out: &mut Vec<Event>) {
+        while let Some(top) = self.stragglers.peek_mut() {
+            let ts = top.ev.ts;
+            if ts > limit {
                 break;
             }
-            self.heap.pop();
-            // Heap and pending are inserted in lockstep; a missing entry
-            // is a stale key and is simply skipped.
-            if let Some(ev) = self.pending.remove(&seq) {
-                out.push(ev);
-            }
+            // Run events tying with the straggler arrived before it.
+            drain_run_through(&mut self.run, ts, out);
+            out.push(PeekMut::pop(top).ev);
         }
-        if bound != Timestamp::MAX {
-            self.floor = self.floor.max(bound);
+        drain_run_through(&mut self.run, limit, out);
+    }
+}
+
+/// Moves the run's events with `ts <= limit` to `out`.
+#[inline]
+fn drain_run_through(run: &mut VecDeque<Event>, limit: Timestamp, out: &mut Vec<Event>) {
+    while let Some(ev) = run.front() {
+        if ev.ts > limit {
+            break;
         }
+        out.push(*ev);
+        run.pop_front();
     }
 }
 

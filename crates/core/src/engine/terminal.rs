@@ -20,7 +20,6 @@
 use crate::engine::assembler::Assembler;
 use crate::engine::group::QueryGroup;
 use crate::engine::merge::TimeAssembler;
-use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
 use crate::event::Event;
@@ -28,7 +27,7 @@ use crate::metrics::EngineMetrics;
 use crate::obs::trace::TraceRecorder;
 use crate::obs::{names, MetricsRegistry};
 use crate::query::{QueryId, QueryResult};
-use crate::time::{DurationMs, Timestamp};
+use crate::time::Timestamp;
 use crate::window::{WindowKind, WindowSpec};
 
 /// How a query-group runs between its slicers and its terminal, ordered
@@ -70,26 +69,23 @@ impl GroupPlan {
     }
 }
 
-/// The terminal of a group whose events arrive raw: a slicer feeding an
-/// assembler, behind a reorder buffer when arrivals may be out of order.
-/// The sequential engine drives the two halves itself, per event.
+/// The terminal of a group whose events arrive raw and in order: a
+/// slicer feeding an assembler. The sequential engine drives the two
+/// halves itself, per event.
 #[derive(Debug, Clone)]
 pub struct RawTerminal {
     pub(super) slicer: GroupSlicer,
     assembler: Assembler,
-    reorder: Option<ReorderBuffer>,
     /// Slices sealed and not yet assembled.
     pub(super) sealed: Vec<SealedSlice>,
 }
 
 impl RawTerminal {
-    /// A terminal slicing and assembling `group`; `lateness` puts a
-    /// reorder buffer in front of [`RawTerminal::replay`].
-    pub fn new(group: QueryGroup, lateness: Option<DurationMs>) -> Self {
+    /// A terminal slicing and assembling `group`.
+    pub fn new(group: QueryGroup) -> Self {
         Self {
             assembler: Assembler::new(&group),
             slicer: GroupSlicer::new(group),
-            reorder: lateness.map(ReorderBuffer::new),
             sealed: Vec::new(),
         }
     }
@@ -111,42 +107,6 @@ impl RawTerminal {
     pub fn on_watermark(&mut self, ts: Timestamp, out: &mut Vec<QueryResult>) {
         self.slicer.on_watermark(ts, &mut self.sealed);
         self.assemble(out);
-    }
-
-    /// Ingests `events` in arrival order, through the reorder buffer if
-    /// there is one, then advances event time to `wm` — or, at the end
-    /// of the stream (`None`), releases what the buffer still holds.
-    pub fn replay(
-        &mut self,
-        events: impl Iterator<Item = Event>,
-        wm: Option<Timestamp>,
-        out: &mut Vec<QueryResult>,
-    ) {
-        if let Some(reorder) = &mut self.reorder {
-            let mut ordered = Vec::new();
-            for ev in events {
-                reorder.push(ev, &mut ordered);
-            }
-            match wm {
-                Some(ts) => reorder.advance(ts, &mut ordered),
-                None => reorder.flush(&mut ordered),
-            }
-            for ev in &ordered {
-                self.on_event(ev, out);
-            }
-        } else {
-            for ev in events {
-                self.on_event(&ev, out);
-            }
-        }
-        if let Some(ts) = wm {
-            self.on_watermark(ts, out);
-        }
-    }
-
-    /// Events the reorder buffer dropped as too late.
-    pub fn late_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, ReorderBuffer::late_dropped)
     }
 
     /// Enables causal slice tracing on the slicer and the assembler, each
@@ -204,7 +164,7 @@ impl GroupTerminal {
         match plan {
             GroupPlan::Aligned => GroupTerminal::Aligned(TimeAssembler::new(group)),
             GroupPlan::Unfixed => GroupTerminal::Unfixed(Assembler::new(group)),
-            GroupPlan::Raw => GroupTerminal::Raw(Box::new(RawTerminal::new(group.clone(), None))),
+            GroupPlan::Raw => GroupTerminal::Raw(Box::new(RawTerminal::new(group.clone()))),
         }
     }
 
@@ -327,7 +287,7 @@ mod tests {
                 let mut groups = crate::engine::QueryAnalyzer::default()
                     .analyze(queries)
                     .unwrap();
-                let mut terminal = RawTerminal::new(groups.remove(0), None);
+                let mut terminal = RawTerminal::new(groups.remove(0));
                 let mut out = Vec::new();
                 for ts in 0..=at {
                     terminal.on_event(&Event::new(ts, 0, 1.0), &mut out);

@@ -180,8 +180,15 @@ pub const ENGINE_ASSEMBLER_CACHED_BUNDLES: &str = "engine.assembler.cached_bundl
 pub const ENGINE_UNFIXED_PENDING_SESSIONS: &str = "engine.unfixed.pending_sessions";
 /// User-defined window slices queued in the cross-shard unfixed merger.
 pub const ENGINE_UNFIXED_QUEUED_UD_SLICES: &str = "engine.unfixed.queued_ud_slices";
-/// Count-query predicate survivors buffered for sequenced replay.
+/// Count-query predicate survivors the inlet holds for their groups.
 pub const ENGINE_UNFIXED_COUNT_SURVIVORS: &str = "engine.unfixed.count_survivors";
+
+/// Events the parallel engine's inlet reorder buffer dropped as later
+/// than the lateness bound, each counted once.
+pub const ENGINE_LATE_DROPPED: &str = "engine.late_dropped";
+/// High-water level of the inlet reorder buffer: the events within the
+/// lateness bound of the newest released timestamp.
+pub const ENGINE_REORDER_BUFFERED_MAX: &str = "engine.reorder_buffered_max";
 
 // --- trace.* ----------------------------------------------------------
 
@@ -270,11 +277,8 @@ mod tests {
 
     #[test]
     fn prof_stage_names_parse_back_under_any_prefix() {
-        let ns = prof_stage_ns("shard0", "count_filter");
-        assert_eq!(
-            parse_prof_stage(&ns),
-            Some(("shard0", "count_filter", true))
-        );
+        let ns = prof_stage_ns("driver", "shard_merge");
+        assert_eq!(parse_prof_stage(&ns), Some(("driver", "shard_merge", true)));
         let calls = format!("cluster.Desis.{}", prof_stage_calls("node1", "pace"));
         assert_eq!(parse_prof_stage(&calls), Some(("node1", "pace", false)));
         for other in ["engine.shard0.events", "prof.seq", "xprof.seq.drain_ns"] {

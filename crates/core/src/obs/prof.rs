@@ -60,7 +60,7 @@ use super::{names, write_display, write_members, Counter, MetricsRegistry, Metri
 pub mod alloc;
 
 /// Number of pipeline stages (array dimension of per-lane tallies).
-pub const STAGE_COUNT: usize = 15;
+pub const STAGE_COUNT: usize = 14;
 
 /// A pipeline stage a [`Scope`] attributes time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,33 +70,31 @@ pub enum Stage {
     Analyzer = 0,
     /// Inlet work: event intake, batching, key-partitioning, sends.
     Ingest = 1,
-    /// Reorder-buffer pushes and advances.
+    /// Reorder-buffer pushes and advances (the sharded inlet's).
     Reorder = 2,
     /// Per-event slicing (the per-shard slicer pipelines).
     Slicer = 3,
-    /// Count-query predicate filtering on the shard side.
-    CountFilter = 4,
     /// Watermark barrier: waiting for every live shard's frontier.
-    Barrier = 5,
+    Barrier = 4,
     /// Collector-side fixed-window slice merging.
-    ShardMerge = 6,
+    ShardMerge = 5,
     /// Collector-side unfixed (session/user-defined) merging.
-    UnfixedMerge = 7,
+    UnfixedMerge = 6,
     /// Window assembly over merged slices.
-    Assemble = 8,
-    /// Sequential count-query replay at the collector.
-    Replay = 9,
+    Assemble = 7,
+    /// Count-query slicing on the driver thread.
+    Replay = 8,
     /// Result draining and canonical sorting.
-    Drain = 10,
+    Drain = 9,
     /// Source pacing sleeps (cluster locals replaying at stream rate:
     /// waiting for the next event or heartbeat to fall due).
-    Pace = 11,
+    Pace = 10,
     /// Receiving pump: blocking on incoming frames.
-    Recv = 12,
+    Recv = 11,
     /// Receiving pump: decoding and handling one frame.
-    Handler = 13,
+    Handler = 12,
     /// A worker blocked on its empty input channel.
-    Idle = 14,
+    Idle = 13,
 }
 
 impl Stage {
@@ -106,7 +104,6 @@ impl Stage {
         Stage::Ingest,
         Stage::Reorder,
         Stage::Slicer,
-        Stage::CountFilter,
         Stage::Barrier,
         Stage::ShardMerge,
         Stage::UnfixedMerge,
@@ -126,7 +123,6 @@ impl Stage {
             Stage::Ingest => "ingest",
             Stage::Reorder => "reorder",
             Stage::Slicer => "slicer",
-            Stage::CountFilter => "count_filter",
             Stage::Barrier => "barrier",
             Stage::ShardMerge => "shard_merge",
             Stage::UnfixedMerge => "unfixed_merge",

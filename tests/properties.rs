@@ -440,11 +440,23 @@ fn dsl_round_trips_arbitrary_queries() {
     });
 }
 
-/// The reorder buffer restores any boundedly-disordered stream.
+/// The reorder buffer restores any boundedly-disordered stream, and is
+/// step for step its definition: a stable sort by `(ts, arrival)` that
+/// releases what the floor rule settles.
 #[test]
 fn reorder_buffer_restores_bounded_disorder() {
+    reorder_buffer_matches_its_oracle(128);
+}
+
+#[test]
+#[ignore = "larger case count: run in release (ci.yml)"]
+fn reorder_buffer_restores_bounded_disorder_at_length() {
+    reorder_buffer_matches_its_oracle(20_000);
+}
+
+fn reorder_buffer_matches_its_oracle(cases: u64) {
     use desis::core::engine::ReorderBuffer;
-    for_cases(128, |seed, rng| {
+    for_cases(cases, |seed, rng| {
         // Build a disordered stream with bounded displacement.
         let n = rng.gen_range(1usize..300);
         let mut ts = 100u64;
@@ -470,7 +482,156 @@ fn reorder_buffer_restores_bounded_disorder() {
         }
         // Displacement is at most 20+29 < 60, so nothing may be dropped.
         assert_eq!(dropped, 0, "seed {seed}");
+
+        // Any stream and any push / advance / flush script, against the
+        // oracle; the key is the arrival index, so ties show their order.
+        let lateness = rng.gen_range(0u64..80);
+        let mut buf = ReorderBuffer::new(lateness);
+        let mut oracle = ReorderOracle::new(lateness);
+        for (step, op) in arb_reorder_script(rng).into_iter().enumerate() {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            match op {
+                ReorderOp::Push(ev) => {
+                    assert_eq!(
+                        buf.push(ev, &mut got),
+                        oracle.push(ev, &mut want),
+                        "seed {seed}, step {step}"
+                    );
+                }
+                ReorderOp::Advance(ts) => {
+                    buf.advance(ts, &mut got);
+                    oracle.advance(ts, &mut want);
+                }
+                ReorderOp::Flush => {
+                    buf.flush(&mut got);
+                    oracle.flush(&mut want);
+                }
+            }
+            let context = format!("seed {seed}, step {step}: {op:?}");
+            assert_eq!(got, want, "{context}");
+            assert_eq!(buf.late_dropped(), oracle.dropped, "{context}");
+            assert_eq!(buf.buffered(), oracle.pending.len(), "{context}");
+            assert_eq!(buf.frontier(), oracle.floor, "{context}");
+        }
     });
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ReorderOp {
+    Push(Event),
+    Advance(Timestamp),
+    Flush,
+}
+
+/// Scripts of in-order runs, reverse runs, runs of equal timestamps and
+/// jumps back past any lateness, with watermarks and mid-stream flushes
+/// between them — sometimes at the top of the timestamp range.
+fn arb_reorder_script(rng: &mut SmallRng) -> Vec<ReorderOp> {
+    let mut ts: Timestamp = if rng.gen_bool(0.1) {
+        Timestamp::MAX - rng.gen_range(0u64..300)
+    } else {
+        rng.gen_range(0u64..200)
+    };
+    let mut ops = Vec::new();
+    let mut arrival = 0u32;
+    let mut push = |ops: &mut Vec<ReorderOp>, ts: Timestamp| {
+        ops.push(ReorderOp::Push(Event::new(ts, arrival, 0.0)));
+        arrival += 1;
+    };
+    for _ in 0..rng.gen_range(1usize..12) {
+        let len = rng.gen_range(1u64..40);
+        match rng.gen_range(0u32..6) {
+            0 | 1 => {
+                for _ in 0..len {
+                    ts = ts.saturating_add(rng.gen_range(0u64..8));
+                    push(&mut ops, ts);
+                }
+            }
+            2 => {
+                let top = ts.saturating_add(len * 3);
+                for i in 0..len {
+                    push(&mut ops, top - i * 3);
+                }
+                ts = top;
+            }
+            3 => {
+                for _ in 0..len {
+                    push(&mut ops, ts);
+                }
+            }
+            4 => {
+                let back = ts.saturating_sub(rng.gen_range(0u64..200));
+                for i in 0..len.min(5) {
+                    push(&mut ops, back.saturating_add(i));
+                }
+            }
+            _ => {
+                let at = ts.saturating_sub(rng.gen_range(0u64..100));
+                ops.push(if rng.gen_bool(0.2) {
+                    ReorderOp::Flush
+                } else {
+                    ReorderOp::Advance(at)
+                });
+            }
+        }
+    }
+    ops
+}
+
+/// The reorder buffer's definition, kept naively: everything pending in
+/// one list, released by a stable sort.
+struct ReorderOracle {
+    lateness: u64,
+    pending: Vec<Event>,
+    max_ts: Timestamp,
+    floor: Timestamp,
+    dropped: u64,
+}
+
+impl ReorderOracle {
+    fn new(lateness: u64) -> Self {
+        Self {
+            lateness,
+            pending: Vec::new(),
+            max_ts: 0,
+            floor: 0,
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, ev: Event, out: &mut Vec<Event>) -> bool {
+        if ev.ts < self.floor {
+            self.dropped += 1;
+            return false;
+        }
+        self.pending.push(ev);
+        self.max_ts = self.max_ts.max(ev.ts);
+        let bound = self.max_ts.saturating_sub(self.lateness);
+        self.release(|ts| ts < bound, out);
+        self.floor = self.floor.max(bound);
+        true
+    }
+
+    fn advance(&mut self, ts: Timestamp, out: &mut Vec<Event>) {
+        self.max_ts = self.max_ts.max(ts);
+        self.release(|t| t <= ts, out);
+        if let Some(bound) = ts.checked_add(1) {
+            self.floor = self.floor.max(bound);
+        }
+    }
+
+    fn flush(&mut self, out: &mut Vec<Event>) {
+        self.release(|_| true, out);
+    }
+
+    fn release(&mut self, due: impl Fn(Timestamp) -> bool, out: &mut Vec<Event>) {
+        let (mut now, later): (Vec<Event>, Vec<Event>) =
+            self.pending.iter().partition(|ev| due(ev.ts));
+        // Stable: ties keep their arrival order.
+        now.sort_by_key(|ev| ev.ts);
+        out.extend(now);
+        self.pending = later;
+    }
 }
 
 /// Builds an arbitrary slice-partial message with sealed bundles,
@@ -821,6 +982,119 @@ fn mixed_unfixed_workloads_restore_bounded_disorder() {
             );
         }
     });
+}
+
+/// Lateness beyond the bound: keys on different shards run ahead of
+/// one another, some events arrive displaced past the bound, watermarks
+/// are interleaved — and at every shard count the parallel engine gives
+/// exactly the results and the `late_dropped()` of one `ReorderBuffer`
+/// in front of the sequential engine: the stream is ordered once, so
+/// every shard drops what the one buffer drops, and each drop is
+/// counted once.
+#[test]
+fn parallel_engine_gives_the_sequential_answer_beyond_the_lateness_bound() {
+    parallel_engine_drops_what_one_reorder_buffer_drops(24);
+}
+
+#[test]
+#[ignore = "larger case count: run in release (ci.yml)"]
+fn parallel_engine_gives_the_sequential_answer_beyond_the_lateness_bound_at_length() {
+    parallel_engine_drops_what_one_reorder_buffer_drops(2_000);
+}
+
+/// One step of a disordered feed.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    Event(Event),
+    Watermark(Timestamp),
+}
+
+fn parallel_engine_drops_what_one_reorder_buffer_drops(cases: u64) {
+    let mut dropping = 0;
+    for_cases(cases, |seed, rng| {
+        let queries = arb_mixed_queries(rng);
+        let lateness = rng.gen_range(20u64..150);
+        let feed = arb_skewed_feed(rng, 400);
+        let last = feed.iter().fold(0, |m, step| match step {
+            Feed::Event(ev) => m.max(ev.ts),
+            Feed::Watermark(ts) => m.max(*ts),
+        });
+        let final_wm = last + 10_000;
+
+        let mut sequential = AggregationEngine::new(queries.clone()).expect("valid queries");
+        let mut reorder = desis::core::engine::ReorderBuffer::new(lateness);
+        let mut released = Vec::new();
+        let mut want = Vec::new();
+        for step in feed.iter().copied().chain([Feed::Watermark(final_wm)]) {
+            match step {
+                Feed::Event(ev) => {
+                    reorder.push(ev, &mut released);
+                }
+                Feed::Watermark(ts) => reorder.advance(ts, &mut released),
+            }
+            for ev in released.drain(..) {
+                sequential.on_event(&ev);
+            }
+            if let Feed::Watermark(ts) = step {
+                sequential.on_watermark(ts);
+                want.extend(sequential.drain_results());
+            }
+        }
+        let want = canon(want);
+        dropping += u64::from(reorder.late_dropped() > 0);
+
+        for shards in [1usize, 2, 4, 7] {
+            let mut cfg = ParallelConfig::new(shards);
+            cfg.lateness = Some(lateness);
+            let mut engine = ParallelEngine::with_config(queries.clone(), cfg).expect("valid");
+            let mut got = Vec::new();
+            for step in &feed {
+                match step {
+                    Feed::Event(ev) => engine.on_event(ev),
+                    Feed::Watermark(ts) => {
+                        engine.on_watermark(*ts);
+                        got.extend(engine.drain_results());
+                    }
+                }
+            }
+            engine.on_watermark(final_wm);
+            engine.finish();
+            got.extend(engine.drain_results());
+            let context = format!("seed {seed}, {shards} shards, lateness {lateness}: {queries:?}");
+            assert_eq!(canon(got), want, "{context}");
+            assert_eq!(engine.late_dropped(), reorder.late_dropped(), "{context}");
+        }
+    });
+    assert!(
+        dropping * 2 > cases,
+        "only {dropping} of {cases} cases dropped anything"
+    );
+}
+
+/// Marker-carrying streams in arrival order where every key runs at its
+/// own lead of up to 300 ms, one event in ten is displaced back by up to
+/// 250 ms, and a watermark trails the newest timestamp every few dozen
+/// events.
+fn arb_skewed_feed(rng: &mut SmallRng, max: usize) -> Vec<Feed> {
+    let keys = rng.gen_range(2u32..6);
+    let lead: Vec<u64> = (0..keys).map(|_| rng.gen_range(0u64..300)).collect();
+    let mut newest = 0;
+    let mut watermark = 0;
+    let mut feed = Vec::new();
+    for mut ev in arb_marked_events(rng, max) {
+        ev.key = rng.gen_range(0..keys);
+        ev.ts += lead[ev.key as usize];
+        if rng.gen_bool(0.1) {
+            ev.ts = ev.ts.saturating_sub(rng.gen_range(0u64..250));
+        }
+        newest = newest.max(ev.ts);
+        feed.push(Feed::Event(ev));
+        if rng.gen_bool(0.03) {
+            watermark = watermark.max(newest.saturating_sub(rng.gen_range(0u64..400)));
+            feed.push(Feed::Watermark(watermark));
+        }
+    }
+    feed
 }
 
 /// Decoding corrupted frames must fail gracefully (error, never panic,

@@ -23,6 +23,9 @@
 //! * Correlated windows: sort-based windows that end together are built
 //!   from one another, counted in bundle merges against one range scan
 //!   per window end.
+//! * Lateness beyond the bound: the sharded engine drops exactly the
+//!   events a reorder buffer in front of the sequential engine drops,
+//!   and counts each once.
 
 use desis::prelude::*;
 
@@ -1136,5 +1139,58 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
                 );
             }
         }
+    }
+}
+
+/// A key racing 300 ms ahead under lateness 100: the events of key 0 at
+/// 50 and 60 arrive after key 1's event at 300, so they are later than
+/// the bound and a `ReorderBuffer` in front of the sequential engine
+/// drops them. The sharded engine used to reorder per shard, and a shard
+/// that never saw key 1 kept them (2 shards: key 0's first window summed
+/// to 120, not 10); with one shard the count groups' own buffer dropped
+/// them a second time (`late_dropped` 4, not 2).
+#[test]
+fn lateness_beyond_the_bound_gives_the_sequential_answer_on_every_shard_count() {
+    let queries = vec![
+        Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum),
+        Query::new(2, WindowSpec::tumbling_count(2).unwrap(), AggFunction::Sum),
+    ];
+    let events = [
+        Event::new(0, 0, 0.0),
+        Event::new(10, 0, 10.0),
+        Event::new(300, 1, 300.0),
+        Event::new(50, 0, 50.0),
+        Event::new(60, 0, 60.0),
+        Event::new(320, 1, 320.0),
+    ];
+    let final_wm = 1_000;
+
+    let mut sequential = AggregationEngine::new(queries.clone()).unwrap();
+    let mut reorder = ReorderBuffer::new(100);
+    let mut released = Vec::new();
+    for ev in events {
+        reorder.push(ev, &mut released);
+    }
+    reorder.advance(final_wm, &mut released);
+    for ev in &released {
+        sequential.on_event(ev);
+    }
+    sequential.on_watermark(final_wm);
+    let want = canon(sequential.drain_results());
+    assert_eq!(reorder.late_dropped(), 2);
+    let first = want.iter().find(|r| r.query == 1 && r.key == 0).unwrap();
+    assert_eq!(first.values, vec![Some(10.0)]);
+
+    for shards in [1, 2, 4, 7] {
+        let mut cfg = ParallelConfig::new(shards);
+        cfg.lateness = Some(100);
+        let mut parallel = ParallelEngine::with_config(queries.clone(), cfg).unwrap();
+        for ev in &events {
+            parallel.on_event(ev);
+        }
+        parallel.on_watermark(final_wm);
+        parallel.finish();
+        assert_eq!(canon(parallel.drain_results()), want, "shards={shards}");
+        assert_eq!(parallel.late_dropped(), 2, "shards={shards}");
     }
 }
