@@ -7,6 +7,8 @@
 //! [`QueryResult`]s. Partial results no longer referenced by any active
 //! window are garbage collected using the slicer's low watermark.
 
+use std::cmp::Reverse;
+
 use rustc_hash::FxHashMap;
 
 use crate::engine::group::QueryGroup;
@@ -77,13 +79,19 @@ impl Assembler {
     /// Windows of different queries frequently cover the *same* slice
     /// range (e.g. a thousand equal-length tumbling windows with different
     /// functions, Figure 9c); the store merges each distinct
-    /// `(selection, range)` once and shares it across queries.
+    /// `(selection, range)` once and shares it across queries. The
+    /// windows are asked shortest first (latest first slice first), so a
+    /// sort-based suffix chain costs its longest window
+    /// ([`SliceStore::merged_range`]). A slice ends at most one window per
+    /// query, so each query's results still leave in window-end order.
     pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
         let low = slice.low_watermark;
         let trace = slice.trace;
+        let mut ends = slice.ends;
+        ends.sort_by_key(|end| Reverse(end.first_slice));
         self.store
             .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
-        for end in &slice.ends {
+        for end in &ends {
             let before = out.len();
             self.assemble(end, out);
             if let (Some(rec), Some(id)) = (&mut self.tracer, trace) {

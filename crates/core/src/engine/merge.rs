@@ -274,8 +274,8 @@ fn scan(
 ///
 /// When it flips depends only on earlier slice ends, and an answer's
 /// association only on `mid`: the order in which one slice end's
-/// windows are asked changes no bit of any answer (the sequential
-/// engine asks in slicer order, the collector in query order).
+/// windows are asked changes no bit of any answer (both assemblers ask
+/// short-first, for the suffix chains' sake).
 #[derive(Debug, Clone)]
 struct SuffixCache {
     selection: usize,
@@ -500,12 +500,13 @@ impl SliceStore {
     ///   of the answer with the nearest later start and folds only the
     ///   older slices in. Whichever answers exist when a range is asked,
     ///   it gets the same bits; k lengths ending together cost `longest`
-    ///   [`merge_keyed`] calls when asked short-first and about
-    ///   `longest × H_k` in arbitrary order, against `Σ lengths` for the
-    ///   scan (which only asking long-first still pays). The fold runs
-    ///   towards the old end because that is the end nested suffixes
-    ///   differ at, and it merges the short run of one slice into the
-    ///   long run of the window so far
+    ///   [`merge_keyed`] calls when asked short-first — as
+    ///   [`crate::engine::Assembler`] and [`TimeAssembler`] ask them — and
+    ///   about `longest × H_k` in arbitrary order, against `Σ lengths`
+    ///   for the scan (which only asking long-first still pays). The
+    ///   fold runs towards the old end because that is the end nested
+    ///   suffixes differ at, and it merges the short run of one slice
+    ///   into the long run of the window so far
     ///   ([`crate::aggregate::OperatorState::merge`]). Nothing of it
     ///   outlives the slice end.
     ///
@@ -817,9 +818,12 @@ struct Member {
 }
 
 impl TimeAssembler {
-    /// Creates an assembler for the fixed time windows of `group`.
+    /// Creates an assembler for the fixed time windows of `group`. Its
+    /// members are kept shortest window first: of the windows ending at
+    /// one slice the shortest starts latest, so asking them in this order
+    /// is asking short-first ([`SliceStore::merged_range`]).
     pub fn new(group: &QueryGroup) -> Self {
-        let queries = query_infos(group)
+        let mut queries: Vec<Member> = query_infos(group)
             .filter(|(_, q)| q.window.has_precomputable_puncts())
             .map(|(id, info)| Member {
                 id,
@@ -827,6 +831,10 @@ impl TimeAssembler {
                 last_end: None,
             })
             .collect();
+        queries.sort_by_key(|m| match m.info.window.kind {
+            WindowKind::Tumbling { length } | WindowKind::Sliding { length, .. } => length,
+            WindowKind::Session { .. } | WindowKind::UserDefined { .. } => 0,
+        });
         Self {
             queries,
             store: SliceStore::default(),

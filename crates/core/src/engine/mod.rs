@@ -38,7 +38,7 @@ use crate::event::Event;
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, ProfHandle, Stage};
 use crate::obs::MetricsRegistry;
-use crate::query::{Query, QueryId, QueryResult};
+use crate::query::{Query, QueryId, QueryResult, ResultRuns};
 use crate::time::Timestamp;
 
 /// Single-node Desis aggregation engine.
@@ -64,7 +64,7 @@ pub struct AggregationEngine {
     analyzer: QueryAnalyzer,
     /// One terminal per query-group, each slicing the raw stream itself.
     pipelines: Vec<RawTerminal>,
-    results: Vec<QueryResult>,
+    runs: ResultRuns,
     next_group_id: GroupId,
     registry: Arc<MetricsRegistry>,
     /// The registry's `"seq"` lane; `None` unless the registry is
@@ -92,6 +92,8 @@ impl AggregationEngine {
         registry: Arc<MetricsRegistry>,
     ) -> Result<Self, DesisError> {
         let mut prof = registry.lane("seq");
+        let mut runs = ResultRuns::default();
+        runs.install(queries.iter().map(|q| q.id));
         let groups = {
             let _analyze = prof::scope(&mut prof, Stage::Analyzer);
             analyzer.analyze(queries)?
@@ -101,7 +103,7 @@ impl AggregationEngine {
         Ok(Self {
             analyzer,
             pipelines,
-            results: Vec::new(),
+            runs,
             next_group_id,
             registry,
             prof,
@@ -126,7 +128,7 @@ impl AggregationEngine {
                 let _slice = prof::scope(&mut self.prof, Stage::Slicer);
                 p.slicer.on_event(ev, &mut p.sealed);
             }
-            Self::assemble(&mut self.prof, p, &mut self.results);
+            Self::assemble(&mut self.prof, p, &mut self.runs);
         }
     }
 
@@ -137,29 +139,30 @@ impl AggregationEngine {
                 let _slice = prof::scope(&mut self.prof, Stage::Slicer);
                 p.slicer.on_watermark(ts, &mut p.sealed);
             }
-            Self::assemble(&mut self.prof, p, &mut self.results);
+            Self::assemble(&mut self.prof, p, &mut self.runs);
         }
     }
 
     #[inline]
-    fn assemble(prof: &mut Option<ProfHandle>, p: &mut RawTerminal, out: &mut Vec<QueryResult>) {
+    fn assemble(prof: &mut Option<ProfHandle>, p: &mut RawTerminal, runs: &mut ResultRuns) {
         if !p.sealed.is_empty() {
             let _assemble = prof::scope(prof, Stage::Assemble);
-            p.assemble(out);
+            p.assemble(runs.emitted());
+            runs.absorb();
         }
     }
 
     /// Takes all results produced since the last drain, in canonical
     /// `(query, window end, key, window start)` order
-    /// ([`crate::query::QueryResult::emit_order`]) — assemblers emit
-    /// per-key results in hash-map iteration order, which this makes
-    /// byte-reproducible.
+    /// ([`crate::query::QueryResult::emit_order`]). The order holds by
+    /// construction: each query's results are kept as one run, in which
+    /// windows end in time order and each window's keys ascend, and the
+    /// runs are concatenated in query-id order.
     pub fn drain_results(&mut self) -> Vec<QueryResult> {
-        let mut out = std::mem::take(&mut self.results);
-        {
+        let out = {
             let _drain = prof::scope(&mut self.prof, Stage::Drain);
-            crate::query::sort_results(&mut out);
-        }
+            self.runs.drain()
+        };
         if let Some(h) = &mut self.prof {
             h.flush();
         }
@@ -180,6 +183,7 @@ impl AggregationEngine {
                 query.id
             )));
         }
+        let id = query.id;
         let mut groups = {
             let _analyze = prof::scope(&mut self.prof, Stage::Analyzer);
             self.analyzer.analyze(vec![query])?
@@ -187,6 +191,7 @@ impl AggregationEngine {
         let mut group = groups.remove(0);
         group.id = self.next_group_id;
         self.next_group_id += 1;
+        self.runs.install([id]);
         self.pipelines.push(RawTerminal::new(group));
         Ok(())
     }
@@ -200,6 +205,7 @@ impl AggregationEngine {
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) -> Result<(), DesisError> {
         for p in &mut self.pipelines {
             if p.slicer.remove_query(id, immediate) {
+                self.runs.retire(id);
                 return Ok(());
             }
         }
@@ -301,6 +307,23 @@ mod tests {
         let results = engine.drain_results();
         assert!(results.iter().all(|r| r.query != 2));
         assert!(results.iter().any(|r| r.query == 1));
+    }
+
+    /// A result run holds at most the results since the last drain, and a
+    /// removed query's run does not outlive the first drain after it.
+    #[test]
+    fn a_drain_drops_the_result_run_of_a_removed_query() {
+        let mut engine = AggregationEngine::new(vec![
+            tumbling(1, 100, AggFunction::Sum),
+            tumbling(2, 100, AggFunction::Count),
+        ])
+        .unwrap();
+        engine.on_event(&Event::new(0, 0, 1.0));
+        engine.on_watermark(100);
+        engine.remove_query(2, true).unwrap();
+        assert_eq!(engine.drain_results().len(), 2);
+        assert_eq!(engine.runs.runs(), 1);
+        assert!(engine.runs.installed(1) && !engine.runs.installed(2));
     }
 
     #[test]

@@ -38,9 +38,13 @@
 //! waits until every live shard acknowledged the watermark, so the set
 //! of results visible to a drain after a watermark depends only on the
 //! ingested events and watermarks — never on thread scheduling. Drained
-//! results are sorted into the canonical `(query, window end, key,
-//! window start)` order ([`crate::query::QueryResult::emit_order`]), so
-//! parallel runs are byte-reproducible.
+//! results leave in the canonical `(query, window end, key, window
+//! start)` order ([`crate::query::QueryResult::emit_order`]) by
+//! construction, as the sequential engine's do: the collector keeps one
+//! run of results per query, in which windows end in time order and each
+//! window's keys ascend, and a drain concatenates the runs in query-id
+//! order, sorting only a run that arrived out of order. Parallel runs are
+//! byte-reproducible.
 //!
 //! **Shutdown.** A shard worker that panics is *degraded*: a drop guard
 //! reports the panic through the [`handoff::Inbox`], the collector stops

@@ -15,7 +15,7 @@ use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, Stage};
 use crate::obs::trace::TraceCollector;
 use crate::obs::{names, MetricsRegistry};
-use crate::query::{Query, QueryId, QueryResult};
+use crate::query::{Query, QueryId, QueryResult, ResultRuns};
 use crate::time::Timestamp;
 
 /// Key-sharded parallel twin of [`crate::engine::AggregationEngine`]: same
@@ -52,10 +52,10 @@ pub struct ParallelEngine {
     /// for the shards, while they slice it. Indexed by replay slot.
     replays: Vec<RawTerminal>,
     merged: Vec<(usize, SealedSlice)>,
-    results: Vec<QueryResult>,
+    /// Results since the last drain, one run per installed query.
+    runs: ResultRuns,
     registry: Arc<MetricsRegistry>,
     events: u64,
-    query_ids: Vec<QueryId>,
     next_group_id: crate::engine::GroupId,
 }
 
@@ -83,10 +83,9 @@ impl ParallelEngine {
             terminals: Vec::new(),
             replays: Vec::new(),
             merged: Vec::new(),
-            results: Vec::new(),
+            runs: ResultRuns::default(),
             registry,
             events: 0,
-            query_ids: Vec::new(),
             next_group_id: 0,
         };
         // Partition *queries* by plan before analysis: a single session
@@ -136,7 +135,7 @@ impl ParallelEngine {
                 }
             }
         }
-        self.query_ids.extend(ids);
+        self.runs.install(ids);
         Ok(())
     }
 
@@ -219,12 +218,13 @@ impl ParallelEngine {
         let replay_t0 = prof::stamp(&sharded.prof);
         for (idx, replay) in self.replays.iter_mut().enumerate() {
             for (_, ev) in sharded.count_matches(idx).drain(..) {
-                replay.on_event(&ev, &mut self.results);
+                replay.on_event(&ev, self.runs.emitted());
             }
             if let Some(ts) = wm {
-                replay.on_watermark(ts, &mut self.results);
+                replay.on_watermark(ts, self.runs.emitted());
             }
         }
+        self.runs.absorb();
         prof::record(&mut sharded.prof, Stage::Replay, replay_t0);
     }
 
@@ -237,20 +237,22 @@ impl ParallelEngine {
         let t0 = prof::stamp(&sharded.prof);
         for (group, slice) in self.merged.drain(..) {
             if let Some(terminal) = self.terminals.get_mut(group) {
-                terminal.on_slice(slice, &mut self.results);
+                terminal.on_slice(slice, self.runs.emitted());
             }
         }
+        self.runs.absorb();
         prof::record(&mut sharded.prof, Stage::Assemble, t0);
     }
 
     /// Takes all results produced since the last drain, in canonical
-    /// `(query, window end, key, window start)` order.
+    /// `(query, window end, key, window start)` order: the per-query runs
+    /// of [`crate::engine::AggregationEngine::drain_results`],
+    /// concatenated in query-id order.
     pub fn drain_results(&mut self) -> Vec<QueryResult> {
         self.collect_ready();
-        let mut out = std::mem::take(&mut self.results);
         let prof = &mut self.sharded.prof;
         let t0 = prof::stamp(prof);
-        crate::query::sort_results(&mut out);
+        let out = self.runs.drain();
         prof::record(prof, Stage::Drain, t0);
         // A drain typically follows `finish` (which already flushed the
         // driver handle), so push this span through eagerly.
@@ -270,7 +272,7 @@ impl ParallelEngine {
     /// flight assemble as they arrive, and a count group has sliced
     /// everything the inlet released once it took its matches.
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) {
-        self.query_ids.retain(|q| *q != id);
+        self.runs.retire(id);
         // Before its first event the stream stands nowhere, and a slicer
         // removing a query then drops it outright.
         let (at, immediate) = match self.sharded.remove_query(id, immediate) {
@@ -278,7 +280,7 @@ impl ParallelEngine {
             None => (0, true),
         };
         for terminal in &mut self.terminals {
-            terminal.remove_query(id, at, immediate, &mut self.results);
+            terminal.remove_query(id, at, immediate, self.runs.emitted());
         }
         self.slice_counts(None);
         if let Some(replay) = self
@@ -286,9 +288,10 @@ impl ParallelEngine {
             .iter_mut()
             .find(|r| r.slicer.group().query_index(id).is_some())
         {
-            replay.on_watermark(at, &mut self.results);
+            replay.on_watermark(at, self.runs.emitted());
             replay.slicer.remove_query(id, immediate);
         }
+        self.runs.absorb();
     }
 
     /// Adds a query at runtime (Section 3.2), the counterpart of the
@@ -298,7 +301,7 @@ impl ParallelEngine {
     /// new group are computed from its own specs by the per-shard
     /// slicers).
     pub fn add_query(&mut self, query: Query) -> Result<(), DesisError> {
-        if self.query_ids.contains(&query.id) {
+        if self.runs.installed(query.id) {
             return Err(DesisError::InvalidQuery(format!(
                 "duplicate query id {}",
                 query.id
@@ -341,5 +344,65 @@ impl ParallelEngine {
         m.events = self.events;
         terminal::publish(&m, retained, &self.registry);
         m
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::AggFunction;
+    use crate::window::WindowSpec;
+
+    /// A removed query's result run does not outlive the first drain
+    /// after its removal, whichever group runs it.
+    #[test]
+    fn a_drain_drops_the_result_run_of_a_removed_query() {
+        let queries = vec![
+            Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum),
+            Query::new(2, WindowSpec::session(50).unwrap(), AggFunction::Max),
+            Query::new(3, WindowSpec::tumbling_count(2).unwrap(), AggFunction::Sum),
+        ];
+        for removed in [1, 2, 3] {
+            let mut engine = ParallelEngine::new(queries.clone(), 2).unwrap();
+            for ts in 0..300 {
+                engine.on_event(&Event::new(ts, (ts % 3) as u32, 1.0));
+            }
+            engine.on_watermark(300);
+            engine.remove_query(removed, true);
+            assert!(!engine.drain_results().is_empty());
+            assert_eq!(engine.runs.runs(), 2, "query {removed} removed");
+            assert!(!engine.runs.installed(removed));
+        }
+    }
+
+    /// An id reused after a draining removal: the old query's last window
+    /// and the new query's window ending with it share one run, each
+    /// window's keys in a block, so the run is not in canonical order and
+    /// the drain sorts it.
+    #[test]
+    fn a_reused_query_id_drains_in_canonical_order() {
+        let window = |length| WindowSpec::tumbling_time(length).unwrap();
+        let queries = vec![Query::new(1, window(1_000), AggFunction::Sum)];
+        let mut engine = ParallelEngine::new(queries, 2).unwrap();
+        for ts in 0..500 {
+            engine.on_event(&Event::new(ts, (ts % 2) as u32, 1.0));
+        }
+        engine.remove_query(1, false);
+        engine
+            .add_query(Query::new(1, window(100), AggFunction::Count))
+            .unwrap();
+        for ts in 500..1_000 {
+            engine.on_event(&Event::new(ts, (ts % 2) as u32, 1.0));
+        }
+        engine.on_watermark(1_000);
+        let drained = engine.drain_results();
+        assert!(drained.is_sorted_by_key(QueryResult::emit_order));
+        let ending: Vec<_> = drained
+            .iter()
+            .filter(|r| r.window_end == 1_000)
+            .map(|r| (r.key, r.window_start, r.values[0]))
+            .collect();
+        let want = [(0, 0, 500.0), (0, 900, 50.0), (1, 0, 500.0), (1, 900, 50.0)];
+        assert_eq!(ending, want.map(|(k, s, v)| (k, s, Some(v))));
     }
 }

@@ -16,9 +16,10 @@ use crate::query::{Query, QueryResult};
 use crate::time::Timestamp;
 use crate::window::WindowSpec;
 
-fn canon(mut results: Vec<QueryResult>) -> Vec<QueryResult> {
-    crate::query::sort_results(&mut results);
-    results
+/// A drain, checked to be in canonical order without help.
+fn canonical(drain: Vec<QueryResult>) -> Vec<QueryResult> {
+    assert!(drain.is_sorted_by_key(QueryResult::emit_order), "{drain:?}");
+    drain
 }
 
 fn run_sequential(queries: Vec<Query>, events: &[Event], final_wm: Timestamp) -> Vec<QueryResult> {
@@ -27,7 +28,7 @@ fn run_sequential(queries: Vec<Query>, events: &[Event], final_wm: Timestamp) ->
         engine.on_event(ev);
     }
     engine.on_watermark(final_wm);
-    canon(engine.drain_results())
+    canonical(engine.drain_results())
 }
 
 fn run_parallel(
@@ -42,7 +43,7 @@ fn run_parallel(
     }
     engine.on_watermark(final_wm);
     engine.finish();
-    canon(engine.drain_results())
+    canonical(engine.drain_results())
 }
 
 fn mixed_queries() -> Vec<Query> {
@@ -144,7 +145,7 @@ fn batched_ingestion_matches_per_event() {
     }
     engine.on_watermark(8_000);
     engine.finish();
-    assert_eq!(canon(engine.drain_results()), per_event);
+    assert_eq!(canonical(engine.drain_results()), per_event);
 }
 
 #[test]
@@ -173,7 +174,7 @@ fn out_of_order_input_with_lateness_matches_sorted_sequential() {
     }
     engine.on_watermark(5_000);
     engine.finish();
-    assert_eq!(canon(engine.drain_results()), seq);
+    assert_eq!(canonical(engine.drain_results()), seq);
 }
 
 #[test]
@@ -409,7 +410,7 @@ fn add_then_remove_query_mid_stream_matches_sequential() {
                 engine.on_event(ev);
             }
             engine.on_watermark(60_000);
-            canon(engine.drain_results())
+            canonical(engine.drain_results())
         };
         for id in [7, 8, 9, 10] {
             assert!(seq.iter().any(|r| r.query == id), "query {id} must emit");
@@ -438,7 +439,7 @@ fn add_then_remove_query_mid_stream_matches_sequential() {
             engine.on_watermark(60_000);
             engine.finish();
             assert_eq!(
-                canon(engine.drain_results()),
+                canonical(engine.drain_results()),
                 seq,
                 "immediate={immediate} shards={shards}"
             );
@@ -463,7 +464,7 @@ fn add_query_to_empty_engine_spawns_the_sharded_path() {
     }
     engine.on_watermark(10_000);
     engine.finish();
-    assert_eq!(canon(engine.drain_results()), seq);
+    assert_eq!(canonical(engine.drain_results()), seq);
 }
 
 #[test]
@@ -717,7 +718,7 @@ fn profiling_enabled_results_match_unprofiled_run() {
     }
     engine.on_watermark(60_000);
     engine.finish();
-    let profiled = canon(engine.drain_results());
+    let profiled = canonical(engine.drain_results());
     assert_eq!(profiled, plain, "profiling must not perturb results");
 }
 

@@ -102,10 +102,10 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// The canonical emission order `(query, window end, key, window
-    /// start)`. Every result drain in the workspace sorts by this key, so
-    /// runs are byte-reproducible regardless of how assemblers interleave
-    /// per-query emissions on window-end ties (or how hash maps iterate
-    /// keys within one window).
+    /// start)`. Every result drain in the workspace leaves in this order,
+    /// so runs are byte-reproducible however assemblers interleave
+    /// per-query emissions on window-end ties. Within one result stream
+    /// the key is unique: a query has one result per window and key.
     #[inline]
     pub fn emit_order(
         &self,
@@ -120,9 +120,132 @@ impl QueryResult {
 }
 
 /// Sorts results into the canonical `(query, window end, key, window
-/// start)` emission order (see [`QueryResult::emit_order`]).
+/// start)` emission order (see [`QueryResult::emit_order`]). The sort is
+/// stable, which takes runs already in order in its input as they are (a
+/// cluster root drains one run per message). `emit_order` keys are unique
+/// within a result stream, so the order is the one an unstable sort
+/// gives.
 pub fn sort_results(results: &mut [QueryResult]) {
-    results.sort_unstable_by_key(QueryResult::emit_order);
+    results.sort_by_key(QueryResult::emit_order);
+}
+
+/// The results an engine emitted since its last drain, one run per query
+/// in emission order, so that a drain concatenates runs instead of
+/// sorting everything.
+///
+/// A run is in canonical order by construction wherever a query's windows
+/// end in time order, because each window's keys leave ascending
+/// ([`crate::engine::merge::finalize_sorted`]). A run that is not — an id
+/// reused after a draining removal interleaves two queries' windows — is
+/// stable-sorted at the drain, so every drain is canonical either way.
+///
+/// Retained state: a run holds at most the results since the last drain.
+/// Its capacity is kept for the next interval while its query is
+/// installed; the first drain after a query's removal drops its run, and
+/// so does every later drain that finds one (results a draining removal
+/// still emits).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResultRuns {
+    /// Sorted by query id.
+    runs: Vec<Run>,
+    /// What the current assembly step emits, on its way into the runs.
+    emitted: Vec<QueryResult>,
+}
+
+#[derive(Debug, Clone)]
+struct Run {
+    query: QueryId,
+    results: Vec<QueryResult>,
+    /// The query is not installed: the next drain drops the run.
+    retired: bool,
+}
+
+impl Run {
+    fn new(query: QueryId, retired: bool) -> Self {
+        Self {
+            query,
+            results: Vec::new(),
+            retired,
+        }
+    }
+}
+
+fn find(runs: &[Run], query: QueryId) -> Result<usize, usize> {
+    runs.binary_search_by_key(&query, |run| run.query)
+}
+
+impl ResultRuns {
+    /// Opens a run for each of `queries`, installed from now on.
+    pub(crate) fn install(&mut self, queries: impl IntoIterator<Item = QueryId>) {
+        let open = queries.into_iter().map(|query| Run::new(query, false));
+        self.runs.extend(open);
+        // Stable, so a run already held comes first among its equals and
+        // is the one kept, installed again.
+        self.runs.sort_by_key(|run| run.query);
+        self.runs.dedup_by(|new, held| {
+            let same = new.query == held.query;
+            held.retired &= !same;
+            same
+        });
+    }
+
+    /// Marks `query` removed: the next drain drops its run.
+    pub(crate) fn retire(&mut self, query: QueryId) {
+        if let Ok(at) = find(&self.runs, query) {
+            self.runs[at].retired = true;
+        }
+    }
+
+    /// Whether `query` is installed and not removed.
+    pub(crate) fn installed(&self, query: QueryId) -> bool {
+        find(&self.runs, query).is_ok_and(|at| !self.runs[at].retired)
+    }
+
+    /// The buffer an assembly step emits into, for
+    /// [`ResultRuns::absorb`] to empty.
+    pub(crate) fn emitted(&mut self) -> &mut Vec<QueryResult> {
+        &mut self.emitted
+    }
+
+    /// Moves what the assembly step emitted into the runs of their
+    /// queries. A window's results are contiguous, so this looks up one
+    /// run per window, not per result. A result of a query that is not
+    /// installed opens a run the next drain drops.
+    pub(crate) fn absorb(&mut self) {
+        let mut rest = self.emitted.drain(..).peekable();
+        while let Some(first) = rest.next() {
+            let query = first.query;
+            let at = find(&self.runs, query).unwrap_or_else(|at| {
+                self.runs.insert(at, Run::new(query, true));
+                at
+            });
+            let results = &mut self.runs[at].results;
+            results.push(first);
+            results.extend(std::iter::from_fn(|| rest.next_if(|r| r.query == query)));
+        }
+    }
+
+    /// Takes every run, concatenated in query-id order: the canonical
+    /// order, sorting only a run that is not in it already.
+    pub(crate) fn drain(&mut self) -> Vec<QueryResult> {
+        let len = self.runs.iter().map(|run| run.results.len()).sum();
+        let mut out = Vec::with_capacity(len);
+        for run in &mut self.runs {
+            let results = &mut run.results;
+            if !results.is_sorted_by_key(QueryResult::emit_order) {
+                results.sort_by_key(QueryResult::emit_order);
+            }
+            out.append(results);
+        }
+        self.runs.retain(|run| !run.retired);
+        out
+    }
+
+    /// Runs currently held, for the state-bound tests.
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> usize {
+        self.runs.len()
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +278,60 @@ mod tests {
             !Query::with_functions(1, w, vec![AggFunction::Sum, AggFunction::Quantile(0.9)])
                 .is_decomposable()
         );
+    }
+
+    fn result(query: QueryId, window_end: u64, key: u32) -> QueryResult {
+        QueryResult {
+            query,
+            key,
+            window_start: window_end.saturating_sub(10),
+            window_end,
+            values: vec![Some(f64::from(key))],
+        }
+    }
+
+    /// Blocks of several queries, interleaved, one of them out of end
+    /// order: the drain is the canonical sort of everything absorbed.
+    #[test]
+    fn result_runs_drain_in_canonical_order() {
+        let mut runs = ResultRuns::default();
+        runs.install([1, 2, 3]);
+        let mut all = Vec::new();
+        for block in [
+            vec![result(3, 10, 0), result(3, 10, 4)],
+            vec![result(1, 20, 1)],
+            vec![result(2, 30, 0), result(2, 30, 2), result(1, 30, 0)],
+            // A per-key end released late: query 3's run needs its sort.
+            vec![result(3, 10, 2), result(2, 40, 1)],
+        ] {
+            all.extend(block.iter().cloned());
+            runs.emitted().extend(block);
+            runs.absorb();
+        }
+        sort_results(&mut all);
+        assert_eq!(runs.drain(), all);
+        assert!(runs.drain().is_empty());
+        assert_eq!(runs.runs(), 3, "installed queries keep their runs");
+    }
+
+    /// A removed query's run goes with the next drain, and so does a run
+    /// its draining windows open afterwards.
+    #[test]
+    fn result_runs_drop_the_runs_of_removed_queries() {
+        let mut runs = ResultRuns::default();
+        runs.install([1, 2]);
+        runs.emitted().extend([result(1, 10, 0), result(2, 10, 0)]);
+        runs.absorb();
+        runs.retire(2);
+        assert!(runs.installed(1) && !runs.installed(2));
+        assert_eq!(runs.drain().len(), 2);
+        assert_eq!(runs.runs(), 1);
+        runs.emitted().push(result(2, 20, 0));
+        runs.absorb();
+        assert_eq!(runs.drain(), vec![result(2, 20, 0)]);
+        assert_eq!(runs.runs(), 1);
+        runs.install([2]);
+        assert!(runs.installed(2));
     }
 
     #[test]

@@ -160,6 +160,16 @@ fn arb_marked_events(rng: &mut SmallRng, max: usize) -> Vec<Event> {
         .collect()
 }
 
+/// A raw engine drain, checked to be in canonical order by itself —
+/// before [`canon`] would hide an ordering bug.
+fn canonical(drain: Vec<QueryResult>) -> Vec<QueryResult> {
+    assert!(
+        drain.is_sorted_by_key(QueryResult::emit_order),
+        "drain not in canonical order: {drain:?}"
+    );
+    drain
+}
+
 fn canon(mut results: Vec<QueryResult>) -> Vec<QueryResult> {
     results.sort_by(|a, b| {
         (a.query, a.window_start, a.window_end, a.key).cmp(&(
@@ -792,13 +802,13 @@ fn run_parallel(
         engine.on_event(ev);
         if lateness.is_none() && ev.ts >= next_wm {
             engine.on_watermark(ev.ts);
-            out.extend(engine.drain_results());
+            out.extend(canonical(engine.drain_results()));
             next_wm = ev.ts + 200;
         }
     }
     engine.on_watermark(last + 10_000);
     engine.finish();
-    out.extend(engine.drain_results());
+    out.extend(canonical(engine.drain_results()));
     assert_eq!(engine.late_dropped(), 0, "bounded disorder must not drop");
     canon(out)
 }
@@ -811,7 +821,7 @@ fn run_sequential(queries: Vec<Query>, events: &[Event]) -> Vec<QueryResult> {
         engine.on_event(ev);
     }
     engine.on_watermark(events.iter().map(|e| e.ts).max().unwrap_or(0) + 10_000);
-    canon(engine.drain_results())
+    canon(canonical(engine.drain_results()))
 }
 
 /// The parallel engine is shard-count invariant: for arbitrary query
@@ -1037,7 +1047,7 @@ fn parallel_engine_drops_what_one_reorder_buffer_drops(cases: u64) {
             }
             if let Feed::Watermark(ts) = step {
                 sequential.on_watermark(ts);
-                want.extend(sequential.drain_results());
+                want.extend(canonical(sequential.drain_results()));
             }
         }
         let want = canon(want);
@@ -1053,13 +1063,13 @@ fn parallel_engine_drops_what_one_reorder_buffer_drops(cases: u64) {
                     Feed::Event(ev) => engine.on_event(ev),
                     Feed::Watermark(ts) => {
                         engine.on_watermark(*ts);
-                        got.extend(engine.drain_results());
+                        got.extend(canonical(engine.drain_results()));
                     }
                 }
             }
             engine.on_watermark(final_wm);
             engine.finish();
-            got.extend(engine.drain_results());
+            got.extend(canonical(engine.drain_results()));
             let context = format!("seed {seed}, {shards} shards, lateness {lateness}: {queries:?}");
             assert_eq!(canon(got), want, "{context}");
             assert_eq!(engine.late_dropped(), reorder.late_dropped(), "{context}");
@@ -1095,6 +1105,129 @@ fn arb_skewed_feed(rng: &mut SmallRng, max: usize) -> Vec<Feed> {
         }
     }
     feed
+}
+
+/// Drains are canonical by construction, under churn: session, count,
+/// user-defined and fixed windows, queries added and removed at random
+/// stream positions, watermarks and drains in between. Every raw drain
+/// of the sequential engine and of the sharded
+/// engine at {1, 2, 4, 7} shards is in canonical order by itself — the
+/// engines keep one run of results per query and sort only a run that is
+/// out of order — and the sharded results are the sequential ones.
+#[test]
+fn drains_are_canonical_under_query_churn() {
+    drains_stay_canonical_under_query_churn(16);
+}
+
+#[test]
+#[ignore = "larger case count: run in release (ci.yml)"]
+fn drains_are_canonical_under_query_churn_at_length() {
+    drains_stay_canonical_under_query_churn(400);
+}
+
+/// One step of a churn script.
+#[derive(Debug, Clone)]
+enum Churn {
+    Event(Event),
+    Watermark(Timestamp),
+    Add(Query),
+    Remove(QueryId),
+}
+
+fn drains_stay_canonical_under_query_churn(cases: u64) {
+    let mut changes = 0;
+    for_cases(cases, |seed, rng| {
+        let queries = arb_mixed_queries(rng);
+        let script = arb_churn_script(rng, &queries);
+        changes += script
+            .iter()
+            .filter(|step| matches!(step, Churn::Add(_) | Churn::Remove(_)))
+            .count();
+        let last = script.iter().fold(0, |m, step| match step {
+            Churn::Event(ev) => m.max(ev.ts),
+            _ => m,
+        });
+
+        let mut sequential = AggregationEngine::new(queries.clone()).expect("valid queries");
+        let mut want = Vec::new();
+        for step in &script {
+            match step {
+                Churn::Event(ev) => sequential.on_event(ev),
+                Churn::Watermark(ts) => {
+                    sequential.on_watermark(*ts);
+                    want.extend(canonical(sequential.drain_results()));
+                }
+                Churn::Add(q) => sequential.add_query(q.clone()).expect("fresh id"),
+                Churn::Remove(id) => sequential.remove_query(*id, true).expect("installed"),
+            }
+        }
+        sequential.on_watermark(last + 10_000);
+        want.extend(canonical(sequential.drain_results()));
+        let want = canon(want);
+
+        for shards in [1usize, 2, 4, 7] {
+            let mut engine = ParallelEngine::new(queries.clone(), shards).expect("valid");
+            let mut got = Vec::new();
+            for step in &script {
+                match step {
+                    Churn::Event(ev) => engine.on_event(ev),
+                    Churn::Watermark(ts) => {
+                        engine.on_watermark(*ts);
+                        got.extend(canonical(engine.drain_results()));
+                    }
+                    Churn::Add(q) => engine.add_query(q.clone()).expect("fresh id"),
+                    Churn::Remove(id) => engine.remove_query(*id, true),
+                }
+            }
+            engine.on_watermark(last + 10_000);
+            engine.finish();
+            got.extend(canonical(engine.drain_results()));
+            let context = format!("seed {seed}, {shards} shards: {queries:?} {script:?}");
+            assert_eq!(canon(got), want, "{context}");
+        }
+    });
+    assert!(changes as u64 >= cases, "only {changes} query changes");
+}
+
+/// A marker-carrying stream with watermarks trailing it, interleaved with
+/// query changes after its first event: a query of any window class under
+/// a fresh id, or the immediate removal of one still installed.
+///
+/// Draining removals are left out: the sharded engine does not give the
+/// sequential answer to them yet (ROADMAP item 7). A shard, or a count
+/// group, whose slicer has seen no event yet has no window open to
+/// drain, where the sequential engine's slicer has one; and a shard drops
+/// a session query once its own fragment of the open session closes, so
+/// the merged session misses what other keys still add.
+fn arb_churn_script(rng: &mut SmallRng, queries: &[Query]) -> Vec<Churn> {
+    let events = arb_marked_events(rng, 300);
+    let mut installed: Vec<QueryId> = queries.iter().map(|q| q.id).collect();
+    let mut next_id = 100;
+    let mut script = Vec::new();
+    for (i, ev) in events.into_iter().enumerate() {
+        if i > 0 && rng.gen_bool(0.01) {
+            if installed.is_empty() || rng.gen_bool(0.5) {
+                let window = match rng.gen_range(0u32..3) {
+                    0 => WindowSpec::user_defined(rng.gen_range(0u32..2)),
+                    1 => WindowSpec::session(rng.gen_range(40u64..200)).unwrap(),
+                    _ => arb_window(rng),
+                };
+                let query = Query::new(next_id, window, arb_function(rng));
+                installed.push(next_id);
+                script.push(Churn::Add(query));
+                next_id += 1;
+            } else {
+                let id = installed.swap_remove(rng.gen_range(0..installed.len()));
+                script.push(Churn::Remove(id));
+            }
+        }
+        let ts = ev.ts;
+        script.push(Churn::Event(ev));
+        if rng.gen_bool(0.05) {
+            script.push(Churn::Watermark(ts));
+        }
+    }
+    script
 }
 
 /// Decoding corrupted frames must fail gracefully (error, never panic,

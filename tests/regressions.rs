@@ -949,13 +949,23 @@ fn timestamps_near_u64_max_neither_hang_nor_panic() {
 /// own oracle — one `SliceStore::merge_range` per window end over the
 /// same slices — so the ratio cannot drift back unnoticed (ROADMAP item
 /// 1), and the results are still the naive baseline's.
+///
+/// Asked short-first, a slice end's windows cost exactly one fold of the
+/// longest: per slice end, the slices of its longest multi-slice window
+/// folded newest → oldest, each merging the keys it shares with the
+/// newer ones (a key's first partial is a clone). Both assemblers are
+/// pinned to that count — the sequential engine's `Assembler` and, at one
+/// shard, the collector's `TimeAssembler`; asking in slicer or query
+/// order costs more.
 #[test]
 fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
     use desis::core::engine::merge::{query_infos, KeyedBundles, SliceRange, SliceStore};
     use desis::core::engine::{GroupSlicer, QueryAnalyzer};
 
     // One 500 ms grid: thirty tumbling lengths and thirty longer sliding
-    // ones, no two alike, steps of 1, 2, 3 and 5 ticks.
+    // ones, no two alike, steps of 1, 2, 3 and 5 ticks. Ids do not follow
+    // lengths (`7 · id mod 61` permutes 1..=60), so neither the slicer's
+    // nor the query order is short-first by accident.
     const TICK: u64 = 500;
     let functions = [
         AggFunction::Median,
@@ -964,11 +974,12 @@ fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
     ];
     let queries: Vec<Query> = (1..=60u64)
         .map(|id| {
-            let window = if id <= 30 {
-                WindowSpec::tumbling_time(id * TICK)
+            let ticks = 7 * id % 61;
+            let window = if ticks <= 30 {
+                WindowSpec::tumbling_time(ticks * TICK)
             } else {
-                let step = [1, 2, 3, 5][(id % 4) as usize];
-                WindowSpec::sliding_time(id * TICK, step * TICK)
+                let step = [1, 2, 3, 5][(ticks % 4) as usize];
+                WindowSpec::sliding_time(ticks * TICK, step * TICK)
             };
             Query::new(id, window.unwrap(), functions[(id % 3) as usize])
         })
@@ -1000,22 +1011,50 @@ fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
     }
     slicer.on_watermark(final_wm, &mut slices);
     let mut store = SliceStore::default();
-    let (mut scan_merges, mut window_ends) = (0, 0);
+    let (mut scan_merges, mut window_ends, mut chain_merges) = (0, 0, 0);
+    let mut keys: std::collections::BTreeMap<u64, std::collections::BTreeSet<Key>> =
+        Default::default();
     for slice in slices {
+        // Every query reads the one sort-based selection.
+        let present = slice.data.per_selection[0].keys().copied().collect();
+        keys.insert(slice.id, present);
+        let longest = slice.ends.iter().map(|end| end.first_slice).min();
+        if let Some(first) = longest.filter(|first| *first < slice.id) {
+            let mut folded = keys[&slice.id].clone();
+            for older in (first..slice.id).rev() {
+                chain_merges += keys[&older].intersection(&folded).count() as u64;
+                folded.extend(&keys[&older]);
+            }
+        }
         store.push(slice.id, slice.start_ts, slice.end_ts, slice.data);
         for end in &slice.ends {
+            assert_eq!(end.last_slice, slice.id, "every window is a suffix");
             let range = SliceRange::Ids(end.first_slice, end.last_slice);
             let selection = infos[&end.query].selection;
             scan_merges += store.merge_range(range, selection, &mut KeyedBundles::default());
             window_ends += 1;
         }
         store.gc_ids(slice.low_watermark);
+        keys.retain(|id, _| *id >= slice.low_watermark);
     }
     assert!(window_ends > 500, "{window_ends} window ends");
     assert!(
         2 * merges <= scan_merges,
         "{merges} merges against {scan_merges} for one scan per window end"
     );
+    assert_eq!(
+        merges, chain_merges,
+        "the sequential engine asks short-first"
+    );
+    let mut collector = ParallelEngine::new(queries.clone(), 1).unwrap();
+    for ev in &events {
+        collector.on_event(ev);
+    }
+    collector.on_watermark(final_wm);
+    collector.finish();
+    assert_eq!(canon(collector.drain_results()), results);
+    let collected = collector.metrics().merges;
+    assert_eq!(collected, chain_merges, "the collector asks short-first");
 
     // The most naive baseline: a buffer per window, aggregated at its end.
     let mut naive = SystemKind::CeBuffer.build(queries).unwrap();
