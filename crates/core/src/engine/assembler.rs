@@ -80,10 +80,11 @@ impl Assembler {
     /// range (e.g. a thousand equal-length tumbling windows with different
     /// functions, Figure 9c); the store merges each distinct
     /// `(selection, range)` once and shares it across queries. The
-    /// windows are asked shortest first (latest first slice first), so a
-    /// sort-based suffix chain costs its longest window
-    /// ([`SliceStore::merged_range`]). A slice ends at most one window per
-    /// query, so each query's results still leave in window-end order.
+    /// windows are asked shortest first (latest first slice first), so
+    /// the windows over sort-based partials are one fold of the longest
+    /// one, grown in place ([`SliceStore::merged_range`]). A slice ends
+    /// at most one window per query, so each query's results still leave
+    /// in window-end order.
     pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
         let low = slice.low_watermark;
         let trace = slice.trace;

@@ -30,8 +30,11 @@
 //!   two-stack suffix aggregates, kept across slice ends, that make
 //!   overlapping windows over constant-size partials O(1) merges per
 //!   slice end; and for sort-based partials, whose suffix aggregates
-//!   are too large to keep, suffix chains within the slice end — of the
-//!   windows that end together each is built from the next shorter one.
+//!   are too large to keep, one open fold per selection within the
+//!   slice end — the windows that end together, asked short-first, are
+//!   one map folded towards the old end in place, none cloned. Every
+//!   answer comes with its keys sorted once ([`RangeAnswer`]), so no
+//!   window sorts its keys again in [`finalize_sorted`].
 //!
 //! Slices also arrive in frames from outside the process and may declare
 //! fewer selections than their group has: the kernel reads selections
@@ -161,25 +164,44 @@ pub fn finalize_key(
     }
 }
 
+/// A window's merged partial as [`SliceStore::merged_range`] hands it
+/// out: the per-key bundles and their keys in ascending order, sorted
+/// once per answer however many windows read it.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeAnswer<'a> {
+    /// Per-key merged partials of the range.
+    pub bundles: &'a KeyedBundles,
+    /// The keys of `bundles`, ascending.
+    pub keys: &'a [Key],
+}
+
+/// `map`'s keys in ascending order, re-sorted into `keys` only when `map`
+/// holds keys the list lacks. Answers only ever gain keys, so a length
+/// that differs is a list that is stale.
+fn sorted_keys<'a>(map: &KeyedBundles, keys: &'a mut Vec<Key>) -> &'a [Key] {
+    if keys.len() != map.len() {
+        let mut sorted: Vec<Key> = map.keys().copied().collect();
+        sorted.sort_unstable();
+        *keys = sorted;
+    }
+    keys
+}
+
 /// Finalizes `functions` for every key of `merged`, emitting in ascending
 /// key order so output is hash-order-free even before any canonical sort.
+/// The order is the answer's own key list: a slice end's windows that
+/// read one answer share one sort, and nothing here sorts per window.
 pub fn finalize_sorted(
     query: QueryId,
     functions: &[AggFunction],
-    merged: &KeyedBundles,
+    merged: RangeAnswer<'_>,
     start_ts: Timestamp,
     end_ts: Timestamp,
     out: &mut Vec<QueryResult>,
 ) {
-    // Bare keys are sorted and each looked up again. Re-measured under
-    // the suffix caches (256 keys, four sliding queries): sorting
-    // (key, &bundle) pairs instead takes 40 µs against 27 µs per slice
-    // end for this loop alone, 28 against 27 inside the assembler, and
-    // moves nothing end to end.
-    let mut keys: Vec<Key> = merged.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let bundle = &merged[&key];
+    out.reserve(merged.keys.len());
+    for &key in merged.keys {
+        let bundle = &merged.bundles[&key];
         out.push(finalize_key(
             query, functions, key, bundle, start_ts, end_ts,
         ));
@@ -233,6 +255,9 @@ struct StoredSlice {
     start_ts: Timestamp,
     end_ts: Timestamp,
     data: SliceData,
+    /// Per selection, the keys of its map in ascending order: sorted the
+    /// first time a one-slice range borrows the map, empty until then.
+    keys: Vec<Vec<Key>>,
 }
 
 /// The range scan: folds selection `sel` of the slices `range` covers —
@@ -253,6 +278,21 @@ fn scan(
         Some(run) => slices.range(run).map(fold).sum(),
         None => slices.iter().filter(|s| range.covers(s)).map(fold).sum(),
     }
+}
+
+/// Folds selection `sel` of the slices at `older` into `dst` newest →
+/// oldest: a link of a suffix chain grown towards the old end.
+fn fold_back(
+    slices: &VecDeque<StoredSlice>,
+    older: Range<usize>,
+    sel: usize,
+    dst: &mut KeyedBundles,
+) -> u64 {
+    let parts = slices.range(older).rev();
+    parts
+        .filter_map(|stored| stored.data.per_selection.get(sel))
+        .map(|map| merge_keyed(dst, map))
+        .sum()
 }
 
 /// Two-stack aggregate (*In-Order Sliding-Window Aggregation in
@@ -361,29 +401,66 @@ impl SuffixCache {
 }
 
 /// One answer of the current slice end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Answer {
     merged: KeyedBundles,
+    /// `merged`'s keys, ascending: sorted on the first keyed ask
+    /// ([`sorted_keys`]), and again only if the answer gained keys since.
+    keys: Vec<Key>,
     /// Sequence number of the first slice covered, when the answer is a
     /// link of its selection's suffix chain: the fold newest → oldest of
     /// the slices from there to the newest one.
     chained_from: Option<u64>,
 }
 
+impl Answer {
+    /// The answer and its key list, sorted if it is stale.
+    fn keyed(&mut self) -> RangeAnswer<'_> {
+        RangeAnswer {
+            keys: sorted_keys(&self.merged, &mut self.keys),
+            bundles: &self.merged,
+        }
+    }
+}
+
+/// The open fold of one sort-based selection at the current slice end:
+/// an [`Answer`] whose `chained_from` is `Some`, folded further towards
+/// the old end in place each time a longer suffix is asked.
+#[derive(Debug, Clone)]
+struct Fold {
+    selection: usize,
+    link: Answer,
+}
+
+/// Where [`SliceStore::locate`] found a range's answer.
+enum Found {
+    /// The one slice at this index: its map is borrowed.
+    Slice(usize),
+    /// The open fold at this index of `folds`.
+    Fold(usize),
+    /// The memo entry of the range.
+    Memo,
+}
+
 /// Slice partials of one source, retained in arrival order until no
-/// window can reference them, plus two memos over them: the answers of
-/// the current slice end, and per selection with overlapping windows
-/// over constant-size partials a two-stack suffix cache that survives
-/// from one slice end to the next.
+/// window can reference them, plus memos over them: the answers of the
+/// current slice end, per selection with sort-based partials one open
+/// fold of the current slice end, and per selection with overlapping
+/// windows over constant-size partials a two-stack suffix cache that
+/// survives from one slice end to the next.
 ///
-/// Retained state: the slices themselves, and per suffix cache at most
-/// one keyed map per slice of the longest window asked of it plus one —
-/// never more than the slices retained, so at most the order of the
-/// store's own contents ([`SliceStore::cached_bundles`]). Transient
-/// state: the answers of one slice end — at most (distinct window
-/// lengths ending together) × (live keys) bundles per selection, suffix
-/// chains included — released when the next slice is pushed or gc
-/// closes the slice end, whichever comes first.
+/// Retained state: the slices themselves (with each selection's sorted
+/// key list once a one-slice range read it), and per suffix cache at
+/// most one keyed map per slice of the longest window asked of it plus
+/// one — never more than the slices retained, so at most the order of
+/// the store's own contents ([`SliceStore::cached_bundles`]). Transient
+/// state: the answers of one slice end — per selection with sort-based
+/// partials one fold of at most (live keys) bundles when its windows are
+/// asked short-first (each shorter range asked after a longer one adds
+/// a chain link of as many), otherwise at most (distinct window lengths
+/// ending together) × (live keys) bundles per selection — released when
+/// the next slice is pushed or gc closes the slice end, whichever comes
+/// first.
 #[derive(Debug, Clone, Default)]
 pub struct SliceStore {
     slices: VecDeque<StoredSlice>,
@@ -398,10 +475,13 @@ pub struct SliceStore {
     /// queries often cover the same `(selection, range)` (a thousand
     /// equal-length tumbling windows with different functions, Figure
     /// 9c), which is then merged once. For a selection with sort-based
-    /// partials these answers are also its *suffix chain*: windows that
-    /// end together are nested suffixes of the store, so each is built
-    /// from the next shorter one already here.
+    /// partials a suffix range asked after a longer one is a link of its
+    /// *suffix chain*, built from the nearest later-starting link here.
     merged: FxHashMap<(usize, SliceRange), Answer>,
+    /// The open folds of the current slice end, one per sort-based
+    /// selection: windows that end together are nested suffixes of the
+    /// store, so asked short-first each is the last one folded further.
+    folds: Vec<Fold>,
     caches: Vec<SuffixCache>,
     merges: u64,
     /// What a range without data for the selection borrows.
@@ -420,11 +500,13 @@ impl SliceStore {
             }
         }
         self.merged.clear();
+        self.folds.clear();
         self.slices.push_back(StoredSlice {
             id,
             start_ts,
             end_ts,
             data,
+            keys: Vec::new(),
         });
     }
 
@@ -447,6 +529,32 @@ impl SliceStore {
     /// Bundle-into-bundle merges [`SliceStore::merged_range`] performed.
     pub fn merges(&self) -> u64 {
         self.merges
+    }
+
+    /// Bundles held by the answers of the current slice end, open folds
+    /// included: the transient state bounded in the type's docs.
+    #[cfg(test)]
+    fn transient_bundles(&self) -> usize {
+        let memo: usize = self.merged.values().map(|a| a.merged.len()).sum();
+        let folds: usize = self.folds.iter().map(|f| f.link.merged.len()).sum();
+        memo + folds
+    }
+
+    /// Whether the answer of `range` on selection `sel` is a link of the
+    /// selection's suffix chain: its open fold standing at the range's
+    /// start, or a chain link in the memo.
+    #[cfg(test)]
+    fn served_by_chain(&self, sel: usize, range: SliceRange) -> bool {
+        if let Some(answer) = self.merged.get(&(sel, range)) {
+            return answer.chained_from.is_some();
+        }
+        let suffix = |run: &Range<usize>| run.len() > 1 && run.end == self.slices.len();
+        let Some(run) = self.run(range).filter(suffix) else {
+            return false;
+        };
+        let from = self.base + run.start as u64;
+        let fold = self.folds.iter().find(|f| f.selection == sel);
+        fold.is_some_and(|f| f.link.chained_from == Some(from))
     }
 
     /// Indices of the slices `range` covers. Ids are consecutive and
@@ -482,29 +590,36 @@ impl SliceStore {
         scan(&self.slices, self.run(range), range, sel, dst)
     }
 
-    /// The merged partial of `query`'s selection over `range`, computed
-    /// at most once per distinct range and slice end. A one-slice range
-    /// borrows the stored map. A longer range that ends at the newest
-    /// slice of an ordered store is put together by what its selection's
-    /// partials allow:
+    /// The merged partial of `query`'s selection over `range` and its
+    /// keys in ascending order, each computed at most once per distinct
+    /// range and slice end. A one-slice range borrows the stored map
+    /// (its key list is sorted on the first ask and kept with the
+    /// slice). A longer range that ends at the newest slice of an
+    /// ordered store is put together by what its selection's partials
+    /// allow:
     ///
     /// * constant-size partials ([`QueryInfo::constant_size`]) under
     ///   overlapping windows (sliding with `step < length`): the
     ///   selection's two-stack suffix cache, kept across slice ends —
     ///   O(1) amortised [`merge_keyed`] calls per window length and
     ///   slice end instead of one per covered slice;
-    /// * sort-based partials: the selection's *suffix chain*. Such a
-    ///   range is **defined** as the fold newest → oldest,
+    /// * sort-based partials: the selection's *open fold*. Such a range
+    ///   is **defined** as the fold newest → oldest,
     ///   `((x[hi-1] ∘ x[hi-2]) ∘ …) ∘ x[a]`, so the answers of one slice
-    ///   end are prefixes of one fold, and a new one starts from a clone
-    ///   of the answer with the nearest later start and folds only the
-    ///   older slices in. Whichever answers exist when a range is asked,
-    ///   it gets the same bits; k lengths ending together cost `longest`
-    ///   [`merge_keyed`] calls when asked short-first — as
-    ///   [`crate::engine::Assembler`] and [`TimeAssembler`] ask them — and
-    ///   about `longest × H_k` in arbitrary order, against `Σ lengths`
-    ///   for the scan (which only asking long-first still pays). The
-    ///   fold runs towards the old end because that is the end nested
+    ///   end are prefixes of one fold. A range starting at or before the
+    ///   fold's oldest slice folds the slices in between into it in
+    ///   place — no map is cloned — and is read off it; the fold's key
+    ///   list is re-sorted only when that added keys. A range starting
+    ///   later, asked after a longer one, is a link of the *suffix
+    ///   chain*: it starts from a clone of the memoized link with the
+    ///   nearest later start, if any, and folds only the older slices
+    ///   in. Whichever answers exist when a range is asked, it gets the
+    ///   same bits; k lengths ending together cost `longest`
+    ///   [`merge_keyed`] calls and no clone when asked short-first — as
+    ///   [`crate::engine::Assembler`], [`TimeAssembler`] and
+    ///   [`UnfixedMerger`] ask them — and about `longest × H_k` in
+    ///   arbitrary order, against `Σ lengths` for the scan. The fold
+    ///   runs towards the old end because that is the end nested
     ///   suffixes differ at, and it merges the short run of one slice
     ///   into the long run of the window so far
     ///   ([`crate::aggregate::OperatorState::merge`]). Nothing of it
@@ -514,24 +629,97 @@ impl SliceStore {
     /// stores, ranges that end before the newest slice — is
     /// [`SliceStore::merge_range`]. Either way the answer is shared
     /// until the store changes or gc closes the slice end.
-    pub fn merged_range(&mut self, range: SliceRange, query: &QueryInfo) -> &KeyedBundles {
+    pub fn merged_range(&mut self, range: SliceRange, query: &QueryInfo) -> RangeAnswer<'_> {
+        let sel = query.selection;
+        let found = self.locate(range, query);
+        let empty = RangeAnswer {
+            bundles: &self.empty,
+            keys: &[],
+        };
+        match found {
+            Found::Slice(at) => {
+                let StoredSlice { data, keys, .. } = &mut self.slices[at];
+                let Some(map) = data.per_selection.get(sel) else {
+                    return empty;
+                };
+                if keys.len() <= sel {
+                    keys.resize_with(sel + 1, Vec::new);
+                }
+                RangeAnswer {
+                    keys: sorted_keys(map, &mut keys[sel]),
+                    bundles: map,
+                }
+            }
+            Found::Fold(at) => self.folds[at].link.keyed(),
+            Found::Memo => self
+                .merged
+                .get_mut(&(sel, range))
+                .map_or(empty, Answer::keyed),
+        }
+    }
+
+    /// [`SliceStore::merged_range`] without the key list, for callers
+    /// that merge the answer on instead of finalizing it.
+    pub fn merged_bundles(&mut self, range: SliceRange, query: &QueryInfo) -> &KeyedBundles {
+        let sel = query.selection;
+        let map = match self.locate(range, query) {
+            Found::Slice(at) => self.slices[at].data.per_selection.get(sel),
+            Found::Fold(at) => Some(&self.folds[at].link.merged),
+            Found::Memo => self.merged.get(&(sel, range)).map(|a| &a.merged),
+        };
+        map.unwrap_or(&self.empty)
+    }
+
+    /// Puts together the answer of `range`, unless it exists already,
+    /// and says where it is.
+    fn locate(&mut self, range: SliceRange, query: &QueryInfo) -> Found {
         let sel = query.selection;
         let run = self.run(range);
         if let Some(run) = &run {
             if run.len() == 1 {
-                let map = self.slices[run.start].data.per_selection.get(sel);
-                return map.unwrap_or(&self.empty);
+                return Found::Slice(run.start);
+            }
+            let suffix = run.len() > 1 && run.end == self.slices.len();
+            if suffix && !query.constant_size {
+                let from = self.base + run.start as u64;
+                if let Some(at) = self.fold(sel, from) {
+                    return Found::Fold(at);
+                }
             }
         }
-        // Looked up twice on a hit: a miss reads the other answers
-        // before it inserts its own, which a held entry would forbid.
         if !self.merged.contains_key(&(sel, range)) {
             let answer = self.answer(run, range, query);
             self.merged.insert((sel, range), answer);
         }
-        self.merged
-            .get(&(sel, range))
-            .map_or(&self.empty, |answer| &answer.merged)
+        Found::Memo
+    }
+
+    /// Folds selection `sel`'s slices from sequence number `from` up to
+    /// the newest into the selection's open fold, opening it if there is
+    /// none, and returns its index — or `None` when the fold already
+    /// reaches past `from` (a shorter range asked after a longer one).
+    fn fold(&mut self, sel: usize, from: u64) -> Option<usize> {
+        let at = match self.folds.iter().position(|f| f.selection == sel) {
+            Some(at) => at,
+            None => {
+                let newest = self.base + self.slices.len() as u64;
+                let link = Answer {
+                    chained_from: Some(newest),
+                    ..Answer::default()
+                };
+                self.folds.push(Fold {
+                    selection: sel,
+                    link,
+                });
+                self.folds.len() - 1
+            }
+        };
+        let link = &mut self.folds[at].link;
+        let reached = link.chained_from.filter(|reached| from <= *reached)?;
+        let older = (from - self.base) as usize..(reached - self.base) as usize;
+        self.merges += fold_back(&self.slices, older, sel, &mut link.merged);
+        link.chained_from = Some(from);
+        Some(at)
     }
 
     /// Puts together a range no answer exists for yet.
@@ -559,13 +747,15 @@ impl SliceStore {
         };
         Answer {
             merged,
-            chained_from: None,
+            ..Answer::default()
         }
     }
 
     /// The next link of selection `sel`'s suffix chain: the slices `run`
     /// (which ends at the newest) folded newest → oldest, starting from
-    /// the link with the nearest later start if there is one.
+    /// a clone of the memoized link with the nearest later start if there
+    /// is one. Only a range asked after its selection's open fold passed
+    /// its start gets here, so the fold is never that link.
     fn chained(&mut self, run: Range<usize>, sel: usize) -> Answer {
         let from = self.base + run.start as u64;
         let links = self.merged.iter().filter(|((s, _), _)| *s == sel);
@@ -576,13 +766,11 @@ impl SliceStore {
             Some((start, link)) => (link.clone(), run.start..(start - self.base) as usize),
             None => (KeyedBundles::default(), run),
         };
-        let parts = self.slices.range(older).rev();
-        for map in parts.filter_map(|stored| stored.data.per_selection.get(sel)) {
-            self.merges += merge_keyed(&mut merged, map);
-        }
+        self.merges += fold_back(&self.slices, older, sel, &mut merged);
         Answer {
             merged,
             chained_from: Some(from),
+            ..Answer::default()
         }
     }
 
@@ -611,6 +799,7 @@ impl SliceStore {
         // gc closes a slice end: its merged ranges are released while
         // their memory is still warm, not when the next slice arrives.
         self.merged.clear();
+        self.folds.clear();
         let before = self.base;
         while self.slices.front().is_some_and(&dead) {
             self.slices.pop_front();
@@ -987,9 +1176,21 @@ mod tests {
         map
     }
 
+    /// `map`'s keys in ascending order.
+    fn sorted(map: &KeyedBundles) -> Vec<Key> {
+        let mut keys: Vec<Key> = map.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     fn finalized(merged: &KeyedBundles) -> Vec<QueryResult> {
         let mut out = Vec::new();
-        finalize_sorted(1, &FUNCTIONS, merged, 0, 100, &mut out);
+        let keys = sorted(merged);
+        let answer = RangeAnswer {
+            bundles: merged,
+            keys: &keys,
+        };
+        finalize_sorted(1, &FUNCTIONS, answer, 0, 100, &mut out);
         out
     }
 
@@ -1121,23 +1322,28 @@ mod tests {
         let mut located = KeyedBundles::default();
         store.merge_range(range, q.selection, &mut located);
         assert_eq!(located, want, "{context}: scan of {range:?}");
-        assert_eq!(
-            store.merged_range(range, q),
-            &want,
-            "{context}: cached {range:?}"
-        );
+        let keys = sorted(&want);
+        let answer = store.merged_range(range, q);
+        assert_eq!(answer.bundles, &want, "{context}: cached {range:?}");
+        assert_eq!(answer.keys, keys, "{context}: keys of {range:?}");
+        assert_eq!(store.merged_bundles(range, q), &want, "{context}: map");
         // Asked again within the slice end, the answer is shared.
         let merges = store.merges();
-        assert_eq!(store.merged_range(range, q), &want, "{context}: again");
+        let again = store.merged_range(range, q);
+        assert_eq!(
+            (again.bundles, again.keys),
+            (&want, &keys[..]),
+            "{context}: again"
+        );
         assert_eq!(store.merges(), merges, "{context}: {range:?} merged twice");
-        // Only a suffix of an ordered store is a link of a chain: an
-        // unordered store (id gap, straggler) and a range that ends
-        // before the newest slice still scan. Returns whether it is.
+        // Only a suffix of an ordered store is served by its selection's
+        // fold or chain: an unordered store (id gap, straggler) and a
+        // range that ends before the newest slice still scan. Returns
+        // whether it is.
         let suffix = store
             .run(range)
             .is_some_and(|run| run.len() > 1 && run.end == store.len());
-        let answer = store.merged.get(&(q.selection, range));
-        let chained = answer.is_some_and(|a| a.chained_from.is_some());
+        let chained = store.served_by_chain(q.selection, range);
         assert_eq!(chained, suffix && !q.constant_size, "{context}: {range:?}");
         chained
     }
@@ -1356,7 +1562,7 @@ mod tests {
                     let mut asked = vec![KeyedBundles::default(); ending.len()];
                     for &at in order {
                         let (q, range) = ending[at];
-                        asked[at].clone_from(store.merged_range(range, q));
+                        asked[at].clone_from(store.merged_range(range, q).bundles);
                     }
                     answers.push(asked);
                     store.gc_span(end_ts.saturating_sub(40 * TICK));
@@ -1369,6 +1575,193 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The transient bound of a sort-based selection: five nested
+    /// windows ending at every slice, asked short-first, are one open
+    /// fold — the answers of a slice end hold at most the live keys'
+    /// bundles, not one map per length — and nothing of it survives the
+    /// next push or gc.
+    #[test]
+    fn nested_sort_based_windows_hold_one_map_per_slice_end() {
+        let queries = [2, 3, 5, 8, 13].map(|length| windowed(0, length, 1, false));
+        let operators = all_operators().subsume_sorts();
+        let mut rng = SmallRng::seed_from_u64(36);
+        let mut store = SliceStore::default();
+        let mut folded = 0;
+        for tick in 0..80u64 {
+            let end_ts = (tick + 1) * TICK;
+            let data = SliceData {
+                per_selection: vec![arb_keyed_of(&mut rng, operators, |rng| {
+                    f64::from(rng.gen_range(1u32..5))
+                })],
+            };
+            store.push(tick, tick * TICK, end_ts, data);
+            assert_eq!(store.transient_bundles(), 0, "tick {tick}: after push");
+            let mut live: Vec<Key> = store
+                .slices
+                .iter()
+                .flat_map(|s| s.data.per_selection[0].keys().copied())
+                .collect();
+            live.sort_unstable();
+            live.dedup();
+            let mut asked = 0;
+            for q in &queries {
+                let Some(start) = q.window.fixed_window_ending_at(end_ts) else {
+                    continue;
+                };
+                store.merged_range(SliceRange::Span(start, end_ts), q);
+                asked += 1;
+            }
+            let held = store.transient_bundles();
+            assert!(held <= live.len(), "tick {tick}: {held} bundles held");
+            folded += u64::from(asked == queries.len() && held > 0);
+            if tick % 2 == 0 {
+                store.gc_span(end_ts.saturating_sub(13 * TICK));
+                assert_eq!(store.transient_bundles(), 0, "tick {tick}: after gc");
+            }
+        }
+        assert!(
+            folded > 40,
+            "the five windows ended together {folded} times"
+        );
+    }
+
+    /// Every way a window's answer is put together hands `finalize_sorted`
+    /// a complete, ascending key list, checked on each assembler's own
+    /// output before any drain could repair its order: a borrowed
+    /// one-slice range (tumbling, one slice long), a suffix-cache answer
+    /// (constant-size sliding), links of a sort-based selection's fold
+    /// (two sliding lengths whose slices bring new keys), and memo scans
+    /// while the store is unordered (an id gap, until gc passes it).
+    #[test]
+    fn every_answer_kind_emits_its_keys_in_ascending_order() {
+        use crate::predicate::Predicate;
+        let q = |id, window: Result<WindowSpec, _>, f, p| {
+            Query::new(id, window.unwrap(), f).filtered(p)
+        };
+        let (high, low) = (Predicate::ValueAbove(50.0), Predicate::ValueBelow(50.0));
+        let g = group(vec![
+            q(1, WindowSpec::tumbling_time(TICK), AggFunction::Sum, high),
+            q(
+                2,
+                WindowSpec::sliding_time(4 * TICK, TICK),
+                AggFunction::Max,
+                high,
+            ),
+            q(
+                3,
+                WindowSpec::sliding_time(3 * TICK, TICK),
+                AggFunction::Median,
+                low,
+            ),
+            q(
+                4,
+                WindowSpec::sliding_time(5 * TICK, TICK),
+                AggFunction::Median,
+                low,
+            ),
+        ]);
+        let infos: Vec<(QueryId, QueryInfo)> = query_infos(&g).collect();
+        let mut rng = SmallRng::seed_from_u64(0x36);
+        let (mut by_id, mut by_span) = (Assembler::new(&g), TimeAssembler::new(&g));
+        let mut sealed: Vec<SealedSlice> = Vec::new();
+        let mut cached = 0;
+        for tick in 0..60u64 {
+            // One id gap: the store is unordered until gc drops the
+            // slices before it.
+            let id = tick + u64::from(tick >= 20);
+            let (start_ts, end_ts) = (tick * TICK, (tick + 1) * TICK);
+            let mut data = SliceData::new(g.selections.len());
+            for (sel, map) in data.per_selection.iter_mut().enumerate() {
+                // Up to 40 keys a slice, inserted in no particular order.
+                for _ in 0..rng.gen_range(1..40) {
+                    let key = rng.gen_range(0u32..40) * 7919 % 40;
+                    let bundle = map
+                        .entry(key)
+                        .or_insert_with(|| OperatorBundle::new(g.selections[sel].operators));
+                    bundle.update(f64::from(rng.gen_range(1u32..5)));
+                }
+                map.values_mut().for_each(OperatorBundle::seal);
+            }
+            let first_at = |start: Timestamp| {
+                let at = sealed.partition_point(|s| s.start_ts < start);
+                sealed.get(at).map_or(id, |s| s.id)
+            };
+            let ends: Vec<WindowEnd> = infos
+                .iter()
+                .filter_map(|(query, info)| {
+                    let start = info.window.fixed_window_ending_at(end_ts)?;
+                    Some(WindowEnd {
+                        query: *query,
+                        first_slice: first_at(start),
+                        last_slice: id,
+                        start_ts: start,
+                        end_ts,
+                    })
+                })
+                .collect();
+            // The longest window ending at the next slice starts 4 ticks
+            // before this one ends.
+            let low_ts = end_ts.saturating_sub(4 * TICK);
+            let slice = SealedSlice {
+                id,
+                start_ts,
+                end_ts,
+                data,
+                ends,
+                session_gaps: Vec::new(),
+                low_watermark: first_at(low_ts),
+                low_watermark_ts: low_ts,
+                trace: None,
+            };
+            sealed.push(slice.clone());
+            let mut want = Vec::new();
+            for (query, info) in &infos {
+                let Some(start) = info.window.fixed_window_ending_at(end_ts) else {
+                    continue;
+                };
+                let mut merged = KeyedBundles::default();
+                for s in sealed.iter().filter(|s| s.start_ts >= start) {
+                    merge_keyed(&mut merged, &s.data.per_selection[info.selection]);
+                }
+                let keys = sorted(&merged);
+                let answer = RangeAnswer {
+                    bundles: &merged,
+                    keys: &keys,
+                };
+                finalize_sorted(*query, &info.functions, answer, start, end_ts, &mut want);
+            }
+            crate::query::sort_results(&mut want);
+            let (mut got_by_id, mut got_by_span) = (Vec::new(), Vec::new());
+            by_id.on_slice(slice.clone(), &mut got_by_id);
+            by_span.on_slice(slice, &mut got_by_span);
+            cached += by_id.cached_bundles() + by_span.cached_bundles();
+            for (name, mut got) in [("by id", got_by_id), ("by span", got_by_span)] {
+                // Each window's results are one run, strictly ascending.
+                for pair in got.windows(2) {
+                    let window = |r: &QueryResult| (r.query, r.window_start, r.window_end);
+                    if window(&pair[0]) == window(&pair[1]) {
+                        assert!(
+                            pair[0].key < pair[1].key,
+                            "tick {tick} {name}: {:?} before {:?}",
+                            pair[0],
+                            pair[1]
+                        );
+                    }
+                }
+                let mut windows: Vec<_> = got.iter().map(|r| (r.query, r.window_start)).collect();
+                windows.dedup();
+                let runs = windows.len();
+                windows.sort_unstable();
+                windows.dedup();
+                assert_eq!(runs, windows.len(), "tick {tick} {name}: a window split");
+                crate::query::sort_results(&mut got);
+                assert_eq!(got, want, "tick {tick} {name}");
+            }
+        }
+        assert!(cached > 0, "the suffix cache answered nothing");
+        assert!(sealed.len() > 20);
     }
 
     /// The assembler before the caches: every window end is one range
@@ -1390,10 +1783,15 @@ mod tests {
                 let mut merged = KeyedBundles::default();
                 let range = SliceRange::Ids(end.first_slice, end.last_slice);
                 merges += store.merge_range(range, q.selection, &mut merged);
+                let keys = sorted(&merged);
+                let answer = RangeAnswer {
+                    bundles: &merged,
+                    keys: &keys,
+                };
                 finalize_sorted(
                     end.query,
                     &q.functions,
-                    &merged,
+                    answer,
                     end.start_ts,
                     end.end_ts,
                     &mut out,
@@ -1598,7 +1996,8 @@ mod tests {
             ] {
                 let retained = store.len() as u64;
                 assert!(retained <= longest, "slice {i}: {retained} retained");
-                assert!(store.merged.is_empty(), "slice {i}: answers outlive it");
+                let held = store.merged.len() + store.folds.len();
+                assert_eq!(held, 0, "slice {i}: answers outlive it");
                 let allowed = match live {
                     _ if chains => 0,
                     [] => 0,

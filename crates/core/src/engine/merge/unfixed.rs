@@ -40,6 +40,7 @@
 //! of incomplete user-defined windows; the fixed windows no watermark
 //! has passed.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 use rustc_hash::FxHashMap;
@@ -239,16 +240,17 @@ impl<S: Copy + Ord> UnfixedMerger<S> {
         }
         src.store
             .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
+        let mut fixed = Vec::new();
         for end in &slice.ends {
             // Ends of removed queries may still be in flight.
             let Some(info) = self.queries.get(&end.query) else {
                 continue;
             };
-            let range = SliceRange::Ids(end.first_slice, end.last_slice);
             // Sessions and user-defined windows keep their partial, so
             // they merge into a map of their own.
             let owned = |store: &SliceStore| {
                 let mut data = KeyedBundles::default();
+                let range = SliceRange::Ids(end.first_slice, end.last_slice);
                 store.merge_range(range, info.selection, &mut data);
                 data
             };
@@ -261,22 +263,31 @@ impl<S: Copy + Ord> UnfixedMerger<S> {
                 let queue = slot.queues.entry(source).or_default();
                 queue.push_back((start, stop, owned(&src.store), slice.trace));
             } else {
-                // A contribution delivered twice counts once, whether its
-                // window is still pending or already left.
-                let key = (stop, start, end.query);
-                if self.fixed_released.is_some_and(|done| key <= done) {
-                    continue;
-                }
-                let entry = self.fixed.entry(key).or_insert_with(|| FixedPending {
-                    data: KeyedBundles::default(),
-                    seen: Vec::new(),
-                    trace: None,
-                });
-                if !entry.seen.contains(&source) {
-                    entry.seen.push(source);
-                    merge_keyed(&mut entry.data, src.store.merged_range(range, info));
-                    adopt(&mut self.recorder, &mut entry.trace, slice.trace);
-                }
+                fixed.push((end, info));
+            }
+        }
+        // Fixed windows are asked short-first (latest first slice first),
+        // as the assemblers ask them, so sort-based ones stay on the
+        // store's open fold (`SliceStore::merged_range`). Their entries
+        // are keyed by window, so the order shows in no output.
+        fixed.sort_by_key(|(end, _)| Reverse(end.first_slice));
+        for (end, info) in fixed {
+            // A contribution delivered twice counts once, whether its
+            // window is still pending or already left.
+            let key = (end.end_ts, end.start_ts, end.query);
+            if self.fixed_released.is_some_and(|done| key <= done) {
+                continue;
+            }
+            let entry = self.fixed.entry(key).or_insert_with(|| FixedPending {
+                data: KeyedBundles::default(),
+                seen: Vec::new(),
+                trace: None,
+            });
+            if !entry.seen.contains(&source) {
+                entry.seen.push(source);
+                let range = SliceRange::Ids(end.first_slice, end.last_slice);
+                merge_keyed(&mut entry.data, src.store.merged_bundles(range, info));
+                adopt(&mut self.recorder, &mut entry.trace, slice.trace);
             }
         }
         for gap in &slice.session_gaps {
