@@ -13,4 +13,4 @@ mod operator;
 
 pub use bundle::OperatorBundle;
 pub use function::AggFunction;
-pub use operator::{OperatorKind, OperatorSet, OperatorState};
+pub use operator::{OperatorKind, OperatorSet};

@@ -180,9 +180,9 @@ pub struct RangeAnswer<'a> {
 /// that differs is a list that is stale.
 fn sorted_keys<'a>(map: &KeyedBundles, keys: &'a mut Vec<Key>) -> &'a [Key] {
     if keys.len() != map.len() {
-        let mut sorted: Vec<Key> = map.keys().copied().collect();
-        sorted.sort_unstable();
-        *keys = sorted;
+        keys.clear();
+        keys.extend(map.keys().copied());
+        keys.sort_unstable();
     }
     keys
 }
@@ -622,7 +622,7 @@ impl SliceStore {
     ///   runs towards the old end because that is the end nested
     ///   suffixes differ at, and it merges the short run of one slice
     ///   into the long run of the window so far
-    ///   ([`crate::aggregate::OperatorState::merge`]). Nothing of it
+    ///   ([`crate::aggregate::OperatorBundle::merge`]). Nothing of it
     ///   outlives the slice end.
     ///
     /// Everything else — constant-size tumbling windows, unordered

@@ -15,7 +15,9 @@
 //!   **unordered** (re-hashed) collection;
 //! * it collects into a `let` binding that is **sorted in the next
 //!   statement** (the collect-then-sort idiom), or whose declared type
-//!   is a B-tree collection.
+//!   is a B-tree collection;
+//! * it is the whole argument of a statement `NAME.extend(..)` whose
+//!   next statement sorts `NAME` (the extend-then-sort idiom).
 //!
 //! Everything else needs a `BTreeMap`, a sort before emission, or an
 //! allowlist entry whose justification explains why order is
@@ -486,9 +488,16 @@ fn scan_exprs(
         if trees[i].ident().is_some() {
             if let Some(chain) = parse_chain(trees, i) {
                 analyze_chain(&chain, ctx, push, lookahead);
+                let sorted_arg = (i == 0)
+                    .then(|| extend_then_sort(&chain, trees, lookahead))
+                    .flatten();
                 for t in &trees[i..chain.end] {
                     if let Tree::Group(g) = t {
-                        enter_group(g, ctx, push);
+                        if sorted_arg.is_some_and(|arg| std::ptr::eq(arg, g)) {
+                            scan_sorted_arg(g, ctx, push);
+                        } else {
+                            enter_group(g, ctx, push);
+                        }
                     }
                 }
                 i = chain.end.max(i + 1);
@@ -507,6 +516,63 @@ fn enter_group(g: &Group, ctx: &mut Ctx<'_>, push: &mut impl FnMut(&'static str,
         analyze_block(&g.trees, ctx, push);
     } else {
         scan_exprs(&g.trees, ctx, push, None);
+    }
+}
+
+/// The extend-then-sort idiom: a statement that is exactly
+/// `NAME.extend(ARG)`, followed by `NAME.sort*()` as the next statement.
+/// Returns `ARG`'s group: whatever order it yields is sorted away.
+fn extend_then_sort<'t>(
+    chain: &Chain,
+    trees: &'t [Tree],
+    lookahead: Option<(&[&[Tree]], usize)>,
+) -> Option<&'t Group> {
+    let (stmts, si) = lookahead?;
+    let [name] = chain.base.as_slice() else {
+        return None;
+    };
+    let whole = match &trees[chain.end..] {
+        [] => true,
+        [semi] => semi.is_punct(';'),
+        _ => false,
+    };
+    if !whole || chain.indexed || chain.calls.len() != 1 || chain.calls[0].name != "extend" {
+        return None;
+    }
+    let arg = trees[chain.end - 1].group().filter(|g| g.open == '(')?;
+    next_sorts(stmts, si, name).then_some(arg)
+}
+
+/// The argument of an extend-then-sort: a hash iteration through
+/// transparent adapters that is the whole argument is ordered; anything
+/// else in it is scanned as usual.
+fn scan_sorted_arg(
+    arg: &Group,
+    ctx: &mut Ctx<'_>,
+    push: &mut impl FnMut(&'static str, usize, String),
+) {
+    let trees = &arg.trees;
+    let start = skip_ref_prefix(trees);
+    let iteration = parse_chain(trees, start).filter(|chain| {
+        chain.end == trees.len()
+            && resolve_chain_base(chain, ctx) == Some(HashClass::Outer)
+            && chain
+                .calls
+                .first()
+                .is_some_and(|c| ITER_METHODS.contains(&c.name.as_str()))
+            && chain.calls[1..]
+                .iter()
+                .all(|c| TRANSPARENT.contains(&c.name.as_str()))
+    });
+    let Some(chain) = iteration else {
+        enter_group(arg, ctx, push);
+        return;
+    };
+    // Closures inside the chain's adapters still get scanned.
+    for t in &trees[start..chain.end] {
+        if let Tree::Group(g) = t {
+            enter_group(g, ctx, push);
+        }
     }
 }
 
@@ -604,6 +670,11 @@ fn let_target_ordered(lookahead: Option<(&[&[Tree]], usize)>) -> bool {
             return true;
         }
     }
+    next_sorts(stmts, si, name)
+}
+
+/// Whether the statement after `stmts[si]` is `NAME.sort*(..)`.
+fn next_sorts(stmts: &[&[Tree]], si: usize, name: &str) -> bool {
     let Some(next) = stmts.get(si + 1) else {
         return false;
     };
@@ -658,6 +729,45 @@ mod tests {
                      }\n\
                    }\n";
         assert!(findings(src).is_empty(), "{:?}", findings(src));
+    }
+
+    #[test]
+    fn extend_then_sort_is_ordered() {
+        let src = "struct M { frontiers: FxHashMap<u32, u64> }\n\
+                   impl M {\n\
+                     fn refill(&self, keys: &mut Vec<u32>) {\n\
+                       keys.clear();\n\
+                       keys.extend(self.frontiers.keys().copied());\n\
+                       keys.sort_unstable();\n\
+                     }\n\
+                     fn values(&self, out: &mut Vec<u64>) {\n\
+                       out.extend(self.frontiers.values().map(|v| v + 1));\n\
+                       out.sort_by(|a, b| b.cmp(a));\n\
+                     }\n\
+                   }\n";
+        assert!(findings(src).is_empty(), "{:?}", findings(src));
+    }
+
+    #[test]
+    fn extend_without_its_sort_is_flagged() {
+        let src = "struct M { frontiers: FxHashMap<u32, u64> }\n\
+                   impl M {\n\
+                     fn unsorted(&self, keys: &mut Vec<u32>) {\n\
+                       keys.extend(self.frontiers.keys().copied());\n\
+                     }\n\
+                     fn other_sorted(&self, keys: &mut Vec<u32>, other: &mut Vec<u32>) {\n\
+                       keys.extend(self.frontiers.keys().copied());\n\
+                       other.sort_unstable();\n\
+                     }\n\
+                     fn sorted_too_late(&self, keys: &mut Vec<u32>) {\n\
+                       keys.extend(self.frontiers.keys().copied());\n\
+                       use_(keys);\n\
+                       keys.sort_unstable();\n\
+                     }\n\
+                   }\n";
+        let v = findings(src);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|(_, msg)| msg.contains(".keys()")), "{v:?}");
     }
 
     #[test]

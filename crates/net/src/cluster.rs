@@ -449,6 +449,7 @@ impl Run<'_> {
         // work, so a profile distinguishes "replaying in real time" from
         // "saturated".
         let mut lane = self.registry.lane(&format!("node{node}"));
+        let mut last_ts: Option<Timestamp> = None;
         'feed: for ev in feed {
             if crash_at.is_some_and(|at| ev.ts >= at) {
                 // Crash: exit without finish or Flush. Dropping the
@@ -461,56 +462,62 @@ impl Run<'_> {
                 self.fault_stats.stalls.inc();
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            // What event time passes on its way to `ev`, in event-time
-            // order: the scripted commands at or below `ev.ts` and, paced,
-            // every heartbeat below it — each when it is due, late or
-            // not, so the frames sent are a function of the feed alone.
-            loop {
-                let command = script.peek().map(|(at, _)| *at).filter(|at| *at <= ev.ts);
-                let until = command.unwrap_or(ev.ts);
-                // (Unpaced, the per-event path does not even ask.)
-                let beat = pace.and_then(|pace| {
-                    let t = worker.next_heartbeat().filter(|t| *t < until)?;
-                    Some((pace, t))
-                });
-                if let Some((pace, t)) = beat {
-                    pace.wait_for(t, &mut lane);
-                    heartbeats.iter().for_each(|c| c.inc());
-                    if !worker.on_watermark(t, &mut uplink) {
-                        break 'feed;
-                    }
-                    continue;
-                }
-                let Some((at, cmd)) = script.next_if(|_| command.is_some()) else {
-                    break;
-                };
-                match cmd {
-                    CompiledCommand::Add(group) => worker.add_group(group),
-                    CompiledCommand::Remove { id, immediate } => {
-                        // The removal takes effect at the same event time
-                        // on every node — the last instant before the
-                        // script's — whatever this stream saw last.
-                        let at = at.saturating_sub(1);
-                        if let Some(pace) = pace {
-                            pace.wait_for(at, &mut lane);
-                        }
-                        if !worker.on_watermark(at, &mut uplink) {
+            // An event at the previous event's instant skips this: that
+            // event's ingest vouched for the instant, so no heartbeat lies
+            // below it, the commands at or below it have run, and the
+            // instant is already due — the clock is read once per instant.
+            if last_ts.replace(ev.ts) != Some(ev.ts) {
+                // What event time passes on its way to `ev`, in event-time
+                // order: the scripted commands at or below `ev.ts` and, paced,
+                // every heartbeat below it — each when it is due, late or
+                // not, so the frames sent are a function of the feed alone.
+                loop {
+                    let command = script.peek().map(|(at, _)| *at).filter(|at| *at <= ev.ts);
+                    let until = command.unwrap_or(ev.ts);
+                    // (Unpaced, the per-event path does not even ask.)
+                    let beat = pace.and_then(|pace| {
+                        let t = worker.next_heartbeat().filter(|t| *t < until)?;
+                        Some((pace, t))
+                    });
+                    if let Some((pace, t)) = beat {
+                        pace.wait_for(t, &mut lane);
+                        heartbeats.iter().for_each(|c| c.inc());
+                        if !worker.on_watermark(t, &mut uplink) {
                             break 'feed;
                         }
-                        worker.remove_query(*id, *immediate);
+                        continue;
+                    }
+                    let Some((at, cmd)) = script.next_if(|_| command.is_some()) else {
+                        break;
+                    };
+                    match cmd {
+                        CompiledCommand::Add(group) => worker.add_group(group),
+                        CompiledCommand::Remove { id, immediate } => {
+                            // The removal takes effect at the same event time
+                            // on every node — the last instant before the
+                            // script's — whatever this stream saw last.
+                            let at = at.saturating_sub(1);
+                            if let Some(pace) = pace {
+                                pace.wait_for(at, &mut lane);
+                            }
+                            if !worker.on_watermark(at, &mut uplink) {
+                                break 'feed;
+                            }
+                            worker.remove_query(*id, *immediate);
+                        }
                     }
                 }
-            }
-            if let Some(speedup) = cfg.pace_speedup {
-                let pace = *pace.get_or_insert_with(|| {
-                    self.latency.record_pace(ev.ts, pace_start, speedup);
-                    Pace {
-                        base: ev.ts,
-                        start: pace_start,
-                        speedup,
-                    }
-                });
-                pace.wait_for(ev.ts, &mut lane);
+                if let Some(speedup) = cfg.pace_speedup {
+                    let pace = *pace.get_or_insert_with(|| {
+                        self.latency.record_pace(ev.ts, pace_start, speedup);
+                        Pace {
+                            base: ev.ts,
+                            start: pace_start,
+                            speedup,
+                        }
+                    });
+                    pace.wait_for(ev.ts, &mut lane);
+                }
             }
             if since_sample == 0 {
                 self.latency.record(ev.ts);

@@ -13,7 +13,7 @@
 
 use bytes::{Buf, BufMut};
 
-use desis_core::aggregate::{OperatorBundle, OperatorKind, OperatorSet, OperatorState};
+use desis_core::aggregate::{OperatorBundle, OperatorKind, OperatorSet};
 use desis_core::engine::{SealedSlice, SessionGap, SliceData, WindowEnd};
 use desis_core::event::{Event, Key, Marker, MarkerKind};
 use desis_core::obs::trace::TraceId;
@@ -270,76 +270,71 @@ fn get_event<S: Source>(s: &mut S) -> Result<Event> {
     })
 }
 
-fn put_state<S: Sink>(s: &mut S, state: &OperatorState) {
-    match state {
-        OperatorState::Sum(v) => s.f64(*v),
-        OperatorState::Count(c) => s.vu64(*c),
-        OperatorState::Mult(v) => s.f64(*v),
-        OperatorState::DSort(extremes) => match extremes {
-            None => s.u8(0),
-            Some((min, max)) => {
-                s.u8(1);
-                s.f64(*min);
-                s.f64(*max);
-            }
-        },
-        OperatorState::NSort { values, sorted } => {
-            s.u8(u8::from(*sorted));
-            s.vu64(values.len() as u64);
-            for v in values {
-                s.f64(*v);
-            }
-        }
-        OperatorState::SumSq(v) => s.f64(*v),
-    }
-}
-
-fn get_state<S: Source>(s: &mut S, kind: OperatorKind) -> Result<OperatorState> {
-    Ok(match kind {
-        OperatorKind::Sum => OperatorState::Sum(s.f64()?),
-        OperatorKind::Count => OperatorState::Count(s.vu64()?),
-        OperatorKind::Mult => OperatorState::Mult(s.f64()?),
-        OperatorKind::DecomposableSort => match s.u8()? {
-            0 => OperatorState::DSort(None),
-            1 => OperatorState::DSort(Some((s.f64()?, s.f64()?))),
-            other => return Err(CodecError(format!("bad dsort tag {other}"))),
-        },
-        OperatorKind::NonDecomposableSort => {
-            let sorted = s.u8()? != 0;
-            let len = s.vu64()? as usize;
-            let mut values = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                values.push(s.f64()?);
-            }
-            OperatorState::NSort { values, sorted }
-        }
-        OperatorKind::SumSquares => OperatorState::SumSq(s.f64()?),
-    })
-}
-
 fn put_bundle<S: Sink>(s: &mut S, bundle: &OperatorBundle) {
     let set = bundle.operator_set();
-    let mut mask = 0u8;
-    for kind in set.iter() {
-        mask |= 1 << kind as u8;
+    s.u8(set.iter().fold(0, |mask, kind| mask | 1 << kind as u8));
+    // One state per kind of the set, in bit order.
+    if set.contains(OperatorKind::Sum) {
+        s.f64(bundle.sum);
     }
-    s.u8(mask);
-    for kind in set.iter() {
-        put_state(s, bundle.get(kind).expect("kind in set"));
+    if set.contains(OperatorKind::Count) {
+        s.vu64(bundle.count);
+    }
+    if set.contains(OperatorKind::Mult) {
+        s.f64(bundle.product);
+    }
+    if set.contains(OperatorKind::DecomposableSort) {
+        s.u8(u8::from(bundle.seen));
+        if bundle.seen {
+            s.f64(bundle.min);
+            s.f64(bundle.max);
+        }
+    }
+    if set.contains(OperatorKind::NonDecomposableSort) {
+        s.u8(u8::from(bundle.sorted));
+        s.vu64(bundle.values.len() as u64);
+        for v in &bundle.values {
+            s.f64(*v);
+        }
+    }
+    if set.contains(OperatorKind::SumSquares) {
+        s.f64(bundle.sum_sq);
     }
 }
 
 fn get_bundle<S: Source>(s: &mut S) -> Result<OperatorBundle> {
     let mask = s.u8()?;
-    let mut set = OperatorSet::EMPTY;
-    for kind in OperatorKind::ALL {
-        if mask & (1 << kind as u8) != 0 {
-            set = set.with(kind);
+    let set: OperatorSet = OperatorKind::ALL
+        .into_iter()
+        .filter(|kind| mask & 1 << *kind as u8 != 0)
+        .collect();
+    let mut bundle = OperatorBundle::new(set);
+    if set.contains(OperatorKind::Sum) {
+        bundle.sum = s.f64()?;
+    }
+    if set.contains(OperatorKind::Count) {
+        bundle.count = s.vu64()?;
+    }
+    if set.contains(OperatorKind::Mult) {
+        bundle.product = s.f64()?;
+    }
+    if set.contains(OperatorKind::DecomposableSort) {
+        match s.u8()? {
+            0 => {}
+            1 => (bundle.seen, bundle.min, bundle.max) = (true, s.f64()?, s.f64()?),
+            other => return Err(CodecError(format!("bad dsort tag {other}"))),
         }
     }
-    let mut bundle = OperatorBundle::new(OperatorSet::EMPTY);
-    for kind in set.iter() {
-        bundle.adopt(get_state(s, kind)?);
+    if set.contains(OperatorKind::NonDecomposableSort) {
+        bundle.sorted = s.u8()? != 0;
+        let len = s.vu64()? as usize;
+        bundle.values.reserve(len.min(1 << 20));
+        for _ in 0..len {
+            bundle.values.push(s.f64()?);
+        }
+    }
+    if set.contains(OperatorKind::SumSquares) {
+        bundle.sum_sq = s.f64()?;
     }
     Ok(bundle)
 }
@@ -862,6 +857,51 @@ mod tests {
                 .decode(&frame)
                 .unwrap_or_else(|e| panic!("{e}: {}", String::from_utf8_lossy(&frame)));
             assert_eq!(msg, back);
+        }
+    }
+
+    /// A bundle's equality reads only its present states, so one state
+    /// compares equal however the bundle came to hold it: built fresh,
+    /// decoded from a frame of either codec, or merged into an empty
+    /// bundle.
+    #[test]
+    fn bundles_compare_equal_fresh_decoded_and_merged() {
+        let mut bundles: Vec<OperatorBundle> = OperatorKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let mut b = OperatorBundle::new(OperatorSet::single(kind));
+                for v in [2.0, -0.0, 0.5] {
+                    b.update(v);
+                }
+                b
+            })
+            .collect();
+        bundles.push(sample_bundle(&[]));
+        bundles.push(sample_bundle(&[4.0, f64::INFINITY, 1.0]));
+        bundles.push(OperatorBundle::new(OperatorSet::EMPTY));
+        for fresh in bundles {
+            let mut merged = OperatorBundle::new(OperatorSet::EMPTY);
+            merged.merge(&fresh);
+            assert_eq!(merged, fresh);
+            for codec in [CodecKind::Binary, CodecKind::Text] {
+                let msg = Message::WindowPartials {
+                    origin: 1,
+                    coverage: 1,
+                    partials: vec![WindowPartial {
+                        query: 1,
+                        start_ts: 0,
+                        end_ts: 10,
+                        data: vec![(5, fresh.clone())],
+                    }],
+                };
+                let frame = codec.encode(&msg);
+                let Ok(Message::WindowPartials { partials, .. }) = codec.decode(&frame) else {
+                    panic!("{codec:?}: not a window partial");
+                };
+                let decoded = &partials[0].data[0].1;
+                assert_eq!(decoded, &fresh, "{codec:?}");
+                assert_eq!(decoded, &merged, "{codec:?}");
+            }
         }
     }
 

@@ -1,8 +1,12 @@
-//! Exact work counts of the sequential engine: heap allocations per
-//! result, bundle merges per result and results per event, over fixed
-//! small inputs shaped like two workloads of the repo benchmark
-//! (`many_queries`: 1 000 tumbling/sliding queries over all eleven
-//! functions, 64 keys; `slide_wide`: four sliding queries, 256 keys).
+//! Exact work counts of the sequential engine: heap allocations and
+//! requested heap bytes per result, bundle merges per result and results
+//! per event, over fixed small inputs shaped like the four workloads of
+//! the repo benchmark (`many_queries`: 1 000 tumbling/sliding queries
+//! over all eleven functions, 64 keys; `slide_wide`: four sliding
+//! queries, 256 keys; `ingest_dense`: 16 tumbling queries in four
+//! predicate classes, 16 keys, 100 events/ms; `mixed_unfixed`: session,
+//! count, user-defined, tumbling and sliding-quantile queries on a
+//! bursty, displaced stream behind a `ReorderBuffer`).
 //!
 //! Wall-clock rates drift from run to run and box to box; these counts
 //! do not, so a change that claims to save allocations or merges pins
@@ -11,49 +15,55 @@
 //!
 //! Allocations are counted per thread by a counting global allocator:
 //! each `alloc`, `alloc_zeroed` and `realloc` call made by the test
-//! thread between the first event and the last drain. Building the
-//! engine and the input is not counted.
+//! thread between the first event and the last drain, and the bytes each
+//! asked for (`realloc`: the new size). Building the engine and the input
+//! is not counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use desis::core::aggregate::AggFunction;
-use desis::core::engine::AggregationEngine;
-use desis::core::event::Event;
+use desis::core::engine::{AggregationEngine, ReorderBuffer};
+use desis::core::event::{Event, Marker, MarkerKind};
+use desis::core::predicate::Predicate;
 use desis::core::query::Query;
+use desis::core::time::Timestamp;
 use desis::core::window::WindowSpec;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread being torn down still frees and allocates.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+/// Allocation calls and requested bytes of this thread so far.
+fn allocated() -> (u64, u64) {
+    (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 // SAFETY: every call is forwarded to `System` unchanged; counting
-// touches only a const-initialized thread-local `Cell`, which never
-// allocates.
+// touches only const-initialized thread-local `Cell`s, which never
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -81,10 +91,32 @@ impl Rng {
     fn below(&mut self, n: u64) -> u64 {
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
-/// Events handed over between two watermarks (the benchmark's batch).
+/// Events handed to the engine per batch (the benchmark's batch).
 const BATCH: usize = 4096;
+
+/// How the benchmark's sequential sample feeds a shape.
+#[derive(Debug, Clone, Copy)]
+struct Feed {
+    /// A watermark and a drain after every this many batches, and after
+    /// the last.
+    wm_batches: usize,
+    /// Allowed lateness: `Some` puts a `ReorderBuffer` in front of the
+    /// engine and holds every watermark back by it.
+    lateness: Option<u64>,
+}
+
+/// In order, a watermark after every batch.
+const EVERY_BATCH: Feed = Feed {
+    wm_batches: 1,
+    lateness: None,
+};
 
 /// `per_ms` events per millisecond for `span_ms` milliseconds, keys in a
 /// rotation over a seeded permutation of `0..keys` shifted by one each
@@ -152,6 +184,162 @@ fn slide_wide() -> Vec<Query> {
     ]
 }
 
+/// 16 tumbling-time queries: four (function, length) pairs × four
+/// selection classes whose predicates partially overlap (four
+/// query-groups).
+fn ingest_dense() -> Vec<Query> {
+    let shapes = [
+        (AggFunction::Sum, 1_000),
+        (AggFunction::Average, 2_000),
+        (AggFunction::Max, 5_000),
+        (AggFunction::Variance, 500),
+    ];
+    let classes = [
+        Predicate::True,
+        Predicate::ValueAbove(200.0),
+        Predicate::ValueBelow(700.0),
+        Predicate::ValueAbove(450.0),
+    ];
+    let mut queries = Vec::new();
+    for predicate in classes {
+        for (function, length) in shapes {
+            let id = queries.len() as u64 + 1;
+            let spec = WindowSpec::tumbling_time(length).unwrap();
+            queries.push(Query::new(id, spec, function).filtered(predicate));
+        }
+    }
+    queries
+}
+
+/// Marker channel of the user-defined window query.
+const UD_CHANNEL: u32 = 5;
+
+/// One query of every window class the fixed-window shapes leave out.
+fn mixed_unfixed() -> Vec<Query> {
+    vec![
+        Query::new(1, WindowSpec::session(2_000).unwrap(), AggFunction::Max),
+        Query::new(2, WindowSpec::session(2_000).unwrap(), AggFunction::Median),
+        Query::new(
+            3,
+            WindowSpec::tumbling_count(1_000).unwrap(),
+            AggFunction::Sum,
+        )
+        .filtered(Predicate::ValueAbove(500.0)),
+        // Every data event and no marker event (`MARKER_VALUE`).
+        Query::new(
+            4,
+            WindowSpec::user_defined(UD_CHANNEL),
+            AggFunction::Average,
+        )
+        .filtered(Predicate::ValueAbove(-0.5)),
+        Query::new(
+            5,
+            WindowSpec::tumbling_time(1_000).unwrap(),
+            AggFunction::Sum,
+        ),
+        Query::new(
+            6,
+            WindowSpec::sliding_time(2_000, 500).unwrap(),
+            AggFunction::Quantile(0.9),
+        ),
+    ]
+}
+
+/// Bursts of the `mixed_unfixed` stream.
+const MIXED_BURSTS: u64 = 6;
+/// Events per burst (at 10 events/ms: 500 ms).
+const MIXED_BURST_EVENTS: u64 = 5_000;
+/// Events per millisecond inside a burst.
+const MIXED_PER_MS: u64 = 10;
+/// Burst plus the (on average) 5 s gap that closes every session.
+const MIXED_PERIOD_MS: u64 = 5_500;
+/// What each gap adds to 5 s.
+const MIXED_GAP_OFFSETS_MS: [i64; MIXED_BURSTS as usize] = [370, -370, -210, 210, 90, -90];
+/// A Start or End marker pair every this many events.
+const MIXED_MARKER_EVERY: u64 = 1_777;
+/// Largest displacement, inside the 250 ms lateness bound.
+const MIXED_MAX_DELAY_MS: u64 = 200;
+/// Value of marker events: both predicates reject it.
+const MARKER_VALUE: f64 = -1.0;
+
+/// The `mixed_unfixed` stream in arrival order: 64 Zipf(1.1) keys,
+/// bursts of 10 events/ms separated by gaps of 5 s ± 0.4 s, a Start or
+/// End marker pair (two identical events) every 1 777 events, and 5% of
+/// events arriving up to 200 ms of event time late.
+fn mixed_stream(rng: &mut Rng) -> Vec<Event> {
+    let weights: Vec<f64> = (1..=64).map(|r| f64::from(r).powf(-1.1)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut acc = 0.0;
+    let cdf: Vec<f64> = weights
+        .iter()
+        .map(|w| {
+            acc += w / total;
+            acc
+        })
+        .collect();
+    let mut ordered = Vec::with_capacity((MIXED_BURSTS * MIXED_BURST_EVENTS) as usize);
+    let mut burst_start = 0;
+    for burst in 0..MIXED_BURSTS {
+        let start = burst_start;
+        burst_start = (burst_start + MIXED_PERIOD_MS)
+            .saturating_add_signed(MIXED_GAP_OFFSETS_MS[burst as usize]);
+        for i in 0..MIXED_BURST_EVENTS {
+            let u = rng.unit();
+            let key = cdf.partition_point(|c| *c <= u).min(cdf.len() - 1) as u32;
+            let value = rng.below(1000) as f64;
+            ordered.push(Event::new(start + i / MIXED_PER_MS, key, value));
+        }
+    }
+    let mut markers = 0u64;
+    let mut due = MIXED_MARKER_EVERY as usize;
+    while due < ordered.len() {
+        // The pair takes the last event of a millisecond and the first of
+        // the next (never across a burst boundary).
+        let mut pos = due.next_multiple_of(MIXED_PER_MS as usize);
+        if pos.is_multiple_of(MIXED_BURST_EVENTS as usize) {
+            pos += MIXED_PER_MS as usize;
+        }
+        if pos >= ordered.len() {
+            break;
+        }
+        let kind = if markers.is_multiple_of(2) {
+            MarkerKind::Start
+        } else {
+            MarkerKind::End
+        };
+        markers += 1;
+        let marker = Marker {
+            channel: UD_CHANNEL,
+            kind,
+        };
+        let prev = ordered[pos - 1];
+        let first = Event::with_marker(prev.ts, prev.key, MARKER_VALUE, marker);
+        ordered[pos - 1] = first;
+        ordered[pos] = first;
+        due += MIXED_MARKER_EVERY as usize;
+    }
+    // (arrival time, displaced, position): stable order of arrival.
+    let mut arrival: Vec<(Timestamp, bool, usize)> = ordered
+        .iter()
+        .enumerate()
+        .map(|(pos, ev)| {
+            // Markers stay put: a displaced event would part the pair.
+            let displaced = ev.marker.is_none() && rng.below(20) == 0;
+            let delay = if displaced {
+                1 + rng.below(MIXED_MAX_DELAY_MS)
+            } else {
+                0
+            };
+            (ev.ts + delay, displaced, pos)
+        })
+        .collect();
+    arrival.sort();
+    arrival
+        .into_iter()
+        .map(|(_, _, pos)| ordered[pos])
+        .collect()
+}
+
 /// What one run of the sequential engine did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Counts {
@@ -159,6 +347,8 @@ struct Counts {
     results: u64,
     merges: u64,
     allocations: u64,
+    /// Heap bytes those allocations asked for.
+    bytes: u64,
     /// FNV-1a over every result in drain order (query, key, window,
     /// value bits): equal counts with different answers do not pass.
     digest: u64,
@@ -177,18 +367,37 @@ impl Counts {
     }
 }
 
-/// Feeds `events` in batches of [`BATCH`], a watermark at the highest
-/// timestamp seen and a drain after each batch (the benchmark's timed
-/// sequential sample: no flush at the end).
-fn run(queries: &[Query], events: &[Event]) -> Counts {
+/// Feeds `events` in batches of [`BATCH`] — through a `ReorderBuffer`
+/// when the feed allows lateness — with a watermark at the highest
+/// timestamp seen, less the lateness, and a drain at the feed's cadence
+/// (the benchmark's timed sequential sample: no flush at the end).
+fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
     let mut engine = AggregationEngine::new(queries.to_vec()).unwrap();
+    let mut reorder = feed.lateness.map(ReorderBuffer::new);
     let (mut results, mut digest) = (0, 0xcbf2_9ce4_8422_2325);
-    let before = allocations();
-    for batch in events.chunks(BATCH) {
-        for ev in batch {
-            engine.on_event(ev);
+    let (mut max_ts, mut ordered) = (0, Vec::new());
+    let batches = events.len().div_ceil(BATCH);
+    let before = allocated();
+    for (i, batch) in events.chunks(BATCH).enumerate() {
+        max_ts = batch.iter().fold(max_ts, |m, ev| m.max(ev.ts));
+        match &mut reorder {
+            None => batch.iter().for_each(|ev| engine.on_event(ev)),
+            Some(rb) => {
+                for ev in batch {
+                    rb.push(*ev, &mut ordered);
+                }
+                ordered.drain(..).for_each(|ev| engine.on_event(&ev));
+            }
         }
-        engine.on_watermark(batch.last().map_or(0, |ev| ev.ts));
+        if (i + 1) % feed.wm_batches != 0 && i + 1 != batches {
+            continue;
+        }
+        let wm = max_ts.saturating_sub(feed.lateness.unwrap_or(0));
+        if let Some(rb) = &mut reorder {
+            rb.advance(wm, &mut ordered);
+            ordered.drain(..).for_each(|ev| engine.on_event(&ev));
+        }
+        engine.on_watermark(wm);
         for r in engine.drain_results() {
             let id = [r.query, u64::from(r.key), r.window_start, r.window_end];
             digest = fnv(digest, &id);
@@ -198,28 +407,32 @@ fn run(queries: &[Query], events: &[Event]) -> Counts {
             results += 1;
         }
     }
-    let allocations = allocations() - before;
+    let after = allocated();
     assert_eq!(engine.metrics().results, results);
+    assert_eq!(reorder.map_or(0, |rb| rb.late_dropped()), 0);
     Counts {
         events: events.len() as u64,
         results,
         merges: engine.metrics().merges,
-        allocations,
+        allocations: after.0 - before.0,
+        bytes: after.1 - before.1,
         digest,
     }
 }
 
 /// Runs the shape twice (the counts must not move) and checks them.
-fn assert_counts(queries: &[Query], events: &[Event], want: Counts) {
-    let counts = run(queries, events);
+fn assert_counts(queries: &[Query], events: &[Event], feed: Feed, want: Counts) {
+    let counts = run(queries, events, feed);
     assert_eq!(
-        run(queries, events),
+        run(queries, events, feed),
         counts,
         "a second run counted otherwise"
     );
     println!(
-        "{counts:?}: {:.3} allocations/result, {:.4} merges/result, {:.3} results/event",
+        "{counts:?}: {:.3} allocations/result, {:.1} bytes/result, {:.4} merges/result, \
+         {:.3} results/event",
         counts.per_result(counts.allocations),
+        counts.per_result(counts.bytes),
         counts.per_result(counts.merges),
         counts.results as f64 / counts.events as f64,
     );
@@ -237,9 +450,10 @@ fn many_queries_shape_counts() {
         results: 175_808,
         merges: 29_760,
         allocations: 194_399,
+        bytes: 28_971_864,
         digest: 0xbefd_96eb_f344_dddf,
     };
-    assert_counts(&many_queries(), &events, want);
+    assert_counts(&many_queries(), &events, EVERY_BATCH, want);
 }
 
 #[test]
@@ -251,7 +465,45 @@ fn slide_wide_shape_counts() {
         results: 168_960,
         merges: 176_823,
         allocations: 171_871,
+        bytes: 56_655_332,
         digest: 0xf993_3e43_3303_e028,
     };
-    assert_counts(&slide_wide(), &events, want);
+    assert_counts(&slide_wide(), &events, EVERY_BATCH, want);
+}
+
+#[test]
+fn ingest_dense_shape_counts() {
+    let mut rng = Rng(1);
+    let events = dense_stream(&mut rng, 5_500, 100, 16, |rng| rng.below(1000) as f64);
+    let feed = Feed {
+        wm_batches: 24,
+        lateness: None,
+    };
+    let want = Counts {
+        events: 550_000,
+        results: 1_152,
+        merges: 1_280,
+        allocations: 1_649,
+        bytes: 480_416,
+        digest: 0x5f09_6b70_a0da_0a55,
+    };
+    assert_counts(&ingest_dense(), &events, feed, want);
+}
+
+#[test]
+fn mixed_unfixed_shape_counts() {
+    let events = mixed_stream(&mut Rng(1));
+    let feed = Feed {
+        wm_batches: 1,
+        lateness: Some(250),
+    };
+    let want = Counts {
+        events: 30_000,
+        results: 3_508,
+        merges: 512,
+        allocations: 8_232,
+        bytes: 4_285_088,
+        digest: 0x28e6_adaa_cfd1_3651,
+    };
+    assert_counts(&mixed_unfixed(), &events, feed, want);
 }
