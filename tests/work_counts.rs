@@ -18,6 +18,12 @@
 //! thread between the first event and the last drain, and the bytes each
 //! asked for (`realloc`: the new size). Building the engine and the input
 //! is not counted.
+//!
+//! The `many_queries` and `slide_wide` shapes also run through an
+//! unpaced `star(2)` Desis cluster, as the benchmark's cluster sample
+//! does: results, frames and wire bytes are exact there too. Its node
+//! threads allocate where the test thread cannot count them, so cluster
+//! rows have no allocation columns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,9 +32,12 @@ use desis::core::aggregate::AggFunction;
 use desis::core::engine::{AggregationEngine, ReorderBuffer};
 use desis::core::event::{Event, Marker, MarkerKind};
 use desis::core::predicate::Predicate;
-use desis::core::query::Query;
+use desis::core::query::{Query, QueryResult};
 use desis::core::time::Timestamp;
 use desis::core::window::WindowSpec;
+use desis::net::cluster::{run_cluster, ClusterConfig};
+use desis::net::node::DistributedSystem;
+use desis::net::topology::Topology;
 
 struct Counting;
 
@@ -361,6 +370,21 @@ fn fnv(h: u64, words: &[u64]) -> u64 {
     })
 }
 
+/// Folds one result (query, key, window, value bits) into `h`.
+fn fnv_result(mut h: u64, r: &QueryResult) -> u64 {
+    h = fnv(
+        h,
+        &[r.query, u64::from(r.key), r.window_start, r.window_end],
+    );
+    for value in &r.values {
+        h = fnv(h, &[value.map_or(u64::MAX, f64::to_bits)]);
+    }
+    h
+}
+
+/// FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 impl Counts {
     fn per_result(&self, n: u64) -> f64 {
         n as f64 / self.results as f64
@@ -374,7 +398,7 @@ impl Counts {
 fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
     let mut engine = AggregationEngine::new(queries.to_vec()).unwrap();
     let mut reorder = feed.lateness.map(ReorderBuffer::new);
-    let (mut results, mut digest) = (0, 0xcbf2_9ce4_8422_2325);
+    let (mut results, mut digest) = (0, FNV_BASIS);
     let (mut max_ts, mut ordered) = (0, Vec::new());
     let batches = events.len().div_ceil(BATCH);
     let before = allocated();
@@ -399,11 +423,7 @@ fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
         }
         engine.on_watermark(wm);
         for r in engine.drain_results() {
-            let id = [r.query, u64::from(r.key), r.window_start, r.window_end];
-            digest = fnv(digest, &id);
-            for value in &r.values {
-                digest = fnv(digest, &[value.map_or(u64::MAX, f64::to_bits)]);
-            }
+            digest = fnv_result(digest, &r);
             results += 1;
         }
     }
@@ -435,6 +455,68 @@ fn assert_counts(queries: &[Query], events: &[Event], feed: Feed, want: Counts) 
         counts.per_result(counts.bytes),
         counts.per_result(counts.merges),
         counts.results as f64 / counts.events as f64,
+    );
+    assert_eq!(counts, want);
+}
+
+/// What one unpaced `star(2)` cluster run did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ClusterCounts {
+    events: u64,
+    results: u64,
+    /// Frames sent over all links.
+    frames: u64,
+    /// Payload bytes sent over all links.
+    wire_bytes: u64,
+    /// FNV-1a over every result in report order.
+    digest: u64,
+}
+
+/// Runs `events` through an unpaced `star(2)` Desis cluster, event `e`
+/// on local `e.ts % 2` (the benchmark's split), with the benchmark's one
+/// non-default setting: a 60 s `nack_grace`, so that no lingering sender
+/// re-sends its last frame while the root still works and frames do not
+/// depend on timing.
+fn run_star2(queries: &[Query], events: &[Event]) -> ClusterCounts {
+    let mut feeds = vec![Vec::new(), Vec::new()];
+    for ev in events {
+        feeds[(ev.ts % 2) as usize].push(*ev);
+    }
+    let mut cfg = ClusterConfig::new(
+        DistributedSystem::Desis,
+        queries.to_vec(),
+        Topology::star(2),
+    );
+    cfg.recovery.nack_grace = std::time::Duration::from_secs(60);
+    let report = run_cluster(cfg, feeds).unwrap();
+    assert!(report.lost_children.is_empty());
+    let counters = &report.metrics.counters;
+    let frames = (0..report.topology.len() as u32)
+        .filter_map(|node| counters.get(&desis::core::obs::names::egress_msgs(node)))
+        .sum();
+    ClusterCounts {
+        events: report.events,
+        results: report.results.len() as u64,
+        frames,
+        wire_bytes: report.total_bytes(),
+        digest: report.results.iter().fold(FNV_BASIS, fnv_result),
+    }
+}
+
+/// Runs the shape through the cluster twice (the counts must not move)
+/// and checks them.
+fn assert_cluster_counts(queries: &[Query], events: &[Event], want: ClusterCounts) {
+    let counts = run_star2(queries, events);
+    assert_eq!(
+        run_star2(queries, events),
+        counts,
+        "a second cluster run counted otherwise"
+    );
+    println!(
+        "{counts:?}: {:.3} results/event, {:.2} frames/kevent, {:.2} wire bytes/event",
+        counts.results as f64 / counts.events as f64,
+        counts.frames as f64 * 1e3 / counts.events as f64,
+        counts.wire_bytes as f64 / counts.events as f64,
     );
     assert_eq!(counts, want);
 }
@@ -506,4 +588,34 @@ fn mixed_unfixed_shape_counts() {
         digest: 0x28e6_adaa_cfd1_3651,
     };
     assert_counts(&mixed_unfixed(), &events, feed, want);
+}
+
+#[test]
+fn many_queries_shape_cluster_counts() {
+    let mut rng = Rng(1);
+    let events = dense_stream(&mut rng, 8_000, 1, 64, |rng| {
+        [1.0, 2.0, 4.0][rng.below(3) as usize]
+    });
+    let want = ClusterCounts {
+        events: 8_000,
+        results: 171_904,
+        frames: 328,
+        wire_bytes: 171_662,
+        digest: 0xb2a4_06cc_09da_5fc3,
+    };
+    assert_cluster_counts(&many_queries(), &events, want);
+}
+
+#[test]
+fn slide_wide_shape_cluster_counts() {
+    let mut rng = Rng(1);
+    let events = dense_stream(&mut rng, 10_000, 2, 256, |rng| rng.below(1000) as f64);
+    let want = ClusterCounts {
+        events: 20_000,
+        results: 102_176,
+        frames: 321,
+        wire_bytes: 578_479,
+        digest: 0x65a6_b2ac_947f_1cbd,
+    };
+    assert_cluster_counts(&slide_wide(), &events, want);
 }
