@@ -127,15 +127,31 @@ impl LogHistogram {
 
     /// Records one value.
     pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records the value `v` `n` times, with four atomic updates whatever
+    /// `n` is: the snapshot is that of `n` calls of
+    /// [`LogHistogram::record`] (the sum wraps the same way).
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Records a duration given in seconds, as integer microseconds.
     pub fn record_secs(&self, secs: f64) {
-        self.record((secs * 1e6).max(0.0) as u64);
+        self.record_secs_n(secs, 1);
+    }
+
+    /// Records a duration given in seconds `n` times, as
+    /// [`LogHistogram::record_n`] does.
+    pub fn record_secs_n(&self, secs: f64, n: u64) {
+        self.record_n((secs * 1e6).max(0.0) as u64, n);
     }
 
     /// Merges a snapshot (e.g. from another registry) into this
@@ -555,6 +571,35 @@ mod tests {
         assert_eq!(g.get(), 5);
         g.set_max(9);
         assert_eq!(g.get(), 9);
+    }
+
+    /// `record_n(v, n)` is `n` calls of `record(v)`, down to the
+    /// wrapping sum; `n = 0` records nothing.
+    #[test]
+    fn record_n_is_n_records() {
+        for (v, n) in [
+            (0, 3),
+            (1, 1),
+            (37, 5),
+            (1 << 40, 1_000),
+            (u64::MAX, 3),
+            (9, 0),
+        ] {
+            let (one_by_one, at_once) = (LogHistogram::default(), LogHistogram::default());
+            one_by_one.record(5);
+            at_once.record(5);
+            (0..n).for_each(|_| one_by_one.record(v));
+            at_once.record_n(v, n);
+            assert_eq!(at_once.snapshot(), one_by_one.snapshot(), "{v} x {n}");
+        }
+        let untouched = LogHistogram::default();
+        untouched.record_n(7, 0);
+        untouched.record_secs_n(0.5, 0);
+        assert_eq!(untouched.snapshot(), LogHistogram::default().snapshot());
+        let (secs, secs_n) = (LogHistogram::default(), LogHistogram::default());
+        (0..4).for_each(|_| secs.record_secs(0.001_25));
+        secs_n.record_secs_n(0.001_25, 4);
+        assert_eq!(secs_n.snapshot(), secs.snapshot());
     }
 
     #[test]

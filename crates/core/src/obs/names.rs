@@ -143,6 +143,13 @@ pub fn heartbeats(node: u32) -> String {
     format!("net.node{node}.heartbeats")
 }
 
+/// CPU time of `node`'s thread over its whole life, nanoseconds: one
+/// thread-CPU clock read when the thread starts and one when it ends
+/// (Linux only; absent elsewhere).
+pub fn node_cpu_ns(node: u32) -> String {
+    format!("net.node{node}.cpu_ns")
+}
+
 // --- engine.* ---------------------------------------------------------
 
 /// Shard workers of the parallel engine that panicked and were degraded
@@ -232,6 +239,10 @@ pub fn parse_prof_stage(name: &str) -> Option<(&str, &str, bool)> {
 pub const CLUSTER_RESULT_LATENCY_US: &str = "cluster.result_latency_us";
 /// [`heartbeats`] summed over the run's locals.
 pub const CLUSTER_HEARTBEATS: &str = "cluster.heartbeats";
+/// CPU time of the thread that called `run_cluster`, nanoseconds: its
+/// set-up before the node threads start and its report assembly after
+/// they end (Linux only; absent elsewhere).
+pub const CLUSTER_DRIVER_CPU_NS: &str = "cluster.driver_cpu_ns";
 /// Prefix under which summed local-engine counters are published.
 pub const CLUSTER_LOCAL_ENGINE_PREFIX: &str = "cluster.local_engine";
 /// Raw events that reached the root (centralized baseline traffic).
@@ -259,6 +270,7 @@ mod tests {
         assert_eq!(ingress_msgs("root", TAG_SLICE), "net.root.msgs.slice");
         assert_eq!(egress_bytes(7), "net.node7.egress_bytes");
         assert_eq!(heartbeats(7), "net.node7.heartbeats");
+        assert_eq!(node_cpu_ns(7), "net.node7.cpu_ns");
         assert_eq!(trace_stage_us(3, "merge"), "trace.q3.merge_us");
         assert_eq!(engine_shard_events(2), "engine.shard2.events");
         assert_eq!(engine_shard_batches(0), "engine.shard0.batches");

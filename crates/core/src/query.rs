@@ -120,32 +120,53 @@ impl QueryResult {
 }
 
 /// Sorts results into the canonical `(query, window end, key, window
-/// start)` emission order (see [`QueryResult::emit_order`]). The sort is
-/// stable, which takes runs already in order in its input as they are (a
-/// cluster root drains one run per message). `emit_order` keys are unique
-/// within a result stream, so the order is the one an unstable sort
-/// gives.
+/// start)` emission order (see [`QueryResult::emit_order`]). Every drain
+/// and every cluster report already leaves in that order ([`ResultRuns`]);
+/// this is for results gathered by hand, and for checking that order. The
+/// sort is stable, and `emit_order` keys are unique within a result
+/// stream, so the order is the one an unstable sort gives.
 pub fn sort_results(results: &mut [QueryResult]) {
     results.sort_by_key(QueryResult::emit_order);
 }
 
-/// The results an engine emitted since its last drain, one run per query
-/// in emission order, so that a drain concatenates runs instead of
-/// sorting everything.
+/// The results emitted since the last drain, one run per query in
+/// emission order, so that a drain concatenates runs instead of sorting
+/// everything. The engines file each assembly step's output here, and a
+/// cluster root files each message's results ([`Extend`]).
 ///
 /// A run is in canonical order by construction wherever a query's windows
 /// end in time order, because each window's keys leave ascending
 /// ([`crate::engine::merge::finalize_sorted`]). A run that is not — an id
-/// reused after a draining removal interleaves two queries' windows — is
-/// stable-sorted at the drain, so every drain is canonical either way.
+/// reused after a draining removal interleaves two queries' windows, and
+/// a centralized baseline emits in an order of its own — is stable-sorted
+/// at the drain, so every drain is canonical either way.
 ///
 /// Retained state: a run holds at most the results since the last drain.
 /// Its capacity is kept for the next interval while its query is
 /// installed; the first drain after a query's removal drops its run, and
 /// so does every later drain that finds one (results a draining removal
-/// still emits).
+/// still emits, and every run of a query never installed).
+///
+/// ```
+/// use desis_core::query::{sort_results, QueryResult, ResultRuns};
+///
+/// let result = |query, window_end, key| QueryResult {
+///     query,
+///     key,
+///     window_start: window_end - 10,
+///     window_end,
+///     values: vec![Some(1.0)],
+/// };
+/// let mut runs = ResultRuns::default();
+/// runs.extend([result(2, 10, 0), result(1, 10, 0)]);
+/// runs.extend([result(2, 20, 0), result(1, 20, 1), result(1, 20, 0)]);
+/// let drained = runs.drain();
+/// let mut sorted = drained.clone();
+/// sort_results(&mut sorted);
+/// assert_eq!(drained, sorted);
+/// ```
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ResultRuns {
+pub struct ResultRuns {
     /// Sorted by query id.
     runs: Vec<Run>,
     /// What the current assembly step emits, on its way into the runs.
@@ -172,6 +193,23 @@ impl Run {
 
 fn find(runs: &[Run], query: QueryId) -> Result<usize, usize> {
     runs.binary_search_by_key(&query, |run| run.query)
+}
+
+/// Moves `results` into the runs of their queries, one lookup per
+/// contiguous block of a query. A result of a query that is not
+/// installed opens a run the next drain drops.
+fn file(runs: &mut Vec<Run>, results: impl Iterator<Item = QueryResult>) {
+    let mut rest = results.peekable();
+    while let Some(first) = rest.next() {
+        let query = first.query;
+        let at = find(runs, query).unwrap_or_else(|at| {
+            runs.insert(at, Run::new(query, true));
+            at
+        });
+        let results = &mut runs[at].results;
+        results.push(first);
+        results.extend(std::iter::from_fn(|| rest.next_if(|r| r.query == query)));
+    }
 }
 
 impl ResultRuns {
@@ -209,25 +247,14 @@ impl ResultRuns {
 
     /// Moves what the assembly step emitted into the runs of their
     /// queries. A window's results are contiguous, so this looks up one
-    /// run per window, not per result. A result of a query that is not
-    /// installed opens a run the next drain drops.
+    /// run per window, not per result.
     pub(crate) fn absorb(&mut self) {
-        let mut rest = self.emitted.drain(..).peekable();
-        while let Some(first) = rest.next() {
-            let query = first.query;
-            let at = find(&self.runs, query).unwrap_or_else(|at| {
-                self.runs.insert(at, Run::new(query, true));
-                at
-            });
-            let results = &mut self.runs[at].results;
-            results.push(first);
-            results.extend(std::iter::from_fn(|| rest.next_if(|r| r.query == query)));
-        }
+        file(&mut self.runs, self.emitted.drain(..));
     }
 
     /// Takes every run, concatenated in query-id order: the canonical
     /// order, sorting only a run that is not in it already.
-    pub(crate) fn drain(&mut self) -> Vec<QueryResult> {
+    pub fn drain(&mut self) -> Vec<QueryResult> {
         let len = self.runs.iter().map(|run| run.results.len()).sum();
         let mut out = Vec::with_capacity(len);
         for run in &mut self.runs {
@@ -245,6 +272,15 @@ impl ResultRuns {
     #[cfg(test)]
     pub(crate) fn runs(&self) -> usize {
         self.runs.len()
+    }
+}
+
+/// Files results into the runs of their queries, one lookup per
+/// contiguous block of a query: how a cluster root keeps what it drains
+/// after each message.
+impl Extend<QueryResult> for ResultRuns {
+    fn extend<I: IntoIterator<Item = QueryResult>>(&mut self, results: I) {
+        file(&mut self.runs, results.into_iter());
     }
 }
 
@@ -312,6 +348,32 @@ mod tests {
         assert_eq!(runs.drain(), all);
         assert!(runs.drain().is_empty());
         assert_eq!(runs.runs(), 3, "installed queries keep their runs");
+    }
+
+    /// A cluster root's filing: each query's results arrive split over
+    /// several messages, interleaved with other queries' and never
+    /// installed. The drain is the canonical sort of everything filed,
+    /// and takes every run with it.
+    #[test]
+    fn result_runs_file_a_query_split_over_several_extends() {
+        let mut runs = ResultRuns::default();
+        let mut all = Vec::new();
+        for message in [
+            vec![result(2, 10, 0), result(2, 10, 3), result(7, 10, 1)],
+            vec![result(2, 10, 5), result(1, 20, 0)],
+            vec![result(7, 20, 0), result(2, 20, 1), result(1, 30, 2)],
+            vec![],
+            vec![result(1, 30, 4), result(7, 20, 2), result(2, 30, 0)],
+        ] {
+            all.extend(message.iter().cloned());
+            runs.extend(message);
+        }
+        assert_eq!(runs.runs(), 3);
+        sort_results(&mut all);
+        let drained = runs.drain();
+        assert_eq!(drained, all);
+        assert_eq!(runs.runs(), 0, "runs of queries never installed go");
+        assert!(runs.drain().is_empty());
     }
 
     /// A removed query's run goes with the next drain, and so does a run

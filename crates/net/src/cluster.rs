@@ -20,7 +20,7 @@ use desis_core::metrics::EngineMetrics;
 use desis_core::obs::prof::{self, ProfClock, Stage};
 use desis_core::obs::trace::TraceCollector;
 use desis_core::obs::{names, MetricsRegistry, MetricsSnapshot};
-use desis_core::query::{Query, QueryId, QueryResult};
+use desis_core::query::{Query, QueryId, QueryResult, ResultRuns};
 use desis_core::time::{DurationMs, Timestamp};
 use desis_core::window::WindowKind;
 
@@ -169,6 +169,45 @@ fn open_span(q: &Query) -> DurationMs {
 /// report down with it.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// CPU time the calling thread has used so far, nanoseconds
+/// (`CLOCK_THREAD_CPUTIME_ID`); `None` where the platform cannot tell.
+/// One read costs about as much as a slicer event, so a thread reads it
+/// when it starts and when it ends, never per span.
+fn thread_cpu_ns() -> Option<u64> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::c_long;
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        extern "C" {
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `struct timespec` (two C
+        // longs on Linux) for the duration of the call, and the clock id
+        // is one the kernel defines.
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        None
+    }
+}
+
+/// The calling thread's CPU time since `start` (a [`thread_cpu_ns`]
+/// read), nanoseconds.
+fn thread_cpu_since(start: Option<u64>) -> Option<u64> {
+    Some(thread_cpu_ns()?.saturating_sub(start?))
 }
 
 /// The wall ↔ event-time map of a paced source: event time `base` is due
@@ -377,7 +416,33 @@ struct Run<'a> {
     lost: Mutex<Vec<NodeId>>,
 }
 
+/// `n` results the root drained after one message, contiguous and of one
+/// window end: they share one emission instant, so one latency sample
+/// stands for all of them.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    window_end: Timestamp,
+    emitted: Instant,
+    n: usize,
+}
+
+/// What the root thread hands back: every result, filed per query as it
+/// drained; one [`Stamp`] per window end and message, in emission order;
+/// and the raw events the root processed itself.
+type RootOutput = (ResultRuns, Vec<Stamp>, u64);
+
 impl Run<'_> {
+    /// Runs `body` as the thread of `node`, and publishes the thread's CPU
+    /// time as `net.node<id>.cpu_ns`.
+    fn on_node_thread<T>(&self, node: NodeId, body: impl FnOnce() -> T) -> T {
+        let start = thread_cpu_ns();
+        let out = body();
+        if let Some(spent) = thread_cpu_since(start) {
+            self.registry.counter(&names::node_cpu_ns(node)).add(spent);
+        }
+        out
+    }
+
     /// Pumps `receivers` into `handle` under the recovery protocol until
     /// every child is done, keeping `role`'s merge-stall bookkeeping.
     /// `handle` returns the partials its node still holds back for
@@ -566,9 +631,9 @@ impl Run<'_> {
         self.linger(uplink);
     }
 
-    /// The root node: pumps its children through a [`RootWorker`].
-    /// Returns every result with the instant it was emitted, and the raw
-    /// events the root processed itself.
+    /// The root node: pumps its children through a [`RootWorker`], filing
+    /// each message's results into their queries' runs as they drain and
+    /// stamping them with the instant they left.
     ///
     /// If the root cannot even be built (e.g. the centralized baseline
     /// rejects a query), the error propagates instead of panicking:
@@ -578,7 +643,7 @@ impl Run<'_> {
         &self,
         node: NodeId,
         receivers: Vec<(NodeId, LinkReceiver)>,
-    ) -> Result<(Vec<(QueryResult, Instant)>, u64), DesisError> {
+    ) -> Result<RootOutput, DesisError> {
         let cfg = self.cfg;
         let n_leaves = cfg.topology.nodes_with_role(NodeRole::Local).len();
         let child_ids = receivers.iter().map(|(c, _)| *c).collect();
@@ -604,7 +669,8 @@ impl Run<'_> {
                 }
             }
         }
-        let mut stamped: Vec<(QueryResult, Instant)> = Vec::new();
+        let mut runs = ResultRuns::default();
+        let mut stamps = Vec::new();
         let retained_max = self.registry.gauge(names::NET_ROOT_RETAINED_SLICES_MAX);
         let cached_max = self.registry.gauge(names::NET_ROOT_CACHED_BUNDLES_MAX);
         self.pump("root", node, &receivers, |child, msg| {
@@ -612,14 +678,23 @@ impl Run<'_> {
             let (retained, cached) = worker.retained_state();
             retained_max.set_max(retained as i64);
             cached_max.set_max(cached as i64);
-            let now = Instant::now();
-            stamped.extend(worker.drain_results().into_iter().map(|r| (r, now)));
+            let results = worker.drain_results();
+            if !results.is_empty() {
+                let emitted = Instant::now();
+                let windows = results.chunk_by(|a, b| a.window_end == b.window_end);
+                stamps.extend(windows.map(|window| Stamp {
+                    window_end: window[0].window_end,
+                    emitted,
+                    n: window.len(),
+                }));
+                runs.extend(results);
+            }
             worker.pending_merges()
         });
         self.registry
             .counter(&names::unroutable_msgs("root"))
             .add(worker.unroutable());
-        Ok((stamped, worker.raw_events_processed()))
+        Ok((runs, stamps, worker.raw_events_processed()))
     }
 }
 
@@ -631,6 +706,7 @@ pub fn run_cluster(
     cfg: ClusterConfig,
     feeds: Vec<Vec<Event>>,
 ) -> Result<ClusterReport, DesisError> {
+    let driver_cpu = thread_cpu_ns();
     let topology = &cfg.topology;
     let locals = topology.nodes_with_role(NodeRole::Local);
     if feeds.len() != locals.len() {
@@ -700,7 +776,7 @@ pub fn run_cluster(
             let Some(uplink) = senders.remove(&node) else {
                 return Err(DesisError::Cluster("local node has no uplink"));
             };
-            scope.spawn(move || run.local_node(node, feed, uplink));
+            scope.spawn(move || run.on_node_thread(node, || run.local_node(node, feed, uplink)));
         }
         for node in topology.nodes_with_role(NodeRole::Intermediate) {
             let Some(receivers) = receivers_by_parent.remove(&node) else {
@@ -709,7 +785,9 @@ pub fn run_cluster(
             let Some(uplink) = senders.remove(&node) else {
                 return Err(DesisError::Cluster("intermediate node has no uplink"));
             };
-            scope.spawn(move || run.intermediate_node(node, receivers, uplink));
+            scope.spawn(move || {
+                run.on_node_thread(node, || run.intermediate_node(node, receivers, uplink));
+            });
         }
         let root = topology.root();
         let Some(receivers) = receivers_by_parent.remove(&root) else {
@@ -718,32 +796,37 @@ pub fn run_cluster(
         // A panicking root worker must surface as an error, not tear the
         // whole process down with it.
         scope
-            .spawn(move || run.root_node(root, receivers))
+            .spawn(move || run.on_node_thread(root, || run.root_node(root, receivers)))
             .join()
             .unwrap_or(Err(DesisError::Cluster("root worker thread panicked")))
     });
-    let (stamped, root_raw_events) = root_result?;
+    let (mut runs, stamps, root_raw_events) = root_result?;
     let wall = started.elapsed();
     let mut lost_children = std::mem::take(&mut *lock(&run.lost));
     lost_children.sort_unstable();
 
+    // One latency sample per result, booked once per stamp: the results
+    // of one stamp share their window end and emission instant.
     let latency_hist = registry.histogram(names::CLUSTER_RESULT_LATENCY_US);
-    let mut latencies_ms = Vec::with_capacity(stamped.len());
-    let mut results = Vec::with_capacity(stamped.len());
-    for (result, emitted) in stamped {
-        if let Some(generated) = run.latency.lookup(result.window_end) {
+    let mut latencies_ms = Vec::with_capacity(stamps.iter().map(|s| s.n).sum());
+    for Stamp {
+        window_end,
+        emitted,
+        n,
+    } in stamps
+    {
+        if let Some(generated) = run.latency.lookup(window_end) {
             if emitted > generated {
                 let ms = emitted.duration_since(generated).as_secs_f64() * 1e3;
-                latency_hist.record_secs(ms / 1e3);
-                latencies_ms.push(ms);
+                latency_hist.record_secs_n(ms / 1e3, n as u64);
+                latencies_ms.extend(std::iter::repeat_n(ms, n));
             }
         }
-        results.push(result);
     }
-    // Canonical (query, window-end, key) order: shard counts, merge
-    // timing, and link interleavings must not change the report
-    // byte-for-byte.
-    desis_core::query::sort_results(&mut results);
+    // Canonical (query, window-end, key) order by construction: shard
+    // counts, merge timing, and link interleavings must not change the
+    // report byte-for-byte.
+    let results = runs.drain();
 
     let bytes_by_node: BTreeMap<NodeId, u64> =
         stats.iter().map(|(node, st)| (*node, st.bytes())).collect();
@@ -752,6 +835,9 @@ pub fn run_cluster(
     registry
         .counter(names::NET_ROOT_RAW_EVENTS)
         .raise_to(root_raw_events);
+    if let Some(spent) = thread_cpu_since(driver_cpu) {
+        registry.counter(names::CLUSTER_DRIVER_CPU_NS).add(spent);
+    }
     let metrics = registry.snapshot();
     let mut faults_injected = lock(&injected).clone();
     faults_injected.sort_by(|a, b| (a.link, a.frame, a.kind).cmp(&(b.link, b.frame, b.kind)));
@@ -850,6 +936,30 @@ mod tests {
         assert_eq!(clean.metrics.counters[names::FAULT_DROPPED], 0);
         assert!(collector.drain_timeline().chains.is_empty());
         assert_eq!(sorted(clean.results), sorted(faulty.results));
+    }
+
+    /// Every node thread and the calling thread book their CPU time, and
+    /// only theirs: the three node counters and the driver's are there
+    /// and non-zero.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_run_books_the_cpu_time_of_every_node_and_the_driver() {
+        let topology = Topology::star(2);
+        let cfg = ClusterConfig::new(
+            DistributedSystem::Desis,
+            vec![avg_query(100)],
+            topology.clone(),
+        );
+        let report = run_cluster(cfg, vec![feed(2_000, 3, 0), feed(2_000, 3, 5)]).unwrap();
+        let counters = &report.metrics.counters;
+        for node in 0..topology.len() as NodeId {
+            let cpu = counters.get(&names::node_cpu_ns(node)).copied();
+            assert!(cpu.is_some_and(|ns| ns > 0), "node {node}: {cpu:?}");
+        }
+        let driver = counters.get(names::CLUSTER_DRIVER_CPU_NS).copied();
+        assert!(driver.is_some_and(|ns| ns > 0), "driver: {driver:?}");
+        let cpu_counters = counters.keys().filter(|k| k.ends_with("cpu_ns")).count();
+        assert_eq!(cpu_counters, topology.len() + 1);
     }
 
     #[test]
