@@ -19,18 +19,25 @@
 //! asked for (`realloc`: the new size). Building the engine and the input
 //! is not counted.
 //!
-//! The `many_queries` and `slide_wide` shapes also run through an
-//! unpaced `star(2)` Desis cluster, as the benchmark's cluster sample
-//! does: results, frames and wire bytes are exact there too. Its node
-//! threads allocate where the test thread cannot count them, so cluster
-//! rows have no allocation columns.
+//! Each sequential row also pins the most slice partials the engine's
+//! assemblers retained at any drain (the `engine.assembler.retained_slices`
+//! gauge, read outside the counted allocations).
+//!
+//! Every shape also runs through the sharded engine at 1 and 2 shards,
+//! fed like the sequential engine: results, merges and a results digest
+//! are exact there. The `many_queries` and `slide_wide` shapes also run
+//! through an unpaced `star(2)` Desis cluster, as the benchmark's cluster
+//! sample does: results, frames and wire bytes are exact there too. Shard
+//! and node threads allocate where the test thread cannot count them, so
+//! sharded and cluster rows have no allocation columns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use desis::core::aggregate::AggFunction;
-use desis::core::engine::{AggregationEngine, ReorderBuffer};
-use desis::core::event::{Event, Marker, MarkerKind};
+use desis::core::engine::{AggregationEngine, ParallelConfig, ParallelEngine, ReorderBuffer};
+use desis::core::event::{Event, EventBatch, Marker, MarkerKind};
+use desis::core::obs::names;
 use desis::core::predicate::Predicate;
 use desis::core::query::{Query, QueryResult};
 use desis::core::time::Timestamp;
@@ -358,6 +365,8 @@ struct Counts {
     allocations: u64,
     /// Heap bytes those allocations asked for.
     bytes: u64,
+    /// Most slice partials the assemblers retained at any drain.
+    retained_slices_max: i64,
     /// FNV-1a over every result in drain order (query, key, window,
     /// value bits): equal counts with different answers do not pass.
     digest: u64,
@@ -401,6 +410,7 @@ fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
     let (mut results, mut digest) = (0, FNV_BASIS);
     let (mut max_ts, mut ordered) = (0, Vec::new());
     let batches = events.len().div_ceil(BATCH);
+    let (mut retained_slices_max, mut uncounted) = (0, (0, 0));
     let before = allocated();
     for (i, batch) in events.chunks(BATCH).enumerate() {
         max_ts = batch.iter().fold(max_ts, |m, ev| m.max(ev.ts));
@@ -426,6 +436,18 @@ fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
             digest = fnv_result(digest, &r);
             results += 1;
         }
+        // Publishing the gauge allocates: not the engine's work.
+        let paused = allocated();
+        engine.metrics();
+        let retained = engine
+            .registry()
+            .gauge(names::ENGINE_ASSEMBLER_RETAINED_SLICES);
+        retained_slices_max = retained_slices_max.max(retained.get());
+        let resumed = allocated();
+        uncounted = (
+            uncounted.0 + resumed.0 - paused.0,
+            uncounted.1 + resumed.1 - paused.1,
+        );
     }
     let after = allocated();
     assert_eq!(engine.metrics().results, results);
@@ -434,8 +456,9 @@ fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
         events: events.len() as u64,
         results,
         merges: engine.metrics().merges,
-        allocations: after.0 - before.0,
-        bytes: after.1 - before.1,
+        allocations: after.0 - before.0 - uncounted.0,
+        bytes: after.1 - before.1 - uncounted.1,
+        retained_slices_max,
         digest,
     }
 }
@@ -457,6 +480,69 @@ fn assert_counts(queries: &[Query], events: &[Event], feed: Feed, want: Counts) 
         counts.results as f64 / counts.events as f64,
     );
     assert_eq!(counts, want);
+}
+
+/// What one run of the sharded engine did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardedCounts {
+    shards: usize,
+    results: u64,
+    merges: u64,
+    /// FNV-1a over every result in drain order.
+    digest: u64,
+}
+
+/// Feeds `events` to a sharded engine of `shards` workers in batches of
+/// [`BATCH`], with the watermarks and drains of [`run`] and the feed's
+/// lateness handled at the engine's inlet.
+fn run_sharded(queries: &[Query], events: &[Event], feed: Feed, shards: usize) -> ShardedCounts {
+    let mut cfg = ParallelConfig::new(shards);
+    cfg.lateness = feed.lateness;
+    let mut engine = ParallelEngine::with_config(queries.to_vec(), cfg).unwrap();
+    let (mut results, mut digest, mut max_ts) = (0, FNV_BASIS, 0);
+    let batches = events.len().div_ceil(BATCH);
+    for (i, batch) in events.chunks(BATCH).enumerate() {
+        max_ts = batch.iter().fold(max_ts, |m, ev| m.max(ev.ts));
+        engine.on_batch(&EventBatch::from(batch.to_vec()));
+        if (i + 1) % feed.wm_batches != 0 && i + 1 != batches {
+            continue;
+        }
+        engine.on_watermark(max_ts.saturating_sub(feed.lateness.unwrap_or(0)));
+        for r in engine.drain_results() {
+            digest = fnv_result(digest, &r);
+            results += 1;
+        }
+    }
+    assert_eq!(engine.late_dropped(), 0);
+    ShardedCounts {
+        shards,
+        results,
+        merges: engine.metrics().merges,
+        digest,
+    }
+}
+
+/// Runs the shape through the sharded engine at 1 and 2 shards, each
+/// twice (the counts must not move), and checks them.
+fn assert_sharded_counts(
+    queries: &[Query],
+    events: &[Event],
+    feed: Feed,
+    want: [ShardedCounts; 2],
+) {
+    for want in want {
+        let counts = run_sharded(queries, events, feed, want.shards);
+        assert_eq!(
+            run_sharded(queries, events, feed, want.shards),
+            counts,
+            "a second sharded run counted otherwise"
+        );
+        println!(
+            "{counts:?}: {:.4} merges/result",
+            counts.merges as f64 / counts.results as f64
+        );
+        assert_eq!(counts, want);
+    }
 }
 
 /// What one unpaced `star(2)` cluster run did.
@@ -521,73 +607,144 @@ fn assert_cluster_counts(queries: &[Query], events: &[Event], want: ClusterCount
     assert_eq!(counts, want);
 }
 
+/// The `many_queries` stream: 1 event/ms over 64 keys for 16 s, values
+/// 1, 2 or 4.
+fn many_queries_events() -> Vec<Event> {
+    dense_stream(&mut Rng(1), 16_000, 1, 64, |rng| {
+        [1.0, 2.0, 4.0][rng.below(3) as usize]
+    })
+}
+
+/// The `slide_wide` stream: 2 events/ms over 256 keys for 20 s.
+fn slide_wide_events() -> Vec<Event> {
+    dense_stream(&mut Rng(1), 20_000, 2, 256, |rng| rng.below(1000) as f64)
+}
+
+/// The `ingest_dense` stream: 100 events/ms over 16 keys for 5.5 s.
+fn ingest_dense_events() -> Vec<Event> {
+    dense_stream(&mut Rng(1), 5_500, 100, 16, |rng| rng.below(1000) as f64)
+}
+
+/// `ingest_dense` drains every 24 batches.
+const INGEST_DENSE_FEED: Feed = Feed {
+    wm_batches: 24,
+    lateness: None,
+};
+
+/// `mixed_unfixed` is displaced: 250 ms of lateness.
+const MIXED_UNFIXED_FEED: Feed = Feed {
+    wm_batches: 1,
+    lateness: Some(250),
+};
+
 #[test]
 fn many_queries_shape_counts() {
-    let mut rng = Rng(1);
-    let events = dense_stream(&mut rng, 16_000, 1, 64, |rng| {
-        [1.0, 2.0, 4.0][rng.below(3) as usize]
-    });
     let want = Counts {
         events: 16_000,
         results: 175_808,
         merges: 29_760,
         allocations: 194_399,
         bytes: 28_971_864,
+        retained_slices_max: 31,
         digest: 0xbefd_96eb_f344_dddf,
     };
-    assert_counts(&many_queries(), &events, EVERY_BATCH, want);
+    assert_counts(&many_queries(), &many_queries_events(), EVERY_BATCH, want);
 }
 
 #[test]
 fn slide_wide_shape_counts() {
-    let mut rng = Rng(1);
-    let events = dense_stream(&mut rng, 20_000, 2, 256, |rng| rng.below(1000) as f64);
     let want = Counts {
         events: 40_000,
         results: 168_960,
         merges: 176_823,
         allocations: 171_871,
         bytes: 56_655_332,
+        retained_slices_max: 39,
         digest: 0xf993_3e43_3303_e028,
     };
-    assert_counts(&slide_wide(), &events, EVERY_BATCH, want);
+    assert_counts(&slide_wide(), &slide_wide_events(), EVERY_BATCH, want);
 }
 
 #[test]
 fn ingest_dense_shape_counts() {
-    let mut rng = Rng(1);
-    let events = dense_stream(&mut rng, 5_500, 100, 16, |rng| rng.below(1000) as f64);
-    let feed = Feed {
-        wm_batches: 24,
-        lateness: None,
-    };
     let want = Counts {
         events: 550_000,
         results: 1_152,
         merges: 1_280,
         allocations: 1_649,
         bytes: 480_416,
+        retained_slices_max: 36,
         digest: 0x5f09_6b70_a0da_0a55,
     };
-    assert_counts(&ingest_dense(), &events, feed, want);
+    assert_counts(
+        &ingest_dense(),
+        &ingest_dense_events(),
+        INGEST_DENSE_FEED,
+        want,
+    );
 }
 
 #[test]
 fn mixed_unfixed_shape_counts() {
-    let events = mixed_stream(&mut Rng(1));
-    let feed = Feed {
-        wm_batches: 1,
-        lateness: Some(250),
-    };
     let want = Counts {
         events: 30_000,
         results: 3_508,
         merges: 512,
         allocations: 8_232,
         bytes: 4_285_088,
+        retained_slices_max: 3,
         digest: 0x28e6_adaa_cfd1_3651,
     };
-    assert_counts(&mixed_unfixed(), &events, feed, want);
+    let events = mixed_stream(&mut Rng(1));
+    assert_counts(&mixed_unfixed(), &events, MIXED_UNFIXED_FEED, want);
+}
+
+/// A sharded row: `shards`, results, merges, digest.
+fn sharded(shards: usize, results: u64, merges: u64, digest: u64) -> ShardedCounts {
+    ShardedCounts {
+        shards,
+        results,
+        merges,
+        digest,
+    }
+}
+
+#[test]
+fn many_queries_shape_sharded_counts() {
+    let want = [
+        sharded(1, 175_808, 29_760, 0xbefd_96eb_f344_dddf),
+        sharded(2, 175_808, 29_760, 0xbefd_96eb_f344_dddf),
+    ];
+    assert_sharded_counts(&many_queries(), &many_queries_events(), EVERY_BATCH, want);
+}
+
+#[test]
+fn slide_wide_shape_sharded_counts() {
+    let want = [
+        sharded(1, 168_960, 176_823, 0xf993_3e43_3303_e028),
+        sharded(2, 168_960, 176_823, 0xf993_3e43_3303_e028),
+    ];
+    assert_sharded_counts(&slide_wide(), &slide_wide_events(), EVERY_BATCH, want);
+}
+
+#[test]
+fn ingest_dense_shape_sharded_counts() {
+    let want = [
+        sharded(1, 1_152, 1_280, 0x5f09_6b70_a0da_0a55),
+        sharded(2, 1_152, 1_280, 0x5f09_6b70_a0da_0a55),
+    ];
+    let events = ingest_dense_events();
+    assert_sharded_counts(&ingest_dense(), &events, INGEST_DENSE_FEED, want);
+}
+
+#[test]
+fn mixed_unfixed_shape_sharded_counts() {
+    let want = [
+        sharded(1, 3_508, 384, 0x28e6_adaa_cfd1_3651),
+        sharded(2, 3_508, 384, 0x28e6_adaa_cfd1_3651),
+    ];
+    let events = mixed_stream(&mut Rng(1));
+    assert_sharded_counts(&mixed_unfixed(), &events, MIXED_UNFIXED_FEED, want);
 }
 
 #[test]
