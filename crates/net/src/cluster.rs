@@ -7,7 +7,7 @@
 //! decentralized experiments plot: throughput, per-node network bytes,
 //! and event-time latency.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -362,7 +362,10 @@ enum CompiledCommand {
 }
 
 /// Compiles the runtime script: added queries get fresh group ids
-/// (from `first_gid`) that locals and root agree on.
+/// (from `first_gid`) that locals and root agree on. A query id is
+/// installed once per run: an add of an id the initial set or an earlier
+/// add installed, removed since or not, is a duplicate, as it is to the
+/// engines' `add_query`.
 fn compile_script(
     cfg: &ClusterConfig,
     first_gid: GroupId,
@@ -373,12 +376,19 @@ fn compile_script(
         ));
     }
     let mut next_gid = first_gid;
+    let mut installed: BTreeSet<QueryId> = cfg.queries.iter().map(|q| q.id).collect();
     let mut compiled = Vec::with_capacity(cfg.script.len());
     for (ts, cmd) in &cfg.script {
         compiled.push((
             *ts,
             match cmd {
                 ClusterCommand::AddQuery(q) => {
+                    if !installed.insert(q.id) {
+                        return Err(DesisError::InvalidQuery(format!(
+                            "duplicate query id {}",
+                            q.id
+                        )));
+                    }
                     let mut group = analyze_for(cfg.system, vec![q.clone()])?.remove(0);
                     group.id = next_gid;
                     next_gid += 1;

@@ -26,6 +26,11 @@
 //! * Lateness beyond the bound: the sharded engine drops exactly the
 //!   events a reorder buffer in front of the sequential engine drops,
 //!   and counts each once.
+//! * Where window ends come from: a tumbling window sharing its group
+//!   with a count window takes its ends from the slicer, so it leaves
+//!   once even where a count slice ends on its end.
+//! * Query ids are never re-used: a cluster script adding an id the run
+//!   ever installed is rejected, as both engines' `add_query` reject it.
 
 use desis::prelude::*;
 
@@ -1179,6 +1184,40 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
             }
         }
     }
+
+    // Removed before the first event, in either mode: the stream stands
+    // nowhere yet, so the query emits nothing and query 1 is untouched.
+    // (A cluster script has no instant before an event at 0: removed
+    // draining at 0, the query's window starting at 0 has started.)
+    let kept = |results: Vec<QueryResult>| {
+        let results = canon(results);
+        assert!(results.iter().all(|r| r.query == 1));
+        results
+    };
+    let mut alone = AggregationEngine::new(queries()[..1].to_vec()).unwrap();
+    events.iter().for_each(|ev| alone.on_event(ev));
+    alone.on_watermark(final_wm);
+    let oracle = canon(alone.drain_results());
+    for immediate in [true, false] {
+        let mut engine = AggregationEngine::new(queries()).unwrap();
+        engine.remove_query(2, immediate).unwrap();
+        events.iter().for_each(|ev| engine.on_event(ev));
+        engine.on_watermark(final_wm);
+        assert_eq!(
+            kept(engine.drain_results()),
+            oracle,
+            "immediate={immediate}"
+        );
+        for shards in [1, 2, 4, 7] {
+            let mut engine = ParallelEngine::new(queries(), shards).unwrap();
+            engine.remove_query(2, immediate);
+            events.iter().for_each(|ev| engine.on_event(ev));
+            engine.on_watermark(final_wm);
+            engine.finish();
+            let context = format!("immediate={immediate} shards={shards}");
+            assert_eq!(kept(engine.drain_results()), oracle, "{context}");
+        }
+    }
 }
 
 /// A key racing 300 ms ahead under lateness 100: the events of key 0 at
@@ -1232,4 +1271,102 @@ fn lateness_beyond_the_bound_gives_the_sequential_answer_on_every_shard_count() 
         assert_eq!(canon(parallel.drain_results()), want, "shards={shards}");
         assert_eq!(parallel.late_dropped(), 2, "shards={shards}");
     }
+}
+
+/// A count window in the group makes the slicer close a count slice
+/// after the event that fills the window (the events at 100 and 210),
+/// and such a slice may end on a tumbling window's end. The group's
+/// window ends therefore come from the slicer: ends derived from the
+/// tumbling spec at every slice end would emit `[0,100)` twice (197, then
+/// 100) and `[200,300)` twice, and `[100,200)` as 150.
+#[test]
+fn a_count_window_in_the_group_leaves_each_tumbling_window_once() {
+    let queries = vec![
+        Query::new(1, WindowSpec::tumbling_time(100).unwrap(), AggFunction::Sum),
+        Query::new(2, WindowSpec::tumbling_count(3).unwrap(), AggFunction::Sum),
+    ];
+    assert_eq!(
+        QueryAnalyzer::default()
+            .analyze(queries.clone())
+            .unwrap()
+            .len(),
+        1,
+        "the two windows share one group"
+    );
+    let events = [98, 99, 100, 150, 210, 300, 301].map(|ts| Event::new(ts, 0, ts as f64));
+    let tumbling = |results: &[QueryResult]| {
+        let windows = results.iter().filter(|r| r.query == 1);
+        windows
+            .map(|r| (r.window_start, r.window_end, r.values[0]))
+            .collect::<Vec<_>>()
+    };
+    let want = vec![
+        (0, 100, Some(197.0)),
+        (100, 200, Some(250.0)),
+        (200, 300, Some(210.0)),
+        (300, 400, Some(601.0)),
+    ];
+    assert_eq!(tumbling(&run_engine(queries.clone(), &events, 1_000)), want);
+    // The root of a cluster slices the group's raw events itself.
+    let cfg = ClusterConfig::new(DistributedSystem::Desis, queries, Topology::star(2));
+    let report = run_cluster(cfg, shard_by_key(&events, 2)).unwrap();
+    assert_eq!(tumbling(&canon(report.results)), want);
+}
+
+/// A cluster script that re-adds a query id used to be accepted, and the
+/// re-added query emitted nothing; the engines' `add_query` rejects the
+/// same sequence. An id the run ever installed — in the initial set or
+/// by an earlier add, removed since or not — is rejected.
+#[test]
+fn a_cluster_script_may_not_reuse_a_query_id() {
+    let q = |id| {
+        Query::new(
+            id,
+            WindowSpec::tumbling_time(100).unwrap(),
+            AggFunction::Sum,
+        )
+    };
+    let remove = |id| ClusterCommand::RemoveQuery {
+        id,
+        immediate: true,
+    };
+    let events: Vec<Event> = (0..1_000u64).map(|ts| Event::new(ts, 0, 1.0)).collect();
+    let scripts = [
+        (1, vec![(500, ClusterCommand::AddQuery(q(1)))]),
+        (
+            1,
+            vec![(200, remove(1)), (500, ClusterCommand::AddQuery(q(1)))],
+        ),
+        (
+            2,
+            vec![
+                (300, ClusterCommand::AddQuery(q(2))),
+                (600, remove(2)),
+                (900, ClusterCommand::AddQuery(q(2))),
+            ],
+        ),
+        // Listed out of time order: still one id added twice.
+        (
+            3,
+            vec![
+                (900, ClusterCommand::AddQuery(q(3))),
+                (300, ClusterCommand::AddQuery(q(3))),
+            ],
+        ),
+    ];
+    for (id, script) in scripts {
+        let mut cfg = ClusterConfig::new(DistributedSystem::Desis, vec![q(1)], Topology::star(2));
+        cfg.script = script.clone();
+        match run_cluster(cfg, shard_by_key(&events, 2)) {
+            Err(DesisError::InvalidQuery(msg)) => {
+                assert_eq!(msg, format!("duplicate query id {id}"), "{script:?}")
+            }
+            other => panic!("{script:?}: {:?}", other.map(|r| r.results.len())),
+        }
+    }
+    // A fresh id is still accepted.
+    let mut cfg = ClusterConfig::new(DistributedSystem::Desis, vec![q(1)], Topology::star(2));
+    cfg.script = vec![(200, remove(1)), (500, ClusterCommand::AddQuery(q(2)))];
+    let report = run_cluster(cfg, shard_by_key(&events, 2)).unwrap();
+    assert!(report.results.iter().any(|r| r.query == 2));
 }
