@@ -11,14 +11,14 @@
 use std::time::Instant;
 
 use desis_core::aggregate::AggFunction;
-use desis_core::engine::{GroupSlicer, QueryAnalyzer, SealedSlice};
+use desis_core::engine::{Assembler, GroupSlicer, QueryAnalyzer, SealedSlice};
 use desis_core::event::Event;
 use desis_core::predicate::Predicate;
 use desis_core::query::Query;
 use desis_core::time::SECOND;
 use desis_core::window::WindowSpec;
 use desis_gen::spread_tumbling_queries;
-use desis_net::merge::{AlignedSliceMerger, TimeAssembler};
+use desis_net::merge::AlignedSliceMerger;
 use desis_net::prelude::*;
 
 use super::uniform_stream;
@@ -106,7 +106,7 @@ fn merge_rate(
         per_child.push(out);
     }
     let mut merger = AlignedSliceMerger::new(children as u32);
-    let mut assembler = TimeAssembler::new(&group);
+    let mut assembler = Assembler::new(&group);
     let mut results = Vec::new();
     let mut merged = Vec::new();
     let start = Instant::now();

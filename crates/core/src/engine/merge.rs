@@ -7,12 +7,12 @@
 //!   instants on every source, so partials merge by slice **end**. The
 //!   sharded collector runs it with coverage 1 per shard; intermediate
 //!   and root nodes with the coverage each child frame declares.
-//! * [`TimeAssembler`] — window assembly over merged slices by time
-//!   range. An aligned group holds only queries with precomputable
+//!   An aligned group holds only queries with precomputable
 //!   punctuations (session/user-defined groups go to [`UnfixedMerger`],
-//!   count windows are replayed or processed raw), so window ends are
-//!   derived from the specs: merged slices carry data only and local
-//!   nodes strip `ends` before shipping.
+//!   count windows are replayed or processed raw), so its assembler
+//!   derives window ends from the specs ([`crate::engine::Assembler`]):
+//!   merged slices carry data only and local nodes strip `ends` before
+//!   shipping.
 //! * [`UnfixedMerger`] — session and user-defined windows end at
 //!   data-driven points that differ per source, so partials merge per
 //!   *window*: span-overlap session absorption gated by per-source clear
@@ -20,9 +20,9 @@
 //!   sharded collector runs it over shard indices, the root over the
 //!   `NodeId`s of its local streams.
 //! * the slice-store kernel — [`SliceStore`], [`merge_keyed`],
-//!   [`finalize_sorted`], [`record_assembly`] — which every assembler and
-//!   merger in the workspace calls instead of carrying its own range
-//!   scan, per-key merge, sorted emission or front-gc loop.
+//!   [`finalize_sorted`], [`record_assembly`] — which the assembler and
+//!   every merger in the workspace call instead of carrying their own
+//!   range scan, per-key merge, sorted emission or front-gc loop.
 //!   [`SliceStore::merged_range`] is the one place a window's partial is
 //!   put together, so its memos serve the sequential engine, the
 //!   sharded collector and the cluster root alike: the answers of the
@@ -540,6 +540,12 @@ impl SliceStore {
         memo + folds
     }
 
+    /// Answers held for the current slice end, open folds included.
+    #[cfg(test)]
+    pub(super) fn held_answers(&self) -> usize {
+        self.merged.len() + self.folds.len()
+    }
+
     /// Whether the answer of `range` on selection `sel` is a link of the
     /// selection's suffix chain: its open fold standing at the range's
     /// start, or a chain link in the memo.
@@ -616,8 +622,8 @@ impl SliceStore {
     ///   in. Whichever answers exist when a range is asked, it gets the
     ///   same bits; k lengths ending together cost `longest`
     ///   [`merge_keyed`] calls and no clone when asked short-first — as
-    ///   [`crate::engine::Assembler`], [`TimeAssembler`] and
-    ///   [`UnfixedMerger`] ask them — and about `longest × H_k` in
+    ///   [`crate::engine::Assembler`] and [`UnfixedMerger`] ask them —
+    ///   and about `longest × H_k` in
     ///   arbitrary order, against `Σ lengths` for the scan. The fold
     ///   runs towards the old end because that is the end nested
     ///   suffixes differ at, and it merges the short run of one slice
@@ -825,8 +831,8 @@ impl SliceStore {
 /// released strictly in end order: a completed slice is held back while
 /// an earlier one still misses contributions, and watermarks
 /// force-complete slices of streams that were idle over the interval.
-/// The merged slice carries data only: window ends are re-derived by
-/// [`TimeAssembler`] and aligned groups have no session gaps.
+/// The merged slice carries data only: an aligned group's assembler
+/// derives window ends itself and aligned groups have no session gaps.
 #[derive(Debug)]
 pub struct AlignedSliceMerger {
     /// Number of local streams below this merger.
@@ -953,7 +959,7 @@ impl AlignedSliceMerger {
 }
 
 // ---------------------------------------------------------------------
-// Window assembly over merged slices, by time range.
+// Runtime removal.
 // ---------------------------------------------------------------------
 
 /// The retirement rule (runtime removal, paper Section 3.2): the end of
@@ -963,9 +969,10 @@ impl AlignedSliceMerger {
 /// those that had started by then; nothing later. `0` when no window
 /// qualifies (none ends there), `Timestamp::MAX` when the last one's end
 /// is not representable (it never fires). A slicer removing the query
-/// while its stream stands at `at` emits exactly these windows, so a
-/// [`TimeAssembler`], which derives window ends itself, reads the same
-/// answer off the slice stream.
+/// while its stream stands at `at` emits exactly these windows, so an
+/// assembler that derives window ends itself
+/// ([`crate::engine::Assembler::remove_query`]) reads the same answer off
+/// the slice stream.
 pub fn last_window_end(window: &WindowSpec, at: Timestamp, immediate: bool) -> Timestamp {
     let (length, step) = match window.kind {
         WindowKind::Tumbling { length } => (length, length),
@@ -985,133 +992,10 @@ pub fn last_window_end(window: &WindowSpec, at: Timestamp, immediate: bool) -> T
     last_start.checked_add(length).unwrap_or(Timestamp::MAX)
 }
 
-/// Assembles fixed time windows from merged slices, selecting slices by
-/// time range (merged slice ids are merger-local) and deriving window
-/// ends from the specs; `ends` shipped with a slice are ignored.
-#[derive(Debug)]
-pub struct TimeAssembler {
-    queries: Vec<Member>,
-    store: SliceStore,
-    results_emitted: u64,
-    /// Provenance span recorder; `None` (the default) disables tracing.
-    recorder: Option<TraceRecorder>,
-}
-
-/// A member query and, once it is removed, the end of its last window
-/// that emits.
-#[derive(Debug)]
-struct Member {
-    id: QueryId,
-    info: QueryInfo,
-    last_end: Option<Timestamp>,
-}
-
-impl TimeAssembler {
-    /// Creates an assembler for the fixed time windows of `group`. Its
-    /// members are kept shortest window first: of the windows ending at
-    /// one slice the shortest starts latest, so asking them in this order
-    /// is asking short-first ([`SliceStore::merged_range`]).
-    pub fn new(group: &QueryGroup) -> Self {
-        let mut queries: Vec<Member> = query_infos(group)
-            .filter(|(_, q)| q.window.has_precomputable_puncts())
-            .map(|(id, info)| Member {
-                id,
-                info,
-                last_end: None,
-            })
-            .collect();
-        queries.sort_by_key(|m| match m.info.window.kind {
-            WindowKind::Tumbling { length } | WindowKind::Sliding { length, .. } => length,
-            WindowKind::Session { .. } | WindowKind::UserDefined { .. } => 0,
-        });
-        Self {
-            queries,
-            store: SliceStore::default(),
-            results_emitted: 0,
-            recorder: None,
-        }
-    }
-
-    /// Enables causal slice tracing: traced slices that terminate
-    /// windows record `WindowAssembled`/`ResultEmitted` spans.
-    pub fn set_recorder(&mut self, recorder: TraceRecorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Results emitted so far.
-    pub fn results_emitted(&self) -> u64 {
-        self.results_emitted
-    }
-
-    /// Slice-partial merge operations performed so far.
-    pub fn merges(&self) -> u64 {
-        self.store.merges()
-    }
-
-    /// Slices currently retained.
-    pub fn retained_slices(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Bundles held by the store's suffix caches
-    /// ([`SliceStore::cached_bundles`]).
-    pub fn cached_bundles(&self) -> usize {
-        self.store.cached_bundles()
-    }
-
-    /// Retires `query`, removed at event time `at` (runtime removal,
-    /// Section 3.2): its windows up to [`last_window_end`] still assemble
-    /// as their slices arrive — slices in flight when the removal is
-    /// announced included, so no barrier is needed and the call may come
-    /// any time before the slice stream passes `at`, more than once —
-    /// and the query is dropped with the first slice at or past that end.
-    /// Returns `false` if the query is unknown.
-    pub fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) -> bool {
-        let Some(member) = self.queries.iter_mut().find(|m| m.id == query) else {
-            return false;
-        };
-        member.last_end = Some(last_window_end(&member.info.window, at, immediate));
-        true
-    }
-
-    /// Ingests one merged slice; assembles every window ending with it.
-    pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
-        let low_ts = slice.low_watermark_ts;
-        let slice_end = slice.end_ts;
-        let before = out.len();
-        self.store
-            .push(slice.id, slice.start_ts, slice.end_ts, slice.data);
-        for Member { id, info, last_end } in &self.queries {
-            let Some(start) = info.window.fixed_window_ending_at(slice_end) else {
-                continue;
-            };
-            if last_end.is_some_and(|last| slice_end > last) {
-                continue;
-            }
-            let merged = self
-                .store
-                .merged_range(SliceRange::Span(start, slice_end), info);
-            finalize_sorted(*id, &info.functions, merged, start, slice_end, out);
-        }
-        self.results_emitted += (out.len() - before) as u64;
-        record_assembly(&mut self.recorder, slice.trace, &out[before..]);
-        let store = &mut self.store;
-        self.queries.retain(|m| {
-            let gone = m.last_end.is_some_and(|last| last <= slice_end);
-            if gone {
-                store.query_removed(&m.info);
-            }
-            !gone
-        });
-        store.gc_span(low_ts);
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::aggregate::OperatorSet;
-    use crate::engine::slice::WindowEnd;
     use crate::engine::{AggregationEngine, Assembler, GroupSlicer, QueryAnalyzer};
     use crate::event::Event;
     use crate::query::Query;
@@ -1120,7 +1004,7 @@ mod tests {
 
     /// All eleven functions: their operator union covers both sort
     /// operators, both products and the sum-of-squares.
-    pub(super) const FUNCTIONS: [AggFunction; 11] = [
+    pub(crate) const FUNCTIONS: [AggFunction; 11] = [
         AggFunction::Sum,
         AggFunction::Count,
         AggFunction::Average,
@@ -1141,7 +1025,7 @@ mod tests {
     }
 
     /// Runs `cases` generated cases, seeding each deterministically.
-    pub(super) fn for_cases(cases: u64, mut body: impl FnMut(u64, &mut SmallRng)) {
+    pub(crate) fn for_cases(cases: u64, mut body: impl FnMut(u64, &mut SmallRng)) {
         for case in 0..cases {
             let seed = 0xD515_1300 + case;
             body(seed, &mut SmallRng::seed_from_u64(seed));
@@ -1177,7 +1061,7 @@ mod tests {
     }
 
     /// `map`'s keys in ascending order.
-    fn sorted(map: &KeyedBundles) -> Vec<Key> {
+    pub(crate) fn sorted(map: &KeyedBundles) -> Vec<Key> {
         let mut keys: Vec<Key> = map.keys().copied().collect();
         keys.sort_unstable();
         keys
@@ -1288,13 +1172,13 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// The nine functions whose partials are constant-size.
-    pub(super) fn constant_size_functions() -> Vec<AggFunction> {
+    pub(crate) fn constant_size_functions() -> Vec<AggFunction> {
         let sorted = |f: &AggFunction| matches!(f, AggFunction::Median | AggFunction::Quantile(_));
         FUNCTIONS.into_iter().filter(|f| !sorted(f)).collect()
     }
 
     /// Slice width of the store-level streams, in event time.
-    const TICK: u64 = 100;
+    pub(crate) const TICK: u64 = 100;
     /// Keys [`arb_keyed_of`] draws from.
     const KEYS: usize = 6;
 
@@ -1627,418 +1511,6 @@ mod tests {
         );
     }
 
-    /// Every way a window's answer is put together hands `finalize_sorted`
-    /// a complete, ascending key list, checked on each assembler's own
-    /// output before any drain could repair its order: a borrowed
-    /// one-slice range (tumbling, one slice long), a suffix-cache answer
-    /// (constant-size sliding), links of a sort-based selection's fold
-    /// (two sliding lengths whose slices bring new keys), and memo scans
-    /// while the store is unordered (an id gap, until gc passes it).
-    #[test]
-    fn every_answer_kind_emits_its_keys_in_ascending_order() {
-        use crate::predicate::Predicate;
-        let q = |id, window: Result<WindowSpec, _>, f, p| {
-            Query::new(id, window.unwrap(), f).filtered(p)
-        };
-        let (high, low) = (Predicate::ValueAbove(50.0), Predicate::ValueBelow(50.0));
-        let g = group(vec![
-            q(1, WindowSpec::tumbling_time(TICK), AggFunction::Sum, high),
-            q(
-                2,
-                WindowSpec::sliding_time(4 * TICK, TICK),
-                AggFunction::Max,
-                high,
-            ),
-            q(
-                3,
-                WindowSpec::sliding_time(3 * TICK, TICK),
-                AggFunction::Median,
-                low,
-            ),
-            q(
-                4,
-                WindowSpec::sliding_time(5 * TICK, TICK),
-                AggFunction::Median,
-                low,
-            ),
-        ]);
-        let infos: Vec<(QueryId, QueryInfo)> = query_infos(&g).collect();
-        let mut rng = SmallRng::seed_from_u64(0x36);
-        let (mut by_id, mut by_span) = (Assembler::new(&g), TimeAssembler::new(&g));
-        let mut sealed: Vec<SealedSlice> = Vec::new();
-        let mut cached = 0;
-        for tick in 0..60u64 {
-            // One id gap: the store is unordered until gc drops the
-            // slices before it.
-            let id = tick + u64::from(tick >= 20);
-            let (start_ts, end_ts) = (tick * TICK, (tick + 1) * TICK);
-            let mut data = SliceData::new(g.selections.len());
-            for (sel, map) in data.per_selection.iter_mut().enumerate() {
-                // Up to 40 keys a slice, inserted in no particular order.
-                for _ in 0..rng.gen_range(1..40) {
-                    let key = rng.gen_range(0u32..40) * 7919 % 40;
-                    let bundle = map
-                        .entry(key)
-                        .or_insert_with(|| OperatorBundle::new(g.selections[sel].operators));
-                    bundle.update(f64::from(rng.gen_range(1u32..5)));
-                }
-                map.values_mut().for_each(OperatorBundle::seal);
-            }
-            let first_at = |start: Timestamp| {
-                let at = sealed.partition_point(|s| s.start_ts < start);
-                sealed.get(at).map_or(id, |s| s.id)
-            };
-            let ends: Vec<WindowEnd> = infos
-                .iter()
-                .filter_map(|(query, info)| {
-                    let start = info.window.fixed_window_ending_at(end_ts)?;
-                    Some(WindowEnd {
-                        query: *query,
-                        first_slice: first_at(start),
-                        last_slice: id,
-                        start_ts: start,
-                        end_ts,
-                    })
-                })
-                .collect();
-            // The longest window ending at the next slice starts 4 ticks
-            // before this one ends.
-            let low_ts = end_ts.saturating_sub(4 * TICK);
-            let slice = SealedSlice {
-                id,
-                start_ts,
-                end_ts,
-                data,
-                ends,
-                session_gaps: Vec::new(),
-                low_watermark: first_at(low_ts),
-                low_watermark_ts: low_ts,
-                trace: None,
-            };
-            sealed.push(slice.clone());
-            let mut want = Vec::new();
-            for (query, info) in &infos {
-                let Some(start) = info.window.fixed_window_ending_at(end_ts) else {
-                    continue;
-                };
-                let mut merged = KeyedBundles::default();
-                for s in sealed.iter().filter(|s| s.start_ts >= start) {
-                    merge_keyed(&mut merged, &s.data.per_selection[info.selection]);
-                }
-                let keys = sorted(&merged);
-                let answer = RangeAnswer {
-                    bundles: &merged,
-                    keys: &keys,
-                };
-                finalize_sorted(*query, &info.functions, answer, start, end_ts, &mut want);
-            }
-            crate::query::sort_results(&mut want);
-            let (mut got_by_id, mut got_by_span) = (Vec::new(), Vec::new());
-            by_id.on_slice(slice.clone(), &mut got_by_id);
-            by_span.on_slice(slice, &mut got_by_span);
-            cached += by_id.cached_bundles() + by_span.cached_bundles();
-            for (name, mut got) in [("by id", got_by_id), ("by span", got_by_span)] {
-                // Each window's results are one run, strictly ascending.
-                for pair in got.windows(2) {
-                    let window = |r: &QueryResult| (r.query, r.window_start, r.window_end);
-                    if window(&pair[0]) == window(&pair[1]) {
-                        assert!(
-                            pair[0].key < pair[1].key,
-                            "tick {tick} {name}: {:?} before {:?}",
-                            pair[0],
-                            pair[1]
-                        );
-                    }
-                }
-                let mut windows: Vec<_> = got.iter().map(|r| (r.query, r.window_start)).collect();
-                windows.dedup();
-                let runs = windows.len();
-                windows.sort_unstable();
-                windows.dedup();
-                assert_eq!(runs, windows.len(), "tick {tick} {name}: a window split");
-                crate::query::sort_results(&mut got);
-                assert_eq!(got, want, "tick {tick} {name}");
-            }
-        }
-        assert!(cached > 0, "the suffix cache answered nothing");
-        assert!(sealed.len() > 20);
-    }
-
-    /// The assembler before the caches: every window end is one range
-    /// scan. `skip(slice index, query)` leaves a window out. Returns the
-    /// results and the bundle merges they took.
-    fn assemble_by_scan(
-        g: &QueryGroup,
-        slices: &[SealedSlice],
-        skip: impl Fn(usize, QueryId) -> bool,
-    ) -> (Vec<QueryResult>, u64) {
-        let infos: FxHashMap<QueryId, QueryInfo> = query_infos(g).collect();
-        let mut store = SliceStore::default();
-        let mut out = Vec::new();
-        let mut merges = 0;
-        for (at, slice) in slices.iter().enumerate() {
-            store.push(slice.id, slice.start_ts, slice.end_ts, slice.data.clone());
-            for end in slice.ends.iter().filter(|e| !skip(at, e.query)) {
-                let q = &infos[&end.query];
-                let mut merged = KeyedBundles::default();
-                let range = SliceRange::Ids(end.first_slice, end.last_slice);
-                merges += store.merge_range(range, q.selection, &mut merged);
-                let keys = sorted(&merged);
-                let answer = RangeAnswer {
-                    bundles: &merged,
-                    keys: &keys,
-                };
-                finalize_sorted(
-                    end.query,
-                    &q.functions,
-                    answer,
-                    end.start_ts,
-                    end.end_ts,
-                    &mut out,
-                );
-            }
-            store.gc_ids(slice.low_watermark);
-        }
-        crate::query::sort_results(&mut out);
-        (out, merges)
-    }
-
-    /// Seeded streams through the slicer into [`Assembler`] and — merged
-    /// like a collector would — into [`TimeAssembler`], against the scan:
-    /// each of the eleven functions alone and together, several lengths
-    /// and steps on one selection (time and count) and a query removed
-    /// mid-window. Groups holding a non-decomposable sort must not
-    /// cache — their chains do not outlive a slice end — yet take fewer
-    /// merges than the scan. Values are powers of two, so answers agree
-    /// bit for bit however caches and chains associate them (fractional
-    /// values: `tests/properties.rs`).
-    #[test]
-    fn assembly_equals_the_scan_for_every_function() {
-        let sets = FUNCTIONS
-            .iter()
-            .map(|f| vec![*f])
-            .chain([FUNCTIONS.to_vec(), constant_size_functions()]);
-        for functions in sets {
-            let query = |id, window: Result<WindowSpec, _>| {
-                Query::with_functions(id, window.unwrap(), functions.clone())
-            };
-            // Count windows cut slices between the time punctuations, so
-            // only the group without them is also assembled by span.
-            for counted in [false, true] {
-                let mut queries = vec![
-                    query(1, WindowSpec::sliding_time(1_600, 100)),
-                    query(2, WindowSpec::sliding_time(1_600, 50)),
-                    query(3, WindowSpec::sliding_time(2_400, 100)),
-                    query(4, WindowSpec::tumbling_time(300)),
-                    query(6, WindowSpec::sliding_time(400, 100)),
-                ];
-                if counted {
-                    queries.push(query(5, WindowSpec::sliding_count(64, 4)));
-                }
-                let g = group(queries);
-                let sorts = g.selections[0]
-                    .operators
-                    .contains(OperatorKind::NonDecomposableSort);
-                let mut most_cached = 0;
-                for_cases(4, |seed, rng| {
-                    let context = format!("seed {seed:#x} functions {functions:?}");
-                    let slices = arb_slices(rng, &g);
-                    let removed_at = slices.len() / 2;
-                    let skip = |at: usize, query: QueryId| query == 3 && at >= removed_at;
-                    let (want, scan_merges) = assemble_by_scan(&g, &slices, skip);
-                    assert_eq!(want.iter().any(|r| r.query == 5), counted, "{context}");
-
-                    let mut assembler = Assembler::new(&g);
-                    let mut merger = AlignedSliceMerger::new(1);
-                    let mut by_span = TimeAssembler::new(&g);
-                    let (mut got, mut got_by_span) = (Vec::new(), Vec::new());
-                    for (at, slice) in slices.iter().enumerate() {
-                        if at == removed_at {
-                            assert!(by_span.remove_query(3, slices[at - 1].end_ts, true));
-                        }
-                        // A slicer that removed the query stops ending
-                        // its windows.
-                        let mut sliced = slice.clone();
-                        sliced.ends.retain(|end| !skip(at, end.query));
-                        assembler.on_slice(sliced, &mut got);
-                        merger.on_slice(slice.clone(), 1);
-                        for merged in merger.take_ready() {
-                            by_span.on_slice(merged, &mut got_by_span);
-                        }
-                        let cached = assembler.cached_bundles() + by_span.cached_bundles();
-                        most_cached = most_cached.max(cached);
-                    }
-                    crate::query::sort_results(&mut got);
-                    assert_eq!(got, want, "{context}");
-                    if sorts {
-                        let merges = assembler.merges();
-                        assert!(merges < scan_merges, "{context}: {merges} merges");
-                    }
-                    if !counted {
-                        crate::query::sort_results(&mut got_by_span);
-                        assert_eq!(got_by_span, want, "{context} (by span)");
-                    }
-                });
-                assert_eq!(
-                    most_cached == 0,
-                    sorts,
-                    "{functions:?}: {most_cached} cached"
-                );
-            }
-        }
-    }
-
-    /// What a slicer seals for a seeded stream of powers of two: random
-    /// ones, or a ramp whose current Min/Max always sits in the slice
-    /// about to be evicted.
-    fn arb_slices(rng: &mut SmallRng, g: &QueryGroup) -> Vec<SealedSlice> {
-        let shape = rng.gen_range(0u32..3);
-        let mut slicer = GroupSlicer::new(g.clone());
-        let mut slices = Vec::new();
-        let mut ts = 0;
-        for i in 0..rng.gen_range(200i32..500) {
-            ts += rng.gen_range(0u64..40);
-            let value = 2f64.powi(match shape {
-                0 => rng.gen_range(-1i32..3),
-                1 => 8 - i / 32,
-                _ => i / 32 - 8,
-            });
-            slicer.on_event(&Event::new(ts, rng.gen_range(0u32..5), value), &mut slices);
-        }
-        slicer.on_watermark(ts + 1_000, &mut slices);
-        slices
-    }
-
-    /// ROADMAP item 6 for the memos: over a long stream the bundles the
-    /// suffix caches hold stay under (slices of the longest live
-    /// window + 1) × keys per selection, `retained_slices` stays flat, and a
-    /// query that stops ending windows — removed here, or only dropped
-    /// upstream — takes its share of the stack with it at once. A group
-    /// with sort-based partials (a sliding and a tumbling window whose
-    /// ends coincide) caches nothing at all, and no store holds an
-    /// answer of a slice end — chain links included — once `on_slice`
-    /// has returned.
-    fn cache_state_stays_flat(slices: u64) {
-        let sorted = vec![AggFunction::Median, AggFunction::Sum];
-        // (slices per window, slices per step) of queries 1 and 2.
-        state_stays_flat(slices, constant_size_functions(), [(32, 1), (16, 1)]);
-        state_stays_flat(slices, sorted, [(16, 16), (32, 1)]);
-    }
-
-    fn state_stays_flat(slices: u64, functions: Vec<AggFunction>, windows: [(u64, u64); 2]) {
-        let keys = 16u32;
-        let queries = [1, 2].map(|id| {
-            let (length, step) = windows[id as usize - 1];
-            let window = WindowSpec::sliding_time(length * TICK, step * TICK);
-            Query::with_functions(id, window.unwrap(), functions.clone())
-        });
-        let g = group(queries.to_vec());
-        let operators = g.selections[0].operators;
-        let chains = operators.contains(OperatorKind::NonDecomposableSort);
-        let mut by_id = Assembler::new(&g);
-        let mut by_span = TimeAssembler::new(&g);
-        let mut out = Vec::new();
-        let (mut peak, mut early_peak, mut scan_merges) = (0, 0, 0);
-        for i in 0..slices {
-            // Query 1 is dropped upstream after a third of the stream
-            // and removed at the root; query 2 after two thirds.
-            let live: &[(QueryId, (u64, u64))] = match 3 * i / slices {
-                0 => &[(1, windows[0]), (2, windows[1])],
-                1 => &[(2, windows[1])],
-                _ => &[],
-            };
-            if i == slices / 3 {
-                by_span.remove_query(1, i * TICK, true);
-            } else if i == 2 * (slices / 3) + 1 {
-                by_span.remove_query(2, i * TICK, true);
-            }
-            let mut data = SliceData::new(1);
-            for key in 0..keys {
-                let mut bundle = OperatorBundle::new(operators);
-                bundle.update(f64::from(key) + (i % 7) as f64);
-                bundle.seal();
-                data.per_selection[0].insert(key, bundle);
-            }
-            let longest = live.iter().map(|(_, (n, _))| *n).max().unwrap_or(1);
-            let low = (i + 2).saturating_sub(longest);
-            let ends: Vec<WindowEnd> = live
-                .iter()
-                .filter(|(_, (n, step))| i + 1 >= *n && (i + 1) % step == 0)
-                .map(|(query, (n, _))| WindowEnd {
-                    query: *query,
-                    first_slice: i + 1 - n,
-                    last_slice: i,
-                    start_ts: (i + 1 - n) * TICK,
-                    end_ts: (i + 1) * TICK,
-                })
-                .collect();
-            scan_merges += ends
-                .iter()
-                .map(|end| (end.last_slice - end.first_slice) * u64::from(keys))
-                .sum::<u64>();
-            let slice = SealedSlice {
-                id: i,
-                start_ts: i * TICK,
-                end_ts: (i + 1) * TICK,
-                data,
-                ends,
-                session_gaps: Vec::new(),
-                low_watermark: low,
-                low_watermark_ts: low * TICK,
-                trace: None,
-            };
-            by_id.on_slice(slice.clone(), &mut out);
-            by_span.on_slice(slice, &mut out);
-            out.clear();
-            for (store, cached) in [
-                (by_id.store(), by_id.cached_bundles()),
-                (&by_span.store, by_span.cached_bundles()),
-            ] {
-                let retained = store.len() as u64;
-                assert!(retained <= longest, "slice {i}: {retained} retained");
-                let held = store.merged.len() + store.folds.len();
-                assert_eq!(held, 0, "slice {i}: answers outlive it");
-                let allowed = match live {
-                    _ if chains => 0,
-                    [] => 0,
-                    _ => (longest + 1) * u64::from(keys),
-                };
-                assert!(
-                    cached as u64 <= allowed,
-                    "slice {i}: {cached} bundles cached, {allowed} allowed"
-                );
-                peak = peak.max(cached);
-                if i < 100 {
-                    early_peak = peak;
-                }
-            }
-        }
-        if chains {
-            // Of two windows ending together the longer, asked second,
-            // starts from the shorter's answer.
-            let merges = by_id.merges().max(by_span.merges());
-            assert!(merges < scan_merges, "the chains were never used");
-        } else {
-            assert!(early_peak > 0, "the caches were never used");
-        }
-        assert_eq!(
-            peak, early_peak,
-            "cached state grew after the first 100 slices"
-        );
-        assert_eq!(by_id.cached_bundles() + by_span.cached_bundles(), 0);
-    }
-
-    #[test]
-    fn cache_state_stays_flat_and_is_released() {
-        cache_state_stays_flat(3_000);
-    }
-
-    #[test]
-    #[ignore = "soak: run in release (ci.yml)"]
-    fn cache_state_stays_flat_over_1e5_slices() {
-        cache_state_stays_flat(100_000);
-    }
-
     fn leaf_slice(rng: &mut SmallRng, end_ts: Timestamp) -> SealedSlice {
         let start_ts = end_ts - 100 + rng.gen_range(0u64..3) * 10;
         SealedSlice {
@@ -2166,7 +1638,7 @@ mod tests {
         assert_eq!(clamped.take_ready().count(), 1);
     }
 
-    pub(super) fn group(queries: Vec<Query>) -> QueryGroup {
+    pub(crate) fn group(queries: Vec<Query>) -> QueryGroup {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
         assert_eq!(groups.len(), 1);
         groups.remove(0)
@@ -2183,7 +1655,7 @@ mod tests {
         let g = group(queries);
         let n = streams.len() as u32;
         let mut merger = AlignedSliceMerger::new(n);
-        let mut assembler = TimeAssembler::new(&g);
+        let mut assembler = Assembler::new(&g);
         let mut results = Vec::new();
         let mut slicers: Vec<GroupSlicer> = (0..n).map(|_| GroupSlicer::new(g.clone())).collect();
         let mut out = Vec::new();

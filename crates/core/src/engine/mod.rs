@@ -6,11 +6,11 @@
 //! merging). Decentralized deployments (the `desis-net` crate) drive the
 //! same [`GroupSlicer`] on local nodes and exchange [`SealedSlice`]
 //! partials; intermediate nodes, the root and the sharded collector merge
-//! and assemble them with the one aligned merger, the one unfixed merger
-//! and the one time-range assembler of [`merge`], whose slice-store
-//! kernel the [`Assembler`] shares. Where a group ends — here, at the
-//! sharded collector or at the root — it ends in a [`terminal`]: this
-//! engine runs every group as a [`RawTerminal`].
+//! them with the one aligned merger and the one unfixed merger of
+//! [`merge`], whose slice-store kernel the [`Assembler`] is built on.
+//! Where a group ends — here, at the sharded collector or at the root —
+//! it ends in a [`terminal`] and is assembled by the one [`Assembler`]:
+//! this engine runs every group as a [`RawTerminal`].
 
 pub mod analyzer;
 pub mod assembler;
@@ -201,10 +201,12 @@ impl AggregationEngine {
     /// With `immediate`, in-flight windows of the query are dropped; with
     /// `immediate == false` the query stops opening new windows but its
     /// open windows still produce results ("wait for the last window to
-    /// end").
+    /// end"). The removal takes effect at the event time the query's
+    /// stream has reached, the rule every engine applies
+    /// ([`crate::engine::merge::last_window_end`]).
     pub fn remove_query(&mut self, id: QueryId, immediate: bool) -> Result<(), DesisError> {
         for p in &mut self.pipelines {
-            if p.slicer.remove_query(id, immediate) {
+            if p.remove_query(id, immediate) {
                 self.runs.retire(id);
                 return Ok(());
             }

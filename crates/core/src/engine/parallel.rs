@@ -68,9 +68,10 @@ pub mod unfixed;
 pub use engine::ParallelEngine;
 pub use sharded::ShardedSlicer;
 
-/// The collector assembles shard-merged slices with the same time-range
-/// assembler the root uses over child-merged slices.
-pub use super::merge::TimeAssembler as FixedAssembler;
+/// The one [`super::Assembler`], under the name the repo benchmark
+/// imports; ROADMAP item 12's next benchmark change imports `Assembler`
+/// and removes this alias.
+pub use super::assembler::Assembler as FixedAssembler;
 
 /// Tunables of the parallel engine.
 #[derive(Debug, Clone)]

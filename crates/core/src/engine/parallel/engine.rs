@@ -289,7 +289,7 @@ impl ParallelEngine {
             .find(|r| r.slicer.group().query_index(id).is_some())
         {
             replay.on_watermark(at, self.runs.emitted());
-            replay.slicer.remove_query(id, immediate);
+            replay.remove_query(id, immediate);
         }
         self.runs.absorb();
     }

@@ -269,6 +269,12 @@ impl GroupSlicer {
         }
     }
 
+    /// The event time the slicer's stream stands at: its newest event,
+    /// marker or watermark (`None` before its first event).
+    pub(super) fn reached(&self) -> Option<Timestamp> {
+        self.initialized.then_some(self.last_seen_ts)
+    }
+
     /// The group this slicer runs.
     pub fn group(&self) -> &QueryGroup {
         &self.group

@@ -6,20 +6,21 @@
 //! collector or the cluster root. What runs there follows from the group
 //! alone, so it is decided and written here once: [`GroupPlan`] is the
 //! one function from a group (or a window) to how it runs, and
-//! [`GroupTerminal`] what ends it under each plan.
+//! [`GroupTerminal`] what ends it under each plan — at every level the
+//! one [`Assembler`], which takes window ends as the plan says.
 //!
 //! **Runtime removal** (Section 3.2) has one answer at every level, a
 //! function of the window and the event time `at` the removal takes
 //! effect at ([`crate::engine::merge::last_window_end`]): immediate — the
 //! query's windows ending at or before `at` still emit; draining — so do
 //! those that had started by then; nothing later. A slicer told to remove
-//! while its stream stands at `at` does that by construction; a
-//! [`TimeAssembler`] reads it off the slice stream; an unfixed group's
-//! window ends are its sources' to stop sending.
+//! while its stream stands at `at` does that by construction; the
+//! assembler of an aligned group, which derives window ends itself, reads
+//! it off the slice stream; the window ends of other groups are their
+//! sources' to stop sending.
 
 use crate::engine::assembler::Assembler;
 use crate::engine::group::QueryGroup;
-use crate::engine::merge::TimeAssembler;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
 use crate::event::Event;
@@ -97,6 +98,24 @@ impl RawTerminal {
         }
     }
 
+    /// Removes `query` from the slicer and — where the assembler derives
+    /// window ends itself — from the assembler, at the event time the
+    /// slicer's stream stands at. Before its first event the stream
+    /// stands nowhere and the slicer drops the query outright, which is
+    /// an immediate removal at 0. Returns `false` if the slicer does not
+    /// (or no longer) run the query.
+    pub(super) fn remove_query(&mut self, query: QueryId, immediate: bool) -> bool {
+        if !self.slicer.remove_query(query, immediate) {
+            return false;
+        }
+        let (at, immediate) = match self.slicer.reached() {
+            Some(at) => (at, immediate),
+            None => (0, true),
+        };
+        self.assembler.remove_query(query, at, immediate);
+        true
+    }
+
     /// Ingests one in-order event.
     pub fn on_event(&mut self, ev: &Event, out: &mut Vec<QueryResult>) {
         self.slicer.on_event(ev, &mut self.sealed);
@@ -120,22 +139,17 @@ impl RawTerminal {
     /// the `(slices, suffix-cache bundles)` it retains to `retained`.
     pub fn roll_up(&self, m: &mut EngineMetrics, retained: &mut (usize, usize)) {
         m.absorb(self.slicer.metrics());
-        let a = &self.assembler;
-        let state = (a.retained_slices(), a.cached_bundles());
-        add(m, retained, (a.results_emitted(), a.merges()), state);
+        add(m, retained, &self.assembler);
     }
 }
 
-fn add(
-    m: &mut EngineMetrics,
-    retained: &mut (usize, usize),
-    (results, merges): (u64, u64),
-    (slices, bundles): (usize, usize),
-) {
-    m.results += results;
-    m.merges += merges;
-    retained.0 += slices;
-    retained.1 += bundles;
+/// Adds `a`'s results and merges to `m` and the state it retains to
+/// `retained`.
+fn add(m: &mut EngineMetrics, retained: &mut (usize, usize), a: &Assembler) {
+    m.results += a.results_emitted();
+    m.merges += a.merges();
+    retained.0 += a.retained_slices();
+    retained.1 += a.cached_bundles();
 }
 
 /// Publishes an engine's rolled-up metrics as cumulative `engine.*`
@@ -150,10 +164,9 @@ pub(crate) fn publish(m: &EngineMetrics, retained: (usize, usize), registry: &Me
 /// What ends a query-group, by its [`GroupPlan`].
 #[derive(Debug)]
 pub enum GroupTerminal {
-    /// Assembles an aligned merger's slices by time range.
-    Aligned(TimeAssembler),
-    /// Assembles the self-contained windows an unfixed merger releases.
-    Unfixed(Assembler),
+    /// Assembles the group's merged slice stream: the slices an aligned
+    /// merger releases, or the self-contained windows of an unfixed one.
+    Merged(Box<Assembler>),
     /// Slices and assembles the group's ordered raw events.
     Raw(Box<RawTerminal>),
 }
@@ -162,8 +175,9 @@ impl GroupTerminal {
     /// The terminal that ends `group` under `plan`.
     pub fn new(plan: GroupPlan, group: &QueryGroup) -> Self {
         match plan {
-            GroupPlan::Aligned => GroupTerminal::Aligned(TimeAssembler::new(group)),
-            GroupPlan::Unfixed => GroupTerminal::Unfixed(Assembler::new(group)),
+            GroupPlan::Aligned | GroupPlan::Unfixed => {
+                GroupTerminal::Merged(Box::new(Assembler::new(group)))
+            }
             GroupPlan::Raw => GroupTerminal::Raw(Box::new(RawTerminal::new(group.clone()))),
         }
     }
@@ -171,10 +185,8 @@ impl GroupTerminal {
     /// Assembles one slice of the group's merged stream (a no-op for a
     /// terminal that slices raw events itself).
     pub fn on_slice(&mut self, slice: SealedSlice, out: &mut Vec<QueryResult>) {
-        match self {
-            GroupTerminal::Aligned(a) => a.on_slice(slice, out),
-            GroupTerminal::Unfixed(a) => a.on_slice(slice, out),
-            GroupTerminal::Raw(_) => {}
+        if let GroupTerminal::Merged(a) = self {
+            a.on_slice(slice, out);
         }
     }
 
@@ -193,11 +205,11 @@ impl GroupTerminal {
         }
     }
 
-    /// Removes `query` at event time `at` (module docs). An aligned
-    /// terminal may be told any time before its slice stream passes `at`;
-    /// a slicing one is advanced to `at` first, so it must be told when
-    /// its input stands there; an unfixed one keeps assembling whatever
-    /// its merger still releases.
+    /// Removes `query` at event time `at` (module docs). A merged-stream
+    /// terminal may be told any time before its slice stream passes `at`
+    /// (an unfixed group's keeps assembling whatever its merger still
+    /// releases); a slicing one is advanced to `at` first, so it must be
+    /// told when its input stands there.
     pub fn remove_query(
         &mut self,
         query: QueryId,
@@ -206,13 +218,12 @@ impl GroupTerminal {
         out: &mut Vec<QueryResult>,
     ) {
         match self {
-            GroupTerminal::Aligned(a) => {
+            GroupTerminal::Merged(a) => {
                 a.remove_query(query, at, immediate);
             }
-            GroupTerminal::Unfixed(_) => {}
             GroupTerminal::Raw(raw) => {
                 raw.on_watermark(at, out);
-                raw.slicer.remove_query(query, immediate);
+                raw.remove_query(query, immediate);
             }
         }
     }
@@ -220,26 +231,17 @@ impl GroupTerminal {
     /// Enables causal slice tracing.
     pub fn set_recorder(&mut self, recorder: TraceRecorder) {
         match self {
-            GroupTerminal::Aligned(a) => a.set_recorder(recorder),
-            GroupTerminal::Unfixed(a) => a.set_recorder(recorder),
+            GroupTerminal::Merged(a) => a.set_recorder(recorder),
             GroupTerminal::Raw(raw) => raw.set_recorder(recorder),
         }
     }
 
     /// [`RawTerminal::roll_up`] for any terminal.
     pub fn roll_up(&self, m: &mut EngineMetrics, retained: &mut (usize, usize)) {
-        let (counts, state) = match self {
-            GroupTerminal::Aligned(a) => (
-                (a.results_emitted(), a.merges()),
-                (a.retained_slices(), a.cached_bundles()),
-            ),
-            GroupTerminal::Unfixed(a) => (
-                (a.results_emitted(), a.merges()),
-                (a.retained_slices(), a.cached_bundles()),
-            ),
-            GroupTerminal::Raw(raw) => return raw.roll_up(m, retained),
-        };
-        add(m, retained, counts, state);
+        match self {
+            GroupTerminal::Merged(a) => add(m, retained, a),
+            GroupTerminal::Raw(raw) => raw.roll_up(m, retained),
+        }
     }
 }
 
@@ -270,7 +272,9 @@ mod tests {
 
     /// The rule against the slicer it describes: remove the sliding query
     /// at every event time of a stream, in both modes, and the windows the
-    /// slicer still ends are those up to `last_window_end`.
+    /// slicer still ends are those up to `last_window_end` — and so are
+    /// those a terminal over the same stream emits, whose assembler
+    /// derives the (aligned) group's window ends itself.
     #[test]
     fn the_retirement_rule_is_what_a_slicer_does() {
         let windows = [
@@ -287,20 +291,26 @@ mod tests {
                 let mut groups = crate::engine::QueryAnalyzer::default()
                     .analyze(queries)
                     .unwrap();
-                let mut terminal = RawTerminal::new(groups.remove(0));
-                let mut out = Vec::new();
+                let group = groups.remove(0);
+                let mut slicer = GroupSlicer::new(group.clone());
+                let mut terminal = RawTerminal::new(group);
+                let (mut sealed, mut out) = (Vec::new(), Vec::new());
                 for ts in 0..=at {
-                    terminal.on_event(&Event::new(ts, 0, 1.0), &mut out);
+                    let ev = Event::new(ts, 0, 1.0);
+                    slicer.on_event(&ev, &mut sealed);
+                    terminal.on_event(&ev, &mut out);
                 }
-                assert!(terminal.slicer.remove_query(2, immediate));
+                assert!(slicer.remove_query(2, immediate));
+                assert!(terminal.remove_query(2, immediate));
+                slicer.on_watermark(1_000, &mut sealed);
                 terminal.on_watermark(1_000, &mut out);
-                let last = out.iter().filter(|r| r.query == 2).map(|r| r.window_end);
+                let ends = sealed.iter().flat_map(|s| &s.ends);
+                let ended = ends.filter(|e| e.query == 2).map(|e| e.end_ts);
+                let emitted = out.iter().filter(|r| r.query == 2).map(|r| r.window_end);
+                let rule = last_window_end(&window, at, immediate);
                 let context = format!("{window:?} removed at {at}, immediate={immediate}");
-                assert_eq!(
-                    last.max().unwrap_or(0),
-                    last_window_end(&window, at, immediate),
-                    "{context}"
-                );
+                assert_eq!(ended.max().unwrap_or(0), rule, "{context}: slicer");
+                assert_eq!(emitted.max().unwrap_or(0), rule, "{context}: terminal");
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Merging machinery for intermediate and root nodes (paper Section 5).
 //!
-//! * [`AlignedSliceMerger`] / [`TimeAssembler`] — the aligned-slice merge
-//!   and the time-range window assembly of fixed-window groups. They are
-//!   `desis_core::engine::merge`'s: a child node is merged exactly like a
-//!   shard, and this module re-exports the two types.
+//! * [`AlignedSliceMerger`] — the aligned-slice merge of fixed-window
+//!   groups. It is `desis_core::engine::merge`'s: a child node is merged
+//!   exactly like a shard, and this module re-exports it. What it
+//!   releases is assembled by the core `Assembler`, which derives an
+//!   aligned group's window ends from the specs.
 //! * [`UnfixedRootMerger`] — session and user-defined windows slice at
 //!   data-driven points that differ per stream (Section 5.1.2). They
 //!   merge per window in `desis_core::engine::merge::UnfixedMerger`, the
@@ -34,7 +35,12 @@ use desis_core::event::Event;
 use desis_core::query::{QueryId, QueryResult};
 use desis_core::time::Timestamp;
 
-pub use desis_core::engine::merge::{AlignedSliceMerger, TimeAssembler};
+pub use desis_core::engine::merge::AlignedSliceMerger;
+
+/// The one core [`Assembler`], under the name the repo benchmark imports;
+/// ROADMAP item 12's next benchmark change imports `Assembler` and
+/// removes this alias.
+pub use desis_core::engine::Assembler as TimeAssembler;
 
 use crate::message::WindowPartial;
 use crate::topology::NodeId;

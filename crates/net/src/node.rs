@@ -892,14 +892,15 @@ impl Terminal {
         self.groups.insert(g.id, terminal);
     }
 
-    /// Schedules the removal of `query` at event time `at`. An aligned
-    /// terminal reads the retirement rule off its slice stream, whenever
-    /// it is told, so it is told now; whatever slices or merges per
+    /// Schedules the removal of `query` at event time `at`. An assembler
+    /// of a merged slice stream reads the retirement rule off that stream
+    /// whenever it is told (if it derives window ends itself; otherwise
+    /// they stop coming), so it is told now; whatever slices or merges per
     /// origin is told when event time has passed it ([`Terminal::reach`]).
     fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) {
         for group in self.groups.values_mut() {
-            if matches!(group, GroupTerminal::Aligned(_)) {
-                group.remove_query(query, at, immediate, &mut self.results);
+            if let GroupTerminal::Merged(assembler) = group {
+                assembler.remove_query(query, at, immediate);
             }
         }
         let pos = self.removals.partition_point(|(due, ..)| *due <= at);

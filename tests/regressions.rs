@@ -471,8 +471,7 @@ fn assembler_emits_window_results_in_key_order() {
     }
 }
 
-/// `core::engine::merge` (`TimeAssembler`) entered through the sharded
-/// collector: merged fixed-window emission is key-sorted as well — keys
+/// `core::engine::assembler` entered through the sharded collector: merged fixed-window emission is key-sorted as well — keys
 /// land on shards by hash and are re-merged, so this pins the
 /// collector-side sort, not the shard order.
 #[test]
@@ -494,12 +493,13 @@ fn parallel_fixed_assembler_emits_in_key_order() {
     }
 }
 
-/// The same `TimeAssembler` entered the way the root does, through the
-/// `net::merge` re-export and straight from slicer output (whose shipped
-/// `ends` it ignores): ascending key order too.
+/// The same `Assembler` entered the way the root does, behind the
+/// `net::merge` re-export of the aligned merger, whose merged slices
+/// carry no window ends (the assembler derives them from the spec):
+/// ascending key order too.
 #[test]
 fn time_assembler_emits_window_results_in_key_order() {
-    use desis::net::merge::TimeAssembler;
+    use desis::net::merge::AlignedSliceMerger;
     let q = Query::new(
         1,
         WindowSpec::tumbling_time(1_000).unwrap(),
@@ -508,7 +508,8 @@ fn time_assembler_emits_window_results_in_key_order() {
     let mut groups = QueryAnalyzer::default().analyze(vec![q]).unwrap();
     let group = groups.remove(0);
     let mut slicer = GroupSlicer::new(group.clone());
-    let mut assembler = TimeAssembler::new(&group);
+    let mut merger = AlignedSliceMerger::new(1);
+    let mut assembler = Assembler::new(&group);
     let mut slices = Vec::new();
     let mut results = Vec::new();
     for i in 0..64u64 {
@@ -516,6 +517,10 @@ fn time_assembler_emits_window_results_in_key_order() {
     }
     slicer.on_watermark(1_000, &mut slices);
     for s in slices.drain(..) {
+        merger.on_slice(s, 1);
+    }
+    for s in merger.take_ready() {
+        assert!(s.ends.is_empty());
         assembler.on_slice(s, &mut results);
     }
     assert_eq!(results.len(), 64, "{results:?}");
@@ -750,7 +755,7 @@ fn short_frame_then_honest_stream(query: Query, ends: Vec<WindowEnd>, stray_grou
     assert_eq!(results[0].values, vec![Some(5.0)]);
 }
 
-/// Aligned group (`AlignedSliceMerger` → `TimeAssembler`): the tumbling
+/// Aligned group (`AlignedSliceMerger` → `Assembler`): the tumbling
 /// window [0, 1000) ends with the zero-selection slice.
 #[test]
 fn zero_selection_slice_frame_does_not_panic_an_aligned_root_group() {
@@ -960,8 +965,7 @@ fn timestamps_near_u64_max_neither_hang_nor_panic() {
 /// folded newest → oldest, each merging the keys it shares with the
 /// newer ones (a key's first partial is a clone). Both assemblers are
 /// pinned to that count — the sequential engine's `Assembler` and, at one
-/// shard, the collector's `TimeAssembler`; asking in slicer or query
-/// order costs more.
+/// shard, the collector's; asking in slicer or query order costs more.
 #[test]
 fn correlated_sort_windows_take_half_the_merges_of_a_scan_per_window() {
     use desis::core::engine::merge::{query_infos, KeyedBundles, SliceRange, SliceStore};

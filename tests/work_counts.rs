@@ -643,8 +643,8 @@ fn many_queries_shape_counts() {
         events: 16_000,
         results: 175_808,
         merges: 29_760,
-        allocations: 194_399,
-        bytes: 28_971_864,
+        allocations: 194_388,
+        bytes: 28_919_304,
         retained_slices_max: 31,
         digest: 0xbefd_96eb_f344_dddf,
     };
