@@ -25,11 +25,12 @@
 //!
 //! Every shape also runs through the sharded engine at 1 and 2 shards,
 //! fed like the sequential engine: results, merges and a results digest
-//! are exact there. The `many_queries` and `slide_wide` shapes also run
-//! through an unpaced `star(2)` Desis cluster, as the benchmark's cluster
-//! sample does: results, frames and wire bytes are exact there too. Shard
-//! and node threads allocate where the test thread cannot count them, so
-//! sharded and cluster rows have no allocation columns.
+//! are exact there. Every shape also runs through an unpaced `star(2)`
+//! Desis cluster, as the benchmark's cluster sample does (`ingest_dense`
+//! on a prefix, `mixed_unfixed` in timestamp order, since a local has no
+//! reorder stage): results, frames and wire bytes are exact there too.
+//! Shard and node threads allocate where the test thread cannot count
+//! them, so sharded and cluster rows have no allocation columns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -558,15 +559,24 @@ struct ClusterCounts {
     digest: u64,
 }
 
-/// Runs `events` through an unpaced `star(2)` Desis cluster, event `e`
-/// on local `e.ts % 2` (the benchmark's split), with the benchmark's one
-/// non-default setting: a 60 s `nack_grace`, so that no lingering sender
-/// re-sends its last frame while the root still works and frames do not
-/// depend on timing.
+/// Runs the timestamp-ordered `events` through an unpaced `star(2)` Desis
+/// cluster, split as the benchmark splits them: event `e` on local
+/// `e.ts % 2`, except that the second marker of a pair (same event,
+/// directly after the first) goes to the other local, so each local sees
+/// every window boundary. The one non-default setting is the
+/// benchmark's: a 60 s `nack_grace`, so that no lingering sender re-sends
+/// its last frame while the root still works and frames do not depend on
+/// timing.
 fn run_star2(queries: &[Query], events: &[Event]) -> ClusterCounts {
     let mut feeds = vec![Vec::new(), Vec::new()];
+    let mut previous: Option<&Event> = None;
     for ev in events {
-        feeds[(ev.ts % 2) as usize].push(*ev);
+        let mut local = (ev.ts % 2) as usize;
+        if ev.marker.is_some() && previous == Some(ev) {
+            local = 1 - local;
+        }
+        feeds[local].push(*ev);
+        previous = Some(ev);
     }
     let mut cfg = ClusterConfig::new(
         DistributedSystem::Desis,
@@ -775,4 +785,34 @@ fn slide_wide_shape_cluster_counts() {
         digest: 0x65a6_b2ac_947f_1cbd,
     };
     assert_cluster_counts(&slide_wide(), &events, want);
+}
+
+#[test]
+fn ingest_dense_shape_cluster_counts() {
+    let mut rng = Rng(1);
+    let events = dense_stream(&mut rng, 2_500, 100, 16, |rng| rng.below(1000) as f64);
+    let want = ClusterCounts {
+        events: 250_000,
+        results: 704,
+        frames: 140,
+        wire_bytes: 27_476,
+        digest: 0x940e_9742_8143_5a0b,
+    };
+    assert_cluster_counts(&ingest_dense(), &events, want);
+}
+
+#[test]
+fn mixed_unfixed_shape_cluster_counts() {
+    // A local has no reorder stage: the cluster is fed the displaced
+    // stream in timestamp order (stable, so a marker pair stays a pair).
+    let mut events = mixed_stream(&mut Rng(1));
+    events.sort_by_key(|ev| ev.ts);
+    let want = ClusterCounts {
+        events: 30_000,
+        results: 4_271,
+        frames: 324,
+        wire_bytes: 676_053,
+        digest: 0x4d98_2500_0ae9_1615,
+    };
+    assert_cluster_counts(&mixed_unfixed(), &events, want);
 }
