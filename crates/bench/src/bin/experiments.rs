@@ -3,8 +3,7 @@
 //! ```text
 //! experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]
 //!             [--trace-out <path>] [--trace-sample <N>]
-//!             [--faults <plan.json>] [--fault-seed <N>]
-//!             [--shards <N>] [--profile]
+//!             [--faults <plan.json>] [--fault-seed <N>] [--profile]
 //!             <figure-id>... | all | list | profile
 //! ```
 //!
@@ -87,7 +86,6 @@ fn main() {
     let mut trace_sample = 1u64;
     let mut faults_path: Option<String> = None;
     let mut fault_seed: Option<u64> = None;
-    let mut shards: Option<usize> = None;
     let mut profile = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -138,18 +136,14 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--shards" => {
-                let value = it.next().unwrap_or_default();
-                let n: usize = value.parse().unwrap_or_else(|_| {
-                    eprintln!("--shards requires a positive integer, got {value:?}");
-                    std::process::exit(2);
-                });
-                shards = Some(n.max(1));
-            }
             "--profile" => profile = true,
             "--help" | "-h" => {
                 print_usage();
                 return;
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag {flag:?}; try `experiments --help`");
+                std::process::exit(2);
             }
             other => wanted.push(other.to_string()),
         }
@@ -179,9 +173,6 @@ fn main() {
     } else {
         None
     };
-    if let Some(n) = shards {
-        eprintln!("local nodes run {n} engine shard(s)");
-    }
     let profile_summary = wanted.iter().any(|w| w == "profile");
     wanted.retain(|w| w != "profile");
     if profile && metrics_out.is_none() {
@@ -202,7 +193,6 @@ fn main() {
             .as_ref()
             .map(|_| TraceCollector::new(trace_sample, DEFAULT_RING_CAPACITY)),
         faults,
-        shards: shards.unwrap_or(1),
     };
 
     let registry = all_figures();
@@ -213,6 +203,14 @@ fn main() {
             println!("{id}");
         }
         return;
+    }
+    // Checked before anything runs, `all` or not: a typo is never
+    // silently skipped.
+    for w in &wanted {
+        if w != "all" && w != "table1" && !registry.iter().any(|(id, _)| id == w) {
+            eprintln!("unknown figure {w:?}; try `experiments list`");
+            std::process::exit(2);
+        }
     }
     if profile_summary && wanted.is_empty() {
         wanted.push("fig6a".to_string());
@@ -257,14 +255,6 @@ fn main() {
         .iter()
         .filter(|(id, _)| run_all || wanted.iter().any(|w| w == id))
         .collect();
-    if !run_all {
-        for w in &wanted {
-            if !registry.iter().any(|(id, _)| id == w) {
-                eprintln!("unknown figure {w:?}; try `experiments list`");
-                std::process::exit(2);
-            }
-        }
-    }
 
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
@@ -380,8 +370,7 @@ fn print_usage() {
     println!(
         "usage: experiments [--scale quick|full] [--csv <dir>] [--metrics-out <path>]\n\
          \x20                  [--trace-out <path>] [--trace-sample <N>]\n\
-         \x20                  [--faults <plan.json>] [--fault-seed <N>]\n\
-         \x20                  [--shards <N>] [--profile]\n\
+         \x20                  [--faults <plan.json>] [--fault-seed <N>] [--profile]\n\
          \x20                  <figure-id>... | all | list | profile\n\
          reproduces the Desis (EDBT 2023) evaluation figures; see EXPERIMENTS.md\n\
          --metrics-out writes per-figure metric deltas plus the process\n\
@@ -390,7 +379,6 @@ fn print_usage() {
          slice, default 1) and writes Chrome trace-event JSON for Perfetto\n\
          --faults injects a deterministic fault plan (EXPERIMENTS.md \"Chaos\n\
          runs\") into every cluster; --fault-seed overrides the plan's seed\n\
-         --shards N runs every cluster's local nodes with N engine shards\n\
          --profile times every stage of every run per lane and adds the\n\
          stage table + flight-recorder timeline to the --metrics-out report\n\
          `profile [figure-id...]` prints the stage table (default fig6a)"

@@ -15,8 +15,8 @@ use desis_net::topology::Topology;
 
 use crate::measure::Scale;
 
-/// What `--scale`, `--metrics-out`, `--profile`, `--trace-out`,
-/// `--faults` and `--shards` resolve to. Nothing a figure starts looks any of it up
+/// What `--scale`, `--metrics-out`, `--profile`, `--trace-out` and
+/// `--faults` resolve to. Nothing a figure starts looks any of it up
 /// ambiently: clusters get it through [`Harness::cluster`], single-node
 /// measurements through [`Harness::registry`].
 #[derive(Debug, Clone)]
@@ -31,24 +31,21 @@ pub struct Harness {
     pub trace: Option<TraceCollector>,
     /// Fault plan injected into every cluster.
     pub faults: Option<FaultPlan>,
-    /// Engine shards per local node of every cluster.
-    pub shards: usize,
 }
 
 impl Harness {
-    /// Laptop scale, an empty registry, no tracing, no faults, one shard.
+    /// Laptop scale, an empty registry, no tracing, no faults.
     pub fn quick() -> Self {
         Harness {
             scale: Scale::Quick,
             registry: Arc::new(MetricsRegistry::new()),
             trace: None,
             faults: None,
-            shards: 1,
         }
     }
 
     /// [`ClusterConfig::new`] carrying this harness's collector, fault
-    /// plan, shard count and profiling clock.
+    /// plan and profiling clock.
     pub fn cluster(
         &self,
         system: DistributedSystem,
@@ -58,7 +55,6 @@ impl Harness {
         let mut cfg = ClusterConfig::new(system, queries, topology);
         cfg.trace = self.trace.clone();
         cfg.faults = self.faults.clone();
-        cfg.shards = self.shards;
         cfg.profile = self.registry.prof_clock().cloned();
         cfg
     }
@@ -86,11 +82,10 @@ mod tests {
     use desis_core::window::WindowSpec;
 
     #[test]
-    fn cluster_carries_trace_faults_and_shards_and_merges_the_report() {
+    fn cluster_carries_trace_and_faults_and_merges_the_report() {
         let harness = Harness {
             trace: Some(TraceCollector::new(1, DEFAULT_RING_CAPACITY)),
             faults: Some(FaultPlan::new(7)),
-            shards: 2,
             ..Harness::quick()
         };
         let queries = vec![Query::new(
@@ -101,7 +96,6 @@ mod tests {
         let cfg = harness.cluster(DistributedSystem::Desis, queries, Topology::star(1));
         assert!(cfg.trace.is_some());
         assert_eq!(cfg.faults, harness.faults);
-        assert_eq!(cfg.shards, 2);
         assert!(cfg.profile.is_none(), "the harness registry is unprofiled");
 
         let feed: Vec<Event> = (0..1_000).map(|i| Event::new(i, 0, 1.0)).collect();

@@ -165,10 +165,8 @@ enum ShardState {
 /// ordered stream, evaluated once per event at the inlet
 /// ([`ShardedSlicer::take_count_events`]).
 ///
-/// This is the engine-internal building block shared by
-/// [`super::ParallelEngine`] (which assembles windows from the merged stream)
-/// and the decentralized local node (which ships the merged stream to
-/// its parent exactly as if one sequential slicer had produced it).
+/// This is the slicing half of [`super::ParallelEngine`], which
+/// assembles windows from the merged stream.
 #[derive(Debug)]
 pub struct ShardedSlicer {
     senders: Vec<crossbeam_channel::Sender<ShardMsg>>,
@@ -199,9 +197,8 @@ pub struct ShardedSlicer {
     /// One filter per count query-group, by replay slot.
     counts: Vec<CountFilter>,
     panics: u64,
-    /// [`ParallelConfig::registry`], or a private one.
-    registry: Arc<MetricsRegistry>,
-    /// Per-shard `(events, batches)` counters of the registry, resolved
+    /// Per-shard `(events, batches)` counters of
+    /// [`ParallelConfig::registry`] (or of a private one), resolved
     /// once at spawn: the inlet's only tally of what it sent where.
     sent: Vec<(Arc<Counter>, Arc<Counter>)>,
     /// The registry's `driver` lane (ingest/barrier/merge stages).
@@ -214,14 +211,10 @@ pub struct ShardedSlicer {
 impl ShardedSlicer {
     /// Spawns `cfg.shards` worker threads, each owning one slicer per
     /// group in `groups` (fixed-window groups merge by slice end,
-    /// session/user-defined groups by span overlap).
-    pub fn new(groups: &[QueryGroup], cfg: &ParallelConfig) -> Result<Self, DesisError> {
-        Self::with_counts(groups, &[], cfg)
-    }
-
-    /// Like [`ShardedSlicer::new`], additionally installing one inlet
-    /// selection filter per count query-group: matching events come back
-    /// through [`ShardedSlicer::take_count_events`].
+    /// session/user-defined groups by span overlap), and installs one
+    /// inlet selection filter per count query-group in `count_groups`:
+    /// matching events come back through
+    /// [`ShardedSlicer::take_count_events`].
     pub fn with_counts(
         groups: &[QueryGroup],
         count_groups: &[QueryGroup],
@@ -274,7 +267,6 @@ impl ShardedSlicer {
             counts: count_groups.iter().map(CountFilter::of).collect(),
             panics: 0,
             prof: registry.lane("driver"),
-            registry,
             sent,
             collected: EngineMetrics::default(),
             item_buf: Vec::new(),
@@ -285,11 +277,6 @@ impl ShardedSlicer {
     /// Shard count.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Number of sharded groups.
-    pub fn group_count(&self) -> usize {
-        self.mergers.len()
     }
 
     /// Shard workers that panicked and were degraded.
@@ -677,18 +664,11 @@ impl ShardedSlicer {
         unfixed.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
     }
 
-    /// The registry the slicer counts into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Publishes per-shard inlet counters, the panic count, and the
     /// shard-balance telemetry gauges (routing imbalance, inbox
     /// high-water depths, unfixed-merger retained state) into
     /// `registry` — for the slicer's own registry the inlet counters are
-    /// there already. Slicers sharing a registry (the locals of one
-    /// cluster run) add their counters up; the gauges keep the last
-    /// publisher's level.
+    /// there already.
     pub fn publish(&self, registry: &MetricsRegistry) {
         for (shard, (events, batches)) in self.sent.iter().enumerate() {
             registry

@@ -87,19 +87,12 @@ pub struct ClusterConfig {
     /// fault-free.
     pub faults: Option<FaultPlan>,
     /// Stage-time profiling: when set, the run's registry is
-    /// [`MetricsRegistry::profiled`] with this clock, so every node loop,
-    /// pump and engine shard times its stages into
-    /// [`ClusterReport::metrics`] as `prof.*` counters; `None` times
-    /// nothing.
+    /// [`MetricsRegistry::profiled`] with this clock, so every node loop
+    /// and pump times its stages into [`ClusterReport::metrics`] as
+    /// `prof.*` counters; `None` times nothing.
     pub profile: Option<ProfClock>,
     /// Tunables of the recovery protocol (NACK budget, grace period).
     pub recovery: RecoveryConfig,
-    /// Worker shards per local node (Desis only). `1` runs the classic
-    /// sequential pipeline; `> 1` hash-partitions events by key across
-    /// that many engine threads per local (see
-    /// [`desis_core::engine::ParallelEngine`]). Defaults to `1`; `0`
-    /// is treated as `1`.
-    pub shards: usize,
 }
 
 impl ClusterConfig {
@@ -118,7 +111,6 @@ impl ClusterConfig {
             faults: None,
             profile: None,
             recovery: RecoveryConfig::default(),
-            shards: 1,
         }
     }
 
@@ -495,14 +487,12 @@ impl Run<'_> {
     /// scheduled faults, the runtime script and ingestion pacing.
     fn local_node(&self, node: NodeId, feed: Vec<Event>, mut uplink: LinkSender) {
         let cfg = self.cfg;
-        let mut worker = LocalWorker::with_shards(
+        let mut worker = LocalWorker::new(
             node,
             cfg.system,
             self.groups,
             cfg.batch_size,
             cfg.watermark_every,
-            cfg.shards.max(1),
-            self.registry,
         );
         if let Some(tc) = self.tracing {
             worker.install_tracing(tc);
@@ -920,7 +910,7 @@ mod tests {
     /// Two runs in one process share nothing: the collector and fault
     /// plan of the first reach only the run they were configured on.
     #[test]
-    fn a_run_sees_only_its_own_trace_faults_and_shards() {
+    fn a_run_sees_only_its_own_trace_and_faults() {
         let topology = Topology::star(1);
         let local = topology.nodes_with_role(NodeRole::Local)[0];
         let config = || {
@@ -930,7 +920,6 @@ mod tests {
                 topology.clone(),
             )
         };
-        assert_eq!(config().shards, 1);
 
         let collector = TraceCollector::new(1, 1 << 12);
         let mut first = config();
@@ -994,10 +983,9 @@ mod tests {
     }
 
     #[test]
-    fn desis_sharded_locals_match_sequential_and_reference() {
-        // A workload that splits inside each local: fixed-time windows
-        // (incl. a non-decomposable quantile) run on the sharded path,
-        // the session query stays on the pinned sequential path.
+    fn desis_quantile_and_session_median_match_reference() {
+        // Fixed-time windows (incl. a non-decomposable quantile) beside a
+        // session query, merged through an intermediate.
         let queries = vec![
             avg_query(500),
             Query::new(
@@ -1008,23 +996,13 @@ mod tests {
             Query::new(3, WindowSpec::session(300).unwrap(), AggFunction::Median),
         ];
         let feeds = vec![feed(600, 5, 0), feed(600, 5, 7)];
-        let topo = Topology::three_tier(1, 2);
-        let run = |shards: usize| {
-            let mut cfg =
-                ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topo.clone());
-            cfg.shards = shards;
-            run_cluster(cfg, feeds.clone()).unwrap()
-        };
-        let sequential = run(1);
-        let sharded = run(4);
-        assert_eq!(sharded.results, sequential.results);
-        assert_eq!(
-            sorted(sharded.results.clone()),
-            reference(queries.clone(), &feeds, 2_000)
+        let cfg = ClusterConfig::new(
+            DistributedSystem::Desis,
+            queries.clone(),
+            Topology::three_tier(1, 2),
         );
-        // Determinism across repeated sharded runs: the report is already
-        // canonically ordered, so equality is byte-for-byte.
-        assert_eq!(run(4).results, sharded.results);
+        let report = run_cluster(cfg, feeds.clone()).unwrap();
+        assert_eq!(sorted(report.results), reference(queries, &feeds, 2_000));
     }
 
     #[test]
@@ -1420,10 +1398,6 @@ mod runtime_reconfig_tests {
 
     /// Section 3.2: a query added mid-run produces results only from its
     /// installation onward; a drained removal finishes its open window.
-    /// With sharded locals the initial group runs on the shards and the
-    /// added one on the node's own event loop: results and every local's
-    /// uplink bytes must not depend on that. (An intermediate's bytes
-    /// depend on how its children's final watermarks interleave.)
     #[test]
     fn scripted_query_add_and_remove() {
         let queries = vec![Query::new(
@@ -1431,32 +1405,30 @@ mod runtime_reconfig_tests {
             WindowSpec::tumbling_time(1_000).unwrap(),
             AggFunction::Average,
         )];
-        let topology = Topology::three_tier(1, 2);
-        let run = |shards: usize| {
-            let mut cfg =
-                ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topology.clone());
-            cfg.shards = shards;
-            cfg.script = vec![
-                (
-                    3_000,
-                    ClusterCommand::AddQuery(Query::new(
-                        2,
-                        WindowSpec::tumbling_time(500).unwrap(),
-                        AggFunction::Count,
-                    )),
-                ),
-                (
-                    7_000,
-                    ClusterCommand::RemoveQuery {
-                        id: 2,
-                        immediate: false,
-                    },
-                ),
-            ];
-            // 10 s of events on both locals.
-            run_cluster(cfg, vec![feed(1_000, 10, 0), feed(1_000, 10, 5)]).unwrap()
-        };
-        let report = run(1);
+        let mut cfg = ClusterConfig::new(
+            DistributedSystem::Desis,
+            queries,
+            Topology::three_tier(1, 2),
+        );
+        cfg.script = vec![
+            (
+                3_000,
+                ClusterCommand::AddQuery(Query::new(
+                    2,
+                    WindowSpec::tumbling_time(500).unwrap(),
+                    AggFunction::Count,
+                )),
+            ),
+            (
+                7_000,
+                ClusterCommand::RemoveQuery {
+                    id: 2,
+                    immediate: false,
+                },
+            ),
+        ];
+        // 10 s of events on both locals.
+        let report = run_cluster(cfg, vec![feed(1_000, 10, 0), feed(1_000, 10, 5)]).unwrap();
         let q1: Vec<_> = report.results.iter().filter(|r| r.query == 1).collect();
         let q2: Vec<_> = report.results.iter().filter(|r| r.query == 2).collect();
         assert_eq!(q1.len(), 10, "query 1 runs for the whole stream");
@@ -1472,15 +1444,6 @@ mod runtime_reconfig_tests {
             .find(|r| r.window_start == 4_000)
             .expect("mid-run window");
         assert_eq!(full.values, vec![Some(100.0)]); // 2 locals x 50 events
-
-        let sharded = run(4);
-        assert_eq!(sharded.results, report.results);
-        for local in topology.nodes_with_role(NodeRole::Local) {
-            assert_eq!(
-                sharded.bytes_by_node[&local], report.bytes_by_node[&local],
-                "uplink bytes of local {local}"
-            );
-        }
     }
 
     /// A scripted removal lands at one event time for every plan: the

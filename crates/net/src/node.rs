@@ -28,8 +28,7 @@ use std::sync::Arc;
 use desis_baselines::Processor;
 use desis_core::engine::merge::UnfixedMerger;
 use desis_core::engine::{
-    GroupExecution, GroupId, GroupPlan, GroupSlicer, GroupTerminal, ParallelConfig, QueryGroup,
-    SealedSlice, ShardedSlicer,
+    GroupExecution, GroupId, GroupPlan, GroupSlicer, GroupTerminal, QueryGroup, SealedSlice,
 };
 use desis_core::event::{Event, EventBatch};
 use desis_core::metrics::EngineMetrics;
@@ -290,13 +289,6 @@ pub struct LocalWorker {
     id: NodeId,
     system: DistributedSystem,
     groups: Vec<LocalGroup>,
-    /// Key-sharded slicers for the sliced groups when the node runs with
-    /// more than one shard (PR 5); `sharded_gids` maps the slicer's group
-    /// indices back to wire group ids.
-    sharded: Option<ShardedSlicer>,
-    sharded_gids: Vec<GroupId>,
-    sharded_queries: Vec<QueryId>,
-    merged: Vec<(usize, SealedSlice)>,
     /// Raw-event batch shared by all raw-shipped groups.
     batch: EventBatch,
     needs_raw: bool,
@@ -313,8 +305,8 @@ pub struct LocalWorker {
 }
 
 impl LocalWorker {
-    /// Builds the local worker for `system` over the analyzed `groups`
-    /// (single-sharded; see [`LocalWorker::with_shards`]).
+    /// Builds the local worker for `system` over the analyzed `groups`:
+    /// one slicer per sliced group, all on the node's own event loop.
     pub fn new(
         id: NodeId,
         system: DistributedSystem,
@@ -322,45 +314,10 @@ impl LocalWorker {
         batch_size: usize,
         watermark_every: DurationMs,
     ) -> Self {
-        let registry = Arc::default();
-        Self::with_shards(
-            id,
-            system,
-            groups,
-            batch_size,
-            watermark_every,
-            1,
-            &registry,
-        )
-    }
-
-    /// Builds the local worker with `shards` slicer threads for the
-    /// node's sliced Desis groups — fixed-time-window groups merge by
-    /// slice end, session/user-defined groups through the cross-shard
-    /// unfixed merger (raw-shipping groups, other systems, and
-    /// `shards <= 1` run sequentially on the node's event loop). The
-    /// sharded slicers feed a per-group merger, so the uplink carries the
-    /// same deterministic slice stream a sequential node would ship.
-    /// They count (and, if it is profiled, time their stages) into
-    /// `registry`; [`LocalWorker::finish`] publishes their telemetry
-    /// there.
-    pub fn with_shards(
-        id: NodeId,
-        system: DistributedSystem,
-        groups: &[QueryGroup],
-        batch_size: usize,
-        watermark_every: DurationMs,
-        shards: usize,
-        registry: &Arc<MetricsRegistry>,
-    ) -> Self {
         let mut worker = Self {
             id,
             system,
             groups: Vec::new(),
-            sharded: None,
-            sharded_gids: Vec::new(),
-            sharded_queries: Vec::new(),
-            merged: Vec::new(),
             batch: EventBatch::with_capacity(batch_size),
             needs_raw: false,
             batch_size,
@@ -370,36 +327,8 @@ impl LocalWorker {
             scratch: Vec::new(),
             events: 0,
         };
-        let mut shardable: Vec<QueryGroup> = Vec::new();
         for g in groups {
-            let sliced = matches!(
-                deployment(system, g),
-                NodePlan::Core(GroupPlan::Aligned | GroupPlan::Unfixed)
-            );
-            if shards > 1 && sliced {
-                shardable.push(g.clone());
-            } else {
-                worker.add_group(g);
-            }
-        }
-        if shardable.is_empty() {
-            return worker;
-        }
-        let mut cfg = ParallelConfig::new(shards);
-        cfg.batch_size = batch_size.max(1);
-        cfg.registry = Some(Arc::clone(registry));
-        match ShardedSlicer::new(&shardable, &cfg) {
-            Ok(sharded) => {
-                worker.sharded = Some(sharded);
-                worker.sharded_gids = shardable.iter().map(|g| g.id).collect();
-                worker.sharded_queries = shardable
-                    .iter()
-                    .flat_map(|g| g.queries.iter().map(|cq| cq.query.id))
-                    .collect();
-            }
-            // Could not spawn worker threads: degrade to the sequential
-            // path rather than losing the groups.
-            Err(_) => shardable.iter().for_each(|g| worker.add_group(g)),
+            worker.add_group(g);
         }
         worker
     }
@@ -413,9 +342,6 @@ impl LocalWorker {
             if let Ship::Slices { .. } = group.ship {
                 group.slicer.set_recorder(collector.recorder(self.id));
             }
-        }
-        if let Some(sharded) = &mut self.sharded {
-            sharded.install_tracing(collector, self.id);
         }
     }
 
@@ -443,12 +369,6 @@ impl LocalWorker {
         for group in &mut self.groups {
             removed |= group.slicer.remove_query(id, immediate);
         }
-        if self.sharded_queries.contains(&id) {
-            if let Some(sharded) = &mut self.sharded {
-                sharded.remove_query(id, immediate);
-                removed = true;
-            }
-        }
         removed
     }
 
@@ -472,13 +392,6 @@ impl LocalWorker {
                 return false;
             }
         }
-        let sharded_flushed = match &mut self.sharded {
-            Some(sharded) => sharded.on_event(ev),
-            None => false,
-        };
-        if sharded_flushed && !self.ship_sharded(&mut up) {
-            return false;
-        }
         if self.needs_raw {
             self.batch.push(*ev);
             if self.batch.len() >= self.batch_size && !up.raw_batch(&mut self.batch) {
@@ -489,26 +402,6 @@ impl LocalWorker {
             return false;
         }
         true
-    }
-
-    /// Ships merged slices of the sharded groups upstream, exactly as
-    /// the sequential path ships its per-group slices (coverage 1).
-    /// Fixed-window merges carry no ends (the root re-derives their
-    /// `ep`s from the specs); unfixed merges are self-contained
-    /// per-window slices whose ends and session gaps ship as-is, byte-
-    /// compatible with a sequential child's unfixed slice stream.
-    fn ship_sharded(&mut self, up: &mut Forward<'_>) -> bool {
-        let Some(sharded) = &mut self.sharded else {
-            return true;
-        };
-        sharded.drain_merged(&mut self.merged);
-        let gids = &self.sharded_gids;
-        self.merged
-            .drain(..)
-            .all(|(group, partial)| match gids.get(group) {
-                Some(&gid) => up.merged_slice(gid, partial),
-                None => true,
-            })
     }
 
     fn send_watermark(&mut self, ts: Timestamp, up: &mut Forward<'_>) -> bool {
@@ -525,22 +418,15 @@ impl LocalWorker {
                 return false;
             }
         }
-        if let Some(sharded) = &mut self.sharded {
-            // Barrier: every shard acknowledges `ts` before the watermark
-            // goes upstream, so the shipped slice stream is deterministic.
-            sharded.on_watermark(ts);
-        }
-        self.ship_sharded(up) && up.raw_batch(&mut self.batch) && up.watermark(ts)
+        up.raw_batch(&mut self.batch) && up.watermark(ts)
     }
 
     /// The next instant at which this node has something to say without
     /// data, strictly after the last one it vouched for: the earliest
     /// pending punctuation of its own slicers or the next point of the
-    /// `watermark_every` grid, whichever comes first. Sharded and
-    /// raw-shipped groups ride the grid — the shards' slicer state is not
-    /// visible from the node's event loop, and only the root slices a raw
-    /// group. `None` before the first event: a stream that has not begun
-    /// has no clock.
+    /// `watermark_every` grid, whichever comes first. Raw-shipped groups
+    /// ride the grid — only the root slices them. `None` before the
+    /// first event: a stream that has not begun has no clock.
     ///
     /// A live source calls [`LocalWorker::on_watermark`] at every such
     /// instant that passes before its next event, so results leave when
@@ -573,33 +459,17 @@ impl LocalWorker {
     /// sends `Flush`.
     pub fn finish(&mut self, horizon: DurationMs, uplink: &mut LinkSender) -> bool {
         let mut up = self.forward(uplink);
-        if !self.send_watermark(self.vouched.saturating_add(horizon), &mut up) {
-            return false;
-        }
-        if let Some(sharded) = &mut self.sharded {
-            sharded.finish();
-            sharded.publish(sharded.registry());
-        }
-        self.ship_sharded(&mut up) && up.end()
+        self.send_watermark(self.vouched.saturating_add(horizon), &mut up) && up.end()
     }
 
-    /// Slicer metrics summed over groups (including sharded workers,
-    /// complete once [`LocalWorker::finish`] joined them).
+    /// Slicer metrics summed over groups.
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = EngineMetrics::default();
         for group in &self.groups {
             m.absorb(group.slicer.metrics());
         }
-        if let Some(sharded) = &self.sharded {
-            m.absorb(&sharded.metrics());
-        }
         m.events = self.events;
         m
-    }
-
-    /// Shard count of the node's parallel slicers (1 when sequential).
-    pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, ShardedSlicer::shards)
     }
 }
 

@@ -22,9 +22,9 @@ use desis_net::fault::NodeFaultKind;
 use desis_net::prelude::*;
 
 /// The fig6a cluster: `Topology::star(1)` (root 0, local 1), one 1 s
-/// tumbling average over 10 keys, `shards` engine shards in the local.
-/// Unpaced — chaos runs care about results, not latency.
-fn fig6a_cfg(shards: usize) -> ClusterConfig {
+/// tumbling average over 10 keys. Unpaced — chaos runs care about
+/// results, not latency.
+fn fig6a_cfg() -> ClusterConfig {
     let queries = vec![Query::new(
         1,
         WindowSpec::tumbling_time(1_000).expect("valid window"),
@@ -33,14 +33,8 @@ fn fig6a_cfg(shards: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries, Topology::star(1));
     // Tight grace keeps the retransmit round-trips short in tests.
     cfg.recovery.nack_grace = std::time::Duration::from_millis(30);
-    cfg.shards = shards;
     cfg
 }
-
-/// Shard counts every recoverable-fault scenario runs at: the sequential
-/// local and the 4-shard parallel local must behave identically under
-/// faults.
-const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// A deterministic feed spanning `seconds` seconds of event time.
 fn feed(seconds: u64) -> Vec<Event> {
@@ -54,86 +48,78 @@ fn fingerprint(report: &desis_net::cluster::ClusterReport) -> String {
     format!("{:?}", report.results)
 }
 
-fn run_with(plan: Option<FaultPlan>, shards: usize) -> desis_net::cluster::ClusterReport {
-    let mut cfg = fig6a_cfg(shards);
+fn run_with(plan: Option<FaultPlan>) -> desis_net::cluster::ClusterReport {
+    let mut cfg = fig6a_cfg();
     cfg.faults = plan;
     run_cluster(cfg, vec![feed(20)]).expect("cluster run completes")
 }
 
 #[test]
 fn recoverable_drop_matches_fault_free_run() {
-    for shards in SHARD_COUNTS {
-        let clean = run_with(None, shards);
-        assert!(!clean.results.is_empty());
-        let plan = FaultPlan::new(11).with_link_fault(1, LinkFaultKind::Drop, 2, 4);
-        let faulty = run_with(Some(plan), shards);
-        assert_eq!(
-            fingerprint(&faulty),
-            fingerprint(&clean),
-            "drops within the retry budget must not change results ({shards} shards)"
-        );
-        assert!(faulty.lost_children.is_empty());
-        assert_eq!(faulty.metrics.counters["net.fault.dropped"], 3);
-        assert!(faulty.metrics.counters["net.recovery.gaps"] >= 1);
-        assert!(faulty.metrics.counters["net.recovery.recovered"] >= 1);
-        assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
-    }
+    let clean = run_with(None);
+    assert!(!clean.results.is_empty());
+    let plan = FaultPlan::new(11).with_link_fault(1, LinkFaultKind::Drop, 2, 4);
+    let faulty = run_with(Some(plan));
+    assert_eq!(
+        fingerprint(&faulty),
+        fingerprint(&clean),
+        "drops within the retry budget must not change results"
+    );
+    assert!(faulty.lost_children.is_empty());
+    assert_eq!(faulty.metrics.counters["net.fault.dropped"], 3);
+    assert!(faulty.metrics.counters["net.recovery.gaps"] >= 1);
+    assert!(faulty.metrics.counters["net.recovery.recovered"] >= 1);
+    assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
 }
 
 #[test]
 fn recoverable_corruption_matches_fault_free_run() {
-    for shards in SHARD_COUNTS {
-        let clean = run_with(None, shards);
-        let plan = FaultPlan::new(5).with_link_fault(1, LinkFaultKind::Corrupt, 3, 3);
-        let faulty = run_with(Some(plan), shards);
-        assert_eq!(fingerprint(&faulty), fingerprint(&clean), "{shards} shards");
-        assert!(faulty.lost_children.is_empty());
-        assert_eq!(faulty.metrics.counters["net.fault.corrupted"], 1);
-        assert_eq!(faulty.metrics.counters["net.root.decode_errors"], 1);
-        assert!(faulty.metrics.counters["net.recovery.recovered"] >= 1);
-        assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
-    }
+    let clean = run_with(None);
+    let plan = FaultPlan::new(5).with_link_fault(1, LinkFaultKind::Corrupt, 3, 3);
+    let faulty = run_with(Some(plan));
+    assert_eq!(fingerprint(&faulty), fingerprint(&clean));
+    assert!(faulty.lost_children.is_empty());
+    assert_eq!(faulty.metrics.counters["net.fault.corrupted"], 1);
+    assert_eq!(faulty.metrics.counters["net.root.decode_errors"], 1);
+    assert!(faulty.metrics.counters["net.recovery.recovered"] >= 1);
+    assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
 }
 
 #[test]
 fn recoverable_duplicates_match_fault_free_run() {
-    for shards in SHARD_COUNTS {
-        let clean = run_with(None, shards);
-        let plan = FaultPlan::new(3).with_link_fault(1, LinkFaultKind::Duplicate, 0, 5);
-        let faulty = run_with(Some(plan), shards);
-        assert_eq!(
-            fingerprint(&faulty),
-            fingerprint(&clean),
-            "duplicates must be delivered exactly once ({shards} shards)"
-        );
-        assert!(faulty.lost_children.is_empty());
-        assert_eq!(faulty.metrics.counters["net.fault.duplicated"], 6);
-        assert_eq!(
-            faulty.metrics.counters["net.recovery.duplicates_dropped"],
-            6
-        );
-        assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
-    }
+    let clean = run_with(None);
+    let plan = FaultPlan::new(3).with_link_fault(1, LinkFaultKind::Duplicate, 0, 5);
+    let faulty = run_with(Some(plan));
+    assert_eq!(
+        fingerprint(&faulty),
+        fingerprint(&clean),
+        "duplicates must be delivered exactly once"
+    );
+    assert!(faulty.lost_children.is_empty());
+    assert_eq!(faulty.metrics.counters["net.fault.duplicated"], 6);
+    assert_eq!(
+        faulty.metrics.counters["net.recovery.duplicates_dropped"],
+        6
+    );
+    assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
 }
 
 #[test]
 fn recoverable_delays_match_fault_free_run() {
-    for shards in SHARD_COUNTS {
-        let clean = run_with(None, shards);
-        let plan = FaultPlan::new(9).with_link_fault(1, LinkFaultKind::Delay { ms: 15 }, 0, 3);
-        let faulty = run_with(Some(plan), shards);
-        assert_eq!(fingerprint(&faulty), fingerprint(&clean), "{shards} shards");
-        assert!(faulty.lost_children.is_empty());
-        assert_eq!(faulty.metrics.counters["net.fault.delayed"], 4);
-        assert_eq!(faulty.metrics.counters["net.recovery.gaps"], 0);
-        assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
-    }
+    let clean = run_with(None);
+    let plan = FaultPlan::new(9).with_link_fault(1, LinkFaultKind::Delay { ms: 15 }, 0, 3);
+    let faulty = run_with(Some(plan));
+    assert_eq!(fingerprint(&faulty), fingerprint(&clean));
+    assert!(faulty.lost_children.is_empty());
+    assert_eq!(faulty.metrics.counters["net.fault.delayed"], 4);
+    assert_eq!(faulty.metrics.counters["net.recovery.gaps"], 0);
+    assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
 }
 
 #[test]
 fn node_crash_is_reported_and_flushed_exactly_once() {
     let plan = FaultPlan::new(1).with_node_fault(1, NodeFaultKind::Crash, 10_000);
-    let report = run_with(Some(plan), 1);
+    let report = run_with(Some(plan));
     assert_eq!(
         report.lost_children,
         vec![1],
@@ -147,7 +133,7 @@ fn node_crash_is_reported_and_flushed_exactly_once() {
     // The run still completed and emitted the windows that closed before
     // the crash (degraded, documented behavior — not byte-identical).
     assert!(!report.results.is_empty());
-    let clean = run_with(None, 1);
+    let clean = run_with(None);
     assert_ne!(fingerprint(&report), fingerprint(&clean));
 }
 
@@ -158,8 +144,8 @@ fn same_seed_places_identical_faults() {
         p.links[0].prob = 0.4;
         p
     };
-    let a = run_with(Some(plan(42)), 1);
-    let b = run_with(Some(plan(42)), 1);
+    let a = run_with(Some(plan(42)));
+    let b = run_with(Some(plan(42)));
     assert!(
         !a.faults_injected.is_empty(),
         "p=0.4 over 31 frames should fire at least once"
@@ -168,7 +154,7 @@ fn same_seed_places_identical_faults() {
         a.faults_injected, b.faults_injected,
         "same seed + same plan must place exactly the same faults"
     );
-    let c = run_with(Some(plan(43)), 1);
+    let c = run_with(Some(plan(43)));
     assert_ne!(
         a.faults_injected, c.faults_injected,
         "a different seed must move probabilistic faults"
@@ -180,24 +166,23 @@ fn json_plan_files_drive_runs() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans");
     let recoverable = std::fs::read_to_string(format!("{dir}/recoverable_drop.json"))
         .expect("plans/recoverable_drop.json exists");
-    let clean = run_with(None, 1);
-    let faulty = run_with(
-        Some(FaultPlan::from_json(&recoverable).expect("valid plan")),
-        1,
-    );
+    let clean = run_with(None);
+    let faulty = run_with(Some(
+        FaultPlan::from_json(&recoverable).expect("valid plan"),
+    ));
     assert_eq!(fingerprint(&faulty), fingerprint(&clean));
     assert!(faulty.lost_children.is_empty());
 
     let crash = std::fs::read_to_string(format!("{dir}/crash_local.json"))
         .expect("plans/crash_local.json exists");
-    let lost = run_with(Some(FaultPlan::from_json(&crash).expect("valid plan")), 1);
+    let lost = run_with(Some(FaultPlan::from_json(&crash).expect("valid plan")));
     assert_eq!(lost.lost_children, vec![1]);
 }
 
 #[test]
 fn invalid_plans_are_rejected_before_the_run() {
     // The root (node 0 in a star) has no uplink to fault.
-    let mut cfg = fig6a_cfg(1);
+    let mut cfg = fig6a_cfg();
     cfg.faults = Some(FaultPlan::new(0).with_link_fault(0, LinkFaultKind::Drop, 0, 1));
     let err = run_cluster(cfg, vec![feed(1)]).expect_err("plan must be rejected");
     assert!(err.to_string().contains("fault plan"), "got: {err}");
@@ -241,9 +226,9 @@ fn stalled_local_goes_suspect_and_clears() {
 
 /// A mixed-workload fig6a cluster: one query of every window class —
 /// fixed tumbling average, session max, predicate-filtered count sum,
-/// and a user-defined count — so no class can hide behind a sequential
-/// fallback in the local.
-fn mixed_cfg(shards: usize) -> ClusterConfig {
+/// and a user-defined count — so every window class crosses the faulty
+/// link.
+fn mixed_cfg() -> ClusterConfig {
     let queries = vec![
         Query::new(
             1,
@@ -265,7 +250,6 @@ fn mixed_cfg(shards: usize) -> ClusterConfig {
     ];
     let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries, Topology::star(1));
     cfg.recovery.nack_grace = std::time::Duration::from_millis(30);
-    cfg.shards = shards;
     cfg
 }
 
@@ -303,79 +287,42 @@ fn marked_feed(seconds: u64) -> Vec<Event> {
         .collect()
 }
 
-fn run_mixed(plan: Option<FaultPlan>, shards: usize) -> desis_net::cluster::ClusterReport {
-    let mut cfg = mixed_cfg(shards);
+fn run_mixed(plan: Option<FaultPlan>) -> desis_net::cluster::ClusterReport {
+    let mut cfg = mixed_cfg();
     cfg.faults = plan;
     run_cluster(cfg, vec![marked_feed(20)]).expect("cluster run completes")
 }
 
 #[test]
-fn mixed_workload_is_shard_count_invariant() {
-    let one = run_mixed(None, 1);
-    assert!(!one.results.is_empty());
+fn mixed_workload_survives_recoverable_faults() {
+    let clean = run_mixed(None);
     for query in 1..=4u64 {
         assert!(
-            one.results.iter().any(|r| r.query == query),
+            clean.results.iter().any(|r| r.query == query),
             "query {query} must emit results in the mixed run"
         );
     }
-    for shards in [2usize, 4, 7] {
-        let sharded = run_mixed(None, shards);
+    for (name, plan) in [
+        (
+            "drop",
+            FaultPlan::new(11).with_link_fault(1, LinkFaultKind::Drop, 2, 4),
+        ),
+        (
+            "duplicate",
+            FaultPlan::new(3).with_link_fault(1, LinkFaultKind::Duplicate, 0, 5),
+        ),
+        (
+            "corrupt",
+            FaultPlan::new(5).with_link_fault(1, LinkFaultKind::Corrupt, 3, 3),
+        ),
+    ] {
+        let faulty = run_mixed(Some(plan));
         assert_eq!(
-            fingerprint(&sharded),
-            fingerprint(&one),
-            "{shards}-shard locals must reproduce the sequential mixed results exactly"
+            fingerprint(&faulty),
+            fingerprint(&clean),
+            "recoverable {name} must not change mixed results"
         );
-        assert!(sharded.lost_children.is_empty());
+        assert!(faulty.lost_children.is_empty());
+        assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
     }
-}
-
-#[test]
-fn mixed_workload_survives_recoverable_faults_at_every_shard_count() {
-    for shards in [1usize, 4] {
-        let clean = run_mixed(None, shards);
-        for (name, plan) in [
-            (
-                "drop",
-                FaultPlan::new(11).with_link_fault(1, LinkFaultKind::Drop, 2, 4),
-            ),
-            (
-                "duplicate",
-                FaultPlan::new(3).with_link_fault(1, LinkFaultKind::Duplicate, 0, 5),
-            ),
-            (
-                "corrupt",
-                FaultPlan::new(5).with_link_fault(1, LinkFaultKind::Corrupt, 3, 3),
-            ),
-        ] {
-            let faulty = run_mixed(Some(plan), shards);
-            assert_eq!(
-                fingerprint(&faulty),
-                fingerprint(&clean),
-                "recoverable {name} must not change mixed results ({shards} shards)"
-            );
-            assert!(faulty.lost_children.is_empty());
-            assert_eq!(faulty.metrics.counters["net.recovery.lost"], 0);
-        }
-    }
-}
-
-#[test]
-fn four_shard_clean_run_matches_one_shard() {
-    // Shard-count invariance end to end: the parallel local ships a
-    // slice stream that merges to byte-identical root results.
-    let one = run_with(None, 1);
-    let four = run_with(None, 4);
-    assert!(!one.results.is_empty());
-    assert_eq!(
-        fingerprint(&four),
-        fingerprint(&one),
-        "4-shard locals must reproduce the sequential results exactly"
-    );
-    assert!(four.lost_children.is_empty());
-    // And a recoverable fault on the sharded run still lands on the same
-    // fingerprint.
-    let plan = FaultPlan::new(11).with_link_fault(1, LinkFaultKind::Drop, 2, 4);
-    let faulty = run_with(Some(plan), 4);
-    assert_eq!(fingerprint(&faulty), fingerprint(&one));
 }

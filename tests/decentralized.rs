@@ -244,27 +244,6 @@ fn cluster_report_metrics_populated() {
     assert_eq!(report.local_metrics.events, 40_000);
 }
 
-/// A sharded local's shard instruments reach the report: the run's
-/// registry, not a private one, is what its `ShardedSlicer` counts into
-/// and publishes to.
-#[test]
-fn sharded_locals_report_their_shard_instruments() {
-    use desis::core::obs::names;
-    let mut cfg = ClusterConfig::new(DistributedSystem::Desis, mixed_queries(), Topology::star(2));
-    cfg.shards = 2;
-    let report = run_cluster(cfg, feeds(2, 10_000)).unwrap();
-    assert_eq!(report.events, 20_000);
-    let counters = &report.metrics.counters;
-    let sent: u64 = (0..2)
-        .map(|s| counters[&names::engine_shard_events(s)])
-        .sum();
-    assert_eq!(sent, 20_000, "both locals' shards add up to the events");
-    assert!(counters[&names::engine_shard_batches(0)] > 0);
-    assert_eq!(counters[names::ENGINE_SHARD_PANICS], 0);
-    let gauges = &report.metrics.gauges;
-    assert!(gauges.contains_key(names::ENGINE_SHARD_IMBALANCE_PERMILLE));
-}
-
 /// Two runs in one process share nothing: profiling is a property of the
 /// registry a run is handed, so a profiled and an unprofiled run of the
 /// same input — engine or cluster — give the same results, only the
@@ -478,7 +457,7 @@ fn marked_gapped_feed(local: u64, n: u64) -> Vec<Event> {
 /// a recoverable drop + duplicate plan on a local's uplink produce the
 /// fault-free results byte for byte, which in turn match the single-node
 /// engine over the merged stream — on a star and through an
-/// intermediate, with sequential and 4-shard locals.
+/// intermediate.
 #[test]
 fn recoverable_faults_leave_mixed_results_unchanged() {
     let queries = vec![
@@ -497,29 +476,26 @@ fn recoverable_faults_leave_mixed_results_unchanged() {
     }
     for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
         let local = topology.nodes_with_role(NodeRole::Local)[0];
-        for shards in [1, 4] {
-            let run = |faults: Option<FaultPlan>| {
-                let mut cfg =
-                    ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topology.clone());
-                cfg.recovery.nack_grace = std::time::Duration::from_millis(30);
-                cfg.shards = shards;
-                cfg.faults = faults;
-                run_cluster(cfg, f.clone()).unwrap()
-            };
-            let context = format!("{} nodes, {shards} shards", topology.len());
-            let clean = run(None);
-            assert_eq!(canon(clean.results.clone()), reference, "{context}");
-            let plan = FaultPlan::new(7)
-                .with_link_fault(local, LinkFaultKind::Drop, 2, 3)
-                .with_link_fault(local, LinkFaultKind::Duplicate, 5, 8);
-            let faulty = run(Some(plan));
-            assert!(
-                !faulty.faults_injected.is_empty(),
-                "{context}: no fault fired"
-            );
-            assert!(faulty.lost_children.is_empty(), "{context}");
-            assert_eq!(faulty.results, clean.results, "{context}");
-        }
+        let run = |faults: Option<FaultPlan>| {
+            let mut cfg =
+                ClusterConfig::new(DistributedSystem::Desis, queries.clone(), topology.clone());
+            cfg.recovery.nack_grace = std::time::Duration::from_millis(30);
+            cfg.faults = faults;
+            run_cluster(cfg, f.clone()).unwrap()
+        };
+        let context = format!("{} nodes", topology.len());
+        let clean = run(None);
+        assert_eq!(canon(clean.results.clone()), reference, "{context}");
+        let plan = FaultPlan::new(7)
+            .with_link_fault(local, LinkFaultKind::Drop, 2, 3)
+            .with_link_fault(local, LinkFaultKind::Duplicate, 5, 8);
+        let faulty = run(Some(plan));
+        assert!(
+            !faulty.faults_injected.is_empty(),
+            "{context}: no fault fired"
+        );
+        assert!(faulty.lost_children.is_empty(), "{context}");
+        assert_eq!(faulty.results, clean.results, "{context}");
     }
 }
 
