@@ -4,21 +4,21 @@
 //! idea is implemented here once and used at every level of the tree:
 //!
 //! * [`AlignedSliceMerger`] — fixed time windows punctuate at the same
-//!   instants on every source, so partials merge by slice **end**. The
-//!   sharded collector runs it with coverage 1 per shard; intermediate
-//!   and root nodes with the coverage each child frame declares.
-//!   An aligned group holds only queries with precomputable
-//!   punctuations (session/user-defined groups go to [`UnfixedMerger`],
-//!   count windows are replayed or processed raw), so its assembler
-//!   derives window ends from the specs ([`crate::engine::Assembler`]):
-//!   merged slices carry data only and local nodes strip `ends` before
-//!   shipping.
+//!   instants on every source, so partials merge by slice **end**, each
+//!   counting the coverage its source declares. An aligned group holds
+//!   only queries with precomputable punctuations (session/user-defined
+//!   groups go to [`UnfixedMerger`], count windows are replayed or
+//!   processed raw), so its assembler derives window ends from the specs
+//!   ([`crate::engine::Assembler`]): merged slices carry data only and
+//!   local nodes strip `ends` before shipping.
 //! * [`UnfixedMerger`] — session and user-defined windows end at
 //!   data-driven points that differ per source, so partials merge per
 //!   *window*: span-overlap session absorption gated by per-source clear
-//!   frontiers, k-th-partial queues for marker-delimited windows. The
-//!   sharded collector runs it over shard indices, the root over the
-//!   `NodeId`s of its local streams.
+//!   frontiers, k-th-partial queues for marker-delimited windows.
+//! * [`GroupMerger`] — the one choice between the two by the group's
+//!   plan, and the one dispatch over them: the sharded collector holds
+//!   one per group over shard indices, intermediates and the root over
+//!   child `NodeId`s.
 //! * the slice-store kernel — [`SliceStore`], [`merge_keyed`],
 //!   [`finalize_sorted`], [`record_assembly`] — which the assembler and
 //!   every merger in the workspace call instead of carrying their own
@@ -41,6 +41,7 @@
 //! with `get`, so a missing selection is an empty contribution, never an
 //! index panic.
 
+use std::collections::vec_deque::Drain;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
@@ -49,7 +50,9 @@ use rustc_hash::FxHashMap;
 use crate::aggregate::{AggFunction, OperatorBundle, OperatorKind};
 use crate::engine::group::{QueryGroup, Selection};
 use crate::engine::slice::{SealedSlice, SliceData, SliceId};
+use crate::engine::terminal::GroupPlan;
 use crate::event::Key;
+use crate::obs::prof::Stage;
 use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::query::{QueryId, QueryResult};
 use crate::time::Timestamp;
@@ -819,7 +822,7 @@ impl SliceStore {
 }
 
 // ---------------------------------------------------------------------
-// Aligned slice merging (fixed time windows).
+// Aligned slice merging (fixed time windows), and a group's one merger.
 // ---------------------------------------------------------------------
 
 /// Merges the per-source partials of a fixed-window group back into one
@@ -948,13 +951,126 @@ impl AlignedSliceMerger {
     }
 
     /// Takes the merged slices released so far, in end-timestamp order.
-    pub fn take_ready(&mut self) -> impl Iterator<Item = SealedSlice> + '_ {
+    pub fn take_ready(&mut self) -> Drain<'_, SealedSlice> {
         self.ready.drain(..)
     }
 
     /// Drains merged slices into `out`, in end-timestamp order.
     pub fn drain_ready(&mut self, out: &mut Vec<SealedSlice>) {
         out.extend(self.take_ready());
+    }
+}
+
+/// The merger in front of a query-group's terminal, at every level (the
+/// sharded collector over shard indices, nodes over child `NodeId`s),
+/// chosen by [`GroupPlan::of`]: aligned groups merge by slice end, every
+/// other group per window.
+#[derive(Debug)]
+pub enum GroupMerger<S> {
+    /// Fixed time windows only.
+    Aligned(AlignedSliceMerger),
+    /// Session or user-defined windows, fixed ones beside them.
+    Unfixed(UnfixedMerger<S>),
+}
+
+impl<S: Copy + Ord> GroupMerger<S> {
+    /// The merger of `group` over `sources` local streams.
+    pub fn new(group: &QueryGroup, sources: usize) -> Self {
+        match GroupPlan::of(group) {
+            GroupPlan::Aligned => Self::Aligned(AlignedSliceMerger::new(sources as u32)),
+            GroupPlan::Unfixed | GroupPlan::Raw => {
+                Self::Unfixed(UnfixedMerger::new(group, sources))
+            }
+        }
+    }
+
+    /// Folds in a slice of `source`, standing for `coverage` streams.
+    pub fn on_slice(&mut self, source: S, coverage: u32, slice: SealedSlice) {
+        match self {
+            Self::Aligned(m) => m.on_slice(slice, coverage),
+            Self::Unfixed(m) => m.on_slice(source, slice),
+        }
+    }
+
+    /// [`UnfixedMerger::on_clears`]; an aligned group has no frontiers.
+    pub fn on_clears(&mut self, source: S, clears: &[(usize, Timestamp)]) {
+        if let Self::Unfixed(m) = self {
+            m.on_clears(source, clears);
+        }
+    }
+
+    /// Every live source passed `wm`.
+    pub fn advance(&mut self, wm: Timestamp) {
+        match self {
+            Self::Aligned(m) => m.advance_watermark(wm),
+            Self::Unfixed(m) => m.advance(wm),
+        }
+    }
+
+    /// [`UnfixedMerger::mark_dead`]; watermarks release aligned slices.
+    pub fn mark_dead(&mut self, source: S) {
+        if let Self::Unfixed(m) = self {
+            m.mark_dead(source);
+        }
+    }
+
+    /// End of all streams ([`UnfixedMerger::flush`]).
+    pub fn finish(&mut self) {
+        if let Self::Unfixed(m) = self {
+            m.flush();
+        }
+    }
+
+    /// Whether windows of query `id` can be pending here.
+    pub fn merges_query(&self, id: QueryId) -> bool {
+        matches!(self, Self::Unfixed(m) if m.merges_query(id))
+    }
+
+    /// Purges what is held for an immediately removed query.
+    pub fn remove_query(&mut self, id: QueryId) {
+        if let Self::Unfixed(m) = self {
+            m.remove_query(id);
+        }
+    }
+
+    /// Enables causal slice tracing.
+    pub fn set_recorder(&mut self, recorder: TraceRecorder) {
+        match self {
+            Self::Aligned(m) => m.set_recorder(recorder),
+            Self::Unfixed(m) => m.set_recorder(recorder),
+        }
+    }
+
+    /// Takes what the merger completed, in release order.
+    pub fn take_ready(&mut self) -> Drain<'_, SealedSlice> {
+        match self {
+            Self::Aligned(m) => m.take_ready(),
+            Self::Unfixed(m) => m.take_ready(),
+        }
+    }
+
+    /// Slices or windows waiting for sources: the merge-stall depth.
+    pub fn pending_len(&self) -> usize {
+        match self {
+            Self::Aligned(m) => m.pending_len(),
+            Self::Unfixed(m) => m.pending_len(),
+        }
+    }
+
+    /// `(source slices, suffix-cache bundles)` retained for open windows.
+    pub fn retained(&self) -> (usize, usize) {
+        match self {
+            Self::Aligned(_) => (0, 0),
+            Self::Unfixed(m) => (m.retained_slices(), m.cached_bundles()),
+        }
+    }
+
+    /// The stage this merger's work is timed as.
+    pub fn prof_stage(&self) -> Stage {
+        match self {
+            Self::Aligned(_) => Stage::ShardMerge,
+            Self::Unfixed(_) => Stage::UnfixedMerge,
+        }
     }
 }
 

@@ -41,6 +41,7 @@
 //! has passed.
 
 use std::cmp::Reverse;
+use std::collections::vec_deque::Drain;
 use std::collections::{BTreeMap, VecDeque};
 
 use rustc_hash::FxHashMap;
@@ -493,7 +494,7 @@ impl<S: Copy + Ord> UnfixedMerger<S> {
     }
 
     /// Takes the windows completed so far.
-    pub fn take_ready(&mut self) -> impl Iterator<Item = SealedSlice> + '_ {
+    pub fn take_ready(&mut self) -> Drain<'_, SealedSlice> {
         self.ready.drain(..)
     }
 

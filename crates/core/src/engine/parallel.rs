@@ -22,17 +22,17 @@
 //! data-independent instants on every shard and merge by slice-end
 //! timestamp. *Session* and *user-defined* windows define their
 //! boundaries over the whole stream, so their per-shard slicers see only
-//! fragments; the collector-side [`unfixed::UnfixedShardMerger`] (the
-//! merge module's one unfixed merger, over shard indices)
-//! span-overlap-merges per-shard session fragments (gated by per-shard
-//! *clear frontiers* so no session is released before the sequential
-//! engine would have closed it) and aligns user-defined windows, whose
-//! boundary markers the inlet broadcasts to every shard. *Count*
-//! windows are placed on the ordered stream alone (paper Sections 4.1–4.2):
-//! the inlet evaluates each count group's selection predicates once per
-//! event and the group's slicer, on the driver thread, takes the matches
-//! as each batch leaves for the shards — it slices while they do, and is
-//! advanced only at watermarks.
+//! fragments; the collector's [`crate::engine::merge::GroupMerger`] of
+//! such a group (the merge module's one unfixed merger, over shard
+//! indices) span-overlap-merges per-shard session fragments (gated by
+//! per-shard *clear frontiers* so no session is released before the
+//! sequential engine would have closed it) and aligns user-defined
+//! windows, whose boundary markers the inlet broadcasts to every shard.
+//! *Count* windows are placed on the ordered stream alone (paper
+//! Sections 4.1–4.2): the inlet evaluates each count group's selection
+//! predicates once per event and the group's slicer, on the driver
+//! thread, takes the matches as each batch leaves for the shards — it
+//! slices while they do, and is advanced only at watermarks.
 //!
 //! **Determinism.** Watermarks are barriers: [`ParallelEngine::on_watermark`]
 //! waits until every live shard acknowledged the watermark, so the set

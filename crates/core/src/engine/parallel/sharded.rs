@@ -1,24 +1,24 @@
 //! The sharded slicer: the inlet (reorder buffer, count filters,
-//! batching), the shard worker threads, and the collector-side merge of
-//! per-shard slices back into one deterministic slice stream per group.
+//! batching), the shard worker threads, and the collector, which merges
+//! each group's per-shard slices back into one deterministic slice
+//! stream in the group's core [`GroupMerger`] — a shard is one more
+//! source of the merger every level of the tree runs.
 
 use std::sync::Arc;
 
 use super::handoff::{Inbox, ShardExit};
 use super::shard::{run_shard, ShardItem, ShardMsg};
-use super::unfixed::UnfixedShardMerger;
 use super::ParallelConfig;
-use crate::engine::merge::AlignedSliceMerger;
+use crate::engine::merge::GroupMerger;
 use crate::engine::reorder::ReorderBuffer;
 use crate::engine::slice::SealedSlice;
 use crate::engine::slicer::GroupSlicer;
-use crate::engine::terminal::GroupPlan;
 use crate::engine::QueryGroup;
 use crate::error::DesisError;
 use crate::event::{Event, EventBatch};
 use crate::metrics::EngineMetrics;
 use crate::obs::prof::{self, ProfHandle, Stage};
-use crate::obs::trace::{TraceCollector, TraceRecorder};
+use crate::obs::trace::TraceCollector;
 use crate::obs::{names, Counter, MetricsRegistry};
 use crate::predicate::Predicate;
 use crate::query::QueryId;
@@ -27,90 +27,6 @@ use crate::time::Timestamp;
 /// Per-shard channel capacity in batches (bounded channels give
 /// backpressure, i.e. sustainable throughput).
 const CHANNEL_CAPACITY: usize = 64;
-
-/// The per-group collector-side merger: fixed-only groups align by
-/// slice-end timestamp — a shard is a child covering one stream — and
-/// groups with session/user-defined windows merge by span overlap and
-/// clear frontiers.
-#[derive(Debug)]
-enum GroupMerger {
-    Fixed(AlignedSliceMerger),
-    Unfixed(UnfixedShardMerger),
-}
-
-impl GroupMerger {
-    /// The merger of `group`'s plan (a count group is not sliced on the
-    /// shards and has none).
-    fn for_group(group: &QueryGroup, shards: usize) -> Self {
-        match GroupPlan::of(group) {
-            GroupPlan::Aligned => GroupMerger::Fixed(AlignedSliceMerger::new(shards as u32)),
-            GroupPlan::Unfixed | GroupPlan::Raw => {
-                GroupMerger::Unfixed(UnfixedShardMerger::new(group, shards))
-            }
-        }
-    }
-
-    fn on_slice(&mut self, shard: usize, slice: SealedSlice) {
-        match self {
-            GroupMerger::Fixed(m) => m.on_slice(slice, 1),
-            GroupMerger::Unfixed(m) => m.on_slice(shard, slice),
-        }
-    }
-
-    fn on_clears(&mut self, shard: usize, clears: &[(usize, Timestamp)]) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.on_clears(shard, clears);
-        }
-    }
-
-    fn advance(&mut self, wm: Timestamp) {
-        match self {
-            GroupMerger::Fixed(m) => m.advance_watermark(wm),
-            GroupMerger::Unfixed(m) => m.advance(wm),
-        }
-    }
-
-    fn mark_dead(&mut self, shard: usize) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.mark_dead(shard);
-        }
-    }
-
-    /// Whether windows of query `id` can be pending in this merger (the
-    /// fixed merger keeps no per-query state).
-    fn merges_query(&self, id: QueryId) -> bool {
-        matches!(self, GroupMerger::Unfixed(m) if m.merges_query(id))
-    }
-
-    /// Purges merger-side state of an immediately-removed query.
-    fn remove_query(&mut self, id: QueryId) {
-        if let GroupMerger::Unfixed(m) = self {
-            m.remove_query(id);
-        }
-    }
-
-    fn set_recorder(&mut self, recorder: TraceRecorder) {
-        match self {
-            GroupMerger::Fixed(m) => m.set_recorder(recorder),
-            GroupMerger::Unfixed(m) => m.set_recorder(recorder),
-        }
-    }
-
-    fn drain_ready(&mut self, group: usize, out: &mut Vec<(usize, SealedSlice)>) {
-        match self {
-            GroupMerger::Fixed(m) => out.extend(m.take_ready().map(|s| (group, s))),
-            GroupMerger::Unfixed(m) => m.drain_ready(group, out),
-        }
-    }
-
-    /// The stage this merger's work is timed as.
-    fn prof_stage(&self) -> Stage {
-        match self {
-            GroupMerger::Fixed(_) => Stage::ShardMerge,
-            GroupMerger::Unfixed(_) => Stage::UnfixedMerge,
-        }
-    }
-}
 
 /// One count query-group's selection filter at the inlet: the union of
 /// its selections' predicates, and the matches not yet taken.
@@ -172,7 +88,7 @@ pub struct ShardedSlicer {
     senders: Vec<crossbeam_channel::Sender<ShardMsg>>,
     threads: Vec<std::thread::JoinHandle<()>>,
     inbox: Arc<Inbox<ShardItem>>,
-    mergers: Vec<GroupMerger>,
+    mergers: Vec<GroupMerger<usize>>,
     frontiers: Vec<Timestamp>,
     states: Vec<ShardState>,
     /// Arrivals not yet flushed; while flushing, what they released.
@@ -210,10 +126,9 @@ pub struct ShardedSlicer {
 
 impl ShardedSlicer {
     /// Spawns `cfg.shards` worker threads, each owning one slicer per
-    /// group in `groups` (fixed-window groups merge by slice end,
-    /// session/user-defined groups by span overlap), and installs one
-    /// inlet selection filter per count query-group in `count_groups`:
-    /// matching events come back through
+    /// group in `groups` (merged here in the group's [`GroupMerger`]),
+    /// and installs one inlet selection filter per count query-group in
+    /// `count_groups`: matching events come back through
     /// [`ShardedSlicer::take_count_events`].
     pub fn with_counts(
         groups: &[QueryGroup],
@@ -250,10 +165,7 @@ impl ShardedSlicer {
             senders,
             threads,
             inbox,
-            mergers: groups
-                .iter()
-                .map(|g| GroupMerger::for_group(g, shards))
-                .collect(),
+            mergers: groups.iter().map(|g| GroupMerger::new(g, shards)).collect(),
             frontiers: vec![0; shards],
             states: vec![ShardState::Running; shards],
             inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
@@ -350,8 +262,7 @@ impl ShardedSlicer {
     pub fn add_group(&mut self, group: QueryGroup) -> usize {
         self.flush_inlet(Release::Settled);
         self.broadcast |= !group.user_defined_queries().is_empty();
-        self.mergers
-            .push(GroupMerger::for_group(&group, self.shards));
+        self.mergers.push(GroupMerger::new(&group, self.shards));
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::AddGroup(group.clone()));
         }
@@ -409,14 +320,6 @@ impl ShardedSlicer {
         }
     }
 
-    /// Counts a partition sent to `shard` (pre-resolved counters — no
-    /// name formatting on this path).
-    #[inline]
-    fn note_send(&self, shard: usize, events: u64) {
-        self.sent[shard].0.add(events);
-        self.sent[shard].1.inc();
-    }
-
     /// Moves the inlet's arrivals out: through the reorder buffer, if
     /// there is one, together with what `release` adds, then to the
     /// count filters and the shards.
@@ -463,12 +366,11 @@ impl ShardedSlicer {
 
     /// Partitions the inlet by key and sends each part to its shard.
     fn send_inlet(&mut self) {
-        if self.broadcast {
+        let inlet = std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
+        let parts = if self.broadcast {
             // User-defined windows close at markers, which every shard
             // must observe at the same stream position: copy marker
             // events into every part, in place.
-            let inlet =
-                std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
             let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards];
             for ev in &inlet {
                 if ev.marker.is_some() {
@@ -479,22 +381,18 @@ impl ShardedSlicer {
                     parts[ev.key as usize % self.shards].push(*ev);
                 }
             }
-            for (shard, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                self.note_send(shard, part.len() as u64);
-                let _ = self.senders[shard].send(ShardMsg::Batch(part));
-            }
-            return;
-        }
-        let parts = self.inlet.partition_by_key(self.shards);
-        self.inlet = EventBatch::with_capacity(self.batch_size);
+            parts
+        } else {
+            inlet.partition_by_key(self.shards)
+        };
         for (shard, part) in parts.into_iter().enumerate() {
             if part.is_empty() {
                 continue;
             }
-            self.note_send(shard, part.len() as u64);
+            // Pre-resolved counters: no name formatting on this path.
+            let (events, batches) = &self.sent[shard];
+            events.add(part.len() as u64);
+            batches.inc();
             // A failed send means the worker died; the panic surfaces
             // through the inbox guard on the next collect.
             let _ = self.senders[shard].send(ShardMsg::Batch(part));
@@ -553,7 +451,7 @@ impl ShardedSlicer {
                             let stage = merger.prof_stage();
                             let t0 = prof::stamp(&self.prof);
                             for slice in slices {
-                                merger.on_slice(shard, slice);
+                                merger.on_slice(shard, 1, slice);
                             }
                             prof::record(&mut self.prof, stage, t0);
                         }
@@ -608,8 +506,8 @@ impl ShardedSlicer {
     /// end-timestamp order per group.
     pub fn drain_merged(&mut self, out: &mut Vec<(usize, SealedSlice)>) {
         self.collect();
-        for group in 0..self.mergers.len() {
-            self.mergers[group].drain_ready(group, out);
+        for (group, merger) in self.mergers.iter_mut().enumerate() {
+            out.extend(merger.take_ready().map(|slice| (group, slice)));
         }
     }
 
@@ -657,11 +555,8 @@ impl ShardedSlicer {
     /// `(slices, suffix-cache bundles)` the unfixed mergers retain per
     /// shard for the fixed windows of mixed groups.
     pub fn retained_state(&self) -> (usize, usize) {
-        let unfixed = self.mergers.iter().filter_map(|merger| match merger {
-            GroupMerger::Unfixed(m) => Some((m.retained_slices(), m.cached_bundles())),
-            GroupMerger::Fixed(_) => None,
-        });
-        unfixed.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+        let retained = self.mergers.iter().map(GroupMerger::retained);
+        retained.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
     }
 
     /// Publishes per-shard inlet counters, the panic count, and the
@@ -670,45 +565,31 @@ impl ShardedSlicer {
     /// `registry` — for the slicer's own registry the inlet counters are
     /// there already.
     pub fn publish(&self, registry: &MetricsRegistry) {
+        let raise = |name: &str, to: u64| registry.counter(name).raise_to(to);
+        let gauge = |name: &str, level: usize| registry.gauge(name).set(level as i64);
         for (shard, (events, batches)) in self.sent.iter().enumerate() {
-            registry
-                .counter(&names::engine_shard_events(shard))
-                .raise_to(events.get());
-            registry
-                .counter(&names::engine_shard_batches(shard))
-                .raise_to(batches.get());
-            registry
-                .gauge(&names::engine_shard_inbox_depth_max(shard))
-                .set_max(self.inbox.depth_max(shard) as i64);
+            raise(&names::engine_shard_events(shard), events.get());
+            raise(&names::engine_shard_batches(shard), batches.get());
+            let depth = registry.gauge(&names::engine_shard_inbox_depth_max(shard));
+            depth.set_max(self.inbox.depth_max(shard) as i64);
         }
-        registry
-            .counter(names::ENGINE_SHARD_PANICS)
-            .raise_to(self.panics);
+        raise(names::ENGINE_SHARD_PANICS, self.panics);
         let events = self.sent.iter().map(|(events, _)| events.get());
         let max = events.clone().max().unwrap_or(0);
         let min = events.min().unwrap_or(0);
         let imbalance = ((max - min) * 1000).checked_div(max).unwrap_or(0);
-        registry
-            .gauge(names::ENGINE_SHARD_IMBALANCE_PERMILLE)
-            .set(imbalance as i64);
-        let mut pending_sessions = 0usize;
-        let mut queued_ud = 0usize;
+        gauge(names::ENGINE_SHARD_IMBALANCE_PERMILLE, imbalance as usize);
+        let (mut sessions, mut queued) = (0, 0);
         for merger in &self.mergers {
             if let GroupMerger::Unfixed(m) = merger {
-                pending_sessions += m.pending_sessions();
-                queued_ud += m.queued_ud_slices();
+                sessions += m.pending_sessions();
+                queued += m.queued_ud_slices();
             }
         }
-        registry
-            .gauge(names::ENGINE_UNFIXED_PENDING_SESSIONS)
-            .set(pending_sessions as i64);
-        registry
-            .gauge(names::ENGINE_UNFIXED_QUEUED_UD_SLICES)
-            .set(queued_ud as i64);
-        let survivors: usize = self.counts.iter().map(|c| c.matched.len()).sum();
-        registry
-            .gauge(names::ENGINE_UNFIXED_COUNT_SURVIVORS)
-            .set(survivors as i64);
+        gauge(names::ENGINE_UNFIXED_PENDING_SESSIONS, sessions);
+        gauge(names::ENGINE_UNFIXED_QUEUED_UD_SLICES, queued);
+        let survivors = self.counts.iter().map(|c| c.matched.len()).sum();
+        gauge(names::ENGINE_UNFIXED_COUNT_SURVIVORS, survivors);
     }
 }
 

@@ -660,13 +660,15 @@ impl Run<'_> {
         }
         // The script is registered up front: added groups so that their
         // partials are never dropped, removals because the root applies
-        // them by event time, not by when it hears of them.
+        // them by event time, not by when it hears of them (at 0, before
+        // the first event: outright, as the locals' slicers drop it).
         for (at, cmd) in self.script {
             match cmd {
                 CompiledCommand::Add(group) => worker.add_group(cfg.system, group, n_leaves),
-                CompiledCommand::Remove { id, immediate } => {
-                    worker.remove_query(*id, at.saturating_sub(1), *immediate);
-                }
+                CompiledCommand::Remove { id, immediate } => match at.checked_sub(1) {
+                    Some(at) => worker.remove_query(*id, at, *immediate),
+                    None => worker.remove_query(*id, 0, true),
+                },
             }
         }
         let mut runs = ResultRuns::default();
@@ -1538,7 +1540,7 @@ mod runtime_reconfig_tests {
         // An immediate removal of the session query loses the sessions
         // that closed before `T` but were still held at the root behind
         // B's clear frontier when the removal purged its merger: locals
-        // report no clear frontiers (ROADMAP 6(e)). Pinned as it stands.
+        // report no clear frontiers (ROADMAP item 6(e)). Pinned as it stands.
         let lost = |r: &QueryResult| {
             r.query == 3
                 && matches!(

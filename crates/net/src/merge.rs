@@ -10,9 +10,9 @@
 //!   merge per window in `desis_core::engine::merge::UnfixedMerger`, the
 //!   merger the sharded collector runs over its shards, keyed at the
 //!   root by originating `NodeId`, and what it releases is finalized by
-//!   the core `Assembler`. The root worker holds the two halves apart
-//!   (the assembler is its group terminal); this is the pair in one
-//!   piece, for driving a single group by hand.
+//!   the core `Assembler`. The root holds the two halves apart (a core
+//!   `GroupMerger` in front of the group's terminal); this is the pair
+//!   in one piece, for driving a single group by hand.
 //! * [`EventMerger`] — watermark-aligned reordering of raw event streams
 //!   for root-processed groups (count windows, centralized baselines).
 //! * [`PartialAssembler`] / [`WindowPartialMerger`] — the Disco baseline's

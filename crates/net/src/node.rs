@@ -9,24 +9,26 @@
 //!   assemble Disco's window partials, or ship raw events) and how the
 //!   root terminates it.
 //! * `Children` is the child-facing half of every non-leaf node: the
-//!   per-child clock, the aligned-slice mergers, Disco's window-partial
-//!   merger and the raw-event reorder, behind the only state machine over
-//!   the five [`Message`] kinds. What it produces goes to its `Upstream`.
+//!   per-child clock, an intermediate's per-group mergers, Disco's
+//!   window-partial merger and the raw-event reorder, behind the only
+//!   state machine over the five [`Message`] kinds. What it produces goes
+//!   to its `Upstream`.
 //! * `Forward` is the upstream that writes to an uplink, and the only
 //!   code that builds a [`Message`]: an **intermediate** node is
-//!   `Children` + `Forward` with its subtree's coverage, and a **local**
-//!   node ships what its own slicers seal through the same `Forward` with
-//!   coverage 1.
+//!   `Children` + `Forward` with its subtree's coverage, merging its
+//!   aligned groups, and a **local** node ships what its own slicers seal
+//!   through the same `Forward` with coverage 1.
 //! * `Terminal` is the upstream that ends the tree: the **root** is
-//!   `Children` + `Terminal`, which ends every group in the core
-//!   [`GroupTerminal`] of its plan — the type the sequential engine and
-//!   the sharded collector end theirs in — and emits the results.
+//!   `Children` + `Terminal`, which ends every group the way the sharded
+//!   collector does — the core [`GroupMerger`] of its plan, over the
+//!   `NodeId`s of the children's streams, in front of the core
+//!   [`GroupTerminal`] — and emits the results.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use desis_baselines::Processor;
-use desis_core::engine::merge::UnfixedMerger;
+use desis_core::engine::merge::GroupMerger;
 use desis_core::engine::{
     GroupExecution, GroupId, GroupPlan, GroupSlicer, GroupTerminal, QueryGroup, SealedSlice,
 };
@@ -38,7 +40,7 @@ use desis_core::query::{Query, QueryId, QueryResult};
 use desis_core::time::{next_multiple_after, DurationMs, Timestamp};
 
 use crate::link::LinkSender;
-use crate::merge::{AlignedSliceMerger, EventMerger, PartialAssembler, WindowPartialMerger};
+use crate::merge::{EventMerger, PartialAssembler, WindowPartialMerger};
 use crate::message::{Message, WindowPartial};
 use crate::topology::NodeId;
 
@@ -122,6 +124,8 @@ enum NodePlan {
     ///   data-driven (session/user-defined) ends; intermediates pass the
     ///   slices through untouched; the root merges per window and
     ///   originating local.
+    ///
+    /// Whichever nodes merge, they merge in the core [`GroupMerger`].
     /// * `Raw` — only the root can process the group: locals ship raw
     ///   events, inner nodes reorder them, the root re-slices.
     Core(GroupPlan),
@@ -480,9 +484,9 @@ impl LocalWorker {
 #[derive(Debug)]
 struct Children {
     clock: ChildClock,
-    /// Local streams a merged product must cover to be complete.
-    expected: u32,
-    aligned: BTreeMap<GroupId, AlignedSliceMerger>,
+    /// The groups this node merges, on an intermediate its aligned ones
+    /// (the root merges in its [`Terminal`]).
+    mergers: BTreeMap<GroupId, GroupMerger<NodeId>>,
     /// Disco merges per-window partials of all groups with one merger
     /// (windows are identified by query + range).
     partials: Option<WindowPartialMerger>,
@@ -494,7 +498,6 @@ struct Children {
     ended: bool,
     /// Checksum-valid messages this node had no route for.
     unroutable: u64,
-    slice_scratch: Vec<SealedSlice>,
     event_scratch: Vec<Event>,
 }
 
@@ -507,14 +510,12 @@ impl Children {
     ) -> Self {
         let mut this = Self {
             clock: ChildClock::new(children),
-            expected,
-            aligned: BTreeMap::new(),
+            mergers: BTreeMap::new(),
             partials: None,
             events: None,
             applied: 0,
             ended: false,
             unroutable: 0,
-            slice_scratch: Vec::new(),
             event_scratch: Vec::new(),
         };
         for g in groups {
@@ -530,13 +531,9 @@ impl Children {
     }
 
     fn add_group(&mut self, system: DistributedSystem, group: &QueryGroup) {
-        match deployment(system, group) {
-            NodePlan::Core(GroupPlan::Aligned) => {
-                let merger = AlignedSliceMerger::new(self.expected);
-                self.aligned.insert(group.id, merger);
-            }
-            NodePlan::Core(GroupPlan::Raw) | NodePlan::Centralized => self.reorder_raw(),
-            NodePlan::Core(GroupPlan::Unfixed) | NodePlan::Partials => {}
+        let plan = deployment(system, group);
+        if matches!(plan, NodePlan::Core(GroupPlan::Raw) | NodePlan::Centralized) {
+            self.reorder_raw();
         }
     }
 
@@ -546,12 +543,6 @@ impl Children {
         let children = self.clock.children.len();
         self.events
             .get_or_insert_with(|| EventMerger::new(children));
-    }
-
-    fn install_tracing(&mut self, collector: &TraceCollector, node: NodeId) {
-        for merger in self.aligned.values_mut() {
-            merger.set_recorder(collector.recorder(node));
-        }
     }
 
     /// Handles one message from child `child`. A message the node has no
@@ -571,13 +562,11 @@ impl Children {
                 origin,
                 coverage,
                 partial,
-            } => match self.aligned.get_mut(&group) {
+            } => match self.mergers.get_mut(&group) {
                 Some(merger) => {
-                    merger.on_slice(partial, coverage);
-                    merger.drain_ready(&mut self.slice_scratch);
-                    self.slice_scratch
-                        .drain(..)
-                        .all(|merged| up.merged_slice(group, merged))
+                    merger.on_slice(origin, coverage, partial);
+                    let mut merged = merger.take_ready();
+                    merged.all(|slice| up.merged_slice(group, slice))
                 }
                 None => up.child_slice(group, origin, coverage, partial),
             },
@@ -621,16 +610,15 @@ impl Children {
     }
 
     /// Applies the effective child watermark once it moved: force-
-    /// completes aligned merges over idle streams, then tells upstream;
-    /// and tells upstream, once, when every child has flushed.
+    /// completes merges over idle streams, then tells upstream; and tells
+    /// upstream, once, when every child has flushed.
     fn advance(&mut self, up: &mut impl Upstream) -> bool {
         let effective = self.clock.effective();
         if effective > self.applied {
             self.applied = effective;
-            for (gid, merger) in &mut self.aligned {
-                merger.advance_watermark(effective);
-                merger.drain_ready(&mut self.slice_scratch);
-                let mut merged = self.slice_scratch.drain(..);
+            for (gid, merger) in &mut self.mergers {
+                merger.advance(effective);
+                let mut merged = merger.take_ready();
                 if !merged.all(|slice| up.merged_slice(*gid, slice)) {
                     return false;
                 }
@@ -648,7 +636,7 @@ impl Children {
 
     /// Partials held back waiting for sibling streams.
     fn pending(&self) -> usize {
-        let slices: usize = self.aligned.values().map(|m| m.pending_len()).sum();
+        let slices: usize = self.mergers.values().map(GroupMerger::pending_len).sum();
         slices + self.partials.as_ref().map_or(0, |m| m.pending_len())
     }
 
@@ -677,6 +665,11 @@ impl IntermediateWorker {
         children: Vec<NodeId>,
     ) -> Self {
         let mut children = Children::new(system, groups, children, coverage);
+        let aligned = |g: &&QueryGroup| deployment(system, g) == NodePlan::Core(GroupPlan::Aligned);
+        let mergers = groups.iter().filter(aligned);
+        children.mergers = mergers
+            .map(|g| (g.id, GroupMerger::new(g, coverage as usize)))
+            .collect();
         // Always, not only for the groups known now: a runtime-added
         // raw-shipped group is never announced to intermediates.
         children.reorder_raw();
@@ -691,7 +684,9 @@ impl IntermediateWorker {
     /// record `MergeStart`/`MergeDone` spans under the representative
     /// trace id of the first contributing child slice.
     pub fn install_tracing(&mut self, collector: &TraceCollector) {
-        self.children.install_tracing(collector, self.id);
+        for merger in self.children.mergers.values_mut() {
+            merger.set_recorder(collector.recorder(self.id));
+        }
     }
 
     /// Handles one message from child `child`; forwards upward as needed.
@@ -730,13 +725,32 @@ fn merge_groups(groups: &[QueryGroup]) -> QueryGroup {
     QueryGroup::build(0, members, vec![desis_core::predicate::Predicate::True])
 }
 
-/// The root's end of the tree: ends every group in the core terminal of
-/// its plan and collects the final results.
+/// One group's end at the root: the merger of its children's slices —
+/// none for a group the root slices from raw events — in front of its
+/// terminal.
+#[derive(Debug)]
+struct RootGroup {
+    merger: Option<GroupMerger<NodeId>>,
+    terminal: GroupTerminal,
+}
+
+impl RootGroup {
+    /// Applies `step` to the group's merger, if it has one, and hands what
+    /// the merger completed to the terminal.
+    fn merge(&mut self, step: impl FnOnce(&mut GroupMerger<NodeId>), out: &mut Vec<QueryResult>) {
+        if let Some(merger) = &mut self.merger {
+            step(merger);
+            for slice in merger.take_ready() {
+                self.terminal.on_slice(slice, out);
+            }
+        }
+    }
+}
+
+/// The root's end of the tree: ends every group in the core merger and
+/// terminal of its plan and collects the final results.
 struct Terminal {
-    groups: BTreeMap<GroupId, GroupTerminal>,
-    /// The per-origin mergers in front of the unfixed groups' terminals
-    /// (intermediates pass those slices through unmerged).
-    unfixed: BTreeMap<GroupId, UnfixedMerger<NodeId>>,
+    groups: BTreeMap<GroupId, RootGroup>,
     /// Scripted removals event time has not passed yet, ascending:
     /// `(event time, query, immediate)`.
     removals: VecDeque<(Timestamp, QueryId, bool)>,
@@ -755,11 +769,9 @@ impl Terminal {
         let NodePlan::Core(plan) = deployment(system, g) else {
             return;
         };
-        if plan == GroupPlan::Unfixed {
-            self.unfixed.insert(g.id, UnfixedMerger::new(g, n_leaves));
-        }
+        let merger = (plan != GroupPlan::Raw).then(|| GroupMerger::new(g, n_leaves));
         let terminal = GroupTerminal::new(plan, g);
-        self.groups.insert(g.id, terminal);
+        self.groups.insert(g.id, RootGroup { merger, terminal });
     }
 
     /// Schedules the removal of `query` at event time `at`. An assembler
@@ -769,7 +781,7 @@ impl Terminal {
     /// origin is told when event time has passed it ([`Terminal::reach`]).
     fn remove_query(&mut self, query: QueryId, at: Timestamp, immediate: bool) {
         for group in self.groups.values_mut() {
-            if let GroupTerminal::Merged(assembler) = group {
+            if let GroupTerminal::Merged(assembler) = &mut group.terminal {
                 assembler.remove_query(query, at, immediate);
             }
         }
@@ -783,24 +795,11 @@ impl Terminal {
     /// slicing terminals stop its windows at that instant.
     fn reach(&mut self, ts: Timestamp) {
         while let Some((at, query, immediate)) = self.removals.pop_front_if(|r| r.0 <= ts) {
-            if immediate {
-                for merger in self.unfixed.values_mut() {
+            for RootGroup { merger, terminal } in self.groups.values_mut() {
+                if let Some(merger) = merger.as_mut().filter(|_| immediate) {
                     merger.remove_query(query);
                 }
-            }
-            for group in self.groups.values_mut() {
-                group.remove_query(query, at, immediate, &mut self.results);
-            }
-        }
-    }
-
-    /// Hands the windows the unfixed mergers completed to their terminals.
-    fn assemble_unfixed(&mut self) {
-        for (gid, merger) in &mut self.unfixed {
-            if let Some(terminal) = self.groups.get_mut(gid) {
-                for window in merger.take_ready() {
-                    terminal.on_slice(window, &mut self.results);
-                }
+                terminal.remove_query(query, at, immediate, &mut self.results);
             }
         }
     }
@@ -814,7 +813,7 @@ impl Upstream for Terminal {
                 self.reach(ev.ts - 1);
             }
             for group in self.groups.values_mut() {
-                group.on_event(&ev, &mut self.results);
+                group.terminal.on_event(&ev, &mut self.results);
             }
             if let Some(p) = &mut self.centralized {
                 p.on_event(&ev);
@@ -827,8 +826,8 @@ impl Upstream for Terminal {
     }
 
     fn merged_slice(&mut self, group: GroupId, slice: SealedSlice) -> bool {
-        if let Some(terminal) = self.groups.get_mut(&group) {
-            terminal.on_slice(slice, &mut self.results);
+        if let Some(group) = self.groups.get_mut(&group) {
+            group.terminal.on_slice(slice, &mut self.results);
         }
         true
     }
@@ -837,17 +836,15 @@ impl Upstream for Terminal {
         &mut self,
         group: GroupId,
         origin: NodeId,
-        _: u32,
+        coverage: u32,
         partial: SealedSlice,
     ) -> bool {
-        match self.unfixed.get_mut(&group) {
-            Some(merger) => {
-                merger.on_slice(origin, partial);
-                self.assemble_unfixed();
-            }
+        let step = |merger: &mut GroupMerger<NodeId>| merger.on_slice(origin, coverage, partial);
+        match self.groups.get_mut(&group) {
+            Some(group) if group.merger.is_some() => group.merge(step, &mut self.results),
             // Input from outside the process: a slice of a group that is
             // unknown here, or that the root re-slices from raw events.
-            None => self.unroutable += 1,
+            _ => self.unroutable += 1,
         }
         true
     }
@@ -871,13 +868,10 @@ impl Upstream for Terminal {
         if let Some(passed) = ts.checked_sub(1) {
             self.reach(passed);
         }
-        // Idle children produce no slices but still vouch for time.
-        for merger in self.unfixed.values_mut() {
-            merger.advance(ts);
-        }
-        self.assemble_unfixed();
         for group in self.groups.values_mut() {
-            group.on_watermark(ts, &mut self.results);
+            // Idle children produce no slices but still vouch for time.
+            group.merge(|merger| merger.advance(ts), &mut self.results);
+            group.terminal.on_watermark(ts, &mut self.results);
         }
         if let Some(p) = &mut self.centralized {
             p.on_watermark(ts);
@@ -888,10 +882,9 @@ impl Upstream for Terminal {
 
     /// End of all streams: nothing can extend a pending session any more.
     fn end(&mut self) -> bool {
-        for merger in self.unfixed.values_mut() {
-            merger.flush();
+        for group in self.groups.values_mut() {
+            group.merge(GroupMerger::finish, &mut self.results);
         }
-        self.assemble_unfixed();
         true
     }
 }
@@ -944,7 +937,6 @@ impl RootWorker {
         };
         let mut terminal = Terminal {
             groups: BTreeMap::new(),
-            unfixed: BTreeMap::new(),
             removals: VecDeque::new(),
             centralized,
             results: Vec::new(),
@@ -966,12 +958,11 @@ impl RootWorker {
     /// `ResultEmitted` spans. Window-partial and centralized paths carry
     /// no trace ids and stay untraced.
     pub fn install_tracing(&mut self, collector: &TraceCollector, node: NodeId) {
-        self.children.install_tracing(collector, node);
-        for merger in self.terminal.unfixed.values_mut() {
-            merger.set_recorder(collector.recorder(node));
-        }
         for group in self.terminal.groups.values_mut() {
-            group.set_recorder(collector.recorder(node));
+            if let Some(merger) = &mut group.merger {
+                merger.set_recorder(collector.recorder(node));
+            }
+            group.terminal.set_recorder(collector.recorder(node));
         }
     }
 
@@ -1015,21 +1006,20 @@ impl RootWorker {
     /// Partials currently held back waiting for sibling streams (the
     /// merge-stall depth reported to the metrics registry).
     pub fn pending_merges(&self) -> usize {
-        let unfixed = self.terminal.unfixed.values().map(|m| m.pending_len());
-        self.children.pending() + unfixed.sum::<usize>()
+        let groups = self.terminal.groups.values();
+        let merging = groups.filter_map(|g| g.merger.as_ref());
+        self.children.pending() + merging.map(GroupMerger::pending_len).sum::<usize>()
     }
 
-    /// `(slices, suffix-cache bundles)` the terminals and the unfixed
-    /// mergers retain for open windows.
+    /// `(slices, suffix-cache bundles)` the mergers and terminals retain
+    /// for open windows.
     pub(crate) fn retained_state(&self) -> (usize, usize) {
         let mut retained = (0, 0);
-        for merger in self.terminal.unfixed.values() {
-            retained.0 += merger.retained_slices();
-            retained.1 += merger.cached_bundles();
-        }
         let mut counters = EngineMetrics::default();
         for group in self.terminal.groups.values() {
-            group.roll_up(&mut counters, &mut retained);
+            let (slices, bundles) = group.merger.as_ref().map_or((0, 0), GroupMerger::retained);
+            retained = (retained.0 + slices, retained.1 + bundles);
+            group.terminal.roll_up(&mut counters, &mut retained);
         }
         retained
     }

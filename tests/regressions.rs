@@ -1191,8 +1191,7 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
 
     // Removed before the first event, in either mode: the stream stands
     // nowhere yet, so the query emits nothing and query 1 is untouched.
-    // (A cluster script has no instant before an event at 0: removed
-    // draining at 0, the query's window starting at 0 has started.)
+    // A cluster script says so with time 0.
     let kept = |results: Vec<QueryResult>| {
         let results = canon(results);
         assert!(results.iter().all(|r| r.query == 1));
@@ -1220,6 +1219,13 @@ fn remove_query_gives_one_answer_on_all_three_engines() {
             engine.finish();
             let context = format!("immediate={immediate} shards={shards}");
             assert_eq!(kept(engine.drain_results()), oracle, "{context}");
+        }
+        for topology in [Topology::star(2), Topology::three_tier(1, 2)] {
+            let mut cfg = ClusterConfig::new(DistributedSystem::Desis, queries(), topology);
+            cfg.script = vec![(0, ClusterCommand::RemoveQuery { id: 2, immediate })];
+            let report = run_cluster(cfg, shard_by_key(&events, 2)).unwrap();
+            let context = format!("immediate={immediate} cluster");
+            assert_eq!(kept(report.results), oracle, "{context}");
         }
     }
 }
