@@ -4,7 +4,9 @@
 //! per-shard fragments and the inlet broadcasts markers so that
 //! user-defined windows close at the same stream position on every
 //! shard; the collector reports each shard's clear frontiers at every
-//! watermark barrier and marks a panicked shard dead.
+//! watermark barrier and marks a panicked shard dead. The collector holds
+//! it as the unfixed half of [`crate::engine::merge::GroupMerger`]; the
+//! alias below is what the repo benchmark imports.
 
 pub use crate::engine::merge::UnfixedMerger;
 
