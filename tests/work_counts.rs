@@ -1,6 +1,7 @@
 //! Exact work counts of the sequential engine: heap allocations and
-//! requested heap bytes per result, bundle merges per result and results
-//! per event, over fixed small inputs shaped like the four workloads of
+//! requested heap bytes per result, bundle merges per result, results
+//! per event, and the slicers' operator updates (`calculations`) and
+//! sealed slices, over fixed small inputs shaped like the four workloads of
 //! the repo benchmark (`many_queries`: 1 000 tumbling/sliding queries
 //! over all eleven functions, 64 keys; `slide_wide`: four sliding
 //! queries, 256 keys; `ingest_dense`: 16 tumbling queries in four
@@ -24,8 +25,9 @@
 //! gauge, read outside the counted allocations).
 //!
 //! Every shape also runs through the sharded engine at 1 and 2 shards,
-//! fed like the sequential engine: results, merges and a results digest
-//! are exact there. Every shape also runs through an unpaced `star(2)`
+//! fed like the sequential engine: results, merges, the slicers'
+//! calculations and slices (read after `finish`, when every shard has
+//! reported) and a results digest are exact there. Every shape also runs through an unpaced `star(2)`
 //! Desis cluster, as the benchmark's cluster sample does (`ingest_dense`
 //! on a prefix, `mixed_unfixed` in timestamp order, since a local has no
 //! reorder stage): results, frames and wire bytes are exact there too.
@@ -363,6 +365,10 @@ struct Counts {
     events: u64,
     results: u64,
     merges: u64,
+    /// Operator updates the slicers executed (`slicer.calculations`).
+    calculations: u64,
+    /// Slices the slicers sealed.
+    slices: u64,
     allocations: u64,
     /// Heap bytes those allocations asked for.
     bytes: u64,
@@ -451,12 +457,15 @@ fn run(queries: &[Query], events: &[Event], feed: Feed) -> Counts {
         );
     }
     let after = allocated();
-    assert_eq!(engine.metrics().results, results);
+    let metrics = engine.metrics();
+    assert_eq!(metrics.results, results);
     assert_eq!(reorder.map_or(0, |rb| rb.late_dropped()), 0);
     Counts {
         events: events.len() as u64,
         results,
-        merges: engine.metrics().merges,
+        merges: metrics.merges,
+        calculations: metrics.calculations,
+        slices: metrics.slices,
         allocations: after.0 - before.0 - uncounted.0,
         bytes: after.1 - before.1 - uncounted.1,
         retained_slices_max,
@@ -489,6 +498,11 @@ struct ShardedCounts {
     shards: usize,
     results: u64,
     merges: u64,
+    /// Operator updates of every shard's and the driver's slicers, read
+    /// after `finish` (shards report their slicers' metrics on exit).
+    calculations: u64,
+    /// Slices those slicers sealed: each shard seals its own.
+    slices: u64,
     /// FNV-1a over every result in drain order.
     digest: u64,
 }
@@ -515,10 +529,15 @@ fn run_sharded(queries: &[Query], events: &[Event], feed: Feed, shards: usize) -
         }
     }
     assert_eq!(engine.late_dropped(), 0);
+    let merges = engine.metrics().merges;
+    engine.finish();
+    let metrics = engine.metrics();
     ShardedCounts {
         shards,
         results,
-        merges: engine.metrics().merges,
+        merges,
+        calculations: metrics.calculations,
+        slices: metrics.slices,
         digest,
     }
 }
@@ -653,6 +672,8 @@ fn many_queries_shape_counts() {
         events: 16_000,
         results: 175_808,
         merges: 29_760,
+        calculations: 80_000,
+        slices: 31,
         allocations: 194_388,
         bytes: 28_919_304,
         retained_slices_max: 31,
@@ -667,6 +688,8 @@ fn slide_wide_shape_counts() {
         events: 40_000,
         results: 168_960,
         merges: 176_823,
+        calculations: 120_000,
+        slices: 199,
         allocations: 171_871,
         bytes: 56_655_332,
         retained_slices_max: 39,
@@ -681,6 +704,8 @@ fn ingest_dense_shape_counts() {
         events: 550_000,
         results: 1_152,
         merges: 1_280,
+        calculations: 6_706_764,
+        slices: 40,
         allocations: 1_649,
         bytes: 480_416,
         retained_slices_max: 36,
@@ -700,6 +725,8 @@ fn mixed_unfixed_shape_counts() {
         events: 30_000,
         results: 3_508,
         merges: 512,
+        calculations: 123_687,
+        slices: 88,
         allocations: 8_232,
         bytes: 4_285_088,
         retained_slices_max: 3,
@@ -709,12 +736,21 @@ fn mixed_unfixed_shape_counts() {
     assert_counts(&mixed_unfixed(), &events, MIXED_UNFIXED_FEED, want);
 }
 
-/// A sharded row: `shards`, results, merges, digest.
-fn sharded(shards: usize, results: u64, merges: u64, digest: u64) -> ShardedCounts {
+/// A sharded row: `shards`, results, merges, `(calculations, slices)`,
+/// digest.
+fn sharded(
+    shards: usize,
+    results: u64,
+    merges: u64,
+    (calculations, slices): (u64, u64),
+    digest: u64,
+) -> ShardedCounts {
     ShardedCounts {
         shards,
         results,
         merges,
+        calculations,
+        slices,
         digest,
     }
 }
@@ -722,8 +758,8 @@ fn sharded(shards: usize, results: u64, merges: u64, digest: u64) -> ShardedCoun
 #[test]
 fn many_queries_shape_sharded_counts() {
     let want = [
-        sharded(1, 175_808, 29_760, 0xbefd_96eb_f344_dddf),
-        sharded(2, 175_808, 29_760, 0xbefd_96eb_f344_dddf),
+        sharded(1, 175_808, 29_760, (80_000, 31), 0xbefd_96eb_f344_dddf),
+        sharded(2, 175_808, 29_760, (80_000, 62), 0xbefd_96eb_f344_dddf),
     ];
     assert_sharded_counts(&many_queries(), &many_queries_events(), EVERY_BATCH, want);
 }
@@ -731,8 +767,8 @@ fn many_queries_shape_sharded_counts() {
 #[test]
 fn slide_wide_shape_sharded_counts() {
     let want = [
-        sharded(1, 168_960, 176_823, 0xf993_3e43_3303_e028),
-        sharded(2, 168_960, 176_823, 0xf993_3e43_3303_e028),
+        sharded(1, 168_960, 176_823, (120_000, 199), 0xf993_3e43_3303_e028),
+        sharded(2, 168_960, 176_823, (120_000, 398), 0xf993_3e43_3303_e028),
     ];
     assert_sharded_counts(&slide_wide(), &slide_wide_events(), EVERY_BATCH, want);
 }
@@ -740,8 +776,8 @@ fn slide_wide_shape_sharded_counts() {
 #[test]
 fn ingest_dense_shape_sharded_counts() {
     let want = [
-        sharded(1, 1_152, 1_280, 0x5f09_6b70_a0da_0a55),
-        sharded(2, 1_152, 1_280, 0x5f09_6b70_a0da_0a55),
+        sharded(1, 1_152, 1_280, (6_706_764, 40), 0x5f09_6b70_a0da_0a55),
+        sharded(2, 1_152, 1_280, (6_706_764, 80), 0x5f09_6b70_a0da_0a55),
     ];
     let events = ingest_dense_events();
     assert_sharded_counts(&ingest_dense(), &events, INGEST_DENSE_FEED, want);
@@ -750,8 +786,8 @@ fn ingest_dense_shape_sharded_counts() {
 #[test]
 fn mixed_unfixed_shape_sharded_counts() {
     let want = [
-        sharded(1, 3_508, 384, 0x28e6_adaa_cfd1_3651),
-        sharded(2, 3_508, 384, 0x28e6_adaa_cfd1_3651),
+        sharded(1, 3_508, 384, (164_953, 92), 0x28e6_adaa_cfd1_3651),
+        sharded(2, 3_508, 384, (164_953, 169), 0x28e6_adaa_cfd1_3651),
     ];
     let events = mixed_stream(&mut Rng(1));
     assert_sharded_counts(&mixed_unfixed(), &events, MIXED_UNFIXED_FEED, want);
