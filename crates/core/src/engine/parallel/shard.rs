@@ -60,45 +60,35 @@ pub(super) enum ShardItem {
     Done(EngineMetrics),
 }
 
-/// Feeds a run of in-order events through every slicer of the shard and
-/// pushes the sealed slices, one item per group.
+/// Feeds a batch of in-order events through every slicer of the shard,
+/// one run per group, and pushes the sealed slices, one item per group.
 ///
 /// Marker events are broadcast by the inlet so every shard closes
 /// user-defined windows at the same stream position: a marker whose key
-/// hashes to *another* shard drives only the window *boundaries* of
-/// unfixed groups ([`GroupSlicer::on_marker`]) — its data belongs to the
-/// owning shard, which processes it as an ordinary event.
+/// hashes to *another* shard cuts the batch and drives only the window
+/// *boundaries* of unfixed groups ([`GroupSlicer::on_marker`]) — its data
+/// belongs to the owning shard, which slices it as an ordinary event.
 fn feed_events(
     shard: usize,
     shards_total: usize,
     slicers: &mut [GroupSlicer],
-    outs: &mut Vec<Vec<SealedSlice>>,
+    out: &mut Vec<SealedSlice>,
     guard: &InboxGuard<ShardItem>,
     events: &[Event],
 ) {
-    outs.resize_with(slicers.len(), Vec::new);
-    let foreign_marker = events
-        .iter()
-        .any(|ev| ev.marker.is_some() && (ev.key as usize) % shards_total != shard);
-    if foreign_marker {
-        for ev in events {
-            let owned = ev.marker.is_none() || (ev.key as usize) % shards_total == shard;
-            for (group, slicer) in slicers.iter_mut().enumerate() {
-                if owned {
-                    slicer.on_event(ev, &mut outs[group]);
-                } else if slicer.group().has_unfixed_windows() {
-                    slicer.on_marker(ev, &mut outs[group]);
-                }
+    let foreign = |ev: &Event| ev.marker.is_some() && (ev.key as usize) % shards_total != shard;
+    for (group, slicer) in slicers.iter_mut().enumerate() {
+        let unfixed = slicer.group().has_unfixed_windows();
+        for piece in events.split_inclusive(foreign) {
+            let (run, marker) = match piece.split_last() {
+                Some((last, run)) if foreign(last) => (run, Some(last)),
+                _ => (piece, None),
+            };
+            slicer.on_run(run, out);
+            if let Some(marker) = marker.filter(|_| unfixed) {
+                slicer.on_marker(marker, out);
             }
         }
-    } else {
-        for (group, slicer) in slicers.iter_mut().enumerate() {
-            for ev in events {
-                slicer.on_event(ev, &mut outs[group]);
-            }
-        }
-    }
-    for (group, out) in outs.iter_mut().enumerate() {
         if !out.is_empty() {
             guard.push(ShardItem::Slices {
                 group,
@@ -135,7 +125,6 @@ pub(super) fn run_shard(
 ) {
     let guard = InboxGuard::new(inbox, shard);
     let mut scratch: Vec<SealedSlice> = Vec::new();
-    let mut outs: Vec<Vec<SealedSlice>> = Vec::new();
     loop {
         let msg = {
             let _idle = prof::scope(&mut prof, Stage::Idle);
@@ -151,7 +140,7 @@ pub(super) fn run_shard(
                     shard,
                     shards_total,
                     &mut slicers,
-                    &mut outs,
+                    &mut scratch,
                     &guard,
                     &events,
                 );

@@ -7,18 +7,34 @@
 //! punctuations (`ep`s) that terminate at it.
 //!
 //! Fixed-size time windows have their punctuations computed *in advance*:
-//! the slicer caches the next punctuation time and compares each event
-//! against it with a single branch (this is why Desis' throughput is flat
-//! in the number of concurrent windows, Figure 6b). Session windows,
-//! user-defined windows, and count-measured windows contribute data-driven
-//! punctuations.
+//! the slicer caches the next punctuation time, and a run of events
+//! between two punctuations costs one `partition_point` on their
+//! timestamps (this is why Desis' throughput is flat in the number of
+//! concurrent windows, Figure 6b). Session windows, user-defined windows,
+//! and count-measured windows contribute data-driven punctuations.
+//!
+//! [`GroupSlicer::on_run`] is the one way events come in
+//! ([`GroupSlicer::on_event`] is a run of one). The run is cut into
+//! segments that cross no boundary: at the next time punctuation, at every
+//! marker, right after the event that reaches a count window's next
+//! punctuation, and where a session's gap elapses between two matching
+//! timestamps. A segment is aggregated selection by selection. Each
+//! selection's predicate is evaluated once per event (the selection
+//! sharing of Section 4.2.3): into a match column that finding a
+//! segment's end and aggregating it both read, when a group with
+//! data-driven boundaries slices a run of more than one event, and in the
+//! aggregation loop otherwise; sessions and count windows read what the
+//! aggregation loop accepted.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use crate::aggregate::OperatorBundle;
-use crate::engine::group::QueryGroup;
+use rustc_hash::FxHashMap;
+
+use crate::aggregate::{OperatorBundle, OperatorSet};
+use crate::engine::group::{QueryGroup, Selection};
 use crate::engine::slice::{SealedSlice, SessionGap, SliceData, SliceId, WindowEnd};
-use crate::event::{Event, MarkerChannel, MarkerKind};
+use crate::event::{Event, Key, MarkerChannel, MarkerKind};
 use crate::metrics::EngineMetrics;
 use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::time::{DurationMs, Timestamp};
@@ -113,10 +129,132 @@ pub struct GroupSlicer {
     /// Per-query-index draining flag (Section 3.2): a draining query opens
     /// no new windows but its in-flight windows still complete.
     draining: Vec<bool>,
+    /// The match column of the run being sliced (reused across runs).
+    matches: MatchColumn,
+    /// What each selection accepted of the segment being sliced.
+    seen: Vec<Seen>,
     /// Provenance span recorder; `None` (the default) disables tracing.
     /// Boxed so the disabled hot path is a null check and the slicer's
     /// layout stays compact.
     tracer: Option<Box<TracerState>>,
+}
+
+/// Which events of a run each selection accepts. A group whose boundaries
+/// depend on the data (session, count or user-defined windows) fills it
+/// for a run of more than one event: each predicate is evaluated once per
+/// event, and finding where a segment ends as well as aggregating it read
+/// the answer here. Otherwise the aggregation loop is the one reader and
+/// evaluates the predicates itself; sessions and counts read what it
+/// accepted ([`Seen`]).
+#[derive(Debug, Clone)]
+struct MatchColumn {
+    /// Whether the group fills the column.
+    keep: bool,
+    /// One flag per event of the run, selection after selection.
+    accepts: Vec<bool>,
+    /// Events of the run the column holds (0: it holds none).
+    len: usize,
+}
+
+impl MatchColumn {
+    /// A column the group fills if `keep`.
+    fn new(keep: bool) -> Self {
+        Self {
+            keep,
+            accepts: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Evaluates every selection's predicate over `run`, if the group
+    /// keeps the column and the run is longer than one event.
+    #[inline]
+    fn fill(&mut self, selections: &[Selection], run: &[Event]) {
+        self.len = 0;
+        if !self.keep || run.len() < 2 {
+            return;
+        }
+        self.accepts.clear();
+        for sel in selections {
+            let accepts = run.iter().map(|ev| sel.predicate.matches(ev));
+            self.accepts.extend(accepts);
+        }
+        self.len = run.len();
+    }
+
+    /// Which events of the run's `range` selection `sel` accepts, if the
+    /// column holds the run.
+    #[inline]
+    fn of(&self, sel: usize, range: Range<usize>) -> Option<&[bool]> {
+        if self.len == 0 {
+            return None;
+        }
+        let base = sel * self.len;
+        self.accepts.get(base + range.start..base + range.end)
+    }
+
+    /// The events of `segment` (the run's `range`) that selection `sel`
+    /// accepts, with their positions in `segment`: read from the column
+    /// if it holds the run, evaluated here otherwise.
+    #[inline]
+    fn accepted<'a>(
+        &'a self,
+        selections: &'a [Selection],
+        sel: usize,
+        segment: &'a [Event],
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, &'a Event)> + 'a {
+        let predicate = &selections[sel].predicate;
+        let column = self.of(sel, range);
+        let flagged = move |(pos, ev): &(usize, &Event)| match column {
+            Some(accepts) => accepts.get(*pos).copied().unwrap_or(false),
+            None => predicate.matches(ev),
+        };
+        segment.iter().enumerate().filter(flagged)
+    }
+}
+
+/// What one selection accepted of a segment: how many events, and the
+/// timestamps of the first and the last.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    count: u64,
+    first_ts: Timestamp,
+    last_ts: Timestamp,
+}
+
+/// Updates `bundles` with the events of `segment` that `accepted` (given
+/// an event's position in `segment`) takes; returns the operator
+/// executions and what was accepted.
+#[inline(always)]
+fn visit(
+    bundles: &mut FxHashMap<Key, OperatorBundle>,
+    operators: OperatorSet,
+    segment: &[Event],
+    accepted: impl Fn(usize, &Event) -> bool,
+) -> (u64, Seen) {
+    let (mut calculations, mut seen) = (0, Seen::default());
+    for (pos, ev) in segment.iter().enumerate() {
+        if accepted(pos, ev) {
+            if seen.count == 0 {
+                seen.first_ts = ev.ts;
+            }
+            seen.last_ts = ev.ts;
+            seen.count += 1;
+            calculations += add(bundles, operators, ev);
+        }
+    }
+    (calculations, seen)
+}
+
+/// Aggregates `ev` into its key's bundle; returns the operator
+/// executions.
+#[inline(always)]
+fn add(bundles: &mut FxHashMap<Key, OperatorBundle>, operators: OperatorSet, ev: &Event) -> u64 {
+    let bundle = bundles
+        .entry(ev.key)
+        .or_insert_with(|| OperatorBundle::new(operators));
+    bundle.update(ev.value)
 }
 
 /// Tracing state, kept behind one pointer in [`GroupSlicer`].
@@ -134,7 +272,7 @@ impl GroupSlicer {
         let fixed_specs = group.fixed_time_specs();
         let fixed_queries = group.fixed_time_queries();
         let fixed_instances = vec![VecDeque::new(); group.queries.len()];
-        let sessions = group
+        let sessions: Vec<SessionSlot> = group
             .session_queries()
             .into_iter()
             .map(|(query_idx, gap)| SessionSlot {
@@ -143,7 +281,7 @@ impl GroupSlicer {
                 open: None,
             })
             .collect();
-        let uds = group
+        let uds: Vec<UdSlot> = group
             .user_defined_queries()
             .into_iter()
             .map(|(query_idx, channel)| UdSlot {
@@ -152,7 +290,7 @@ impl GroupSlicer {
                 open: None,
             })
             .collect();
-        let counts = group
+        let counts: Vec<CountSlot> = group
             .count_queries()
             .into_iter()
             .map(|(query_idx, spec)| CountSlot {
@@ -166,6 +304,7 @@ impl GroupSlicer {
             })
             .collect();
         let selections = group.selections.len();
+        let data_driven = !(sessions.is_empty() && counts.is_empty() && uds.is_empty());
         let draining = vec![false; group.queries.len()];
         Self {
             group,
@@ -184,6 +323,8 @@ impl GroupSlicer {
             last_seen_ts: 0,
             metrics: EngineMetrics::default(),
             draining,
+            matches: MatchColumn::new(data_driven),
+            seen: vec![Seen::default(); selections],
             tracer: None,
         }
     }
@@ -340,124 +481,233 @@ impl GroupSlicer {
         self.initialized = true;
     }
 
-    /// Ingests one event. Sealed slices (if any punctuation fired) are
-    /// appended to `out`.
+    /// Ingests one event: a run of one ([`GroupSlicer::on_run`]).
+    #[inline]
+    pub fn on_event(&mut self, ev: &Event, out: &mut Vec<SealedSlice>) {
+        self.on_run(std::slice::from_ref(ev), out);
+    }
+
+    /// Ingests a run of events. Sealed slices (if any punctuation fired)
+    /// are appended to `out`, exactly as feeding the events one at a time
+    /// would append them.
     ///
     /// Events must arrive in non-decreasing timestamp order per slicer;
     /// this matches the paper's generators and is asserted in debug
     /// builds.
-    pub fn on_event(&mut self, ev: &Event, out: &mut Vec<SealedSlice>) {
+    #[inline(always)]
+    pub fn on_run(&mut self, run: &[Event], out: &mut Vec<SealedSlice>) {
+        let Some(first) = run.first() else { return };
         if !self.initialized {
-            self.init(ev.ts);
+            self.init(first.ts);
         }
         debug_assert!(
-            ev.ts >= self.last_seen_ts,
-            "out-of-order event: {} < {}",
-            ev.ts,
+            first.ts >= self.last_seen_ts && run.is_sorted_by_key(|ev| ev.ts),
+            "out-of-order run after {}",
             self.last_seen_ts
         );
-        self.last_seen_ts = ev.ts;
-
-        // Fast path: no marker to interpret, no session/user-defined/count
-        // bookkeeping to scan, and no time punctuation due — the event
-        // only feeds incremental aggregation. Keeping this block small
-        // (steps 1–3 and 5 are all no-ops under these conditions) keeps
-        // the per-event footprint inside the front-end's sweet spot.
-        if ev.marker.is_none()
-            && self.sessions.is_empty()
-            && self.uds.is_empty()
-            && self.counts.is_empty()
-            && self.next_time_punct.is_none_or(|p| p > ev.ts)
-        {
-            self.aggregate(ev);
-            return;
-        }
-
-        // 1. Fire every time-domain punctuation at or before this event.
-        self.fire_time_puncts(ev.ts, out);
-
-        // 2. A start marker opens user-defined windows *from this event*:
-        //    the slice boundary lies just before it.
-        if let Some(marker) = ev.marker {
-            if marker.kind == MarkerKind::Start
-                && self
-                    .uds
-                    .iter()
-                    .any(|u| u.channel == marker.channel && u.open.is_none())
-            {
-                self.seal_boundary(ev.ts, out);
-                for slot in &mut self.uds {
-                    if slot.channel == marker.channel && slot.open.is_none() {
-                        slot.open = Some(OpenUd {
-                            start_ts: ev.ts,
-                            first_slice: self.slice_seq,
-                        });
-                    }
-                }
-            }
-        }
-
-        // 3. Open or extend sessions whose selection matches.
-        for slot in &mut self.sessions {
-            let sel = self.group.queries[slot.query_idx].selection as usize;
-            if self.group.selections[sel].predicate.matches(ev) {
-                match &mut slot.open {
-                    Some(open) => open.last_ts = ev.ts,
-                    None => {
-                        slot.open = Some(OpenSession {
-                            first_ts: ev.ts,
-                            last_ts: ev.ts,
-                            first_slice: self.slice_seq,
-                        })
-                    }
-                }
-            }
-        }
-
-        // 4. Incremental aggregation: each selection evaluated once, each
-        //    operator of the selection executed once.
-        self.aggregate(ev);
-
-        // 5. Count-domain punctuations (boundary lies just after this
-        //    event) and end markers (this event is the window's last).
-        let mut needs_seal = false;
-        for slot in &mut self.counts {
-            let sel = self.group.queries[slot.query_idx].selection as usize;
-            if self.group.selections[sel].predicate.matches(ev) {
-                slot.count += 1;
-                if slot.count == slot.next_punct {
-                    needs_seal = true;
-                }
-            }
-        }
-        let ud_end = match ev.marker {
-            Some(marker) if marker.kind == MarkerKind::End => self
-                .uds
-                .iter()
-                .any(|u| u.channel == marker.channel && u.open.is_some()),
-            _ => false,
-        };
-        if needs_seal || ud_end {
-            self.seal_data_boundary(ev, out);
+        self.matches.fill(&self.group.selections, run);
+        // Session, count and user-defined windows put boundaries where the
+        // data says; without them a segment ends at the next time
+        // punctuation.
+        let data_driven =
+            !(self.sessions.is_empty() && self.counts.is_empty() && self.uds.is_empty());
+        let mut from = 0;
+        while from < run.len() {
+            let ts = run[from].ts;
+            self.last_seen_ts = ts;
+            self.fire_time_puncts(ts, out);
+            from = if data_driven {
+                self.slice_data_driven(run, from, out)
+            } else {
+                self.slice_timed(run, from)
+            };
         }
     }
 
-    /// Incremental aggregation for one event: each selection evaluated
-    /// once, each operator of the matching selections executed once. The
-    /// first event of a slice mints its trace id (when tracing is on).
+    /// Slices the segment of `run` that starts at `from` in a group whose
+    /// boundaries are all time punctuations: up to the next one. Returns
+    /// where the segment ends.
     #[inline]
-    fn aggregate(&mut self, ev: &Event) {
+    fn slice_timed(&mut self, run: &[Event], from: usize) -> usize {
+        let end = if from + 1 == run.len() {
+            run.len()
+        } else {
+            self.time_cut(run, from)
+        };
+        let segment = &run[from..end];
+        self.count_segment(segment.len());
+        for (sel, selection) in self.group.selections.iter().enumerate() {
+            let bundles = &mut self.cur_data.per_selection[sel];
+            let mut calculations = 0;
+            for ev in segment {
+                if selection.predicate.matches(ev) {
+                    calculations += add(bundles, selection.operators, ev);
+                }
+            }
+            self.metrics.calculations += calculations;
+        }
+        self.last_seen_ts = run[end - 1].ts;
+        end
+    }
+
+    /// Where a segment starting at `run[from]` ends if only time
+    /// punctuations cut: before the next one.
+    #[inline]
+    fn time_cut(&self, run: &[Event], from: usize) -> usize {
+        match self.next_time_punct {
+            Some(t) => from + run[from..].partition_point(|ev| ev.ts < t),
+            None => run.len(),
+        }
+    }
+
+    /// Counts a segment's events into the current slice. The first event
+    /// of a slice mints its trace id (when tracing is on).
+    #[inline]
+    fn count_segment(&mut self, events: usize) {
         if self.cur_events == 0 && self.tracer.is_some() {
             self.mint_trace();
         }
-        self.cur_events += 1;
-        self.metrics.events += 1;
-        for (sel_idx, sel) in self.group.selections.iter().enumerate() {
-            if sel.predicate.matches(ev) {
-                let bundle = self.cur_data.per_selection[sel_idx]
-                    .entry(ev.key)
-                    .or_insert_with(|| OperatorBundle::new(sel.operators));
-                self.metrics.calculations += bundle.update(ev.value);
+        self.cur_events += events as u64;
+        self.metrics.events += events as u64;
+    }
+
+    /// Slices the segment of `run` that starts at `from` in a group with
+    /// data-driven boundaries, reading the match column. A marker is a
+    /// segment of its own: a start marker opens user-defined windows
+    /// *from this event* (the slice boundary lies just before it), and an
+    /// end marker is the window's last event. Sessions whose selection
+    /// matched open or extend, and the slice seals just *after* the
+    /// segment if a count window reached its next punctuation or the
+    /// segment is an end marker. Returns where the segment ends.
+    #[inline(never)]
+    fn slice_data_driven(
+        &mut self,
+        run: &[Event],
+        from: usize,
+        out: &mut Vec<SealedSlice>,
+    ) -> usize {
+        let marker = run[from].marker.filter(|_| !self.uds.is_empty());
+        let end = match marker {
+            Some(marker) => {
+                if marker.kind == MarkerKind::Start {
+                    self.open_uds(marker.channel, run[from].ts, out);
+                }
+                from + 1
+            }
+            None if from + 1 == run.len() => run.len(),
+            None => self.segment_end(run, from),
+        };
+        let segment = &run[from..end];
+        self.count_segment(segment.len());
+        for (sel, selection) in self.group.selections.iter().enumerate() {
+            let bundles = &mut self.cur_data.per_selection[sel];
+            let operators = selection.operators;
+            let (calculations, seen) = match self.matches.of(sel, from..end) {
+                Some(accepts) => visit(bundles, operators, segment, |pos, _| accepts[pos]),
+                None => visit(bundles, operators, segment, |_, ev| {
+                    selection.predicate.matches(ev)
+                }),
+            };
+            self.metrics.calculations += calculations;
+            self.seen[sel] = seen;
+        }
+        for slot in &mut self.sessions {
+            let seen = self.seen[self.group.queries[slot.query_idx].selection as usize];
+            if seen.count == 0 {
+                continue;
+            }
+            match &mut slot.open {
+                Some(open) => open.last_ts = seen.last_ts,
+                None => {
+                    slot.open = Some(OpenSession {
+                        first_ts: seen.first_ts,
+                        last_ts: seen.last_ts,
+                        first_slice: self.slice_seq,
+                    })
+                }
+            }
+        }
+        let mut needs_seal = false;
+        for slot in &mut self.counts {
+            let seen = self.seen[self.group.queries[slot.query_idx].selection as usize];
+            slot.count += seen.count;
+            needs_seal |= slot.count == slot.next_punct;
+        }
+        let last = &run[end - 1];
+        self.last_seen_ts = last.ts;
+        let ud_end = marker.is_some_and(|marker| {
+            marker.kind == MarkerKind::End
+                && self
+                    .uds
+                    .iter()
+                    .any(|u| u.channel == marker.channel && u.open.is_some())
+        });
+        if needs_seal || ud_end {
+            self.seal_data_boundary(last, out);
+        }
+        end
+    }
+
+    /// Where the segment of `run` starting at `from` (no marker) must end:
+    /// before the next time punctuation, right after the event that
+    /// reaches a count window's next punctuation, before the first event
+    /// at or past a session's gap end, and before the next marker. At
+    /// least one event long.
+    fn segment_end(&self, run: &[Event], from: usize) -> usize {
+        let selections = &self.group.selections;
+        let mut end = self.time_cut(run, from);
+        for slot in &self.counts {
+            let sel = self.group.queries[slot.query_idx].selection as usize;
+            let kth = slot.next_punct.saturating_sub(slot.count + 1);
+            let kth = usize::try_from(kth).unwrap_or(usize::MAX);
+            let mut matched = self
+                .matches
+                .accepted(selections, sel, &run[from..end], from..end);
+            if let Some((pos, _)) = matched.nth(kth) {
+                end = from + pos + 1;
+            }
+        }
+        for slot in &self.sessions {
+            let sel = self.group.queries[slot.query_idx].selection as usize;
+            // The gap test between consecutive matching timestamps.
+            let mut gap_end = slot.open.as_ref().map(|open| open.gap_end(slot.gap));
+            let segment = &run[from..end];
+            for (_, ev) in self.matches.accepted(selections, sel, segment, from..end) {
+                if gap_end.is_some_and(|gap_end| ev.ts >= gap_end) {
+                    break;
+                }
+                gap_end = Some(ev.ts.saturating_add(slot.gap));
+            }
+            if let Some(gap_end) = gap_end {
+                end = from + run[from..end].partition_point(|ev| ev.ts < gap_end);
+            }
+        }
+        if !self.uds.is_empty() {
+            if let Some(next) = run[from + 1..end].iter().position(|ev| ev.marker.is_some()) {
+                end = from + 1 + next;
+            }
+        }
+        end.max(from + 1)
+    }
+
+    /// Seals the slice before a start marker on `channel` at `ts` and
+    /// opens the closed user-defined windows listening on it.
+    #[inline(never)]
+    fn open_uds(&mut self, channel: MarkerChannel, ts: Timestamp, out: &mut Vec<SealedSlice>) {
+        if !self
+            .uds
+            .iter()
+            .any(|u| u.channel == channel && u.open.is_none())
+        {
+            return;
+        }
+        self.seal_boundary(ts, out);
+        for slot in &mut self.uds {
+            if slot.channel == channel && slot.open.is_none() {
+                slot.open = Some(OpenUd {
+                    start_ts: ts,
+                    first_slice: self.slice_seq,
+                });
             }
         }
     }
@@ -481,23 +731,7 @@ impl GroupSlicer {
         self.last_seen_ts = ev.ts;
         self.fire_time_puncts(ev.ts, out);
         match marker.kind {
-            MarkerKind::Start => {
-                if self
-                    .uds
-                    .iter()
-                    .any(|u| u.channel == marker.channel && u.open.is_none())
-                {
-                    self.seal_boundary(ev.ts, out);
-                    for slot in &mut self.uds {
-                        if slot.channel == marker.channel && slot.open.is_none() {
-                            slot.open = Some(OpenUd {
-                                start_ts: ev.ts,
-                                first_slice: self.slice_seq,
-                            });
-                        }
-                    }
-                }
-            }
+            MarkerKind::Start => self.open_uds(marker.channel, ev.ts, out),
             MarkerKind::End => {
                 if self
                     .uds
@@ -871,9 +1105,13 @@ mod tests {
     use super::*;
     use crate::aggregate::AggFunction;
     use crate::engine::analyzer::QueryAnalyzer;
+    use crate::engine::merge::tests::for_cases;
     use crate::event::Marker;
+    use crate::obs::trace::TraceCollector;
     use crate::predicate::Predicate;
     use crate::query::Query;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     fn slicer_for(queries: Vec<Query>) -> GroupSlicer {
         let mut groups = QueryAnalyzer::default().analyze(queries).unwrap();
@@ -1338,5 +1576,228 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].ends.is_empty());
         assert!(!out[0].data.is_empty());
+    }
+
+    /// A query over a random window class and predicate. Time lengths
+    /// are multiples of 10 ms, so events often fall on a punctuation.
+    fn arb_query(rng: &mut SmallRng, id: u64) -> Query {
+        let window = match rng.gen_range(0u32..6) {
+            0 => WindowSpec::tumbling_time(10 * rng.gen_range(1u64..8)),
+            1 => {
+                let step = 10 * rng.gen_range(1u64..4);
+                WindowSpec::sliding_time(step * rng.gen_range(1u64..4), step)
+            }
+            2 => WindowSpec::session(rng.gen_range(1u64..40)),
+            3 => WindowSpec::tumbling_count(rng.gen_range(1u64..6)),
+            4 => {
+                let step = rng.gen_range(1u64..4);
+                WindowSpec::sliding_count(step * rng.gen_range(1u64..4), step)
+            }
+            _ => Ok(WindowSpec::user_defined(rng.gen_range(1u32..3))),
+        };
+        let predicate = [
+            Predicate::True,
+            Predicate::KeyEquals(0),
+            Predicate::KeyEquals(1),
+            Predicate::ValueAbove(3.0),
+            Predicate::ValueBelow(2.0),
+            Predicate::ValueBetween(1.0, 4.0),
+        ][rng.gen_range(0usize..6)];
+        let function = [
+            AggFunction::Sum,
+            AggFunction::Product,
+            AggFunction::Max,
+            AggFunction::Median,
+            AggFunction::Variance,
+        ][rng.gen_range(0usize..5)];
+        Query::new(id, window.unwrap(), function).filtered(predicate)
+    }
+
+    /// An ordered stream with same-timestamp ties, events exactly on
+    /// multiples of 10 ms, gaps that close sessions, and markers (some
+    /// in identical pairs, some on a channel no query listens to), each
+    /// flagged when it belongs to another key partition.
+    fn arb_stream(rng: &mut SmallRng) -> Vec<(Event, bool)> {
+        let mut ts = rng.gen_range(0u64..50);
+        let mut stream = Vec::new();
+        for _ in 0..rng.gen_range(0usize..300) {
+            ts += match rng.gen_range(0u32..10) {
+                0..=3 => 0,
+                4 => 10 - ts % 10,
+                5 => rng.gen_range(20u64..60),
+                _ => rng.gen_range(1u64..5),
+            };
+            // -1 to 6: products meet zeros and signs.
+            let value = f64::from(rng.gen_range(0i32..8) - 1);
+            let mut ev = Event::new(ts, rng.gen_range(0u32..3), value);
+            let pair = if rng.gen_range(0u32..10) == 0 {
+                let kind = if rng.gen_bool(0.5) {
+                    MarkerKind::Start
+                } else {
+                    MarkerKind::End
+                };
+                let channel = rng.gen_range(1u32..4);
+                ev.marker = Some(Marker { channel, kind });
+                rng.gen_bool(0.5)
+            } else {
+                false
+            };
+            let foreign = ev.marker.is_some() && rng.gen_range(0u32..3) == 0;
+            stream.push((ev, foreign));
+            if pair {
+                stream.push((ev, !foreign && rng.gen_bool(0.5)));
+            }
+        }
+        stream
+    }
+
+    /// What is fed between runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// `stream[from..to]`, no foreign marker inside.
+        Run(usize, usize),
+        /// A marker of another key partition.
+        Foreign(usize),
+        Watermark(Timestamp),
+        Remove(u64, bool),
+    }
+
+    /// Splits `stream` into random runs — empty ones, runs of one, runs
+    /// cut before an event on a multiple of 10 ms — at every foreign
+    /// marker, with watermarks and removals between some of them.
+    fn arb_steps(rng: &mut SmallRng, stream: &[(Event, bool)], ids: &[u64]) -> Vec<Step> {
+        let cut = [0.05, 0.3, 0.9][rng.gen_range(0usize..3)];
+        let mut steps = Vec::new();
+        let mut from = 0;
+        for (pos, (ev, foreign)) in stream.iter().enumerate() {
+            let on_punct = ev.ts.is_multiple_of(10) && rng.gen_bool(0.5);
+            if *foreign || on_punct || rng.gen_bool(cut) {
+                steps.push(Step::Run(from, pos));
+                from = pos;
+                if rng.gen_range(0u32..10) == 0 {
+                    steps.push(Step::Run(pos, pos));
+                }
+                let last = pos.checked_sub(1).map_or(0, |prev| stream[prev].0.ts);
+                if rng.gen_range(0u32..10) == 0 {
+                    steps.push(Step::Watermark(rng.gen_range(last..=ev.ts)));
+                }
+                if rng.gen_range(0u32..60) == 0 {
+                    let id = ids[rng.gen_range(0usize..ids.len())];
+                    steps.push(Step::Remove(id, rng.gen_bool(0.5)));
+                }
+            }
+            if *foreign {
+                steps.push(Step::Foreign(pos));
+                from = pos + 1;
+            }
+        }
+        steps.push(Step::Run(from, stream.len()));
+        steps
+    }
+
+    /// Every field of every slice, floats by their bits and keys in
+    /// order.
+    fn bits(slices: &[SealedSlice]) -> Vec<String> {
+        let render = |slice: &SealedSlice| {
+            let data: Vec<Vec<String>> = slice
+                .data
+                .per_selection
+                .iter()
+                .map(|bundles| {
+                    let mut keyed: Vec<_> = bundles.iter().collect();
+                    keyed.sort_by_key(|(key, _)| **key);
+                    keyed
+                        .iter()
+                        .map(|(key, b)| format!("{key}: {b:?}"))
+                        .collect()
+                })
+                .collect();
+            format!(
+                "{} [{}, {}) {:?} {:?} lw {} {} {:?} {data:?}",
+                slice.id,
+                slice.start_ts,
+                slice.end_ts,
+                slice.ends,
+                slice.session_gaps,
+                slice.low_watermark,
+                slice.low_watermark_ts,
+                slice.trace
+            )
+        };
+        slices.iter().map(render).collect()
+    }
+
+    /// Feeding a group its events in runs seals what feeding them one at
+    /// a time seals, bit for bit, with equal metrics and (`traced`) the
+    /// same trace ids.
+    fn run_slicing_equals_event_slicing(cases: u64, traced: bool) {
+        for_cases(cases, |seed, rng| {
+            let queries: Vec<Query> = (1..=rng.gen_range(1u64..6))
+                .map(|id| arb_query(rng, id))
+                .collect();
+            let ids: Vec<u64> = queries.iter().map(|q| q.id).collect();
+            let stream = arb_stream(rng);
+            let steps = arb_steps(rng, &stream, &ids);
+            let sample_every = rng.gen_range(1u64..4);
+            for group in QueryAnalyzer::default().analyze(queries).unwrap() {
+                let context = format!("seed {seed:#x}, group {}", group.id);
+                let mut by_event = GroupSlicer::new(group.clone());
+                let mut by_run = GroupSlicer::new(group);
+                if traced {
+                    by_event.set_recorder(TraceCollector::new(sample_every, 64).recorder(0));
+                    by_run.set_recorder(TraceCollector::new(sample_every, 64).recorder(0));
+                }
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                let mut checked = 0;
+                for step in &steps {
+                    match *step {
+                        Step::Run(from, to) => {
+                            let run: Vec<Event> = stream[from..to].iter().map(|e| e.0).collect();
+                            for ev in &run {
+                                by_event.on_event(ev, &mut want);
+                            }
+                            by_run.on_run(&run, &mut got);
+                        }
+                        Step::Foreign(pos) => {
+                            by_event.on_marker(&stream[pos].0, &mut want);
+                            by_run.on_marker(&stream[pos].0, &mut got);
+                        }
+                        Step::Watermark(ts) => {
+                            by_event.on_watermark(ts, &mut want);
+                            by_run.on_watermark(ts, &mut got);
+                        }
+                        Step::Remove(id, immediate) => {
+                            let removed = by_event.remove_query(id, immediate);
+                            assert_eq!(by_run.remove_query(id, immediate), removed, "{context}");
+                        }
+                    }
+                    assert_eq!(got.len(), want.len(), "{context}, after {step:?}");
+                    let sealed = bits(&got[checked..]);
+                    assert_eq!(sealed, bits(&want[checked..]), "{context}, after {step:?}");
+                    checked = got.len();
+                }
+                assert_eq!(by_run.metrics(), by_event.metrics(), "{context}");
+                let punctuation = by_event.next_punctuation();
+                assert_eq!(by_run.next_punctuation(), punctuation, "{context}");
+                let clears = by_event.unfixed_clears(0);
+                assert_eq!(by_run.unfixed_clears(0), clears, "{context}");
+                by_event.flush(&mut want);
+                by_run.flush(&mut got);
+                assert_eq!(bits(&got), bits(&want), "{context}, at the flush");
+            }
+        });
+    }
+
+    #[test]
+    fn run_slicing_equals_event_slicing_on_seeded_streams() {
+        run_slicing_equals_event_slicing(100, false);
+        run_slicing_equals_event_slicing(40, true);
+    }
+
+    #[test]
+    #[ignore = "larger case count: run in release (ci.yml)"]
+    fn run_slicing_equals_event_slicing_at_length() {
+        run_slicing_equals_event_slicing(3_000, false);
+        run_slicing_equals_event_slicing(1_000, true);
     }
 }
