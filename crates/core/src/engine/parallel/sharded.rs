@@ -312,9 +312,7 @@ impl ShardedSlicer {
 
     /// Ingests a pre-built batch.
     pub fn on_batch(&mut self, batch: &EventBatch) {
-        for ev in batch {
-            self.inlet.push(*ev);
-        }
+        self.inlet.extend_from_slice(batch.as_slice());
         if self.inlet.len() >= self.batch_size {
             self.flush_inlet(Release::Settled);
         }
@@ -371,7 +369,10 @@ impl ShardedSlicer {
             // User-defined windows close at markers, which every shard
             // must observe at the same stream position: copy marker
             // events into every part, in place.
-            let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards];
+            let share = inlet.len().div_ceil(self.shards);
+            let mut parts: Vec<Vec<Event>> = (0..self.shards)
+                .map(|_| Vec::with_capacity(share))
+                .collect();
             for ev in &inlet {
                 if ev.marker.is_some() {
                     for part in &mut parts {

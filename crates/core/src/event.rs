@@ -126,6 +126,12 @@ impl EventBatch {
         self.events.push(ev);
     }
 
+    /// Appends a slice of events with one copy.
+    #[inline]
+    pub fn extend_from_slice(&mut self, events: &[Event]) {
+        self.events.extend_from_slice(events);
+    }
+
     /// Number of batched events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -154,9 +160,11 @@ impl EventBatch {
     /// Splits the batch into `shards` per-shard batches by `key % shards`,
     /// preserving the relative order of events within each shard — the
     /// partitioning a key-sharded engine relies on for per-key exactness.
+    /// Each part starts with room for an even share of the batch.
     pub fn partition_by_key(&self, shards: usize) -> Vec<Vec<Event>> {
         let shards = shards.max(1);
-        let mut parts = vec![Vec::new(); shards];
+        let share = self.events.len().div_ceil(shards);
+        let mut parts: Vec<Vec<Event>> = (0..shards).map(|_| Vec::with_capacity(share)).collect();
         for ev in &self.events {
             parts[ev.key as usize % shards].push(*ev);
         }
