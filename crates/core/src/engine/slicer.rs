@@ -146,10 +146,8 @@ pub struct GroupSlicer {
 /// the answer here. Otherwise the aggregation loop is the one reader and
 /// evaluates the predicates itself; sessions and counts read what it
 /// accepted ([`Seen`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct MatchColumn {
-    /// Whether the group fills the column.
-    keep: bool,
     /// One flag per event of the run, selection after selection.
     accepts: Vec<bool>,
     /// Events of the run the column holds (0: it holds none).
@@ -157,21 +155,12 @@ struct MatchColumn {
 }
 
 impl MatchColumn {
-    /// A column the group fills if `keep`.
-    fn new(keep: bool) -> Self {
-        Self {
-            keep,
-            accepts: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Evaluates every selection's predicate over `run`, if the group
-    /// keeps the column and the run is longer than one event.
+    /// Evaluates every selection's predicate over `run`, if it is longer
+    /// than one event.
     #[inline]
     fn fill(&mut self, selections: &[Selection], run: &[Event]) {
         self.len = 0;
-        if !self.keep || run.len() < 2 {
+        if run.len() < 2 {
             return;
         }
         self.accepts.clear();
@@ -272,7 +261,7 @@ impl GroupSlicer {
         let fixed_specs = group.fixed_time_specs();
         let fixed_queries = group.fixed_time_queries();
         let fixed_instances = vec![VecDeque::new(); group.queries.len()];
-        let sessions: Vec<SessionSlot> = group
+        let sessions = group
             .session_queries()
             .into_iter()
             .map(|(query_idx, gap)| SessionSlot {
@@ -281,7 +270,7 @@ impl GroupSlicer {
                 open: None,
             })
             .collect();
-        let uds: Vec<UdSlot> = group
+        let uds = group
             .user_defined_queries()
             .into_iter()
             .map(|(query_idx, channel)| UdSlot {
@@ -290,7 +279,7 @@ impl GroupSlicer {
                 open: None,
             })
             .collect();
-        let counts: Vec<CountSlot> = group
+        let counts = group
             .count_queries()
             .into_iter()
             .map(|(query_idx, spec)| CountSlot {
@@ -304,7 +293,6 @@ impl GroupSlicer {
             })
             .collect();
         let selections = group.selections.len();
-        let data_driven = !(sessions.is_empty() && counts.is_empty() && uds.is_empty());
         let draining = vec![false; group.queries.len()];
         Self {
             group,
@@ -323,7 +311,7 @@ impl GroupSlicer {
             last_seen_ts: 0,
             metrics: EngineMetrics::default(),
             draining,
-            matches: MatchColumn::new(data_driven),
+            matches: MatchColumn::default(),
             seen: vec![Seen::default(); selections],
             tracer: None,
         }
@@ -494,6 +482,8 @@ impl GroupSlicer {
     /// Events must arrive in non-decreasing timestamp order per slicer;
     /// this matches the paper's generators and is asserted in debug
     /// builds.
+    // Always inlined: a run of one ([`GroupSlicer::on_event`]) then
+    // compiles to straight-line code.
     #[inline(always)]
     pub fn on_run(&mut self, run: &[Event], out: &mut Vec<SealedSlice>) {
         let Some(first) = run.first() else { return };
@@ -505,12 +495,14 @@ impl GroupSlicer {
             "out-of-order run after {}",
             self.last_seen_ts
         );
-        self.matches.fill(&self.group.selections, run);
         // Session, count and user-defined windows put boundaries where the
         // data says; without them a segment ends at the next time
         // punctuation.
         let data_driven =
             !(self.sessions.is_empty() && self.counts.is_empty() && self.uds.is_empty());
+        if data_driven {
+            self.matches.fill(&self.group.selections, run);
+        }
         let mut from = 0;
         while from < run.len() {
             let ts = run[from].ts;
