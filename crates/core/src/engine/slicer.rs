@@ -1792,4 +1792,229 @@ mod tests {
         run_slicing_equals_event_slicing(3_000, false);
         run_slicing_equals_event_slicing(1_000, true);
     }
+
+    /// The window classes a removal is pinned on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Removed {
+        Tumbling,
+        Sliding,
+        Session,
+        Count,
+        UserDefined,
+    }
+
+    /// When a removal is pinned at: before the first event, or right
+    /// after the first event at 85 ms (every window is open and none
+    /// ends), at 300 ms (a time punctuation of every time window) or the
+    /// 42nd event (a punctuation of both count windows, the tie of a start
+    /// marker at 160 ms).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Moment {
+        BeforeFirstEvent,
+        MidWindow,
+        OnTimePunctuation,
+        OnCountBoundary,
+    }
+
+    /// An event every 5 ms (two at multiples of 20 ms), with gaps at
+    /// [200, 260) and [450, 490) that close sessions, and user-defined
+    /// windows on channel 1 from `ts % 150 == 10` to `ts % 150 == 115`.
+    fn removal_stream() -> Vec<Event> {
+        let gap = |ts: &u64| (200..260).contains(ts) || (450..490).contains(ts);
+        let mut events = Vec::new();
+        for ts in (0..700u64).step_by(5).filter(|ts| !gap(ts)) {
+            for copy in 0..1 + u64::from(ts % 20 == 0) {
+                let i = events.len() as u64;
+                let mut ev = Event::new(ts, (i % 3) as u32, (i % 7) as f64 * 0.3 - 0.5);
+                let kind = match ts % 150 {
+                    10 => Some(MarkerKind::Start),
+                    115 => Some(MarkerKind::End),
+                    _ => None,
+                };
+                ev.marker = kind
+                    .filter(|_| copy == 0)
+                    .map(|kind| Marker { channel: 1, kind });
+                events.push(ev);
+            }
+        }
+        events
+    }
+
+    /// Folds `words` into an FNV-1a digest.
+    fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        for word in words {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Every sealed slice's id, extent, window ends, session gaps, both
+    /// low watermarks and partials, floats by their bits and keys in
+    /// order.
+    fn digest(h: u64, slices: &[SealedSlice]) -> u64 {
+        slices.iter().fold(h, |mut h, s| {
+            h = fnv(h, [s.id, s.start_ts, s.end_ts]);
+            h = fnv(h, [s.low_watermark, s.low_watermark_ts]);
+            for e in &s.ends {
+                h = fnv(h, [e.query, e.first_slice, e.last_slice]);
+                h = fnv(h, [e.start_ts, e.end_ts]);
+            }
+            for g in &s.session_gaps {
+                h = fnv(h, [u64::MAX, g.query, g.gap_start, g.gap_end]);
+            }
+            for bundles in &s.data.per_selection {
+                let mut keyed: Vec<_> = bundles.iter().collect();
+                keyed.sort_by_key(|(key, _)| **key);
+                for (key, b) in keyed {
+                    let floats = [b.sum, b.product, b.sum_sq, b.min, b.max];
+                    let flags = u64::from(b.seen) << 1 | u64::from(b.sorted);
+                    h = fnv(h, [u64::from(*key), b.count, flags]);
+                    h = fnv(h, floats.iter().chain(&b.values).map(|v| v.to_bits()));
+                }
+            }
+            h
+        })
+    }
+
+    /// Removes query 1 (`removed`'s window class, a median) from a group
+    /// that keeps a tumbling time window and a tumbling count window, at
+    /// `moment`, over [`removal_stream`] fed one event at a time or in
+    /// runs, with a watermark at 418 ms, one at 1 000 ms and a flush.
+    /// Digests every sealed slice, what `remove_query` returned, and the
+    /// next punctuation and clear frontiers right after the removal and
+    /// at the end.
+    fn removal_digest(removed: Removed, immediate: bool, moment: Moment, runs: bool) -> u64 {
+        let window = match removed {
+            Removed::Tumbling => WindowSpec::tumbling_time(60),
+            Removed::Sliding => WindowSpec::sliding_time(90, 30),
+            Removed::Session => WindowSpec::session(25),
+            Removed::Count => WindowSpec::sliding_count(6, 3),
+            Removed::UserDefined => Ok(WindowSpec::user_defined(1)),
+        };
+        let tumbling = WindowSpec::tumbling_time(100).unwrap();
+        let counted = WindowSpec::tumbling_count(7).unwrap();
+        let members = vec![
+            (Query::new(1, window.unwrap(), AggFunction::Median), 0),
+            (Query::new(2, tumbling, AggFunction::Sum), 0),
+            (Query::new(3, counted, AggFunction::Variance), 0),
+        ];
+        let mut s = GroupSlicer::new(QueryGroup::build(0, members, vec![Predicate::True]));
+        let stream = removal_stream();
+        let after = |ts: Timestamp| 1 + stream.iter().position(|ev| ev.ts == ts).unwrap();
+        let at = match moment {
+            Moment::BeforeFirstEvent => 0,
+            Moment::MidWindow => after(85),
+            Moment::OnTimePunctuation => after(300),
+            Moment::OnCountBoundary => 42,
+        };
+        let watermark = stream.iter().position(|ev| ev.ts > 418).unwrap();
+        let state = |s: &GroupSlicer, h: u64| {
+            let clears = s.unfixed_clears(0).into_iter();
+            let clears = clears.flat_map(|(qi, ts)| [qi as u64, ts]);
+            let next = s.next_punctuation().unwrap_or(u64::MAX);
+            fnv(h, clears.chain([next]))
+        };
+        let (mut out, mut h, mut from) = (Vec::new(), 0xcbf2_9ce4_8422_2325, 0);
+        let mut feed = |s: &mut GroupSlicer, out: &mut Vec<SealedSlice>, to: usize| {
+            if runs {
+                s.on_run(&stream[from..to], out);
+            } else {
+                for ev in &stream[from..to] {
+                    s.on_event(ev, out);
+                }
+            }
+            from = to;
+        };
+        let mut points = [(at, true), (watermark, false)];
+        points.sort();
+        for (pos, remove) in points {
+            feed(&mut s, &mut out, pos);
+            if remove {
+                h = fnv(h, [u64::from(s.remove_query(1, immediate))]);
+                h = state(&s, h);
+            } else {
+                s.on_watermark(418, &mut out);
+            }
+        }
+        feed(&mut s, &mut out, stream.len());
+        s.on_watermark(1_000, &mut out);
+        s.flush(&mut out);
+        digest(state(&s, h), &out)
+    }
+
+    /// Runtime removal of every window class, immediate and draining, at
+    /// four moments of the stream, pinned by digest: the removal
+    /// differentials compare engines that all run this slicer.
+    #[test]
+    fn removal_is_pinned_per_window_class_mode_and_moment() {
+        use Moment::*;
+        use Removed::*;
+        #[rustfmt::skip]
+        let want = [
+            (Tumbling, true, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Tumbling, true, MidWindow, 0x4a43aa949e1579f0),
+            (Tumbling, true, OnTimePunctuation, 0x77c58c018c60dfe2),
+            (Tumbling, true, OnCountBoundary, 0x4a074ed710d0b7e),
+            (Tumbling, false, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Tumbling, false, MidWindow, 0xb69c8049a1910562),
+            (Tumbling, false, OnTimePunctuation, 0xec5b78904e6a8ea2),
+            (Tumbling, false, OnCountBoundary, 0xb2b7d00276b754c0),
+            (Sliding, true, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Sliding, true, MidWindow, 0xfd03222a2029f566),
+            (Sliding, true, OnTimePunctuation, 0xd2fef710539a639),
+            (Sliding, true, OnCountBoundary, 0x5563b98ba6fdde07),
+            (Sliding, false, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Sliding, false, MidWindow, 0xb0a1afcbe7dc12bd),
+            (Sliding, false, OnTimePunctuation, 0xd3f2c31957243ab4),
+            (Sliding, false, OnCountBoundary, 0x6d98d3a6cd2894b6),
+            (Session, true, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Session, true, MidWindow, 0x20b58e08407c98ac),
+            (Session, true, OnTimePunctuation, 0x49972bc2dc56b2e9),
+            (Session, true, OnCountBoundary, 0xb49ba1f280bd8c5b),
+            (Session, false, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Session, false, MidWindow, 0xc8bab6e27ae392bb),
+            (Session, false, OnTimePunctuation, 0xe87ef99c02655fb),
+            (Session, false, OnCountBoundary, 0x9732bb68063212ca),
+            (Count, true, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Count, true, MidWindow, 0x5d35ddf9e8e108ab),
+            (Count, true, OnTimePunctuation, 0x3e2356abfaaa97e),
+            (Count, true, OnCountBoundary, 0xabdb397b35a5c792),
+            (Count, false, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (Count, false, MidWindow, 0xc6ebbc23934d3195),
+            (Count, false, OnTimePunctuation, 0xfba4b3a8b654ac74),
+            (Count, false, OnCountBoundary, 0x7cb41c0f8ee3569c),
+            (UserDefined, true, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (UserDefined, true, MidWindow, 0x658c13af91ccd347),
+            (UserDefined, true, OnTimePunctuation, 0x701722b56847c54d),
+            (UserDefined, true, OnCountBoundary, 0x2cadf8dcf73ba6b9),
+            (UserDefined, false, BeforeFirstEvent, 0xab91453d0c3a6350),
+            (UserDefined, false, MidWindow, 0x6f48fa5e088a9aa6),
+            (UserDefined, false, OnTimePunctuation, 0x701722b56847c54d),
+            (UserDefined, false, OnCountBoundary, 0x5bc7ad738f68bdfa),
+        ];
+        let moments = [
+            BeforeFirstEvent,
+            MidWindow,
+            OnTimePunctuation,
+            OnCountBoundary,
+        ];
+        let mut got = Vec::new();
+        for removed in [Tumbling, Sliding, Session, Count, UserDefined] {
+            for immediate in [true, false] {
+                for moment in moments {
+                    let by_event = removal_digest(removed, immediate, moment, false);
+                    let by_run = removal_digest(removed, immediate, moment, true);
+                    assert_eq!(by_run, by_event, "{removed:?} {immediate} {moment:?}");
+                    got.push((removed, immediate, moment, by_event));
+                }
+            }
+        }
+        let table: Vec<String> = got
+            .iter()
+            .map(|(r, i, m, d)| format!("({r:?}, {i}, {m:?}, {d:#x}),"))
+            .collect();
+        assert_eq!(got, want, "\n{}", table.join("\n"));
+    }
 }
