@@ -4,15 +4,14 @@
 //! and in which every event is processed exactly once. The query analyzer
 //! compiles raw [`Query`] definitions into a [`QueryGroup`]: selections are
 //! deduplicated, aggregation functions are lowered to a per-selection
-//! operator set, and the group records which punctuation machinery
-//! (fixed time, count, session, marker) its slicer must run.
+//! operator set, and the execution mode is classified. The punctuation
+//! machinery (fixed time, count, session, marker) is the slicer's to read
+//! off the member windows.
 
 use crate::aggregate::OperatorSet;
-use crate::event::MarkerChannel;
 use crate::predicate::Predicate;
 use crate::query::{Query, QueryId};
-use crate::time::DurationMs;
-use crate::window::{Measure, WindowKind, WindowSpec};
+use crate::window::{Measure, WindowKind};
 
 /// Index of a query-group within an engine.
 pub type GroupId = u32;
@@ -131,57 +130,6 @@ impl QueryGroup {
         }
     }
 
-    /// Distinct fixed time-measured window specs in this group, used by the
-    /// slicer to precompute punctuations.
-    pub fn fixed_time_specs(&self) -> Vec<WindowSpec> {
-        let mut specs: Vec<WindowSpec> = Vec::new();
-        for cq in &self.queries {
-            let w = cq.query.window;
-            if w.has_precomputable_puncts() && !specs.contains(&w) {
-                specs.push(w);
-            }
-        }
-        specs
-    }
-
-    /// Session gaps per session query: `(query index, gap)`.
-    pub fn session_queries(&self) -> Vec<(usize, DurationMs)> {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, cq)| cq.query.window.session_gap().map(|g| (i, g)))
-            .collect()
-    }
-
-    /// Marker channels per user-defined query: `(query index, channel)`.
-    pub fn user_defined_queries(&self) -> Vec<(usize, MarkerChannel)> {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, cq)| cq.query.window.marker_channel().map(|c| (i, c)))
-            .collect()
-    }
-
-    /// Count-measured queries: `(query index, spec)`.
-    pub fn count_queries(&self) -> Vec<(usize, WindowSpec)> {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(_, cq)| cq.query.window.measure == Measure::Count)
-            .map(|(i, cq)| (i, cq.query.window))
-            .collect()
-    }
-
-    /// Indices of time-measured fixed-size queries.
-    pub fn fixed_time_queries(&self) -> Vec<usize> {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(_, cq)| cq.query.window.has_precomputable_puncts())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Looks up a member query by id.
     pub fn query_index(&self, id: QueryId) -> Option<usize> {
         self.queries.iter().position(|cq| cq.query.id == id)
@@ -252,7 +200,6 @@ mod tests {
             vec![Predicate::True],
         );
         assert_eq!(g.execution, GroupExecution::RootRaw);
-        assert_eq!(g.count_queries().len(), 1);
     }
 
     #[test]
@@ -272,10 +219,6 @@ mod tests {
             ],
             vec![Predicate::True],
         );
-        assert_eq!(g.fixed_time_specs().len(), 2); // t deduped
-        assert_eq!(g.session_queries(), vec![(3, 300)]);
-        assert_eq!(g.user_defined_queries(), vec![(4, 2)]);
-        assert_eq!(g.fixed_time_queries(), vec![0, 1, 2]);
         assert!(g.has_unfixed_windows());
         assert_eq!(g.query_index(4), Some(3));
         assert_eq!(g.query_index(99), None);

@@ -61,6 +61,13 @@ enum Release {
     All,
 }
 
+/// Whether `group` has user-defined windows: its shards must all see
+/// every marker.
+fn listens_to_markers(group: &QueryGroup) -> bool {
+    let mut windows = group.queries.iter().map(|cq| cq.query.window);
+    windows.any(|w| w.marker_channel().is_some())
+}
+
 /// Lifecycle of one shard as seen by the collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShardState {
@@ -174,7 +181,7 @@ impl ShardedSlicer {
             buffered_max: 0,
             reached: None,
             shards,
-            broadcast: groups.iter().any(|g| !g.user_defined_queries().is_empty()),
+            broadcast: groups.iter().any(listens_to_markers),
             seq: 0,
             counts: count_groups.iter().map(CountFilter::of).collect(),
             panics: 0,
@@ -261,7 +268,7 @@ impl ShardedSlicer {
     /// next ingested event (the inlet is flushed first).
     pub fn add_group(&mut self, group: QueryGroup) -> usize {
         self.flush_inlet(Release::Settled);
-        self.broadcast |= !group.user_defined_queries().is_empty();
+        self.broadcast |= listens_to_markers(&group);
         self.mergers.push(GroupMerger::new(&group, self.shards));
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::AddGroup(group.clone()));

@@ -6,12 +6,19 @@
 //! the current slice, and annotates each sealed slice with the window end
 //! punctuations (`ep`s) that terminate at it.
 //!
-//! Fixed-size time windows have their punctuations computed *in advance*:
-//! the slicer caches the next punctuation time, and a run of events
-//! between two punctuations costs one `partition_point` on their
+//! Each member query has one slot: what it has open, and whether it
+//! drains. A fixed-size window is one slot type whatever its measure,
+//! with one close-at-punctuation / open-at-punctuation pair; a
+//! count-measured slot only adds its own clock, the events its selection
+//! matched. Fixed-size time windows have their punctuations computed *in
+//! advance*: the slicer caches the next punctuation time, and a run of
+//! events between two punctuations costs one `partition_point` on their
 //! timestamps (this is why Desis' throughput is flat in the number of
-//! concurrent windows, Figure 6b). Session windows, user-defined windows,
-//! and count-measured windows contribute data-driven punctuations.
+//! concurrent windows, Figure 6b). Session windows, user-defined windows
+//! (at most one open window each) and count-measured windows contribute
+//! data-driven punctuations. A removed query's slot drains (Section 3.2):
+//! it opens no new window, and one retirement pass — run at the removal
+//! and after every seal — drops it once nothing of it is open.
 //!
 //! [`GroupSlicer::on_run`] is the one way events come in
 //! ([`GroupSlicer::on_event`] is a run of one). The run is cut into
@@ -32,25 +39,137 @@ use std::ops::Range;
 use rustc_hash::FxHashMap;
 
 use crate::aggregate::{OperatorBundle, OperatorSet};
-use crate::engine::group::{QueryGroup, Selection};
+use crate::engine::group::{CompiledQuery, QueryGroup, Selection};
 use crate::engine::slice::{SealedSlice, SessionGap, SliceData, SliceId, WindowEnd};
 use crate::event::{Event, Key, MarkerChannel, MarkerKind};
 use crate::metrics::EngineMetrics;
 use crate::obs::trace::{SpanKind, TraceId, TraceRecorder};
 use crate::time::{DurationMs, Timestamp};
-use crate::window::{WindowKind, WindowSpec};
+use crate::window::{Measure, WindowKind, WindowSpec};
 
-/// An active window instance of a fixed-size (time- or count-measured)
-/// window query.
+/// One member query's window state: what it has open, and whether it
+/// drains — opens no new windows while those in flight complete
+/// (Section 3.2). [`GroupSlicer::retire`] drops a draining slot with
+/// nothing open.
+#[derive(Debug, Clone)]
+struct Slot<W> {
+    query_idx: usize,
+    draining: bool,
+    windows: W,
+}
+
+/// What a slot has open, whatever its window class.
+trait Windows {
+    /// The oldest open window's first slice and, in event time, its
+    /// start (`None` for a count window: its extent is in the count
+    /// domain).
+    fn oldest(&self) -> Option<(SliceId, Option<Timestamp>)>;
+
+    /// Drops every open window.
+    fn clear(&mut self);
+}
+
+impl<W> Slot<W> {
+    fn new(query_idx: usize, windows: W) -> Self {
+        Self {
+            query_idx,
+            draining: false,
+            windows,
+        }
+    }
+}
+
+/// An open window of a fixed-size window query.
 #[derive(Debug, Clone)]
 struct Instance {
-    /// Window start in the punctuation domain (ms for time, events for
-    /// count).
-    start_punct: u64,
-    /// Window start in event time (informational).
-    start_ts: Timestamp,
+    /// Window start in the punctuation domain (ms for time, matched
+    /// events for count); count windows report their extent there too.
+    start: u64,
     /// First slice of the window.
     first_slice: SliceId,
+}
+
+/// Fixed-size windows, time- or count-measured: the open instances,
+/// oldest first. `C` is what the measure adds: nothing for time, whose
+/// clock is the stream's, and a [`Counter`] for count.
+#[derive(Debug, Clone)]
+struct Fixed<C = ()> {
+    spec: WindowSpec,
+    instances: VecDeque<Instance>,
+    counter: C,
+}
+
+/// A count window's own clock.
+#[derive(Debug, Clone, Copy)]
+struct Counter {
+    /// Events matched by the query's selection so far.
+    count: u64,
+    /// Next punctuation in the count domain.
+    next_punct: u64,
+}
+
+impl Counter {
+    /// Whether the matched events reached the next punctuation.
+    fn due(&self) -> bool {
+        self.count == self.next_punct
+    }
+}
+
+impl<C> Fixed<C> {
+    fn new(spec: WindowSpec, counter: C) -> Self {
+        Self {
+            spec,
+            instances: VecDeque::new(),
+            counter,
+        }
+    }
+}
+
+impl<C> Windows for Fixed<C> {
+    fn oldest(&self) -> Option<(SliceId, Option<Timestamp>)> {
+        let time = self.spec.measure == Measure::Time;
+        let inst = self.instances.front()?;
+        Some((inst.first_slice, time.then_some(inst.start)))
+    }
+
+    fn clear(&mut self) {
+        self.instances.clear();
+    }
+}
+
+impl<C> Slot<Fixed<C>> {
+    /// Closes the oldest open window if one of the query's windows ends
+    /// at punctuation `p` (a time, or a count of matched events), with
+    /// `last_slice` its last slice.
+    fn close_at(
+        &mut self,
+        p: u64,
+        last_slice: SliceId,
+        queries: &[CompiledQuery],
+    ) -> Option<WindowEnd> {
+        let start = self.windows.spec.fixed_window_ending_at(p)?;
+        let inst = self.windows.instances.pop_front()?;
+        debug_assert_eq!(inst.start, start, "window end out of order");
+        Some(WindowEnd {
+            query: queries[self.query_idx].query.id,
+            first_slice: inst.first_slice,
+            last_slice,
+            start_ts: inst.start,
+            end_ts: p,
+        })
+    }
+
+    /// Opens a window if one of the query's windows starts at
+    /// punctuation `p` and the query does not drain, with `first_slice`
+    /// its first slice.
+    fn open_at(&mut self, p: u64, first_slice: SliceId) {
+        if !self.draining && self.windows.spec.fixed_window_starting_at(p) {
+            self.windows.instances.push_back(Instance {
+                start: p,
+                first_slice,
+            });
+        }
+    }
 }
 
 /// An open session of a session-window query.
@@ -69,12 +188,22 @@ impl OpenSession {
     }
 }
 
-/// Per-session-query state.
+/// A session-window query's gap and open session.
 #[derive(Debug, Clone)]
-struct SessionSlot {
-    query_idx: usize,
+struct Session {
     gap: DurationMs,
     open: Option<OpenSession>,
+}
+
+impl Windows for Session {
+    fn oldest(&self) -> Option<(SliceId, Option<Timestamp>)> {
+        let open = self.open.as_ref()?;
+        Some((open.first_slice, Some(open.first_ts)))
+    }
+
+    fn clear(&mut self) {
+        self.open = None;
+    }
 }
 
 /// An open user-defined window.
@@ -84,41 +213,76 @@ struct OpenUd {
     first_slice: SliceId,
 }
 
-/// Per-user-defined-query state.
+/// A user-defined-window query's marker channel and open window.
 #[derive(Debug, Clone)]
-struct UdSlot {
-    query_idx: usize,
+struct UserDefined {
     channel: MarkerChannel,
     open: Option<OpenUd>,
 }
 
-/// Per-count-query state: its own matched-event counter and instances.
-#[derive(Debug, Clone)]
-struct CountSlot {
-    query_idx: usize,
-    spec: WindowSpec,
-    /// Events matched by this query's selection so far.
-    count: u64,
-    /// Next punctuation in the count domain.
-    next_punct: u64,
-    instances: VecDeque<Instance>,
+impl Windows for UserDefined {
+    fn oldest(&self) -> Option<(SliceId, Option<Timestamp>)> {
+        let open = self.open.as_ref()?;
+        Some((open.first_slice, Some(open.start_ts)))
+    }
+
+    fn clear(&mut self) {
+        self.open = None;
+    }
+}
+
+/// Removes query `idx` if `slots` holds its slot: the slot drains, with
+/// nothing open left if `immediate`. `false` if `slots` does not hold it.
+fn stop<W: Windows>(slots: &mut [Slot<W>], idx: usize, immediate: bool) -> bool {
+    let Some(slot) = slots.iter_mut().find(|s| s.query_idx == idx) else {
+        return false;
+    };
+    slot.draining = true;
+    if immediate {
+        slot.windows.clear();
+    }
+    true
+}
+
+/// Drops every draining slot with nothing open; `true` if any was.
+fn retire<W: Windows>(slots: &mut Vec<Slot<W>>) -> bool {
+    let len = slots.len();
+    slots.retain(|s| !s.draining || s.windows.oldest().is_some());
+    slots.len() < len
+}
+
+/// The oldest open window of every slot ([`Windows::oldest`]).
+fn oldest<W: Windows>(
+    slots: &[Slot<W>],
+) -> impl Iterator<Item = (SliceId, Option<Timestamp>)> + '_ {
+    slots.iter().filter_map(|s| s.windows.oldest())
+}
+
+/// The distinct specs of time-measured fixed-size slots: the sources of
+/// the precomputed punctuations.
+fn time_specs(fixed: &[Slot<Fixed>]) -> Vec<WindowSpec> {
+    let mut specs: Vec<WindowSpec> = Vec::new();
+    for slot in fixed {
+        if !specs.contains(&slot.windows.spec) {
+            specs.push(slot.windows.spec);
+        }
+    }
+    specs
 }
 
 /// Slicer for one query-group.
 #[derive(Debug, Clone)]
 pub struct GroupSlicer {
     group: QueryGroup,
-    /// Deduplicated fixed time-measured specs (punctuation sources).
+    /// Deduplicated specs of `fixed` (punctuation sources).
     fixed_specs: Vec<WindowSpec>,
-    /// Indices of time-measured fixed-window queries.
-    fixed_queries: Vec<usize>,
-    /// Active instances, indexed by query index (empty for non-fixed).
-    fixed_instances: Vec<VecDeque<Instance>>,
+    /// Time-measured fixed-size windows.
+    fixed: Vec<Slot<Fixed>>,
     /// Cached earliest upcoming fixed-time punctuation.
     next_time_punct: Option<Timestamp>,
-    sessions: Vec<SessionSlot>,
-    uds: Vec<UdSlot>,
-    counts: Vec<CountSlot>,
+    sessions: Vec<Slot<Session>>,
+    uds: Vec<Slot<UserDefined>>,
+    counts: Vec<Slot<Fixed<Counter>>>,
     slice_seq: SliceId,
     cur_start: Timestamp,
     cur_events: u64,
@@ -126,9 +290,6 @@ pub struct GroupSlicer {
     initialized: bool,
     last_seen_ts: Timestamp,
     metrics: EngineMetrics,
-    /// Per-query-index draining flag (Section 3.2): a draining query opens
-    /// no new windows but its in-flight windows still complete.
-    draining: Vec<bool>,
     /// The match column of the run being sliced (reused across runs).
     matches: MatchColumn,
     /// What each selection accepted of the segment being sliced.
@@ -256,49 +417,44 @@ struct TracerState {
 }
 
 impl GroupSlicer {
-    /// Creates a slicer for `group`.
+    /// Creates a slicer for `group`: one slot per member window query.
     pub fn new(group: QueryGroup) -> Self {
-        let fixed_specs = group.fixed_time_specs();
-        let fixed_queries = group.fixed_time_queries();
-        let fixed_instances = vec![VecDeque::new(); group.queries.len()];
-        let sessions = group
-            .session_queries()
-            .into_iter()
-            .map(|(query_idx, gap)| SessionSlot {
-                query_idx,
-                gap,
-                open: None,
-            })
-            .collect();
-        let uds = group
-            .user_defined_queries()
-            .into_iter()
-            .map(|(query_idx, channel)| UdSlot {
-                query_idx,
-                channel,
-                open: None,
-            })
-            .collect();
-        let counts = group
-            .count_queries()
-            .into_iter()
-            .map(|(query_idx, spec)| CountSlot {
-                query_idx,
-                spec,
-                count: 0,
-                // A validated count spec always has punctuations; if one
-                // somehow does not, the slot simply never seals.
-                next_punct: spec.next_count_punct_after(0).unwrap_or(u64::MAX),
-                instances: VecDeque::new(),
-            })
-            .collect();
+        let (mut fixed, mut sessions, mut uds, mut counts) = (vec![], vec![], vec![], vec![]);
+        for (idx, cq) in group.queries.iter().enumerate() {
+            let spec = cq.query.window;
+            match spec.kind {
+                WindowKind::Session { gap } => {
+                    sessions.push(Slot::new(idx, Session { gap, open: None }));
+                }
+                WindowKind::UserDefined { channel } => {
+                    uds.push(Slot::new(
+                        idx,
+                        UserDefined {
+                            channel,
+                            open: None,
+                        },
+                    ));
+                }
+                _ if spec.measure == Measure::Time => {
+                    fixed.push(Slot::new(idx, Fixed::new(spec, ())))
+                }
+                _ => {
+                    // A validated count spec always has punctuations; if
+                    // one somehow does not, the slot simply never seals.
+                    let next_punct = spec.next_count_punct_after(0).unwrap_or(u64::MAX);
+                    let counter = Counter {
+                        count: 0,
+                        next_punct,
+                    };
+                    counts.push(Slot::new(idx, Fixed::new(spec, counter)));
+                }
+            }
+        }
         let selections = group.selections.len();
-        let draining = vec![false; group.queries.len()];
         Self {
             group,
-            fixed_specs,
-            fixed_queries,
-            fixed_instances,
+            fixed_specs: time_specs(&fixed),
+            fixed,
             next_time_punct: None,
             sessions,
             uds,
@@ -310,7 +466,6 @@ impl GroupSlicer {
             initialized: false,
             last_seen_ts: 0,
             metrics: EngineMetrics::default(),
-            draining,
             matches: MatchColumn::default(),
             seen: vec![Seen::default(); selections],
             tracer: None,
@@ -350,52 +505,33 @@ impl GroupSlicer {
         let Some(idx) = self.group.query_index(id) else {
             return false;
         };
-        let tracked = self.fixed_queries.contains(&idx)
-            || self.sessions.iter().any(|s| s.query_idx == idx)
-            || self.uds.iter().any(|s| s.query_idx == idx)
-            || self.counts.iter().any(|s| s.query_idx == idx);
-        if !tracked {
-            return false;
-        }
-        if immediate {
-            self.fixed_queries.retain(|&qi| qi != idx);
-            self.fixed_instances[idx].clear();
-            self.sessions.retain(|s| s.query_idx != idx);
-            self.uds.retain(|s| s.query_idx != idx);
-            self.counts.retain(|s| s.query_idx != idx);
-        } else {
-            self.draining[idx] = true;
-            // Slots with nothing in flight are done already.
-            self.sessions
-                .retain(|s| s.query_idx != idx || s.open.is_some());
-            self.uds.retain(|s| s.query_idx != idx || s.open.is_some());
-            self.counts
-                .retain(|s| s.query_idx != idx || !s.instances.is_empty());
-            if self.fixed_instances[idx].is_empty() {
-                self.fixed_queries.retain(|&qi| qi != idx);
-            }
-        }
-        self.recompute_fixed_specs();
-        true
+        let stopped = stop(&mut self.fixed, idx, immediate)
+            | stop(&mut self.sessions, idx, immediate)
+            | stop(&mut self.uds, idx, immediate)
+            | stop(&mut self.counts, idx, immediate);
+        self.retire();
+        stopped
     }
 
-    /// Rebuilds the fixed-spec punctuation sources after query removal.
-    fn recompute_fixed_specs(&mut self) {
-        let mut specs: Vec<WindowSpec> = Vec::new();
-        for &qi in &self.fixed_queries {
-            let w = self.group.queries[qi].query.window;
-            if !specs.contains(&w) {
-                specs.push(w);
+    /// Drops every draining slot with nothing open: the one place a
+    /// removed query leaves the slicer, run at the removal and after
+    /// every seal. A retired fixed time slot no longer punctuates.
+    fn retire(&mut self) {
+        retire(&mut self.sessions);
+        retire(&mut self.uds);
+        retire(&mut self.counts);
+        if retire(&mut self.fixed) {
+            self.fixed_specs = time_specs(&self.fixed);
+            if self.initialized {
+                self.next_time_punct = self.next_fixed_punct(self.last_seen_ts);
             }
         }
-        self.fixed_specs = specs;
-        if self.initialized {
-            self.next_time_punct = self
-                .fixed_specs
-                .iter()
-                .filter_map(|s| s.next_time_punct_after(self.last_seen_ts))
-                .min();
-        }
+    }
+
+    /// The earliest fixed-window punctuation strictly after `ts`.
+    fn next_fixed_punct(&self, ts: Timestamp) -> Option<Timestamp> {
+        let puncts = self.fixed_specs.iter();
+        puncts.filter_map(|s| s.next_time_punct_after(ts)).min()
     }
 
     /// The event time the slicer's stream stands at: its newest event,
@@ -418,36 +554,24 @@ impl GroupSlicer {
     fn init(&mut self, first_ts: Timestamp) {
         self.cur_start = first_ts;
         self.last_seen_ts = first_ts;
-        for &qi in &self.fixed_queries {
-            let spec = self.group.queries[qi].query.window;
-            match spec.kind {
-                WindowKind::Tumbling { length } => {
-                    let aligned = first_ts / length * length;
-                    self.fixed_instances[qi].push_back(Instance {
-                        start_punct: aligned,
-                        start_ts: aligned,
-                        first_slice: self.slice_seq,
-                    });
-                }
-                WindowKind::Sliding { length, step } => {
-                    // All windows [k*step, k*step + length) covering first_ts.
-                    let k_min = if first_ts < length {
-                        0
-                    } else {
-                        (first_ts - length) / step + 1
-                    };
-                    let k_max = first_ts / step;
-                    for k in k_min..=k_max {
-                        self.fixed_instances[qi].push_back(Instance {
-                            start_punct: k * step,
-                            start_ts: k * step,
-                            first_slice: self.slice_seq,
-                        });
-                    }
-                }
-                // `fixed_queries` is built to hold only tumbling/sliding;
-                // anything else opens no instance.
-                _ => {}
+        for slot in &mut self.fixed {
+            let (length, step) = match slot.windows.spec.kind {
+                WindowKind::Tumbling { length } => (length, length),
+                WindowKind::Sliding { length, step } => (length, step),
+                // Fixed slots are built for tumbling/sliding windows only.
+                _ => continue,
+            };
+            // All windows [k*step, k*step + length) covering first_ts.
+            let k_min = if first_ts < length {
+                0
+            } else {
+                (first_ts - length) / step + 1
+            };
+            for k in k_min..=first_ts / step {
+                slot.windows.instances.push_back(Instance {
+                    start: k * step,
+                    first_slice: self.slice_seq,
+                });
             }
         }
         for slot in &mut self.counts {
@@ -455,17 +579,9 @@ impl GroupSlicer {
             // Count windows report window_start/window_end in the count
             // domain (matched-event offsets), since their event-time
             // extent depends on data arrival.
-            slot.instances.push_back(Instance {
-                start_punct: 0,
-                start_ts: 0,
-                first_slice: self.slice_seq,
-            });
+            slot.open_at(0, self.slice_seq);
         }
-        self.next_time_punct = self
-            .fixed_specs
-            .iter()
-            .filter_map(|s| s.next_time_punct_after(first_ts))
-            .min();
+        self.next_time_punct = self.next_fixed_punct(first_ts);
         self.initialized = true;
     }
 
@@ -608,10 +724,10 @@ impl GroupSlicer {
             if seen.count == 0 {
                 continue;
             }
-            match &mut slot.open {
+            match &mut slot.windows.open {
                 Some(open) => open.last_ts = seen.last_ts,
                 None => {
-                    slot.open = Some(OpenSession {
+                    slot.windows.open = Some(OpenSession {
                         first_ts: seen.first_ts,
                         last_ts: seen.last_ts,
                         first_slice: self.slice_seq,
@@ -622,18 +738,13 @@ impl GroupSlicer {
         let mut needs_seal = false;
         for slot in &mut self.counts {
             let seen = self.seen[self.group.queries[slot.query_idx].selection as usize];
-            slot.count += seen.count;
-            needs_seal |= slot.count == slot.next_punct;
+            let counter = &mut slot.windows.counter;
+            counter.count += seen.count;
+            needs_seal |= counter.due();
         }
         let last = &run[end - 1];
         self.last_seen_ts = last.ts;
-        let ud_end = marker.is_some_and(|marker| {
-            marker.kind == MarkerKind::End
-                && self
-                    .uds
-                    .iter()
-                    .any(|u| u.channel == marker.channel && u.open.is_some())
-        });
+        let ud_end = marker.is_some_and(|m| m.kind == MarkerKind::End && self.ud_open(m.channel));
         if needs_seal || ud_end {
             self.seal_data_boundary(last, out);
         }
@@ -650,7 +761,8 @@ impl GroupSlicer {
         let mut end = self.time_cut(run, from);
         for slot in &self.counts {
             let sel = self.group.queries[slot.query_idx].selection as usize;
-            let kth = slot.next_punct.saturating_sub(slot.count + 1);
+            let Counter { count, next_punct } = slot.windows.counter;
+            let kth = next_punct.saturating_sub(count + 1);
             let kth = usize::try_from(kth).unwrap_or(usize::MAX);
             let mut matched = self
                 .matches
@@ -662,13 +774,14 @@ impl GroupSlicer {
         for slot in &self.sessions {
             let sel = self.group.queries[slot.query_idx].selection as usize;
             // The gap test between consecutive matching timestamps.
-            let mut gap_end = slot.open.as_ref().map(|open| open.gap_end(slot.gap));
+            let Session { gap, open } = &slot.windows;
+            let mut gap_end = open.as_ref().map(|open| open.gap_end(*gap));
             let segment = &run[from..end];
             for (_, ev) in self.matches.accepted(selections, sel, segment, from..end) {
                 if gap_end.is_some_and(|gap_end| ev.ts >= gap_end) {
                     break;
                 }
-                gap_end = Some(ev.ts.saturating_add(slot.gap));
+                gap_end = Some(ev.ts.saturating_add(*gap));
             }
             if let Some(gap_end) = gap_end {
                 end = from + run[from..end].partition_point(|ev| ev.ts < gap_end);
@@ -689,14 +802,14 @@ impl GroupSlicer {
         if !self
             .uds
             .iter()
-            .any(|u| u.channel == channel && u.open.is_none())
+            .any(|u| u.windows.channel == channel && u.windows.open.is_none())
         {
             return;
         }
         self.seal_boundary(ts, out);
         for slot in &mut self.uds {
-            if slot.channel == channel && slot.open.is_none() {
-                slot.open = Some(OpenUd {
+            if slot.windows.channel == channel && slot.windows.open.is_none() {
+                slot.windows.open = Some(OpenUd {
                     start_ts: ts,
                     first_slice: self.slice_seq,
                 });
@@ -713,7 +826,7 @@ impl GroupSlicer {
     /// aligned with the global marker sequence.
     pub fn on_marker(&mut self, ev: &Event, out: &mut Vec<SealedSlice>) {
         let Some(marker) = ev.marker else { return };
-        if !self.uds.iter().any(|u| u.channel == marker.channel) {
+        if !self.uds.iter().any(|u| u.windows.channel == marker.channel) {
             return;
         }
         if !self.initialized {
@@ -725,15 +838,17 @@ impl GroupSlicer {
         match marker.kind {
             MarkerKind::Start => self.open_uds(marker.channel, ev.ts, out),
             MarkerKind::End => {
-                if self
-                    .uds
-                    .iter()
-                    .any(|u| u.channel == marker.channel && u.open.is_some())
-                {
+                if self.ud_open(marker.channel) {
                     self.seal_data_boundary(ev, out);
                 }
             }
         }
+    }
+
+    /// Whether a user-defined window on `channel` is open.
+    fn ud_open(&self, channel: MarkerChannel) -> bool {
+        let mut uds = self.uds.iter().map(|u| &u.windows);
+        uds.any(|u| u.channel == channel && u.open.is_some())
     }
 
     /// Per-session-query *clear frontiers*: for each session query (by
@@ -752,7 +867,7 @@ impl GroupSlicer {
         self.sessions
             .iter()
             .map(|slot| {
-                let clear = match &slot.open {
+                let clear = match &slot.windows.open {
                     Some(open) => open.first_ts,
                     None => idle,
                 };
@@ -784,8 +899,8 @@ impl GroupSlicer {
     pub fn next_punctuation(&self) -> Option<Timestamp> {
         let mut next = self.next_time_punct;
         for slot in &self.sessions {
-            if let Some(open) = &slot.open {
-                let gap_end = open.gap_end(slot.gap);
+            if let Some(open) = &slot.windows.open {
+                let gap_end = open.gap_end(slot.windows.gap);
                 next = Some(next.map_or(gap_end, |t| t.min(gap_end)));
             }
         }
@@ -823,33 +938,14 @@ impl GroupSlicer {
 
         let mut ends = Vec::new();
         let mut gaps = Vec::new();
-        let mut drained_fixed = false;
-
-        // Fixed-window end punctuations at t.
-        for &qi in &self.fixed_queries {
-            let cq = &self.group.queries[qi];
-            if let Some(ws) = cq.query.window.fixed_window_ending_at(t) {
-                if let Some(inst) = self.fixed_instances[qi].pop_front() {
-                    debug_assert_eq!(inst.start_punct, ws, "window end out of order");
-                    ends.push(WindowEnd {
-                        query: cq.query.id,
-                        first_slice: inst.first_slice,
-                        last_slice: sealed_last,
-                        start_ts: inst.start_ts,
-                        end_ts: t,
-                    });
-                    if self.draining[qi] && self.fixed_instances[qi].is_empty() {
-                        drained_fixed = true;
-                    }
-                }
-            }
+        let queries = &self.group.queries;
+        for slot in &mut self.fixed {
+            ends.extend(slot.close_at(t, sealed_last, queries));
         }
-
-        // Session gap ends at t.
-        let mut drained_session = false;
         for slot in &mut self.sessions {
-            if let Some(open) = slot.open.take_if(|open| open.gap_end(slot.gap) == t) {
-                let query = self.group.queries[slot.query_idx].query.id;
+            let Session { gap, open } = &mut slot.windows;
+            if let Some(open) = open.take_if(|open| open.gap_end(*gap) == t) {
+                let query = queries[slot.query_idx].query.id;
                 ends.push(WindowEnd {
                     query,
                     first_slice: open.first_slice,
@@ -862,15 +958,7 @@ impl GroupSlicer {
                     gap_start: open.last_ts,
                     gap_end: t,
                 });
-                if self.draining[slot.query_idx] {
-                    drained_session = true;
-                }
             }
-        }
-        if drained_session {
-            let draining = &self.draining;
-            self.sessions
-                .retain(|s| !(draining[s.query_idx] && s.open.is_none()));
         }
 
         debug_assert!(
@@ -880,33 +968,12 @@ impl GroupSlicer {
 
         self.emit_slice(t, degenerate, ends, gaps, out);
 
-        // Fixed-window start punctuations at t (first slice is the new
-        // current slice). Draining queries open no new windows.
-        for &qi in &self.fixed_queries {
-            if self.draining[qi] {
-                continue;
-            }
-            let cq = &self.group.queries[qi];
-            if cq.query.window.fixed_window_starting_at(t) {
-                self.fixed_instances[qi].push_back(Instance {
-                    start_punct: t,
-                    start_ts: t,
-                    first_slice: self.slice_seq,
-                });
-            }
+        // Fixed windows starting at t begin with the new current slice.
+        for slot in &mut self.fixed {
+            slot.open_at(t, self.slice_seq);
         }
-
-        if drained_fixed {
-            let (instances, draining) = (&self.fixed_instances, &self.draining);
-            self.fixed_queries
-                .retain(|&qi| !(draining[qi] && instances[qi].is_empty()));
-            self.recompute_fixed_specs();
-        }
-        self.next_time_punct = self
-            .fixed_specs
-            .iter()
-            .filter_map(|s| s.next_time_punct_after(t))
-            .min();
+        self.retire();
+        self.next_time_punct = self.next_fixed_punct(t);
     }
 
     /// Seals at a data-driven boundary just *after* the current event:
@@ -914,78 +981,41 @@ impl GroupSlicer {
     fn seal_data_boundary(&mut self, ev: &Event, out: &mut Vec<SealedSlice>) {
         let sealed_last = self.slice_seq; // current slice has >= 1 event
         let mut ends = Vec::new();
-
-        // Count-window transitions.
-        let mut pending_starts: Vec<(usize, u64)> = Vec::new();
-        for (slot_idx, slot) in self.counts.iter_mut().enumerate() {
-            if slot.count != slot.next_punct {
-                continue;
+        let queries = &self.group.queries;
+        for slot in &mut self.counts {
+            let counter = slot.windows.counter;
+            if counter.due() {
+                ends.extend(slot.close_at(counter.count, sealed_last, queries));
             }
-            let n = slot.count;
-            let cq = &self.group.queries[slot.query_idx];
-            if let Some(ws) = slot.spec.fixed_window_ending_at(n) {
-                if let Some(inst) = slot.instances.pop_front() {
-                    debug_assert_eq!(inst.start_punct, ws, "count window end out of order");
+        }
+        // User-defined window ends (this event is the last of the window).
+        if let Some(marker) = ev.marker.filter(|m| m.kind == MarkerKind::End) {
+            for slot in &mut self.uds {
+                let UserDefined { channel, open } = &mut slot.windows;
+                if let Some(open) = open.take_if(|_| *channel == marker.channel) {
                     ends.push(WindowEnd {
-                        query: cq.query.id,
-                        first_slice: inst.first_slice,
+                        query: queries[slot.query_idx].query.id,
+                        first_slice: open.first_slice,
                         last_slice: sealed_last,
-                        // Count windows report their extent in the count
-                        // domain.
-                        start_ts: inst.start_ts,
-                        end_ts: n,
+                        start_ts: open.start_ts,
+                        end_ts: ev.ts,
                     });
                 }
             }
-            if slot.spec.fixed_window_starting_at(n) && !self.draining[slot.query_idx] {
-                pending_starts.push((slot_idx, n));
-            }
-            // See `CountSlot` construction: a spec with no further
-            // punctuation simply never seals again.
-            slot.next_punct = slot.spec.next_count_punct_after(n).unwrap_or(u64::MAX);
-        }
-
-        // User-defined window ends (this event is the last of the window).
-        let mut drained_ud = false;
-        if let Some(marker) = ev.marker {
-            if marker.kind == MarkerKind::End {
-                for slot in &mut self.uds {
-                    if slot.channel == marker.channel {
-                        if let Some(open) = slot.open.take() {
-                            ends.push(WindowEnd {
-                                query: self.group.queries[slot.query_idx].query.id,
-                                first_slice: open.first_slice,
-                                last_slice: sealed_last,
-                                start_ts: open.start_ts,
-                                end_ts: ev.ts,
-                            });
-                            if self.draining[slot.query_idx] {
-                                drained_ud = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if drained_ud {
-            let draining = &self.draining;
-            self.uds
-                .retain(|s| !(draining[s.query_idx] && s.open.is_none()));
         }
 
         self.emit_slice(ev.ts, false, ends, Vec::new(), out);
 
-        for (slot_idx, n) in pending_starts {
-            let slot = &mut self.counts[slot_idx];
-            slot.instances.push_back(Instance {
-                start_punct: n,
-                start_ts: n,
-                first_slice: self.slice_seq,
-            });
+        for slot in &mut self.counts {
+            let counter = slot.windows.counter;
+            if counter.due() {
+                slot.open_at(counter.count, self.slice_seq);
+                // A spec with no further punctuation never seals again.
+                let next = slot.windows.spec.next_count_punct_after(counter.count);
+                slot.windows.counter.next_punct = next.unwrap_or(u64::MAX);
+            }
         }
-        let draining = &self.draining;
-        self.counts
-            .retain(|s| !(draining[s.query_idx] && s.instances.is_empty()));
+        self.retire();
     }
 
     /// Seals the current slice at `end_ts` with no window transitions
@@ -1019,8 +1049,7 @@ impl GroupSlicer {
         let start_ts = self.cur_start;
         self.cur_start = end_ts;
         self.cur_events = 0;
-        let low_watermark = self.low_watermark();
-        let low_watermark_ts = self.low_watermark_ts(end_ts);
+        let (low_watermark, low_watermark_ts) = self.low_watermarks(end_ts);
         let mut trace = None;
         if let Some(t) = &mut self.tracer {
             trace = t.cur_trace.take();
@@ -1041,54 +1070,17 @@ impl GroupSlicer {
         });
     }
 
-    /// Smallest slice id still referenced by an active window (current
-    /// slice id if none).
-    fn low_watermark(&self) -> SliceId {
-        let mut low = self.slice_seq;
-        for deque in &self.fixed_instances {
-            if let Some(inst) = deque.front() {
-                low = low.min(inst.first_slice);
-            }
-        }
-        for slot in &self.sessions {
-            if let Some(open) = &slot.open {
-                low = low.min(open.first_slice);
-            }
-        }
-        for slot in &self.uds {
-            if let Some(open) = &slot.open {
-                low = low.min(open.first_slice);
-            }
-        }
-        for slot in &self.counts {
-            if let Some(inst) = slot.instances.front() {
-                low = low.min(inst.first_slice);
-            }
-        }
-        low
-    }
-
-    /// Earliest event-time window start still active (`fallback` if none).
-    /// Count-window instances are excluded: their extent is data-dependent
-    /// and count groups are never aggregated decentrally (Section 5.2).
-    fn low_watermark_ts(&self, fallback: Timestamp) -> Timestamp {
-        let mut low = fallback;
-        for deque in &self.fixed_instances {
-            if let Some(inst) = deque.front() {
-                low = low.min(inst.start_ts);
-            }
-        }
-        for slot in &self.sessions {
-            if let Some(open) = &slot.open {
-                low = low.min(open.first_ts);
-            }
-        }
-        for slot in &self.uds {
-            if let Some(open) = &slot.open {
-                low = low.min(open.start_ts);
-            }
-        }
-        low
+    /// The smallest slice id an open window still reads (the next
+    /// slice's if none), and the earliest event-time start of an open
+    /// window (`fallback` if none). Count windows do not count for the
+    /// latter: their extent is data-dependent and count groups are never
+    /// aggregated decentrally (Section 5.2).
+    fn low_watermarks(&self, fallback: Timestamp) -> (SliceId, Timestamp) {
+        let open = oldest(&self.fixed).chain(oldest(&self.sessions));
+        let open = open.chain(oldest(&self.uds)).chain(oldest(&self.counts));
+        open.fold((self.slice_seq, fallback), |(low, low_ts), (slice, ts)| {
+            (low.min(slice), ts.map_or(low_ts, |ts| low_ts.min(ts)))
+        })
     }
 }
 

@@ -675,7 +675,7 @@ fn many_queries_shape_counts() {
         calculations: 80_000,
         slices: 31,
         allocations: 194_388,
-        bytes: 28_919_304,
+        bytes: 28_874_952,
         retained_slices_max: 31,
         digest: 0xbefd_96eb_f344_dddf,
     };
@@ -691,7 +691,7 @@ fn slide_wide_shape_counts() {
         calculations: 120_000,
         slices: 199,
         allocations: 171_871,
-        bytes: 56_655_332,
+        bytes: 56_651_876,
         retained_slices_max: 39,
         digest: 0xf993_3e43_3303_e028,
     };
@@ -707,7 +707,7 @@ fn ingest_dense_shape_counts() {
         calculations: 6_706_764,
         slices: 40,
         allocations: 1_649,
-        bytes: 480_416,
+        bytes: 479_904,
         retained_slices_max: 36,
         digest: 0x5f09_6b70_a0da_0a55,
     };
@@ -727,8 +727,8 @@ fn mixed_unfixed_shape_counts() {
         merges: 512,
         calculations: 123_687,
         slices: 88,
-        allocations: 8_232,
-        bytes: 4_285_088,
+        allocations: 8_219,
+        bytes: 4_284_160,
         retained_slices_max: 3,
         digest: 0x28e6_adaa_cfd1_3651,
     };
