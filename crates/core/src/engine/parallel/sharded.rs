@@ -100,6 +100,9 @@ pub struct ShardedSlicer {
     states: Vec<ShardState>,
     /// Arrivals not yet flushed; while flushing, what they released.
     inlet: EventBatch,
+    /// Where the reorder buffer releases a flush's arrivals to: empty
+    /// between flushes, kept for its capacity.
+    released: Vec<Event>,
     batch_size: usize,
     /// Orders the arrivals ([`ParallelConfig::lateness`]); `None`: the
     /// input is in timestamp order already.
@@ -176,6 +179,7 @@ impl ShardedSlicer {
             frontiers: vec![0; shards],
             states: vec![ShardState::Running; shards],
             inlet: EventBatch::with_capacity(cfg.batch_size.max(1)),
+            released: Vec::new(),
             batch_size: cfg.batch_size.max(1),
             reorder: cfg.lateness.map(ReorderBuffer::new),
             buffered_max: 0,
@@ -336,17 +340,22 @@ impl ShardedSlicer {
         let ingest = prof::stamp(&self.prof);
         if let Some(reorder) = &mut self.reorder {
             let t0 = prof::stamp(&self.prof);
-            let mut ordered = Vec::with_capacity(self.inlet.len());
+            let released = &mut self.released;
             for ev in &self.inlet {
-                reorder.push(*ev, &mut ordered);
+                reorder.push(*ev, released);
             }
             match release {
                 Release::Settled => {}
-                Release::Through(ts) => reorder.advance(ts, &mut ordered),
-                Release::All => reorder.flush(&mut ordered),
+                Release::Through(ts) => reorder.advance(ts, released),
+                Release::All => reorder.flush(released),
             }
             self.buffered_max = self.buffered_max.max(reorder.buffered());
-            self.inlet = EventBatch::from(ordered);
+            // The released events become the inlet, and the arrivals'
+            // buffer takes the next flush's release.
+            let arrivals =
+                std::mem::replace(&mut self.inlet, EventBatch::from(std::mem::take(released)));
+            *released = arrivals.into_vec();
+            released.clear();
             prof::record(&mut self.prof, Stage::Reorder, t0);
         }
         if let Some(last) = self.inlet.as_slice().last() {
@@ -369,9 +378,10 @@ impl ShardedSlicer {
         }
     }
 
-    /// Partitions the inlet by key and sends each part to its shard.
+    /// Partitions the inlet by key, sends each part to its shard and
+    /// empties the inlet.
     fn send_inlet(&mut self) {
-        let inlet = std::mem::replace(&mut self.inlet, EventBatch::with_capacity(self.batch_size));
+        let inlet = &self.inlet;
         let parts = if self.broadcast {
             // User-defined windows close at markers, which every shard
             // must observe at the same stream position: copy marker
@@ -380,7 +390,7 @@ impl ShardedSlicer {
             let mut parts: Vec<Vec<Event>> = (0..self.shards)
                 .map(|_| Vec::with_capacity(share))
                 .collect();
-            for ev in &inlet {
+            for ev in inlet {
                 if ev.marker.is_some() {
                     for part in &mut parts {
                         part.push(*ev);
@@ -393,6 +403,7 @@ impl ShardedSlicer {
         } else {
             inlet.partition_by_key(self.shards)
         };
+        self.inlet.clear();
         for (shard, part) in parts.into_iter().enumerate() {
             if part.is_empty() {
                 continue;

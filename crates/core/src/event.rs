@@ -152,6 +152,11 @@ impl EventBatch {
         self.events
     }
 
+    /// Empties the batch, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+    }
+
     /// Takes the batched events out, leaving the (allocated) batch empty.
     pub fn take(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.events)
