@@ -284,7 +284,7 @@ fn scan(
 }
 
 /// Folds selection `sel` of the slices at `older` into `dst` newest →
-/// oldest: a link of a suffix chain grown towards the old end.
+/// oldest: a suffix of a sort-based selection grown towards the old end.
 fn fold_back(
     slices: &VecDeque<StoredSlice>,
     older: Range<usize>,
@@ -318,7 +318,7 @@ fn fold_back(
 /// When it flips depends only on earlier slice ends, and an answer's
 /// association only on `mid`: the order in which one slice end's
 /// windows are asked changes no bit of any answer (both assemblers ask
-/// short-first, for the suffix chains' sake).
+/// short-first, for the open folds' sake).
 #[derive(Debug, Clone)]
 struct SuffixCache {
     selection: usize,
@@ -411,8 +411,8 @@ struct Answer {
     /// ([`sorted_keys`]), and again only if the answer gained keys since.
     keys: Vec<Key>,
     /// Sequence number of the first slice covered, when the answer is a
-    /// link of its selection's suffix chain: the fold newest → oldest of
-    /// the slices from there to the newest one.
+    /// suffix of a sort-based selection: the fold newest → oldest of the
+    /// slices from there to the newest one.
     chained_from: Option<u64>,
 }
 
@@ -460,7 +460,7 @@ enum Found {
 /// state: the answers of one slice end — per selection with sort-based
 /// partials one fold of at most (live keys) bundles when its windows are
 /// asked short-first (each shorter range asked after a longer one adds
-/// a chain link of as many), otherwise at most (distinct window lengths
+/// a fold of as many), otherwise at most (distinct window lengths
 /// ending together) × (live keys) bundles per selection — released when
 /// the next slice is pushed or gc closes the slice end, whichever comes
 /// first.
@@ -478,8 +478,8 @@ pub struct SliceStore {
     /// queries often cover the same `(selection, range)` (a thousand
     /// equal-length tumbling windows with different functions, Figure
     /// 9c), which is then merged once. For a selection with sort-based
-    /// partials a suffix range asked after a longer one is a link of its
-    /// *suffix chain*, built from the nearest later-starting link here.
+    /// partials a suffix range asked after a longer one is folded
+    /// newest → oldest on its own and kept here.
     merged: FxHashMap<(usize, SliceRange), Answer>,
     /// The open folds of the current slice end, one per sort-based
     /// selection: windows that end together are nested suffixes of the
@@ -549,9 +549,9 @@ impl SliceStore {
         self.merged.len() + self.folds.len()
     }
 
-    /// Whether the answer of `range` on selection `sel` is a link of the
-    /// selection's suffix chain: its open fold standing at the range's
-    /// start, or a chain link in the memo.
+    /// Whether the answer of `range` on selection `sel` is a fold newest
+    /// → oldest: the selection's open fold standing at the range's start,
+    /// or a fold of its own in the memo.
     #[cfg(test)]
     fn served_by_chain(&self, sel: usize, range: SliceRange) -> bool {
         if let Some(answer) = self.merged.get(&(sel, range)) {
@@ -619,15 +619,13 @@ impl SliceStore {
     ///   fold's oldest slice folds the slices in between into it in
     ///   place — no map is cloned — and is read off it; the fold's key
     ///   list is re-sorted only when that added keys. A range starting
-    ///   later, asked after a longer one, is a link of the *suffix
-    ///   chain*: it starts from a clone of the memoized link with the
-    ///   nearest later start, if any, and folds only the older slices
-    ///   in. Whichever answers exist when a range is asked, it gets the
-    ///   same bits; k lengths ending together cost `longest`
+    ///   later, asked after a longer one, is folded newest → oldest on
+    ///   its own. Whichever answers exist when a range is asked, it gets
+    ///   the same bits; k lengths ending together cost `longest`
     ///   [`merge_keyed`] calls and no clone when asked short-first — as
-    ///   [`crate::engine::Assembler`] and [`UnfixedMerger`] ask them —
-    ///   and about `longest × H_k` in
-    ///   arbitrary order, against `Σ lengths` for the scan. The fold
+    ///   every caller asks them: [`crate::engine::Assembler`] and
+    ///   [`UnfixedMerger`] — and up to `Σ lengths` in arbitrary order,
+    ///   as the scan does. The fold
     ///   runs towards the old end because that is the end nested
     ///   suffixes differ at, and it merges the short run of one slice
     ///   into the long run of the window so far
@@ -737,10 +735,18 @@ impl SliceStore {
         let suffix = run
             .clone()
             .filter(|run| run.len() > 1 && run.end == self.slices.len());
-        if let (Some(run), false) = (&suffix, q.constant_size) {
-            return self.chained(run.clone(), sel);
-        }
         let mut merged = KeyedBundles::default();
+        if let (Some(run), false) = (&suffix, q.constant_size) {
+            // A suffix asked after its selection's open fold passed its
+            // start: folded newest → oldest afresh, as it is defined.
+            self.merges += fold_back(&self.slices, run.clone(), sel, &mut merged);
+            let chained_from = Some(self.base + run.start as u64);
+            return Answer {
+                merged,
+                chained_from,
+                ..Answer::default()
+            };
+        }
         let cached = suffix.filter(|_| q.cached()).and_then(|run| {
             let seqs = (self.base + run.start as u64, self.base + run.end as u64);
             let at = self.caches.iter().position(|c| c.selection == sel);
@@ -756,29 +762,6 @@ impl SliceStore {
         };
         Answer {
             merged,
-            ..Answer::default()
-        }
-    }
-
-    /// The next link of selection `sel`'s suffix chain: the slices `run`
-    /// (which ends at the newest) folded newest → oldest, starting from
-    /// a clone of the memoized link with the nearest later start if there
-    /// is one. Only a range asked after its selection's open fold passed
-    /// its start gets here, so the fold is never that link.
-    fn chained(&mut self, run: Range<usize>, sel: usize) -> Answer {
-        let from = self.base + run.start as u64;
-        let links = self.merged.iter().filter(|((s, _), _)| *s == sel);
-        let nearest = links
-            .filter_map(|(_, link)| Some((link.chained_from.filter(|s| *s > from)?, &link.merged)))
-            .min_by_key(|(start, _)| *start);
-        let (mut merged, older) = match nearest {
-            Some((start, link)) => (link.clone(), run.start..(start - self.base) as usize),
-            None => (KeyedBundles::default(), run),
-        };
-        self.merges += fold_back(&self.slices, older, sel, &mut merged);
-        Answer {
-            merged,
-            chained_from: Some(from),
             ..Answer::default()
         }
     }
