@@ -148,8 +148,13 @@ impl RawTerminal {
 fn add(m: &mut EngineMetrics, retained: &mut (usize, usize), a: &Assembler) {
     m.results += a.results_emitted();
     m.merges += a.merges();
-    retained.0 += a.retained_slices();
-    retained.1 += a.cached_bundles();
+    let (slices, bundles) = held(a);
+    *retained = (retained.0 + slices, retained.1 + bundles);
+}
+
+/// `(slices, suffix-cache bundles)` `a` retains for open windows.
+fn held(a: &Assembler) -> (usize, usize) {
+    (a.retained_slices(), a.cached_bundles())
 }
 
 /// Publishes an engine's rolled-up metrics as cumulative `engine.*`
@@ -233,6 +238,15 @@ impl GroupTerminal {
         match self {
             GroupTerminal::Merged(a) => a.set_recorder(recorder),
             GroupTerminal::Raw(raw) => raw.set_recorder(recorder),
+        }
+    }
+
+    /// `(slices, suffix-cache bundles)` the terminal retains for open
+    /// windows: what [`GroupTerminal::roll_up`] adds to `retained`.
+    pub fn retained(&self) -> (usize, usize) {
+        match self {
+            GroupTerminal::Merged(a) => held(a),
+            GroupTerminal::Raw(raw) => held(&raw.assembler),
         }
     }
 

@@ -1015,11 +1015,11 @@ impl RootWorker {
     /// for open windows.
     pub(crate) fn retained_state(&self) -> (usize, usize) {
         let mut retained = (0, 0);
-        let mut counters = EngineMetrics::default();
         for group in self.terminal.groups.values() {
-            let (slices, bundles) = group.merger.as_ref().map_or((0, 0), GroupMerger::retained);
-            retained = (retained.0 + slices, retained.1 + bundles);
-            group.terminal.roll_up(&mut counters, &mut retained);
+            let merger = group.merger.as_ref().map_or((0, 0), GroupMerger::retained);
+            let terminal = group.terminal.retained();
+            retained.0 += merger.0 + terminal.0;
+            retained.1 += merger.1 + terminal.1;
         }
         retained
     }
